@@ -1,6 +1,7 @@
 #include "griddecl/gridfile/faulty_env.h"
 
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -94,6 +95,11 @@ Result<std::string> FaultyEnv::ReadAt(const std::string& name,
     return Status::Unavailable("injected permanent fault reading '" + name +
                                "' at " + std::to_string(offset));
   }
+  // Without transient faults no attempt can fail, so skip the per-site
+  // bookkeeping: every generation's fresh file names would grow it forever.
+  if (opts_.transient_error_prob <= 0.0) {
+    return target_->ReadAt(name, offset, length);
+  }
   uint32_t attempt;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -121,7 +127,20 @@ Status FaultyEnv::Rename(const std::string& from, const std::string& to) {
 }
 
 Status FaultyEnv::Remove(const std::string& name) {
+  {
+    // A removed file's read sites are gone: a file later written under the
+    // same name starts its transient schedule from attempt 0.
+    std::lock_guard<std::mutex> lock(mu_);
+    attempts_.erase(
+        attempts_.lower_bound({name, 0}),
+        attempts_.upper_bound({name, std::numeric_limits<uint64_t>::max()}));
+  }
   return target_->Remove(name);
+}
+
+size_t FaultyEnv::attempt_sites() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return attempts_.size();
 }
 
 bool FaultyEnv::Exists(const std::string& name) const {

@@ -118,6 +118,9 @@ class FaultyEnv : public StorageEnv {
 
   /// Observability for tests: total ReadAt calls / injected failures.
   uint64_t reads_issued() const { return reads_issued_.load(); }
+  /// (file, offset) read sites holding a transient attempt counter. Stays
+  /// 0 when transient_error_prob is 0; a file's sites go with `Remove`.
+  size_t attempt_sites() const;
   uint64_t transient_faults_injected() const {
     return transient_faults_.load();
   }

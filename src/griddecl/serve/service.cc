@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +17,26 @@ namespace griddecl::serve {
 namespace {
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// The (disk, copy) a query plan serves one bucket from.
+struct Owner {
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  uint32_t disk = kNone;
+  uint32_t copy = 0;
+};
+
+constexpr uint64_t kOutsideRect = std::numeric_limits<uint64_t>::max();
+
+/// Row-major offset of `c` inside `rect` (last dimension fastest), or
+/// kOutsideRect.
+uint64_t RectOffset(const BucketRect& rect, const BucketCoords& c) {
+  uint64_t offset = 0;
+  for (uint32_t d = 0; d < rect.num_dims(); ++d) {
+    if (c[d] < rect.lo()[d] || c[d] > rect.hi()[d]) return kOutsideRect;
+    offset = offset * rect.Extent(d) + (c[d] - rect.lo()[d]);
+  }
+  return offset;
+}
 
 }  // namespace
 
@@ -155,6 +174,9 @@ Result<QueryService::Relation> QueryService::LoadRelation(
   const GridSpec& grid = rel.file->grid();
   rel.bucket_pages.assign(static_cast<size_t>(grid.num_buckets()), {});
   const uint32_t capacity = rel.layout.page_capacity;
+  rel.page_bucket.assign(
+      static_cast<size_t>((rel.file->num_records() + capacity - 1) / capacity),
+      kMixedPage);
   for (RecordId id = 0; id < rel.file->num_records(); ++id) {
     const uint64_t bucket = grid.Linearize(rel.file->BucketOfRecord(id));
     const uint64_t page = id / capacity;
@@ -162,6 +184,12 @@ Result<QueryService::Relation> QueryService::LoadRelation(
         rel.bucket_pages[static_cast<size_t>(bucket)];
     // Ids within a bucket ascend, so pages arrive sorted; dedupe inline.
     if (pages.empty() || pages.back() != page) pages.push_back(page);
+    uint64_t& owner = rel.page_bucket[static_cast<size_t>(page)];
+    if (id % capacity == 0) {
+      owner = bucket;  // The page's first record.
+    } else if (owner != bucket) {
+      owner = kMixedPage;
+    }
   }
   return rel;
 }
@@ -359,11 +387,12 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   }
 
   struct Assign {
+    uint64_t addr = 0;
     uint32_t disk = 0;
     uint32_t copy = 0;
     bool reconstruct = false;
   };
-  std::unordered_map<uint64_t, Assign> assignment;
+  std::vector<Assign> assignment;
   assignment.reserve(static_cast<size_t>(result.buckets_touched));
 
   if (!per_bucket_path && any_refused &&
@@ -392,7 +421,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
           return finish(Status::Internal(
               "replica plan assigned a bucket to a non-replica disk"));
         }
-        assignment[addr] = {d, copy, false};
+        assignment.push_back({addr, d, copy, false});
       }
     }
   } else {
@@ -406,7 +435,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         const uint64_t addr = begin + j;
         const uint32_t primary = rel.disk_map->DiskAt(addr);
         if (filtered && !allowed[primary]) continue;
-        Assign a{primary, 0, false};
+        Assign a{addr, primary, 0, false};
         if (pinned_copy > 0) {
           a.copy = pinned_copy;
           a.disk = rel.placement->DisksOf(grid.Delinearize(addr))[pinned_copy];
@@ -435,7 +464,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
             dead_buckets++;
           }
         }
-        assignment[addr] = a;
+        assignment.push_back(a);
       }
     });
     if (dead_buckets > 0) {
@@ -446,26 +475,76 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     if (per_bucket_path) result.buckets_touched = assignment.size();
   }
 
-  // --- Gather page reads, grouped per disk (the breaker unit) --------------
+  // --- Flat read plan: one entry per (disk, copy, page) --------------------
+  // Sorted by (disk, copy, page): per-disk batches (the breaker unit) in
+  // ascending disk order, each read in (copy, page) order. A page shared by
+  // two buckets of one (disk, copy) is read once.
   struct PageRead {
+    uint32_t disk = 0;
     uint32_t copy = 0;
     uint64_t page = 0;
     bool reconstruct = false;
   };
-  std::map<uint32_t, std::map<std::pair<uint32_t, uint64_t>, bool>> by_disk;
-  for (const auto& [addr, a] : assignment) {
-    for (uint64_t page : rel.bucket_pages[static_cast<size_t>(addr)]) {
-      bool& recon = by_disk[a.disk][{a.copy, page}];
-      recon = recon || a.reconstruct;
+  std::vector<PageRead> reads;
+  reads.reserve(assignment.size());
+  bool any_mixed = false;
+  for (const Assign& a : assignment) {
+    for (uint64_t page : rel.bucket_pages[static_cast<size_t>(a.addr)]) {
+      reads.push_back({a.disk, a.copy, page, a.reconstruct});
+      any_mixed = any_mixed || rel.page_bucket[page] == kMixedPage;
+    }
+  }
+  const auto key = [](const PageRead& r) {
+    return std::tie(r.disk, r.copy, r.page);
+  };
+  std::sort(reads.begin(), reads.end(),
+            [&](const PageRead& a, const PageRead& b) {
+              return key(a) < key(b);
+            });
+  size_t planned = 0;
+  for (const PageRead& r : reads) {
+    if (planned > 0 && key(reads[planned - 1]) == key(r)) {
+      reads[planned - 1].reconstruct = reads[planned - 1].reconstruct ||
+                                       r.reconstruct;
+    } else {
+      reads[planned++] = r;
+    }
+  }
+  reads.resize(planned);
+
+  // --- Owner table: only mixed pages resolve each record's owner ----------
+  // Indexed by a bucket's row-major offset inside the query rectangle;
+  // buckets the plan does not serve (disk-filtered) have no owner.
+  const BucketRect& rect = query.rect();
+  std::vector<Owner> owners;
+  if (any_mixed) {
+    owners.assign(static_cast<size_t>(rect.Volume()), Owner{});
+    for (const Assign& a : assignment) {
+      owners[static_cast<size_t>(
+          RectOffset(rect, grid.Delinearize(a.addr)))] = {a.disk, a.copy};
     }
   }
 
+  const InterruptFn interrupt = MakeInterrupt(p.deadline_ms);
   const uint32_t num_attrs = rel.layout.num_attrs;
+  const uint32_t capacity = rel.layout.page_capacity;
   std::vector<double> values(num_attrs);
   std::vector<uint8_t> match_mask;
+  // Each page read appends one ascending run of ids to result.matches.
+  struct Run {
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  std::vector<Run> runs;
+  runs.reserve(reads.size());
 
   // --- Execute, disk by disk ----------------------------------------------
-  for (const auto& [disk, reads] : by_disk) {
+  for (size_t batch = 0; batch < reads.size();) {
+    const uint32_t disk = reads[batch].disk;
+    size_t batch_end = batch;
+    while (batch_end < reads.size() && reads[batch_end].disk == disk) {
+      ++batch_end;
+    }
     if (hard_stop_.load()) {
       return finish(Status::Unavailable("service shutting down"));
     }
@@ -478,11 +557,11 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     // planning — then every page goes straight to the degraded path.
     const bool admitted = AllowDisk(disk);
     bool direct_ok = true;
-    for (const auto& [key, reconstruct] : reads) {
-      const auto& [copy, page] = key;
+    for (size_t i = batch; i < batch_end; ++i) {
+      const PageRead& read = reads[i];
       Result<PinnedPage> pinned = ReadPageResilient(
-          rel, copy, page, p.deadline_ms,
-          /*try_direct=*/admitted && !reconstruct, &direct_ok, &result);
+          rel, read.copy, read.page, interrupt,
+          /*try_direct=*/admitted && !read.reconstruct, &direct_ok, &result);
       if (!pinned.ok()) {
         if (admitted) RecordDiskOutcome(disk, false);
         return finish(pinned.status());
@@ -495,9 +574,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         continue;
       }
       // Branch-free columnar filter: AND per-attribute range masks over
-      // the column vectors, then resolve bucket assignment only for the
-      // surviving slots (accept records whose bucket this (disk, copy)
-      // serves).
+      // the column vectors.
       const uint32_t in_page = decoded.num_records;
       match_mask.assign(in_page, 1);
       for (uint32_t a = 0; a < num_attrs; ++a) {
@@ -510,25 +587,58 @@ QueryResult QueryService::RunQuery(const Pending& p) {
               static_cast<uint8_t>(col[slot] >= lo && col[slot] <= hi);
         }
       }
-      for (uint32_t slot = 0; slot < in_page; ++slot) {
-        if (!match_mask[slot]) continue;
-        for (uint32_t a = 0; a < num_attrs; ++a) {
-          values[a] = decoded.column(a)[slot];
+      const RecordId first_id = read.page * capacity;
+      const size_t run_begin = result.matches.size();
+      if (rel.page_bucket[read.page] != kMixedPage) {
+        for (uint32_t slot = 0; slot < in_page; ++slot) {
+          if (match_mask[slot]) result.matches.push_back(first_id + slot);
         }
-        const uint64_t addr =
-            grid.Linearize(rel.file->partitioner().BucketOf(values));
-        const auto assigned = assignment.find(addr);
-        if (assigned == assignment.end() ||
-            assigned->second.disk != disk || assigned->second.copy != copy) {
-          continue;
+      } else {
+        // Accept only records whose bucket this (disk, copy) serves.
+        for (uint32_t slot = 0; slot < in_page; ++slot) {
+          if (!match_mask[slot]) continue;
+          for (uint32_t a = 0; a < num_attrs; ++a) {
+            values[a] = decoded.column(a)[slot];
+          }
+          const uint64_t offset =
+              RectOffset(rect, rel.file->partitioner().BucketOf(values));
+          if (offset == kOutsideRect) continue;
+          const Owner& owner = owners[static_cast<size_t>(offset)];
+          if (owner.disk != disk || owner.copy != read.copy) continue;
+          result.matches.push_back(first_id + slot);
         }
-        result.matches.push_back(page * rel.layout.page_capacity + slot);
+      }
+      if (result.matches.size() > run_begin) {
+        runs.push_back({run_begin, result.matches.size()});
       }
     }
     if (admitted) RecordDiskOutcome(disk, direct_ok);
+    batch = batch_end;
   }
 
-  std::sort(result.matches.begin(), result.matches.end());
+  // --- Ordered gather ------------------------------------------------------
+  // Distinct pages hold disjoint id ranges, so ordering the runs by first id
+  // and concatenating sorts the answer. Runs overlap only when one mixed
+  // page was read under two (disk, copy) keys; then sort the ids instead.
+  std::vector<RecordId>& ids = result.matches;
+  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
+    return ids[a.begin] < ids[b.begin];
+  });
+  bool overlap = false;
+  for (size_t k = 1; k < runs.size(); ++k) {
+    overlap = overlap || ids[runs[k].begin] <= ids[runs[k - 1].end - 1];
+  }
+  if (overlap) {
+    std::sort(ids.begin(), ids.end());
+  } else {
+    std::vector<RecordId> ordered;
+    ordered.reserve(ids.size());
+    for (const Run& run : runs) {
+      ordered.insert(ordered.end(), ids.begin() + run.begin,
+                     ids.begin() + run.end);
+    }
+    ids.swap(ordered);
+  }
   return finish(Status::Ok());
 }
 
@@ -546,13 +656,13 @@ InterruptFn QueryService::MakeInterrupt(double deadline_ms) const {
 
 Result<PinnedPage> QueryService::ReadPageResilient(
     const Relation& rel, uint32_t assigned_copy, uint64_t page,
-    double deadline_ms, bool try_direct, bool* direct_ok,
+    const InterruptFn& interrupt, bool try_direct, bool* direct_ok,
     QueryResult* result) {
   Status direct_status =
       Status::Unavailable("disk routed around; direct read skipped");
   if (try_direct) {
     Result<PinnedPage> direct =
-        ReadPagePinned(rel, assigned_copy, page, deadline_ms, result);
+        ReadPagePinned(rel, assigned_copy, page, interrupt, result);
     if (direct.ok()) return direct;
     *direct_ok = false;
     if (direct.status().code() != StatusCode::kUnavailable) {
@@ -564,7 +674,7 @@ Result<PinnedPage> QueryService::ReadPageResilient(
     for (uint32_t copy = 0; copy < rel.copy_files.size(); ++copy) {
       if (copy == assigned_copy) continue;
       Result<PinnedPage> alt =
-          ReadPagePinned(rel, copy, page, deadline_ms, result);
+          ReadPagePinned(rel, copy, page, interrupt, result);
       if (alt.ok()) {
         result->failover_reads++;
         return alt;
@@ -577,7 +687,7 @@ Result<PinnedPage> QueryService::ReadPageResilient(
                                " unreadable on every mirror copy");
   }
   if (rel.redundancy.policy == RelationRedundancy::Policy::kParity) {
-    return ReconstructPage(rel, page, deadline_ms, result);
+    return ReconstructPage(rel, page, interrupt, result);
   }
   return direct_status;
 }
@@ -585,12 +695,12 @@ Result<PinnedPage> QueryService::ReadPageResilient(
 Result<PinnedPage> QueryService::ReadPagePinned(const Relation& rel,
                                                 uint32_t copy,
                                                 uint64_t page,
-                                                double deadline_ms,
+                                                const InterruptFn& interrupt,
                                                 QueryResult* result) {
   PageReadStats stats;
   Result<PinnedPage> pinned =
       store_->GetPage(rel.copy_files[copy], page, options_.read, &stats,
-                      MakeInterrupt(deadline_ms));
+                      interrupt);
   result->retries += stats.retries;
   if (pinned.ok()) {
     result->pages_read++;
@@ -601,7 +711,7 @@ Result<PinnedPage> QueryService::ReadPagePinned(const Relation& rel,
 
 Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
                                                  uint64_t page,
-                                                 double deadline_ms,
+                                                 const InterruptFn& interrupt,
                                                  QueryResult* result) {
   if (rel.parity_file.empty()) {
     return Status::Unavailable("page " + std::to_string(page) +
@@ -623,8 +733,7 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   PageReadStats parity_stats;
   Result<std::string> acc = store_->ReadRaw(
       rel.parity_file, stripe * rel.layout.page_size_bytes,
-      rel.layout.page_size_bytes, options_.read, &parity_stats,
-      MakeInterrupt(deadline_ms));
+      rel.layout.page_size_bytes, options_.read, &parity_stats, interrupt);
   result->retries += parity_stats.retries;
   if (!acc.ok()) return degrade(acc.status());
   result->pages_read++;
@@ -634,7 +743,7 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
     // Stripe siblings are ordinary data pages: pooled reads, so repeated
     // reconstructions of a stripe fetch each survivor once.
     Result<PinnedPage> bytes =
-        ReadPagePinned(rel, 0, sibling, deadline_ms, result);
+        ReadPagePinned(rel, 0, sibling, interrupt, result);
     if (!bytes.ok()) return degrade(bytes.status());
     const std::string_view src = bytes.value().raw();
     for (uint32_t b = 0; b < rel.layout.page_size_bytes; ++b) {

@@ -247,7 +247,13 @@ class QueryService {
     std::string parity_file;  ///< Empty unless kParity.
     /// Grid-linear bucket -> sorted distinct pages holding its records.
     std::vector<std::vector<uint64_t>> bucket_pages;
+    /// Page -> the one grid-linear bucket all its records belong to, or
+    /// kMixedPage. A single-bucket page is only ever planned under that
+    /// bucket's (disk, copy), so its matches need no per-record owner
+    /// check.
+    std::vector<uint64_t> page_bucket;
   };
+  static constexpr uint64_t kMixedPage = ~uint64_t{0};
 
   struct Pending {
     QueryRequest request;
@@ -277,23 +283,26 @@ class QueryService {
   /// goes into `result`.
   Result<PinnedPage> ReadPageResilient(const Relation& rel,
                                        uint32_t assigned_copy, uint64_t page,
-                                       double deadline_ms, bool try_direct,
-                                       bool* direct_ok, QueryResult* result);
+                                       const InterruptFn& interrupt,
+                                       bool try_direct, bool* direct_ok,
+                                       QueryResult* result);
   /// One copy file's page through the PageStore (pool lookup, retries,
   /// verify-at-admission); verification failure reads as kUnavailable so
   /// degraded paths engage.
   Result<PinnedPage> ReadPagePinned(const Relation& rel, uint32_t copy,
-                                    uint64_t page, double deadline_ms,
+                                    uint64_t page,
+                                    const InterruptFn& interrupt,
                                     QueryResult* result);
   /// Rebuilds `page` by XORing its stripe siblings and the parity page.
   /// The rebuilt page is deliberately NOT admitted to the pool under the
   /// data file's key: a later direct read must touch the disk again, so
   /// breakers keep observing the real fault.
   Result<PinnedPage> ReconstructPage(const Relation& rel, uint64_t page,
-                                     double deadline_ms,
+                                     const InterruptFn& interrupt,
                                      QueryResult* result);
   /// Interrupt hook handed to PageStore: hard stop and the query's
   /// deadline abort reads and backoff sleeps with serve's own statuses.
+  /// Built once per query and shared by all of its reads.
   InterruptFn MakeInterrupt(double deadline_ms) const;
 
   bool AllowDisk(uint32_t disk);

@@ -38,6 +38,39 @@ TEST(FaultyEnvTest, CleanOptionsPassReadsThrough) {
   EXPECT_EQ(env->reads_issued(), 1u);
   EXPECT_EQ(env->transient_faults_injected(), 0u);
   EXPECT_EQ(env->permanent_faults_injected(), 0u);
+  // No transient faults, no per-site attempt bookkeeping: reads of ever
+  // new sites must not grow the env's memory.
+  for (uint64_t offset = 0; offset < 64; ++offset) {
+    EXPECT_TRUE(env->ReadAt("other", offset, 1).ok());
+  }
+  EXPECT_EQ(env->attempt_sites(), 0u);
+}
+
+TEST(FaultyEnvTest, RemoveRestartsTheTransientScheduleOfTheName) {
+  MemEnv target = SeededEnv();
+  FaultyEnvOptions opts;
+  opts.transient_error_prob = 1.0;
+  opts.max_transient_attempts = 2;
+  auto env = FaultyEnv::Create(&target, opts).value();
+  // Attempts 0 and 1 of every site fail; attempt 2 succeeds.
+  const auto walk = [&](const std::string& name) {
+    EXPECT_FALSE(env->ReadAt(name, 0, 4).ok());
+    EXPECT_FALSE(env->ReadAt(name, 0, 4).ok());
+    EXPECT_TRUE(env->ReadAt(name, 0, 4).ok());
+  };
+  walk("data");
+  EXPECT_FALSE(env->ReadAt("data", 32, 4).ok());
+  EXPECT_FALSE(env->ReadAt("other", 0, 4).ok());
+  EXPECT_EQ(env->attempt_sites(), 3u);
+
+  // The same name rewritten after Remove is a new file: its sites start
+  // over at attempt 0. Other files keep their counters.
+  ASSERT_TRUE(env->Remove("data").ok());
+  EXPECT_EQ(env->attempt_sites(), 1u);
+  ASSERT_TRUE(env->WriteFile("data", std::string(256, 'c')).ok());
+  walk("data");
+  EXPECT_FALSE(env->ReadAt("other", 0, 4).ok());
+  EXPECT_TRUE(env->ReadAt("other", 0, 4).ok());
 }
 
 TEST(FaultyEnvTest, TransientScheduleIsDeterministicAndBounded) {

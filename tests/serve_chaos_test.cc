@@ -41,7 +41,9 @@ GridFile MakeClusteredFile(uint64_t seed) {
   return f;
 }
 
-void CommitMirrorCatalog(MemEnv* env) {
+/// `page_size` 168 gives one bucket per page; 1024 (capacity 61) mixes
+/// the records of up to 8 buckets on each page.
+void CommitMirrorCatalog(MemEnv* env, uint32_t page_size = 168) {
   Catalog catalog(4);
   ASSERT_TRUE(
       catalog
@@ -50,7 +52,7 @@ void CommitMirrorCatalog(MemEnv* env) {
                                  .value())
           .ok());
   ManifestSaveOptions options;
-  options.page_size_bytes = 168;
+  options.page_size_bytes = page_size;
   options.default_redundancy.policy = RelationRedundancy::Policy::kMirror;
   options.default_redundancy.copies = 2;
   ASSERT_TRUE(SaveCatalogManifest(catalog, env, options).ok());
@@ -123,30 +125,31 @@ std::vector<Outcome> RunSoak(MemEnv* env, const FaultyEnvOptions& fault,
 }
 
 TEST(ServeChaosTest, TransientSoakOutcomesAreThreadCountInvariant) {
-  MemEnv env;
-  CommitMirrorCatalog(&env);
   const std::vector<QueryRequest> queries = MakeWorkload(11, 40);
+  for (uint32_t page_size : {168u, 1024u}) {
+    MemEnv env;
+    CommitMirrorCatalog(&env, page_size);
+    for (uint64_t fault_seed : {1u, 2u, 3u}) {
+      FaultyEnvOptions fault;
+      fault.seed = fault_seed;
+      fault.transient_error_prob = 0.4;
+      fault.max_transient_attempts = 3;
 
-  for (uint64_t fault_seed : {1u, 2u, 3u}) {
-    FaultyEnvOptions fault;
-    fault.seed = fault_seed;
-    fault.transient_error_prob = 0.4;
-    fault.max_transient_attempts = 3;
-
-    const std::vector<Outcome> reference = RunSoak(&env, fault, queries, 1);
-    // Transients always resolve within the retry budget: every query
-    // succeeds, and matches equal the healthy direct answers.
-    const std::vector<Outcome> healthy =
-        RunSoak(&env, FaultyEnvOptions{}, queries, 1);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(reference[q].code, StatusCode::kOk) << "query " << q;
-      EXPECT_EQ(reference[q].matches, healthy[q].matches) << "query " << q;
-    }
-    for (uint32_t threads : {2u, 4u}) {
-      for (int run = 0; run < 2; ++run) {
-        EXPECT_EQ(RunSoak(&env, fault, queries, threads), reference)
-            << "seed " << fault_seed << " threads " << threads << " run "
-            << run;
+      const std::vector<Outcome> reference = RunSoak(&env, fault, queries, 1);
+      // Transients always resolve within the retry budget: every query
+      // succeeds, and matches equal the healthy direct answers.
+      const std::vector<Outcome> healthy =
+          RunSoak(&env, FaultyEnvOptions{}, queries, 1);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(reference[q].code, StatusCode::kOk) << "query " << q;
+        EXPECT_EQ(reference[q].matches, healthy[q].matches) << "query " << q;
+      }
+      for (uint32_t threads : {2u, 4u}) {
+        for (int run = 0; run < 2; ++run) {
+          EXPECT_EQ(RunSoak(&env, fault, queries, threads), reference)
+              << "page size " << page_size << " seed " << fault_seed
+              << " threads " << threads << " run " << run;
+        }
       }
     }
   }

@@ -1,9 +1,11 @@
 #include "griddecl/serve/service.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -589,6 +591,169 @@ TEST(QueryServiceTest, ServeOptionsGenerationLoadsStagedCatalogs) {
   at9.generation = 9;
   EXPECT_FALSE(QueryService::Create(&env, at9).ok());
 }
+
+/// Page size x method. 168-byte pages hold one bucket each; 1024- and
+/// 4096-byte pages (capacity 61 and 253) mix the records of up to 8 and 32
+/// buckets, which a plan spreads over several (disk, copy) keys.
+class QueryServiceLayoutTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, const char*>> {
+ protected:
+  void SetUp() override {
+    const auto [page_size, method] = GetParam();
+    Schema schema =
+        Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+    GridFile f = GridFile::Create(std::move(schema), {8, 8}).value();
+    const GridSpec grid = f.grid();
+    Rng rng(3);
+    for (uint64_t b = 0; b < grid.num_buckets(); ++b) {
+      const BucketCoords c = grid.Delinearize(b);
+      for (uint32_t k = 0; k < 8; ++k) {
+        ASSERT_TRUE(f.Insert({(c[0] + rng.NextDouble()) / 8.0,
+                              (c[1] + rng.NextDouble()) / 8.0})
+                        .ok());
+      }
+    }
+    Catalog catalog(4);
+    ASSERT_TRUE(catalog
+                    .AddRelation("dm", DeclusteredFile::Create(
+                                           std::move(f), method, 4)
+                                           .value())
+                    .ok());
+    ManifestSaveOptions options;
+    options.page_size_bytes = page_size;
+    options.default_redundancy = Mirror2();
+    ASSERT_TRUE(SaveCatalogManifest(catalog, &env_, options).ok());
+    truth_ = std::make_unique<GridFile>(catalog.Find("dm")->file());
+    data_file_ = ReadCurrentManifest(env_).value().DataFileName(0);
+    const std::string bytes = env_.ReadFile(data_file_).value();
+    data_bytes_ = bytes.size();
+    num_pages_ = ParseFileLayout(bytes).value().num_pages;
+    mixed_ = page_size > 168;
+  }
+
+  std::vector<RecordId> Truth(const QueryRequest& q) const {
+    return truth_->RangeSearch(q.lo, q.hi).value();
+  }
+
+  /// The answer must be sorted and free of duplicates.
+  static void ExpectSortedUnique(const std::vector<RecordId>& ids) {
+    EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<RecordId>()) ==
+                ids.end());
+  }
+
+  MemEnv env_;
+  std::unique_ptr<GridFile> truth_;
+  std::string data_file_;
+  uint64_t data_bytes_ = 0;
+  uint64_t num_pages_ = 0;
+  bool mixed_ = false;
+};
+
+TEST_P(QueryServiceLayoutTest, FullSubAndPinnedQueriesMatchRangeSearch) {
+  // The layout is what the parameter says: DiskFaultSchedule refuses
+  // exactly the pages that mix buckets of different disks.
+  EXPECT_EQ(DiskFaultSchedule(env_, "dm", 0).ok(), !mixed_);
+  auto service = QueryService::Create(&env_, {}).value();
+
+  std::vector<QueryRequest> queries = {Range({0.0, 0.0}, {1.0, 1.0})};
+  Rng rng(17);
+  for (int q = 0; q < 20; ++q) {
+    std::vector<double> lo(2), hi(2);
+    for (int d = 0; d < 2; ++d) {
+      const double a = rng.NextDouble();
+      const double b = rng.NextDouble();
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
+    }
+    queries.push_back(Range(lo, hi));
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<RecordId> want = Truth(queries[q]);
+    const QueryResult full = service->Execute(queries[q]);
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    EXPECT_EQ(full.matches, want) << "query " << q;
+
+    std::vector<RecordId> merged;
+    for (uint32_t d = 0; d < 4; ++d) {
+      QueryRequest sub = queries[q];
+      sub.disks = {d};
+      const QueryResult r = service->Execute(sub);
+      ASSERT_TRUE(r.status.ok()) << "disk " << d << ": "
+                                 << r.status.ToString();
+      ExpectSortedUnique(r.matches);
+      merged.insert(merged.end(), r.matches.begin(), r.matches.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    EXPECT_EQ(merged, want) << "query " << q;
+
+    QueryRequest pinned = queries[q];
+    pinned.serve_copy = 1;
+    const QueryResult r = service->Execute(pinned);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.matches, want) << "query " << q;
+  }
+
+  // The whole-grid query reads every page once per (disk, copy) key whose
+  // buckets it holds: on mixed layouts some page is read under two keys,
+  // so the gather cannot just concatenate per-page runs.
+  const QueryResult whole = service->Execute(queries[0]);
+  if (mixed_) {
+    EXPECT_GT(whole.pages_read, num_pages_);
+  } else {
+    EXPECT_EQ(whole.pages_read, num_pages_);
+  }
+}
+
+TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
+  // Every data-file (copy 0) read fails until virtual time 1; copy 1 stays
+  // healthy. A disk-filtered query trips only disk 2's breaker.
+  FaultyEnvOptions fault;
+  fault.permanent.push_back({data_file_, 0, data_bytes_, 0.0, 1.0});
+  auto faulty = FaultyEnv::Create(&env_, fault).value();
+  ServeOptions options;
+  options.breaker.min_events = 1;
+  options.breaker.window = 1;
+  options.breaker.open_ms = 1e18;  // Once open, stays open.
+  auto service = QueryService::Create(faulty.get(), options).value();
+
+  const QueryRequest full = Range({0.05, 0.1}, {0.95, 0.8});
+  const std::vector<RecordId> want = Truth(full);
+  QueryRequest sub = full;
+  sub.disks = {2};
+  const QueryResult before = service->Execute(sub);
+  ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+  EXPECT_GT(before.failover_reads, 0u);
+  ASSERT_EQ(service->BreakerStateOf(2), BreakerState::kOpen);
+  for (uint32_t d : {0u, 1u, 3u}) {
+    EXPECT_EQ(service->BreakerStateOf(d), BreakerState::kClosed);
+  }
+
+  // Copy 0 heals; disk 2's breaker still refuses, so the planner moves its
+  // buckets to their copy-1 replicas on other disks.
+  faulty->SetNowMs(1.0);
+  const QueryResult r = service->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.matches, want);
+  EXPECT_GT(r.rerouted_buckets, 0u);
+  EXPECT_EQ(r.failover_reads, 0u);
+
+  const QueryResult after = service->Execute(sub);
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_EQ(after.matches, before.matches);
+  EXPECT_GT(after.rerouted_buckets, 0u);
+  EXPECT_EQ(after.failover_reads, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageSizesAndMethods, QueryServiceLayoutTest,
+    ::testing::Combine(::testing::Values(168u, 1024u, 4096u),
+                       ::testing::Values("hcam", "dm")),
+    [](const ::testing::TestParamInfo<QueryServiceLayoutTest::ParamType>&
+           info) {
+      return std::string(std::get<1>(info.param)) + "_" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 TEST(ServeScriptTest, ParsesQueriesCommentsAndDeadlines) {
   const auto requests = ParseServeScript(
