@@ -6,9 +6,6 @@
 #include <future>
 #include <utility>
 
-#include "griddecl/cluster/migrator.h"
-#include "griddecl/cluster/repair.h"
-
 namespace griddecl::cluster {
 
 namespace {
@@ -29,6 +26,19 @@ double HashUnit(uint64_t seed, uint64_t a, uint64_t b) {
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Copies every file of `from` into `to`: how a node env is seeded from
+/// the committed catalog or caught up from a live peer.
+Status CopyAllFiles(const StorageEnv& from, StorageEnv* to) {
+  auto files = from.ListFiles();
+  if (!files.ok()) return files.status();
+  for (const std::string& name : files.value()) {
+    auto bytes = from.ReadFile(name);
+    if (!bytes.ok()) return bytes.status();
+    GRIDDECL_RETURN_IF_ERROR(to->WriteFile(name, bytes.value()));
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -100,9 +110,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     }
   }
 
-  auto files = seed.ListFiles();
-  if (!files.ok()) return files.status();
-
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = std::move(options);
   const ClusterOptions& opts = cluster->options_;
@@ -133,11 +140,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   std::vector<std::shared_ptr<serve::QueryService>> services;
   for (uint32_t n = 0; n < opts.num_nodes; ++n) {
     auto node = std::make_unique<Node>();
-    for (const std::string& name : files.value()) {
-      auto bytes = seed.ReadFile(name);
-      if (!bytes.ok()) return bytes.status();
-      GRIDDECL_RETURN_IF_ERROR(node->env.WriteFile(name, bytes.value()));
-    }
+    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(seed, &node->env));
     FaultyEnvOptions fo;
     fo.seed = opts.fault_seed + n;
     fo.transient_error_prob = opts.node_transient_prob;
@@ -177,8 +180,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     cluster->node_query_ms_.emplace_back(obs::DefaultLatencyBoundsMs());
   }
 
-  auto epoch =
-      cluster->BuildEpoch(manifest.value().generation, std::move(services));
+  auto epoch = cluster->BuildEpoch(manifest.value().generation,
+                                   std::move(services), cluster->nodes_[0]->env);
   if (!epoch.ok()) return epoch.status();
   cluster->epoch_ = std::move(epoch.value());
 
@@ -212,14 +215,10 @@ Cluster::~Cluster() = default;
 Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
     uint64_t generation,
     std::vector<std::shared_ptr<serve::QueryService>> services,
-    const StorageEnv* src) const {
-  // Live node envs hold identical catalog files by construction; a raw
-  // MemEnv (not the faulty wrapper) keeps epoch builds fault-free. Node 0
-  // by default; repair passes a live node because node 0 may be dead.
-  const StorageEnv& env = src != nullptr ? *src : nodes_[0]->env;
-  auto manifest = ReadManifest(env, generation);
+    const StorageEnv& src) const {
+  auto manifest = ReadManifest(src, generation);
   if (!manifest.ok()) return manifest.status();
-  auto catalog = LoadCatalogFromManifest(env, manifest.value());
+  auto catalog = LoadCatalogFromManifest(src, manifest.value());
   if (!catalog.ok()) return catalog.status();
 
   auto routing = std::make_shared<Routing>(std::move(catalog.value()));
@@ -341,6 +340,16 @@ bool Cluster::NodeAliveAt(uint32_t node, double virtual_now) const {
     }
   }
   return true;
+}
+
+std::optional<uint32_t> Cluster::LivePeerAt(uint64_t generation,
+                                            uint32_t skip) const {
+  for (uint32_t p = 0; p < num_nodes(); ++p) {
+    if (p == skip || !NodeAlive(p)) continue;
+    auto pm = ReadCurrentManifest(nodes_[p]->env);
+    if (pm.ok() && pm.value().generation == generation) return p;
+  }
+  return std::nullopt;
 }
 
 bool Cluster::NodeWouldRefuse(uint32_t node) const {
@@ -500,29 +509,15 @@ Status Cluster::ReviveNode(uint32_t node) {
   // before reloading the service — never readmit a stale route.
   auto current = ReadCurrentManifest(nd.env);
   if (!current.ok() || current.value().generation != epoch->generation) {
-    int peer = -1;
-    for (uint32_t p = 0; p < num_nodes(); ++p) {
-      if (p == node || !NodeAlive(p)) continue;
-      auto pm = ReadCurrentManifest(nodes_[p]->env);
-      if (pm.ok() && pm.value().generation == epoch->generation) {
-        peer = static_cast<int>(p);
-        break;
-      }
-    }
-    if (peer < 0) {
+    const std::optional<uint32_t> peer = LivePeerAt(epoch->generation, node);
+    if (!peer.has_value()) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
       ++revive_fenced_;
       return Status::Unavailable(
           "no live peer at the committed generation to catch node " +
           std::to_string(node) + " up; revival refused");
     }
-    auto files = nodes_[peer]->env.ListFiles();
-    if (!files.ok()) return files.status();
-    for (const std::string& name : files.value()) {
-      auto bytes = nodes_[peer]->env.ReadFile(name);
-      if (!bytes.ok()) return bytes.status();
-      GRIDDECL_RETURN_IF_ERROR(nd.env.WriteFile(name, bytes.value()));
-    }
+    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
     nd.service.reset();  // force a reload below — the catalog moved
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++revive_catchups_;
@@ -620,28 +615,14 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
 
   // Seed the new node's env from a live peer at the committed generation.
   auto epoch = CurrentEpoch();
-  int peer = -1;
-  for (uint32_t p = 0; p < id; ++p) {
-    if (!NodeAlive(p)) continue;
-    auto pm = ReadCurrentManifest(nodes_[p]->env);
-    if (pm.ok() && pm.value().generation == epoch->generation) {
-      peer = static_cast<int>(p);
-      break;
-    }
-  }
-  if (peer < 0) {
+  const std::optional<uint32_t> peer = LivePeerAt(epoch->generation, id);
+  if (!peer.has_value()) {
     return Status::Unavailable(
         "no live peer at the committed generation to seed the new node");
   }
 
   Node& nd = *nodes_[id];
-  auto files = nodes_[peer]->env.ListFiles();
-  if (!files.ok()) return files.status();
-  for (const std::string& name : files.value()) {
-    auto bytes = nodes_[peer]->env.ReadFile(name);
-    if (!bytes.ok()) return bytes.status();
-    GRIDDECL_RETURN_IF_ERROR(nd.env.WriteFile(name, bytes.value()));
-  }
+  GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
   FaultyEnvOptions fo;
   fo.seed = options_.fault_seed + id;
   fo.transient_error_prob = options_.node_transient_prob;
@@ -1117,59 +1098,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.status = Status::Ok();
   }
   return result;
-}
-
-Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition("a migration is already running");
-  }
-  abort_migration_.store(false);
-  divergence_.store(false);
-  Migrator migrator(this);
-  auto report = migrator.Run(options);
-  SetStagingEpoch(nullptr);
-  migrating_.store(false);
-  if (report.ok()) {
-    if (report.value().committed) {
-      // A migration re-places by policy under the new disk count; any
-      // explicit repair table from before it is stale now.
-      SetPlacementTable({});
-    }
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    if (report.value().committed) {
-      ++migrations_committed_;
-    } else {
-      ++migrations_aborted_;
-    }
-    migration_buckets_copied_ += report.value().buckets_copied;
-  }
-  return report;
-}
-
-Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition(
-        "a migration or repair is already running");
-  }
-  abort_migration_.store(false);
-  divergence_.store(false);
-  Repairer repairer(this);
-  auto report = repairer.Run(options);
-  SetStagingEpoch(nullptr);
-  migrating_.store(false);
-  if (report.ok()) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    if (report.value().committed) {
-      ++repairs_committed_;
-      repair_replicas_rebuilt_ += report.value().replicas_retargeted;
-      repair_bytes_copied_ += report.value().bytes_copied;
-    } else if (!report.value().already_healthy) {
-      ++repairs_aborted_;
-    }
-  }
-  return report;
 }
 
 void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {

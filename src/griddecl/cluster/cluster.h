@@ -74,13 +74,14 @@
 ///    one outcome per observed primary sub-query completion. An open
 ///    breaker removes the node from planning exactly like a death, until
 ///    its half-open probe heals it.
-///  * **Live migration.** `Migrate` (cluster/migrator.h) copies the
-///    catalog to a staged generation under a new method / disk count while
-///    `Execute` keeps serving, double-reads old vs new layouts, and cuts
-///    over atomically via the manifest generation fence. While a staging
-///    epoch is installed, every complete query is double-read against it
-///    and byte-compared — a mismatch flags divergence and aborts the
-///    migration, never serves mixed data.
+///  * **Staged transitions.** `Migrate` (a new method / disk count) and
+///    `Repair` (replicas off dead nodes) both run one StagedTransition
+///    (cluster/transition.h): copy the catalog to a staged generation
+///    while `Execute` keeps serving, double-read old vs new layouts, and
+///    cut over atomically via the manifest generation fence. While a
+///    staging epoch is installed, every complete query is double-read
+///    against it and byte-compared — a mismatch flags divergence and
+///    aborts the transition, never serves mixed data.
 ///
 /// ## Determinism contract
 ///
@@ -204,50 +205,51 @@ struct ClusterQueryResult {
   double total_ms = 0.0;
 };
 
-struct MigrationOptions {
-  /// Registry name of the target declustering method.
-  std::string new_method;
-  /// Target virtual-disk count M'.
-  uint32_t new_num_disks = 0;
-  /// Double-read sample run old-vs-new before cutover. Empty = a default
-  /// sample (full-range plus quadrant queries per relation).
-  std::vector<serve::QueryRequest> verify_requests;
-  /// Pages copied between abort checks during the copy phase.
-  uint32_t copy_batch_pages = 64;
+/// Options every staged transition (Migrate, Repair) takes.
+struct TransitionOptions {
   /// Copy-phase pacing budget in bytes/sec (token bucket against the wall
-  /// clock): the migrating thread sleeps whenever the copied bytes run
+  /// clock): the transition thread sleeps whenever the charged bytes run
   /// ahead of the budget, so bulk copy traffic fits inside spare bandwidth
   /// instead of saturating the device concurrent queries share. 0 =
-  /// unpaced (copy as fast as possible).
+  /// unpaced (copy as fast as possible). Repair charges only the *rebuilt
+  /// share* of each file (retargeted replicas / total replicas).
   double copy_bytes_per_sec = 0.0;
   /// Simulated copy-device throughput in bytes/sec: each copied file
   /// charges size/rate of wall-clock transfer time, so the copy phase has
-  /// real duration for concurrent traffic to overlap. 0 = instantaneous
-  /// (the pre-pacing behavior).
+  /// real duration for concurrent traffic to overlap. 0 = instantaneous.
   double copy_device_bytes_per_sec = 0.0;
-  /// Extra per-read latency (ms) injected on EVERY node for the duration
-  /// of an *unpaced* copy phase — the contention an unthrottled bulk copy
-  /// inflicts on concurrent queries at the shared device. A paced copy
-  /// (copy_bytes_per_sec > 0) fits in spare bandwidth and injects
-  /// nothing. 0 disables the contention model.
+  /// Extra per-read latency (ms) injected on every participating node for
+  /// the duration of an *unpaced* copy phase — the contention an
+  /// unthrottled bulk copy inflicts on concurrent queries at the shared
+  /// device. A paced copy (copy_bytes_per_sec > 0) fits in spare bandwidth
+  /// and injects nothing. 0 disables the contention model.
   double copy_contention_ms = 0.0;
-  /// Test hook: called at phase boundaries ("copy", "staged", "verify",
-  /// "commit", "committed") on the migrating thread. Kills injected here
-  /// exercise the abort paths deterministically.
+  /// Double-read sample run old-vs-new before cutover. Empty = a default
+  /// sample per relation: the full range plus, per attribute, the full
+  /// range with that attribute cut to its lower half.
+  std::vector<serve::QueryRequest> verify_requests;
+  /// Test hook: called at phase boundaries on the transition thread —
+  /// "copy", "staged", "verify", "commit", "committed", preceded by "plan"
+  /// for a repair. Kills injected here exercise the abort paths
+  /// deterministically.
   std::function<void(const std::string&)> on_phase;
 };
 
-struct MigrationReport {
+/// What every staged transition reports.
+struct TransitionReport {
   bool committed = false;
-  /// Set when `committed` is false: why the migration aborted. An aborted
-  /// migration leaves the old generation fully intact and serving.
+  /// Set when `committed` is false (and a repair was not already healthy):
+  /// why the transition aborted. An aborted transition leaves the old
+  /// generation fully intact and serving, and drops every staged file.
   std::string abort_reason;
   uint64_t old_generation = 0;
   uint64_t new_generation = 0;
+  /// Buckets of the relations whose files the copy phase staged.
   uint64_t buckets_copied = 0;
   uint64_t files_copied = 0;
-  /// Payload bytes moved by the copy phase (each file counted once, not
-  /// per node — one read fanned out to N writes).
+  /// Charged payload bytes of the copy phase (each file counted once, not
+  /// per node — one read fanned out to N writes; a repair counts only the
+  /// rebuilt share).
   uint64_t bytes_copied = 0;
   /// Total wall-clock milliseconds the copy phase slept to stay under
   /// `copy_bytes_per_sec`. 0 when unpaced.
@@ -256,50 +258,29 @@ struct MigrationReport {
   uint64_t verify_mismatches = 0;
 };
 
-/// One paced, staged re-replication repair run; see cluster/repair.h for
-/// the planner and executor. Shares the migration machinery: token-bucket
-/// pacing, contention modeling, staged-manifest protocol, live double-read
-/// verify, fenced cutover.
-struct RepairOptions {
-  /// Copy-phase pacing budget in bytes/sec; 0 = unpaced. Semantics match
-  /// MigrationOptions::copy_bytes_per_sec, but repair charges only the
-  /// *rebuilt share* of each file (retargeted replicas / total replicas).
-  double copy_bytes_per_sec = 0.0;
-  /// Simulated copy-device throughput in bytes/sec; 0 = instantaneous.
-  double copy_device_bytes_per_sec = 0.0;
-  /// Extra per-read latency (ms) on every live node while an *unpaced*
-  /// repair copies; 0 disables the contention model.
-  double copy_contention_ms = 0.0;
-  /// Double-read sample run old-vs-repaired before cutover. Empty = the
-  /// default sample (full-range plus half-range queries per relation).
-  std::vector<serve::QueryRequest> verify_requests;
-  /// Test hook: phase boundaries ("plan", "copy", "staged", "verify",
-  /// "commit", "committed") on the repairing thread.
-  std::function<void(const std::string&)> on_phase;
+/// Live re-declustering to a new method / disk count; see
+/// cluster/migrator.h.
+struct MigrationOptions : TransitionOptions {
+  /// Registry name of the target declustering method.
+  std::string new_method;
+  /// Target virtual-disk count M'.
+  uint32_t new_num_disks = 0;
 };
 
-struct RepairReport {
-  bool committed = false;
+struct MigrationReport : TransitionReport {};
+
+/// Paced re-replication repair; see cluster/repair.h.
+struct RepairOptions : TransitionOptions {};
+
+struct RepairReport : TransitionReport {
   /// The cluster was already fully placed: nothing to do, no new
   /// generation. Reported with committed = false and no abort_reason.
   bool already_healthy = false;
-  /// Set when committed is false and not already_healthy: why the repair
-  /// aborted. An aborted repair leaves the old generation serving and
-  /// drops every staged file — placement is exactly what it was.
-  std::string abort_reason;
-  uint64_t old_generation = 0;
-  uint64_t new_generation = 0;
   /// Nodes the repair planned around (detector-dead plus removed).
   std::vector<uint32_t> dead_nodes;
   /// (disk, copy) replica assignments moved off dead/removed nodes or
   /// re-spread across zones.
   uint64_t replicas_retargeted = 0;
-  uint64_t files_copied = 0;
-  /// Modeled rebuilt bytes (file sizes scaled by the rebuilt share).
-  uint64_t bytes_copied = 0;
-  double pacing_wait_ms = 0.0;
-  uint64_t verify_queries = 0;
-  uint64_t verify_mismatches = 0;
   /// Redundancy-restored-by, virtual clock: commit-time virtual now minus
   /// the earliest heartbeat death among the repaired nodes. 0 when no
   /// repaired node had a detector death timestamp.
@@ -308,8 +289,8 @@ struct RepairReport {
   double mttr_wall_ms = 0.0;
 };
 
-class Migrator;
-class Repairer;
+class StagedTransition;
+struct TransitionDelta;
 
 /// N simulated nodes + coordinator; see file comment. Thread-safe:
 /// Execute may be called from any number of threads, concurrently with
@@ -349,9 +330,10 @@ class Cluster {
   void AdvanceTimeMs(double now_ms);
   double VirtualNowMs() const { return virtual_now_ms_.load(); }
 
-  /// Live re-declustering; see cluster/migrator.h. One at a time; returns
-  /// kFailedPrecondition when a migration is already running. A
-  /// non-committed report (clean abort) is an Ok result.
+  /// Live re-declustering; see cluster/migrator.h. One transition at a
+  /// time; returns kFailedPrecondition when a migration or repair is
+  /// already running. A non-committed report (clean abort) is an Ok
+  /// result.
   Result<MigrationReport> Migrate(const MigrationOptions& options);
   /// Requests a clean abort of the running migration or repair (no-op
   /// when idle).
@@ -422,8 +404,7 @@ class Cluster {
   void SnapshotMetrics(obs::MetricsRegistry* out) const;
 
  private:
-  friend class Migrator;
-  friend class Repairer;
+  friend class StagedTransition;
 
   struct Node {
     MemEnv env;
@@ -483,16 +464,15 @@ class Cluster {
   Cluster() = default;
 
   /// Builds a routing epoch for `generation` over the given services,
-  /// reading the catalog from `src` (nullptr = node 0's env; repair passes
-  /// a live node's env because node 0 may be dead). The generation's
-  /// manifest placement record wins when it carries an explicit table (the
-  /// repair ground truth — disk ownership is its row 0); otherwise the
-  /// cluster's current spec applies with any stale table cleared and
-  /// contiguous disk ownership.
+  /// reading the catalog from `src` (a raw node env that holds the
+  /// generation). The generation's manifest placement record wins when it
+  /// carries an explicit table (the repair ground truth — disk ownership
+  /// is its row 0); otherwise the cluster's current spec applies with any
+  /// stale table cleared and contiguous disk ownership.
   Result<std::shared_ptr<const Epoch>> BuildEpoch(
       uint64_t generation,
       std::vector<std::shared_ptr<serve::QueryService>> services,
-      const StorageEnv* src = nullptr) const;
+      const StorageEnv& src) const;
 
   std::shared_ptr<const Epoch> CurrentEpoch() const;
   std::shared_ptr<const Epoch> StagingEpoch() const;
@@ -505,7 +485,20 @@ class Cluster {
                                     const serve::QueryRequest& request,
                                     bool allow_hedge);
 
+  /// The single-flight slot Migrate and Repair share: claims it (or
+  /// refuses with kFailedPrecondition), records the current generation in
+  /// `report`, lets `plan` describe the change against the current epoch,
+  /// and runs the StagedTransition. A plan that returns Ok with no
+  /// participants has settled the report itself (nothing to stage).
+  Status RunTransition(
+      const TransitionOptions& options, TransitionReport* report,
+      const std::function<Status(const Epoch& current, TransitionDelta* delta)>&
+          plan);
+
   bool NodeAliveAt(uint32_t node, double virtual_now) const;
+  /// First live node other than `skip` whose committed manifest is at
+  /// `generation` — the peer a revived or added node copies from.
+  std::optional<uint32_t> LivePeerAt(uint64_t generation, uint32_t skip) const;
   /// Detector-dead plus removed nodes — the set a repair plans around.
   std::vector<uint32_t> DeadNodesForRepair() const;
   /// Virtual time the heartbeat declared `node` dead (0 = never).
@@ -574,7 +567,7 @@ class Cluster {
 
   std::atomic<bool> migrating_{false};
   std::atomic<bool> abort_migration_{false};
-  /// Set by a live double-read mismatch; checked by the migrator.
+  /// Set by a live double-read mismatch; checked by the transition.
   std::atomic<bool> divergence_{false};
 
   mutable std::mutex metrics_mu_;

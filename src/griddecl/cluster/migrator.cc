@@ -1,370 +1,69 @@
 #include "griddecl/cluster/migrator.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-#include <utility>
-
 #include "griddecl/methods/registry.h"
 
 namespace griddecl::cluster {
 
-namespace {
-
-/// Raises every node's FaultyEnv extra read latency for the lifetime of
-/// the guard — the contention an unpaced bulk copy inflicts on concurrent
-/// queries at the shared device. Destructor-managed so every abort return
-/// inside the copy phase clears it.
-class ContentionGuard {
- public:
-  ContentionGuard() = default;
-  ContentionGuard(const ContentionGuard&) = delete;
-  ContentionGuard& operator=(const ContentionGuard&) = delete;
-  ~ContentionGuard() { Release(); }
-
-  void Engage(const std::vector<std::unique_ptr<FaultyEnv>*>& envs,
-              double ms) {
-    envs_ = envs;
-    for (auto* env : envs_) (*env)->SetExtraLatencyMs(ms);
-  }
-
-  void Release() {
-    for (auto* env : envs_) (*env)->SetExtraLatencyMs(0.0);
-    envs_.clear();
-  }
-
- private:
-  std::vector<std::unique_ptr<FaultyEnv>*> envs_;
-};
-
-}  // namespace
-
-const char* Migrator::AbortTrigger() const {
-  if (cluster_->abort_migration_.load()) return "externally aborted";
-  if (cluster_->divergence_.load()) return "live double-read divergence";
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    // Decommissioned nodes are expected to be dark; migration only needs
-    // every *member* node healthy.
-    if (cluster_->nodes_[n]->removed.load()) continue;
-    if (!cluster_->NodeAlive(n)) return "node lost";
-  }
-  return nullptr;
-}
-
-Result<MigrationReport> Migrator::Abort(MigrationReport report,
-                                        std::string reason,
-                                        uint64_t staged_generation) {
-  cluster_->SetStagingEpoch(nullptr);
-  if (staged_generation != 0) {
-    for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-      // Best effort: a node that died mid-migration still drops its staged
-      // files (the simulated env stays writable); real deployments would
-      // re-run the drop on recovery, which recovery's wreckage scan makes
-      // safe anyway.
-      (void)DropStagedManifest(&cluster_->nodes_[n]->env, staged_generation);
-    }
-  }
-  report.committed = false;
-  report.abort_reason = std::move(reason);
-  return report;
-}
-
-Result<MigrationReport> Migrator::Run(const MigrationOptions& options) {
+Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
   MigrationReport report;
-  const auto phase = [&options](const char* p) {
-    if (options.on_phase) options.on_phase(p);
-  };
-
-  auto old_epoch = cluster_->CurrentEpoch();
-  report.old_generation = old_epoch->generation;
-
-  // Hard validation: a target the new layout cannot express is a caller
-  // error, not an abort.
-  if (options.new_num_disks == 0) {
-    return Status::InvalidArgument("new_num_disks must be >= 1");
-  }
-  if (cluster_->num_nodes() > options.new_num_disks) {
-    return Status::InvalidArgument(
-        "new_num_disks " + std::to_string(options.new_num_disks) +
-        " < cluster nodes " + std::to_string(cluster_->num_nodes()));
-  }
-  for (const auto& [name, rel] : old_epoch->routing->relations) {
-    auto method = CreateMethod(options.new_method, rel.df->file().grid(),
-                               options.new_num_disks);
-    if (!method.ok()) {
-      return Status::InvalidArgument(
-          "method '" + options.new_method + "' invalid for relation '" + name +
-          "': " + method.status().ToString());
-    }
-    if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror &&
-        rel.redundancy.copies > options.new_num_disks) {
-      return Status::InvalidArgument(
-          "relation '" + name + "' has " +
-          std::to_string(rel.redundancy.copies) + " mirror copies but only " +
-          std::to_string(options.new_num_disks) + " target disks");
-    }
-  }
-
-  if (options.copy_bytes_per_sec < 0.0 ||
-      options.copy_device_bytes_per_sec < 0.0 ||
-      options.copy_contention_ms < 0.0) {
-    return Status::InvalidArgument(
-        "copy pacing rates and contention must be >= 0");
-  }
-
-  if (const char* trigger = AbortTrigger()) {
-    return Abort(std::move(report), trigger, 0);
-  }
-
-  // --- Phase 1: copy -----------------------------------------------------
-  phase("copy");
-
-  // Pacing: a token bucket over the wall clock keeps the copy inside its
-  // bytes/sec budget (sleeps are sliced so aborts stay responsive). The
-  // bucket banks up to 50 ms of budget so pacing throttles the sustained
-  // rate, not every single small file.
-  TokenBucket bucket(options.copy_bytes_per_sec,
-                     options.copy_bytes_per_sec * 0.05);
-  const auto abortable_sleep = [&](double ms) -> const char* {
-    double remaining = ms;
-    while (remaining > 0.0) {
-      if (const char* trigger = AbortTrigger()) return trigger;
-      const double slice = std::min(remaining, 5.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice));
-      remaining -= slice;
-    }
-    return AbortTrigger();
-  };
-  // An unpaced copy saturates the shared device: every read on every node
-  // pays the contention penalty until the copy phase ends. A paced copy
-  // fits in spare bandwidth and injects nothing.
-  ContentionGuard contention;
-  if (options.copy_bytes_per_sec <= 0.0 && options.copy_contention_ms > 0.0) {
-    std::vector<std::unique_ptr<FaultyEnv>*> envs;
-    for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-      if (cluster_->nodes_[n]->removed.load()) continue;
-      envs.push_back(&cluster_->nodes_[n]->faulty);
-    }
-    contention.Engage(envs, options.copy_contention_ms);
-  }
-  const StorageEnv& env0 = cluster_->nodes_[0]->env;
-  auto old_manifest = ReadManifest(env0, report.old_generation);
-  if (!old_manifest.ok()) return old_manifest.status();
-  auto next = NextManifestGeneration(env0);
-  if (!next.ok()) return next.status();
-  report.new_generation = next.value();
-
-  // The new manifest: same relations, sizes, and CRCs (the files are
-  // byte-identical copies); only generation, disk count, and method move.
-  CatalogManifest staged = old_manifest.value();
-  staged.generation = report.new_generation;
-  staged.num_disks = options.new_num_disks;
-  for (ManifestRelation& mr : staged.relations) {
-    mr.method = options.new_method;
-  }
-  if (staged.placement.has_value()) {
-    // A repair's explicit table is keyed to the old disk count and layout;
-    // the migrated generation re-places by policy.
-    staged.placement->table.clear();
-    staged.placement->table_copies = 0;
-    staged.placement->table_disks = 0;
-  }
-
-  for (size_t i = 0; i < staged.relations.size(); ++i) {
-    const ManifestRelation& mr = staged.relations[i];
-    std::vector<std::pair<std::string, std::string>> copies;
-    copies.emplace_back(old_manifest.value().DataFileName(i),
-                        staged.DataFileName(i));
-    if (mr.redundancy.policy == RelationRedundancy::Policy::kMirror) {
-      for (uint32_t c = 1; c < mr.redundancy.copies; ++c) {
-        copies.emplace_back(old_manifest.value().MirrorFileName(i, c),
-                            staged.MirrorFileName(i, c));
-      }
-    }
-    if (mr.parity_size > 0) {
-      copies.emplace_back(old_manifest.value().ParityFileName(i),
-                          staged.ParityFileName(i));
-    }
-    for (const auto& [from, to] : copies) {
-      if (const char* trigger = AbortTrigger()) {
-        return Abort(std::move(report), trigger, report.new_generation);
-      }
-      auto bytes = env0.ReadFile(from);
-      if (!bytes.ok()) {
-        return Abort(std::move(report),
-                     "copy failed: " + bytes.status().ToString(),
-                     report.new_generation);
-      }
-      const double size = static_cast<double>(bytes.value().size());
-      // Pace BEFORE the transfer: the budget gates when bytes enter the
-      // device, so a paced copy never bursts ahead of its rate.
-      if (options.copy_bytes_per_sec > 0.0) {
-        const double wait =
-            bucket.ConsumeDelayMs(size, cluster_->SteadyNowMs());
-        if (wait > 0.0) {
-          report.pacing_wait_ms += wait;
-          if (const char* trigger = abortable_sleep(wait)) {
-            return Abort(std::move(report), trigger, report.new_generation);
+  GRIDDECL_RETURN_IF_ERROR(RunTransition(
+      options, &report,
+      [&](const Epoch& current, TransitionDelta* delta) -> Status {
+        // Hard validation: a target the new layout cannot express is a
+        // caller error, not an abort.
+        if (options.new_num_disks == 0) {
+          return Status::InvalidArgument("new_num_disks must be >= 1");
+        }
+        if (num_nodes() > options.new_num_disks) {
+          return Status::InvalidArgument(
+              "new_num_disks " + std::to_string(options.new_num_disks) +
+              " < cluster nodes " + std::to_string(num_nodes()));
+        }
+        for (const auto& [name, rel] : current.routing->relations) {
+          auto method = CreateMethod(options.new_method, rel.df->file().grid(),
+                                     options.new_num_disks);
+          if (!method.ok()) {
+            return Status::InvalidArgument(
+                "method '" + options.new_method + "' invalid for relation '" +
+                name + "': " + method.status().ToString());
+          }
+          if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror &&
+              rel.redundancy.copies > options.new_num_disks) {
+            return Status::InvalidArgument(
+                "relation '" + name + "' has " +
+                std::to_string(rel.redundancy.copies) +
+                " mirror copies but only " +
+                std::to_string(options.new_num_disks) + " target disks");
           }
         }
-      }
-      // Simulated device transfer time for this file's bytes.
-      if (options.copy_device_bytes_per_sec > 0.0) {
-        const double transfer_ms =
-            size * 1000.0 / options.copy_device_bytes_per_sec;
-        if (const char* trigger = abortable_sleep(transfer_ms)) {
-          return Abort(std::move(report), trigger, report.new_generation);
+        // Decommissioned nodes are expected to be dark; every member node
+        // must stay healthy.
+        for (uint32_t n = 0; n < num_nodes(); ++n) {
+          if (!nodes_[n]->removed.load()) delta->participants.push_back(n);
         }
-      }
-      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-        if (cluster_->nodes_[n]->removed.load()) continue;
-        Status w = cluster_->nodes_[n]->env.WriteFile(to, bytes.value());
-        if (!w.ok()) {
-          return Abort(std::move(report), "copy failed: " + w.ToString(),
-                       report.new_generation);
+        if (delta->participants.empty()) {
+          return Status::FailedPrecondition("every node is removed");
         }
-      }
-      ++report.files_copied;
-      report.bytes_copied += bytes.value().size();
-    }
-    const auto& rel = old_epoch->routing->relations.at(mr.name);
-    report.buckets_copied += rel.df->file().grid().num_buckets();
+        delta->edit_manifest = [&options](CatalogManifest* staged) {
+          staged->num_disks = options.new_num_disks;
+          for (ManifestRelation& mr : staged->relations) {
+            mr.method = options.new_method;
+          }
+          if (staged->placement.has_value()) {
+            staged->placement->table.clear();
+            staged->placement->table_copies = 0;
+            staged->placement->table_disks = 0;
+          }
+        };
+        return Status::Ok();
+      }));
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  if (report.committed) {
+    ++migrations_committed_;
+  } else {
+    ++migrations_aborted_;
   }
-
-  const std::string manifest_bytes = SerializeManifest(staged);
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    if (cluster_->nodes_[n]->removed.load()) continue;
-    Status w = cluster_->nodes_[n]->env.WriteFile(
-        ManifestFileName(report.new_generation), manifest_bytes);
-    if (!w.ok()) {
-      return Abort(std::move(report), "staging manifest: " + w.ToString(),
-                   report.new_generation);
-    }
-  }
-  // Copy traffic is done: lift the contention penalty before verify.
-  contention.Release();
-  phase("staged");
-  if (const char* trigger = AbortTrigger()) {
-    return Abort(std::move(report), trigger, report.new_generation);
-  }
-
-  // --- Phase 2: verify ---------------------------------------------------
-  phase("verify");
-  std::vector<std::shared_ptr<serve::QueryService>> staging_services(
-      cluster_->num_nodes());
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    if (cluster_->nodes_[n]->removed.load()) continue;  // stays null
-    serve::ServeOptions so = cluster_->options_.node;
-    so.seed += n;
-    so.generation = report.new_generation;
-    auto service =
-        serve::QueryService::Create(cluster_->nodes_[n]->faulty.get(), so);
-    if (!service.ok()) {
-      return Abort(std::move(report),
-                   "staging service on node " + std::to_string(n) + ": " +
-                       service.status().ToString(),
-                   report.new_generation);
-    }
-    staging_services[n] = std::move(service.value());
-  }
-  auto staging_epoch =
-      cluster_->BuildEpoch(report.new_generation, std::move(staging_services));
-  if (!staging_epoch.ok()) {
-    return Abort(std::move(report),
-                 "staging epoch: " + staging_epoch.status().ToString(),
-                 report.new_generation);
-  }
-  // From here on, every complete live query is double-read against the
-  // staging epoch (Cluster::Execute) — traffic itself verifies the copy.
-  cluster_->SetStagingEpoch(staging_epoch.value());
-
-  std::vector<serve::QueryRequest> sample = options.verify_requests;
-  if (sample.empty()) {
-    // Default sample per relation: the full box plus each attribute's
-    // lower half (exercises multi-disk routing in every dimension).
-    for (const auto& [name, rel] : old_epoch->routing->relations) {
-      const Schema& schema = rel.df->file().schema();
-      serve::QueryRequest full;
-      full.relation = name;
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        full.lo.push_back(schema.attribute(a).lo);
-        full.hi.push_back(schema.attribute(a).hi);
-      }
-      sample.push_back(full);
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        serve::QueryRequest half = full;
-        half.hi[a] =
-            (schema.attribute(a).lo + schema.attribute(a).hi) / 2.0;
-        sample.push_back(std::move(half));
-      }
-    }
-  }
-  for (const serve::QueryRequest& vq : sample) {
-    if (const char* trigger = AbortTrigger()) {
-      return Abort(std::move(report), trigger, report.new_generation);
-    }
-    ClusterQueryResult old_r =
-        cluster_->ExecuteOnEpoch(*old_epoch, vq, /*allow_hedge=*/false);
-    ClusterQueryResult new_r = cluster_->ExecuteOnEpoch(
-        *staging_epoch.value(), vq, /*allow_hedge=*/false);
-    ++report.verify_queries;
-    if (!old_r.status.ok() || !old_r.complete) {
-      return Abort(std::move(report),
-                   "verify query failed on old layout: " +
-                       old_r.status.ToString(),
-                   report.new_generation);
-    }
-    if (!new_r.status.ok() || !new_r.complete) {
-      return Abort(std::move(report),
-                   "verify query failed on new layout: " +
-                       new_r.status.ToString(),
-                   report.new_generation);
-    }
-    if (old_r.matches != new_r.matches) {
-      ++report.verify_mismatches;
-      return Abort(std::move(report),
-                   "divergence: old and new layouts disagree on '" +
-                       vq.relation + "'",
-                   report.new_generation);
-    }
-  }
-
-  // --- Phase 3: commit ---------------------------------------------------
-  phase("commit");
-  if (const char* trigger = AbortTrigger()) {
-    return Abort(std::move(report), trigger, report.new_generation);
-  }
-  std::vector<uint32_t> committed;
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    if (cluster_->nodes_[n]->removed.load()) continue;
-    Status s = CommitStagedManifest(&cluster_->nodes_[n]->env,
-                                    report.new_generation);
-    if (!s.ok()) {
-      // Fence the cutover back out: nodes that already flipped return to
-      // the old generation, then the staged files are dropped everywhere.
-      for (uint32_t j : committed) {
-        (void)RollbackToGeneration(&cluster_->nodes_[j]->env,
-                                   report.old_generation);
-      }
-      return Abort(std::move(report),
-                   "commit failed on node " + std::to_string(n) + ": " +
-                       s.ToString(),
-                   report.new_generation);
-    }
-    committed.push_back(n);
-  }
-  // The atomic cutover point for routing: new services, new disk map, new
-  // generation in one epoch swap. In-flight queries finish on the old
-  // epoch; their sub-queries still carry the old generation fence and the
-  // old services keep serving them until the last shared_ptr drops.
-  cluster_->AdoptEpoch(staging_epoch.value());
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    if (cluster_->nodes_[n]->removed.load()) continue;
-    GarbageCollectManifests(&cluster_->nodes_[n]->env, report.new_generation);
-  }
-  phase("committed");
-  report.committed = true;
+  migration_buckets_copied_ += report.buckets_copied;
   return report;
 }
 

@@ -1,110 +1,24 @@
 #ifndef GRIDDECL_CLUSTER_MIGRATOR_H_
 #define GRIDDECL_CLUSTER_MIGRATOR_H_
 
-#include "griddecl/cluster/cluster.h"
+#include "griddecl/cluster/transition.h"
 
 /// \file
-/// Live re-declustering: move a serving cluster's catalog to a new
-/// declustering method and/or virtual-disk count without stopping reads.
+/// Live re-declustering (`Cluster::Migrate`): move a serving cluster's
+/// catalog to a new declustering method and/or virtual-disk count without
+/// stopping reads.
 ///
-/// The central observation that makes this safe AND cheap: re-declustering
-/// changes only the bucket -> disk mapping (the method and M recorded in
-/// the manifest), never the record order, the grid, or the page layout —
-/// so the new generation's data files are *byte-for-byte copies* of the
-/// old ones under new generation-numbered names. The migration is
-/// therefore a metadata change shipped via the manifest commit protocol,
-/// with the copy phase existing to model the real-world data movement and
-/// to give the abort paths something real to roll back.
-///
-/// Phases (`MigrationOptions::on_phase` fires at each boundary):
-///
-///   1. **copy** — for every relation, read the old generation's files
-///      from node 0 and write them to every node under generation-G' names
-///      (G' = NextManifestGeneration, never reused), then write
-///      `MANIFEST-G'` everywhere. Nothing flips: the staged generation is
-///      invisible to `ReadCurrentManifest` — it looks exactly like the
-///      wreckage of a crashed save, which recovery already skips.
-///   2. **verify** — bring up one staging `QueryService` per node pinned
-///      to G' (`ServeOptions::generation`), install a staging epoch so
-///      live traffic double-reads old-vs-new on every complete query, and
-///      run a verification sample (caller-provided or auto-generated)
-///      through both epochs, comparing match sets byte for byte.
-///   3. **commit** — `CommitStagedManifest` flips CURRENT on every node
-///      behind the generation fence; the cluster adopts the staging epoch
-///      (new services, new routing) atomically, and old generations are
-///      garbage-collected. A mid-commit failure rolls already-committed
-///      nodes back to the old generation.
-///
-/// Any abort trigger — external `AbortMigration`, a node death, a
-/// double-read divergence, a failed verify query — takes the clean-abort
-/// path: drop the staging epoch, `DropStagedManifest` on every node, and
-/// report `committed = false` with the reason. The old generation is never
-/// touched before the commit point, so an aborted migration leaves the
-/// cluster serving exactly what it served before.
-
-namespace griddecl::cluster {
-
-/// Clock-agnostic token bucket: tokens accrue at `rate_per_sec` up to a
-/// `burst` bank (the bucket starts empty, so the first consume already
-/// pays for itself); consumption may run the balance negative (debt), and
-/// the returned delay is how long the consumer must stall for the balance
-/// to recover to zero. The caller supplies timestamps, so the same bucket
-/// paces wall-clock migrations and virtual-clock tests identically.
-class TokenBucket {
- public:
-  /// `rate_per_sec` <= 0 disables pacing (every consume returns 0).
-  TokenBucket(double rate_per_sec, double burst)
-      : rate_(rate_per_sec), burst_(burst < 0.0 ? 0.0 : burst) {}
-
-  /// Consumes `amount` tokens at time `now_ms` (monotone by convention)
-  /// and returns the milliseconds to wait before proceeding — 0 whenever
-  /// the bucket held enough.
-  double ConsumeDelayMs(double amount, double now_ms) {
-    if (rate_ <= 0.0) return 0.0;
-    if (!initialized_) {
-      last_ms_ = now_ms;
-      initialized_ = true;
-    }
-    tokens_ += (now_ms - last_ms_) * rate_ / 1000.0;
-    if (tokens_ > burst_) tokens_ = burst_;
-    last_ms_ = now_ms;
-    tokens_ -= amount;
-    if (tokens_ >= 0.0) return 0.0;
-    return -tokens_ * 1000.0 / rate_;
-  }
-
-  double tokens() const { return tokens_; }
-
- private:
-  double rate_;
-  double burst_;
-  double tokens_ = 0.0;
-  double last_ms_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// One migration run against a live cluster. Constructed and driven by
-/// `Cluster::Migrate`, which guarantees single-flight.
-class Migrator {
- public:
-  explicit Migrator(Cluster* cluster) : cluster_(cluster) {}
-
-  /// Executes the migration; see file comment. A clean abort is an Ok
-  /// result with `committed = false`; hard validation errors (unknown
-  /// method, too few disks) are error statuses.
-  Result<MigrationReport> Run(const MigrationOptions& options);
-
- private:
-  /// First active abort trigger, or nullptr when none.
-  const char* AbortTrigger() const;
-  /// The clean-abort path: clears the staging epoch, drops the staged
-  /// generation everywhere (when staged), and fills the report.
-  Result<MigrationReport> Abort(MigrationReport report, std::string reason,
-                                uint64_t staged_generation);
-
-  Cluster* cluster_;
-};
-
-}  // namespace griddecl::cluster
+/// Re-declustering changes only the bucket -> disk mapping (the method and
+/// M recorded in the manifest), never the record order, the grid, or the
+/// page layout — so the new generation's data files are byte-for-byte
+/// copies of the old ones under new generation-numbered names, and the
+/// migration is a metadata change shipped by the StagedTransition
+/// (cluster/transition.h). Its delta: every non-removed member node takes
+/// part (losing one aborts with "node lost"); the staged manifest gets the
+/// new method and disk count and drops any explicit placement table (it is
+/// keyed to the old layout, so the new generation re-places by policy);
+/// each file is charged in full; the old layout must answer every verify
+/// query completely. Unknown methods and too few disks are caller errors,
+/// refused before anything is staged.
 
 #endif  // GRIDDECL_CLUSTER_MIGRATOR_H_

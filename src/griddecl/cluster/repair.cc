@@ -1,15 +1,13 @@
 #include "griddecl/cluster/repair.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
-#include <thread>
 #include <tuple>
 #include <utility>
 
-#include "griddecl/cluster/migrator.h"
+#include "griddecl/cluster/transition.h"
 
 namespace griddecl::cluster {
 
@@ -23,30 +21,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Raises every live node's extra read latency for the guard's lifetime —
-/// the contention an unpaced repair copy inflicts (mirrors the migrator's
-/// guard, but only live nodes have traffic to slow down).
-class ContentionGuard {
- public:
-  ContentionGuard() = default;
-  ContentionGuard(const ContentionGuard&) = delete;
-  ContentionGuard& operator=(const ContentionGuard&) = delete;
-  ~ContentionGuard() { Release(); }
-
-  void Engage(std::vector<FaultyEnv*> envs, double ms) {
-    envs_ = std::move(envs);
-    for (FaultyEnv* env : envs_) env->SetExtraLatencyMs(ms);
-  }
-
-  void Release() {
-    for (FaultyEnv* env : envs_) env->SetExtraLatencyMs(0.0);
-    envs_.clear();
-  }
-
- private:
-  std::vector<FaultyEnv*> envs_;
-};
 
 }  // namespace
 
@@ -212,331 +186,86 @@ Result<RepairPlan> PlanRepair(const RepairPlanInput& input) {
   return plan;
 }
 
-const char* Repairer::AbortTrigger(
-    const std::vector<bool>& planned_live) const {
-  if (cluster_->abort_migration_.load()) return "externally aborted";
-  if (cluster_->divergence_.load()) return "live double-read divergence";
-  for (uint32_t n = 0; n < planned_live.size(); ++n) {
-    if (planned_live[n] && !cluster_->NodeAlive(n)) {
-      return "repair-source node lost";
-    }
-  }
-  return nullptr;
-}
-
-Result<RepairReport> Repairer::Abort(RepairReport report, std::string reason,
-                                     uint64_t staged_generation) {
-  cluster_->SetStagingEpoch(nullptr);
-  if (staged_generation != 0) {
-    for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-      // Best effort on every node, dead ones included (the simulated env
-      // stays writable; a real node re-runs the drop on recovery).
-      (void)DropStagedManifest(&cluster_->nodes_[n]->env, staged_generation);
-    }
-  }
-  report.committed = false;
-  report.abort_reason = std::move(reason);
-  return report;
-}
-
-Result<RepairReport> Repairer::Run(const RepairOptions& options) {
+Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
   RepairReport report;
-  const auto phase = [&options](const char* p) {
-    if (options.on_phase) options.on_phase(p);
-  };
-  if (options.copy_bytes_per_sec < 0.0 ||
-      options.copy_device_bytes_per_sec < 0.0 ||
-      options.copy_contention_ms < 0.0) {
-    return Status::InvalidArgument(
-        "copy pacing rates and contention must be >= 0");
-  }
-
-  const double wall_t0 = cluster_->SteadyNowMs();
-  auto old_epoch = cluster_->CurrentEpoch();
-  report.old_generation = old_epoch->generation;
-  const uint32_t num_nodes = cluster_->num_nodes();
-
-  // --- Phase 0: plan -----------------------------------------------------
-  phase("plan");
-  report.dead_nodes = cluster_->DeadNodesForRepair();
-  std::vector<bool> is_dead(num_nodes, false);
-  for (uint32_t n : report.dead_nodes) is_dead[n] = true;
-  // The nodes the repair runs ON: alive now and not being repaired
-  // around. Losing one of these mid-repair aborts.
-  std::vector<bool> planned_live(num_nodes, false);
-  int src = -1;
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    if (!is_dead[n] && cluster_->NodeAlive(n)) {
-      planned_live[n] = true;
-      if (src < 0) src = static_cast<int>(n);
-    }
-  }
-  if (src < 0) {
-    return Abort(std::move(report), "no live node to repair from", 0);
-  }
-
-  PlacementSpec spec = cluster_->placement_spec();
-  RepairPlanInput in;
-  in.table = old_epoch->placement.Table();
-  in.topology = spec.topology;
-  in.dead_nodes = report.dead_nodes;
-  in.seed = spec.seed;
-  auto plan = PlanRepair(in);
-  if (!plan.ok()) return plan.status();
-  if (!plan.value().unrecoverable_disks.empty()) {
-    return Abort(std::move(report),
-                 std::to_string(plan.value().unrecoverable_disks.size()) +
-                     " disk(s) lost every replica: unrecoverable",
-                 0);
-  }
-  if (plan.value().actions.empty()) {
-    report.already_healthy = true;
-    return report;
-  }
-  report.replicas_retargeted = plan.value().actions.size();
-
+  const double wall_t0 = SteadyNowMs();
   // Redundancy-restored-by anchor: the earliest detector death among the
   // nodes being repaired around.
   double earliest_dead = std::numeric_limits<double>::infinity();
-  for (uint32_t n : report.dead_nodes) {
-    const double since = cluster_->NodeDeadSinceMs(n);
-    if (since > 0.0) earliest_dead = std::min(earliest_dead, since);
-  }
-
-  if (const char* trigger = AbortTrigger(planned_live)) {
-    return Abort(std::move(report), trigger, 0);
-  }
-
-  // --- Phase 1: copy -----------------------------------------------------
-  phase("copy");
-  TokenBucket bucket(options.copy_bytes_per_sec,
-                     options.copy_bytes_per_sec * 0.05);
-  const auto abortable_sleep = [&](double ms) -> const char* {
-    double remaining = ms;
-    while (remaining > 0.0) {
-      if (const char* trigger = AbortTrigger(planned_live)) return trigger;
-      const double slice = std::min(remaining, 5.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice));
-      remaining -= slice;
-    }
-    return AbortTrigger(planned_live);
-  };
-  ContentionGuard contention;
-  if (options.copy_bytes_per_sec <= 0.0 && options.copy_contention_ms > 0.0) {
-    std::vector<FaultyEnv*> envs;
-    for (uint32_t n = 0; n < num_nodes; ++n) {
-      if (planned_live[n]) envs.push_back(cluster_->nodes_[n]->faulty.get());
-    }
-    contention.Engage(std::move(envs), options.copy_contention_ms);
-  }
-
-  const StorageEnv& env0 = cluster_->nodes_[src]->env;
-  auto old_manifest = ReadManifest(env0, report.old_generation);
-  if (!old_manifest.ok()) return old_manifest.status();
-  auto next = NextManifestGeneration(env0);
-  if (!next.ok()) return next.status();
-  report.new_generation = next.value();
-
-  // The staged manifest: same relations, disks, and methods — only the
-  // generation and the placement record (now carrying the repaired table,
-  // the ground truth every later epoch build obeys) move.
-  CatalogManifest staged = old_manifest.value();
-  staged.generation = report.new_generation;
-  PlacementSpec repaired_spec = spec;
-  repaired_spec.table = plan.value().new_table;
-  staged.placement = ToManifestPlacement(repaired_spec);
-
-  // Only the rebuilt share of each file actually moves: the pacing charge
-  // (and the reported bytes) scale by retargeted replicas / all replicas.
-  const double rebuilt_frac =
-      static_cast<double>(plan.value().actions.size()) /
-      (static_cast<double>(in.table.size()) *
-       static_cast<double>(in.table[0].size()));
-  for (size_t i = 0; i < staged.relations.size(); ++i) {
-    const ManifestRelation& mr = staged.relations[i];
-    std::vector<std::pair<std::string, std::string>> copies;
-    copies.emplace_back(old_manifest.value().DataFileName(i),
-                        staged.DataFileName(i));
-    if (mr.redundancy.policy == RelationRedundancy::Policy::kMirror) {
-      for (uint32_t c = 1; c < mr.redundancy.copies; ++c) {
-        copies.emplace_back(old_manifest.value().MirrorFileName(i, c),
-                            staged.MirrorFileName(i, c));
-      }
-    }
-    if (mr.parity_size > 0) {
-      copies.emplace_back(old_manifest.value().ParityFileName(i),
-                          staged.ParityFileName(i));
-    }
-    for (const auto& [from, to] : copies) {
-      if (const char* trigger = AbortTrigger(planned_live)) {
-        return Abort(std::move(report), trigger, report.new_generation);
-      }
-      auto bytes = env0.ReadFile(from);
-      if (!bytes.ok()) {
-        return Abort(std::move(report),
-                     "repair copy failed: " + bytes.status().ToString(),
-                     report.new_generation);
-      }
-      const double charge =
-          static_cast<double>(bytes.value().size()) * rebuilt_frac;
-      if (options.copy_bytes_per_sec > 0.0) {
-        const double wait =
-            bucket.ConsumeDelayMs(charge, cluster_->SteadyNowMs());
-        if (wait > 0.0) {
-          report.pacing_wait_ms += wait;
-          if (const char* trigger = abortable_sleep(wait)) {
-            return Abort(std::move(report), trigger, report.new_generation);
-          }
+  GRIDDECL_RETURN_IF_ERROR(RunTransition(
+      options, &report,
+      [&](const Epoch& current, TransitionDelta* delta) -> Status {
+        if (options.on_phase) options.on_phase("plan");
+        report.dead_nodes = DeadNodesForRepair();
+        std::vector<bool> is_dead(num_nodes(), false);
+        for (uint32_t n : report.dead_nodes) is_dead[n] = true;
+        // The nodes the repair runs ON: alive now and not being repaired
+        // around.
+        std::vector<uint32_t> live;
+        for (uint32_t n = 0; n < num_nodes(); ++n) {
+          if (!is_dead[n] && NodeAlive(n)) live.push_back(n);
         }
-      }
-      if (options.copy_device_bytes_per_sec > 0.0) {
-        const double transfer_ms =
-            charge * 1000.0 / options.copy_device_bytes_per_sec;
-        if (const char* trigger = abortable_sleep(transfer_ms)) {
-          return Abort(std::move(report), trigger, report.new_generation);
+        if (live.empty()) {
+          report.abort_reason = "no live node to repair from";
+          return Status::Ok();
         }
-      }
-      // Stage to LIVE nodes only: dead nodes get nothing (that is the
-      // staleness window ReviveNode's catch-up fence closes).
-      for (uint32_t n = 0; n < num_nodes; ++n) {
-        if (!planned_live[n]) continue;
-        Status w = cluster_->nodes_[n]->env.WriteFile(to, bytes.value());
-        if (!w.ok()) {
-          return Abort(std::move(report), "repair copy failed: " + w.ToString(),
-                       report.new_generation);
+
+        PlacementSpec spec = placement_spec();
+        RepairPlanInput in;
+        in.table = current.placement.Table();
+        in.topology = spec.topology;
+        in.dead_nodes = report.dead_nodes;
+        in.seed = spec.seed;
+        auto plan = PlanRepair(in);
+        if (!plan.ok()) return plan.status();
+        if (!plan.value().unrecoverable_disks.empty()) {
+          report.abort_reason =
+              std::to_string(plan.value().unrecoverable_disks.size()) +
+              " disk(s) lost every replica: unrecoverable";
+          return Status::Ok();
         }
-      }
-      ++report.files_copied;
-      report.bytes_copied += static_cast<uint64_t>(charge);
-    }
-  }
+        if (plan.value().actions.empty()) {
+          report.already_healthy = true;
+          return Status::Ok();
+        }
+        report.replicas_retargeted = plan.value().actions.size();
+        for (uint32_t n : report.dead_nodes) {
+          const double since = NodeDeadSinceMs(n);
+          if (since > 0.0) earliest_dead = std::min(earliest_dead, since);
+        }
 
-  const std::string manifest_bytes = SerializeManifest(staged);
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    if (!planned_live[n]) continue;
-    Status w = cluster_->nodes_[n]->env.WriteFile(
-        ManifestFileName(report.new_generation), manifest_bytes);
-    if (!w.ok()) {
-      return Abort(std::move(report), "staging manifest: " + w.ToString(),
-                   report.new_generation);
+        delta->participants = std::move(live);
+        spec.table = plan.value().new_table;
+        delta->edit_manifest = [placement = ToManifestPlacement(spec)](
+                                   CatalogManifest* staged) {
+          staged->placement = placement;
+        };
+        // Only the rebuilt share of each file actually moves.
+        delta->charge_fraction =
+            static_cast<double>(plan.value().actions.size()) /
+            (static_cast<double>(in.table.size()) *
+             static_cast<double>(in.table[0].size()));
+        delta->old_may_be_partial = true;
+        delta->node_lost = "repair-source node lost";
+        delta->copy_failed = "repair copy failed";
+        delta->new_layout = "repaired layout";
+        delta->old_and_new = "old and repaired placements";
+        return Status::Ok();
+      }));
+  if (report.committed) {
+    if (std::isfinite(earliest_dead)) {
+      report.mttr_virtual_ms = std::max(0.0, VirtualNowMs() - earliest_dead);
     }
+    report.mttr_wall_ms = SteadyNowMs() - wall_t0;
   }
-  contention.Release();
-  phase("staged");
-  if (const char* trigger = AbortTrigger(planned_live)) {
-    return Abort(std::move(report), trigger, report.new_generation);
+  std::lock_guard<std::mutex> lock(metrics_mu_);
+  if (report.committed) {
+    ++repairs_committed_;
+    repair_replicas_rebuilt_ += report.replicas_retargeted;
+    repair_bytes_copied_ += report.bytes_copied;
+  } else if (!report.already_healthy) {
+    ++repairs_aborted_;
   }
-
-  // --- Phase 2: verify ---------------------------------------------------
-  phase("verify");
-  std::vector<std::shared_ptr<serve::QueryService>> staging_services(
-      num_nodes);
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    if (!planned_live[n]) continue;  // dead nodes keep a null service
-    serve::ServeOptions so = cluster_->options_.node;
-    so.seed += n;
-    so.generation = report.new_generation;
-    auto service =
-        serve::QueryService::Create(cluster_->nodes_[n]->faulty.get(), so);
-    if (!service.ok()) {
-      return Abort(std::move(report),
-                   "staging service on node " + std::to_string(n) + ": " +
-                       service.status().ToString(),
-                   report.new_generation);
-    }
-    staging_services[n] = std::move(service.value());
-  }
-  auto staging_epoch = cluster_->BuildEpoch(
-      report.new_generation, std::move(staging_services), &env0);
-  if (!staging_epoch.ok()) {
-    return Abort(std::move(report),
-                 "staging epoch: " + staging_epoch.status().ToString(),
-                 report.new_generation);
-  }
-  // Live traffic double-reads old-vs-repaired from here on.
-  cluster_->SetStagingEpoch(staging_epoch.value());
-
-  std::vector<serve::QueryRequest> sample = options.verify_requests;
-  if (sample.empty()) {
-    for (const auto& [name, rel] : old_epoch->routing->relations) {
-      const Schema& schema = rel.df->file().schema();
-      serve::QueryRequest full;
-      full.relation = name;
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        full.lo.push_back(schema.attribute(a).lo);
-        full.hi.push_back(schema.attribute(a).hi);
-      }
-      sample.push_back(full);
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        serve::QueryRequest half = full;
-        half.hi[a] = (schema.attribute(a).lo + schema.attribute(a).hi) / 2.0;
-        sample.push_back(std::move(half));
-      }
-    }
-  }
-  for (const serve::QueryRequest& vq : sample) {
-    if (const char* trigger = AbortTrigger(planned_live)) {
-      return Abort(std::move(report), trigger, report.new_generation);
-    }
-    ClusterQueryResult old_r =
-        cluster_->ExecuteOnEpoch(*old_epoch, vq, /*allow_hedge=*/false);
-    ClusterQueryResult new_r = cluster_->ExecuteOnEpoch(
-        *staging_epoch.value(), vq, /*allow_hedge=*/false);
-    ++report.verify_queries;
-    // The repaired layout must serve everything from live nodes alone.
-    if (!new_r.status.ok() || !new_r.complete) {
-      return Abort(std::move(report),
-                   "verify query failed on repaired layout: " +
-                       new_r.status.ToString(),
-                   report.new_generation);
-    }
-    // The degraded old layout may be partial (that is why we repair);
-    // byte-compare only when it still serves the full answer.
-    if (old_r.status.ok() && old_r.complete && old_r.matches != new_r.matches) {
-      ++report.verify_mismatches;
-      return Abort(std::move(report),
-                   "divergence: old and repaired placements disagree on '" +
-                       vq.relation + "'",
-                   report.new_generation);
-    }
-  }
-
-  // --- Phase 3: commit ---------------------------------------------------
-  phase("commit");
-  if (const char* trigger = AbortTrigger(planned_live)) {
-    return Abort(std::move(report), trigger, report.new_generation);
-  }
-  std::vector<uint32_t> committed;
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    if (!planned_live[n]) continue;
-    Status s = CommitStagedManifest(&cluster_->nodes_[n]->env,
-                                    report.new_generation);
-    if (!s.ok()) {
-      for (uint32_t j : committed) {
-        (void)RollbackToGeneration(&cluster_->nodes_[j]->env,
-                                   report.old_generation);
-      }
-      return Abort(std::move(report),
-                   "commit failed on node " + std::to_string(n) + ": " +
-                       s.ToString(),
-                   report.new_generation);
-    }
-    committed.push_back(n);
-  }
-  cluster_->AdoptEpoch(staging_epoch.value());
-  cluster_->SetPlacementTable(plan.value().new_table);
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    if (!planned_live[n]) continue;
-    GarbageCollectManifests(&cluster_->nodes_[n]->env, report.new_generation);
-  }
-  if (std::isfinite(earliest_dead)) {
-    report.mttr_virtual_ms =
-        std::max(0.0, cluster_->VirtualNowMs() - earliest_dead);
-  }
-  report.mttr_wall_ms = cluster_->SteadyNowMs() - wall_t0;
-  phase("committed");
-  report.committed = true;
   return report;
 }
 

@@ -7,7 +7,8 @@
 /// Self-healing: diff the persisted placement against the live topology
 /// and re-replicate what a dead or decommissioned node was holding.
 ///
-/// The repair is split into a pure **planner** and a staged **executor**:
+/// The repair is a pure **planner** plus a delta for the one staged
+/// transition engine:
 ///
 ///  * `PlanRepair` takes the current `(copy, disk) -> node` table, the
 ///    topology, and the set of dead/removed nodes, and produces the
@@ -22,18 +23,18 @@
 ///    never silently dropped. The planner is a pure function of its input
 ///    — repair plans are deterministic and replayable.
 ///
-///  * `Repairer` (driven by `Cluster::Repair`, single-flight with
-///    migrations) executes a plan through the migration machinery: it
-///    stages a new catalog generation on the LIVE nodes only (copying the
-///    relation files under generation-G' names, paced by the same token
-///    bucket `Migrator` uses but charging only the rebuilt share of each
-///    file), writes the repaired table into the staged manifest's
-///    placement record (the ground truth every later epoch build obeys),
-///    double-read-verifies old-vs-repaired, and commits behind the
-///    generation fence. Any abort — a plan-time-live node lost mid-copy,
-///    an external `AbortMigration`, a live double-read divergence — drops
-///    every staged file and leaves the old generation serving: placement
-///    is exactly what it was before the repair started.
+///  * `Cluster::Repair` fires the "plan" phase, runs the planner over the
+///    detector-dead plus removed nodes, and hands the plan to the
+///    StagedTransition (cluster/transition.h, single-flight with
+///    migrations) as a delta: the plan-time-live nodes take part (losing
+///    one aborts with "repair-source node lost"); the staged manifest's
+///    placement record carries the repaired table (the ground truth every
+///    later epoch build obeys); each file is charged only its rebuilt
+///    share (retargeted replicas / all replicas); and the degraded old
+///    layout may answer verify queries partially. Any abort drops every
+///    staged file and leaves the old generation serving: placement is
+///    exactly what it was before the repair started. A committed repair
+///    reports its MTTR.
 ///
 /// Dead nodes receive nothing during the repair; that is what makes the
 /// revived-node staleness window real, and why `Cluster::ReviveNode`
@@ -65,7 +66,7 @@ struct RepairPlan {
   /// The repaired table: input.table with every action applied.
   std::vector<std::vector<uint32_t>> new_table;
   /// Disks whose every replica was on a dead node — lost data; the
-  /// executor refuses to commit a plan with any of these.
+  /// repair refuses to stage a plan with any of these.
   std::vector<uint32_t> unrecoverable_disks;
 
   bool healthy() const {
@@ -76,29 +77,6 @@ struct RepairPlan {
 /// Pure planning function; see file comment. Errors on malformed input
 /// (ragged table, unknown nodes, every node dead).
 Result<RepairPlan> PlanRepair(const RepairPlanInput& input);
-
-/// One repair run against a live cluster. Constructed and driven by
-/// `Cluster::Repair`, which guarantees single-flight with migrations.
-class Repairer {
- public:
-  explicit Repairer(Cluster* cluster) : cluster_(cluster) {}
-
-  /// Executes the repair; see file comment. A clean abort is an Ok result
-  /// with `committed = false`; malformed options are error statuses.
-  Result<RepairReport> Run(const RepairOptions& options);
-
- private:
-  /// First active abort trigger, or nullptr. `planned_live[n]` marks the
-  /// nodes alive at plan time — losing one of *those* aborts; the nodes
-  /// being repaired around are expected to be dead.
-  const char* AbortTrigger(const std::vector<bool>& planned_live) const;
-  /// Clean-abort path: clears the staging epoch, drops the staged
-  /// generation everywhere (best effort), fills the report.
-  Result<RepairReport> Abort(RepairReport report, std::string reason,
-                             uint64_t staged_generation);
-
-  Cluster* cluster_;
-};
 
 }  // namespace griddecl::cluster
 

@@ -216,57 +216,62 @@ TEST(MigrationTortureTest, SecondMigrationWhileRunningIsRefused) {
 }
 
 TEST(MigrationTortureTest, NodeLossAtStagedAbortsAndRestoresOldLayout) {
-  MemEnv env;
-  const Catalog catalog = CommitMirrorCatalog(&env);
-  auto cluster = Cluster::Create(env, Deterministic()).value();
-  const Traffic traffic = MakeTraffic(catalog);
-  std::vector<std::vector<std::string>> files_before;
-  for (uint32_t n = 0; n < 4; ++n) {
-    files_before.push_back(NodeFiles(cluster.get(), n));
-  }
-
-  MigrationOptions mo;
-  mo.new_method = "fx";
-  mo.new_num_disks = 4;
-  mo.on_phase = [&](const std::string& p) {
-    if (p == "staged") {
-      ASSERT_TRUE(cluster->KillNode(3).ok());
+  // Node loss at "staged", and at every other phase boundary before the
+  // commit point, aborts the same clean way.
+  for (const std::string kill_at : {"copy", "staged", "verify", "commit"}) {
+    MemEnv env;
+    const Catalog catalog = CommitMirrorCatalog(&env);
+    auto cluster = Cluster::Create(env, Deterministic()).value();
+    const Traffic traffic = MakeTraffic(catalog);
+    std::vector<std::vector<std::string>> files_before;
+    for (uint32_t n = 0; n < 4; ++n) {
+      files_before.push_back(NodeFiles(cluster.get(), n));
     }
-  };
-  const MigrationReport report = cluster->Migrate(mo).value();
-  EXPECT_FALSE(report.committed);
-  EXPECT_EQ(report.abort_reason, "node lost");
-  EXPECT_EQ(cluster->generation(), 1u);
-  EXPECT_FALSE(cluster->migrating());
 
-  // Every staged file was dropped: each node's env holds exactly the file
-  // set it held before the migration started.
-  for (uint32_t n = 0; n < 4; ++n) {
-    EXPECT_EQ(NodeFiles(cluster.get(), n), files_before[n]) << "node " << n;
+    MigrationOptions mo;
+    mo.new_method = "fx";
+    mo.new_num_disks = 4;
+    mo.on_phase = [&](const std::string& p) {
+      if (p == kill_at) {
+        ASSERT_TRUE(cluster->KillNode(3).ok());
+      }
+    };
+    const MigrationReport report = cluster->Migrate(mo).value();
+    EXPECT_FALSE(report.committed) << "at " << kill_at;
+    EXPECT_EQ(report.abort_reason, "node lost") << "at " << kill_at;
+    EXPECT_EQ(cluster->generation(), 1u);
+    EXPECT_FALSE(cluster->migrating());
+
+    // Every staged file was dropped: each node's env holds exactly the
+    // file set it held before the migration started.
+    for (uint32_t n = 0; n < 4; ++n) {
+      EXPECT_EQ(NodeFiles(cluster.get(), n), files_before[n])
+          << "at " << kill_at << ", node " << n;
+    }
+
+    // The old layout still serves: complete through mirrors while node 3
+    // is down, all-primary after revival.
+    const ClusterQueryResult degraded = cluster->Execute(traffic.queries[0]);
+    ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
+    EXPECT_TRUE(degraded.complete);
+    EXPECT_EQ(degraded.matches, traffic.want[0]);
+    ASSERT_TRUE(cluster->ReviveNode(3).ok());
+    const ClusterQueryResult healed = cluster->Execute(traffic.queries[0]);
+    ASSERT_TRUE(healed.status.ok());
+    EXPECT_EQ(healed.rerouted_subqueries, 0u);
+    EXPECT_EQ(healed.matches, traffic.want[0]);
+
+    // And a later healthy migration of the same cluster goes through.
+    mo.on_phase = nullptr;
+    const MigrationReport retry = cluster->Migrate(mo).value();
+    EXPECT_TRUE(retry.committed) << retry.abort_reason;
+    EXPECT_EQ(cluster->generation(), retry.new_generation);
+
+    obs::MetricsRegistry reg;
+    cluster->SnapshotMetrics(&reg);
+    EXPECT_EQ(reg.GetCounter("cluster.migrations_aborted")->value(), 1u);
+    EXPECT_EQ(reg.GetCounter("cluster.migrations_committed")->value(), 1u);
   }
-
-  // The old layout still serves: complete through mirrors while node 3 is
-  // down, all-primary after revival.
-  const ClusterQueryResult degraded = cluster->Execute(traffic.queries[0]);
-  ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
-  EXPECT_TRUE(degraded.complete);
-  EXPECT_EQ(degraded.matches, traffic.want[0]);
-  ASSERT_TRUE(cluster->ReviveNode(3).ok());
-  const ClusterQueryResult healed = cluster->Execute(traffic.queries[0]);
-  ASSERT_TRUE(healed.status.ok());
-  EXPECT_EQ(healed.rerouted_subqueries, 0u);
-  EXPECT_EQ(healed.matches, traffic.want[0]);
-
-  // And a later healthy migration of the same cluster goes through.
-  mo.on_phase = nullptr;
-  const MigrationReport retry = cluster->Migrate(mo).value();
-  EXPECT_TRUE(retry.committed) << retry.abort_reason;
-  EXPECT_EQ(cluster->generation(), retry.new_generation);
-
-  obs::MetricsRegistry reg;
-  cluster->SnapshotMetrics(&reg);
-  EXPECT_EQ(reg.GetCounter("cluster.migrations_aborted")->value(), 1u);
-  EXPECT_EQ(reg.GetCounter("cluster.migrations_committed")->value(), 1u);
 }
 
 TEST(MigrationTortureTest, ExternalAbortDuringVerifyRollsBackCleanly) {

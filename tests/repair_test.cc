@@ -522,6 +522,35 @@ TEST(RepairTest, AddNodeGrowsTheClusterAndRemoveNodeEvacuates) {
   EXPECT_EQ(reg.GetCounter("cluster.nodes_removed")->value(), 1u);
 }
 
+TEST(RepairTest, MigrateAfterRemovingNodeZeroAndRepairCommits) {
+  // The repair stages only to the live nodes, so node 0 never sees the
+  // repaired generation. A later migration must copy from a member that
+  // holds it, not from node 0.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  auto cluster = Cluster::Create(env, HealingOptions()).value();
+  ASSERT_TRUE(cluster->RemoveNode(0).ok());
+  const RepairReport repair = cluster->Repair({}).value();
+  ASSERT_TRUE(repair.committed) << repair.abort_reason;
+  ASSERT_EQ(cluster->generation(), 2u);
+
+  MigrationOptions mo;
+  mo.new_method = "fx";
+  mo.new_num_disks = 8;
+  const Result<MigrationReport> migrated = cluster->Migrate(mo);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_TRUE(migrated.value().committed) << migrated.value().abort_reason;
+  EXPECT_EQ(migrated.value().old_generation, 2u);
+  EXPECT_GT(migrated.value().new_generation, 2u);
+  EXPECT_EQ(cluster->generation(), migrated.value().new_generation);
+
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  const ClusterQueryResult r = cluster->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.matches, Direct(catalog, full));
+}
+
 TEST(RepairTest, AddNodeNeedsAFreeSlot) {
   MemEnv env;
   CommitWideCatalog(&env);
