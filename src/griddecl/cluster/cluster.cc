@@ -80,9 +80,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
         " > " + std::to_string(manifest.value().num_disks));
   }
 
-  // Resolve the placement spec: an explicit override wins, else the
-  // manifest's persisted record, else chained over a flat topology —
-  // exactly the pre-placement behavior.
+  // The first epoch's placement: the override verbatim, else the
+  // manifest's persisted record, else chained over a flat topology.
   PlacementSpec spec;
   if (options.placement.has_value()) {
     spec = *options.placement;
@@ -113,7 +112,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = std::move(options);
   const ClusterOptions& opts = cluster->options_;
-  cluster->placement_spec_ = std::move(spec);
   cluster->start_ = std::chrono::steady_clock::now();
 
   // One effective window list — node windows plus zone windows expanded
@@ -123,7 +121,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   cluster->effective_windows_ = opts.node_windows;
   for (const ZoneFaultWindow& w : opts.zone_windows) {
     for (uint32_t n = 0; n < opts.num_nodes; ++n) {
-      if (cluster->placement_spec_.topology.zone_of(n) == w.zone) {
+      if (spec.topology.zone_of(n) == w.zone) {
         cluster->effective_windows_.push_back(
             NodeFaultWindow{n, w.from_ms, w.until_ms});
       }
@@ -137,41 +135,22 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   cluster->heartbeat_ =
       std::make_unique<HeartbeatDetector>(opts.heartbeat, max_nodes);
 
+  // Growth slots beyond num_nodes stay empty until AddNode materializes
+  // them, and killed until then so no path ever routes to them.
   std::vector<std::shared_ptr<serve::QueryService>> services;
-  for (uint32_t n = 0; n < opts.num_nodes; ++n) {
-    auto node = std::make_unique<Node>();
-    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(seed, &node->env));
-    FaultyEnvOptions fo;
-    fo.seed = opts.fault_seed + n;
-    fo.transient_error_prob = opts.node_transient_prob;
-    fo.max_transient_attempts = opts.node_max_transient_attempts;
-    fo.latency_ms =
-        n < opts.node_latency_ms.size() ? opts.node_latency_ms[n] : 0.0;
-    for (const NodeFaultWindow& w : cluster->effective_windows_) {
-      if (w.node != n) continue;
-      fo.permanent.push_back(FaultRange{
-          "", 0, std::numeric_limits<uint64_t>::max(), w.from_ms, w.until_ms});
+  for (uint32_t n = 0; n < max_nodes; ++n) {
+    cluster->nodes_.push_back(std::make_unique<Node>());
+    Node& node = *cluster->nodes_.back();
+    if (n >= opts.num_nodes) {
+      node.killed.store(true);
+      continue;
     }
-    auto faulty = FaultyEnv::Create(&node->env, std::move(fo));
-    if (!faulty.ok()) return faulty.status();
-    node->faulty = std::move(faulty.value());
-
-    serve::ServeOptions so = opts.node;
-    so.seed += n;  // decorrelate retry jitter across nodes
-    auto service = serve::QueryService::Create(node->faulty.get(), so);
+    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(seed, &node.env));
+    auto service = cluster->NodeService(n);
     if (!service.ok()) return service.status();
-    node->service =
-        std::shared_ptr<serve::QueryService>(std::move(service.value()));
-    services.push_back(node->service);
-    cluster->nodes_.push_back(std::move(node));
+    node.service = std::move(service).value();
+    services.push_back(node.service);
     cluster->heartbeat_->Track(n);
-  }
-  for (uint32_t n = opts.num_nodes; n < max_nodes; ++n) {
-    // Empty growth slot: env/service materialize in AddNode. Killed until
-    // then so no path ever routes to it.
-    auto node = std::make_unique<Node>();
-    node->killed.store(true);
-    cluster->nodes_.push_back(std::move(node));
   }
   cluster->active_nodes_.store(opts.num_nodes);
 
@@ -181,7 +160,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   }
 
   auto epoch = cluster->BuildEpoch(manifest.value().generation,
-                                   std::move(services), cluster->nodes_[0]->env);
+                                   std::move(services), cluster->nodes_[0]->env,
+                                   spec);
   if (!epoch.ok()) return epoch.status();
   cluster->epoch_ = std::move(epoch.value());
 
@@ -201,8 +181,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     }
     std::string warning =
         "placement warning: relation '" + name + "' (" +
-        PlacementPolicyName(cluster->placement_spec_.policy) + ", copies=" +
-        std::to_string(rel.copies) + ") co-locates copies of disk(s) " +
+        PlacementPolicyName(cluster->epoch_->placement.policy()) +
+        ", copies=" + std::to_string(rel.copies) +
+        ") co-locates copies of disk(s) " +
         disks + " on one node; a single node loss can drop those buckets";
     std::fprintf(stderr, "%s\n", warning.c_str());
     cluster->placement_warnings_.push_back(std::move(warning));
@@ -215,7 +196,7 @@ Cluster::~Cluster() = default;
 Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
     uint64_t generation,
     std::vector<std::shared_ptr<serve::QueryService>> services,
-    const StorageEnv& src) const {
+    const StorageEnv& src, const PlacementSpec& placement) const {
   auto manifest = ReadManifest(src, generation);
   if (!manifest.ok()) return manifest.status();
   auto catalog = LoadCatalogFromManifest(src, manifest.value());
@@ -241,38 +222,13 @@ Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
   epoch->generation = manifest.value().generation;
   epoch->num_disks = manifest.value().num_disks;
 
-  // Placement resolution per generation: a manifest record carrying an
-  // explicit table is repair ground truth and wins outright (its row 0 IS
-  // the disk ownership map); otherwise the cluster's current spec applies
-  // with any stale table cleared (a migration changes M, invalidating old
-  // tables) and contiguous disk ownership.
-  PlacementSpec spec = placement_spec();
-  if (manifest.value().placement.has_value() &&
-      !manifest.value().placement->table.empty()) {
-    auto from = FromManifestPlacement(*manifest.value().placement);
-    if (!from.ok()) return from.status();
-    spec = std::move(from).value();
-  } else {
-    spec.table.clear();
-  }
-  if (!spec.table.empty() && spec.table[0].size() == epoch->num_disks) {
-    epoch->disk_node = spec.table[0];
-  } else {
-    spec.table.clear();
-    epoch->disk_node.resize(epoch->num_disks);
-    const uint64_t n = num_nodes();
-    for (uint32_t d = 0; d < epoch->num_disks; ++d) {
-      epoch->disk_node[d] = static_cast<uint32_t>(
-          static_cast<uint64_t>(d) * n / epoch->num_disks);
-    }
-  }
   uint32_t max_copies = 1;
   for (const auto& [name, rel] : routing->relations) {
     max_copies = std::max(max_copies, rel.copies);
   }
-  auto placement = PlacementMap::Build(spec, epoch->disk_node, max_copies);
-  if (!placement.ok()) return placement.status();
-  epoch->placement = std::move(placement).value();
+  auto map = PlacementMap::Build(placement, epoch->num_disks, max_copies);
+  if (!map.ok()) return map.status();
+  epoch->placement = std::move(map).value();
   epoch->services = std::move(services);
   epoch->routing = std::move(routing);
   return std::shared_ptr<const Epoch>(std::move(epoch));
@@ -342,6 +298,34 @@ bool Cluster::NodeAliveAt(uint32_t node, double virtual_now) const {
   return true;
 }
 
+Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
+    uint32_t n, uint64_t generation) {
+  Node& nd = *nodes_[n];
+  if (nd.faulty == nullptr) {
+    FaultyEnvOptions fo;
+    fo.seed = options_.fault_seed + n;
+    fo.transient_error_prob = options_.node_transient_prob;
+    fo.max_transient_attempts = options_.node_max_transient_attempts;
+    fo.latency_ms =
+        n < options_.node_latency_ms.size() ? options_.node_latency_ms[n] : 0.0;
+    for (const NodeFaultWindow& w : effective_windows_) {
+      if (w.node != n) continue;
+      fo.permanent.push_back(FaultRange{
+          "", 0, std::numeric_limits<uint64_t>::max(), w.from_ms, w.until_ms});
+    }
+    auto faulty = FaultyEnv::Create(&nd.env, std::move(fo));
+    if (!faulty.ok()) return faulty.status();
+    nd.faulty = std::move(faulty).value();
+    nd.faulty->SetNowMs(virtual_now_ms_.load());
+  }
+  serve::ServeOptions so = options_.node;
+  so.seed += n;
+  so.generation = generation;
+  auto service = serve::QueryService::Create(nd.faulty.get(), so);
+  if (!service.ok()) return service.status();
+  return std::shared_ptr<serve::QueryService>(std::move(service).value());
+}
+
 std::optional<uint32_t> Cluster::LivePeerAt(uint64_t generation,
                                             uint32_t skip) const {
   for (uint32_t p = 0; p < num_nodes(); ++p) {
@@ -409,15 +393,8 @@ void Cluster::AdvanceTimeMs(double now_ms) {
   // instant — a pure function of the kill/window schedule, so detector
   // verdicts are deterministic and replayable.
   std::lock_guard<std::mutex> lock(hb_mu_);
-  heartbeat_->AdvanceTo(now_ms, [this](uint32_t n, double t) {
-    if (n >= num_nodes()) return false;
-    const Node& nd = *nodes_[n];
-    if (nd.killed.load() || nd.removed.load()) return false;
-    for (const NodeFaultWindow& w : effective_windows_) {
-      if (w.node == n && t >= w.from_ms && t < w.until_ms) return false;
-    }
-    return true;
-  });
+  heartbeat_->AdvanceTo(
+      now_ms, [this](uint32_t n, double t) { return NodeAliveAt(n, t); });
 }
 
 std::vector<uint32_t> Cluster::DeadNodesForRepair() const {
@@ -458,13 +435,7 @@ HeartbeatDetector::Counters Cluster::HeartbeatCounters() const {
 }
 
 PlacementSpec Cluster::placement_spec() const {
-  std::lock_guard<std::mutex> lock(spec_mu_);
-  return placement_spec_;
-}
-
-void Cluster::SetPlacementTable(std::vector<std::vector<uint32_t>> table) {
-  std::lock_guard<std::mutex> lock(spec_mu_);
-  placement_spec_.table = std::move(table);
+  return CurrentEpoch()->placement.spec();
 }
 
 bool Cluster::AdmitExtraSub(bool is_hedge) {
@@ -526,9 +497,7 @@ Status Cluster::ReviveNode(uint32_t node) {
   if (nd.service == nullptr || nd.service->generation() != epoch->generation) {
     // The cluster committed a newer generation while the node was down:
     // reload the node's service at CURRENT before readmitting it.
-    serve::ServeOptions so = options_.node;
-    so.seed += node;
-    auto service = serve::QueryService::Create(nd.faulty.get(), so);
+    auto service = NodeService(node);
     if (!service.ok()) return service.status();
     if (service.value()->generation() != epoch->generation) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -540,13 +509,12 @@ Status Cluster::ReviveNode(uint32_t node) {
           " but the cluster serves " + std::to_string(epoch->generation) +
           "; revival refused");
     }
-    nd.service =
-        std::shared_ptr<serve::QueryService>(std::move(service.value()));
-    auto fresh = std::make_shared<Epoch>(*epoch);
+    nd.service = std::move(service).value();
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    auto fresh = std::make_shared<Epoch>(*epoch_);
     if (node < fresh->services.size()) {
       fresh->services[node] = nd.service;
     }
-    std::lock_guard<std::mutex> lock(epoch_mu_);
     epoch_ = std::move(fresh);
   }
   nd.killed.store(false);
@@ -558,40 +526,37 @@ Status Cluster::ReviveNode(uint32_t node) {
 }
 
 Status Cluster::KillZone(uint32_t zone) {
-  const PlacementSpec spec = placement_spec();
-  if (zone >= spec.topology.num_zones()) {
-    return Status::InvalidArgument("no zone " + std::to_string(zone));
-  }
-  for (uint32_t n = 0; n < num_nodes(); ++n) {
-    if (spec.topology.zone_of(n) == zone) {
-      GRIDDECL_RETURN_IF_ERROR(KillNode(n));
-    }
-  }
-  return Status::Ok();
+  return ForEachNodeInZone(zone, [this](uint32_t n) { return KillNode(n); });
 }
 
 Status Cluster::ReviveZone(uint32_t zone) {
-  const PlacementSpec spec = placement_spec();
-  if (zone >= spec.topology.num_zones()) {
+  return ForEachNodeInZone(zone,
+                           [this](uint32_t n) { return ReviveNode(n); });
+}
+
+Status Cluster::ForEachNodeInZone(
+    uint32_t zone, const std::function<Status(uint32_t)>& fn) {
+  const auto epoch = CurrentEpoch();
+  const Topology& topology = epoch->placement.spec().topology;
+  if (zone >= topology.num_zones()) {
     return Status::InvalidArgument("no zone " + std::to_string(zone));
   }
   for (uint32_t n = 0; n < num_nodes(); ++n) {
-    if (spec.topology.zone_of(n) == zone) {
-      GRIDDECL_RETURN_IF_ERROR(ReviveNode(n));
-    }
+    if (topology.zone_of(n) == zone) GRIDDECL_RETURN_IF_ERROR(fn(n));
   }
   return Status::Ok();
 }
 
 Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
-  std::lock_guard<std::mutex> lock(spec_mu_);
+  std::lock_guard<std::mutex> lock(add_mu_);
   const uint32_t id = active_nodes_.load();
   if (id >= nodes_.size()) {
     return Status::FailedPrecondition(
         "cluster is at max_nodes (" + std::to_string(nodes_.size()) +
         "); create with a larger ClusterOptions::max_nodes to grow");
   }
-  Topology topo = placement_spec_.topology;
+  auto epoch = CurrentEpoch();
+  Topology topo = epoch->placement.spec().topology;
   if (rack > topo.num_racks()) {
     return Status::InvalidArgument(
         "rack " + std::to_string(rack) + " out of range (have " +
@@ -614,7 +579,6 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
   GRIDDECL_RETURN_IF_ERROR(topo.Validate());
 
   // Seed the new node's env from a live peer at the committed generation.
-  auto epoch = CurrentEpoch();
   const std::optional<uint32_t> peer = LivePeerAt(epoch->generation, id);
   if (!peer.has_value()) {
     return Status::Unavailable(
@@ -623,33 +587,19 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
 
   Node& nd = *nodes_[id];
   GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
-  FaultyEnvOptions fo;
-  fo.seed = options_.fault_seed + id;
-  fo.transient_error_prob = options_.node_transient_prob;
-  fo.max_transient_attempts = options_.node_max_transient_attempts;
-  fo.latency_ms = id < options_.node_latency_ms.size()
-                      ? options_.node_latency_ms[id]
-                      : 0.0;
-  auto faulty = FaultyEnv::Create(&nd.env, std::move(fo));
-  if (!faulty.ok()) return faulty.status();
-  nd.faulty = std::move(faulty.value());
-  nd.faulty->SetNowMs(virtual_now_ms_.load());
-  serve::ServeOptions so = options_.node;
-  so.seed += id;
-  auto service = serve::QueryService::Create(nd.faulty.get(), so);
+  auto service = NodeService(id);
   if (!service.ok()) return service.status();
-  nd.service =
-      std::shared_ptr<serve::QueryService>(std::move(service.value()));
+  nd.service = std::move(service).value();
 
-  // Publish: topology first, then the node (release on active_nodes_ so
-  // any reader that sees the new count sees a fully built slot). Existing
-  // placement is untouched — the new node takes traffic only after the
-  // next Repair / Migrate re-places.
-  placement_spec_.topology = std::move(topo);
+  // Publish: the grown topology first, then the node (release on
+  // active_nodes_ so any reader that sees the new count sees a fully built
+  // slot). The node table is untouched — the new node takes traffic only
+  // after the next Repair / Migrate re-places.
   {
-    auto fresh = std::make_shared<Epoch>(*epoch);
-    fresh->services.push_back(nd.service);
     std::lock_guard<std::mutex> elock(epoch_mu_);
+    auto fresh = std::make_shared<Epoch>(*epoch_);
+    fresh->services.push_back(nd.service);
+    fresh->placement = fresh->placement.WithTopology(std::move(topo));
     epoch_ = std::move(fresh);
   }
   nd.killed.store(false);
@@ -796,7 +746,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   std::map<std::pair<uint32_t, uint32_t>, Route> routes;
   for (uint32_t d = 0; d < num_disks; ++d) {
     if (counts[d] == 0) continue;
-    const uint32_t owner = epoch.disk_node[d];
+    const uint32_t owner = epoch.placement.NodeOf(d, 0);
     uint32_t target_node = owner;
     uint32_t target_copy = 0;
     bool placed = NodeAliveAt(owner, vnow) && !NodeWouldRefuse(owner);
@@ -892,10 +842,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       if (f.ok()) ++result.sub_queries;
       return f;
     };
-    auto take = [&](const serve::QueryResult& r) {
-      result.matches.insert(result.matches.end(), r.matches.begin(),
-                            r.matches.end());
-    };
     // The deterministic first-replica target: the node holding the next
     // alive copy of the route's first disk. Hedge and first failover both
     // go here, so "served by the first replica" has one winner letter
@@ -919,10 +865,32 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     const bool have_alt = alt_copy != 0;
 
     bool route_served = false;
-    bool primary_failed_observed = false;
     std::future<serve::QueryResult> hedge;
     bool hedge_fired = false;
     bool hedge_failed_observed = false;
+
+    // One observed completion on `node`: feeds its breaker and latency
+    // stats and, on success, merges the matches and records `winner`.
+    // Returns whether it served the route.
+    auto settle = [&](uint32_t node, const serve::QueryResult& r,
+                      char winner) {
+      RecordNodeOutcome(node, r.status.ok());
+      ObserveNodeLatency(node, r.total_ms);
+      if (!r.status.ok()) return false;
+      result.matches.insert(result.matches.end(), r.matches.begin(),
+                            r.matches.end());
+      result.winners.push_back(winner);
+      return true;
+    };
+    // Consumes the hedge, blocking until it completes.
+    auto settle_hedge = [&] {
+      if (settle(alt_node, hedge.get(), 'h')) {
+        ++result.hedge_wins;
+        route_served = true;
+      } else {
+        hedge_failed_observed = true;
+      }
+    };
 
     if (fl.submitted) {
       const double delay = allow_hedge && route.copy == 0 && have_alt
@@ -948,87 +916,35 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
         // never fed to the breakers).
         bool primary_done = false;
         bool hedge_done = false;
-        serve::QueryResult pr;
-        serve::QueryResult hr;
         const auto slice = std::chrono::microseconds(50);
         while (!route_served && !(primary_done && hedge_done)) {
           if (!primary_done &&
               fl.future.wait_for(slice) == std::future_status::ready) {
-            pr = fl.future.get();
             primary_done = true;
-            RecordNodeOutcome(route.node, pr.status.ok());
-            ObserveNodeLatency(route.node, pr.total_ms);
-            if (pr.status.ok()) {
-              take(pr);
-              result.winners.push_back('p');
+            if (settle(route.node, fl.future.get(), 'p')) {
               if (!hedge_done) ++result.hedges_cancelled;
               route_served = true;
               break;
             }
-            primary_failed_observed = true;
           }
-          if (!hedge_done && hedge.wait_for(std::chrono::seconds(0)) ==
-                                 std::future_status::ready) {
+          // Poll the hedge; once the primary has failed, block on it.
+          if (!hedge_done &&
+              (primary_done || hedge.wait_for(std::chrono::seconds(0)) ==
+                                   std::future_status::ready)) {
             hedge_done = true;
-            hr = hedge.get();
-            RecordNodeOutcome(alt_node, hr.status.ok());
-            ObserveNodeLatency(alt_node, hr.total_ms);
-            if (hr.status.ok()) {
-              take(hr);
-              ++result.hedge_wins;
-              result.winners.push_back('h');
-              route_served = true;
-              break;
-            }
-            hedge_failed_observed = true;
-          }
-          if (primary_done && !hedge_done) {
-            // Primary failed and only the hedge remains: block on it.
-            hr = hedge.get();
-            hedge_done = true;
-            RecordNodeOutcome(alt_node, hr.status.ok());
-            ObserveNodeLatency(alt_node, hr.total_ms);
-            if (hr.status.ok()) {
-              take(hr);
-              ++result.hedge_wins;
-              result.winners.push_back('h');
-              route_served = true;
-            } else {
-              hedge_failed_observed = true;
-            }
+            settle_hedge();
           }
         }
-      } else {
+      } else if (settle(route.node, fl.future.get(), 'p')) {
         // kPrimaryPreferred (or no hedge in flight): the primary's result
         // is authoritative whenever it succeeds, so winner selection is a
         // pure function of the fault schedule.
-        serve::QueryResult pr = fl.future.get();
-        RecordNodeOutcome(route.node, pr.status.ok());
-        ObserveNodeLatency(route.node, pr.total_ms);
-        if (pr.status.ok()) {
-          if (hedge_fired) ++result.hedges_cancelled;
-          take(pr);
-          result.winners.push_back('p');
-          route_served = true;
-        } else {
-          primary_failed_observed = true;
-          if (hedge_fired) {
-            serve::QueryResult hr = hedge.get();
-            RecordNodeOutcome(alt_node, hr.status.ok());
-            ObserveNodeLatency(alt_node, hr.total_ms);
-            if (hr.status.ok()) {
-              take(hr);
-              ++result.hedge_wins;
-              result.winners.push_back('h');
-              route_served = true;
-            } else {
-              hedge_failed_observed = true;
-            }
-          }
-        }
+        if (hedge_fired) ++result.hedges_cancelled;
+        route_served = true;
+      } else if (hedge_fired) {
+        settle_hedge();
       }
     }
-    (void)primary_failed_observed;
     // The route's in-flight charges are settled here whether its futures
     // were consumed or dropped (a cancelled hedge's work is nearly done
     // by the time its future is discarded).
@@ -1063,12 +979,8 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       node_inflight_[rn].fetch_add(static_cast<int64_t>(route.buckets));
       serve::QueryResult fr = f.value().get();
       node_inflight_[rn].fetch_sub(static_cast<int64_t>(route.buckets));
-      RecordNodeOutcome(rn, fr.status.ok());
-      ObserveNodeLatency(rn, fr.total_ms);
-      if (fr.status.ok()) {
-        take(fr);
+      if (settle(rn, fr, c == alt_copy ? 'h' : 'r')) {
         ++result.rerouted_subqueries;
-        result.winners.push_back(c == alt_copy ? 'h' : 'r');
         route_served = true;
       }
     }

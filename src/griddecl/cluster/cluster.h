@@ -29,14 +29,25 @@
 /// \file
 /// Multi-node scatter-gather over the single-node query service.
 ///
-/// A `Cluster` simulates N nodes. Each node owns a contiguous slice of the
-/// catalog's M virtual disks (node k owns [k*M/N, (k+1)*M/N)), a private
-/// `MemEnv` materialization of the committed catalog, a `FaultyEnv` that
-/// can crash the whole node on a seeded schedule (`NodeFaultWindow` ->
-/// wildcard fault ranges, sim/faults.h), and a `serve::QueryService` over
-/// that env. Ownership is a *routing* convention: every node's env holds
-/// every file, so re-owning a disk never moves bytes — exactly the virtual
-/// fault-domain model serve already uses, lifted one level.
+/// A `Cluster` simulates N nodes. Each node holds a private `MemEnv`
+/// materialization of the committed catalog, a `FaultyEnv` that can crash
+/// the whole node on a seeded schedule (`NodeFaultWindow` -> wildcard
+/// fault ranges, sim/faults.h), and a `serve::QueryService` over that env.
+///
+/// **Placement has one source of truth: the routing epoch's
+/// `PlacementMap`** (cluster/placement.h). It says which node holds each
+/// (virtual disk, mirror copy); row 0 is disk ownership — the contiguous
+/// deal (node k owns [k*M/N, (k+1)*M/N)) unless a repair left an explicit
+/// table. Routing, hedging, failover, `placement_spec()`, `KillZone` and
+/// the repair planner all read that one map, and placement changes only
+/// by publishing a new epoch: `Create` builds it from
+/// `ClusterOptions::placement`, else the manifest's record, else chained
+/// over a flat topology; a committed `Repair` installs its planned table;
+/// a committed `Migrate` re-places by policy over the new disk count;
+/// `AddNode` grows the topology under an unchanged table. Ownership is a
+/// *routing* convention: every node's env holds every file, so re-owning
+/// a disk never moves bytes — exactly the virtual fault-domain model serve
+/// already uses, lifted one level.
 ///
 /// The coordinator (`Execute`, caller-thread, concurrency-safe) plans one
 /// sub-query per (node, copy) from the relation's `DiskMap`, scatters them
@@ -46,8 +57,8 @@
 ///  * **Quorum-aware degraded routing.** A sub-query for a dead or
 ///    breaker-refused node reroutes to a replica-holding node of each
 ///    affected disk, per the epoch's `PlacementMap` (cluster/placement.h:
-///    chained `(d+c) mod M`, spread, or zone_aware, as recorded in the
-///    manifest). Among the alive replica holders the coordinator picks the
+///    chained `(d+c) mod M`, spread, zone_aware, or a repaired table).
+///    Among the alive replica holders the coordinator picks the
 ///    *least-loaded* one (fewest in-flight bucket reads, ties to the
 ///    lowest copy index — which degenerates to the deterministic
 ///    first-alive choice at copies=2 or single-threaded). Buckets with no
@@ -152,10 +163,11 @@ struct ClusterOptions {
   /// Seed for hedge jitter.
   uint64_t seed = 0;
 
-  /// Replica-placement override. Absent = the catalog manifest's
-  /// placement record, or chained over a flat topology when the manifest
-  /// predates placement — exactly the pre-placement behavior. When set,
-  /// the topology's node count must equal num_nodes.
+  /// Replica-placement override, routed by verbatim (an explicit `table`
+  /// included). Absent = the catalog manifest's placement record, or
+  /// chained over a flat topology when the manifest predates placement.
+  /// Whichever wins seeds the first routing epoch's PlacementMap; its
+  /// topology's node count must equal num_nodes.
   std::optional<PlacementSpec> placement;
 
   /// Whole-node crash windows, evaluated against the virtual clock
@@ -374,10 +386,9 @@ class Cluster {
   BreakerState NodeBreakerState(uint32_t node) const;
   bool NodeAlive(uint32_t node) const;
 
-  /// The placement spec the cluster currently routes by: resolved at
-  /// Create (override > manifest record > chained over a flat topology),
-  /// extended by AddNode, and given an explicit table by a committed
-  /// Repair. Returned by value under the spec lock — the spec mutates.
+  /// The spec of the current routing epoch's PlacementMap — what the
+  /// cluster routes by (see file comment). Returned by value: a later
+  /// epoch may replace it.
   PlacementSpec placement_spec() const;
   /// Self-colocation warnings computed at Create: one line per mirror
   /// relation whose placement puts two copies of some disk on one node
@@ -434,17 +445,14 @@ class Cluster {
     explicit Routing(Catalog c) : catalog(std::move(c)) {}
   };
 
-  /// One immutable routing view: generation, disk ownership, relation
-  /// maps, and the per-node service snapshot. Cutover swaps the shared_ptr
+  /// One immutable routing view: generation, placement, relation maps,
+  /// and the per-node service snapshot. Cutover swaps the shared_ptr
   /// atomically; in-flight queries finish on the epoch they grabbed.
   struct Epoch {
     uint64_t generation = 0;
     uint32_t num_disks = 0;
-    /// disk d -> owning node (contiguous slices: d * N / M).
-    std::vector<uint32_t> disk_node;
-    /// (disk, copy) -> node under the resolved placement spec; row 0 ==
-    /// disk_node. Built per epoch because M (and so the table) changes
-    /// across migrations.
+    /// (disk, copy) -> node; row 0 is disk ownership. The cluster's only
+    /// runtime placement state.
     PlacementMap placement;
     std::vector<std::shared_ptr<serve::QueryService>> services;
     std::shared_ptr<const Routing> routing;
@@ -465,14 +473,12 @@ class Cluster {
 
   /// Builds a routing epoch for `generation` over the given services,
   /// reading the catalog from `src` (a raw node env that holds the
-  /// generation). The generation's manifest placement record wins when it
-  /// carries an explicit table (the repair ground truth — disk ownership
-  /// is its row 0); otherwise the cluster's current spec applies with any
-  /// stale table cleared and contiguous disk ownership.
+  /// generation) and routing by `placement` (see file comment for who
+  /// hands in which spec).
   Result<std::shared_ptr<const Epoch>> BuildEpoch(
       uint64_t generation,
       std::vector<std::shared_ptr<serve::QueryService>> services,
-      const StorageEnv& src) const;
+      const StorageEnv& src, const PlacementSpec& placement) const;
 
   std::shared_ptr<const Epoch> CurrentEpoch() const;
   std::shared_ptr<const Epoch> StagingEpoch() const;
@@ -496,6 +502,10 @@ class Cluster {
           plan);
 
   bool NodeAliveAt(uint32_t node, double virtual_now) const;
+  /// Applies `fn` to every node of `zone` in the current epoch's topology,
+  /// stopping at the first error; kInvalidArgument for an unknown zone.
+  Status ForEachNodeInZone(uint32_t zone,
+                           const std::function<Status(uint32_t)>& fn);
   /// First live node other than `skip` whose committed manifest is at
   /// `generation` — the peer a revived or added node copies from.
   std::optional<uint32_t> LivePeerAt(uint64_t generation, uint32_t skip) const;
@@ -503,9 +513,13 @@ class Cluster {
   std::vector<uint32_t> DeadNodesForRepair() const;
   /// Virtual time the heartbeat declared `node` dead (0 = never).
   double NodeDeadSinceMs(uint32_t node) const;
-  /// Installs the repaired placement table as the cluster's current spec
-  /// (empty clears the table, e.g. after a policy re-placement).
-  void SetPlacementTable(std::vector<std::vector<uint32_t>> table);
+  /// Node `n`'s query service over its FaultyEnv, pinned to `generation`
+  /// (0 = the env's CURRENT). Builds the FaultyEnv first when the node has
+  /// none (Create, AddNode): fault seed `fault_seed + n`, node n's injected
+  /// latency and crash windows. The service runs `options_.node` with
+  /// `seed + n`, decorrelating retry jitter across nodes.
+  Result<std::shared_ptr<serve::QueryService>> NodeService(
+      uint32_t n, uint64_t generation = 0);
   /// Admits one extra sub-query (hedge or failover retry) against the
   /// cluster-wide hedge budget; false = over budget, skip it.
   bool AdmitExtraSub(bool is_hedge);
@@ -522,11 +536,6 @@ class Cluster {
   double SteadyNowMs() const;
 
   ClusterOptions options_;
-  /// Resolved at Create: options_.placement > manifest record > chained.
-  /// Mutated by AddNode (topology growth) and a committed Repair (table);
-  /// guarded by spec_mu_ — read via placement_spec().
-  mutable std::mutex spec_mu_;
-  PlacementSpec placement_spec_;
   std::vector<std::string> placement_warnings_;
   /// node_windows plus every zone window expanded to its member nodes —
   /// the one list NodeAliveAt and the FaultyEnv wildcard ranges share.
@@ -545,6 +554,9 @@ class Cluster {
   std::unique_ptr<std::atomic<int64_t>[]> node_inflight_;
   std::chrono::steady_clock::time_point start_;
   std::atomic<double> virtual_now_ms_{0.0};
+
+  /// Serializes AddNode, from slot claim to epoch publish.
+  std::mutex add_mu_;
 
   mutable std::mutex epoch_mu_;
   std::shared_ptr<const Epoch> epoch_;

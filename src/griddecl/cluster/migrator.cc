@@ -44,6 +44,10 @@ Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
         if (delta->participants.empty()) {
           return Status::FailedPrecondition("every node is removed");
         }
+        // Re-place by policy over the new disk count: a repair's table
+        // names the old disks.
+        delta->placement = current.placement.spec();
+        delta->placement.table.clear();
         delta->edit_manifest = [&options](CatalogManifest* staged) {
           staged->num_disks = options.new_num_disks;
           for (ManifestRelation& mr : staged->relations) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 namespace griddecl::cluster {
 
@@ -84,19 +85,18 @@ Result<Topology> Topology::Grid(uint32_t num_nodes, uint32_t num_racks,
         "topology needs nodes >= racks >= zones >= 1");
   }
   Topology t;
-  t.node_rack.resize(num_nodes);
-  t.rack_zone.resize(num_racks);
-  // Contiguous slices, mirroring the cluster's disk->node ownership map:
-  // node n sits in rack n*R/N, rack r in zone r*Z/R.
-  for (uint32_t n = 0; n < num_nodes; ++n) {
-    t.node_rack[n] = static_cast<uint32_t>(
-        static_cast<uint64_t>(n) * num_racks / num_nodes);
-  }
-  for (uint32_t r = 0; r < num_racks; ++r) {
-    t.rack_zone[r] = static_cast<uint32_t>(
-        static_cast<uint64_t>(r) * num_zones / num_racks);
-  }
+  t.node_rack = ContiguousDeal(num_nodes, num_racks);
+  t.rack_zone = ContiguousDeal(num_racks, num_zones);
   return t;
+}
+
+std::vector<uint32_t> ContiguousDeal(uint32_t count, uint32_t slots) {
+  std::vector<uint32_t> slot_of(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    slot_of[i] =
+        static_cast<uint32_t>(static_cast<uint64_t>(i) * slots / count);
+  }
+  return slot_of;
 }
 
 Result<Topology> ParseTopology(const std::string& text) {
@@ -188,25 +188,18 @@ Result<PlacementSpec> FromManifestPlacement(const ManifestPlacement& record) {
   return spec;
 }
 
-Result<PlacementMap> PlacementMap::Build(
-    const PlacementSpec& spec, const std::vector<uint32_t>& disk_node,
-    uint32_t max_copies) {
+Result<PlacementMap> PlacementMap::Build(const PlacementSpec& spec,
+                                         uint32_t num_disks,
+                                         uint32_t max_copies) {
   const Status valid = spec.topology.Validate();
   if (!valid.ok()) return valid;
-  if (disk_node.empty()) {
+  if (num_disks < 1) {
     return Status::InvalidArgument("placement needs at least one disk");
   }
   if (max_copies < 1) {
     return Status::InvalidArgument("placement needs max_copies >= 1");
   }
   const uint32_t num_nodes = spec.topology.num_nodes();
-  const uint32_t num_disks = static_cast<uint32_t>(disk_node.size());
-  for (uint32_t node : disk_node) {
-    if (node >= num_nodes) {
-      return Status::InvalidArgument(
-          "disk owner outside the placement topology");
-    }
-  }
 
   PlacementMap map;
   map.spec_ = spec;
@@ -218,7 +211,7 @@ Result<PlacementMap> PlacementMap::Build(
           "placement table has fewer rows than mirror copies");
     }
     for (const std::vector<uint32_t>& row : spec.table) {
-      if (row.size() != disk_node.size()) {
+      if (row.size() != num_disks) {
         return Status::InvalidArgument(
             "placement table row width != number of disks");
       }
@@ -229,16 +222,13 @@ Result<PlacementMap> PlacementMap::Build(
         }
       }
     }
-    if (spec.table[0] != disk_node) {
-      return Status::InvalidArgument(
-          "placement table row 0 disagrees with the disk ownership map");
-    }
     map.node_of_ = spec.table;
     return map;
   }
 
   map.node_of_.assign(max_copies, std::vector<uint32_t>(num_disks, 0));
-  map.node_of_[0] = disk_node;  // Copy 0 is always the owner.
+  map.node_of_[0] = ContiguousDeal(num_disks, num_nodes);
+  const std::vector<uint32_t>& disk_node = map.node_of_[0];
 
   switch (spec.policy) {
     case PlacementPolicy::kChained:
@@ -303,6 +293,12 @@ Result<PlacementMap> PlacementMap::Build(
       break;
     }
   }
+  return map;
+}
+
+PlacementMap PlacementMap::WithTopology(Topology grown) const {
+  PlacementMap map = *this;
+  map.spec_.topology = std::move(grown);
   return map;
 }
 

@@ -34,10 +34,11 @@
 ///    zones, so killing any single zone leaves the catalog fully
 ///    available.
 ///
-/// The chosen policy + topology + seed are persisted in the catalog
-/// manifest (`ManifestPlacement`, manifest.h) so serve/cluster/fsck all
-/// agree on where copies live; a manifest without the record implies
-/// chained (exactly PR 7's behavior).
+/// The chosen policy + topology + seed (and, after a repair, an explicit
+/// table) are persisted in the catalog manifest (`ManifestPlacement`,
+/// manifest.h); a manifest without the record implies chained over a flat
+/// topology. At runtime the cluster's routing epoch owns the one
+/// `PlacementMap` every layer reads (cluster/cluster.h).
 
 namespace griddecl::cluster {
 
@@ -86,6 +87,12 @@ struct Topology {
 /// Parses "N" (flat) or "NxR" or "NxRxZ" (grid), e.g. "4x2x2".
 Result<Topology> ParseTopology(const std::string& text);
 
+/// The contiguous deal of `count` items into `slots` slots: item i goes to
+/// slot i * slots / count. Disk d of M is owned by node d * N / M (row 0
+/// of every policy placement); `Topology::Grid` deals nodes into racks and
+/// racks into zones the same way.
+std::vector<uint32_t> ContiguousDeal(uint32_t count, uint32_t slots);
+
 /// Policy + topology + seed: everything needed to deterministically
 /// recompute the replica placement of a catalog.
 struct PlacementSpec {
@@ -109,17 +116,19 @@ Result<PlacementSpec> FromManifestPlacement(const ManifestPlacement& record);
 /// The materialized (disk, copy) -> node table. Immutable once built.
 class PlacementMap {
  public:
-  /// `disk_node[d]` = node owning primary disk d (the contiguous-slice
-  /// map the cluster routes by); `max_copies` >= 1 is the largest mirror
-  /// copy count of any relation. Requires spec.topology.num_nodes() ==
-  /// the number of distinct nodes in `disk_node`'s range (validated).
-  /// When `spec.table` is non-empty the table is used verbatim instead of
-  /// the policy formula: it must have >= max_copies rows of
-  /// disk_node.size() entries each, and its row 0 must equal `disk_node`
-  /// (callers derive ownership from the table's first row).
+  /// Places `num_disks` primary disks; `max_copies` >= 1 is the largest
+  /// mirror copy count of any relation. When `spec.table` is non-empty it
+  /// is used verbatim, row 0 included: it must have >= max_copies rows of
+  /// `num_disks` entries, each inside the topology. Otherwise disk
+  /// ownership (row 0) is `ContiguousDeal(num_disks, N)` and the policy
+  /// formula places the other copies.
   static Result<PlacementMap> Build(const PlacementSpec& spec,
-                                    const std::vector<uint32_t>& disk_node,
-                                    uint32_t max_copies);
+                                    uint32_t num_disks, uint32_t max_copies);
+
+  /// The same node table under `grown`, a topology that only appended
+  /// nodes (and racks / zones) to this map's — how AddNode publishes a
+  /// new node that holds nothing until the next Repair / Migrate.
+  PlacementMap WithTopology(Topology grown) const;
 
   /// The raw (copy, disk) -> node rows — the repair planner's input.
   const std::vector<std::vector<uint32_t>>& Table() const { return node_of_; }
@@ -152,7 +161,7 @@ class PlacementMap {
 
  private:
   PlacementSpec spec_;
-  /// node_of_[copy][disk] = node. node_of_[0] == disk_node.
+  /// node_of_[copy][disk] = node; row 0 is the disk owner.
   std::vector<std::vector<uint32_t>> node_of_;
 };
 

@@ -210,7 +210,7 @@ Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
           return Status::Ok();
         }
 
-        PlacementSpec spec = placement_spec();
+        const PlacementSpec& spec = current.placement.spec();
         RepairPlanInput in;
         in.table = current.placement.Table();
         in.topology = spec.topology;
@@ -235,10 +235,11 @@ Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
         }
 
         delta->participants = std::move(live);
-        spec.table = plan.value().new_table;
-        delta->edit_manifest = [placement = ToManifestPlacement(spec)](
-                                   CatalogManifest* staged) {
-          staged->placement = placement;
+        delta->placement = spec;
+        delta->placement.table = plan.value().new_table;
+        const ManifestPlacement record = ToManifestPlacement(delta->placement);
+        delta->edit_manifest = [record](CatalogManifest* staged) {
+          staged->placement = record;
         };
         // Only the rebuilt share of each file actually moves.
         delta->charge_fraction =

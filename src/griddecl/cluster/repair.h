@@ -4,7 +4,7 @@
 #include "griddecl/cluster/cluster.h"
 
 /// \file
-/// Self-healing: diff the persisted placement against the live topology
+/// Self-healing: diff the current placement against the live topology
 /// and re-replicate what a dead or decommissioned node was holding.
 ///
 /// The repair is a pure **planner** plus a delta for the one staged
@@ -27,14 +27,14 @@
 ///    detector-dead plus removed nodes, and hands the plan to the
 ///    StagedTransition (cluster/transition.h, single-flight with
 ///    migrations) as a delta: the plan-time-live nodes take part (losing
-///    one aborts with "repair-source node lost"); the staged manifest's
-///    placement record carries the repaired table (the ground truth every
-///    later epoch build obeys); each file is charged only its rebuilt
-///    share (retargeted replicas / all replicas); and the degraded old
-///    layout may answer verify queries partially. Any abort drops every
-///    staged file and leaves the old generation serving: placement is
-///    exactly what it was before the repair started. A committed repair
-///    reports its MTTR.
+///    one aborts with "repair-source node lost"); the staging epoch routes
+///    by the current spec plus the repaired table, which the staged
+///    manifest's placement record persists; each file is charged only
+///    its rebuilt share (retargeted replicas / all replicas); and the
+///    degraded old layout may answer verify queries partially. Any abort
+///    drops every staged file and leaves the old generation serving:
+///    placement is exactly what it was before the repair started. A
+///    committed repair reports its MTTR.
 ///
 /// Dead nodes receive nothing during the repair; that is what makes the
 /// revived-node staleness window real, and why `Cluster::ReviveNode`

@@ -192,19 +192,16 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
   std::vector<std::shared_ptr<serve::QueryService>> staging_services(
       cluster_->num_nodes());
   for (uint32_t n : delta_.participants) {
-    serve::ServeOptions so = cluster_->options_.node;
-    so.seed += n;
-    so.generation = report->new_generation;
-    auto service =
-        serve::QueryService::Create(cluster_->nodes_[n]->faulty.get(), so);
+    auto service = cluster_->NodeService(n, report->new_generation);
     if (!service.ok()) {
       return Abort("staging service on node " + std::to_string(n) + ": " +
                    service.status().ToString());
     }
     staging_services[n] = std::move(service.value());
   }
-  auto staging_epoch = cluster_->BuildEpoch(
-      report->new_generation, std::move(staging_services), src);
+  auto staging_epoch =
+      cluster_->BuildEpoch(report->new_generation, std::move(staging_services),
+                           src, delta_.placement);
   if (!staging_epoch.ok()) {
     return Abort("staging epoch: " + staging_epoch.status().ToString());
   }
@@ -276,14 +273,11 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
     }
     committed.push_back(n);
   }
-  // The atomic cutover point for routing: new services, new disk map, new
-  // generation in one epoch swap. In-flight queries finish on the old
+  // The atomic cutover point for routing: new services, new placement,
+  // new generation in one epoch swap. In-flight queries finish on the old
   // epoch; their sub-queries still carry the old generation fence and the
   // old services keep serving them until the last shared_ptr drops.
   cluster_->AdoptEpoch(staging_epoch.value());
-  // The committed generation's table becomes the cluster's: a repair's
-  // explicit one, or none after a migration re-placed by policy.
-  cluster_->SetPlacementTable(staging_epoch.value()->placement.spec().table);
   for (uint32_t n : delta_.participants) {
     GarbageCollectManifests(&cluster_->nodes_[n]->env, report->new_generation);
   }

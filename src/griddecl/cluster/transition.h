@@ -35,8 +35,9 @@
 ///      through both epochs, comparing match sets byte for byte.
 ///   4. **commit** — `CommitStagedManifest` flips CURRENT on every
 ///      participant behind the generation fence (a mid-commit failure rolls
-///      the flipped nodes back), the cluster adopts the staging epoch and
-///      its placement table, and old generations are garbage-collected.
+///      the flipped nodes back), the cluster adopts the staging epoch —
+///      and with it the delta's placement — and old generations are
+///      garbage-collected.
 ///
 /// Every abort trigger — `AbortMigration`, a live double-read divergence,
 /// a lost participant, a failed copy, verify query or commit — takes the
@@ -91,9 +92,10 @@ struct TransitionDelta {
   /// ascending. The first is the copy source. Losing any one aborts.
   std::vector<uint32_t> participants;
   /// Edits the staged copy of the committed manifest (its generation is
-  /// already G'). A non-empty placement table in the result becomes the
-  /// cluster's table at commit; an empty one re-places by policy.
+  /// already G').
   std::function<void(CatalogManifest*)> edit_manifest;
+  /// What the staging epoch routes by, and so the cluster after commit.
+  PlacementSpec placement;
   /// Share of each file's bytes charged to pacing and `bytes_copied`.
   double charge_fraction = 1.0;
   /// Whether the old layout may answer a verify query partially (a repair

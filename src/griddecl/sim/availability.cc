@@ -118,26 +118,21 @@ uint32_t DomainOfNode(const AvailabilitySweepOptions& o, uint32_t n) {
   return n;
 }
 
-/// Contiguous disk -> node deal, identical to the cluster coordinator's
-/// (cluster.cc): disk d lives on node d * N / M.
-std::vector<uint32_t> DealDisks(uint32_t num_disks, uint32_t num_nodes) {
-  std::vector<uint32_t> disk_node(num_disks);
-  for (uint32_t d = 0; d < num_disks; ++d) {
-    disk_node[d] = static_cast<uint32_t>(
-        static_cast<uint64_t>(d) * num_nodes / num_disks);
-  }
-  return disk_node;
-}
-
-/// Lowers a node-level placement map to a per-primary-disk replica table
-/// for ReplicatedPlacement::CreateWithTable: copy c of disk d goes to a
-/// disk owned by the node the policy chose, probing within that node's
-/// slice (then globally) to keep the row's disks distinct. A same-node
-/// copy (chained self-colocation) stays on the node — exactly the
-/// correlated-loss behaviour the experiment measures.
-Result<std::vector<std::vector<uint32_t>>> LowerPlacementToDisks(
-    const cluster::PlacementMap& map, const std::vector<uint32_t>& disk_node,
-    uint32_t replicas) {
+/// Lowers node-level replica rows (`node_rows[i][disk] = node`) to a
+/// per-primary-disk replica table for ReplicatedPlacement::CreateWithTable.
+/// Each row starts with the primary disk itself (`CreateWithTable`
+/// requires it), then takes one disk per node row: a disk owned by that
+/// row's node under `disk_node`, probing within the node's slice (then
+/// globally) to keep the row's disks distinct. A same-node copy (chained
+/// self-colocation) stays on the node — exactly the correlated-loss
+/// behaviour the experiment measures. A policy placement passes its copy
+/// rows 1.. (copy 0 is the primary); a repaired table passes every row,
+/// copy 0 included, because a repair may have re-homed copy 0 off the
+/// primary's node — when the primary's domain is dead, the leading
+/// primary entry is dead with it, so it never inflates availability.
+Result<std::vector<std::vector<uint32_t>>> LowerNodeRowsToDisks(
+    const std::vector<std::vector<uint32_t>>& node_rows,
+    const std::vector<uint32_t>& disk_node) {
   const uint32_t m = static_cast<uint32_t>(disk_node.size());
   // Node -> [first disk, disk count] of its contiguous slice.
   std::vector<uint32_t> lo(m, 0), count(m, 0);
@@ -154,58 +149,8 @@ Result<std::vector<std::vector<uint32_t>>> LowerPlacementToDisks(
   for (uint32_t d = 0; d < m; ++d) {
     std::vector<uint32_t>& row = table[d];
     row.push_back(d);
-    for (uint32_t c = 1; c < replicas; ++c) {
-      const uint32_t n = map.NodeOf(d, c);
-      uint32_t disk = m;  // sentinel: unplaced
-      for (uint32_t k = 0; k < count[n]; ++k) {
-        const uint32_t candidate = lo[n] + (d + k) % count[n];
-        if (std::find(row.begin(), row.end(), candidate) == row.end()) {
-          disk = candidate;
-          break;
-        }
-      }
-      for (uint32_t k = 0; disk == m && k < m; ++k) {
-        const uint32_t candidate = (d + 1 + k) % m;
-        if (std::find(row.begin(), row.end(), candidate) == row.end()) {
-          disk = candidate;
-        }
-      }
-      if (disk == m) {
-        return Status::Internal("replica lowering could not place a copy");
-      }
-      row.push_back(disk);
-    }
-  }
-  return table;
-}
-
-/// Lowers an explicit node-level table (`node_table[copy][disk] = node`,
-/// e.g. a `cluster::PlanRepair` output) to a per-primary-disk replica
-/// table. Unlike `LowerPlacementToDisks`, copy 0 follows the table too —
-/// a repair may have re-homed it off the primary's node. The primary disk
-/// itself stays as row[0] (`CreateWithTable` requires it); when its
-/// domain is dead that entry is dead with it, so it never inflates
-/// availability.
-Result<std::vector<std::vector<uint32_t>>> LowerNodeTableToDisks(
-    const std::vector<std::vector<uint32_t>>& node_table,
-    const std::vector<uint32_t>& disk_node) {
-  const uint32_t m = static_cast<uint32_t>(disk_node.size());
-  std::vector<uint32_t> lo(m, 0), count(m, 0);
-  std::vector<bool> seen(m, false);
-  for (uint32_t d = 0; d < m; ++d) {
-    const uint32_t n = disk_node[d];
-    if (!seen[n]) {
-      seen[n] = true;
-      lo[n] = d;
-    }
-    ++count[n];
-  }
-  std::vector<std::vector<uint32_t>> table(m);
-  for (uint32_t d = 0; d < m; ++d) {
-    std::vector<uint32_t>& row = table[d];
-    row.push_back(d);
-    for (size_t c = 0; c < node_table.size(); ++c) {
-      const uint32_t n = node_table[c][d];
+    for (const std::vector<uint32_t>& node_row : node_rows) {
+      const uint32_t n = node_row[d];
       uint32_t disk = m;  // sentinel: unplaced
       for (uint32_t k = 0; k < count[n]; ++k) {
         const uint32_t candidate = lo[n] + (d + k) % count[n];
@@ -321,8 +266,10 @@ Result<AvailabilitySweep> RunAvailabilitySweep(
   // (seeded permutation of domain ids, unless the caller forced an order).
   const bool correlated = options.failure_domain != FailureDomain::kDisk;
   std::vector<std::vector<uint32_t>> dead_sets(options.max_failed + 1);
-  // Correlated mode: the domain kill order, kept for the repair planner.
+  // Correlated mode: the domain kill order, kept for the repair planner,
+  // and the cluster's contiguous disk -> node ownership.
   std::vector<uint32_t> domain_order;
+  std::vector<uint32_t> disk_node;
   if (!correlated) {
     Rng fail_rng(options.seed);
     const std::vector<uint32_t> fail_order =
@@ -353,8 +300,8 @@ Result<AvailabilitySweep> RunAvailabilitySweep(
             "forced_domain_order must cover max_failed domains");
       }
     }
-    const std::vector<uint32_t> disk_node =
-        DealDisks(options.num_disks, options.topology.num_nodes());
+    disk_node = cluster::ContiguousDeal(options.num_disks,
+                                        options.topology.num_nodes());
     for (uint32_t f = 1; f <= options.max_failed; ++f) {
       dead_sets[f] = dead_sets[f - 1];
       for (uint32_t d = 0; d < options.num_disks; ++d) {
@@ -430,8 +377,6 @@ Result<AvailabilitySweep> RunAvailabilitySweep(
                     cluster::PlacementPolicy::kSpread,
                     cluster::PlacementPolicy::kZoneAware};
       }
-      const std::vector<uint32_t> disk_node =
-          DealDisks(options.num_disks, options.topology.num_nodes());
       for (cluster::PlacementPolicy policy : policies) {
         for (uint32_t r : options.replication) {
           cluster::PlacementSpec spec;
@@ -439,10 +384,11 @@ Result<AvailabilitySweep> RunAvailabilitySweep(
           spec.topology = options.topology;
           spec.seed = options.placement_seed;
           Result<cluster::PlacementMap> map =
-              cluster::PlacementMap::Build(spec, disk_node, r);
+              cluster::PlacementMap::Build(spec, options.num_disks, r);
           GRIDDECL_RETURN_IF_ERROR(map.status());
+          const std::vector<std::vector<uint32_t>>& rows = map.value().Table();
           Result<std::vector<std::vector<uint32_t>>> table =
-              LowerPlacementToDisks(map.value(), disk_node, r);
+              LowerNodeRowsToDisks({rows.begin() + 1, rows.end()}, disk_node);
           GRIDDECL_RETURN_IF_ERROR(table.status());
           Result<std::unique_ptr<DeclusteringMethod>> base =
               CreateMethod(name, grid.value(), options.num_disks);
@@ -503,7 +449,7 @@ Result<AvailabilitySweep> RunAvailabilitySweep(
             // 1..f-1 are done, kill f is not yet repaired.
             const uint32_t healed = f == 0 ? 0 : f - 1;
             Result<std::vector<std::vector<uint32_t>>> lowered =
-                LowerNodeTableToDisks(table_at[healed], disk_node);
+                LowerNodeRowsToDisks(table_at[healed], disk_node);
             GRIDDECL_RETURN_IF_ERROR(lowered.status());
             Result<std::unique_ptr<DeclusteringMethod>> rb =
                 CreateMethod(name, grid.value(), options.num_disks);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -573,7 +574,9 @@ TEST(ClusterScriptTest, RejectsMalformedLinesByNumber) {
 /// smallest cluster exhibiting the chained self-colocation trap, and the
 /// topology the zone tests use (nodes {0,1} = zone 0, nodes {2,3} =
 /// zone 1 under Grid(4, 2, 2)).
-Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1) {
+Catalog CommitWideCatalog(
+    MemEnv* env, uint64_t seed = 1,
+    std::optional<ManifestPlacement> placement = std::nullopt) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
   GridFile f = GridFile::Create(std::move(schema), {8, 8}).value();
   const GridSpec grid = f.grid();
@@ -594,6 +597,7 @@ Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1) {
   ManifestSaveOptions options;
   options.page_size_bytes = 168;
   options.default_redundancy = Mirror2();
+  options.placement = std::move(placement);
   EXPECT_TRUE(SaveCatalogManifest(catalog, env, options).ok());
   return catalog;
 }
@@ -706,6 +710,71 @@ TEST(ClusterPlacementTest, ZoneWindowsFollowTheVirtualClock) {
   out.zone = 5;
   bad.zone_windows.push_back(out);
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
+}
+
+TEST(ClusterPlacementTest, OverrideWinsOverTheManifestTable) {
+  // The manifest carries a repaired 4-node table that keeps both copies
+  // of disks 4..7 on nodes 2 and 3; the cluster is opened as 2 nodes with
+  // a Flat(2) override. Routing must follow the override, not a table
+  // naming nodes the cluster does not have.
+  PlacementSpec persisted;
+  persisted.topology = Topology::Flat(4);
+  persisted.table = {{0, 0, 1, 1, 2, 2, 3, 3}, {2, 3, 3, 2, 3, 2, 2, 3}};
+  MemEnv env;
+  const Catalog catalog =
+      CommitWideCatalog(&env, 1, ToManifestPlacement(persisted));
+
+  ClusterOptions options = Deterministic(2);
+  PlacementSpec override_spec;
+  override_spec.policy = PlacementPolicy::kChained;
+  override_spec.topology = Topology::Flat(2);
+  options.placement = override_spec;
+  auto cluster = Cluster::Create(env, options).value();
+
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  const ClusterQueryResult r = cluster->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.unavailable_buckets, 0u);
+  EXPECT_EQ(r.winners, "pp");
+  EXPECT_EQ(r.matches, Direct(catalog, full));
+
+  const PlacementSpec spec = cluster->placement_spec();
+  EXPECT_EQ(spec.policy, override_spec.policy);
+  EXPECT_EQ(spec.seed, override_spec.seed);
+  EXPECT_EQ(spec.topology.node_rack, override_spec.topology.node_rack);
+  EXPECT_EQ(spec.topology.rack_zone, override_spec.topology.rack_zone);
+  EXPECT_TRUE(spec.table.empty());
+}
+
+TEST(ClusterPlacementTest, OverrideTableIsRoutedVerbatim) {
+  // Chained over 8 disks / 4 nodes co-locates copy 1 of disks 0,2,4,6;
+  // an explicit table in the override moves every copy 1 three nodes on,
+  // so nothing is co-located and disks 0 and 1 (node 0) fail over to
+  // node 3.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  ClusterOptions options = ZonedOptions(PlacementPolicy::kChained);
+  options.placement->table = {{0, 0, 1, 1, 2, 2, 3, 3},
+                              {3, 3, 0, 0, 1, 1, 2, 2}};
+  auto cluster = Cluster::Create(env, options).value();
+  EXPECT_TRUE(cluster->PlacementWarnings().empty());
+  EXPECT_EQ(cluster->placement_spec().table, options.placement->table);
+
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  const ClusterQueryResult served = cluster->Execute(full);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_TRUE(served.complete);
+  EXPECT_EQ(served.matches, Direct(catalog, full));
+
+  // With node 3 down as well, disks 0 and 1 (8 buckets each) have no
+  // live copy: their copy 1 lived on node 3, nowhere else.
+  ASSERT_TRUE(cluster->KillNode(3).ok());
+  const ClusterQueryResult lossy = cluster->Execute(full);
+  ASSERT_TRUE(lossy.status.ok()) << lossy.status.ToString();
+  EXPECT_FALSE(lossy.complete);
+  EXPECT_EQ(lossy.unavailable_buckets, 16u);
 }
 
 TEST(ClusterPlacementTest, InflightAccountingSettlesToZero) {

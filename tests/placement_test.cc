@@ -7,25 +7,13 @@
 namespace griddecl::cluster {
 namespace {
 
-/// The cluster's contiguous disk -> node deal (disk d on node d*N/M).
-std::vector<uint32_t> Deal(uint32_t num_disks, uint32_t num_nodes) {
-  std::vector<uint32_t> disk_node(num_disks);
-  for (uint32_t d = 0; d < num_disks; ++d) {
-    disk_node[d] = static_cast<uint32_t>(
-        static_cast<uint64_t>(d) * num_nodes / num_disks);
-  }
-  return disk_node;
-}
-
 PlacementMap Build(PlacementPolicy policy, const Topology& topology,
                    uint32_t num_disks, uint32_t copies, uint64_t seed = 7) {
   PlacementSpec spec;
   spec.policy = policy;
   spec.topology = topology;
   spec.seed = seed;
-  return PlacementMap::Build(spec, Deal(num_disks, topology.num_nodes()),
-                             copies)
-      .value();
+  return PlacementMap::Build(spec, num_disks, copies).value();
 }
 
 TEST(TopologyTest, FlatAndGrid) {
@@ -93,7 +81,7 @@ TEST(PlacementPolicyTest, NamesRoundTrip) {
 TEST(PlacementMapTest, ChainedMatchesDiskArithmetic) {
   // chained: copy c of disk d lives on the node owning disk (d+c) mod M.
   const Topology topo = Topology::Grid(4, 2, 2).value();
-  const std::vector<uint32_t> disk_node = Deal(8, 4);
+  const std::vector<uint32_t> disk_node = ContiguousDeal(8, 4);
   const PlacementMap map = Build(PlacementPolicy::kChained, topo, 8, 2);
   for (uint32_t d = 0; d < 8; ++d) {
     EXPECT_EQ(map.NodeOf(d, 0), disk_node[d]);
@@ -147,10 +135,8 @@ TEST(PlacementMapTest, ZoneAwareIsDeterministicUnderSeed) {
 TEST(PlacementMapTest, BuildValidates) {
   PlacementSpec spec;
   spec.topology = Topology::Flat(4);
-  // disk_node references node 7, outside the topology.
-  EXPECT_FALSE(PlacementMap::Build(spec, {0, 1, 2, 7}, 2).ok());
-  EXPECT_FALSE(PlacementMap::Build(spec, {}, 2).ok());
-  EXPECT_FALSE(PlacementMap::Build(spec, {0, 1, 2, 3}, 0).ok());
+  EXPECT_FALSE(PlacementMap::Build(spec, 0, 2).ok());
+  EXPECT_FALSE(PlacementMap::Build(spec, 4, 0).ok());
 }
 
 TEST(PlacementSpecTest, ManifestRoundTrip) {
@@ -177,25 +163,23 @@ TEST(PlacementMapTest, ExplicitTableOverridesThePolicyFormula) {
   PlacementSpec spec;
   spec.policy = PlacementPolicy::kChained;
   spec.topology = Topology::Flat(4);
-  const std::vector<uint32_t> disk_node = Deal(4, 4);
-  spec.table = {disk_node, {2, 3, 0, 0}};  // Chained would give {1,2,3,0}.
-  const PlacementMap map = PlacementMap::Build(spec, disk_node, 2).value();
+  // Row 0 (ownership) comes from the table too: disk 0 re-homed to node 1.
+  spec.table = {{1, 1, 2, 3}, {2, 3, 0, 0}};  // Chained: {0,1,2,3},{1,2,3,0}.
+  const PlacementMap map = PlacementMap::Build(spec, 4, 2).value();
+  EXPECT_EQ(map.NodeOf(0, 0), 1u);
   EXPECT_EQ(map.NodeOf(0, 1), 2u);
   EXPECT_EQ(map.NodeOf(3, 1), 0u);
   EXPECT_EQ(map.Table(), spec.table);
 
-  // Row 0 must agree with the ownership deal, rows must be full width,
-  // entries must be inside the topology, and there must be a row per copy.
+  // Rows must be full width, entries must be inside the topology, and
+  // there must be a row per copy.
   PlacementSpec bad = spec;
-  bad.table[0][0] = 1;
-  EXPECT_FALSE(PlacementMap::Build(bad, disk_node, 2).ok());
-  bad = spec;
   bad.table[1].pop_back();
-  EXPECT_FALSE(PlacementMap::Build(bad, disk_node, 2).ok());
+  EXPECT_FALSE(PlacementMap::Build(bad, 4, 2).ok());
   bad = spec;
   bad.table[1][0] = 9;
-  EXPECT_FALSE(PlacementMap::Build(bad, disk_node, 2).ok());
-  EXPECT_FALSE(PlacementMap::Build(spec, disk_node, 3).ok());
+  EXPECT_FALSE(PlacementMap::Build(bad, 4, 2).ok());
+  EXPECT_FALSE(PlacementMap::Build(spec, 4, 3).ok());
 }
 
 TEST(PlacementSpecTest, ManifestRoundTripCarriesTheTable) {

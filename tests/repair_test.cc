@@ -192,10 +192,8 @@ RepairPlanInput ZoneAwareInput(uint64_t seed = 7) {
   spec.policy = PlacementPolicy::kZoneAware;
   spec.topology = Topology::Grid(4, 2, 2).value();
   spec.seed = seed;
-  std::vector<uint32_t> disk_node(8);
-  for (uint32_t d = 0; d < 8; ++d) disk_node[d] = d / 2;
   RepairPlanInput in;
-  in.table = PlacementMap::Build(spec, disk_node, 2).value().Table();
+  in.table = PlacementMap::Build(spec, 8, 2).value().Table();
   in.topology = spec.topology;
   in.seed = seed;
   return in;
