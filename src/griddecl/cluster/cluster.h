@@ -271,7 +271,7 @@ struct TransitionReport {
 };
 
 /// Live re-declustering to a new method / disk count; see
-/// cluster/migrator.h.
+/// cluster/transition.h.
 struct MigrationOptions : TransitionOptions {
   /// Registry name of the target declustering method.
   std::string new_method;
@@ -342,10 +342,25 @@ class Cluster {
   void AdvanceTimeMs(double now_ms);
   double VirtualNowMs() const { return virtual_now_ms_.load(); }
 
-  /// Live re-declustering; see cluster/migrator.h. One transition at a
-  /// time; returns kFailedPrecondition when a migration or repair is
-  /// already running. A non-committed report (clean abort) is an Ok
-  /// result.
+  /// Live re-declustering: moves the serving catalog to a new declustering
+  /// method and/or virtual-disk count without stopping reads.
+  ///
+  /// Re-declustering changes only the bucket -> disk mapping (the method
+  /// and M recorded in the manifest), never the record order, the grid, or
+  /// the page layout — so the new generation's data files are byte-for-byte
+  /// copies of the old ones under new generation-numbered names, and the
+  /// migration is a metadata change shipped by the StagedTransition
+  /// (cluster/transition.h). Its delta: every non-removed member node takes
+  /// part (losing one aborts with "node lost"); the staged manifest gets
+  /// the new method and disk count and drops any explicit placement table
+  /// (it is keyed to the old layout, so the new generation re-places by
+  /// policy); each file is charged in full; the old layout must answer
+  /// every verify query completely. Unknown methods and too few disks are
+  /// caller errors, refused before anything is staged.
+  ///
+  /// One transition at a time; returns kFailedPrecondition when a
+  /// migration or repair is already running. A non-committed report (clean
+  /// abort) is an Ok result.
   Result<MigrationReport> Migrate(const MigrationOptions& options);
   /// Requests a clean abort of the running migration or repair (no-op
   /// when idle).
@@ -410,8 +425,13 @@ class Cluster {
     return node < num_nodes() ? &nodes_[node]->env : nullptr;
   }
 
-  /// Publishes absolute totals (cluster.* keys plus each node's breaker
-  /// transitions summed under cluster.node_breaker.*).
+  /// Publishes absolute totals: cluster.* keys, each node's breaker
+  /// transitions summed under cluster.node_breaker.*, and each
+  /// serve::kServeCounterNames counter summed over the current epoch's
+  /// node services under cluster.node_serve.* (e.g.
+  /// cluster.node_serve.retries). A node service replaced by a revive or
+  /// a cutover takes its counts with it, so the node_serve sums cover only
+  /// the services now routed to.
   void SnapshotMetrics(obs::MetricsRegistry* out) const;
 
  private:

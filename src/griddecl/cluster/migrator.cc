@@ -1,4 +1,4 @@
-#include "griddecl/cluster/migrator.h"
+#include "griddecl/cluster/transition.h"
 
 #include "griddecl/methods/registry.h"
 

@@ -163,18 +163,6 @@ WorkloadEval Evaluator::EvaluateWorkload(const Workload& workload) const {
   return total;
 }
 
-std::vector<WorkloadEval> CompareMethods(
-    const std::vector<const DeclusteringMethod*>& methods,
-    const Workload& workload, const EvalOptions& options) {
-  std::vector<WorkloadEval> out;
-  out.reserve(methods.size());
-  for (const DeclusteringMethod* m : methods) {
-    out.push_back(
-        Evaluator(DerefChecked(m), options).EvaluateWorkload(workload));
-  }
-  return out;
-}
-
 Histogram DeviationHistogram(const DeclusteringMethod& method,
                              const Workload& workload, uint32_t num_buckets,
                              const EvalOptions& options) {

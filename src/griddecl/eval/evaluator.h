@@ -151,12 +151,6 @@ class Evaluator {
   std::optional<DiskMap> disk_map_;
 };
 
-/// Evaluates every method over the same workload; result order matches
-/// `methods`. One evaluator (and disk map) is built per method.
-std::vector<WorkloadEval> CompareMethods(
-    const std::vector<const DeclusteringMethod*>& methods,
-    const Workload& workload, const EvalOptions& options = {});
-
 /// Distribution of per-query additive deviation (response - optimal) over
 /// the workload: histogram buckets 0..num_buckets-1 plus overflow. The
 /// paper reports means; the histogram shows the tail (e.g. "what fraction

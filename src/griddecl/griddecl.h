@@ -48,20 +48,16 @@
 #include "griddecl/eval/evaluator.h"
 #include "griddecl/eval/experiment.h"
 #include "griddecl/eval/metrics.h"
-#include "griddecl/eval/parallel.h"
 #include "griddecl/eval/replica_router.h"
 #include "griddecl/eval/reproduction.h"
-#include "griddecl/eval/what_if.h"
 #include "griddecl/grid/bucket.h"
 #include "griddecl/grid/grid_spec.h"
 #include "griddecl/grid/partitioner.h"
 #include "griddecl/grid/rect.h"
-#include "griddecl/gridfile/adaptive_grid_file.h"
 #include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/declustered_file.h"
 #include "griddecl/gridfile/grid_file.h"
 #include "griddecl/gridfile/manifest.h"
-#include "griddecl/gridfile/replicated_file.h"
 #include "griddecl/gridfile/scrub.h"
 #include "griddecl/gridfile/storage.h"
 #include "griddecl/gridfile/storage_env.h"

@@ -1,9 +1,6 @@
 #include "griddecl/gridfile/declustered_file.h"
 
-#include <algorithm>
-
 #include "griddecl/eval/metrics.h"
-#include "griddecl/gridfile/storage.h"
 #include "griddecl/methods/registry.h"
 
 namespace griddecl {
@@ -33,51 +30,10 @@ Result<QueryExecution> DeclusteredFile::ExecuteRange(
   QueryExecution exec;
   exec.matches = std::move(matches).value();
   exec.buckets_touched = query.value().NumBuckets();
-  exec.pages_touched = exec.buckets_touched;
   exec.response_units = ResponseTime(*method_, query.value());
   exec.optimal_units =
       OptimalResponseTime(exec.buckets_touched, method_->num_disks());
   exec.io = sim_.RunQuery(*method_, query.value());
-  return exec;
-}
-
-Result<QueryExecution> DeclusteredFile::ExecuteRangePaged(
-    const std::vector<double>& lo, const std::vector<double>& hi,
-    uint32_t page_size_bytes) const {
-  Result<RangeQuery> query = file_.ResolveRange(lo, hi);
-  if (!query.ok()) return query.status();
-  Result<std::vector<RecordId>> matches = file_.RangeSearch(lo, hi);
-  if (!matches.ok()) return matches.status();
-  Result<std::vector<uint64_t>> pages =
-      PagesPerBucket(file_, page_size_bytes);
-  if (!pages.ok()) return pages.status();
-
-  QueryExecution exec;
-  exec.matches = std::move(matches).value();
-  exec.buckets_touched = query.value().NumBuckets();
-  exec.response_units = ResponseTime(*method_, query.value());
-  exec.optimal_units =
-      OptimalResponseTime(exec.buckets_touched, method_->num_disks());
-
-  // Per-disk page addresses: each bucket's pages are contiguous, laid out
-  // by bucket order on its disk (bucket-clustered layout). Address space:
-  // bucket_linear * max_pages + page, preserving inter-bucket locality.
-  const GridSpec& grid = file_.grid();
-  uint64_t max_pages = 1;
-  for (uint64_t p : pages.value()) max_pages = std::max(max_pages, p);
-  std::vector<std::vector<uint64_t>> schedule(method_->num_disks());
-  uint64_t total_pages = 0;
-  query.value().rect().ForEachBucket([&](const BucketCoords& c) {
-    const uint64_t lin = grid.Linearize(c);
-    // An empty bucket still costs one page inspection.
-    const uint64_t n =
-        std::max<uint64_t>(1, pages.value()[static_cast<size_t>(lin)]);
-    total_pages += n;
-    std::vector<uint64_t>& disk = schedule[method_->DiskOf(c)];
-    for (uint64_t p = 0; p < n; ++p) disk.push_back(lin * max_pages + p);
-  });
-  exec.pages_touched = total_pages;
-  exec.io = sim_.RunSchedule(schedule);
   return exec;
 }
 

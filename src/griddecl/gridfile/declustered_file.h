@@ -25,9 +25,6 @@ struct QueryExecution {
   std::vector<RecordId> matches;
   /// Buckets the query had to fetch, |Q|.
   uint64_t buckets_touched = 0;
-  /// Pages fetched (only set by ExecuteRangePaged; equals buckets_touched
-  /// under the plain bucket model).
-  uint64_t pages_touched = 0;
   /// The paper's metric: max buckets fetched from one disk.
   uint64_t response_units = 0;
   /// ceil(|Q| / M) — the best any declustering could have done.
@@ -64,16 +61,6 @@ class DeclusteredFile {
   /// and timed cost of the parallel fetch.
   Result<QueryExecution> ExecuteRange(const std::vector<double>& lo,
                                       const std::vector<double>& hi) const;
-
-  /// As `ExecuteRange`, but the timed simulation charges *pages* rather
-  /// than whole buckets: a bucket holding many records occupies several
-  /// `page_size_bytes` pages (bucket-clustered layout, contiguous on its
-  /// disk) and each page is one transfer. `response_units`/`optimal_units`
-  /// stay in the paper's bucket metric; `pages_touched` reports the page
-  /// total. Empty buckets still cost one (directory) page to inspect.
-  Result<QueryExecution> ExecuteRangePaged(const std::vector<double>& lo,
-                                           const std::vector<double>& hi,
-                                           uint32_t page_size_bytes) const;
 
   /// Number of records stored on each disk (size num_disks()): the data
   /// balance the declustering achieves on the actual data distribution.

@@ -63,9 +63,8 @@ class GridFile {
   static Result<GridFile> Create(Schema schema,
                                  const std::vector<uint32_t>& partitions);
 
-  /// Creates a file with explicit (possibly non-uniform) partitioning —
-  /// e.g. boundaries learned by an AdaptiveGridFile. The partitioner must
-  /// have one dimension per schema attribute.
+  /// Creates a file with explicit (possibly non-uniform) partitioning. The
+  /// partitioner must have one dimension per schema attribute.
   static Result<GridFile> CreateWithPartitioner(Schema schema,
                                                 SpacePartitioner partitioner);
 

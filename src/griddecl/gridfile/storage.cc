@@ -8,7 +8,6 @@
 
 #include "griddecl/common/bytes.h"
 #include "griddecl/common/crc32c.h"
-#include "griddecl/common/math_util.h"
 
 namespace griddecl {
 
@@ -563,24 +562,6 @@ Result<GridFile> LoadGridFile(std::istream& is, const LoadOptions& options,
 
 Result<GridFile> LoadGridFile(std::istream& is) {
   return LoadGridFile(is, LoadOptions{});
-}
-
-Result<std::vector<uint64_t>> PagesPerBucket(const GridFile& file,
-                                             uint32_t page_size_bytes) {
-  const uint32_t capacity = PageCapacity(
-      kFormatV1, page_size_bytes, file.schema().num_attributes());
-  if (capacity == 0) {
-    return Status::InvalidArgument(
-        "page size too small for one record of this schema");
-  }
-  const GridSpec& grid = file.grid();
-  std::vector<uint64_t> pages(static_cast<size_t>(grid.num_buckets()), 0);
-  grid.ForEachBucket([&](const BucketCoords& c) {
-    const uint64_t records = file.BucketContents(c).size();
-    pages[static_cast<size_t>(grid.Linearize(c))] =
-        records == 0 ? 0 : CeilDiv(records, capacity);
-  });
-  return pages;
 }
 
 }  // namespace griddecl

@@ -19,10 +19,7 @@
 /// writes a grid file (schema, learned partition boundaries, records) to a
 /// byte stream and reads it back with identical record ids and bucket
 /// placement. Records are packed in id order into fixed-size pages — the
-/// same unit the I/O simulator charges for. Separately, `PagesPerBucket`
-/// computes the page-granular occupancy of a *bucket-clustered* layout
-/// (what the storage engine of a parallel database would use on each
-/// disk), so cost models can charge multi-page buckets properly.
+/// same unit the I/O simulator charges for.
 ///
 /// Three format versions (all little-endian):
 ///
@@ -272,15 +269,6 @@ struct DecodedPage {
 /// Purely structural — callers verify first if they want CRC protection.
 Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
                                     const FileLayout& layout, uint64_t page);
-
-// --------------------------------------------------------------------------
-
-/// Number of `page_size_bytes` pages each bucket occupies given its record
-/// count (size = num_buckets, row-major; empty buckets occupy 0 pages).
-/// Stays in the v1 (4-byte header) page unit: this is the cost model's
-/// bucket-clustered layout, not the self-verifying serialization above.
-Result<std::vector<uint64_t>> PagesPerBucket(const GridFile& file,
-                                             uint32_t page_size_bytes);
 
 }  // namespace griddecl
 

@@ -1,11 +1,12 @@
 #include "griddecl/eval/disk_map.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "griddecl/common/random.h"
 #include "griddecl/eval/evaluator.h"
 #include "griddecl/eval/metrics.h"
-#include "griddecl/eval/parallel.h"
 #include "griddecl/methods/registry.h"
 #include "griddecl/query/generator.h"
 
@@ -231,24 +232,35 @@ TEST(ParallelEquivalenceTest, CountersEqualSerialBitForBit) {
   QueryGenerator gen(grid);
   const Workload w = gen.AllPlacements({4, 3}, "4x3").value();
   ASSERT_GE(w.size(), 64u);  // Above the serial fallback threshold.
-  const WorkloadEval serial = Evaluator(*hcam).EvaluateWorkload(w);
-  for (uint32_t threads : {2u, 3u, 8u}) {
-    EvalOptions opts;
-    opts.num_threads = threads;
-    const WorkloadEval par = Evaluator(*hcam, opts).EvaluateWorkload(w);
-    EXPECT_EQ(par.num_queries, serial.num_queries) << threads;
-    EXPECT_EQ(par.num_optimal, serial.num_optimal) << threads;
-    EXPECT_EQ(par.response.count(), serial.response.count()) << threads;
-    EXPECT_EQ(par.response.min(), serial.response.min()) << threads;
-    EXPECT_EQ(par.response.max(), serial.response.max()) << threads;
-    EXPECT_EQ(par.additive_deviation.max(), serial.additive_deviation.max())
-        << threads;
-    EXPECT_NEAR(par.MeanResponse(), serial.MeanResponse(), 1e-9) << threads;
+  const Workload tiny = gen.AllPlacements({31, 31}, "tiny").value();
+  ASSERT_LT(tiny.size(), 64u);  // Below it: every thread count runs serially.
+  const Workload empty;
+  for (const Workload* workload : {&w, &tiny, &empty}) {
+    const WorkloadEval serial = Evaluator(*hcam).EvaluateWorkload(*workload);
+    // 0 = one worker per hardware thread.
+    for (uint32_t threads : {0u, 2u, 3u, 8u}) {
+      EvalOptions opts;
+      opts.num_threads = threads;
+      const WorkloadEval par =
+          Evaluator(*hcam, opts).EvaluateWorkload(*workload);
+      SCOPED_TRACE(workload->name + " threads=" + std::to_string(threads));
+      EXPECT_EQ(par.method_name, serial.method_name);
+      EXPECT_EQ(par.workload_name, serial.workload_name);
+      EXPECT_EQ(par.num_queries, serial.num_queries);
+      EXPECT_EQ(par.num_optimal, serial.num_optimal);
+      EXPECT_EQ(par.response.count(), serial.response.count());
+      EXPECT_EQ(par.response.min(), serial.response.min());
+      EXPECT_EQ(par.response.max(), serial.response.max());
+      EXPECT_EQ(par.additive_deviation.max(), serial.additive_deviation.max());
+      EXPECT_NEAR(par.MeanResponse(), serial.MeanResponse(), 1e-9);
+      EXPECT_NEAR(par.MeanRatio(), serial.MeanRatio(), 1e-9);
+      EXPECT_NEAR(par.response.variance(), serial.response.variance(), 1e-6);
+      EXPECT_DOUBLE_EQ(par.FractionOptimal(), serial.FractionOptimal());
+    }
   }
-  // The compatibility wrapper routes through the same engine.
-  const WorkloadEval wrapped = ParallelEvaluateWorkload(*hcam, w, 4);
-  EXPECT_EQ(wrapped.num_queries, serial.num_queries);
-  EXPECT_EQ(wrapped.num_optimal, serial.num_optimal);
+  const WorkloadEval none = Evaluator(*hcam).EvaluateWorkload(empty);
+  EXPECT_EQ(none.num_queries, 0u);
+  EXPECT_DOUBLE_EQ(none.FractionOptimal(), 1.0);
 }
 
 }  // namespace

@@ -117,26 +117,5 @@ TEST(EdgeCaseTest, DeviationHistogramShape) {
   EXPECT_DOUBLE_EQ(h.FractionBelow(3), 0.0);
 }
 
-TEST(EdgeCaseTest, PagedExecutionChargesPages) {
-  Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
-  GridFile file = GridFile::Create(std::move(schema), {4, 4}).value();
-  // 60 records in one bucket, a handful elsewhere.
-  for (int i = 0; i < 60; ++i) ASSERT_TRUE(file.Insert({0.1, 0.1}).ok());
-  ASSERT_TRUE(file.Insert({0.9, 0.9}).ok());
-  DeclusteredFile df =
-      DeclusteredFile::Create(std::move(file), "hcam", 4).value();
-  // Page holds 2 records: header 4 + 2*16 = 36 bytes.
-  const auto exec = df.ExecuteRangePaged({0.0, 0.0}, {1.0, 1.0}, 36).value();
-  // Bucket (0,0): ceil(60/2) = 30 pages; bucket (3,3): 1 page; all other
-  // 14 buckets are empty -> 1 page each.
-  EXPECT_EQ(exec.pages_touched, 30u + 1u + 14u);
-  EXPECT_EQ(exec.buckets_touched, 16u);
-  EXPECT_EQ(exec.io.TotalRequests(), exec.pages_touched);
-  // The unpaged execution charges one request per bucket instead.
-  const auto flat = df.ExecuteRange({0.0, 0.0}, {1.0, 1.0}).value();
-  EXPECT_EQ(flat.io.TotalRequests(), 16u);
-  EXPECT_GT(exec.io.makespan_ms, flat.io.makespan_ms);
-}
-
 }  // namespace
 }  // namespace griddecl

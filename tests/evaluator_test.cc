@@ -114,20 +114,5 @@ TEST(EvaluatorTest, ConfidenceIntervalHalfWidth) {
   EXPECT_DOUBLE_EQ(empty.ResponseCi95HalfWidth(), 0.0);
 }
 
-TEST(CompareMethodsTest, OrderAndSharedWorkload) {
-  const GridSpec grid = GridSpec::Create({16, 16}).value();
-  const auto dm = CreateMethod("dm", grid, 8).value();
-  const auto fx = CreateMethod("fx", grid, 8).value();
-  QueryGenerator gen(grid);
-  const Workload w = gen.AllPlacements({3, 3}, "3x3").value();
-  const auto evals = CompareMethods({dm.get(), fx.get()}, w);
-  ASSERT_EQ(evals.size(), 2u);
-  EXPECT_EQ(evals[0].method_name, "DM/CMD");
-  EXPECT_EQ(evals[1].method_name, "FX");
-  EXPECT_EQ(evals[0].num_queries, evals[1].num_queries);
-  // Same optimal baseline for both.
-  EXPECT_DOUBLE_EQ(evals[0].MeanOptimal(), evals[1].MeanOptimal());
-}
-
 }  // namespace
 }  // namespace griddecl

@@ -430,6 +430,14 @@ TEST(QueryServiceTest, SnapshotMetricsPublishesAbsoluteTotals) {
   obs::MetricsRegistry reg;
   service->SnapshotMetrics(&reg);
   service->SnapshotMetrics(&reg);  // Re-snapshot must not double-count.
+  // Every kServeCounterNames entry is a counter the snapshot publishes
+  // (checked before the lookups below create any).
+  const std::string json = reg.ToJson();
+  for (const char* name : kServeCounterNames) {
+    EXPECT_NE(json.find(std::string("\"serve.") + name + "\""),
+              std::string::npos)
+        << name;
+  }
   EXPECT_EQ(reg.GetCounter("serve.admitted")->value(), 3u);
   EXPECT_EQ(reg.GetCounter("serve.completed")->value(), 3u);
   EXPECT_EQ(reg.GetCounter("serve.failed")->value(), 0u);

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "griddecl/common/random.h"
-#include "griddecl/gridfile/adaptive_grid_file.h"
+#include "griddecl/grid/partitioner.h"
 
 namespace griddecl {
 namespace {
@@ -51,28 +51,36 @@ TEST(StorageTest, RoundTripEmptyFile) {
 }
 
 TEST(StorageTest, RoundTripAdaptiveBoundaries) {
-  // Non-uniform boundaries learned by an adaptive file survive the trip.
+  // Non-uniform boundaries, refined where skewed data clusters, survive
+  // the trip.
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
-  AdaptiveGridFile adaptive =
-      AdaptiveGridFile::Create(std::move(schema), {.bucket_capacity = 5})
+  std::vector<DomainPartition> parts;
+  parts.push_back(
+      DomainPartition::FromBoundaries({0.0, 0.02, 0.05, 0.1, 0.5, 1.0})
+          .value());
+  parts.push_back(
+      DomainPartition::FromBoundaries({0.0, 0.03, 0.1, 0.4, 1.0}).value());
+  GridFile original =
+      GridFile::CreateWithPartitioner(
+          std::move(schema), SpacePartitioner::Create(std::move(parts)).value())
           .value();
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const double s = rng.NextBool(0.8) ? 0.1 : 1.0;
     ASSERT_TRUE(
-        adaptive.Insert({rng.NextDouble() * s, rng.NextDouble() * s}).ok());
+        original.Insert({rng.NextDouble() * s, rng.NextDouble() * s}).ok());
   }
-  const GridFile snapshot = adaptive.Snapshot().value();
   std::stringstream buffer;
-  ASSERT_TRUE(SaveGridFile(snapshot, buffer).ok());
+  ASSERT_TRUE(SaveGridFile(original, buffer).ok());
   const GridFile loaded = LoadGridFile(buffer).value();
-  EXPECT_EQ(loaded.grid(), snapshot.grid());
+  EXPECT_EQ(loaded.grid(), original.grid());
   for (uint32_t dim = 0; dim < 2; ++dim) {
     EXPECT_EQ(loaded.partitioner().dim(dim).raw_boundaries(),
-              snapshot.partitioner().dim(dim).raw_boundaries());
+              original.partitioner().dim(dim).raw_boundaries());
   }
-  for (RecordId id = 0; id < snapshot.num_records(); ++id) {
-    EXPECT_EQ(loaded.BucketOfRecord(id), snapshot.BucketOfRecord(id));
+  ASSERT_EQ(loaded.num_records(), original.num_records());
+  for (RecordId id = 0; id < original.num_records(); ++id) {
+    EXPECT_EQ(loaded.BucketOfRecord(id), original.BucketOfRecord(id));
   }
 }
 
@@ -142,20 +150,6 @@ TEST(StorageTest, RejectsCorruptInputsWithoutCrashing) {
     std::stringstream in(copy);
     EXPECT_FALSE(LoadGridFile(in).ok());
   }
-}
-
-TEST(StorageTest, PagesPerBucketMath) {
-  Schema schema = Schema::Create({{"x", 0.0, 1.0}}).value();
-  GridFile f = GridFile::Create(std::move(schema), {2}).value();
-  // 25 records into bucket 0, 1 record into bucket 1.
-  for (int i = 0; i < 25; ++i) ASSERT_TRUE(f.Insert({0.1}).ok());
-  ASSERT_TRUE(f.Insert({0.9}).ok());
-  // Page = 4 header + 8/record; page size 84 -> capacity 10.
-  const auto pages = PagesPerBucket(f, 84).value();
-  ASSERT_EQ(pages.size(), 2u);
-  EXPECT_EQ(pages[0], 3u);  // ceil(25 / 10).
-  EXPECT_EQ(pages[1], 1u);
-  EXPECT_FALSE(PagesPerBucket(f, 4).ok());
 }
 
 TEST(StorageTest, RoundTripLargePageSizes) {

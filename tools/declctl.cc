@@ -157,7 +157,6 @@
 #include "griddecl/query/trace.h"
 #include "griddecl/serve/script.h"
 #include "griddecl/serve/service.h"
-#include "griddecl/theory/kd_strict_optimality.h"
 
 namespace griddecl {
 namespace {
