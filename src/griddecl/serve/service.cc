@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -816,7 +817,7 @@ Status QueryService::Shutdown() {
 
 void QueryService::SnapshotMetrics(MetricsRegistry* out) const {
   if (out == nullptr) return;
-  const auto set_counter = [out](const char* name, uint64_t v) {
+  const auto set_counter = [out](const std::string& name, uint64_t v) {
     obs::Counter* c = out->GetCounter(name);
     c->Reset();
     c->Inc(v);
@@ -829,26 +830,21 @@ void QueryService::SnapshotMetrics(MetricsRegistry* out) const {
   const BreakerCounters totals = BreakerTotals();
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
-    set_counter("serve.admitted", admitted_);
-    set_counter("serve.shed", shed_);
-    set_counter("serve.completed", completed_);
-    set_counter("serve.failed", failed_);
-    set_counter("serve.retries", retries_);
-    set_counter("serve.rerouted_buckets", rerouted_buckets_);
-    set_counter("serve.failover_reads", failover_reads_);
-    set_counter("serve.reconstructed_pages", reconstructed_pages_);
-    set_counter("serve.pool_hits", pool_hits_);
-    set_counter("serve.zone_map_skips", zone_map_skips_);
-    set_counter("serve.generation_fenced", generation_fenced_);
+    // Same order as kServeCounterNames.
+    const uint64_t values[] = {
+        admitted_, shed_, completed_, failed_, retries_, rerouted_buckets_,
+        failover_reads_, reconstructed_pages_, pool_hits_, zone_map_skips_,
+        generation_fenced_, totals.opened, totals.half_opened, totals.closed,
+        totals.reopened};
+    static_assert(std::size(values) == std::size(kServeCounterNames));
+    for (size_t i = 0; i < std::size(values); ++i) {
+      set_counter(std::string("serve.") + kServeCounterNames[i], values[i]);
+    }
     obs::Histogram* h =
         out->GetHistogram("serve.latency_ms", latency_ms_.bounds());
     h->Reset();
     h->Merge(latency_ms_);
   }
-  set_counter("serve.breaker.opened", totals.opened);
-  set_counter("serve.breaker.half_opened", totals.half_opened);
-  set_counter("serve.breaker.closed", totals.closed);
-  set_counter("serve.breaker.reopened", totals.reopened);
   out->GetGauge("serve.queue.max_depth")
       ->Set(static_cast<double>(max_depth));
   // Storage-layer pool counters ride along in the same snapshot, so a
