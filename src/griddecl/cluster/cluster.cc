@@ -25,7 +25,10 @@ double HashUnit(uint64_t seed, uint64_t a, uint64_t b) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Adaptive hedge delay: the node's sub-query p95 times kHedgeFactor,
+/// floored at kHedgeMinMs (ClusterOptions::hedge_delay_ms < 0).
+constexpr double kHedgeFactor = 3.0;
+constexpr double kHedgeMinMs = 0.2;
 
 /// Copies every file of `from` into `to`: how a node env is seeded from
 /// the committed catalog or caught up from a live peer.
@@ -49,9 +52,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   }
   if (options.quorum_fraction < 0.0 || options.quorum_fraction >= 1.0) {
     return Status::InvalidArgument("quorum_fraction must be in [0, 1)");
-  }
-  if (options.hedge_factor <= 0.0 || options.hedge_min_ms < 0.0) {
-    return Status::InvalidArgument("hedge parameters out of domain");
   }
   if (options.node.generation != 0) {
     return Status::InvalidArgument(
@@ -361,7 +361,6 @@ void Cluster::ObserveNodeLatency(uint32_t node, double ms) {
 }
 
 double Cluster::HedgeDelayMs(uint32_t node, uint64_t seq) const {
-  if (!options_.hedging) return kInf;
   double base = options_.hedge_delay_ms;
   if (base < 0.0) {
     double p95 = 0.0;
@@ -370,7 +369,7 @@ double Cluster::HedgeDelayMs(uint32_t node, uint64_t seq) const {
       const obs::Histogram& h = node_query_ms_[node];
       if (h.count() >= 8) p95 = h.Percentile(95);
     }
-    base = std::max(options_.hedge_min_ms, p95 * options_.hedge_factor);
+    base = std::max(kHedgeMinMs, p95 * kHedgeFactor);
   }
   // Up to 25% seeded jitter decorrelates hedges across concurrent queries.
   return base * (1.0 + 0.25 * HashUnit(options_.seed, node, seq));
@@ -734,179 +733,121 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
 
   std::vector<uint64_t> counts;
   rel.disk_map.CountsForRect(rq.value().rect(), counts);
-  const uint32_t num_disks = epoch.num_disks;
 
-  // Plan: one route per (node, copy). A disk whose owner is dead or
-  // breaker-refused reroutes to the least-loaded alive replica-holding
-  // node per the epoch's placement (ties to the lowest copy index, which
-  // is the deterministic first-alive choice whenever loads are equal —
-  // always the case single-threaded or at copies=2); plain and parity
-  // relations lose those buckets — parity repairs a disk *within* a node,
-  // not a whole node.
-  std::map<std::pair<uint32_t, uint32_t>, Route> routes;
-  for (uint32_t d = 0; d < num_disks; ++d) {
-    if (counts[d] == 0) continue;
-    const uint32_t owner = epoch.placement.NodeOf(d, 0);
-    uint32_t target_node = owner;
-    uint32_t target_copy = 0;
-    bool placed = NodeAliveAt(owner, vnow) && !NodeWouldRefuse(owner);
-    if (!placed) {
-      int64_t best_load = 0;
-      for (uint32_t c = 1; c < rel.copies; ++c) {
-        const uint32_t rn = epoch.placement.NodeOf(d, c);
-        if (rn == owner || !NodeAliveAt(rn, vnow) || NodeWouldRefuse(rn)) {
-          continue;
-        }
-        const int64_t load = node_inflight_[rn].load();
-        if (!placed || load < best_load) {
-          target_node = rn;
-          target_copy = c;
-          best_load = load;
-          placed = true;
-        }
-      }
-    }
-    if (!placed) {
-      result.unavailable_buckets += counts[d];
-      result.winners.push_back('u');
-      continue;
-    }
-    Route& r = routes[{target_node, target_copy}];
-    r.node = target_node;
-    r.copy = target_copy;
-    r.disks.push_back(d);
-    r.buckets += counts[d];
-    r.rerouted = r.rerouted || target_copy != 0;
+  // Plan: one route per (node, copy), each disk placed by the per-disk
+  // rule (RouteDisks). Disks with no usable holder lose their buckets —
+  // parity repairs a disk *within* a node, not a whole node.
+  std::vector<uint32_t> touched;
+  for (uint32_t d = 0; d < epoch.num_disks; ++d) {
+    if (counts[d] > 0) touched.push_back(d);
+  }
+  std::vector<uint32_t> lost;
+  const std::vector<Route> routes =
+      RouteDisks(epoch, rel.copies, touched, counts, vnow, {}, &lost);
+  for (uint32_t d : lost) {
+    result.unavailable_buckets += counts[d];
+    result.winners.push_back('u');
   }
 
-  // Scatter everything up front so nodes work in parallel; routes whose
-  // breaker admission or submit fails fall to the failover path below.
-  struct InFlight {
-    const Route* route = nullptr;
-    std::future<serve::QueryResult> future;
-    bool submitted = false;
-  };
-  auto make_sub = [&](const Route& route,
-                      uint32_t copy) -> serve::QueryRequest {
-    serve::QueryRequest sub;
-    sub.relation = request.relation;
-    sub.lo = request.lo;
-    sub.hi = request.hi;
-    sub.deadline_ms = request.deadline_ms;
-    sub.disks = route.disks;
-    sub.serve_copy = copy;
-    sub.expected_generation = epoch.generation;
-    return sub;
+  // A sub-query reads exactly the route's (disk, copy) pairs; the node
+  // never moves a read to another copy itself.
+  auto submit = [&](const Route& sub)
+      -> Result<std::future<serve::QueryResult>> {
+    // A repair epoch carries null services for the nodes it planned
+    // around; planning avoids them, but guard the submit.
+    if (epoch.services[sub.node] == nullptr || !NodeAdmit(sub.node)) {
+      return Status::Unavailable("no service on node, or its breaker is open");
+    }
+    serve::QueryRequest req = request;
+    req.disks = sub.disks;
+    req.serve_copy = sub.copy;
+    req.expected_generation = epoch.generation;
+    auto f = epoch.services[sub.node]->Submit(std::move(req));
+    if (f.ok()) ++result.sub_queries;
+    return f;
   };
   // In-flight load accounting: every submitted sub-query charges its
   // bucket count to the serving node until its future is consumed (or the
   // route finishes, for hedges dropped unread) — the signal the planner's
   // least-loaded replica choice balances on.
-  std::vector<InFlight> flights;
-  flights.reserve(routes.size());
-  for (const auto& [key, route] : routes) {
-    InFlight fl;
-    fl.route = &route;
-    // A repair epoch carries null services for the nodes it planned
-    // around — planning already avoids them, but guard the submit.
-    if (epoch.services[route.node] != nullptr && NodeAdmit(route.node)) {
-      auto submitted =
-          epoch.services[route.node]->Submit(make_sub(route, route.copy));
-      if (submitted.ok()) {
-        fl.future = std::move(submitted.value());
-        fl.submitted = true;
-        ++result.sub_queries;
-        primary_subs_.fetch_add(1);
-        node_inflight_[route.node].fetch_add(
-            static_cast<int64_t>(route.buckets));
-      }
+  const auto charge = [this](const Route& sub, int64_t sign) {
+    node_inflight_[sub.node].fetch_add(sign *
+                                       static_cast<int64_t>(sub.buckets));
+  };
+
+  // Scatter everything up front so nodes work in parallel; routes whose
+  // breaker admission or submit fails (no valid future) fall to the
+  // failover path below.
+  std::vector<std::future<serve::QueryResult>> primaries(routes.size());
+  for (size_t i = 0; i < routes.size(); ++i) {
+    auto submitted = submit(routes[i]);
+    if (submitted.ok()) {
+      primaries[i] = std::move(submitted).value();
+      primary_subs_.fetch_add(1);
+      charge(routes[i], 1);
     }
-    if (route.rerouted) ++result.rerouted_subqueries;
-    flights.push_back(std::move(fl));
+    if (routes[i].copy != 0) ++result.rerouted_subqueries;
   }
 
   // Gather in deterministic route order.
   const uint64_t seq = query_seq_.fetch_add(1);
   uint32_t retries_used = 0;
-  for (InFlight& fl : flights) {
-    const Route& route = *fl.route;
-    auto resubmit = [&](uint32_t node, uint32_t copy)
-        -> Result<std::future<serve::QueryResult>> {
-      if (epoch.services[node] == nullptr) {
-        return Status::Unavailable("no service on node");
-      }
-      if (!NodeAdmit(node)) {
-        return Status::Unavailable("node breaker open");
-      }
-      auto f = epoch.services[node]->Submit(make_sub(route, copy));
-      if (f.ok()) ++result.sub_queries;
-      return f;
-    };
-    // The deterministic first-replica target: the node holding the next
-    // alive copy of the route's first disk. Hedge and first failover both
-    // go here, so "served by the first replica" has one winner letter
+  for (size_t i = 0; i < routes.size(); ++i) {
+    const Route& route = routes[i];
+    std::future<serve::QueryResult>& primary = primaries[i];
+    const bool submitted = primary.valid();
+    // The hedge target is the route's fallback when that is one
+    // sub-query. A failover with no failed hedge behind it goes to the
+    // same place, so "served by the first fallback" has one winner letter
     // ('h') whether the attempt launched before or after the primary
     // failed — that keeps winners schedule-deterministic under
     // kPrimaryPreferred.
-    uint32_t alt_node = route.node;
-    uint32_t alt_copy = 0;
-    if (rel.copies > 1 && !route.disks.empty()) {
-      const uint32_t d0 = route.disks.front();
-      for (uint32_t c = 1; c < rel.copies; ++c) {
-        const uint32_t rn = epoch.placement.NodeOf(d0, c);
-        if (rn != route.node && NodeAliveAt(rn, vnow) &&
-            !NodeWouldRefuse(rn)) {
-          alt_node = rn;
-          alt_copy = c;
-          break;
-        }
-      }
+    std::vector<Route> first;
+    std::vector<uint32_t> unplaced;
+    if (submitted && allow_hedge && route.copy == 0) {
+      first = Fallback(epoch, rel.copies, route, counts, vnow, &unplaced);
     }
-    const bool have_alt = alt_copy != 0;
+    const Route* alt =
+        first.size() == 1 && unplaced.empty() ? &first.front() : nullptr;
 
-    bool route_served = false;
+    char winner = 0;
     std::future<serve::QueryResult> hedge;
     bool hedge_fired = false;
-    bool hedge_failed_observed = false;
+    bool hedge_failed = false;
 
     // One observed completion on `node`: feeds its breaker and latency
-    // stats and, on success, merges the matches and records `winner`.
-    // Returns whether it served the route.
-    auto settle = [&](uint32_t node, const serve::QueryResult& r,
-                      char winner) {
+    // stats and, on success, merges the matches. Returns whether it
+    // served the sub-query.
+    auto settle = [&](uint32_t node, const serve::QueryResult& r) {
       RecordNodeOutcome(node, r.status.ok());
       ObserveNodeLatency(node, r.total_ms);
       if (!r.status.ok()) return false;
       result.matches.insert(result.matches.end(), r.matches.begin(),
                             r.matches.end());
-      result.winners.push_back(winner);
       return true;
     };
     // Consumes the hedge, blocking until it completes.
     auto settle_hedge = [&] {
-      if (settle(alt_node, hedge.get(), 'h')) {
+      if (settle(alt->node, hedge.get())) {
         ++result.hedge_wins;
-        route_served = true;
+        winner = 'h';
       } else {
-        hedge_failed_observed = true;
+        hedge_failed = true;
       }
     };
 
-    if (fl.submitted) {
-      const double delay = allow_hedge && route.copy == 0 && have_alt
-                               ? HedgeDelayMs(route.node, seq)
-                               : kInf;
-      if (std::isfinite(delay)) {
-        const auto wait = std::chrono::duration<double, std::milli>(delay);
-        if (fl.future.wait_for(wait) != std::future_status::ready &&
+    if (submitted) {
+      if (alt != nullptr) {
+        const auto wait = std::chrono::duration<double, std::milli>(
+            HedgeDelayMs(route.node, seq));
+        if (primary.wait_for(wait) != std::future_status::ready &&
             AdmitExtraSub(/*is_hedge=*/true)) {
-          auto h = resubmit(alt_node, alt_copy);
+          auto h = submit(*alt);
           if (h.ok()) {
-            hedge = std::move(h.value());
+            hedge = std::move(h).value();
             hedge_fired = true;
             ++result.hedges_fired;
-            node_inflight_[alt_node].fetch_add(
-                static_cast<int64_t>(route.buckets));
+            charge(*alt, 1);
           }
         }
       }
@@ -917,13 +858,13 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
         bool primary_done = false;
         bool hedge_done = false;
         const auto slice = std::chrono::microseconds(50);
-        while (!route_served && !(primary_done && hedge_done)) {
+        while (winner == 0 && !(primary_done && hedge_done)) {
           if (!primary_done &&
-              fl.future.wait_for(slice) == std::future_status::ready) {
+              primary.wait_for(slice) == std::future_status::ready) {
             primary_done = true;
-            if (settle(route.node, fl.future.get(), 'p')) {
+            if (settle(route.node, primary.get())) {
               if (!hedge_done) ++result.hedges_cancelled;
-              route_served = true;
+              winner = 'p';
               break;
             }
           }
@@ -935,59 +876,69 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
             settle_hedge();
           }
         }
-      } else if (settle(route.node, fl.future.get(), 'p')) {
+      } else if (settle(route.node, primary.get())) {
         // kPrimaryPreferred (or no hedge in flight): the primary's result
         // is authoritative whenever it succeeds, so winner selection is a
         // pure function of the fault schedule.
         if (hedge_fired) ++result.hedges_cancelled;
-        route_served = true;
+        winner = 'p';
       } else if (hedge_fired) {
         settle_hedge();
       }
+      // The route's in-flight charges are settled here whether its
+      // futures were consumed or dropped (a cancelled hedge's work is
+      // nearly done by the time its future is discarded).
+      charge(route, -1);
+      if (hedge_fired) charge(*alt, -1);
     }
-    // The route's in-flight charges are settled here whether its futures
-    // were consumed or dropped (a cancelled hedge's work is nearly done
-    // by the time its future is discarded).
-    if (fl.submitted) {
-      node_inflight_[route.node].fetch_sub(
-          static_cast<int64_t>(route.buckets));
+    if (winner != 0) {
+      result.winners.push_back(winner);
+      continue;
     }
-    if (hedge_fired) {
-      node_inflight_[alt_node].fetch_sub(static_cast<int64_t>(route.buckets));
-    }
-    if (route_served) continue;
 
     // Failover: the primary (and any hedge) failed or was never
-    // submitted. Try the deterministic first replica unless it already
-    // failed as the hedge, then the remaining copies in order.
-    for (uint32_t c = 1; c < rel.copies && !route_served; ++c) {
-      if (route.disks.empty()) break;
-      if (hedge_failed_observed && c == alt_copy) continue;
-      const uint32_t rn = epoch.placement.NodeOf(route.disks.front(), c);
-      if (rn == route.node || !NodeAliveAt(rn, vnow)) continue;
-      // Retry budgets: a per-query cap on failover resubmits, then the
-      // cluster-wide extra-sub-query budget. Both default off.
-      if (options_.retry_budget_per_query > 0 &&
-          retries_used >= options_.retry_budget_per_query) {
-        retry_budget_denied_.fetch_add(1);
-        break;
+    // submitted. Serve the fallback of the last sub-query that failed the
+    // whole route; a fallback sub-query that fails is replaced by its own
+    // fallback. Each resubmit is charged to the retry budgets (a
+    // per-query cap, then the cluster-wide extra-sub-query budget; both
+    // default off).
+    bool deeper = hedge_failed;
+    uint64_t unserved = 0;
+    std::vector<Route> attempts;
+    const auto expand = [&](const Route& failed) {
+      std::vector<uint32_t> lost_disks;
+      for (Route& sub :
+           Fallback(epoch, rel.copies, failed, counts, vnow, &lost_disks)) {
+        attempts.push_back(std::move(sub));
       }
-      if (!AdmitExtraSub(/*is_hedge=*/false)) break;
+      for (uint32_t d : lost_disks) unserved += counts[d];
+    };
+    expand(hedge_failed ? *alt : route);
+    for (size_t a = 0; a < attempts.size(); ++a) {
+      const Route sub = attempts[a];
+      const bool capped = options_.retry_budget_per_query > 0 &&
+                          retries_used >= options_.retry_budget_per_query;
+      if (capped) retry_budget_denied_.fetch_add(1);
+      if (capped || !AdmitExtraSub(/*is_hedge=*/false)) {
+        unserved += sub.buckets;
+        continue;
+      }
       ++retries_used;
-      auto f = resubmit(rn, c);
-      if (!f.ok()) continue;
-      node_inflight_[rn].fetch_add(static_cast<int64_t>(route.buckets));
-      serve::QueryResult fr = f.value().get();
-      node_inflight_[rn].fetch_sub(static_cast<int64_t>(route.buckets));
-      if (settle(rn, fr, c == alt_copy ? 'h' : 'r')) {
-        ++result.rerouted_subqueries;
-        route_served = true;
+      auto f = submit(sub);
+      if (f.ok()) {
+        charge(sub, 1);
+        const bool served = settle(sub.node, f.value().get());
+        charge(sub, -1);
+        if (served) {
+          ++result.rerouted_subqueries;
+          continue;
+        }
       }
+      deeper = true;
+      expand(sub);
     }
-    if (!route_served) {
-      result.unavailable_buckets += route.buckets;
-      result.winners.push_back('u');
-    }
+    result.unavailable_buckets += unserved;
+    result.winners.push_back(unserved > 0 ? 'u' : deeper ? 'r' : 'h');
   }
 
   // Merge: sub-queries cover disjoint primary-disk sets, so their match
@@ -1010,6 +961,65 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.status = Status::Ok();
   }
   return result;
+}
+
+bool Cluster::NodeUsable(uint32_t node, double vnow,
+                         const std::vector<uint32_t>& tried) const {
+  return std::find(tried.begin(), tried.end(), node) == tried.end() &&
+         NodeAliveAt(node, vnow) && !NodeWouldRefuse(node);
+}
+
+std::vector<Cluster::Route> Cluster::RouteDisks(
+    const Epoch& epoch, uint32_t copies, const std::vector<uint32_t>& disks,
+    const std::vector<uint64_t>& counts, double vnow,
+    const std::vector<uint32_t>& tried, std::vector<uint32_t>* lost) const {
+  std::map<std::pair<uint32_t, uint32_t>, Route> routes;
+  for (uint32_t d : disks) {
+    const uint32_t owner = epoch.placement.NodeOf(d, 0);
+    // The chosen copy; `copies` while none is.
+    uint32_t best = NodeUsable(owner, vnow, tried) ? 0 : copies;
+    int64_t best_load = 0;
+    for (uint32_t c = 1; best != 0 && c < copies; ++c) {
+      const uint32_t rn = epoch.placement.NodeOf(d, c);
+      if (rn == owner || !NodeUsable(rn, vnow, tried)) continue;
+      const int64_t load = node_inflight_[rn].load();
+      if (best == copies || load < best_load) {
+        best = c;
+        best_load = load;
+      }
+    }
+    if (best == copies) {
+      lost->push_back(d);
+      continue;
+    }
+    const uint32_t node = epoch.placement.NodeOf(d, best);
+    Route& r = routes.try_emplace({node, best}, Route{node, best, {}, 0, tried})
+                   .first->second;
+    r.disks.push_back(d);
+    r.buckets += counts[d];
+  }
+  std::vector<Route> out;
+  out.reserve(routes.size());
+  for (auto& [key, route] : routes) out.push_back(std::move(route));
+  return out;
+}
+
+std::vector<Cluster::Route> Cluster::Fallback(
+    const Epoch& epoch, uint32_t copies, const Route& failed,
+    const std::vector<uint64_t>& counts, double vnow,
+    std::vector<uint32_t>* lost) const {
+  std::vector<uint32_t> tried = failed.tried;
+  tried.push_back(failed.node);
+  for (uint32_t c = 0; c < copies; ++c) {
+    const uint32_t node = epoch.placement.NodeOf(failed.disks.front(), c);
+    const bool one_holder = std::all_of(
+        failed.disks.begin(), failed.disks.end(),
+        [&](uint32_t d) { return epoch.placement.NodeOf(d, c) == node; });
+    if (one_holder && NodeUsable(node, vnow, tried)) {
+      return {Route{node, c, failed.disks, failed.buckets, std::move(tried)}};
+    }
+  }
+  return RouteDisks(epoch, copies, failed.disks, counts, vnow, tried, lost);
 }
 
 void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {

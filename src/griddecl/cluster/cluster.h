@@ -54,24 +54,39 @@
 /// tagged with the routing epoch's catalog generation (the fence), and
 /// gathers:
 ///
-///  * **Quorum-aware degraded routing.** A sub-query for a dead or
-///    breaker-refused node reroutes to a replica-holding node of each
-///    affected disk, per the epoch's `PlacementMap` (cluster/placement.h:
-///    chained `(d+c) mod M`, spread, zone_aware, or a repaired table).
-///    Among the alive replica holders the coordinator picks the
-///    *least-loaded* one (fewest in-flight bucket reads, ties to the
-///    lowest copy index — which degenerates to the deterministic
-///    first-alive choice at copies=2 or single-threaded). Buckets with no
-///    live route are reported, not served: the query returns a partial
-///    result with an explicit `availability` fraction instead of failing.
-///    Below quorum (alive nodes <= quorum_fraction * N) the cluster
-///    refuses outright with kUnavailable. Whole failure domains die
-///    together via `ZoneFaultWindow` schedules or imperative `KillZone`.
+///  * **One resilience layer.** Every sub-query names (disk, copy) pairs
+///    the epoch's `PlacementMap` assigns to the node it is sent to, and the
+///    node reads exactly those (serve sub-queries are strict: no per-disk
+///    breaker, no inline mirror failover). Only the coordinator moves a
+///    read to another copy, and always to that copy's holder.
+///  * **Quorum-aware degraded routing.** A disk whose owner is dead or
+///    breaker-refused is planned onto a replica-holding node, per the
+///    epoch's `PlacementMap` (cluster/placement.h: chained `(d+c) mod M`,
+///    spread, zone_aware, or a repaired table). Among the alive replica
+///    holders the coordinator picks the *least-loaded* one (fewest
+///    in-flight bucket reads, ties to the lowest copy index — which
+///    degenerates to the deterministic first-alive choice at copies=2 or
+///    single-threaded). Buckets with no live route are reported, not
+///    served: the query returns a partial result with an explicit
+///    `availability` fraction instead of failing. Below quorum (alive
+///    nodes <= quorum_fraction * N) the cluster refuses outright with
+///    kUnavailable. Whole failure domains die together via
+///    `ZoneFaultWindow` schedules or imperative `KillZone`.
+///  * **One fallback rule.** A route's fallback, once the nodes already
+///    tried for it have failed, is one sub-query to the lowest copy whose
+///    holder is the same usable (alive, not refused, not yet tried) node
+///    for every disk of the route; failing that, the route's disks are
+///    split by holder with the planner's per-disk rule. Failover serves
+///    every fallback sub-query and replaces a failed one by its own
+///    fallback, under the retry budgets; a disk left with no usable holder
+///    counts its buckets unavailable while the route's other disks still
+///    merge their matches.
 ///  * **Hedged requests.** When a primary sub-query is still running after
-///    a per-node hedge delay — the node's observed sub-query p95 times
-///    `hedge_factor`, plus seeded jitter, floored at `hedge_min_ms`, or a
-///    fixed `hedge_delay_ms` — the coordinator re-issues it to a
-///    replica-holding node with `serve_copy` pinned to that node's copy.
+///    a per-node hedge delay — the node's observed sub-query p95 times 3,
+///    plus seeded jitter, floored at 0.2 ms, or a fixed `hedge_delay_ms` —
+///    the coordinator re-issues it to the route's fallback, when that is
+///    one sub-query (a route whose disks keep their other copies on
+///    different nodes is never hedged).
 ///    `HedgePolicy::kFirstSuccess` takes whichever completes first
 ///    (tail-latency mode); `kPrimaryPreferred` always takes the primary's
 ///    result when the primary succeeds, making *winner selection* a pure
@@ -97,8 +112,8 @@
 /// ## Determinism contract
 ///
 /// With seeded FaultyEnvs, `hedge_policy = kPrimaryPreferred`, node
-/// breakers pinned open once tripped, per-node services configured per the
-/// serve determinism contract, and a fixed kill/window schedule, each
+/// breakers pinned open once tripped, per-node services that neither shed
+/// nor time out, and a fixed kill/window schedule, each
 /// query's outcome — status, completeness, matches, unavailable-bucket
 /// count, and per-route winner selection — is a pure function of the
 /// schedule, independent of how many coordinator threads call Execute.
@@ -128,19 +143,16 @@ struct ClusterOptions {
   /// retry jitter decorrelates across nodes; `generation` must stay 0
   /// (nodes follow the cluster's committed generation).
   serve::ServeOptions node;
-  /// Node-level breaker (distinct from the per-disk breakers inside each
-  /// node's service).
+  /// Node-level breaker. (The per-disk breakers inside each node's
+  /// service never act in a cluster: sub-queries bypass them.)
   BreakerOptions node_breaker;
 
   bool hedging = true;
   HedgePolicy hedge_policy = HedgePolicy::kFirstSuccess;
-  /// Fixed hedge delay in ms; < 0 selects the adaptive per-node-p95 delay.
-  /// 0 hedges immediately (useful in tests).
+  /// Fixed hedge delay in ms; < 0 selects the adaptive delay: the node's
+  /// observed sub-query p95 times 3, floored at 0.2 ms, plus up to 25%
+  /// seeded jitter. 0 hedges immediately (useful in tests).
   double hedge_delay_ms = -1.0;
-  /// Adaptive mode: delay = max(hedge_min_ms, p95 * hedge_factor) plus up
-  /// to 25% seeded jitter.
-  double hedge_factor = 3.0;
-  double hedge_min_ms = 0.2;
 
   /// Execute refuses (kUnavailable) unless alive > num_nodes * fraction.
   double quorum_fraction = 0.5;
@@ -209,8 +221,9 @@ struct ClusterQueryResult {
   uint64_t generation = 0;
   /// How each slice of the plan was finally served: one 'u' per disk
   /// dropped at plan time (no alive owner or replica holder), then one
-  /// letter per route in route order — 'p' primary, 'h' hedge, 'r'
-  /// post-failure reroute, 'u' every failover exhausted at gather time.
+  /// letter per route in route order — 'p' primary, 'h' the first
+  /// fallback (hedge or failover), 'r' a deeper fallback, 'u' some bucket
+  /// of the route ended unavailable.
   /// Deterministic under kPrimaryPreferred; part of the property-test
   /// fingerprint.
   std::string winners;
@@ -236,10 +249,6 @@ struct TransitionOptions {
   /// device. A paced copy (copy_bytes_per_sec > 0) fits in spare bandwidth
   /// and injects nothing. 0 disables the contention model.
   double copy_contention_ms = 0.0;
-  /// Double-read sample run old-vs-new before cutover. Empty = a default
-  /// sample per relation: the full range plus, per attribute, the full
-  /// range with that attribute cut to its lower half.
-  std::vector<serve::QueryRequest> verify_requests;
   /// Test hook: called at phase boundaries on the transition thread —
   /// "copy", "staged", "verify", "commit", "committed", preceded by "plan"
   /// for a repair. Kills injected here exercise the abort paths
@@ -478,15 +487,16 @@ class Cluster {
     std::shared_ptr<const Routing> routing;
   };
 
-  /// One planned sub-query: a set of primary disk ids served from mirror
-  /// copy `copy` by `node`.
+  /// One sub-query: a set of primary disk ids served from mirror copy
+  /// `copy` by `node`, which the epoch's PlacementMap assigns that copy of
+  /// every one of them. Copy != 0 means planned onto a replica.
   struct Route {
     uint32_t node = 0;
     uint32_t copy = 0;
     std::vector<uint32_t> disks;
     uint64_t buckets = 0;
-    /// Planned onto a replica because the owner was dead or refused.
-    bool rerouted = false;
+    /// Nodes whose sub-queries for these disks already failed this query.
+    std::vector<uint32_t> tried;
   };
 
   Cluster() = default;
@@ -510,6 +520,31 @@ class Cluster {
   ClusterQueryResult ExecuteOnEpoch(const Epoch& epoch,
                                     const serve::QueryRequest& request,
                                     bool allow_hedge);
+  /// Whether `node` can take a sub-query: not in `tried`, alive at
+  /// virtual time `vnow` and not breaker-refused.
+  bool NodeUsable(uint32_t node, double vnow,
+                  const std::vector<uint32_t>& tried) const;
+  /// The per-disk routing rule the plan and every fallback share: disk d
+  /// is served from copy 0 by its owner when the owner is usable, else by
+  /// the least-loaded usable holder of another copy (ties to the lowest
+  /// copy). Groups `disks` into one route per (node, copy), in (node,
+  /// copy) order, with bucket counts from `counts`; appends the disks no
+  /// usable holder is left for to `lost`.
+  std::vector<Route> RouteDisks(const Epoch& epoch, uint32_t copies,
+                                const std::vector<uint32_t>& disks,
+                                const std::vector<uint64_t>& counts,
+                                double vnow,
+                                const std::vector<uint32_t>& tried,
+                                std::vector<uint32_t>* lost) const;
+  /// The fallback of a sub-query that `failed`, which rules out its node
+  /// and `failed.tried`: one sub-query to the lowest copy whose holder is
+  /// the same usable node for every disk of `failed`, else its disks split
+  /// by RouteDisks.
+  std::vector<Route> Fallback(const Epoch& epoch, uint32_t copies,
+                              const Route& failed,
+                              const std::vector<uint64_t>& counts,
+                              double vnow,
+                              std::vector<uint32_t>* lost) const;
 
   /// The single-flight slot Migrate and Repair share: claims it (or
   /// refuses with kFailedPrecondition), records the current generation in
@@ -549,8 +584,7 @@ class Cluster {
   bool NodeAdmit(uint32_t node);
   void RecordNodeOutcome(uint32_t node, bool success);
   void ObserveNodeLatency(uint32_t node, double ms);
-  /// Hedge delay for `node` on coordinator sequence number `seq`; +inf
-  /// when hedging is off.
+  /// Hedge delay for `node` on coordinator sequence number `seq`.
   double HedgeDelayMs(uint32_t node, uint64_t seq) const;
   /// Milliseconds since cluster start (steady clock; breakers + stats).
   double SteadyNowMs() const;

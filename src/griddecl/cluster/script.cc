@@ -3,41 +3,11 @@
 #include <cstdlib>
 #include <utility>
 
+#include "griddecl/serve/script.h"
+
 namespace griddecl::cluster {
 
 namespace {
-
-/// Splits `text` on whitespace runs.
-std::vector<std::string> Tokens(std::string_view text) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
-  }
-  return tokens;
-}
-
-Status ParseDoubles(const std::string& list, size_t line_no,
-                    std::vector<double>* out) {
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string piece = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(piece.c_str(), &end);
-    if (piece.empty() || end != piece.c_str() + piece.size()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad number '" + piece + "'");
-    }
-    out->push_back(v);
-    pos = comma + 1;
-  }
-  return Status::Ok();
-}
 
 Result<uint32_t> ParseU32(const std::string& token, size_t line_no,
                           const char* what) {
@@ -51,47 +21,30 @@ Result<uint32_t> ParseU32(const std::string& token, size_t line_no,
   return static_cast<uint32_t>(v);
 }
 
+Result<double> ParseNonNegative(const std::string& token, size_t line_no,
+                                const char* what) {
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || v < 0.0) {
+    return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                   ": bad " + what + " '" + token + "'");
+  }
+  return v;
+}
+
 }  // namespace
 
 Result<std::vector<ClusterCommand>> ParseClusterScript(std::string_view text) {
   std::vector<ClusterCommand> commands;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    const std::vector<std::string> tokens = Tokens(line);
-    if (tokens.empty() || tokens[0][0] == '#') continue;
+  for (const serve::ScriptLine& line : serve::TokenizeScript(text)) {
+    const std::vector<std::string>& tokens = line.tokens;
+    const size_t line_no = line.number;
     ClusterCommand cmd;
     if (tokens[0] == "query") {
-      if (tokens.size() < 4 || tokens.size() > 5) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) +
-            ": expected 'query <relation> <lo,..> <hi,..> [deadline_ms]'");
-      }
+      auto query = serve::ParseQueryLine(line);
+      if (!query.ok()) return query.status();
       cmd.kind = ClusterCommand::Kind::kQuery;
-      cmd.query.relation = tokens[1];
-      GRIDDECL_RETURN_IF_ERROR(ParseDoubles(tokens[2], line_no, &cmd.query.lo));
-      GRIDDECL_RETURN_IF_ERROR(ParseDoubles(tokens[3], line_no, &cmd.query.hi));
-      if (cmd.query.lo.size() != cmd.query.hi.size()) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) + ": lo has " +
-            std::to_string(cmd.query.lo.size()) + " attributes but hi has " +
-            std::to_string(cmd.query.hi.size()));
-      }
-      if (tokens.size() == 5) {
-        char* end = nullptr;
-        cmd.query.deadline_ms = std::strtod(tokens[4].c_str(), &end);
-        if (end != tokens[4].c_str() + tokens[4].size() ||
-            !(cmd.query.deadline_ms > 0.0)) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": bad deadline '" + tokens[4] + "'");
-        }
-      }
+      cmd.query = std::move(query).value();
     } else if (tokens[0] == "kill-node" || tokens[0] == "revive-node") {
       if (tokens.size() != 2) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
@@ -119,13 +72,9 @@ Result<std::vector<ClusterCommand>> ParseClusterScript(std::string_view text) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": expected 'advance-ms <ms>'");
       }
-      char* end = nullptr;
-      cmd.advance_ms = std::strtod(tokens[1].c_str(), &end);
-      if (end != tokens[1].c_str() + tokens[1].size() ||
-          cmd.advance_ms < 0.0) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": bad time '" + tokens[1] + "'");
-      }
+      auto ms = ParseNonNegative(tokens[1], line_no, "time");
+      if (!ms.ok()) return ms.status();
+      cmd.advance_ms = ms.value();
       cmd.kind = ClusterCommand::Kind::kAdvance;
     } else if (tokens[0] == "migrate") {
       if (tokens.size() != 3) {
@@ -145,13 +94,9 @@ Result<std::vector<ClusterCommand>> ParseClusterScript(std::string_view text) {
       }
       cmd.kind = ClusterCommand::Kind::kRepair;
       if (tokens.size() == 2) {
-        char* end = nullptr;
-        cmd.repair_bytes_per_sec = std::strtod(tokens[1].c_str(), &end);
-        if (end != tokens[1].c_str() + tokens[1].size() ||
-            cmd.repair_bytes_per_sec < 0.0) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": bad rate '" + tokens[1] + "'");
-        }
+        auto rate = ParseNonNegative(tokens[1], line_no, "rate");
+        if (!rate.ok()) return rate.status();
+        cmd.repair_bytes_per_sec = rate.value();
       }
     } else if (tokens[0] == "add-node") {
       if (tokens.size() != 3) {

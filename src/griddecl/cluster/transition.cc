@@ -209,24 +209,22 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
   // staging epoch (Cluster::Execute) — traffic itself verifies the copy.
   cluster_->SetStagingEpoch(staging_epoch.value());
 
-  std::vector<serve::QueryRequest> sample = options_.verify_requests;
-  if (sample.empty()) {
-    // Default sample per relation: the full box plus each attribute's
-    // lower half (exercises multi-disk routing in every dimension).
-    for (const auto& [name, rel] : old_epoch->routing->relations) {
-      const Schema& schema = rel.df->file().schema();
-      serve::QueryRequest full;
-      full.relation = name;
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        full.lo.push_back(schema.attribute(a).lo);
-        full.hi.push_back(schema.attribute(a).hi);
-      }
-      sample.push_back(full);
-      for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
-        serve::QueryRequest half = full;
-        half.hi[a] = (schema.attribute(a).lo + schema.attribute(a).hi) / 2.0;
-        sample.push_back(std::move(half));
-      }
+  // The verify sample per relation: the full box plus each attribute's
+  // lower half (exercises multi-disk routing in every dimension).
+  std::vector<serve::QueryRequest> sample;
+  for (const auto& [name, rel] : old_epoch->routing->relations) {
+    const Schema& schema = rel.df->file().schema();
+    serve::QueryRequest full;
+    full.relation = name;
+    for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
+      full.lo.push_back(schema.attribute(a).lo);
+      full.hi.push_back(schema.attribute(a).hi);
+    }
+    sample.push_back(full);
+    for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
+      serve::QueryRequest half = full;
+      half.hi[a] = (schema.attribute(a).lo + schema.attribute(a).hi) / 2.0;
+      sample.push_back(std::move(half));
     }
   }
   for (const serve::QueryRequest& vq : sample) {

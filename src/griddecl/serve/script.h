@@ -1,6 +1,8 @@
 #ifndef GRIDDECL_SERVE_SCRIPT_H_
 #define GRIDDECL_SERVE_SCRIPT_H_
 
+#include <cstddef>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -23,6 +25,24 @@
 ///     query uniform 0.0,0.0 1.0,1.0 50
 
 namespace griddecl::serve {
+
+/// One script line that carries a directive: its 1-based line number and
+/// its tokens.
+struct ScriptLine {
+  size_t number = 0;
+  std::vector<std::string> tokens;
+};
+
+/// The script tokenizer `declctl serve` and `declctl cluster` share:
+/// splits `text` into lines (dropping a trailing '\r') and each line on
+/// runs of spaces and tabs. Blank lines and lines whose first token
+/// starts with `#` are skipped.
+std::vector<ScriptLine> TokenizeScript(std::string_view text);
+
+/// Parses one tokenized `query <relation> <lo,..> <hi,..> [deadline_ms]`
+/// line (the caller has matched tokens[0]). Errors are kInvalidArgument
+/// naming the line.
+Result<QueryRequest> ParseQueryLine(const ScriptLine& line);
 
 /// Parses a serve script into requests, in file order. Fails with
 /// kInvalidArgument naming the offending line on any malformed input.

@@ -335,11 +335,14 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   const GridSpec& grid = rel.file->grid();
   const RelationRedundancy::Policy policy = rel.redundancy.policy;
 
-  // Coordinator extensions: a disk-ownership filter and/or a pinned mirror
-  // copy route the query through the per-bucket planning path below.
+  // A sub-query (a disk-ownership filter and/or a pinned mirror copy) is
+  // what a cluster coordinator sends. It is strict: it reads exactly the
+  // (disk, copy) pairs it names, consults no breaker and never fails over
+  // to another mirror copy — moving a read to another copy is the
+  // coordinator's decision.
   const bool filtered = !p.request.disks.empty();
   const uint32_t pinned_copy = p.request.serve_copy;
-  const bool per_bucket_path = filtered || pinned_copy > 0;
+  const bool sub_query = filtered || pinned_copy > 0;
   std::vector<bool> allowed;
   if (filtered) {
     allowed.assign(num_disks_, false);
@@ -374,13 +377,11 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   });
   std::vector<bool> refused(num_disks_, false);
   bool any_refused = false;
-  {
+  if (!sub_query) {
     std::lock_guard<std::mutex> lock(breaker_mu_);
     const double now = NowMs();
     for (uint32_t d = 0; d < num_disks_; ++d) {
-      // The per-bucket path may assign replica disks the primary sweep
-      // never touched, so it needs the full mask.
-      if ((touched[d] || per_bucket_path) && breakers_[d].WouldRefuse(now)) {
+      if (touched[d] && breakers_[d].WouldRefuse(now)) {
         refused[d] = true;
         any_refused = true;
       }
@@ -396,8 +397,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   std::vector<Assign> assignment;
   assignment.reserve(static_cast<size_t>(result.buckets_touched));
 
-  if (!per_bucket_path && any_refused &&
-      policy == RelationRedundancy::Policy::kMirror) {
+  if (any_refused && policy == RelationRedundancy::Policy::kMirror) {
     // Plan-time reroute through the same machinery the simulator uses.
     Result<DegradedPlan> plan =
         DegradedPlan::ForReplicated(*rel.placement, refused);
@@ -427,8 +427,8 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     }
   } else {
     // Primary (or pinned-copy) placement, one bucket at a time. A refused
-    // disk's buckets reconstruct from parity when the relation has it,
-    // reroute to an un-refused mirror replica, or fail the query.
+    // disk's buckets reconstruct from parity when the relation has it, or
+    // fail the query (a refused mirror disk took the branch above).
     uint64_t dead_buckets = 0;
     rel.disk_map->ForEachRowSpan(query.rect(), [&](uint64_t begin,
                                                    uint64_t length) {
@@ -444,23 +444,6 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         if (refused[a.disk]) {
           if (policy == RelationRedundancy::Policy::kParity) {
             a.reconstruct = true;
-          } else if (policy == RelationRedundancy::Policy::kMirror) {
-            // Reroute this bucket to its first un-refused replica (the
-            // whole-query re-expansion above is primary-placement only).
-            const std::vector<uint32_t> disks =
-                rel.placement->DisksOf(grid.Delinearize(addr));
-            for (uint32_t step = 1; step < disks.size(); ++step) {
-              const uint32_t c =
-                  (a.copy + step) % static_cast<uint32_t>(disks.size());
-              if (!refused[disks[c]]) {
-                a.copy = c;
-                a.disk = disks[c];
-                result.rerouted_buckets++;
-                break;
-              }
-            }
-            // Every replica refused: keep the assignment — inline mirror
-            // failover still tries each copy at read time.
           } else {
             dead_buckets++;
           }
@@ -473,7 +456,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
           std::to_string(dead_buckets) +
           " buckets on tripped disks and the relation has no redundancy"));
     }
-    if (per_bucket_path) result.buckets_touched = assignment.size();
+    if (sub_query) result.buckets_touched = assignment.size();
   }
 
   // --- Flat read plan: one entry per (disk, copy, page) --------------------
@@ -555,16 +538,18 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     }
     // Admission: false either because the plan already routed around this
     // disk, or because its breaker tripped (or lost the probe race) since
-    // planning — then every page goes straight to the degraded path.
-    const bool admitted = AllowDisk(disk);
+    // planning — then every page goes straight to the degraded path. A
+    // sub-query's batch bypasses the breaker and feeds it nothing.
+    const bool admitted = sub_query || AllowDisk(disk);
     bool direct_ok = true;
     for (size_t i = batch; i < batch_end; ++i) {
       const PageRead& read = reads[i];
       Result<PinnedPage> pinned = ReadPageResilient(
           rel, read.copy, read.page, interrupt,
-          /*try_direct=*/admitted && !read.reconstruct, &direct_ok, &result);
+          /*try_direct=*/admitted && !read.reconstruct,
+          /*mirror_failover=*/!sub_query, &direct_ok, &result);
       if (!pinned.ok()) {
-        if (admitted) RecordDiskOutcome(disk, false);
+        if (!sub_query && admitted) RecordDiskOutcome(disk, false);
         return finish(pinned.status());
       }
       const DecodedPage& decoded = pinned.value().decoded();
@@ -613,7 +598,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         runs.push_back({run_begin, result.matches.size()});
       }
     }
-    if (admitted) RecordDiskOutcome(disk, direct_ok);
+    if (!sub_query && admitted) RecordDiskOutcome(disk, direct_ok);
     batch = batch_end;
   }
 
@@ -657,8 +642,8 @@ InterruptFn QueryService::MakeInterrupt(double deadline_ms) const {
 
 Result<PinnedPage> QueryService::ReadPageResilient(
     const Relation& rel, uint32_t assigned_copy, uint64_t page,
-    const InterruptFn& interrupt, bool try_direct, bool* direct_ok,
-    QueryResult* result) {
+    const InterruptFn& interrupt, bool try_direct, bool mirror_failover,
+    bool* direct_ok, QueryResult* result) {
   Status direct_status =
       Status::Unavailable("disk routed around; direct read skipped");
   if (try_direct) {
@@ -671,7 +656,8 @@ Result<PinnedPage> QueryService::ReadPageResilient(
     }
     direct_status = direct.status();
   }
-  if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror) {
+  if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror &&
+      mirror_failover) {
     for (uint32_t copy = 0; copy < rel.copy_files.size(); ++copy) {
       if (copy == assigned_copy) continue;
       Result<PinnedPage> alt =

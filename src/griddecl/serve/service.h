@@ -59,7 +59,9 @@
 ///    `DegradedPlan::ForReplicated` exactly as the simulator does, parity
 ///    relations reconstruct the disk's pages from stripe survivors, plain
 ///    relations fail those queries with kUnavailable. Half-open admits one
-///    probe batch at a time.
+///    probe batch at a time. Breakers and mirror failover serve whole
+///    queries only; sub-queries (`QueryRequest::disks` / `serve_copy`)
+///    are strict.
 ///  * **Graceful drain.** `Shutdown` stops admission, lets workers finish
 ///    queued work until `drain_deadline_ms`, then fails what remains with
 ///    a well-formed status. In-flight queries observe the hard stop
@@ -139,11 +141,18 @@ struct QueryRequest {
   /// coordinator carves one query into per-node sub-queries along disk
   /// ownership. Matches outside the set are silently not served, so the
   /// union of sub-queries over a disk partition equals the full query.
+  ///
+  /// A request with a `disks` filter or a nonzero `serve_copy` is a
+  /// *sub-query*, and sub-queries are strict: they read exactly the
+  /// (disk, copy) pairs they name, consult no per-disk breaker, and never
+  /// fail over to another mirror copy — an unreadable page fails the
+  /// sub-query with kUnavailable (parity reconstruction still applies).
+  /// Moving a read to another copy is the coordinator's job.
   std::vector<uint32_t> disks;
   /// 0 reads primary placement. c > 0 (mirror relations only) serves every
   /// selected bucket from mirror copy c — its replica disk (primary + c)
   /// mod M — which is how a sub-query rerouted or hedged to a
-  /// replica-holding node reads that node's own copy.
+  /// replica-holding node reads that node's own copy. Strict; see `disks`.
   uint32_t serve_copy = 0;
   /// 0 = unfenced. Nonzero requires this service to be serving exactly
   /// this catalog generation; a mismatch fails with kFailedPrecondition
@@ -284,15 +293,15 @@ class QueryService {
   QueryResult RunQuery(const Pending& p);
 
   /// One page serving the query: direct pooled read when `try_direct`,
-  /// then the relation's degraded path (mirror failover / parity
-  /// reconstruction). `*direct_ok` is cleared when the direct read did
-  /// not cleanly succeed (feeds the disk's breaker outcome). Accounting
-  /// goes into `result`.
+  /// then the relation's degraded path (mirror failover when
+  /// `mirror_failover`, parity reconstruction). `*direct_ok` is cleared
+  /// when the direct read did not cleanly succeed (feeds the disk's breaker
+  /// outcome). Accounting goes into `result`.
   Result<PinnedPage> ReadPageResilient(const Relation& rel,
                                        uint32_t assigned_copy, uint64_t page,
                                        const InterruptFn& interrupt,
-                                       bool try_direct, bool* direct_ok,
-                                       QueryResult* result);
+                                       bool try_direct, bool mirror_failover,
+                                       bool* direct_ok, QueryResult* result);
   /// One copy file's page through the PageStore (pool lookup, retries,
   /// verify-at-admission); verification failure reads as kUnavailable so
   /// degraded paths engage.

@@ -108,6 +108,18 @@ std::vector<std::string> NodeFiles(Cluster* cluster, uint32_t node) {
   return cluster->node_env_for_test(node)->ListFiles().value();
 }
 
+/// Sub-queries are strict: only the coordinator moves a read to another
+/// copy, so no node service reroutes, fails over or trips a disk breaker.
+void ExpectNodesNeverMovedARead(obs::MetricsRegistry& reg) {
+  for (const char* name :
+       {"rerouted_buckets", "failover_reads", "breaker.opened"}) {
+    EXPECT_EQ(
+        reg.GetCounter(std::string("cluster.node_serve.") + name)->value(),
+        0u)
+        << name;
+  }
+}
+
 TEST(MigrationTortureTest, HealthyCutoverServesEveryConcurrentQuery) {
   MemEnv env;
   const Catalog catalog = CommitMirrorCatalog(&env);
@@ -423,6 +435,7 @@ TEST(ClusterChaosTest, SoakNeverServesSilentWrongData) {
   obs::MetricsRegistry reg;
   cluster->SnapshotMetrics(&reg);
   EXPECT_EQ(reg.GetCounter("cluster.verify_mismatches")->value(), 0u);
+  ExpectNodesNeverMovedARead(reg);
 }
 
 TEST(ClusterChaosTest, RepairSoakHealsUnderLiveTraffic) {
@@ -520,6 +533,7 @@ TEST(ClusterChaosTest, RepairSoakHealsUnderLiveTraffic) {
   EXPECT_EQ(reg.GetCounter("cluster.repairs_committed")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("cluster.verify_mismatches")->value(), 0u);
   EXPECT_GE(reg.GetCounter("cluster.revive_catchups")->value(), 1u);
+  ExpectNodesNeverMovedARead(reg);
 }
 
 }  // namespace

@@ -109,9 +109,6 @@ TEST(ClusterTest, CreateValidatesOptionsAndSeedEnv) {
   bad.quorum_fraction = 1.0;
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
   bad = Deterministic();
-  bad.hedge_factor = 0.0;
-  EXPECT_FALSE(Cluster::Create(env, bad).ok());
-  bad = Deterministic();
   bad.node.generation = 2;
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
   bad = Deterministic();

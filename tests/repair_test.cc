@@ -1,6 +1,7 @@
 #include "griddecl/cluster/repair.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -559,6 +560,147 @@ TEST(RepairTest, AddNodeNeedsAFreeSlot) {
 }
 
 // ---------------------------------------------------------------------------
+// Failover follows the placement
+// ---------------------------------------------------------------------------
+
+/// A node that owns two disks whose copy-1 holders differ, per the
+/// cluster's routing placement: the route no single replica node can
+/// take over whole.
+struct SplitRoute {
+  uint32_t node = 0;
+  uint32_t d_a = 0;  ///< The route's first disk; copy 1 on h_a.
+  uint32_t d_b = 0;  ///< Copy 1 on h_b != h_a.
+  uint32_t h_a = 0;
+  uint32_t h_b = 0;
+};
+
+std::optional<SplitRoute> FindSplitRoute(const Cluster& cluster) {
+  const PlacementMap map =
+      PlacementMap::Build(cluster.placement_spec(), cluster.num_disks(), 2)
+          .value();
+  for (uint32_t a = 0; a < cluster.num_disks(); ++a) {
+    for (uint32_t b = a + 1; b < cluster.num_disks(); ++b) {
+      if (map.NodeOf(a, 0) == map.NodeOf(b, 0) &&
+          map.NodeOf(a, 1) != map.NodeOf(b, 1)) {
+        return SplitRoute{map.NodeOf(a, 0), a, b, map.NodeOf(a, 1),
+                          map.NodeOf(b, 1)};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// Flips one byte in every page of `file` in `target` that holds a bucket
+/// of `disk`, locating the pages in the intact catalog `seed` (copy files
+/// share the data file's layout).
+void CorruptDiskPages(const MemEnv& seed, uint32_t disk,
+                      const std::string& file, MemEnv* target) {
+  const std::string data = ReadCurrentManifest(seed).value().DataFileName(0);
+  std::string bytes = target->ReadFile(file).value();
+  const std::vector<FaultRange> pages =
+      serve::DiskFaultSchedule(seed, "dm", disk).value();
+  for (const FaultRange& range : pages) {
+    if (range.file != data) continue;
+    bytes[range.offset + range.length / 2] ^= 0x5a;
+  }
+  ASSERT_TRUE(target->WriteFile(file, bytes).ok());
+}
+
+TEST(RepairTest, FailoverReadsOnlyTheCopiesThePlacementAssigns) {
+  // Node n's copy-0 pages of d_a and d_b are corrupt and h_b, the holder
+  // of d_b's only other copy, is dead. d_a is served by h_a's copy 1;
+  // d_b's buckets are unavailable — neither node n's own mirror file nor
+  // h_a may stand in for a copy the placement puts on h_b.
+  for (const bool corrupt_local_mirror : {false, true}) {
+    SCOPED_TRACE(corrupt_local_mirror ? "both local copies corrupt"
+                                      : "copy 0 corrupt");
+    MemEnv env;
+    const Catalog catalog = CommitWideCatalog(&env);
+    ClusterOptions options = HealingOptions();
+    options.node.pool_pages = 0;
+    auto cluster = Cluster::Create(env, options).value();
+    const std::optional<SplitRoute> split = FindSplitRoute(*cluster);
+    ASSERT_TRUE(split.has_value());
+    ASSERT_TRUE(cluster->KillNode(split->h_b).ok());
+    MemEnv* node_env = cluster->node_env_for_test(split->node);
+    const CatalogManifest m = ReadCurrentManifest(*node_env).value();
+    for (const uint32_t d : {split->d_a, split->d_b}) {
+      CorruptDiskPages(env, d, m.DataFileName(0), node_env);
+      if (corrupt_local_mirror) {
+        CorruptDiskPages(env, d, m.MirrorFileName(0, 1), node_env);
+      }
+    }
+
+    const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+    const DeclusteredFile& df = *catalog.Find("dm");
+    std::vector<RecordId> want;
+    for (RecordId id : Direct(catalog, full)) {
+      if (df.method().DiskOf(df.file().BucketOfRecord(id)) != split->d_b) {
+        want.push_back(id);
+      }
+    }
+    uint64_t d_b_buckets = 0;
+    const GridSpec& grid = df.file().grid();
+    for (uint64_t b = 0; b < grid.num_buckets(); ++b) {
+      if (df.method().DiskOf(grid.Delinearize(b)) == split->d_b) {
+        ++d_b_buckets;
+      }
+    }
+
+    const ClusterQueryResult r = cluster->Execute(full);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_FALSE(r.complete);
+    EXPECT_EQ(r.unavailable_buckets, d_b_buckets);
+    EXPECT_EQ(r.matches, want);
+    EXPECT_EQ(std::count(r.winners.begin(), r.winners.end(), 'u'), 1)
+        << r.winners;
+  }
+}
+
+TEST(RepairTest, NoHedgeWithoutOneHolderOfEveryDisk) {
+  // Node n is slow, but no single node holds another copy of both its
+  // disks: a hedge would have to read a copy the placement puts
+  // elsewhere, so none fires and the primary serves.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  ClusterOptions options = HealingOptions();
+  options.hedging = true;
+  options.hedge_policy = HedgePolicy::kFirstSuccess;
+  options.hedge_delay_ms = 0.5;
+  std::optional<SplitRoute> split;
+  {
+    auto probe = Cluster::Create(env, options).value();
+    split = FindSplitRoute(*probe);
+  }
+  ASSERT_TRUE(split.has_value());
+  options.node_latency_ms.assign(4, 0.0);
+  options.node_latency_ms[split->node] = 20.0;
+  auto cluster = Cluster::Create(env, options).value();
+
+  // Two vertically adjacent buckets, one on each of the route's disks.
+  const DeclusteredFile& df = *catalog.Find("dm");
+  const GridSpec& grid = df.file().grid();
+  std::optional<serve::QueryRequest> pair;
+  for (uint64_t b = 0; b < grid.num_buckets() && !pair; ++b) {
+    const BucketCoords c = grid.Delinearize(b);
+    if (c[1] + 1 >= 8 || df.method().DiskOf(c) != split->d_a) continue;
+    BucketCoords above = c;
+    above[1] += 1;
+    if (df.method().DiskOf(above) != split->d_b) continue;
+    pair = Range({(c[0] + 0.01) / 8.0, (c[1] + 0.01) / 8.0},
+                 {(c[0] + 0.99) / 8.0, (c[1] + 1.99) / 8.0});
+  }
+  ASSERT_TRUE(pair.has_value());
+
+  const ClusterQueryResult r = cluster->Execute(*pair);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.matches, Direct(catalog, *pair));
+  EXPECT_EQ(r.hedges_fired, 0u);
+  EXPECT_EQ(r.winners, "p");
+}
+
+// ---------------------------------------------------------------------------
 // Budgets
 // ---------------------------------------------------------------------------
 
@@ -581,10 +723,9 @@ TEST(RepairTest, RetryBudgetCapsPerQueryFailovers) {
     ClusterOptions o = HealingOptions();
     o.retry_budget_per_query = budget;
     o.fault_seed = fault_seed;
-    // A sub-query fails only when every local mirror copy of some page is
-    // faulted (the service does inline copy-failover at read time), so the
-    // per-page kill probability is prob^2 — hence the high prob.
-    o.node_transient_prob = 0.2;
+    // A sub-query reads only the copy it names, so it fails when any of
+    // its pages is faulted: the per-page kill probability is prob.
+    o.node_transient_prob = 0.04;
     o.node_max_transient_attempts = 1000000;  // Per-page faults stick.
     o.node.read.retry.max_attempts = 1;       // Services do not retry.
     auto cluster = Cluster::Create(env, o);
@@ -624,6 +765,10 @@ TEST(RepairTest, HedgeBudgetDeniesExtrasWhenExhausted) {
   options.hedge_delay_ms = 0.1;
   options.hedge_budget_fraction = 1e-9;  // Effectively zero headroom.
   options.node_latency_ms = {0.0, 0.0, 0.0, 30.0};
+  // A hedge needs one node holding another copy of every disk of the
+  // route: node 3's disks 6 and 7 keep copy 1 together on node 1.
+  options.placement->table = {{0, 0, 1, 1, 2, 2, 3, 3},
+                              {2, 2, 3, 3, 0, 0, 1, 1}};
   auto cluster = Cluster::Create(env, options).value();
 
   const ClusterQueryResult r =

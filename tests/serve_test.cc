@@ -13,6 +13,7 @@
 #include "griddecl/common/random.h"
 #include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/declustered_file.h"
+#include "griddecl/methods/registry.h"
 #include "griddecl/serve/script.h"
 
 namespace griddecl {
@@ -715,7 +716,7 @@ TEST_P(QueryServiceLayoutTest, FullSubAndPinnedQueriesMatchRangeSearch) {
 
 TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
   // Every data-file (copy 0) read fails until virtual time 1; copy 1 stays
-  // healthy. A disk-filtered query trips only disk 2's breaker.
+  // healthy.
   FaultyEnvOptions fault;
   fault.permanent.push_back({data_file_, 0, data_bytes_, 0.0, 1.0});
   auto faulty = FaultyEnv::Create(&env_, fault).value();
@@ -725,12 +726,31 @@ TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
   options.breaker.open_ms = 1e18;  // Once open, stays open.
   auto service = QueryService::Create(faulty.get(), options).value();
 
+  // A disk-filtered sub-query is strict: it reads only copy 0, fails, and
+  // feeds no breaker.
   const QueryRequest full = Range({0.05, 0.1}, {0.95, 0.8});
   const std::vector<RecordId> want = Truth(full);
   QueryRequest sub = full;
   sub.disks = {2};
-  const QueryResult before = service->Execute(sub);
+  EXPECT_EQ(service->Execute(sub).status.code(), StatusCode::kUnavailable);
+  for (uint32_t d = 0; d < 4; ++d) {
+    EXPECT_EQ(service->BreakerStateOf(d), BreakerState::kClosed);
+  }
+
+  // A whole query inside one of disk 2's buckets fails over to copy 1
+  // inline and trips only disk 2's breaker.
+  const GridSpec& grid = truth_->grid();
+  const auto method =
+      CreateMethod(std::get<1>(GetParam()), grid, 4).value();
+  uint64_t b = 0;
+  while (method->DiskOf(grid.Delinearize(b)) != 2) ++b;
+  const BucketCoords on_disk_2 = grid.Delinearize(b);
+  const QueryRequest one =
+      Range({(on_disk_2[0] + 0.01) / 8.0, (on_disk_2[1] + 0.01) / 8.0},
+            {(on_disk_2[0] + 0.99) / 8.0, (on_disk_2[1] + 0.99) / 8.0});
+  const QueryResult before = service->Execute(one);
   ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+  EXPECT_EQ(before.matches, Truth(one));
   EXPECT_GT(before.failover_reads, 0u);
   ASSERT_EQ(service->BreakerStateOf(2), BreakerState::kOpen);
   for (uint32_t d : {0u, 1u, 3u}) {
@@ -746,7 +766,7 @@ TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
   EXPECT_GT(r.rerouted_buckets, 0u);
   EXPECT_EQ(r.failover_reads, 0u);
 
-  const QueryResult after = service->Execute(sub);
+  const QueryResult after = service->Execute(one);
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
   EXPECT_EQ(after.matches, before.matches);
   EXPECT_GT(after.rerouted_buckets, 0u);
