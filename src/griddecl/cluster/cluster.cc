@@ -6,18 +6,11 @@
 #include <future>
 #include <utility>
 
+#include "griddecl/common/hash.h"
+
 namespace griddecl::cluster {
 
 namespace {
-
-/// SplitMix64 finalizer — the repo's standard deterministic hash (same
-/// construction backoff jitter and fault schedules use).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from a hash of (seed, a, b).
 double HashUnit(uint64_t seed, uint64_t a, uint64_t b) {
@@ -64,13 +57,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
       options.hedge_budget_fraction < 0.0) {
     return Status::InvalidArgument("budget options out of domain");
   }
-  for (const NodeFaultWindow& w : options.node_windows) {
-    if (w.node >= options.num_nodes) {
-      return Status::InvalidArgument("node fault window names node " +
-                                     std::to_string(w.node) + " of " +
-                                     std::to_string(options.num_nodes));
-    }
-  }
 
   auto manifest = ReadCurrentManifest(seed);
   if (!manifest.ok()) return manifest.status();
@@ -101,37 +87,15 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
         std::to_string(spec.topology.num_nodes()) + " nodes, cluster has " +
         std::to_string(options.num_nodes));
   }
-  for (const ZoneFaultWindow& w : options.zone_windows) {
-    if (w.zone >= spec.topology.num_zones()) {
-      return Status::InvalidArgument(
-          "zone fault window names zone " + std::to_string(w.zone) + " of " +
-          std::to_string(spec.topology.num_zones()));
-    }
-  }
 
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = std::move(options);
   const ClusterOptions& opts = cluster->options_;
   cluster->start_ = std::chrono::steady_clock::now();
 
-  // One effective window list — node windows plus zone windows expanded
-  // to their member nodes — shared by NodeAliveAt (routing) and the
-  // FaultyEnv wildcard ranges (reads), so a zone kill is both routed
-  // around and enforced at the storage layer.
-  cluster->effective_windows_ = opts.node_windows;
-  for (const ZoneFaultWindow& w : opts.zone_windows) {
-    for (uint32_t n = 0; n < opts.num_nodes; ++n) {
-      if (spec.topology.zone_of(n) == w.zone) {
-        cluster->effective_windows_.push_back(
-            NodeFaultWindow{n, w.from_ms, w.until_ms});
-      }
-    }
-  }
   // Preallocate every slot up to max_nodes so AddNode never reallocates
   // state concurrent Execute calls index into.
   const uint32_t max_nodes = std::max(opts.max_nodes, opts.num_nodes);
-  cluster->node_inflight_ =
-      std::make_unique<std::atomic<int64_t>[]>(max_nodes);
   cluster->heartbeat_ =
       std::make_unique<HeartbeatDetector>(opts.heartbeat, max_nodes);
 
@@ -281,21 +245,8 @@ BreakerState Cluster::NodeBreakerState(uint32_t node) const {
 }
 
 bool Cluster::NodeAlive(uint32_t node) const {
-  return NodeAliveAt(node, virtual_now_ms_.load());
-}
-
-bool Cluster::NodeAliveAt(uint32_t node, double virtual_now) const {
-  if (node >= num_nodes()) return false;
-  if (nodes_[node]->killed.load() || nodes_[node]->removed.load()) {
-    return false;
-  }
-  for (const NodeFaultWindow& w : effective_windows_) {
-    if (w.node == node && virtual_now >= w.from_ms &&
-        virtual_now < w.until_ms) {
-      return false;
-    }
-  }
-  return true;
+  return node < num_nodes() && !nodes_[node]->killed.load() &&
+         !nodes_[node]->removed.load();
 }
 
 Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
@@ -308,15 +259,9 @@ Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
     fo.max_transient_attempts = options_.node_max_transient_attempts;
     fo.latency_ms =
         n < options_.node_latency_ms.size() ? options_.node_latency_ms[n] : 0.0;
-    for (const NodeFaultWindow& w : effective_windows_) {
-      if (w.node != n) continue;
-      fo.permanent.push_back(FaultRange{
-          "", 0, std::numeric_limits<uint64_t>::max(), w.from_ms, w.until_ms});
-    }
     auto faulty = FaultyEnv::Create(&nd.env, std::move(fo));
     if (!faulty.ok()) return faulty.status();
     nd.faulty = std::move(faulty).value();
-    nd.faulty->SetNowMs(virtual_now_ms_.load());
   }
   serve::ServeOptions so = options_.node;
   so.seed += n;
@@ -383,17 +328,13 @@ double Cluster::SteadyNowMs() const {
 
 void Cluster::AdvanceTimeMs(double now_ms) {
   virtual_now_ms_.store(now_ms);
-  const uint32_t active = num_nodes();
-  for (uint32_t n = 0; n < active; ++n) {
-    nodes_[n]->faulty->SetNowMs(now_ms);
-  }
   // Drive the failure detector over every heartbeat tick in the advanced
-  // span. The probe answers iff the node was reachable at that virtual
-  // instant — a pure function of the kill/window schedule, so detector
-  // verdicts are deterministic and replayable.
+  // span. The probe answers iff the node is alive now — a pure function of
+  // the kill, revive and AdvanceTimeMs calls, so detector verdicts are
+  // deterministic and replayable.
   std::lock_guard<std::mutex> lock(hb_mu_);
-  heartbeat_->AdvanceTo(
-      now_ms, [this](uint32_t n, double t) { return NodeAliveAt(n, t); });
+  heartbeat_->AdvanceTo(now_ms,
+                        [this](uint32_t n, double) { return NodeAlive(n); });
 }
 
 std::vector<uint32_t> Cluster::DeadNodesForRepair() const {
@@ -688,7 +629,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
                                            bool allow_hedge) {
   ClusterQueryResult result;
   result.generation = epoch.generation;
-  const double vnow = virtual_now_ms_.load();
 
   // Quorum gate: with a majority (per quorum_fraction) of nodes down, a
   // "partial" result would be mostly holes — refuse loudly instead.
@@ -698,7 +638,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   const uint32_t members = active - std::min(active, removed_count_.load());
   uint32_t alive = 0;
   for (uint32_t n = 0; n < active; ++n) {
-    if (NodeAliveAt(n, vnow)) ++alive;
+    if (NodeAlive(n)) ++alive;
   }
   const uint32_t needed =
       static_cast<uint32_t>(std::floor(members * options_.quorum_fraction)) +
@@ -743,7 +683,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   }
   std::vector<uint32_t> lost;
   const std::vector<Route> routes =
-      RouteDisks(epoch, rel.copies, touched, counts, vnow, {}, &lost);
+      RouteDisks(epoch, rel.copies, touched, counts, {}, &lost);
   for (uint32_t d : lost) {
     result.unavailable_buckets += counts[d];
     result.winners.push_back('u');
@@ -766,14 +706,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     if (f.ok()) ++result.sub_queries;
     return f;
   };
-  // In-flight load accounting: every submitted sub-query charges its
-  // bucket count to the serving node until its future is consumed (or the
-  // route finishes, for hedges dropped unread) — the signal the planner's
-  // least-loaded replica choice balances on.
-  const auto charge = [this](const Route& sub, int64_t sign) {
-    node_inflight_[sub.node].fetch_add(sign *
-                                       static_cast<int64_t>(sub.buckets));
-  };
 
   // Scatter everything up front so nodes work in parallel; routes whose
   // breaker admission or submit fails (no valid future) fall to the
@@ -784,7 +716,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     if (submitted.ok()) {
       primaries[i] = std::move(submitted).value();
       primary_subs_.fetch_add(1);
-      charge(routes[i], 1);
     }
     if (routes[i].copy != 0) ++result.rerouted_subqueries;
   }
@@ -805,7 +736,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     std::vector<Route> first;
     std::vector<uint32_t> unplaced;
     if (submitted && allow_hedge && route.copy == 0) {
-      first = Fallback(epoch, rel.copies, route, counts, vnow, &unplaced);
+      first = Fallback(epoch, rel.copies, route, counts, &unplaced);
     }
     const Route* alt =
         first.size() == 1 && unplaced.empty() ? &first.front() : nullptr;
@@ -847,7 +778,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
             hedge = std::move(h).value();
             hedge_fired = true;
             ++result.hedges_fired;
-            charge(*alt, 1);
           }
         }
       }
@@ -885,11 +815,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       } else if (hedge_fired) {
         settle_hedge();
       }
-      // The route's in-flight charges are settled here whether its
-      // futures were consumed or dropped (a cancelled hedge's work is
-      // nearly done by the time its future is discarded).
-      charge(route, -1);
-      if (hedge_fired) charge(*alt, -1);
     }
     if (winner != 0) {
       result.winners.push_back(winner);
@@ -908,7 +833,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     const auto expand = [&](const Route& failed) {
       std::vector<uint32_t> lost_disks;
       for (Route& sub :
-           Fallback(epoch, rel.copies, failed, counts, vnow, &lost_disks)) {
+           Fallback(epoch, rel.copies, failed, counts, &lost_disks)) {
         attempts.push_back(std::move(sub));
       }
       for (uint32_t d : lost_disks) unserved += counts[d];
@@ -925,14 +850,9 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       }
       ++retries_used;
       auto f = submit(sub);
-      if (f.ok()) {
-        charge(sub, 1);
-        const bool served = settle(sub.node, f.value().get());
-        charge(sub, -1);
-        if (served) {
-          ++result.rerouted_subqueries;
-          continue;
-        }
+      if (f.ok() && settle(sub.node, f.value().get())) {
+        ++result.rerouted_subqueries;
+        continue;
       }
       deeper = true;
       expand(sub);
@@ -963,37 +883,29 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   return result;
 }
 
-bool Cluster::NodeUsable(uint32_t node, double vnow,
+bool Cluster::NodeUsable(uint32_t node,
                          const std::vector<uint32_t>& tried) const {
   return std::find(tried.begin(), tried.end(), node) == tried.end() &&
-         NodeAliveAt(node, vnow) && !NodeWouldRefuse(node);
+         NodeAlive(node) && !NodeWouldRefuse(node);
 }
 
 std::vector<Cluster::Route> Cluster::RouteDisks(
     const Epoch& epoch, uint32_t copies, const std::vector<uint32_t>& disks,
-    const std::vector<uint64_t>& counts, double vnow,
-    const std::vector<uint32_t>& tried, std::vector<uint32_t>* lost) const {
+    const std::vector<uint64_t>& counts, const std::vector<uint32_t>& tried,
+    std::vector<uint32_t>* lost) const {
   std::map<std::pair<uint32_t, uint32_t>, Route> routes;
   for (uint32_t d : disks) {
-    const uint32_t owner = epoch.placement.NodeOf(d, 0);
-    // The chosen copy; `copies` while none is.
-    uint32_t best = NodeUsable(owner, vnow, tried) ? 0 : copies;
-    int64_t best_load = 0;
-    for (uint32_t c = 1; best != 0 && c < copies; ++c) {
-      const uint32_t rn = epoch.placement.NodeOf(d, c);
-      if (rn == owner || !NodeUsable(rn, vnow, tried)) continue;
-      const int64_t load = node_inflight_[rn].load();
-      if (best == copies || load < best_load) {
-        best = c;
-        best_load = load;
-      }
+    uint32_t copy = 0;
+    while (copy < copies &&
+           !NodeUsable(epoch.placement.NodeOf(d, copy), tried)) {
+      ++copy;
     }
-    if (best == copies) {
+    if (copy == copies) {
       lost->push_back(d);
       continue;
     }
-    const uint32_t node = epoch.placement.NodeOf(d, best);
-    Route& r = routes.try_emplace({node, best}, Route{node, best, {}, 0, tried})
+    const uint32_t node = epoch.placement.NodeOf(d, copy);
+    Route& r = routes.try_emplace({node, copy}, Route{node, copy, {}, 0, tried})
                    .first->second;
     r.disks.push_back(d);
     r.buckets += counts[d];
@@ -1006,8 +918,7 @@ std::vector<Cluster::Route> Cluster::RouteDisks(
 
 std::vector<Cluster::Route> Cluster::Fallback(
     const Epoch& epoch, uint32_t copies, const Route& failed,
-    const std::vector<uint64_t>& counts, double vnow,
-    std::vector<uint32_t>* lost) const {
+    const std::vector<uint64_t>& counts, std::vector<uint32_t>* lost) const {
   std::vector<uint32_t> tried = failed.tried;
   tried.push_back(failed.node);
   for (uint32_t c = 0; c < copies; ++c) {
@@ -1015,11 +926,11 @@ std::vector<Cluster::Route> Cluster::Fallback(
     const bool one_holder = std::all_of(
         failed.disks.begin(), failed.disks.end(),
         [&](uint32_t d) { return epoch.placement.NodeOf(d, c) == node; });
-    if (one_holder && NodeUsable(node, vnow, tried)) {
+    if (one_holder && NodeUsable(node, tried)) {
       return {Route{node, c, failed.disks, failed.buckets, std::move(tried)}};
     }
   }
-  return RouteDisks(epoch, copies, failed.disks, counts, vnow, tried, lost);
+  return RouteDisks(epoch, copies, failed.disks, counts, tried, lost);
 }
 
 void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {

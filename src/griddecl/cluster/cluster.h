@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,15 +23,16 @@
 #include "griddecl/obs/metrics.h"
 #include "griddecl/serve/circuit_breaker.h"
 #include "griddecl/serve/service.h"
-#include "griddecl/sim/faults.h"
 
 /// \file
 /// Multi-node scatter-gather over the single-node query service.
 ///
 /// A `Cluster` simulates N nodes. Each node holds a private `MemEnv`
-/// materialization of the committed catalog, a `FaultyEnv` that can crash
-/// the whole node on a seeded schedule (`NodeFaultWindow` -> wildcard
-/// fault ranges, sim/faults.h), and a `serve::QueryService` over that env.
+/// materialization of the committed catalog, a `FaultyEnv` that injects the
+/// node's read latency and seeded transient faults, and a
+/// `serve::QueryService` over that env. Nodes die and come back only
+/// through `KillNode` / `KillZone` / `ReviveNode` / `ReviveZone` (and leave
+/// for good through `RemoveNode`).
 ///
 /// **Placement has one source of truth: the routing epoch's
 /// `PlacementMap`** (cluster/placement.h). It says which node holds each
@@ -60,18 +60,17 @@
 ///    breaker, no inline mirror failover). Only the coordinator moves a
 ///    read to another copy, and always to that copy's holder.
 ///  * **Quorum-aware degraded routing.** A disk whose owner is dead or
-///    breaker-refused is planned onto a replica-holding node, per the
-///    epoch's `PlacementMap` (cluster/placement.h: chained `(d+c) mod M`,
-///    spread, zone_aware, or a repaired table). Among the alive replica
-///    holders the coordinator picks the *least-loaded* one (fewest
-///    in-flight bucket reads, ties to the lowest copy index — which
-///    degenerates to the deterministic first-alive choice at copies=2 or
-///    single-threaded). Buckets with no live route are reported, not
-///    served: the query returns a partial result with an explicit
-///    `availability` fraction instead of failing. Below quorum (alive
-///    nodes <= quorum_fraction * N) the cluster refuses outright with
-///    kUnavailable. Whole failure domains die together via
-///    `ZoneFaultWindow` schedules or imperative `KillZone`.
+///    breaker-refused is planned onto the *lowest usable copy*: the lowest
+///    copy index whose holder, per the epoch's `PlacementMap`
+///    (cluster/placement.h: chained `(d+c) mod M`, spread, zone_aware, or a
+///    repaired table), is alive and not breaker-refused. Which node serves
+///    each read is therefore a function of the placement, the killed and
+///    removed set and the node breakers alone — never of load or timing.
+///    Buckets with no live route are reported, not served: the query
+///    returns a partial result with an explicit `availability` fraction
+///    instead of failing. Below quorum (alive nodes <= quorum_fraction * N)
+///    the cluster refuses outright with kUnavailable. Whole failure domains
+///    die together via `KillZone`.
 ///  * **One fallback rule.** A route's fallback, once the nodes already
 ///    tried for it have failed, is one sub-query to the lowest copy whose
 ///    holder is the same usable (alive, not refused, not yet tried) node
@@ -113,10 +112,12 @@
 ///
 /// With seeded FaultyEnvs, `hedge_policy = kPrimaryPreferred`, node
 /// breakers pinned open once tripped, per-node services that neither shed
-/// nor time out, and a fixed kill/window schedule, each
-/// query's outcome — status, completeness, matches, unavailable-bucket
-/// count, and per-route winner selection — is a pure function of the
-/// schedule, independent of how many coordinator threads call Execute.
+/// nor time out, and a fixed kill schedule, each query's outcome — status,
+/// completeness, matches, unavailable-bucket count, and per-route winner
+/// selection — is a pure function of the schedule, independent of how many
+/// coordinator threads call Execute. The plan itself never reads load or
+/// the clock: it is a pure function of the placement, the dead set and the
+/// node breakers.
 /// Latencies, hedge firing counts and pool hits may vary; the property
 /// test asserts outcomes and winners only. Under `kFirstSuccess`, winner
 /// selection becomes timing-dependent (that is its purpose) but matches
@@ -182,13 +183,6 @@ struct ClusterOptions {
   /// topology's node count must equal num_nodes.
   std::optional<PlacementSpec> placement;
 
-  /// Whole-node crash windows, evaluated against the virtual clock
-  /// (`AdvanceTimeMs`). A node inside a window is routed around AND its
-  /// env fails every read (wildcard FaultRange).
-  std::vector<NodeFaultWindow> node_windows;
-  /// Whole-zone crash windows: expanded against the placement topology
-  /// into one NodeFaultWindow per member node at Create.
-  std::vector<ZoneFaultWindow> zone_windows;
   /// Per-node injected read latency in ms (index = node id, missing = 0).
   /// The knob the slow-node hedging benchmark turns.
   std::vector<double> node_latency_ms;
@@ -331,8 +325,7 @@ class Cluster {
   /// Scatter-gather one query; see file comment for the routing rules.
   ClusterQueryResult Execute(const serve::QueryRequest& request);
 
-  /// Imperative node death: the node is routed around from now on.
-  /// (Schedule-driven deaths use ClusterOptions::node_windows instead.)
+  /// Node death: the node is routed around from now on.
   Status KillNode(uint32_t node);
   /// Revives a killed node behind a catch-up fence: when the cluster
   /// committed a newer generation while the node was down (a repair stages
@@ -342,12 +335,12 @@ class Cluster {
   /// than readmitting a stale route.
   Status ReviveNode(uint32_t node);
   /// Kills / revives every node in the placement topology's zone `zone`
-  /// at once — the imperative form of a ZoneFaultWindow.
+  /// at once — a power or network domain failing as a unit.
   Status KillZone(uint32_t zone);
   Status ReviveZone(uint32_t zone);
 
-  /// Advances the virtual clock all node fault windows are evaluated
-  /// against (monotonically, by convention).
+  /// Advances the virtual clock the heartbeat detector runs on
+  /// (monotonically, by convention).
   void AdvanceTimeMs(double now_ms);
   double VirtualNowMs() const { return virtual_now_ms_.load(); }
 
@@ -408,6 +401,7 @@ class Cluster {
   bool migrating() const { return migrating_.load(); }
 
   BreakerState NodeBreakerState(uint32_t node) const;
+  /// In range, not killed and not removed.
   bool NodeAlive(uint32_t node) const;
 
   /// The spec of the current routing epoch's PlacementMap — what the
@@ -421,12 +415,6 @@ class Cluster {
   const std::vector<std::string>& PlacementWarnings() const {
     return placement_warnings_;
   }
-  /// In-flight bucket-read weight currently charged to `node` (the load
-  /// signal degraded routing balances on). Test/observability hook.
-  int64_t NodeInflight(uint32_t node) const {
-    return node < num_nodes() ? node_inflight_[node].load() : 0;
-  }
-
   /// Test hook: the raw (fault-free) storage env backing `node`, or
   /// nullptr when out of range. Chaos tests corrupt staged files through
   /// it to drive the migration verify/abort paths deterministically.
@@ -520,20 +508,17 @@ class Cluster {
   ClusterQueryResult ExecuteOnEpoch(const Epoch& epoch,
                                     const serve::QueryRequest& request,
                                     bool allow_hedge);
-  /// Whether `node` can take a sub-query: not in `tried`, alive at
-  /// virtual time `vnow` and not breaker-refused.
-  bool NodeUsable(uint32_t node, double vnow,
-                  const std::vector<uint32_t>& tried) const;
+  /// Whether `node` can take a sub-query: not in `tried`, alive and not
+  /// breaker-refused.
+  bool NodeUsable(uint32_t node, const std::vector<uint32_t>& tried) const;
   /// The per-disk routing rule the plan and every fallback share: disk d
-  /// is served from copy 0 by its owner when the owner is usable, else by
-  /// the least-loaded usable holder of another copy (ties to the lowest
-  /// copy). Groups `disks` into one route per (node, copy), in (node,
-  /// copy) order, with bucket counts from `counts`; appends the disks no
-  /// usable holder is left for to `lost`.
+  /// is served by the lowest copy whose holder is usable — copy 0, its
+  /// owner, whenever the owner is. Groups `disks` into one route per
+  /// (node, copy), in (node, copy) order, with bucket counts from
+  /// `counts`; appends the disks no usable holder is left for to `lost`.
   std::vector<Route> RouteDisks(const Epoch& epoch, uint32_t copies,
                                 const std::vector<uint32_t>& disks,
                                 const std::vector<uint64_t>& counts,
-                                double vnow,
                                 const std::vector<uint32_t>& tried,
                                 std::vector<uint32_t>* lost) const;
   /// The fallback of a sub-query that `failed`, which rules out its node
@@ -543,7 +528,6 @@ class Cluster {
   std::vector<Route> Fallback(const Epoch& epoch, uint32_t copies,
                               const Route& failed,
                               const std::vector<uint64_t>& counts,
-                              double vnow,
                               std::vector<uint32_t>* lost) const;
 
   /// The single-flight slot Migrate and Repair share: claims it (or
@@ -556,7 +540,6 @@ class Cluster {
       const std::function<Status(const Epoch& current, TransitionDelta* delta)>&
           plan);
 
-  bool NodeAliveAt(uint32_t node, double virtual_now) const;
   /// Applies `fn` to every node of `zone` in the current epoch's topology,
   /// stopping at the first error; kInvalidArgument for an unknown zone.
   Status ForEachNodeInZone(uint32_t zone,
@@ -570,8 +553,8 @@ class Cluster {
   double NodeDeadSinceMs(uint32_t node) const;
   /// Node `n`'s query service over its FaultyEnv, pinned to `generation`
   /// (0 = the env's CURRENT). Builds the FaultyEnv first when the node has
-  /// none (Create, AddNode): fault seed `fault_seed + n`, node n's injected
-  /// latency and crash windows. The service runs `options_.node` with
+  /// none (Create, AddNode): fault seed `fault_seed + n` and node n's
+  /// injected latency. The service runs `options_.node` with
   /// `seed + n`, decorrelating retry jitter across nodes.
   Result<std::shared_ptr<serve::QueryService>> NodeService(
       uint32_t n, uint64_t generation = 0);
@@ -591,9 +574,6 @@ class Cluster {
 
   ClusterOptions options_;
   std::vector<std::string> placement_warnings_;
-  /// node_windows plus every zone window expanded to its member nodes —
-  /// the one list NodeAliveAt and the FaultyEnv wildcard ranges share.
-  std::vector<NodeFaultWindow> effective_windows_;
   /// Preallocated to max_nodes so AddNode never reallocates; slots in
   /// [active_nodes_, max) are default-constructed and untouched until
   /// activated. All loops bound by num_nodes() == active_nodes_.
@@ -603,9 +583,6 @@ class Cluster {
   std::atomic<uint32_t> active_nodes_{0};
   /// RemoveNode count — shrinks the quorum denominator.
   std::atomic<uint32_t> removed_count_{0};
-  /// Per-node in-flight bucket-read weight (degraded routing's load
-  /// signal). unique_ptr array: atomics are not movable.
-  std::unique_ptr<std::atomic<int64_t>[]> node_inflight_;
   std::chrono::steady_clock::time_point start_;
   std::atomic<double> virtual_now_ms_{0.0};
 

@@ -13,10 +13,11 @@
 /// Virtual-clock heartbeat failure detector.
 ///
 /// Every node is expected to answer a heartbeat probe once per
-/// `interval_ms` of *virtual* time (the same clock `NodeFaultWindow`s are
-/// evaluated against, so detector behaviour is a pure function of the
-/// fault schedule — deterministic and replayable). The detector walks the
-/// per-node state machine
+/// `interval_ms` of *virtual* time, which only `Cluster::AdvanceTimeMs`
+/// moves. A probe answers iff the node is alive (not killed, not removed)
+/// when the clock is advanced, so detector behaviour is a pure function of
+/// the kill, revive and `AdvanceTimeMs` calls — deterministic and
+/// replayable. The detector walks the per-node state machine
 ///
 ///     alive --(suspect_after missed beats)--> suspect
 ///     suspect --(dead_after missed beats)--> dead
@@ -25,9 +26,9 @@
 /// and records the virtual timestamp of each death. Declaring a node dead
 /// is deliberately *distinct* from the cluster's imperative `KillNode`
 /// (which only affects routing): repair planning keys off detector-dead
-/// nodes, so a transient fault window shorter than
-/// `dead_after * interval_ms` degrades routing but never triggers a
-/// spurious re-replication.
+/// nodes, so a node killed and revived within `dead_after * interval_ms`
+/// of virtual time degrades routing but never triggers a spurious
+/// re-replication.
 ///
 /// Removed (decommissioned) nodes are excluded from probing and reported
 /// as `kRemoved`; a revived node is reset to `kAlive` explicitly by the

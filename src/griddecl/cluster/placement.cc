@@ -4,19 +4,9 @@
 #include <set>
 #include <utility>
 
+#include "griddecl/common/hash.h"
+
 namespace griddecl::cluster {
-
-namespace {
-
-/// splitmix64 finalizer — the deterministic tie-breaker for zone_aware.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* PlacementPolicyName(PlacementPolicy policy) {
   switch (policy) {

@@ -8,21 +8,9 @@
 #include <utility>
 
 #include "griddecl/cluster/transition.h"
+#include "griddecl/common/hash.h"
 
 namespace griddecl::cluster {
-
-namespace {
-
-/// splitmix64 finalizer — the same deterministic tie-breaker zone_aware
-/// placement uses, so repair re-targets rank candidates identically.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Result<RepairPlan> PlanRepair(const RepairPlanInput& input) {
   GRIDDECL_RETURN_IF_ERROR(input.topology.Validate());

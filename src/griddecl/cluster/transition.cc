@@ -1,9 +1,9 @@
 #include "griddecl/cluster/transition.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
+
+#include "griddecl/common/backoff.h"
 
 namespace griddecl::cluster {
 
@@ -50,14 +50,7 @@ const char* StagedTransition::AbortTrigger() const {
 }
 
 const char* StagedTransition::SleepAbortable(double ms) const {
-  double remaining = ms;
-  while (remaining > 0.0) {
-    if (const char* trigger = AbortTrigger()) return trigger;
-    const double slice = std::min(remaining, 5.0);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(slice));
-    remaining -= slice;
-  }
+  SleepInterruptible(ms, [this] { return AbortTrigger() != nullptr; });
   return AbortTrigger();
 }
 

@@ -127,7 +127,8 @@ class StagedTransition {
   void Phase(const char* phase) const;
   /// First active abort trigger, or nullptr when none.
   const char* AbortTrigger() const;
-  /// Sleeps `ms` in 5 ms slices; returns the abort trigger that cut it.
+  /// Sleeps `ms`, cut short by an abort trigger; returns the active
+  /// trigger afterwards, or nullptr.
   const char* SleepAbortable(double ms) const;
   /// The clean-abort path: clears the staging epoch, drops the staged
   /// generation on every node (once staged), fills the report.

@@ -1,19 +1,17 @@
 #include "griddecl/common/backoff.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "griddecl/common/hash.h"
 
 namespace griddecl {
 
 namespace {
 
-/// SplitMix64 finalizer — the same mixing the fault model and crash env
-/// use, so every deterministic draw in the repo shares one audited hash.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+/// SleepInterruptible's slice: how late a stop is noticed.
+constexpr double kSleepSliceMs = 5.0;
 
 }  // namespace
 
@@ -67,6 +65,15 @@ double BackoffTotalDelayMs(const BackoffPolicy& policy, uint64_t seed,
     total += BackoffDelayMs(policy, seed, token, r);
   }
   return total;
+}
+
+void SleepInterruptible(double ms, const std::function<bool()>& stop) {
+  while (ms > 0.0 && !stop()) {
+    const double slice = std::min(ms, kSleepSliceMs);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(slice));
+    ms -= slice;
+  }
 }
 
 }  // namespace griddecl

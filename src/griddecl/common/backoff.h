@@ -2,6 +2,7 @@
 #define GRIDDECL_COMMON_BACKOFF_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "griddecl/common/status.h"
 
@@ -62,6 +63,12 @@ double BackoffDelayMs(const BackoffPolicy& policy, uint64_t seed,
 /// wait a request pays for `failed_attempts` consecutive failures.
 double BackoffTotalDelayMs(const BackoffPolicy& policy, uint64_t seed,
                            uint64_t token, uint32_t failed_attempts);
+
+/// Sleeps `ms` of wall time in 5 ms slices, checking `stop` before each
+/// slice and returning early once it reports true, so a stop is noticed
+/// within 5 ms. Callers re-check their own condition afterwards. Retry
+/// backoff and staged-copy pacing both wait through this one helper.
+void SleepInterruptible(double ms, const std::function<bool()>& stop);
 
 }  // namespace griddecl
 

@@ -5,23 +5,9 @@
 #include <thread>
 #include <utility>
 
+#include "griddecl/common/hash.h"
+
 namespace griddecl {
-
-namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashString(uint64_t h, const std::string& s) {
-  for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));
-  return h;
-}
-
-}  // namespace
 
 FaultyEnv::FaultyEnv(StorageEnv* target, FaultyEnvOptions opts)
     : target_(target), opts_(std::move(opts)) {}

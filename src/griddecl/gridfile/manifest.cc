@@ -714,24 +714,20 @@ Status VerifyManifestFiles(const StorageEnv& env,
 }
 
 Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
-                                        const CatalogManifest& manifest,
-                                        const ManifestLoadOptions& options) {
+                                        const CatalogManifest& manifest) {
   Catalog catalog(manifest.num_disks);
   for (size_t i = 0; i < manifest.relations.size(); ++i) {
     const ManifestRelation& rel = manifest.relations[i];
     const std::string file_name = manifest.DataFileName(i);
     Result<std::string> data = env.ReadFile(file_name);
     if (!data.ok()) return data.status();
-    if (options.verify_checksums &&
-        (data.value().size() != rel.data_size ||
-         Crc32c(data.value()) != rel.data_crc)) {
+    if (data.value().size() != rel.data_size ||
+        Crc32c(data.value()) != rel.data_crc) {
       return Status::InvalidArgument(
           "relation '" + rel.name +
           "' data file fails its manifest checksum (run fsck)");
     }
-    LoadOptions load;
-    load.policy.verify = options.verify_checksums;
-    Result<GridFile> file = ParseGridFile(data.value(), load);
+    Result<GridFile> file = ParseGridFile(data.value());
     if (!file.ok()) {
       return Status::InvalidArgument("relation '" + rel.name +
                                      "': " + file.status().message());
@@ -749,21 +745,17 @@ Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
   return catalog;
 }
 
-Result<Catalog> LoadCatalogManifest(const StorageEnv& env,
-                                    const ManifestLoadOptions& options) {
+Result<Catalog> LoadCatalogManifest(const StorageEnv& env) {
   Result<CatalogManifest> manifest = ReadCurrentManifest(env);
   if (!manifest.ok()) return manifest.status();
-  return LoadCatalogFromManifest(env, manifest.value(), options);
+  return LoadCatalogFromManifest(env, manifest.value());
 }
 
-Result<Catalog> LoadCatalogManifestConsistent(
-    const StorageEnv& env, const ManifestLoadOptions& options,
-    uint32_t max_retries) {
+Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env) {
   Result<CatalogManifest> manifest = ReadCurrentManifest(env);
   if (!manifest.ok()) return manifest.status();
   for (uint32_t attempt = 0;; ++attempt) {
-    Result<Catalog> catalog =
-        LoadCatalogFromManifest(env, manifest.value(), options);
+    Result<Catalog> catalog = LoadCatalogFromManifest(env, manifest.value());
     if (catalog.ok()) return catalog;
     // A load that resolved generation G can fail because a concurrent
     // commit advanced CURRENT and GC swept G's files mid-read (per-file
@@ -773,7 +765,7 @@ Result<Catalog> LoadCatalogManifestConsistent(
     Result<CatalogManifest> again = ReadCurrentManifest(env);
     if (!again.ok() ||
         again.value().generation == manifest.value().generation ||
-        attempt >= max_retries) {
+        attempt >= kConsistentLoadMaxRetries) {
       return catalog.status();
     }
     manifest = std::move(again);

@@ -169,12 +169,6 @@ struct ManifestSaveOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-struct ManifestLoadOptions {
-  /// Verify whole-file CRCs against the manifest and page CRCs while
-  /// parsing. Leave on; off only to time the checksum cost.
-  bool verify_checksums = true;
-};
-
 /// Saves `catalog` into `env` as a new generation and commits it
 /// atomically. Returns the committed generation number. On failure
 /// (including an injected crash) the previously committed generation is
@@ -233,15 +227,19 @@ Result<CatalogManifest> ReadManifest(const StorageEnv& env,
 /// the env holds no usable catalog.
 Result<CatalogManifest> ReadCurrentManifest(const StorageEnv& env);
 
-/// Rebuilds a catalog from an already-resolved manifest.
+/// Rebuilds a catalog from an already-resolved manifest, verifying each
+/// data file's whole-file CRC against the manifest and every page CRC
+/// while parsing.
 Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
-                                        const CatalogManifest& manifest,
-                                        const ManifestLoadOptions& options = {});
+                                        const CatalogManifest& manifest);
 
 /// `ReadCurrentManifest` + `LoadCatalogFromManifest`: the one-call
 /// recovery path.
-Result<Catalog> LoadCatalogManifest(const StorageEnv& env,
-                                    const ManifestLoadOptions& options = {});
+Result<Catalog> LoadCatalogManifest(const StorageEnv& env);
+
+/// How many times `LoadCatalogManifestConsistent` re-resolves a moved
+/// CURRENT before it gives up.
+inline constexpr uint32_t kConsistentLoadMaxRetries = 3;
 
 /// `LoadCatalogManifest` hardened against concurrent commits. A reader
 /// that resolves generation G can fail mid-load when a committer flips
@@ -249,11 +247,10 @@ Result<Catalog> LoadCatalogManifest(const StorageEnv& env,
 /// checksums guarantee such a race surfaces as an error, never as silently
 /// mixed generations. This wrapper re-resolves CURRENT after a failed
 /// load and, if the committed generation moved, retries at the new one (up
-/// to `max_retries` times) — so a load under concurrent commits either
-/// returns one consistent generation or the underlying error.
-Result<Catalog> LoadCatalogManifestConsistent(
-    const StorageEnv& env, const ManifestLoadOptions& options = {},
-    uint32_t max_retries = 3);
+/// to `kConsistentLoadMaxRetries` times) — so a load under concurrent
+/// commits either returns one consistent generation or the underlying
+/// error.
+Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env);
 
 /// Verifies that every file `manifest` references exists in `env` with the
 /// recorded size and whole-file CRC32C (mirrors included).

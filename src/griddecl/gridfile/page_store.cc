@@ -1,41 +1,12 @@
 #include "griddecl/gridfile/page_store.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "griddecl/common/backoff.h"
+#include "griddecl/common/hash.h"
 
 namespace griddecl {
-
-namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashString(uint64_t h, const std::string& s) {
-  for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));
-  return h;
-}
-
-/// Sleeps `delay_ms` in 5 ms slices, bailing as soon as `interrupt`
-/// reports non-Ok (the caller's loop re-checks and surfaces the status).
-void SleepInterruptible(double delay_ms, const InterruptFn& interrupt) {
-  while (delay_ms > 0.0) {
-    if (interrupt && !interrupt().ok()) return;
-    const double slice = std::min(delay_ms, 5.0);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(slice));
-    delay_ms -= slice;
-  }
-}
-
-}  // namespace
 
 PageStore::PageStore(const StorageEnv* env, const Options& options)
     : env_(env), options_(options) {
@@ -80,9 +51,10 @@ Result<std::string> PageStore::ReadWithRetries(
     }
     if (attempt + 1 >= policy.retry.max_attempts) return bytes.status();
     if (stats != nullptr) stats->retries++;
+    // Cut short once `interrupt` fires; the next attempt surfaces it.
     SleepInterruptible(
         BackoffDelayMs(policy.retry, options_.seed, token, attempt),
-        interrupt);
+        [&interrupt] { return interrupt && !interrupt().ok(); });
   }
 }
 

@@ -7,20 +7,13 @@
 #include <mutex>
 #include <system_error>
 
+#include "griddecl/common/hash.h"
+
 namespace griddecl {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-/// SplitMix64 — the repo's standard cheap deterministic hash (same family
-/// the fault model uses), here deciding tear lengths and bit flips.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 Status InvalidName(const std::string& name) {
   return Status::InvalidArgument("invalid env file name '" + name + "'");

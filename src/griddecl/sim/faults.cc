@@ -4,28 +4,22 @@
 #include <cmath>
 
 #include "griddecl/common/bit_util.h"
+#include "griddecl/common/hash.h"
 #include "griddecl/methods/ecc.h"
 
 namespace griddecl {
 
 namespace {
 
-/// SplitMix64 finalizer: the transient-error draw for one request attempt
-/// is a pure function of (seed, disk, address, attempt), so fault patterns
-/// do not depend on simulation order.
-uint64_t MixHash(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+/// The transient-error draw for one request attempt is a pure function of
+/// (seed, disk, address, attempt), so fault patterns do not depend on
+/// simulation order.
 uint64_t AttemptHash(uint64_t seed, uint32_t disk, uint64_t address,
                      uint32_t attempt) {
-  uint64_t h = MixHash(seed ^ 0x6a09e667f3bcc909ull);
-  h = MixHash(h ^ disk);
-  h = MixHash(h ^ address);
-  h = MixHash(h ^ attempt);
+  uint64_t h = Mix64(seed ^ 0x6a09e667f3bcc909ull);
+  h = Mix64(h ^ disk);
+  h = Mix64(h ^ address);
+  h = Mix64(h ^ attempt);
   return h;
 }
 

@@ -67,29 +67,6 @@ struct DiskFailure {
   double at_ms = 0.0;
 };
 
-/// A whole-node crash window: every disk the node owns is unreadable while
-/// from_ms <= now < until_ms, then the node recovers. This is the
-/// cluster-level sibling of DiskFailure, expressed in the same seeded,
-/// virtual-time schedule language — `cluster::Cluster` lowers each window
-/// into a wildcard `FaultRange` on the node's FaultyEnv, and
-/// `AdvanceTimeMs` moves the clock the windows are evaluated against.
-struct NodeFaultWindow {
-  uint32_t node = 0;
-  double from_ms = 0.0;
-  double until_ms = std::numeric_limits<double>::infinity();
-};
-
-/// A whole-zone crash window: every node whose topology zone matches goes
-/// down together while from_ms <= now < until_ms. The correlated-failure
-/// sibling of NodeFaultWindow — `cluster::Cluster` expands each zone
-/// window into per-node windows against its placement topology, so one
-/// entry models a power/network domain failing as a unit.
-struct ZoneFaultWindow {
-  uint32_t zone = 0;
-  double from_ms = 0.0;
-  double until_ms = std::numeric_limits<double>::infinity();
-};
-
 /// A time-windowed service-time multiplier on one disk.
 struct Straggler {
   uint32_t disk = 0;

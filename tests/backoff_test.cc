@@ -99,5 +99,25 @@ TEST(BackoffTest, TotalDelaySumsTheSchedule) {
   EXPECT_DOUBLE_EQ(BackoffTotalDelayMs(p, 5, 6, 0), 0.0);
 }
 
+TEST(BackoffTest, SleepInterruptibleChecksStopBeforeEverySlice) {
+  // 12 ms is three slices (5 + 5 + 2): stop is asked once before each.
+  int checks = 0;
+  SleepInterruptible(12.0, [&checks] {
+    ++checks;
+    return false;
+  });
+  EXPECT_EQ(checks, 3);
+
+  // A stop that fires on the second check cuts the sleep after one slice.
+  checks = 0;
+  SleepInterruptible(1000.0, [&checks] { return ++checks == 2; });
+  EXPECT_EQ(checks, 2);
+
+  // Nothing to sleep: stop is never asked.
+  checks = 0;
+  SleepInterruptible(0.0, [&checks] { return ++checks > 0; });
+  EXPECT_EQ(checks, 0);
+}
+
 }  // namespace
 }  // namespace griddecl

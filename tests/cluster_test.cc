@@ -83,7 +83,7 @@ std::vector<RecordId> Direct(const Catalog& catalog,
 }
 
 /// Deterministic baseline: no hedging, node breakers pinned closed, no
-/// injected faults — outcomes depend only on kills/windows.
+/// injected faults — outcomes depend only on kills.
 ClusterOptions Deterministic(uint32_t num_nodes = 4) {
   ClusterOptions o;
   o.num_nodes = num_nodes;
@@ -110,11 +110,6 @@ TEST(ClusterTest, CreateValidatesOptionsAndSeedEnv) {
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
   bad = Deterministic();
   bad.node.generation = 2;
-  EXPECT_FALSE(Cluster::Create(env, bad).ok());
-  bad = Deterministic();
-  NodeFaultWindow w;
-  w.node = 7;
-  bad.node_windows.push_back(w);
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
   bad = Deterministic();
   bad.num_nodes = 5;  // More nodes than the catalog's 4 virtual disks.
@@ -325,44 +320,6 @@ TEST(ClusterTest, QuorumLossRefusesLoudly) {
   obs::MetricsRegistry reg;
   cluster->SnapshotMetrics(&reg);
   EXPECT_EQ(reg.GetCounter("cluster.quorum_rejections")->value(), 1u);
-}
-
-TEST(ClusterTest, WindowedNodeDeathFollowsTheVirtualClock) {
-  MemEnv env;
-  const Catalog catalog = CommitCatalog(&env, Mirror2());
-  ClusterOptions options = Deterministic();
-  NodeFaultWindow w;
-  w.node = 1;
-  w.from_ms = 100.0;
-  w.until_ms = 200.0;
-  options.node_windows.push_back(w);
-  auto cluster = Cluster::Create(env, options).value();
-  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
-  const std::vector<RecordId> want = Direct(catalog, full);
-
-  // Before the window: healthy primaries everywhere.
-  const ClusterQueryResult before = cluster->Execute(full);
-  ASSERT_TRUE(before.status.ok());
-  EXPECT_TRUE(before.complete);
-  EXPECT_EQ(before.rerouted_subqueries, 0u);
-  EXPECT_EQ(before.matches, want);
-
-  // Inside the window the node is dead: planner reroutes, result whole.
-  cluster->AdvanceTimeMs(150.0);
-  EXPECT_FALSE(cluster->NodeAlive(1));
-  const ClusterQueryResult inside = cluster->Execute(full);
-  ASSERT_TRUE(inside.status.ok()) << inside.status.ToString();
-  EXPECT_TRUE(inside.complete);
-  EXPECT_GT(inside.rerouted_subqueries, 0u);
-  EXPECT_EQ(inside.matches, want);
-
-  // Past the window the node recovers on its own.
-  cluster->AdvanceTimeMs(250.0);
-  EXPECT_TRUE(cluster->NodeAlive(1));
-  const ClusterQueryResult after = cluster->Execute(full);
-  ASSERT_TRUE(after.status.ok());
-  EXPECT_EQ(after.rerouted_subqueries, 0u);
-  EXPECT_EQ(after.matches, want);
 }
 
 TEST(ClusterHedgeTest, PrimaryPreferredHedgesFireButNeverChangeTheAnswer) {
@@ -722,50 +679,6 @@ TEST(ClusterPlacementTest, ZoneAwareSurvivesZoneKillWhereChainedCannot) {
   EXPECT_EQ(zoned->ReviveZone(9).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ClusterPlacementTest, ZoneWindowsFollowTheVirtualClock) {
-  MemEnv env;
-  const Catalog catalog = CommitWideCatalog(&env);
-  ClusterOptions options = ZonedOptions(PlacementPolicy::kZoneAware);
-  ZoneFaultWindow w;
-  w.zone = 1;
-  w.from_ms = 100.0;
-  w.until_ms = 200.0;
-  options.zone_windows.push_back(w);
-  auto cluster = Cluster::Create(env, options).value();
-  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
-  const std::vector<RecordId> want = Direct(catalog, full);
-
-  const ClusterQueryResult before = cluster->Execute(full);
-  ASSERT_TRUE(before.status.ok());
-  EXPECT_TRUE(before.complete);
-  EXPECT_EQ(before.rerouted_subqueries, 0u);
-
-  // Inside the window the whole zone (nodes 2 and 3) is down, but the
-  // zone-aware copies keep the answer whole.
-  cluster->AdvanceTimeMs(150.0);
-  EXPECT_TRUE(cluster->NodeAlive(1));
-  EXPECT_FALSE(cluster->NodeAlive(2));
-  EXPECT_FALSE(cluster->NodeAlive(3));
-  const ClusterQueryResult inside = cluster->Execute(full);
-  ASSERT_TRUE(inside.status.ok()) << inside.status.ToString();
-  EXPECT_TRUE(inside.complete);
-  EXPECT_GT(inside.rerouted_subqueries, 0u);
-  EXPECT_EQ(inside.matches, want);
-
-  cluster->AdvanceTimeMs(250.0);
-  EXPECT_TRUE(cluster->NodeAlive(2));
-  const ClusterQueryResult after = cluster->Execute(full);
-  ASSERT_TRUE(after.status.ok());
-  EXPECT_TRUE(after.complete);
-
-  // A zone window referencing a zone outside the topology is rejected.
-  ClusterOptions bad = ZonedOptions(PlacementPolicy::kZoneAware);
-  ZoneFaultWindow out;
-  out.zone = 5;
-  bad.zone_windows.push_back(out);
-  EXPECT_FALSE(Cluster::Create(env, bad).ok());
-}
-
 TEST(ClusterPlacementTest, OverrideWinsOverTheManifestTable) {
   // The manifest carries a repaired 4-node table that keeps both copies
   // of disks 4..7 on nodes 2 and 3; the cluster is opened as 2 nodes with
@@ -829,25 +742,6 @@ TEST(ClusterPlacementTest, OverrideTableIsRoutedVerbatim) {
   ASSERT_TRUE(lossy.status.ok()) << lossy.status.ToString();
   EXPECT_FALSE(lossy.complete);
   EXPECT_EQ(lossy.unavailable_buckets, 16u);
-}
-
-TEST(ClusterPlacementTest, InflightAccountingSettlesToZero) {
-  MemEnv env;
-  CommitWideCatalog(&env);
-  auto cluster =
-      Cluster::Create(env, ZonedOptions(PlacementPolicy::kZoneAware)).value();
-  ASSERT_TRUE(cluster->KillNode(2).ok());
-  for (int q = 0; q < 5; ++q) {
-    const ClusterQueryResult r =
-        cluster->Execute(Range({0.0, 0.0}, {1.0, 1.0}));
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(r.complete);
-  }
-  // Load-aware routing adds in-flight buckets on submit and settles every
-  // route exactly once; at rest the gauges are all back to zero.
-  for (uint32_t n = 0; n < 4; ++n) {
-    EXPECT_EQ(cluster->NodeInflight(n), 0) << "node " << n;
-  }
 }
 
 TEST(TokenBucketTest, DebtBasedPacingMath) {

@@ -1,8 +1,11 @@
 #include "griddecl/cluster/repair.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,7 +39,8 @@ RelationRedundancy Mirror2() {
 /// 8x8 grid on 8 virtual disks over 4 nodes (two disks per node), nodes
 /// {0,1} = zone 0 and {2,3} = zone 1 under Grid(4, 2, 2) — the same
 /// topology the cluster placement tests use.
-Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1) {
+Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1,
+                          RelationRedundancy redundancy = Mirror2()) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
   GridFile f = GridFile::Create(std::move(schema), {8, 8}).value();
   const GridSpec grid = f.grid();
@@ -55,7 +59,7 @@ Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1) {
   EXPECT_TRUE(catalog.AddRelation("dm", std::move(rel).value()).ok());
   ManifestSaveOptions options;
   options.page_size_bytes = 168;
-  options.default_redundancy = Mirror2();
+  options.default_redundancy = redundancy;
   EXPECT_TRUE(SaveCatalogManifest(catalog, env, options).ok());
   return catalog;
 }
@@ -698,6 +702,60 @@ TEST(RepairTest, NoHedgeWithoutOneHolderOfEveryDisk) {
   EXPECT_EQ(r.matches, Direct(catalog, *pair));
   EXPECT_EQ(r.hedges_fired, 0u);
   EXPECT_EQ(r.winners, "p");
+}
+
+TEST(RepairTest, DegradedReadTakesTheLowestUsableCopyWhileItsHolderIsBusy) {
+  // Disk 0's owner, node 0, is dead. Copy 1 of disk 0 lives on node 1,
+  // which is slow and busy serving a query on its own disks; copy 2 lives
+  // on node 2, whose copy-2 file is corrupt. The plan takes the lowest
+  // usable copy whatever its holder's load, so node 1's primary serves.
+  MemEnv env;
+  RelationRedundancy mirror3 = Mirror2();
+  mirror3.copies = 3;
+  const Catalog catalog = CommitWideCatalog(&env, 1, mirror3);
+  ClusterOptions options = HealingOptions();
+  options.node.pool_pages = 0;
+  options.placement->table = {{0, 0, 1, 1, 2, 2, 3, 3},
+                              {1, 1, 2, 2, 3, 3, 0, 0},
+                              {2, 2, 3, 3, 0, 0, 1, 1}};
+  options.node_latency_ms = {0.0, 20.0, 0.0, 0.0};
+  auto cluster = Cluster::Create(env, options).value();
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  MemEnv* node2 = cluster->node_env_for_test(2);
+  CorruptDiskPages(
+      env, 0, ReadCurrentManifest(*node2).value().MirrorFileName(0, 2), node2);
+
+  // Bucket (0, 0) is on disk 0; buckets (0, 2) and (0, 3) are on node 1's
+  // disks 2 and 3.
+  const DeclusteredFile& df = *catalog.Find("dm");
+  ASSERT_EQ(df.method().DiskOf({0, 0}), 0u);
+  ASSERT_EQ(df.method().DiskOf({0, 2}), 2u);
+  ASSERT_EQ(df.method().DiskOf({0, 3}), 3u);
+  const serve::QueryRequest disk0 =
+      Range({0.01 / 8.0, 0.01 / 8.0}, {0.99 / 8.0, 0.99 / 8.0});
+  const serve::QueryRequest busy =
+      Range({0.01 / 8.0, 2.01 / 8.0}, {0.99 / 8.0, 3.99 / 8.0});
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread load([&] {
+    while (!stop.load()) {
+      started.store(true);
+      const ClusterQueryResult r = cluster->Execute(busy);
+      EXPECT_TRUE(r.complete) << r.status.ToString();
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  // Let the busy query reach node 1: it holds it for about 40 ms.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const ClusterQueryResult r = cluster->Execute(disk0);
+  stop.store(true);
+  load.join();
+
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.winners, "p");
+  EXPECT_EQ(r.matches, Direct(catalog, disk0));
 }
 
 // ---------------------------------------------------------------------------
