@@ -112,8 +112,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(seed, &node.env));
     auto service = cluster->NodeService(n);
     if (!service.ok()) return service.status();
-    node.service = std::move(service).value();
-    services.push_back(node.service);
+    services.push_back(std::move(service).value());
     cluster->heartbeat_->Track(n);
   }
   cluster->active_nodes_.store(opts.num_nodes);
@@ -215,11 +214,6 @@ void Cluster::SetStagingEpoch(std::shared_ptr<const Epoch> epoch) {
 
 void Cluster::AdoptEpoch(std::shared_ptr<const Epoch> epoch) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  // A repair epoch carries null services for the dead nodes it planned
-  // around; those nodes re-enter through ReviveNode's catch-up fence.
-  for (size_t n = 0; n < epoch->services.size() && n < nodes_.size(); ++n) {
-    nodes_[n]->service = epoch->services[n];
-  }
   epoch_ = std::move(epoch);
   staging_epoch_.reset();
 }
@@ -414,6 +408,13 @@ Status Cluster::ReviveNode(uint32_t node) {
   }
   auto epoch = CurrentEpoch();
 
+  // The epoch is the node's only service holder. A repair epoch carries a
+  // null service for each dead node it planned around, and an epoch staged
+  // before an AddNode has no slot for the node at all.
+  const serve::QueryService* held =
+      node < epoch->services.size() ? epoch->services[node].get() : nullptr;
+  bool reload = held == nullptr || held->generation() != epoch->generation;
+
   // Catch-up fence: while the node was down a repair may have committed a
   // newer generation staged only to the live nodes, so this node's env
   // can lack CURRENT entirely. Copy the committed state from a live peer
@@ -429,12 +430,12 @@ Status Cluster::ReviveNode(uint32_t node) {
           std::to_string(node) + " up; revival refused");
     }
     GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
-    nd.service.reset();  // force a reload below — the catalog moved
+    reload = true;  // the catalog moved under the held service
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++revive_catchups_;
   }
 
-  if (nd.service == nullptr || nd.service->generation() != epoch->generation) {
+  if (reload) {
     // The cluster committed a newer generation while the node was down:
     // reload the node's service at CURRENT before readmitting it.
     auto service = NodeService(node);
@@ -449,11 +450,10 @@ Status Cluster::ReviveNode(uint32_t node) {
           " but the cluster serves " + std::to_string(epoch->generation) +
           "; revival refused");
     }
-    nd.service = std::move(service).value();
     std::lock_guard<std::mutex> lock(epoch_mu_);
     auto fresh = std::make_shared<Epoch>(*epoch_);
     if (node < fresh->services.size()) {
-      fresh->services[node] = nd.service;
+      fresh->services[node] = std::move(service).value();
     }
     epoch_ = std::move(fresh);
   }
@@ -529,7 +529,6 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
   GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
   auto service = NodeService(id);
   if (!service.ok()) return service.status();
-  nd.service = std::move(service).value();
 
   // Publish: the grown topology first, then the node (release on
   // active_nodes_ so any reader that sees the new count sees a fully built
@@ -538,7 +537,7 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
   {
     std::lock_guard<std::mutex> elock(epoch_mu_);
     auto fresh = std::make_shared<Epoch>(*epoch_);
-    fresh->services.push_back(nd.service);
+    fresh->services.push_back(std::move(service).value());
     fresh->placement = fresh->placement.WithTopology(std::move(topo));
     epoch_ = std::move(fresh);
   }
@@ -1000,12 +999,7 @@ void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {
   BreakerCounters totals;
   {
     std::lock_guard<std::mutex> block(breaker_mu_);
-    for (const auto& b : node_breakers_) {
-      totals.opened += b.counters().opened;
-      totals.half_opened += b.counters().half_opened;
-      totals.closed += b.counters().closed;
-      totals.reopened += b.counters().reopened;
-    }
+    for (const auto& b : node_breakers_) totals += b.counters();
   }
   set("cluster.node_breaker.opened", totals.opened);
   set("cluster.node_breaker.half_opened", totals.half_opened);

@@ -437,7 +437,6 @@ class Cluster {
   struct Node {
     MemEnv env;
     std::unique_ptr<FaultyEnv> faulty;
-    std::shared_ptr<serve::QueryService> service;
     std::atomic<bool> killed{false};
     /// Decommissioned via RemoveNode: permanently dead for routing and
     /// quorum, evacuated by the next repair. The slot (and node id) stays.
@@ -501,8 +500,7 @@ class Cluster {
   std::shared_ptr<const Epoch> CurrentEpoch() const;
   std::shared_ptr<const Epoch> StagingEpoch() const;
   void SetStagingEpoch(std::shared_ptr<const Epoch> epoch);
-  /// Cutover: publishes `epoch` as current, points every node's service at
-  /// its epoch service, clears staging.
+  /// Cutover: publishes `epoch` as current and clears staging.
   void AdoptEpoch(std::shared_ptr<const Epoch> epoch);
 
   ClusterQueryResult ExecuteOnEpoch(const Epoch& epoch,

@@ -751,12 +751,14 @@ Result<Catalog> LoadCatalogManifest(const StorageEnv& env) {
   return LoadCatalogFromManifest(env, manifest.value());
 }
 
-Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env) {
+Status LoadAtCommittedGeneration(
+    const StorageEnv& env,
+    const std::function<Status(const CatalogManifest&)>& load) {
   Result<CatalogManifest> manifest = ReadCurrentManifest(env);
   if (!manifest.ok()) return manifest.status();
   for (uint32_t attempt = 0;; ++attempt) {
-    Result<Catalog> catalog = LoadCatalogFromManifest(env, manifest.value());
-    if (catalog.ok()) return catalog;
+    const Status loaded = load(manifest.value());
+    if (loaded.ok()) return loaded;
     // A load that resolved generation G can fail because a concurrent
     // commit advanced CURRENT and GC swept G's files mid-read (per-file
     // CRCs turn any such race into an error, never a silent mix).
@@ -766,10 +768,23 @@ Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env) {
     if (!again.ok() ||
         again.value().generation == manifest.value().generation ||
         attempt >= kConsistentLoadMaxRetries) {
-      return catalog.status();
+      return loaded;
     }
     manifest = std::move(again);
   }
+}
+
+Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env) {
+  std::optional<Catalog> catalog;
+  const Status loaded =
+      LoadAtCommittedGeneration(env, [&](const CatalogManifest& manifest) {
+        Result<Catalog> c = LoadCatalogFromManifest(env, manifest);
+        if (!c.ok()) return c.status();
+        catalog.emplace(std::move(c).value());
+        return Status::Ok();
+      });
+  if (!loaded.ok()) return loaded;
+  return std::move(*catalog);
 }
 
 }  // namespace griddecl

@@ -2,6 +2,7 @@
 #define GRIDDECL_GRIDFILE_MANIFEST_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -237,19 +238,24 @@ Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
 /// recovery path.
 Result<Catalog> LoadCatalogManifest(const StorageEnv& env);
 
-/// How many times `LoadCatalogManifestConsistent` re-resolves a moved
-/// CURRENT before it gives up.
+/// How many times `LoadAtCommittedGeneration` re-resolves a moved CURRENT
+/// before it gives up.
 inline constexpr uint32_t kConsistentLoadMaxRetries = 3;
 
-/// `LoadCatalogManifest` hardened against concurrent commits. A reader
-/// that resolves generation G can fail mid-load when a committer flips
-/// CURRENT to G+1 and GC sweeps G's files out from under it; per-file
-/// checksums guarantee such a race surfaces as an error, never as silently
-/// mixed generations. This wrapper re-resolves CURRENT after a failed
-/// load and, if the committed generation moved, retries at the new one (up
-/// to `kConsistentLoadMaxRetries` times) — so a load under concurrent
-/// commits either returns one consistent generation or the underlying
-/// error.
+/// Runs `load` on the committed manifest, hardened against concurrent
+/// commits. A reader that resolves generation G can fail mid-load when a
+/// committer flips CURRENT to G+1 and GC sweeps G's files out from under
+/// it; per-file checksums guarantee such a race surfaces as an error,
+/// never as silently mixed generations. After a failed `load` this
+/// re-resolves CURRENT and, if the committed generation moved, runs `load`
+/// again on the new one (up to `kConsistentLoadMaxRetries` times) — so a
+/// load under concurrent commits either succeeds on one consistent
+/// generation or returns the underlying error.
+Status LoadAtCommittedGeneration(
+    const StorageEnv& env,
+    const std::function<Status(const CatalogManifest&)>& load);
+
+/// `LoadCatalogManifest` run through `LoadAtCommittedGeneration`.
 Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env);
 
 /// Verifies that every file `manifest` references exists in `env` with the

@@ -24,12 +24,6 @@ void PageStore::RegisterFile(const std::string& file,
   if (pool_ != nullptr) pool_->Invalidate(file);
 }
 
-const FileLayout* PageStore::GetLayout(const std::string& file) const {
-  std::lock_guard<std::mutex> lock(layouts_mu_);
-  auto it = layouts_.find(file);
-  return it == layouts_.end() ? nullptr : &it->second;
-}
-
 Result<std::string> PageStore::ReadWithRetries(
     const std::string& file, uint64_t offset, uint64_t length,
     const ReadPolicy& policy, PageReadStats* stats,
@@ -61,45 +55,25 @@ Result<std::string> PageStore::ReadWithRetries(
 Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
                                           uint64_t page,
                                           const FileLayout& layout,
-                                          std::string page_bytes,
-                                          const ReadPolicy& policy) {
-  Status damage = Status::Ok();
-  if (policy.verify) {
-    damage = VerifyPageBytes(page_bytes, layout, page);
-  }
+                                          std::string page_bytes) {
+  // Corruption reads as unavailability: degraded paths repair it. The
+  // page is never pooled, so the damage is re-observed on every read.
+  const auto unavailable = [&](const Status& damage) {
+    return Status::Unavailable("page " + std::to_string(page) + " of '" +
+                               file + "': " + damage.message());
+  };
+  Status verify = VerifyPageBytes(page_bytes, layout, page);
+  if (!verify.ok()) return unavailable(verify);
+  Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
+  if (!decoded.ok()) return unavailable(decoded.status());
   auto frame = std::make_shared<BufferPool::Frame>();
   frame->file = file;
   frame->page = page;
-  if (damage.ok()) {
-    Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
-    if (decoded.ok()) {
-      frame->decoded = std::move(decoded).value();
-    } else {
-      damage = decoded.status();
-    }
-  }
+  frame->decoded = std::move(decoded).value();
   frame->raw = std::move(page_bytes);
-
-  if (!damage.ok()) {
-    if (policy.on_damage == ReadPolicy::OnDamage::kFail) {
-      // Corruption reads as unavailability: degraded paths repair it.
-      return Status::Unavailable("page " + std::to_string(page) + " of '" +
-                                 file + "': " + damage.message());
-    }
-    PinnedPage pinned;
-    pinned.frame_ = std::move(frame);
-    pinned.damaged_ = true;
-    pinned.damage_reason_ = damage.message();
-    return pinned;  // Never pooled: damage must be re-observed.
-  }
-
-  BufferPool::FramePtr resident = frame;
-  if (pool_ != nullptr && policy.pin == ReadPolicy::Pin::kPool) {
-    resident = pool_->Admit(std::move(frame));
-  }
-  PinnedPage pinned;
-  pinned.frame_ = std::move(resident);
-  return pinned;
+  BufferPool::FramePtr resident = std::move(frame);
+  if (pool_ != nullptr) resident = pool_->Admit(std::move(resident));
+  return PinnedPage(std::move(resident));
 }
 
 Result<PinnedPage> PageStore::GetPage(const std::string& file,
@@ -123,19 +97,17 @@ Result<PinnedPage> PageStore::GetPage(const std::string& file,
   if (page >= layout.num_pages) {
     return Status::InvalidArgument("page index out of range");
   }
-  if (pool_ != nullptr && policy.pin == ReadPolicy::Pin::kPool) {
+  if (pool_ != nullptr) {
     if (BufferPool::FramePtr hit = pool_->Lookup(file, page)) {
       if (stats != nullptr) stats->cache_hit = true;
-      PinnedPage pinned;
-      pinned.frame_ = std::move(hit);
-      return pinned;
+      return PinnedPage(std::move(hit));
     }
   }
   Result<std::string> bytes =
       ReadWithRetries(file, layout.PageOffset(page), layout.page_size_bytes,
                       policy, stats, interrupt);
   if (!bytes.ok()) return bytes.status();
-  return BuildPinned(file, page, layout, std::move(bytes).value(), policy);
+  return BuildPinned(file, page, layout, std::move(bytes).value());
 }
 
 Result<std::string> PageStore::ReadRaw(const std::string& file,
@@ -144,25 +116,6 @@ Result<std::string> PageStore::ReadRaw(const std::string& file,
                                        PageReadStats* stats,
                                        const InterruptFn& interrupt) {
   return ReadWithRetries(file, offset, length, policy, stats, interrupt);
-}
-
-Result<PinnedPage> PageStore::AdmitReconstructed(const std::string& file,
-                                                 uint64_t page,
-                                                 std::string page_bytes) {
-  FileLayout layout;
-  {
-    std::lock_guard<std::mutex> lock(layouts_mu_);
-    auto it = layouts_.find(file);
-    if (it == layouts_.end()) {
-      return Status::NotFound("no layout registered for '" + file + "'");
-    }
-    layout = it->second;
-  }
-  Status verify = VerifyPageBytes(page_bytes, layout, page);
-  if (!verify.ok()) return verify;
-  ReadPolicy policy;  // verify done above; pin to pool.
-  policy.verify = false;
-  return BuildPinned(file, page, layout, std::move(page_bytes), policy);
 }
 
 void PageStore::Invalidate(const std::string& file) {

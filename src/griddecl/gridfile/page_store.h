@@ -22,16 +22,12 @@
 /// admission**, and hands back a `PinnedPage` whose decoded column
 /// vectors are shared by every subsequent reader of the same page.
 ///
-/// Before PageStore, the read→verify→decode dance lived three times —
-/// the bulk loader, scrub, and the serve path — each with its own retry
-/// and damage conventions. Now all of them call here and only the
-/// `ReadPolicy` differs:
-///
-///  * serve: `pin=kPool`, `on_damage=kFail` — a damaged page reads as
-///    kUnavailable so mirror failover / parity rebuild engage; cached
-///    pages skip I/O, verification and decode entirely.
-///  * scrub / fsck: `pin=kBypass`, `on_damage=kReport` — every read
-///    touches the real bytes and damage comes back as data, not error.
+/// Serve and scrub both read here, and every read is strict: a page that
+/// fails verification reads as kUnavailable, so serve's mirror failover /
+/// parity rebuild engage and scrub's census counts it as damage. Cached
+/// pages skip I/O, verification and decode entirely; scrub builds its
+/// store with `pool_pages = 0`, so every census probe touches the real
+/// bytes.
 ///
 /// Interruption (shutdown hard-stop, query deadlines) is injected as a
 /// callable checked before every read attempt and between backoff sleep
@@ -40,32 +36,26 @@
 
 namespace griddecl {
 
-/// A decoded page held alive by the caller. Copyable; the underlying
-/// frame is immutable and shared with the pool (eviction never
-/// invalidates a pin). In `OnDamage::kReport` mode a damaged page comes
-/// back with `damaged() == true`, the raw bytes as read, and an empty
-/// decode.
+/// A verified, decoded page held alive by the caller. Copyable; the
+/// underlying frame is immutable and shared with the pool (eviction never
+/// invalidates a pin).
 class PinnedPage {
  public:
   PinnedPage() = default;
-  /// Wraps a frame obtained out of band (e.g. a parity-reconstructed
-  /// page a caller chose not to pool).
+  /// Wraps a verified frame: a pooled or freshly read one from
+  /// `PageStore`, or a parity-reconstructed page a caller chose not to
+  /// pool.
   explicit PinnedPage(BufferPool::FramePtr frame)
       : frame_(std::move(frame)) {}
 
   bool valid() const { return frame_ != nullptr; }
-  /// Columnar view (empty when damaged).
+  /// Columnar view.
   const DecodedPage& decoded() const { return frame_->decoded; }
-  /// The page's bytes exactly as fetched (parity XOR, scrub).
+  /// The page's bytes exactly as fetched (parity XOR).
   std::string_view raw() const { return frame_->raw; }
-  bool damaged() const { return damaged_; }
-  const std::string& damage_reason() const { return damage_reason_; }
 
  private:
-  friend class PageStore;
   BufferPool::FramePtr frame_;
-  bool damaged_ = false;
-  std::string damage_reason_;
 };
 
 /// Per-call accounting, for callers that charge reads to a query.
@@ -103,16 +93,12 @@ class PageStore {
   /// cached pages.
   void RegisterFile(const std::string& file, const FileLayout& layout);
 
-  /// Layout previously registered for `file`; null when unknown.
-  const FileLayout* GetLayout(const std::string& file) const;
-
-  /// Fetches page `page` of `file` per `policy`. Pool hit: returns the
-  /// cached frame, no I/O, no re-verification. Miss: reads the page with
-  /// retries on kUnavailable, verifies (policy.verify), decodes, and —
-  /// policy.pin permitting — admits the frame to the pool. A page that
-  /// fails verification returns kUnavailable ("page N of 'file': why")
-  /// under OnDamage::kFail, or a damaged PinnedPage (never pooled) under
-  /// kSalvage/kReport.
+  /// Fetches page `page` of `file`. Pool hit: returns the cached frame, no
+  /// I/O, no re-verification. Miss: reads the page with retries on
+  /// kUnavailable (per `policy.retry`), verifies, decodes, and admits the
+  /// frame to the pool when the store has one. A page that fails
+  /// verification returns kUnavailable ("page N of 'file': why") and is
+  /// never pooled.
   Result<PinnedPage> GetPage(const std::string& file, uint64_t page,
                              const ReadPolicy& policy,
                              PageReadStats* stats = nullptr,
@@ -124,14 +110,6 @@ class PageStore {
                               uint64_t length, const ReadPolicy& policy,
                               PageReadStats* stats = nullptr,
                               const InterruptFn& interrupt = {});
-
-  /// Verifies, decodes and pools a page obtained out of band (parity
-  /// reconstruction), so later readers hit cache instead of rebuilding.
-  /// Fails with the verify/decode status when `page_bytes` is not a
-  /// pristine page.
-  Result<PinnedPage> AdmitReconstructed(const std::string& file,
-                                        uint64_t page,
-                                        std::string page_bytes);
 
   /// Drops `file`'s cached pages (after scrub rewrote it).
   void Invalidate(const std::string& file);
@@ -153,8 +131,7 @@ class PageStore {
                                       const InterruptFn& interrupt) const;
   Result<PinnedPage> BuildPinned(const std::string& file, uint64_t page,
                                  const FileLayout& layout,
-                                 std::string page_bytes,
-                                 const ReadPolicy& policy);
+                                 std::string page_bytes);
 
   const StorageEnv* env_;
   const Options options_;

@@ -4,50 +4,21 @@
 #include "griddecl/common/backoff.h"
 
 /// \file
-/// The one read-behavior knob shared by every consumer of stored pages.
+/// The retry schedule of a stored-page read.
 ///
-/// Before this header existed the repo had three ways to spell the same
-/// decisions: `LoadOptions::{verify_checksums, best_effort}` for bulk
-/// loads, `ServeOptions::retry` for the query path, and scrub's implicit
-/// "never fail, always report". `ReadPolicy` folds them into one struct
-/// that `ParseGridFile`, `PageStore::GetPage`, `declctl fsck`, and
-/// `QueryService` all accept, so a damaged page means the same thing at
-/// every layer and only the chosen reaction differs.
+/// Every read of a stored page is strict: `PageStore::GetPage` (serve and
+/// scrub) retries transient env errors, CRC-verifies the page and decodes
+/// it, or reports the page kUnavailable; the bulk loader `ParseGridFile`
+/// runs the same verify and decode over bytes it already holds. A damaged
+/// page means the same thing at every layer, and the only thing a caller
+/// chooses is how long to keep retrying.
 
 namespace griddecl {
 
 struct ReadPolicy {
-  /// Reaction to a page that fails verification (or cannot be decoded).
-  enum class OnDamage {
-    /// Reject: loads fail the whole file, `PageStore::GetPage` returns
-    /// kUnavailable so resilience (mirror failover / parity rebuild) can
-    /// take over.
-    kFail,
-    /// Salvage: skip the damaged page, keep everything verifiable
-    /// (best-effort bulk load; record ids compact).
-    kSalvage,
-    /// Report: hand the damaged bytes back with a reason attached and
-    /// never fail the call (scrub's damage census).
-    kReport,
-  };
-
-  /// Where a fetched page may live after the call returns.
-  enum class Pin {
-    /// Admit to the buffer pool; later readers may hit cache.
-    kPool,
-    /// One-shot read, never cached (scrub must see the bytes on disk,
-    /// not a pooled copy).
-    kBypass,
-  };
-
-  /// Verify header/page/footer CRCs of checksummed (v2/v3) files. v1 has
-  /// none to verify; structural checks always run.
-  bool verify = true;
-  OnDamage on_damage = OnDamage::kFail;
-  Pin pin = Pin::kPool;
   /// Retry schedule for transiently failing reads (kUnavailable from the
-  /// storage env). Bulk loads read whole files and never see transients
-  /// in practice; the serve path overrides this with its tight schedule.
+  /// storage env). The serve path overrides the default with its tight
+  /// schedule.
   BackoffPolicy retry;
 };
 
@@ -56,26 +27,6 @@ struct ReadPolicy {
 inline ReadPolicy ServeReadPolicy() {
   ReadPolicy policy;
   policy.retry = BackoffPolicy{0.1, 2.0, 5.0, 1.0, 4};
-  return policy;
-}
-
-/// Strict bulk-load policy (verify everything, fail on any damage).
-inline ReadPolicy StrictReadPolicy() { return ReadPolicy{}; }
-
-/// Best-effort bulk-load policy: salvage verifiable pages, report damage.
-inline ReadPolicy SalvageReadPolicy() {
-  ReadPolicy policy;
-  policy.on_damage = ReadPolicy::OnDamage::kSalvage;
-  return policy;
-}
-
-/// Scrub / fsck policy: bypass the pool so every probe touches the real
-/// bytes on disk, and hand damage back as data — a damage census must
-/// never fail on the damage it exists to find.
-inline ReadPolicy ScrubReadPolicy() {
-  ReadPolicy policy;
-  policy.on_damage = ReadPolicy::OnDamage::kReport;
-  policy.pin = ReadPolicy::Pin::kBypass;
   return policy;
 }
 

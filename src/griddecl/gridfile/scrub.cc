@@ -96,18 +96,15 @@ RelationScrubReport ScrubRelation(StorageEnv* env, PageStore* store,
       std::memcpy(fixed.data(), mirrors[donor].data(), layout.header_bytes);
     }
 
-    // Pass 1: damage census through the unified read path. The scrub
-    // policy bypasses the pool, so every probe reads the bytes actually
-    // on disk; kReport makes a CRC failure come back as a damaged
-    // PinnedPage rather than an error, and a hard read failure (the file
-    // is truncated below this page) counts as damage too. Repairs pull
+    // Pass 1: damage census through the unified read path. The store has
+    // no pool, so every probe reads the bytes actually on disk; a probe
+    // that is not ok — a CRC failure, or a hard read failure because the
+    // file is truncated below this page — counts as damage. Repairs pull
     // from mirrors, each candidate gated by the page's own CRC.
     store->RegisterFile(data_name, layout);
     std::vector<char> good(static_cast<size_t>(layout.num_pages), 0);
     for (uint64_t p = 0; p < layout.num_pages; ++p) {
-      Result<PinnedPage> probe =
-          store->GetPage(data_name, p, options.policy);
-      if (probe.ok() && !probe.value().damaged()) {
+      if (store->GetPage(data_name, p, ReadPolicy{}).ok()) {
         good[static_cast<size_t>(p)] = 1;
         continue;
       }
@@ -169,16 +166,14 @@ RelationScrubReport ScrubRelation(StorageEnv* env, PageStore* store,
     }
 
     if (rep.pages_unrepairable == 0) {
-      // Body intact again; the checksummed (v2/v3) footer is a pure
-      // function of it.
-      if (layout.format_version != kFormatV1) {
-        const std::string footer = BuildFileFooter(
-            layout, std::string_view(fixed).substr(0, layout.footer_offset));
-        if (std::string_view(fixed).substr(layout.footer_offset) != footer) {
-          rep.footer_rebuilt = true;
-          fixed.replace(static_cast<size_t>(layout.footer_offset),
-                        std::string::npos, footer);
-        }
+      // Body intact again; the checksummed footer is a pure function of
+      // it.
+      const std::string footer = BuildFileFooter(
+          layout, std::string_view(fixed).substr(0, layout.footer_offset));
+      if (std::string_view(fixed).substr(layout.footer_offset) != footer) {
+        rep.footer_rebuilt = true;
+        fixed.replace(static_cast<size_t>(layout.footer_offset),
+                      std::string::npos, footer);
       }
       if (MatchesManifest(fixed, rel.data_size, rel.data_crc)) {
         rep.header_repaired = rep.header_damaged;

@@ -6,13 +6,15 @@
 #include <vector>
 
 #include "griddecl/gridfile/manifest.h"
-#include "griddecl/gridfile/read_policy.h"
+#include "griddecl/obs/metrics.h"
 
 /// \file
 /// Scrub-and-repair: walk a committed catalog, verify every page of every
 /// relation against its checksums, and reconstruct what the redundancy
 /// allows — the maintenance companion to the manifest layer, surfaced as
-/// `declctl fsck`.
+/// `declctl fsck`. The damage census reads every page through
+/// `PageStore::GetPage` on a store with no pool, so each probe touches the
+/// bytes on disk; any page that does not read back ok is damaged.
 ///
 /// Repair sources, tried in order for each damaged page:
 ///
@@ -26,7 +28,7 @@
 ///     over.
 ///
 /// A damaged header region repairs only from a mirror (parity stripes
-/// cover pages, not the header); a damaged v2 footer is always
+/// cover pages, not the header); a damaged footer is always
 /// recomputable from an intact body, even without redundancy. A repaired
 /// primary is written back ONLY when its final bytes match the manifest's
 /// whole-file CRC bit-for-bit; sidecars that drifted from a healthy
@@ -39,13 +41,6 @@ struct ScrubOptions {
   /// Write repaired files back to the env. When false, scrub is a dry run:
   /// same detection and reconstruction work, same report, no writes.
   bool repair = true;
-  /// Read behavior for the damage census. The census runs through
-  /// `PageStore` under this policy; the default (`ScrubReadPolicy()`)
-  /// bypasses the pool — every probe reads the real bytes on disk — and
-  /// reports damage as data instead of failing. `policy.retry` governs
-  /// transient env errors during the census. Scrub never pools pages
-  /// regardless of `policy.pin`.
-  ReadPolicy policy = ScrubReadPolicy();
   /// Optional observability sink (non-owning). `ScrubManifest` records
   /// `scrub.pages_scanned`, `scrub.pages_damaged`, repair counts by source
   /// (`scrub.repairs.mirror` / `scrub.repairs.parity` /

@@ -1,10 +1,7 @@
 #include "griddecl/gridfile/storage.h"
 
 #include <cstring>
-#include <istream>
-#include <iterator>
 #include <limits>
-#include <ostream>
 
 #include "griddecl/common/bytes.h"
 #include "griddecl/common/crc32c.h"
@@ -18,31 +15,18 @@ constexpr char kFooterMagic[4] = {'G', 'D', 'F', 'T'};
 constexpr uint32_t kMaxAttrNameLen = 4096;
 constexpr uint32_t kMaxBoundaries = uint32_t{1} << 24;
 
-uint32_t RecordBytes(uint32_t num_attrs) { return 8 * num_attrs; }
-
-uint32_t PageHeaderBytes(uint32_t version) {
-  return version == kFormatV1 ? kPageHeaderBytesV1 : kPageHeaderBytesV2;
-}
-
 bool KnownVersion(uint32_t version) {
-  return version == kFormatV1 || version == kFormatV2 ||
-         version == kFormatV3;
+  return version == kFormatV2 || version == kFormatV3;
 }
 
-/// Bytes of fixed per-page overhead before record data: the page header
+/// Records that fit in one page after its fixed overhead: the page header
 /// plus, for v3, the zone-map block.
-uint32_t PageOverheadBytes(uint32_t version, uint32_t num_attrs) {
-  uint32_t overhead = PageHeaderBytes(version);
-  if (version == kFormatV3) overhead += kZoneMapBytesPerAttr * num_attrs;
-  return overhead;
-}
-
-/// Records that fit in one page after the per-version fixed overhead.
 uint32_t PageCapacity(uint32_t version, uint32_t page_size,
                       uint32_t num_attrs) {
-  const uint32_t overhead = PageOverheadBytes(version, num_attrs);
+  uint32_t overhead = kPageHeaderBytesV2;
+  if (version == kFormatV3) overhead += kZoneMapBytesPerAttr * num_attrs;
   if (page_size <= overhead) return 0;
-  return (page_size - overhead) / RecordBytes(num_attrs);
+  return (page_size - overhead) / (8 * num_attrs);
 }
 
 /// Full header parse: the layout plus the schema/partitioner material the
@@ -113,107 +97,27 @@ Result<ParsedHeader> ParseHeader(std::string_view bytes) {
   if (!r.ReadU64(&layout.num_records)) {
     return Status::InvalidArgument("truncated record count");
   }
-  if (layout.format_version != kFormatV1) {
-    const size_t crc_end = r.pos();
-    uint32_t stored_crc = 0;
-    if (!r.ReadU32(&stored_crc)) {
-      return Status::InvalidArgument("truncated header checksum");
-    }
-    if (stored_crc != Crc32c(bytes.substr(0, crc_end))) {
-      return Status::InvalidArgument("header checksum mismatch");
-    }
+  const size_t crc_end = r.pos();
+  uint32_t stored_crc = 0;
+  if (!r.ReadU32(&stored_crc)) {
+    return Status::InvalidArgument("truncated header checksum");
+  }
+  if (stored_crc != Crc32c(bytes.substr(0, crc_end))) {
+    return Status::InvalidArgument("header checksum mismatch");
   }
   layout.header_bytes = r.pos();
 
   const uint64_t n = layout.num_records;
   layout.num_pages = n == 0 ? 0 : (n - 1) / layout.page_capacity + 1;
-  const uint64_t footer =
-      layout.format_version != kFormatV1 ? kFooterBytesV2 : 0;
-  if (layout.num_pages >
-      (std::numeric_limits<uint64_t>::max() - layout.header_bytes - footer) /
-          layout.page_size_bytes) {
+  if (layout.num_pages > (std::numeric_limits<uint64_t>::max() -
+                          layout.header_bytes - kFooterBytesV2) /
+                             layout.page_size_bytes) {
     return Status::InvalidArgument("record count implies impossible size");
   }
   layout.footer_offset =
       layout.header_bytes + layout.num_pages * layout.page_size_bytes;
-  layout.expected_file_size = layout.footer_offset + footer;
+  layout.expected_file_size = layout.footer_offset + kFooterBytesV2;
   return h;
-}
-
-/// Core verify over exactly one page's bytes; shared by the whole-file
-/// and single-page entry points.
-Status VerifyPageBytesImpl(std::string_view page_bytes,
-                           const FileLayout& layout, uint64_t page,
-                           bool check_crc) {
-  if (page >= layout.num_pages) {
-    return Status::InvalidArgument("page index out of range");
-  }
-  if (page_bytes.size() != layout.page_size_bytes) {
-    return Status::Internal("short page read");
-  }
-  uint32_t record_count = 0;
-  std::memcpy(&record_count, page_bytes.data(), 4);
-  if (record_count != layout.PageRecords(page)) {
-    return Status::InvalidArgument("bad page record count");
-  }
-  if (layout.format_version != kFormatV1 && check_crc) {
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, page_bytes.data() + 4, 4);
-    // CRC of the page with the crc field itself zeroed.
-    const char zeros[4] = {0, 0, 0, 0};
-    uint32_t crc = Crc32c(page_bytes.data(), 4);
-    crc = Crc32c(zeros, 4, crc);
-    crc = Crc32c(page_bytes.data() + 8, layout.page_size_bytes - 8, crc);
-    if (stored_crc != crc) {
-      return Status::InvalidArgument("page checksum mismatch");
-    }
-  }
-  return Status::Ok();
-}
-
-Status VerifyPageImpl(std::string_view bytes, const FileLayout& layout,
-                      uint64_t page, bool check_crc) {
-  if (page >= layout.num_pages) {
-    return Status::InvalidArgument("page index out of range");
-  }
-  const uint64_t off = layout.PageOffset(page);
-  if (off + layout.page_size_bytes > bytes.size()) {
-    return Status::InvalidArgument("page truncated");
-  }
-  return VerifyPageBytesImpl(bytes.substr(off, layout.page_size_bytes),
-                             layout, page, check_crc);
-}
-
-Status VerifyFooterImpl(std::string_view bytes, const FileLayout& layout,
-                        bool check_crc) {
-  if (layout.format_version == kFormatV1) return Status::Ok();
-  const uint64_t off = layout.footer_offset;
-  if (off + kFooterBytesV2 > bytes.size()) {
-    return Status::InvalidArgument("footer truncated");
-  }
-  if (std::memcmp(bytes.data() + off, kFooterMagic, 4) != 0) {
-    return Status::InvalidArgument("bad footer magic");
-  }
-  uint64_t n = 0;
-  uint64_t pages = 0;
-  std::memcpy(&n, bytes.data() + off + 4, 8);
-  std::memcpy(&pages, bytes.data() + off + 12, 8);
-  if (n != layout.num_records || pages != layout.num_pages) {
-    return Status::InvalidArgument("footer disagrees with header");
-  }
-  if (check_crc) {
-    uint32_t file_crc = 0;
-    uint32_t footer_crc = 0;
-    std::memcpy(&file_crc, bytes.data() + off + 20, 4);
-    std::memcpy(&footer_crc, bytes.data() + off + 24, 4);
-    if (footer_crc != Crc32c(bytes.substr(off, kFooterBytesV2 - 4))) {
-      return Status::InvalidArgument("footer checksum mismatch");
-    }
-    if (file_crc != Crc32c(bytes.substr(0, off))) {
-      return Status::InvalidArgument("whole-file checksum mismatch");
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -236,14 +140,43 @@ uint32_t PageCapacityFor(uint32_t format_version, uint32_t page_size_bytes,
   return PageCapacity(format_version, page_size_bytes, num_attrs);
 }
 
-Status VerifyFilePage(std::string_view bytes, const FileLayout& layout,
-                      uint64_t page) {
-  return VerifyPageImpl(bytes, layout, page, /*check_crc=*/true);
-}
-
 Status VerifyPageBytes(std::string_view page_bytes, const FileLayout& layout,
                        uint64_t page) {
-  return VerifyPageBytesImpl(page_bytes, layout, page, /*check_crc=*/true);
+  if (page >= layout.num_pages) {
+    return Status::InvalidArgument("page index out of range");
+  }
+  if (page_bytes.size() != layout.page_size_bytes) {
+    return Status::Internal("short page read");
+  }
+  uint32_t record_count = 0;
+  std::memcpy(&record_count, page_bytes.data(), 4);
+  if (record_count != layout.PageRecords(page)) {
+    return Status::InvalidArgument("bad page record count");
+  }
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, page_bytes.data() + 4, 4);
+  // CRC of the page with the crc field itself zeroed.
+  const char zeros[4] = {0, 0, 0, 0};
+  uint32_t crc = Crc32c(page_bytes.data(), 4);
+  crc = Crc32c(zeros, 4, crc);
+  crc = Crc32c(page_bytes.data() + 8, layout.page_size_bytes - 8, crc);
+  if (stored_crc != crc) {
+    return Status::InvalidArgument("page checksum mismatch");
+  }
+  return Status::Ok();
+}
+
+Status VerifyFilePage(std::string_view bytes, const FileLayout& layout,
+                      uint64_t page) {
+  if (page >= layout.num_pages) {
+    return Status::InvalidArgument("page index out of range");
+  }
+  const uint64_t off = layout.PageOffset(page);
+  if (off + layout.page_size_bytes > bytes.size()) {
+    return Status::InvalidArgument("page truncated");
+  }
+  return VerifyPageBytes(bytes.substr(off, layout.page_size_bytes), layout,
+                         page);
 }
 
 bool DecodedPage::MayMatch(const std::vector<double>& lo,
@@ -288,9 +221,8 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
     return out;
   }
 
-  // v1/v2: transpose the row-major records and derive zone maps.
-  const char* rows =
-      page_bytes.data() + PageHeaderBytes(layout.format_version);
+  // v2: transpose the row-major records and derive zone maps.
+  const char* rows = page_bytes.data() + kPageHeaderBytesV2;
   for (uint32_t a = 0; a < k; ++a) {
     double* col = out.columns.data() + uint64_t{a} * out.num_records;
     double lo = 0.0;
@@ -313,7 +245,31 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
 }
 
 Status VerifyFileFooter(std::string_view bytes, const FileLayout& layout) {
-  return VerifyFooterImpl(bytes, layout, /*check_crc=*/true);
+  const uint64_t off = layout.footer_offset;
+  if (off + kFooterBytesV2 > bytes.size()) {
+    return Status::InvalidArgument("footer truncated");
+  }
+  if (std::memcmp(bytes.data() + off, kFooterMagic, 4) != 0) {
+    return Status::InvalidArgument("bad footer magic");
+  }
+  uint64_t n = 0;
+  uint64_t pages = 0;
+  std::memcpy(&n, bytes.data() + off + 4, 8);
+  std::memcpy(&pages, bytes.data() + off + 12, 8);
+  if (n != layout.num_records || pages != layout.num_pages) {
+    return Status::InvalidArgument("footer disagrees with header");
+  }
+  uint32_t file_crc = 0;
+  uint32_t footer_crc = 0;
+  std::memcpy(&file_crc, bytes.data() + off + 20, 4);
+  std::memcpy(&footer_crc, bytes.data() + off + 24, 4);
+  if (footer_crc != Crc32c(bytes.substr(off, kFooterBytesV2 - 4))) {
+    return Status::InvalidArgument("footer checksum mismatch");
+  }
+  if (file_crc != Crc32c(bytes.substr(0, off))) {
+    return Status::InvalidArgument("whole-file checksum mismatch");
+  }
+  return Status::Ok();
 }
 
 std::string BuildFileFooter(const FileLayout& layout, std::string_view body) {
@@ -360,7 +316,7 @@ Result<std::string> SerializeGridFile(const GridFile& file,
     for (double v : b) AppendF64(&out, v);
   }
   AppendU64(&out, file.num_records());
-  if (version != kFormatV1) AppendU32(&out, Crc32c(out));
+  AppendU32(&out, Crc32c(out));
 
   // Pages: records in id order, `capacity` per page, zero-padded. The
   // writer always packs pages full so the layout is deterministic.
@@ -370,7 +326,7 @@ Result<std::string> SerializeGridFile(const GridFile& file,
         static_cast<uint32_t>(std::min<uint64_t>(capacity, n - first));
     const size_t page_start = out.size();
     AppendU32(&out, in_page);
-    if (version != kFormatV1) AppendU32(&out, 0);  // CRC patched below.
+    AppendU32(&out, 0);  // CRC patched below.
     if (version == kFormatV3) {
       // Zone maps, then column segments at capacity stride.
       for (uint32_t a = 0; a < k; ++a) {
@@ -398,71 +354,25 @@ Result<std::string> SerializeGridFile(const GridFile& file,
       }
     }
     out.resize(page_start + page_size, '\0');
-    if (version != kFormatV1) {
-      PatchU32(&out, page_start + 4,
-               Crc32c(std::string_view(out).substr(page_start, page_size)));
-    }
+    PatchU32(&out, page_start + 4,
+             Crc32c(std::string_view(out).substr(page_start, page_size)));
   }
 
-  if (version != kFormatV1) {
-    FileLayout layout;
-    layout.num_records = n;
-    layout.num_pages = n == 0 ? 0 : (n - 1) / capacity + 1;
-    out += BuildFileFooter(layout, out);
-  }
-  if (options.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options.metrics;
-    reg.GetCounter("storage.saves")->Inc();
-    reg.GetCounter("storage.pages_written")
-        ->Inc(n == 0 ? 0 : (n - 1) / capacity + 1);
-    reg.GetCounter("storage.bytes_written")->Inc(out.size());
-  }
+  FileLayout layout;
+  layout.num_records = n;
+  layout.num_pages = n == 0 ? 0 : (n - 1) / capacity + 1;
+  out += BuildFileFooter(layout, out);
   return out;
 }
 
-Status SaveGridFile(const GridFile& file, std::ostream& os,
-                    const SaveOptions& options) {
-  Result<std::string> bytes = SerializeGridFile(file, options);
-  if (!bytes.ok()) return bytes.status();
-  os.write(bytes.value().data(),
-           static_cast<std::streamsize>(bytes.value().size()));
-  if (!os.good()) return Status::Internal("stream write failed");
-  return Status::Ok();
-}
-
-Status SaveGridFile(const GridFile& file, std::ostream& os,
-                    uint32_t page_size_bytes) {
-  SaveOptions options;
-  options.page_size_bytes = page_size_bytes;
-  return SaveGridFile(file, os, options);
-}
-
-Result<GridFile> ParseGridFile(std::string_view bytes,
-                               const LoadOptions& options,
-                               LoadReport* report) {
+Result<GridFile> ParseGridFile(std::string_view bytes) {
   Result<ParsedHeader> header = ParseHeader(bytes);
   if (!header.ok()) return header.status();
   const FileLayout& layout = header.value().layout;
-  // Strict unless the policy asks for salvage/report semantics.
-  const bool salvage =
-      options.policy.on_damage != ReadPolicy::OnDamage::kFail;
-  const bool verify = options.policy.verify;
-
-  LoadReport local_report;
-  LoadReport& rep = report != nullptr ? *report : local_report;
-  rep = LoadReport();
-  rep.format_version = layout.format_version;
-  rep.checksummed = layout.format_version != kFormatV1;
-  rep.num_pages = layout.num_pages;
-
   if (bytes.size() != layout.expected_file_size) {
-    if (!salvage) {
-      return Status::InvalidArgument(
-          bytes.size() < layout.expected_file_size
-              ? "truncated file"
-              : "trailing garbage after final page");
-    }
-    rep.size_ok = false;
+    return Status::InvalidArgument(bytes.size() < layout.expected_file_size
+                                       ? "truncated file"
+                                       : "trailing garbage after final page");
   }
 
   Result<Schema> schema = Schema::Create(std::move(header.value().attrs));
@@ -474,94 +384,28 @@ Result<GridFile> ParseGridFile(std::string_view bytes,
       std::move(schema).value(), std::move(sp).value());
   if (!file.ok()) return file.status();
 
+  // Each page is verified and decoded exactly as PageStore admits it; the
+  // records are then gathered back out of the decoded columns.
   const uint32_t k = layout.num_attrs;
-  const uint32_t page_header = PageHeaderBytes(layout.format_version);
-  auto report_damage = [&](uint64_t page, const char* reason) {
-    ++rep.damaged_page_count;
-    if (rep.damaged_pages.size() < kMaxReportedDamage) {
-      rep.damaged_pages.push_back({page, reason});
-    }
-    rep.records_lost += layout.PageRecords(page);
-  };
-
   for (uint64_t page = 0; page < layout.num_pages; ++page) {
-    const uint64_t off = layout.PageOffset(page);
-    if (off + layout.page_size_bytes > bytes.size()) {
-      // File ends here; in salvage mode account for the whole missing
-      // tail at once (a lying v1 record count must not drive a huge loop).
-      if (!salvage) return Status::InvalidArgument("truncated file");
-      rep.damaged_page_count += layout.num_pages - page;
-      if (rep.damaged_pages.size() < kMaxReportedDamage) {
-        rep.damaged_pages.push_back({page, "page truncated"});
-      }
-      rep.records_lost +=
-          layout.num_records - page * uint64_t{layout.page_capacity};
-      break;
-    }
-    const Status page_status = VerifyPageImpl(bytes, layout, page, verify);
-    if (!page_status.ok()) {
-      if (!salvage) return page_status;
-      report_damage(page, page_status.message().c_str());
-      continue;
-    }
-    const uint32_t in_page = layout.PageRecords(page);
-    if (layout.format_version == kFormatV3) {
-      // Gather each record across the page's column segments.
-      const char* segments = bytes.data() + off + kPageHeaderBytesV3 +
-                             uint64_t{k} * kZoneMapBytesPerAttr;
-      for (uint32_t r = 0; r < in_page; ++r) {
-        Record rec(k);
-        for (uint32_t a = 0; a < k; ++a) {
-          std::memcpy(
-              &rec[a],
-              segments + (uint64_t{a} * layout.page_capacity + r) * 8, 8);
-        }
-        Result<RecordId> id = file.value().Insert(std::move(rec));
-        if (!id.ok()) return id.status();
-        ++rep.records_loaded;
-      }
-    } else {
-      const char* rec_bytes = bytes.data() + off + page_header;
-      for (uint32_t r = 0; r < in_page; ++r) {
-        Record rec(k);
-        std::memcpy(rec.data(), rec_bytes + uint64_t{r} * RecordBytes(k),
-                    RecordBytes(k));
-        Result<RecordId> id = file.value().Insert(std::move(rec));
-        if (!id.ok()) return id.status();
-        ++rep.records_loaded;
-      }
+    const std::string_view page_bytes =
+        bytes.substr(layout.PageOffset(page), layout.page_size_bytes);
+    const Status verify = VerifyPageBytes(page_bytes, layout, page);
+    if (!verify.ok()) return verify;
+    Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
+    if (!decoded.ok()) return decoded.status();
+    const DecodedPage& d = decoded.value();
+    for (uint32_t r = 0; r < d.num_records; ++r) {
+      Record rec(k);
+      for (uint32_t a = 0; a < k; ++a) rec[a] = d.column(a)[r];
+      Result<RecordId> id = file.value().Insert(std::move(rec));
+      if (!id.ok()) return id.status();
     }
   }
 
-  if (layout.format_version != kFormatV1) {
-    const Status footer_status = VerifyFooterImpl(bytes, layout, verify);
-    if (!footer_status.ok()) {
-      if (!salvage) return footer_status;
-      rep.footer_ok = false;
-    }
-  }
-  // Metrics mirror the report on loads that completed the page scan, so
-  // instrumentation provably cannot change what gets parsed.
-  if (options.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options.metrics;
-    reg.GetCounter("storage.loads")->Inc();
-    reg.GetCounter("storage.pages_read")->Inc(rep.num_pages);
-    reg.GetCounter("storage.pages_damaged")->Inc(rep.damaged_page_count);
-    reg.GetCounter("storage.records_loaded")->Inc(rep.records_loaded);
-    reg.GetCounter("storage.records_lost")->Inc(rep.records_lost);
-    reg.GetCounter("storage.footers_damaged")->Inc(rep.footer_ok ? 0 : 1);
-  }
+  const Status footer = VerifyFileFooter(bytes, layout);
+  if (!footer.ok()) return footer;
   return file;
-}
-
-Result<GridFile> LoadGridFile(std::istream& is, const LoadOptions& options,
-                              LoadReport* report) {
-  std::string bytes(std::istreambuf_iterator<char>(is), {});
-  return ParseGridFile(bytes, options, report);
-}
-
-Result<GridFile> LoadGridFile(std::istream& is) {
-  return LoadGridFile(is, LoadOptions{});
 }
 
 }  // namespace griddecl

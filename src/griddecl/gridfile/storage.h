@@ -2,15 +2,12 @@
 #define GRIDDECL_GRIDFILE_STORAGE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "griddecl/common/status.h"
 #include "griddecl/gridfile/grid_file.h"
-#include "griddecl/gridfile/read_policy.h"
-#include "griddecl/obs/metrics.h"
 
 /// \file
 /// Binary, paged, versioned persistence for `GridFile`.
@@ -21,30 +18,27 @@
 /// placement. Records are packed in id order into fixed-size pages — the
 /// same unit the I/O simulator charges for.
 ///
-/// Three format versions (all little-endian):
+/// Two format versions, both little-endian and self-verifying. Every load
+/// is strict: a header, page or footer that fails its CRC or its
+/// structural checks rejects the whole file.
 ///
-/// Version 1 (legacy, loaded transparently, written on request):
+/// Version 2 (row-major):
 ///
-///   [magic "GDCL"] [u32 version=1] [u32 page_size] [u32 num_attrs]
-///   per attribute: [u32 name_len][name bytes][u32 num_boundaries]
-///                  [f64 boundaries...]
-///   [u64 num_records]
-///   pages: each page is exactly page_size bytes:
-///          [u32 record_count][records: num_attrs f64 each][zero padding]
-///
-/// Version 2 (self-verifying, row-major):
-///
-///   header: as v1 with version=2, then [u32 header_crc] — CRC32C of every
-///           preceding header byte.
+///   header: [magic "GDCL"] [u32 version=2] [u32 page_size] [u32 num_attrs]
+///           per attribute: [u32 name_len][name bytes][u32 num_boundaries]
+///                          [f64 boundaries...]
+///           [u64 num_records]
+///           [u32 header_crc] — CRC32C of every preceding header byte.
 ///   pages:  each page is exactly page_size bytes:
-///           [u32 record_count][u32 page_crc][records...][zero padding]
+///           [u32 record_count][u32 page_crc]
+///           [records: num_attrs f64 each][zero padding]
 ///           page_crc is the CRC32C of the whole page with the crc field
 ///           itself zeroed, so a page verifies in isolation.
 ///   footer: [magic "GDFT"][u64 num_records][u64 num_pages]
 ///           [u32 file_crc]   — CRC32C of every byte before the footer
 ///           [u32 footer_crc] — CRC32C of the footer bytes before it
 ///
-/// Version 3 (default; self-verifying, column-major with zone maps):
+/// Version 3 (default; column-major with zone maps):
 ///
 ///   header and footer: identical to v2 (version=3).
 ///   pages:  each page is exactly page_size bytes:
@@ -73,20 +67,18 @@ namespace griddecl {
 inline constexpr uint32_t kDefaultPageSizeBytes = 4096;
 
 /// Supported format versions.
-inline constexpr uint32_t kFormatV1 = 1;
 inline constexpr uint32_t kFormatV2 = 2;
 inline constexpr uint32_t kFormatV3 = 3;
 inline constexpr uint32_t kLatestFormatVersion = kFormatV3;
 
 /// Page header sizes per version (v3 shares the v2 header).
-inline constexpr uint32_t kPageHeaderBytesV1 = 4;
 inline constexpr uint32_t kPageHeaderBytesV2 = 8;
 inline constexpr uint32_t kPageHeaderBytesV3 = 8;
 
 /// Per-attribute zone-map bytes in a v3 page: [f64 min][f64 max].
 inline constexpr uint32_t kZoneMapBytesPerAttr = 16;
 
-/// Size of the v2/v3 footer: magic + num_records + num_pages + 2 CRCs.
+/// Size of the footer: magic + num_records + num_pages + 2 CRCs.
 inline constexpr uint64_t kFooterBytesV2 = 4 + 8 + 8 + 4 + 4;
 
 /// Upper bound on page_size accepted by the parsers (defense against
@@ -101,13 +93,8 @@ uint32_t PageCapacityFor(uint32_t format_version, uint32_t page_size_bytes,
 
 struct SaveOptions {
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  /// kFormatV1, kFormatV2 or kFormatV3.
+  /// kFormatV2 or kFormatV3.
   uint32_t format_version = kLatestFormatVersion;
-  /// Optional observability sink (non-owning). A successful serialization
-  /// records `storage.saves`, `storage.pages_written` and
-  /// `storage.bytes_written`. Null means no instrumentation; the produced
-  /// bytes are identical either way.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Serializes `file` to bytes. `page_size_bytes` must fit the page header
@@ -115,81 +102,10 @@ struct SaveOptions {
 Result<std::string> SerializeGridFile(const GridFile& file,
                                       const SaveOptions& options = {});
 
-/// Writes `file` to `os` in the latest format version.
-Status SaveGridFile(const GridFile& file, std::ostream& os,
-                    uint32_t page_size_bytes = kDefaultPageSizeBytes);
-
-/// Writes `file` to `os` with explicit format options.
-Status SaveGridFile(const GridFile& file, std::ostream& os,
-                    const SaveOptions& options);
-
-/// One damaged page found while loading in best-effort mode.
-struct PageDamage {
-  uint64_t page_index = 0;
-  std::string reason;
-};
-
-/// How many damaged pages `LoadReport` itemizes before switching to
-/// counting only (bounds report memory on adversarial inputs).
-inline constexpr size_t kMaxReportedDamage = 64;
-
-/// Outcome details of a load, populated on request.
-struct LoadReport {
-  uint32_t format_version = 0;
-  /// True when the file carries checksums (v2).
-  bool checksummed = false;
-  uint64_t num_pages = 0;
-  /// Total damaged pages (best-effort mode); the first kMaxReportedDamage
-  /// are itemized in `damaged_pages`.
-  uint64_t damaged_page_count = 0;
-  std::vector<PageDamage> damaged_pages;
-  uint64_t records_loaded = 0;
-  /// Records residing in damaged (skipped) pages. When non-zero, record
-  /// ids of the returned file are compacted: they no longer match the
-  /// writer's ids (documented salvage semantics).
-  uint64_t records_lost = 0;
-  /// v2 footer verified (structure and, when requested, CRCs).
-  bool footer_ok = true;
-  /// File had exactly the expected byte size (no truncation, no trailing
-  /// garbage).
-  bool size_ok = true;
-
-  bool Clean() const {
-    return damaged_page_count == 0 && records_lost == 0 && footer_ok &&
-           size_ok;
-  }
-};
-
-struct LoadOptions {
-  /// How the load reads: `policy.verify` gates CRC checks of v2/v3 files
-  /// (v1 has none to verify); `policy.on_damage` picks strict (kFail:
-  /// any damage rejects the whole file) versus salvage (kSalvage /
-  /// kReport: keep every verifiable page, report the damage; only an
-  /// unusable header region is fatal). `policy.pin` and `policy.retry`
-  /// are ignored here — a bulk load owns its bytes already.
-  ReadPolicy policy;
-  /// Optional observability sink (non-owning). A load that reaches the
-  /// page scan records `storage.loads`, `storage.pages_read`,
-  /// `storage.pages_damaged`, `storage.records_loaded`,
-  /// `storage.records_lost` and `storage.footers_damaged` — mirrored from
-  /// the `LoadReport`, so the parse result is identical either way. Loads
-  /// rejected before the scan (unusable header, strict-mode damage)
-  /// record nothing.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Parses a grid file previously written by `SaveGridFile`. Fails with
-/// kInvalidArgument on any malformed or truncated input (never crashes).
-Result<GridFile> ParseGridFile(std::string_view bytes,
-                               const LoadOptions& options = {},
-                               LoadReport* report = nullptr);
-
-/// Reads a grid file from a stream; strict, checksum-verifying.
-Result<GridFile> LoadGridFile(std::istream& is);
-
-/// Reads a grid file from a stream with explicit load options.
-Result<GridFile> LoadGridFile(std::istream& is, const LoadOptions& options,
-                              LoadReport* report = nullptr);
+/// Parses a grid file previously written by `SerializeGridFile`, verifying
+/// every checksum. Fails with kInvalidArgument on any malformed, damaged
+/// or truncated input (never crashes).
+Result<GridFile> ParseGridFile(std::string_view bytes);
 
 // --- Format introspection (scrub / fsck support) --------------------------
 
@@ -205,7 +121,7 @@ struct FileLayout {
   uint64_t num_pages = 0;
   /// Byte offset of page 0 (== size of the header region).
   uint64_t header_bytes = 0;
-  /// Byte offset of the footer (v2) / end of data (v1).
+  /// Byte offset of the footer.
   uint64_t footer_offset = 0;
   /// Exact size a pristine file has.
   uint64_t expected_file_size = 0;
@@ -217,26 +133,26 @@ struct FileLayout {
   uint32_t PageRecords(uint64_t page) const;
 };
 
-/// Parses and validates the header region of `bytes` (structure, bounds,
-/// and — for v2 — the header CRC). Page and footer bytes are not touched,
+/// Parses and validates the header region of `bytes` (structure, bounds
+/// and the header CRC). Page and footer bytes are not touched,
 /// so a layout can be recovered from a file with damaged pages.
 Result<FileLayout> ParseFileLayout(std::string_view bytes);
 
 /// Verifies page `page` of `bytes` under `layout`: page in bounds, record
-/// count exactly what the writer lays out, CRC match (v2/v3).
+/// count exactly what the writer lays out, CRC match.
 Status VerifyFilePage(std::string_view bytes, const FileLayout& layout,
                       uint64_t page);
 
 /// Verifies one page given only that page's bytes (the unit a resilient
 /// reader fetches with `ReadAt`): exact page size, record count, CRC
-/// match (v2/v3). The single verify path shared by load, scrub and serve.
+/// match. The single verify path shared by load, scrub and serve.
 Status VerifyPageBytes(std::string_view page_bytes, const FileLayout& layout,
                        uint64_t page);
 
-/// Verifies the v2/v3 footer of `bytes` (structure and CRCs).
+/// Verifies the footer of `bytes` (structure and CRCs).
 Status VerifyFileFooter(std::string_view bytes, const FileLayout& layout);
 
-/// Serializes the v2/v3 footer for a file whose pre-footer bytes are
+/// Serializes the footer for a file whose pre-footer bytes are
 /// `body` (used by scrub to recompute a damaged footer bit-identically).
 std::string BuildFileFooter(const FileLayout& layout, std::string_view body);
 
@@ -244,7 +160,7 @@ std::string BuildFileFooter(const FileLayout& layout, std::string_view body);
 
 /// One page decoded to columnar form: attribute-major value vectors plus
 /// per-attribute min/max. v3 pages memcpy their column segments and read
-/// the stored zone maps; v1/v2 pages are transposed and their zone maps
+/// the stored zone maps; v2 pages are transposed and their zone maps
 /// computed on the fly, so every format answers the same scan interface.
 struct DecodedPage {
   uint32_t num_records = 0;

@@ -18,7 +18,7 @@
 ///
 ///  * **No globals.** A registry is handed to a subsystem through its
 ///    options struct (`EvalOptions::metrics`, `ThroughputOptions::metrics`,
-///    `LoadOptions::metrics`, ...). Two concurrent runs with two registries
+///    `ScrubOptions::metrics`, ...). Two concurrent runs with two registries
 ///    never share state.
 ///  * **Absent registry == true no-op.** Every instrumented call site holds
 ///    a metric pointer that is null when no registry was attached; the
@@ -41,7 +41,7 @@
 ///
 /// Key naming scheme: dot-separated lowercase path, subsystem first —
 /// `eval.queries`, `sim.throughput.transient_retries`,
-/// `storage.pages_read`, `scrub.repairs.mirror`. Per-instance suffixes
+/// `storage.pool.hits`, `scrub.repairs.mirror`. Per-instance suffixes
 /// (e.g. a disk index) append one more dotted component. Timing keys end
 /// in `_ms`.
 

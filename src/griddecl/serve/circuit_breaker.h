@@ -61,6 +61,14 @@ struct BreakerCounters {
   uint64_t half_opened = 0;  ///< open -> half-open probe admissions.
   uint64_t closed = 0;       ///< half-open -> closed recoveries.
   uint64_t reopened = 0;     ///< half-open -> open probe failures.
+
+  BreakerCounters& operator+=(const BreakerCounters& other) {
+    opened += other.opened;
+    half_opened += other.half_opened;
+    closed += other.closed;
+    reopened += other.reopened;
+    return *this;
+  }
 };
 
 class CircuitBreaker {

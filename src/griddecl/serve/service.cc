@@ -78,30 +78,13 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
     st = ValidateBreakerOptions(options.breaker);
     if (!st.ok()) return st;
   }
-  if (options.read.on_damage != ReadPolicy::OnDamage::kFail) {
-    return Status::InvalidArgument(
-        "serve requires ReadPolicy::OnDamage::kFail (damage must surface "
-        "as kUnavailable so the degraded paths engage)");
-  }
-  for (uint32_t attempt = 0;; ++attempt) {
-    Result<CatalogManifest> manifest =
-        options.generation != 0 ? ReadManifest(*env, options.generation)
-                                : ReadCurrentManifest(*env);
-    if (!manifest.ok()) return manifest.status();
-    const CatalogManifest& m = manifest.value();
-    if (m.num_disks < 1) {
-      return Status::InvalidArgument("manifest declusters over zero disks");
-    }
-    std::unique_ptr<QueryService> service(
-        new QueryService(env, options, m.num_disks));
+  std::unique_ptr<QueryService> service;
+  const auto load = [&](const CatalogManifest& m) -> Status {
+    service.reset(new QueryService(env, options, m.num_disks));
     service->generation_ = m.generation;
-    Status load_error = Status::Ok();
     for (size_t i = 0; i < m.relations.size(); ++i) {
       Result<Relation> rel = LoadRelation(*env, m, i);
-      if (!rel.ok()) {
-        load_error = rel.status();
-        break;
-      }
+      if (!rel.ok()) return rel.status();
       std::string name = rel.value().name;
       const auto emplaced = service->relations_.emplace(
           std::move(name), std::move(rel).value());
@@ -112,24 +95,24 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
         service->store_->RegisterFile(file, r.layout);
       }
     }
-    if (!load_error.ok()) {
-      // The same concurrent-commit race LoadCatalogManifestConsistent
-      // absorbs: a commit can advance CURRENT and GC generation G's files
-      // mid-load. If the committed generation moved, retry at the new one;
-      // otherwise the failure is real.
-      if (options.generation != 0 || attempt >= 3) return load_error;
-      Result<CatalogManifest> again = ReadCurrentManifest(*env);
-      if (!again.ok() || again.value().generation == m.generation) {
-        return load_error;
-      }
-      continue;
-    }
-    QueryService* self = service.get();
-    for (uint32_t t = 0; t < options.num_threads; ++t) {
-      service->workers_.emplace_back([self, t] { self->WorkerLoop(t); });
-    }
-    return service;
+    return Status::Ok();
+  };
+  // A pinned generation loads once; the committed one is re-resolved when
+  // a concurrent commit moves CURRENT mid-load.
+  Status loaded = Status::Ok();
+  if (options.generation != 0) {
+    Result<CatalogManifest> manifest = ReadManifest(*env, options.generation);
+    if (!manifest.ok()) return manifest.status();
+    loaded = load(manifest.value());
+  } else {
+    loaded = LoadAtCommittedGeneration(*env, load);
   }
+  if (!loaded.ok()) return loaded;
+  QueryService* self = service.get();
+  for (uint32_t t = 0; t < options.num_threads; ++t) {
+    service->workers_.emplace_back([self, t] { self->WorkerLoop(t); });
+  }
+  return service;
 }
 
 QueryService::~QueryService() { (void)Shutdown(); }
@@ -847,12 +830,7 @@ BreakerState QueryService::BreakerStateOf(uint32_t disk) const {
 BreakerCounters QueryService::BreakerTotals() const {
   std::lock_guard<std::mutex> lock(breaker_mu_);
   BreakerCounters totals;
-  for (const CircuitBreaker& b : breakers_) {
-    totals.opened += b.counters().opened;
-    totals.half_opened += b.counters().half_opened;
-    totals.closed += b.counters().closed;
-    totals.reopened += b.counters().reopened;
-  }
+  for (const CircuitBreaker& b : breakers_) totals += b.counters();
   return totals;
 }
 

@@ -108,8 +108,8 @@ struct ServeOptions {
   uint32_t max_queue = 64;
   /// Deadline applied to requests that do not carry one; 0 = none.
   double default_deadline_ms = 0.0;
-  /// Page-read policy: verification, damage reaction, and the retry
-  /// schedule (transient errors only). `read.retry.max_attempts` counts
+  /// Page-read policy: the retry schedule for transient errors (every
+  /// read is CRC-verified regardless). `read.retry.max_attempts` counts
   /// the first try; keep it above a FaultyEnv's max_transient_attempts so
   /// injected transients always eventually succeed.
   ReadPolicy read = ServeReadPolicy();

@@ -13,6 +13,7 @@
 #include "griddecl/common/crc32c.h"
 #include "griddecl/common/random.h"
 #include "griddecl/methods/registry.h"
+#include "griddecl/serve/service.h"
 
 namespace griddecl {
 namespace {
@@ -356,7 +357,8 @@ TEST(ManifestTest, ConsistentLoadSurvivesConcurrentCommitAndGc) {
   // CURRENT = 2, then a committer lands generations 3 and 4 — whose GC
   // retires generation 2's files — before the reader touches them. The
   // plain load fails (checksummed reads can never mix generations); the
-  // consistent wrapper re-resolves and retries at the new CURRENT.
+  // consistent wrapper — and the query service, which loads through the
+  // same retry — re-resolve and retry at the new CURRENT.
   const Catalog catalog = MakeCatalog(4);
   MemEnv env;
   ASSERT_TRUE(SaveCatalogManifest(catalog, &env).ok());
@@ -380,6 +382,18 @@ TEST(ManifestTest, ConsistentLoadSurvivesConcurrentCommitAndGc) {
     const Result<Catalog> loaded = LoadCatalogManifestConsistent(racing);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value().RelationNames(), catalog.RelationNames());
+  }
+  {
+    RacingEnv racing(&env, race);
+    const uint64_t resolved = ReadCurrentManifest(env).value().generation;
+    serve::ServeOptions options;
+    options.num_threads = 1;
+    const auto service = serve::QueryService::Create(&racing, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    const uint64_t current = ReadCurrentManifest(env).value().generation;
+    EXPECT_GT(current, resolved);
+    EXPECT_EQ(service.value()->generation(), current);
+    EXPECT_EQ(service.value()->RelationNames(), catalog.RelationNames());
   }
 }
 

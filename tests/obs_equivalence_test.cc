@@ -238,7 +238,7 @@ TEST(ObsEquivalenceTest, IoSimulatorBitIdentical) {
   EXPECT_EQ(makespan->max(), plain.makespan_ms);
 }
 
-// --- Storage / scrub -------------------------------------------------------
+// --- Scrub -----------------------------------------------------------------
 
 GridFile MakeGridFile(int num_records, uint64_t seed) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
@@ -248,60 +248,6 @@ GridFile MakeGridFile(int num_records, uint64_t seed) {
     EXPECT_TRUE(f.Insert({rng.NextDouble(), rng.NextDouble()}).ok());
   }
   return f;
-}
-
-TEST(ObsEquivalenceTest, StorageSerializeBitIdenticalAndCountersMatch) {
-  const GridFile f = MakeGridFile(100, 11);
-  SaveOptions plain_opts;
-  plain_opts.page_size_bytes = 256;
-  const std::string plain = SerializeGridFile(f, plain_opts).value();
-
-  obs::MetricsRegistry reg;
-  SaveOptions metered_opts = plain_opts;
-  metered_opts.metrics = &reg;
-  EXPECT_EQ(SerializeGridFile(f, metered_opts).value(), plain);
-
-  EXPECT_EQ(Value(reg, "storage.saves"), 1u);
-  EXPECT_EQ(Value(reg, "storage.bytes_written"), plain.size());
-  EXPECT_GT(Value(reg, "storage.pages_written"), 1u);
-}
-
-TEST(ObsEquivalenceTest, StorageBestEffortLoadMirrorsReport) {
-  const GridFile f = MakeGridFile(100, 11);
-  SaveOptions save;
-  save.page_size_bytes = 256;
-  std::string bytes = SerializeGridFile(f, save).value();
-  const FileLayout layout = ParseFileLayout(bytes).value();
-  bytes[layout.PageOffset(1) + 20] ^= 0x55;  // damage one page
-
-  LoadOptions plain_opts;
-  plain_opts.policy = SalvageReadPolicy();
-  LoadReport plain_report;
-  const GridFile plain =
-      ParseGridFile(bytes, plain_opts, &plain_report).value();
-
-  obs::MetricsRegistry reg;
-  LoadOptions metered_opts = plain_opts;
-  metered_opts.metrics = &reg;
-  LoadReport metered_report;
-  const GridFile metered =
-      ParseGridFile(bytes, metered_opts, &metered_report).value();
-
-  EXPECT_EQ(metered.num_records(), plain.num_records());
-  EXPECT_EQ(metered_report.damaged_page_count,
-            plain_report.damaged_page_count);
-  EXPECT_EQ(metered_report.records_loaded, plain_report.records_loaded);
-  EXPECT_EQ(metered_report.records_lost, plain_report.records_lost);
-
-  EXPECT_EQ(Value(reg, "storage.loads"), 1u);
-  EXPECT_EQ(Value(reg, "storage.pages_read"), plain_report.num_pages);
-  EXPECT_EQ(Value(reg, "storage.pages_damaged"),
-            plain_report.damaged_page_count);
-  EXPECT_EQ(Value(reg, "storage.records_loaded"),
-            plain_report.records_loaded);
-  EXPECT_EQ(Value(reg, "storage.records_lost"), plain_report.records_lost);
-  EXPECT_GT(plain_report.damaged_page_count, 0u);
-  EXPECT_GT(plain_report.records_lost, 0u);
 }
 
 /// One-relation catalog saved with mirror redundancy, one page damaged —

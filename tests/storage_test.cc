@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "griddecl/common/bytes.h"
 #include "griddecl/common/random.h"
 #include "griddecl/grid/partitioner.h"
 
@@ -25,11 +25,18 @@ GridFile MakeFile(int num_records, uint64_t seed) {
   return f;
 }
 
+std::string Serialize(const GridFile& file,
+                      uint32_t page_size = kDefaultPageSizeBytes,
+                      uint32_t version = kLatestFormatVersion) {
+  SaveOptions options;
+  options.page_size_bytes = page_size;
+  options.format_version = version;
+  return SerializeGridFile(file, options).value();
+}
+
 TEST(StorageTest, RoundTripPreservesEverything) {
   const GridFile original = MakeFile(500, 1);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveGridFile(original, buffer).ok());
-  const GridFile loaded = LoadGridFile(buffer).value();
+  const GridFile loaded = ParseGridFile(Serialize(original)).value();
 
   EXPECT_EQ(loaded.num_records(), original.num_records());
   EXPECT_EQ(loaded.grid(), original.grid());
@@ -43,9 +50,7 @@ TEST(StorageTest, RoundTripPreservesEverything) {
 
 TEST(StorageTest, RoundTripEmptyFile) {
   const GridFile original = MakeFile(0, 2);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveGridFile(original, buffer).ok());
-  const GridFile loaded = LoadGridFile(buffer).value();
+  const GridFile loaded = ParseGridFile(Serialize(original)).value();
   EXPECT_EQ(loaded.num_records(), 0u);
   EXPECT_EQ(loaded.grid(), original.grid());
 }
@@ -70,9 +75,7 @@ TEST(StorageTest, RoundTripAdaptiveBoundaries) {
     ASSERT_TRUE(
         original.Insert({rng.NextDouble() * s, rng.NextDouble() * s}).ok());
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveGridFile(original, buffer).ok());
-  const GridFile loaded = LoadGridFile(buffer).value();
+  const GridFile loaded = ParseGridFile(Serialize(original)).value();
   EXPECT_EQ(loaded.grid(), original.grid());
   for (uint32_t dim = 0; dim < 2; ++dim) {
     EXPECT_EQ(loaded.partitioner().dim(dim).raw_boundaries(),
@@ -86,11 +89,9 @@ TEST(StorageTest, RoundTripAdaptiveBoundaries) {
 
 TEST(StorageTest, SmallPagesStillWork) {
   const GridFile original = MakeFile(100, 4);
-  std::stringstream buffer;
   // Page fits exactly one 2-attribute record under the default (v3)
   // format: 8 (header) + 2*16 (zone maps) + 16 (record) -> 56.
-  ASSERT_TRUE(SaveGridFile(original, buffer, 56).ok());
-  const GridFile loaded = LoadGridFile(buffer).value();
+  const GridFile loaded = ParseGridFile(Serialize(original, 56)).value();
   EXPECT_EQ(loaded.num_records(), 100u);
   EXPECT_EQ(loaded.record(99), original.record(99));
 }
@@ -101,100 +102,82 @@ TEST(StorageTest, PageCapacityForMath) {
   EXPECT_EQ(PageCapacityFor(kFormatV2, 136, 2), 8u);
   EXPECT_EQ(PageCapacityFor(kFormatV3, 136, 2), 6u);
   EXPECT_EQ(PageCapacityFor(kFormatV3, 168, 2), 8u);
-  EXPECT_EQ(PageCapacityFor(kFormatV1, 84, 1), 10u);
+  // Version 1 is no longer a format: nothing fits in its pages.
+  EXPECT_EQ(PageCapacityFor(1, 84, 1), 0u);
   EXPECT_EQ(PageCapacityFor(kFormatV3, 40, 2), 0u);
-}
-
-TEST(StorageTest, SmallPagesStillWorkV1) {
-  const GridFile original = MakeFile(100, 4);
-  std::stringstream buffer;
-  SaveOptions options;
-  options.page_size_bytes = 20;  // 4 (v1 header) + 16: one record per page.
-  options.format_version = kFormatV1;
-  ASSERT_TRUE(SaveGridFile(original, buffer, options).ok());
-  const GridFile loaded = LoadGridFile(buffer).value();
-  EXPECT_EQ(loaded.num_records(), 100u);
-  EXPECT_EQ(loaded.record(99), original.record(99));
 }
 
 TEST(StorageTest, PageSizeTooSmallRejected) {
   const GridFile original = MakeFile(10, 5);
-  std::stringstream buffer;
-  EXPECT_FALSE(SaveGridFile(original, buffer, 16).ok());
-  EXPECT_FALSE(SaveGridFile(original, buffer, 0).ok());
+  for (uint32_t page : {16u, 0u}) {
+    SaveOptions options;
+    options.page_size_bytes = page;
+    EXPECT_FALSE(SerializeGridFile(original, options).ok()) << page;
+  }
 }
 
 TEST(StorageTest, RejectsCorruptInputsWithoutCrashing) {
   const GridFile original = MakeFile(50, 6);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveGridFile(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Serialize(original);
 
   // Bad magic.
   {
     std::string copy = bytes;
     copy[0] = 'X';
-    std::stringstream in(copy);
-    EXPECT_FALSE(LoadGridFile(in).ok());
+    EXPECT_FALSE(ParseGridFile(copy).ok());
   }
   // Truncations at many prefixes: must error, never crash.
   for (size_t len : {0ul, 3ul, 8ul, 17ul, 40ul, bytes.size() / 2,
                      bytes.size() - 1}) {
-    std::stringstream in(bytes.substr(0, len));
-    EXPECT_FALSE(LoadGridFile(in).ok()) << "len=" << len;
+    EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok()) << "len=" << len;
   }
   // Corrupt version.
   {
     std::string copy = bytes;
     copy[4] = static_cast<char>(0x7F);
-    std::stringstream in(copy);
-    EXPECT_FALSE(LoadGridFile(in).ok());
+    EXPECT_FALSE(ParseGridFile(copy).ok());
   }
+}
+
+TEST(StorageTest, RejectsVersion1Files) {
+  // A minimal file in the retired unchecksummed v1 layout: magic,
+  // version 1, page size, one attribute with its boundaries and zero
+  // records — no header CRC, no pages, no footer.
+  std::string bytes = "GDCL";
+  AppendU32(&bytes, 1);     // version
+  AppendU32(&bytes, 4096);  // page size
+  AppendU32(&bytes, 1);     // attributes
+  AppendU32(&bytes, 1);     // name length
+  bytes += "x";
+  AppendU32(&bytes, 2);  // boundaries
+  AppendF64(&bytes, 0.0);
+  AppendF64(&bytes, 1.0);
+  AppendU64(&bytes, 0);  // records
+  const Result<GridFile> loaded = ParseGridFile(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(), "unsupported version 1");
 }
 
 TEST(StorageTest, RoundTripLargePageSizes) {
   const GridFile original = MakeFile(300, 7);
   for (uint32_t page : {64u, 1024u, 1u << 20}) {
-    std::stringstream buffer;
-    ASSERT_TRUE(SaveGridFile(original, buffer, page).ok()) << page;
-    const GridFile loaded = LoadGridFile(buffer).value();
+    const GridFile loaded = ParseGridFile(Serialize(original, page)).value();
     EXPECT_EQ(loaded.num_records(), 300u) << page;
   }
 }
 
-std::string Serialize(const GridFile& file, uint32_t page_size,
-                      uint32_t version) {
-  SaveOptions options;
-  options.page_size_bytes = page_size;
-  options.format_version = version;
-  return SerializeGridFile(file, options).value();
-}
-
-TEST(StorageTest, V1FilesLoadTransparently) {
-  const GridFile original = MakeFile(120, 8);
-  const std::string bytes = Serialize(original, 128, kFormatV1);
-  LoadReport report;
-  const GridFile loaded =
-      ParseGridFile(bytes, LoadOptions{}, &report).value();
-  EXPECT_EQ(report.format_version, kFormatV1);
-  EXPECT_FALSE(report.checksummed);
-  EXPECT_TRUE(report.Clean());
-  EXPECT_EQ(loaded.num_records(), original.num_records());
-  for (RecordId id = 0; id < original.num_records(); ++id) {
-    EXPECT_EQ(loaded.record(id), original.record(id));
-  }
-}
-
 TEST(StorageTest, V2ReportsCleanLoad) {
+  // v2 pages are row-major; the loader transposes them through
+  // DecodePageBytes like any page a PageStore admits.
   const GridFile original = MakeFile(120, 9);
   const std::string bytes = Serialize(original, 128, kFormatV2);
-  LoadReport report;
-  ASSERT_TRUE(ParseGridFile(bytes, LoadOptions{}, &report).ok());
-  EXPECT_EQ(report.format_version, kFormatV2);
-  EXPECT_TRUE(report.checksummed);
-  EXPECT_TRUE(report.Clean());
-  EXPECT_EQ(report.records_loaded, 120u);
-  EXPECT_EQ(report.records_lost, 0u);
+  EXPECT_EQ(ParseFileLayout(bytes).value().format_version, kFormatV2);
+  const GridFile loaded = ParseGridFile(bytes).value();
+  ASSERT_EQ(loaded.num_records(), 120u);
+  for (RecordId id = 0; id < original.num_records(); ++id) {
+    EXPECT_EQ(loaded.record(id), original.record(id));
+    EXPECT_EQ(loaded.BucketOfRecord(id), original.BucketOfRecord(id));
+  }
 }
 
 TEST(StorageTest, V2DetectsEverySingleBitFlip) {
@@ -215,12 +198,8 @@ TEST(StorageTest, V2DetectsEverySingleBitFlip) {
 TEST(StorageTest, V3RoundTripPreservesRecords) {
   const GridFile original = MakeFile(120, 21);
   const std::string bytes = Serialize(original, 168, kFormatV3);
-  LoadReport report;
-  const GridFile loaded =
-      ParseGridFile(bytes, LoadOptions{}, &report).value();
-  EXPECT_EQ(report.format_version, kFormatV3);
-  EXPECT_TRUE(report.checksummed);
-  EXPECT_TRUE(report.Clean());
+  EXPECT_EQ(ParseFileLayout(bytes).value().format_version, kFormatV3);
+  const GridFile loaded = ParseGridFile(bytes).value();
   ASSERT_EQ(loaded.num_records(), original.num_records());
   for (RecordId id = 0; id < original.num_records(); ++id) {
     EXPECT_EQ(loaded.record(id), original.record(id));
@@ -266,8 +245,8 @@ TEST(StorageTest, V3DecodedPageExposesColumnsAndZoneMaps) {
 }
 
 TEST(StorageTest, V2DecodedPageComputesZoneMapsInline) {
-  // v1/v2 pages carry no stored zone maps; DecodePageBytes computes them
-  // from the rows so zone-map skipping works on legacy files too.
+  // v2 pages carry no stored zone maps; DecodePageBytes computes them
+  // from the rows so zone-map skipping works on row-major files too.
   const GridFile original = MakeFile(30, 23);
   const std::string bytes = Serialize(original, 136, kFormatV2);
   const FileLayout layout = ParseFileLayout(bytes).value();
@@ -290,56 +269,15 @@ TEST(StorageTest, V2DecodedPageComputesZoneMapsInline) {
   }
 }
 
-TEST(StorageTest, BestEffortSalvagesUndamagedPages) {
-  const GridFile original = MakeFile(100, 11);
-  // Page size 88 -> capacity 5 -> 20 pages.
-  const std::string bytes = Serialize(original, 88, kFormatV2);
-  const FileLayout layout = ParseFileLayout(bytes).value();
-  ASSERT_EQ(layout.num_pages, 20u);
-
-  // Smash one byte in the middle of page 3.
-  std::string copy = bytes;
-  copy[layout.PageOffset(3) + 20] ^= 0x40;
-
-  // Strict load rejects...
-  EXPECT_FALSE(ParseGridFile(copy).ok());
-
-  // ...best-effort load salvages the other 19 pages and reports the loss.
-  LoadOptions options;
-  options.policy = SalvageReadPolicy();
-  LoadReport report;
-  const GridFile salvaged = ParseGridFile(copy, options, &report).value();
-  EXPECT_FALSE(report.Clean());
-  EXPECT_EQ(report.damaged_page_count, 1u);
-  ASSERT_EQ(report.damaged_pages.size(), 1u);
-  EXPECT_EQ(report.damaged_pages[0].page_index, 3u);
-  EXPECT_EQ(report.records_loaded, 95u);
-  EXPECT_EQ(report.records_lost, 5u);
-  EXPECT_EQ(salvaged.num_records(), 95u);
-}
-
-TEST(StorageTest, BestEffortReportsTruncatedTail) {
-  const GridFile original = MakeFile(50, 12);
-  const std::string bytes = Serialize(original, 88, kFormatV2);
-  const FileLayout layout = ParseFileLayout(bytes).value();
-  // Chop the last two pages and the footer.
-  const std::string chopped =
-      bytes.substr(0, layout.PageOffset(layout.num_pages - 2));
-  EXPECT_FALSE(ParseGridFile(chopped).ok());
-  LoadOptions options;
-  options.policy = SalvageReadPolicy();
-  LoadReport report;
-  ASSERT_TRUE(ParseGridFile(chopped, options, &report).ok());
-  EXPECT_FALSE(report.size_ok);
-  EXPECT_EQ(report.damaged_page_count, 2u);
-  EXPECT_EQ(report.records_loaded + report.records_lost, 50u);
-}
-
 TEST(StorageTest, HardenedPageValidation) {
   const GridFile original = MakeFile(40, 13);
-  // v1 has no checksums, so these structural checks carry the load there.
-  const std::string bytes = Serialize(original, 88, kFormatV1);
+  // The record-count check runs before the page CRC, so each lie below is
+  // caught by the structural check on its own, not by the checksum.
+  const std::string bytes = Serialize(original, 88, kFormatV2);
   const FileLayout layout = ParseFileLayout(bytes).value();
+  const auto reason = [](const std::string& copy) {
+    return ParseGridFile(copy).status().message();
+  };
 
   // A page claiming more records than its writer-assigned count must be
   // rejected, even where it would still fit the page physically.
@@ -347,24 +285,19 @@ TEST(StorageTest, HardenedPageValidation) {
     std::string copy = bytes;
     const uint32_t lie = layout.PageRecords(0) - 1;
     std::memcpy(copy.data() + layout.PageOffset(0), &lie, 4);
-    EXPECT_FALSE(ParseGridFile(copy).ok());
+    EXPECT_EQ(reason(copy), "bad page record count");
   }
   {
     std::string copy = bytes;
     const uint32_t lie = 1000000;  // Way past physical capacity.
     std::memcpy(copy.data() + layout.PageOffset(0), &lie, 4);
-    EXPECT_FALSE(ParseGridFile(copy).ok());
+    EXPECT_EQ(reason(copy), "bad page record count");
   }
   // Trailing garbage after the final page is rejected.
-  {
-    std::string copy = bytes + std::string(13, '\0');
-    EXPECT_FALSE(ParseGridFile(copy).ok());
-  }
+  EXPECT_EQ(reason(bytes + std::string(13, '\0')),
+            "trailing garbage after final page");
   // A partial (truncated) final page is rejected.
-  {
-    const std::string copy = bytes.substr(0, bytes.size() - 1);
-    EXPECT_FALSE(ParseGridFile(copy).ok());
-  }
+  EXPECT_EQ(reason(bytes.substr(0, bytes.size() - 1)), "truncated file");
 }
 
 TEST(StorageTest, FooterIntrospection) {
