@@ -11,11 +11,13 @@
 # e.g. scripts/run_tier1.sh -DGRIDDECL_SANITIZE=address
 #
 # --sanitize=tsan builds with GRIDDECL_SANITIZE=thread in build-tsan and
-# restricts ctest to the concurrent suites — the serving layer, its chaos
-# soak, breakers, backoff, the fault-injecting env, and the buffer
-# pool / page store (concurrent pin/unpin/eviction) — where data races
-# could actually live. TSan is incompatible with ASan, hence the separate
-# mode and tree.
+# restricts ctest to the concurrent suites — the serving layer and its
+# disk fault schedules, the serve and cluster chaos soaks, breakers,
+# backoff, the fault-injecting env, the buffer pool / page store
+# (concurrent pin/unpin/eviction, batched lookups), and the cluster
+# (hedging, migration, placement, token bucket, repair, heartbeat) —
+# where data races could actually live. TSan is incompatible with ASan,
+# hence the separate mode and tree.
 #
 # --torture implies --sanitize but restricts ctest to the durability
 # suites — crash-recovery, corruption, scrub/repair, and format fuzzing

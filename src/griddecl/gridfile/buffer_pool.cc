@@ -9,10 +9,12 @@ BufferPool::BufferPool(size_t capacity_pages)
       probation_capacity_(std::max<size_t>(1, capacity_ / 4)),
       protected_capacity_(std::max<size_t>(1, capacity_ - probation_capacity_)) {}
 
-BufferPool::FramePtr BufferPool::Lookup(std::string_view file,
-                                        uint64_t page) {
-  const Key key(std::string(file), page);
-  std::lock_guard<std::mutex> lock(mu_);
+BufferPool::FramePtr BufferPool::Hold::Lookup(FileId file, uint64_t page) {
+  if (!lock_.owns_lock()) lock_.lock();
+  return pool_->LookupLocked(Key{file, page});
+}
+
+BufferPool::FramePtr BufferPool::LookupLocked(const Key& key) {
   auto it = frames_.find(key);
   if (it == frames_.end()) {
     ++stats_.misses;
@@ -35,9 +37,10 @@ BufferPool::FramePtr BufferPool::Lookup(std::string_view file,
   return entry.frame;
 }
 
-BufferPool::FramePtr BufferPool::Admit(FramePtr frame) {
+BufferPool::FramePtr BufferPool::Admit(FileId file, uint64_t page,
+                                       FramePtr frame) {
   if (frame == nullptr) return nullptr;
-  const Key key(frame->file, frame->page);
+  const Key key{file, page};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = frames_.find(key);
   if (it != frames_.end()) return it->second.frame;  // Raced; incumbent wins.
@@ -78,11 +81,11 @@ void BufferPool::EvictProtectedLocked() {
   }
 }
 
-void BufferPool::Invalidate(std::string_view file) {
+void BufferPool::Invalidate(FileId file) {
   std::lock_guard<std::mutex> lock(mu_);
   auto sweep = [&](std::list<Key>& list) {
     for (auto it = list.begin(); it != list.end();) {
-      if (it->first == file) {
+      if (it->file == file) {
         frames_.erase(*it);
         it = list.erase(it);
         ++stats_.evictions;

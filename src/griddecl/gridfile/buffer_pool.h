@@ -6,14 +6,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "griddecl/gridfile/storage.h"
 
 /// \file
-/// Bounded, scan-resistant page cache keyed by (file, page).
+/// Bounded, scan-resistant page cache keyed by (file id, page). File ids
+/// are the small integers `PageStore::RegisterFile` assigns, so a lookup
+/// hashes two integers and never a file name.
 ///
 /// Admission/eviction is segmented (2Q/SLRU-flavored):
 ///
@@ -32,16 +33,20 @@
 /// reference — any outstanding pin keeps the decoded page alive, so
 /// pin/unpin/evict need no coordination beyond the pool's single mutex
 /// and readers never observe a frame mid-mutation.
+///
+/// A batched read looks pages up through a `Hold`, which keeps that mutex
+/// across a run of consecutive hits and lets go of it before any I/O.
 
 namespace griddecl {
 
 class BufferPool {
  public:
+  /// A registered file's integer name (see PageStore::RegisterFile).
+  using FileId = uint32_t;
+
   /// One cached page: its raw bytes plus the decoded columnar view.
   /// Immutable after construction.
   struct Frame {
-    std::string file;
-    uint64_t page = 0;
     std::string raw;
     DecodedPage decoded;
   };
@@ -57,6 +62,25 @@ class BufferPool {
     uint64_t resident = 0;
   };
 
+  /// Lookups under one hold of the pool mutex: the first Lookup takes it,
+  /// later ones reuse it until Release (or destruction). Counts exactly as
+  /// the same sequence of `BufferPool::Lookup` calls.
+  class Hold {
+   public:
+    explicit Hold(BufferPool* pool)
+        : pool_(pool), lock_(pool->mu_, std::defer_lock) {}
+
+    FramePtr Lookup(FileId file, uint64_t page);
+    /// Lets go of the mutex (before a miss does its I/O).
+    void Release() {
+      if (lock_.owns_lock()) lock_.unlock();
+    }
+
+   private:
+    BufferPool* pool_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
   /// `capacity_pages` must be >= 1; the probation segment gets
   /// max(1, capacity/4) frames and the protected segment the rest.
   explicit BufferPool(size_t capacity_pages);
@@ -66,27 +90,34 @@ class BufferPool {
 
   /// Returns the cached frame (counting a hit and updating recency
   /// state) or null (counting a miss).
-  FramePtr Lookup(std::string_view file, uint64_t page);
+  FramePtr Lookup(FileId file, uint64_t page) {
+    return Hold(this).Lookup(file, page);
+  }
 
-  /// Inserts `frame`, evicting if full. If the key is already resident
-  /// (two readers raced on the same miss) the incumbent wins and is
-  /// returned; the caller's copy is dropped. Never fails.
-  FramePtr Admit(FramePtr frame);
+  /// Inserts `frame` as (file, page), evicting if full. If the key is
+  /// already resident (two readers raced on the same miss) the incumbent
+  /// wins and is returned; the caller's copy is dropped. Never fails.
+  FramePtr Admit(FileId file, uint64_t page, FramePtr frame);
 
   /// Drops every resident frame of `file` (after a repair rewrites it).
   /// Outstanding pins stay valid; they just reference pre-repair bytes.
-  void Invalidate(std::string_view file);
+  void Invalidate(FileId file);
 
   Stats GetStats() const;
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Entry;
-  using Key = std::pair<std::string, uint64_t>;
+  struct Key {
+    FileId file = 0;
+    uint64_t page = 0;
+    bool operator==(const Key&) const = default;
+  };
+  /// Consecutive pages of a file hash to consecutive values, so a run of
+  /// lookups walks neighbouring buckets (the table's prime bucket count
+  /// spreads them).
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return std::hash<std::string>()(k.first) * 1000003u +
-             std::hash<uint64_t>()(k.second);
+      return std::hash<uint64_t>()((uint64_t{k.file} << 40) ^ k.page);
     }
   };
   struct Entry {
@@ -96,6 +127,7 @@ class BufferPool {
     std::list<Key>::iterator pos;
   };
 
+  FramePtr LookupLocked(const Key& key);
   void EvictProbationLocked();
   void EvictProtectedLocked();
 

@@ -1,6 +1,6 @@
 #include "griddecl/gridfile/page_store.h"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "griddecl/common/backoff.h"
@@ -17,11 +17,15 @@ PageStore::PageStore(const StorageEnv* env, const Options& options)
 
 void PageStore::RegisterFile(const std::string& file,
                              const FileLayout& layout) {
+  std::optional<BufferPool::FileId> replaced;
   {
-    std::lock_guard<std::mutex> lock(layouts_mu_);
-    layouts_[file] = layout;
+    std::lock_guard<std::mutex> lock(files_mu_);
+    const auto id = static_cast<BufferPool::FileId>(layouts_.size());
+    layouts_.push_back(layout);
+    auto [it, inserted] = file_ids_.try_emplace(file, id);
+    if (!inserted) replaced = std::exchange(it->second, id);
   }
-  if (pool_ != nullptr) pool_->Invalidate(file);
+  if (pool_ != nullptr && replaced) pool_->Invalidate(*replaced);
 }
 
 Result<std::string> PageStore::ReadWithRetries(
@@ -53,6 +57,7 @@ Result<std::string> PageStore::ReadWithRetries(
 }
 
 Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
+                                          BufferPool::FileId id,
                                           uint64_t page,
                                           const FileLayout& layout,
                                           std::string page_bytes) {
@@ -67,13 +72,58 @@ Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
   Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
   if (!decoded.ok()) return unavailable(decoded.status());
   auto frame = std::make_shared<BufferPool::Frame>();
-  frame->file = file;
-  frame->page = page;
   frame->decoded = std::move(decoded).value();
   frame->raw = std::move(page_bytes);
   BufferPool::FramePtr resident = std::move(frame);
-  if (pool_ != nullptr) resident = pool_->Admit(std::move(resident));
+  if (pool_ != nullptr) resident = pool_->Admit(id, page, std::move(resident));
   return PinnedPage(std::move(resident));
+}
+
+Status PageStore::GetPages(const std::string& file,
+                           std::span<const uint64_t> pages,
+                           const ReadPolicy& policy,
+                           std::vector<PinnedPage>* out,
+                           PageReadStats* stats,
+                           const InterruptFn& interrupt) {
+  BufferPool::FileId id = 0;
+  const FileLayout* layout = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(files_mu_);
+    auto it = file_ids_.find(file);
+    if (it == file_ids_.end()) {
+      return Status::NotFound("no layout registered for '" + file + "'");
+    }
+    id = it->second;
+    layout = &layouts_[id];
+  }
+  std::optional<BufferPool::Hold> hold;
+  if (pool_ != nullptr) hold.emplace(pool_.get());
+  for (const uint64_t page : pages) {
+    if (interrupt) {
+      Status st = interrupt();
+      if (!st.ok()) return st;
+    }
+    if (page >= layout->num_pages) {
+      return Status::InvalidArgument("page index out of range");
+    }
+    if (hold) {
+      if (BufferPool::FramePtr hit = hold->Lookup(id, page)) {
+        if (stats != nullptr) stats->cache_hit++;
+        out->emplace_back(std::move(hit));
+        continue;
+      }
+      hold->Release();  // The miss reads, verifies and decodes unlocked.
+    }
+    Result<std::string> bytes =
+        ReadWithRetries(file, layout->PageOffset(page),
+                        layout->page_size_bytes, policy, stats, interrupt);
+    if (!bytes.ok()) return bytes.status();
+    Result<PinnedPage> pinned =
+        BuildPinned(file, id, page, *layout, std::move(bytes).value());
+    if (!pinned.ok()) return pinned.status();
+    out->push_back(std::move(pinned).value());
+  }
+  return Status::Ok();
 }
 
 Result<PinnedPage> PageStore::GetPage(const std::string& file,
@@ -81,33 +131,10 @@ Result<PinnedPage> PageStore::GetPage(const std::string& file,
                                       const ReadPolicy& policy,
                                       PageReadStats* stats,
                                       const InterruptFn& interrupt) {
-  if (interrupt) {
-    Status st = interrupt();
-    if (!st.ok()) return st;
-  }
-  FileLayout layout;
-  {
-    std::lock_guard<std::mutex> lock(layouts_mu_);
-    auto it = layouts_.find(file);
-    if (it == layouts_.end()) {
-      return Status::NotFound("no layout registered for '" + file + "'");
-    }
-    layout = it->second;
-  }
-  if (page >= layout.num_pages) {
-    return Status::InvalidArgument("page index out of range");
-  }
-  if (pool_ != nullptr) {
-    if (BufferPool::FramePtr hit = pool_->Lookup(file, page)) {
-      if (stats != nullptr) stats->cache_hit = true;
-      return PinnedPage(std::move(hit));
-    }
-  }
-  Result<std::string> bytes =
-      ReadWithRetries(file, layout.PageOffset(page), layout.page_size_bytes,
-                      policy, stats, interrupt);
-  if (!bytes.ok()) return bytes.status();
-  return BuildPinned(file, page, layout, std::move(bytes).value());
+  std::vector<PinnedPage> out;
+  Status st = GetPages(file, {&page, 1}, policy, &out, stats, interrupt);
+  if (!st.ok()) return st;
+  return std::move(out.front());
 }
 
 Result<std::string> PageStore::ReadRaw(const std::string& file,
@@ -119,7 +146,15 @@ Result<std::string> PageStore::ReadRaw(const std::string& file,
 }
 
 void PageStore::Invalidate(const std::string& file) {
-  if (pool_ != nullptr) pool_->Invalidate(file);
+  if (pool_ == nullptr) return;
+  BufferPool::FileId id = 0;
+  {
+    std::lock_guard<std::mutex> lock(files_mu_);
+    auto it = file_ids_.find(file);
+    if (it == file_ids_.end()) return;
+    id = it->second;
+  }
+  pool_->Invalidate(id);
 }
 
 BufferPool::Stats PageStore::PoolStats() const {

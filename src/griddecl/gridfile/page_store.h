@@ -2,11 +2,14 @@
 #define GRIDDECL_GRIDFILE_PAGE_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "griddecl/common/status.h"
 #include "griddecl/gridfile/buffer_pool.h"
@@ -16,23 +19,39 @@
 #include "griddecl/obs/metrics.h"
 
 /// \file
-/// The one page-read path: `GetPage(file, page, ReadPolicy)` fetches a
-/// page through the scan-resistant `BufferPool`, retries transient env
-/// errors under seeded-jitter backoff, CRC-verifies **once at
-/// admission**, and hands back a `PinnedPage` whose decoded column
-/// vectors are shared by every subsequent reader of the same page.
+/// The one page-read path. `GetPages(file, pages, ReadPolicy, out)`
+/// fetches a run of a file's pages through the scan-resistant
+/// `BufferPool`, retries transient env errors under seeded-jitter backoff,
+/// CRC-verifies **once at admission**, and hands back `PinnedPage`s whose
+/// decoded pages are shared by every later reader of the same page.
+/// `GetPage` is the one-page call of the same path.
+///
+/// A batch resolves the file once: `RegisterFile` gives each file an
+/// integer id with an immutable layout, and the pool keys frames on
+/// (id, page), so a hit hashes two integers. Consecutive hits share one
+/// hold of the pool lock; a miss lets go of it, reads, verifies, decodes
+/// and admits the page before the next page is looked up, so the pool
+/// sees exactly the lookups and admissions of the same pages read one
+/// `GetPage` at a time. Misses stay one `ReadAt` per page: FaultyEnv keys
+/// transient faults on (file, offset).
+///
+/// A pinned frame holds the page's raw bytes and one `DecodedPage`, whose
+/// zone maps and columns share a single allocation. A range scan asks the
+/// zone maps first: `MayMatch` false skips the page, `Within` true takes
+/// every record without filtering.
 ///
 /// Serve and scrub both read here, and every read is strict: a page that
 /// fails verification reads as kUnavailable, so serve's mirror failover /
-/// parity rebuild engage and scrub's census counts it as damage. Cached
-/// pages skip I/O, verification and decode entirely; scrub builds its
-/// store with `pool_pages = 0`, so every census probe touches the real
-/// bytes.
+/// parity rebuild engage and scrub's census counts it as damage. A batch
+/// stops at the first page that fails, so its caller can repair that page
+/// before reading on. Cached pages skip I/O, verification and decode
+/// entirely; scrub builds its store with `pool_pages = 0`, so every census
+/// probe touches the real bytes.
 ///
 /// Interruption (shutdown hard-stop, query deadlines) is injected as a
-/// callable checked before every read attempt and between backoff sleep
-/// slices, so the owner keeps its exact error wording without PageStore
-/// knowing about deadlines.
+/// callable checked before every page and every read attempt and between
+/// backoff sleep slices, so the owner keeps its exact error wording
+/// without PageStore knowing about deadlines.
 
 namespace griddecl {
 
@@ -49,7 +68,7 @@ class PinnedPage {
       : frame_(std::move(frame)) {}
 
   bool valid() const { return frame_ != nullptr; }
-  /// Columnar view.
+  /// Columnar view: zone maps and columns.
   const DecodedPage& decoded() const { return frame_->decoded; }
   /// The page's bytes exactly as fetched (parity XOR).
   std::string_view raw() const { return frame_->raw; }
@@ -64,12 +83,13 @@ struct PageReadStats {
   uint64_t physical_reads = 0;
   /// Transient-error retries performed.
   uint64_t retries = 0;
-  /// The page came straight from the pool.
-  bool cache_hit = false;
+  /// Pages served straight from the pool (0 or 1 for one GetPage).
+  uint64_t cache_hit = 0;
 };
 
 /// Caller-supplied interruption check: non-Ok aborts the read (and any
-/// backoff sleep) with exactly that status.
+/// backoff sleep) with exactly that status. It may run under the pool
+/// lock, so it must not call back into the store.
 using InterruptFn = std::function<Status()>;
 
 class PageStore {
@@ -88,17 +108,26 @@ class PageStore {
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
-  /// Declares `file`'s layout so GetPage can turn page numbers into byte
-  /// ranges. Re-registering replaces the layout and drops the file's
-  /// cached pages.
+  /// Declares `file`'s layout under a fresh file id so GetPages can turn
+  /// page numbers into byte ranges. Re-registering replaces the layout and
+  /// drops the file's cached pages.
   void RegisterFile(const std::string& file, const FileLayout& layout);
 
-  /// Fetches page `page` of `file`. Pool hit: returns the cached frame, no
-  /// I/O, no re-verification. Miss: reads the page with retries on
-  /// kUnavailable (per `policy.retry`), verifies, decodes, and admits the
-  /// frame to the pool when the store has one. A page that fails
-  /// verification returns kUnavailable ("page N of 'file': why") and is
-  /// never pooled.
+  /// Fetches `pages` of `file` in order, appending one pinned page per
+  /// page served to `*out`. Pool hit: the cached frame, no I/O, no
+  /// re-verification. Miss: reads the page with retries on kUnavailable
+  /// (per `policy.retry`), verifies, decodes, and admits the frame to the
+  /// pool when the store has one. Stops at the first page that fails and
+  /// returns its status, so the failed page is the first one not appended:
+  /// kNotFound for an unregistered file, kInvalidArgument out of range,
+  /// the interrupt's status, or kUnavailable ("page N of 'file': why") for
+  /// a page that fails verification, which is never pooled.
+  Status GetPages(const std::string& file, std::span<const uint64_t> pages,
+                  const ReadPolicy& policy, std::vector<PinnedPage>* out,
+                  PageReadStats* stats = nullptr,
+                  const InterruptFn& interrupt = {});
+
+  /// GetPages of the one page `page`.
   Result<PinnedPage> GetPage(const std::string& file, uint64_t page,
                              const ReadPolicy& policy,
                              PageReadStats* stats = nullptr,
@@ -129,7 +158,8 @@ class PageStore {
                                       const ReadPolicy& policy,
                                       PageReadStats* stats,
                                       const InterruptFn& interrupt) const;
-  Result<PinnedPage> BuildPinned(const std::string& file, uint64_t page,
+  Result<PinnedPage> BuildPinned(const std::string& file,
+                                 BufferPool::FileId id, uint64_t page,
                                  const FileLayout& layout,
                                  std::string page_bytes);
 
@@ -137,8 +167,12 @@ class PageStore {
   const Options options_;
   std::unique_ptr<BufferPool> pool_;  ///< Null when pool_pages == 0.
 
-  mutable std::mutex layouts_mu_;
-  std::unordered_map<std::string, FileLayout> layouts_;
+  mutable std::mutex files_mu_;
+  /// Current id of each registered file name.
+  std::unordered_map<std::string, BufferPool::FileId> file_ids_;
+  /// Layout of each id ever assigned, indexed by id. Append-only and never
+  /// modified, so a reader holds a pointer into it without the lock.
+  std::deque<FileLayout> layouts_;
 };
 
 }  // namespace griddecl

@@ -6,7 +6,7 @@
 /// \file
 /// The retry schedule of a stored-page read.
 ///
-/// Every read of a stored page is strict: `PageStore::GetPage` (serve and
+/// Every read of a stored page is strict: `PageStore::GetPages` (serve and
 /// scrub) retries transient env errors, CRC-verifies the page and decodes
 /// it, or reports the page kUnavailable; the bulk loader `ParseGridFile`
 /// runs the same verify and decode over bytes it already holds. A damaged

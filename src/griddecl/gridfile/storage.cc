@@ -184,7 +184,19 @@ bool DecodedPage::MayMatch(const std::vector<double>& lo,
   if (num_records == 0) return false;
   for (uint32_t a = 0; a < num_attrs && a < lo.size() && a < hi.size();
        ++a) {
-    if (zone_max[a] < lo[a] || zone_min[a] > hi[a]) return false;
+    if (zone_max(a) < lo[a] || zone_min(a) > hi[a]) return false;
+  }
+  return true;
+}
+
+bool DecodedPage::Within(const std::vector<double>& lo,
+                         const std::vector<double>& hi) const {
+  if (num_records == 0 || lo.size() != num_attrs ||
+      hi.size() != num_attrs) {
+    return false;
+  }
+  for (uint32_t a = 0; a < num_attrs; ++a) {
+    if (!(zone_min(a) >= lo[a] && zone_max(a) <= hi[a])) return false;
   }
   return true;
 }
@@ -202,21 +214,23 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
   DecodedPage out;
   out.num_records = layout.PageRecords(page);
   out.num_attrs = k;
-  out.columns.resize(uint64_t{out.num_records} * k);
-  out.zone_min.assign(k, 0.0);
-  out.zone_max.assign(k, 0.0);
-  if (out.num_records == 0) return out;
+  const uint32_t n = out.num_records;
+  out.values_.assign(uint64_t{n + 2} * k, 0.0);
+  if (n == 0) return out;
+  double* zone_min = out.values_.data();
+  double* zone_max = zone_min + k;
+  double* columns = zone_max + k;
 
   if (layout.format_version == kFormatV3) {
     // Columns are already contiguous on disk; zone maps are stored.
     const char* zones = page_bytes.data() + kPageHeaderBytesV3;
     const char* segments = zones + uint64_t{k} * kZoneMapBytesPerAttr;
     for (uint32_t a = 0; a < k; ++a) {
-      std::memcpy(&out.zone_min[a], zones + uint64_t{a} * 16, 8);
-      std::memcpy(&out.zone_max[a], zones + uint64_t{a} * 16 + 8, 8);
-      std::memcpy(out.columns.data() + uint64_t{a} * out.num_records,
+      std::memcpy(&zone_min[a], zones + uint64_t{a} * 16, 8);
+      std::memcpy(&zone_max[a], zones + uint64_t{a} * 16 + 8, 8);
+      std::memcpy(columns + uint64_t{a} * n,
                   segments + uint64_t{a} * layout.page_capacity * 8,
-                  uint64_t{out.num_records} * 8);
+                  uint64_t{n} * 8);
     }
     return out;
   }
@@ -224,10 +238,10 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
   // v2: transpose the row-major records and derive zone maps.
   const char* rows = page_bytes.data() + kPageHeaderBytesV2;
   for (uint32_t a = 0; a < k; ++a) {
-    double* col = out.columns.data() + uint64_t{a} * out.num_records;
+    double* col = columns + uint64_t{a} * n;
     double lo = 0.0;
     double hi = 0.0;
-    for (uint32_t r = 0; r < out.num_records; ++r) {
+    for (uint32_t r = 0; r < n; ++r) {
       double v = 0.0;
       std::memcpy(&v, rows + (uint64_t{r} * k + a) * 8, 8);
       col[r] = v;
@@ -238,8 +252,8 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
         if (v > hi) hi = v;
       }
     }
-    out.zone_min[a] = lo;
-    out.zone_max[a] = hi;
+    zone_min[a] = lo;
+    zone_max[a] = hi;
   }
   return out;
 }

@@ -158,27 +158,43 @@ std::string BuildFileFooter(const FileLayout& layout, std::string_view body);
 
 // --- Page decode (the unit the serve scan consumes) -----------------------
 
-/// One page decoded to columnar form: attribute-major value vectors plus
-/// per-attribute min/max. v3 pages memcpy their column segments and read
-/// the stored zone maps; v2 pages are transposed and their zone maps
-/// computed on the fly, so every format answers the same scan interface.
-struct DecodedPage {
+/// One page decoded to columnar form. The zone maps and the columns live
+/// in one buffer (one allocation per page): the per-attribute minima, then
+/// the maxima, then the attribute-major columns. v3 pages memcpy their
+/// column segments and read the stored zone maps; v2 pages are transposed
+/// and their zone maps computed on the fly, so every format answers the
+/// same scan interface.
+class DecodedPage {
+ public:
   uint32_t num_records = 0;
   uint32_t num_attrs = 0;
-  /// Attribute-major: attribute `a`'s values occupy
-  /// [a * num_records, (a + 1) * num_records).
-  std::vector<double> columns;
-  /// Per-attribute minimum/maximum over the page's records.
-  std::vector<double> zone_min;
-  std::vector<double> zone_max;
 
+  /// Attribute `a`'s values, `num_records` of them in slot order.
   const double* column(uint32_t a) const {
-    return columns.data() + uint64_t{a} * num_records;
+    return values_.data() + 2 * uint64_t{num_attrs} +
+           uint64_t{a} * num_records;
   }
+  /// Attribute `a`'s minimum / maximum over the page's records.
+  double zone_min(uint32_t a) const { return values_[a]; }
+  double zone_max(uint32_t a) const { return values_[num_attrs + a]; }
+
   /// False when the zone maps prove no record can fall inside the closed
   /// box [lo, hi] — the page-skip test of a range scan.
   bool MayMatch(const std::vector<double>& lo,
                 const std::vector<double>& hi) const;
+  /// True when the zone maps prove every record lies inside the closed
+  /// box [lo, hi], so a range scan takes the whole page unfiltered — the
+  /// mirror image of MayMatch.
+  bool Within(const std::vector<double>& lo,
+              const std::vector<double>& hi) const;
+
+ private:
+  friend Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
+                                             const FileLayout& layout,
+                                             uint64_t page);
+
+  /// [zone_min x num_attrs][zone_max x num_attrs][columns].
+  std::vector<double> values_;
 };
 
 /// Decodes one page from its bytes (exactly `layout.page_size_bytes`).

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +19,12 @@ namespace griddecl::serve {
 namespace {
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/// Pages per batched read. A batch stays pinned until the query has
+/// scanned it, so the cap bounds the frames one query keeps alive after
+/// the pool evicted them: unbounded, a whole-relation scan through a small
+/// pool would pin a whole disk's run at once.
+constexpr size_t kMaxPagesPerFetch = 64;
 
 /// The (disk, copy) a query plan serves one bucket from.
 struct Owner {
@@ -493,6 +500,8 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   }
 
   const InterruptFn interrupt = MakeInterrupt(p.deadline_ms);
+  const std::vector<double>& lo = p.request.lo;
+  const std::vector<double>& hi = p.request.hi;
   const uint32_t num_attrs = rel.layout.num_attrs;
   const uint32_t capacity = rel.layout.page_capacity;
   std::vector<double> values(num_attrs);
@@ -505,7 +514,67 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   std::vector<Run> runs;
   runs.reserve(reads.size());
 
+  // Appends the matches of one page read under (disk, copy).
+  const auto scan = [&](const PageRead& read, const DecodedPage& decoded) {
+    // Zone-map skip: min/max prove no record intersects the predicate
+    // box, so the whole page needs no filtering.
+    if (!decoded.MayMatch(lo, hi)) {
+      result.zone_map_skips++;
+      return;
+    }
+    const uint32_t in_page = decoded.num_records;
+    const RecordId first_id = read.page * capacity;
+    const size_t run_begin = result.matches.size();
+    const bool mixed = rel.page_bucket[read.page] == kMixedPage;
+    if (!mixed && decoded.Within(lo, hi)) {
+      // Zone-map accept: min/max prove every record lies inside the box.
+      result.zone_map_accepts++;
+      for (uint32_t slot = 0; slot < in_page; ++slot) {
+        result.matches.push_back(first_id + slot);
+      }
+    } else {
+      // Branch-free columnar filter: AND per-attribute range masks over
+      // the column vectors.
+      match_mask.assign(in_page, 1);
+      for (uint32_t a = 0; a < num_attrs; ++a) {
+        const double lo_a = lo[a];
+        const double hi_a = hi[a];
+        const double* col = decoded.column(a);
+        uint8_t* mask = match_mask.data();
+        for (uint32_t slot = 0; slot < in_page; ++slot) {
+          mask[slot] &=
+              static_cast<uint8_t>(col[slot] >= lo_a && col[slot] <= hi_a);
+        }
+      }
+      for (uint32_t slot = 0; slot < in_page; ++slot) {
+        if (!match_mask[slot]) continue;
+        if (mixed) {
+          // Accept only records whose bucket this (disk, copy) serves.
+          for (uint32_t a = 0; a < num_attrs; ++a) {
+            values[a] = decoded.column(a)[slot];
+          }
+          const uint64_t offset =
+              RectOffset(rect, rel.file->partitioner().BucketOf(values));
+          if (offset == kOutsideRect) continue;
+          const Owner& owner = owners[static_cast<size_t>(offset)];
+          if (owner.disk != read.disk || owner.copy != read.copy) continue;
+        }
+        result.matches.push_back(first_id + slot);
+      }
+    }
+    if (result.matches.size() > run_begin) {
+      runs.push_back({run_begin, result.matches.size()});
+    }
+  };
+
   // --- Execute, disk by disk ----------------------------------------------
+  // Each disk batch splits into runs of one (copy, reconstruct); a direct
+  // run is read in batched PageStore reads of up to kMaxPagesPerFetch
+  // pages. A page that fails moves, alone, to the degraded path before the
+  // run reads on.
+  std::vector<uint64_t> pages(reads.size());
+  for (size_t i = 0; i < reads.size(); ++i) pages[i] = reads[i].page;
+  std::vector<PinnedPage> fetched;
   for (size_t batch = 0; batch < reads.size();) {
     const uint32_t disk = reads[batch].disk;
     size_t batch_end = batch;
@@ -524,61 +593,47 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     // planning — then every page goes straight to the degraded path. A
     // sub-query's batch bypasses the breaker and feeds it nothing.
     const bool admitted = sub_query || AllowDisk(disk);
+    const auto fail = [&](Status st) {
+      if (!sub_query && admitted) RecordDiskOutcome(disk, false);
+      return finish(std::move(st));
+    };
     bool direct_ok = true;
-    for (size_t i = batch; i < batch_end; ++i) {
-      const PageRead& read = reads[i];
-      Result<PinnedPage> pinned = ReadPageResilient(
-          rel, read.copy, read.page, interrupt,
-          /*try_direct=*/admitted && !read.reconstruct,
-          /*mirror_failover=*/!sub_query, &direct_ok, &result);
-      if (!pinned.ok()) {
-        if (!sub_query && admitted) RecordDiskOutcome(disk, false);
-        return finish(pinned.status());
+    for (size_t i = batch; i < batch_end;) {
+      const uint32_t copy = reads[i].copy;
+      const bool reconstruct = reads[i].reconstruct;
+      size_t run_end = i + 1;
+      while (run_end < batch_end && reads[run_end].copy == copy &&
+             reads[run_end].reconstruct == reconstruct) {
+        ++run_end;
       }
-      const DecodedPage& decoded = pinned.value().decoded();
-      // Zone-map skip: min/max prove no record intersects the predicate
-      // box, so the whole page needs no filtering.
-      if (!decoded.MayMatch(p.request.lo, p.request.hi)) {
-        result.zone_map_skips++;
-        continue;
-      }
-      // Branch-free columnar filter: AND per-attribute range masks over
-      // the column vectors.
-      const uint32_t in_page = decoded.num_records;
-      match_mask.assign(in_page, 1);
-      for (uint32_t a = 0; a < num_attrs; ++a) {
-        const double lo = p.request.lo[a];
-        const double hi = p.request.hi[a];
-        const double* col = decoded.column(a);
-        uint8_t* mask = match_mask.data();
-        for (uint32_t slot = 0; slot < in_page; ++slot) {
-          mask[slot] &=
-              static_cast<uint8_t>(col[slot] >= lo && col[slot] <= hi);
-        }
-      }
-      const RecordId first_id = read.page * capacity;
-      const size_t run_begin = result.matches.size();
-      if (rel.page_bucket[read.page] != kMixedPage) {
-        for (uint32_t slot = 0; slot < in_page; ++slot) {
-          if (match_mask[slot]) result.matches.push_back(first_id + slot);
-        }
-      } else {
-        // Accept only records whose bucket this (disk, copy) serves.
-        for (uint32_t slot = 0; slot < in_page; ++slot) {
-          if (!match_mask[slot]) continue;
-          for (uint32_t a = 0; a < num_attrs; ++a) {
-            values[a] = decoded.column(a)[slot];
+      while (i < run_end) {
+        Status direct =
+            Status::Unavailable("disk routed around; direct read skipped");
+        if (admitted && !reconstruct) {
+          fetched.clear();
+          PageReadStats stats;
+          direct = store_->GetPages(
+              rel.copy_files[copy],
+              std::span<const uint64_t>(pages).subspan(
+                  i, std::min(run_end - i, kMaxPagesPerFetch)),
+              options_.read, &fetched, &stats, interrupt);
+          result.retries += stats.retries;
+          result.pages_read += fetched.size();
+          result.pool_hits += stats.cache_hit;
+          for (const PinnedPage& page : fetched) {
+            scan(reads[i++], page.decoded());
           }
-          const uint64_t offset =
-              RectOffset(rect, rel.file->partitioner().BucketOf(values));
-          if (offset == kOutsideRect) continue;
-          const Owner& owner = owners[static_cast<size_t>(offset)];
-          if (owner.disk != disk || owner.copy != read.copy) continue;
-          result.matches.push_back(first_id + slot);
+          if (direct.ok()) continue;
+          direct_ok = false;
+          if (direct.code() != StatusCode::kUnavailable) {
+            return fail(std::move(direct));  // Deadline / malformed request.
+          }
         }
-      }
-      if (result.matches.size() > run_begin) {
-        runs.push_back({run_begin, result.matches.size()});
+        Result<PinnedPage> pinned = ReadPageDegraded(
+            rel, copy, reads[i].page, interrupt,
+            /*mirror_failover=*/!sub_query, std::move(direct), &result);
+        if (!pinned.ok()) return fail(pinned.status());
+        scan(reads[i++], pinned.value().decoded());
       }
     }
     if (!sub_query && admitted) RecordDiskOutcome(disk, direct_ok);
@@ -623,22 +678,10 @@ InterruptFn QueryService::MakeInterrupt(double deadline_ms) const {
   };
 }
 
-Result<PinnedPage> QueryService::ReadPageResilient(
+Result<PinnedPage> QueryService::ReadPageDegraded(
     const Relation& rel, uint32_t assigned_copy, uint64_t page,
-    const InterruptFn& interrupt, bool try_direct, bool mirror_failover,
-    bool* direct_ok, QueryResult* result) {
-  Status direct_status =
-      Status::Unavailable("disk routed around; direct read skipped");
-  if (try_direct) {
-    Result<PinnedPage> direct =
-        ReadPagePinned(rel, assigned_copy, page, interrupt, result);
-    if (direct.ok()) return direct;
-    *direct_ok = false;
-    if (direct.status().code() != StatusCode::kUnavailable) {
-      return direct.status();  // Deadline / malformed request: no failover.
-    }
-    direct_status = direct.status();
-  }
+    const InterruptFn& interrupt, bool mirror_failover, Status direct_status,
+    QueryResult* result) {
   if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror &&
       mirror_failover) {
     for (uint32_t copy = 0; copy < rel.copy_files.size(); ++copy) {
@@ -674,7 +717,7 @@ Result<PinnedPage> QueryService::ReadPagePinned(const Relation& rel,
   result->retries += stats.retries;
   if (pinned.ok()) {
     result->pages_read++;
-    if (stats.cache_hit) result->pool_hits++;
+    result->pool_hits += stats.cache_hit;
   }
   return pinned;
 }
@@ -728,8 +771,6 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   Result<DecodedPage> decoded = DecodePageBytes(rebuilt, rel.layout, page);
   if (!decoded.ok()) return degrade(decoded.status());
   auto frame = std::make_shared<BufferPool::Frame>();
-  frame->file = rel.copy_files[0];
-  frame->page = page;
   frame->raw = std::move(rebuilt);
   frame->decoded = std::move(decoded).value();
   result->reconstructed_pages++;

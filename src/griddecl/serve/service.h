@@ -51,8 +51,11 @@
 ///  * **Buffer pool + columnar scan.** Every page read goes through a
 ///    shared `PageStore`: a scan-resistant pool caches decoded pages
 ///    (verified once at admission), per-page zone maps skip pages whose
-///    min/max exclude the predicate, and the filter runs as a branch-free
-///    loop over column vectors. `pool_pages = 0` turns caching off.
+///    min/max exclude the predicate and take single-bucket pages whose
+///    min/max lie inside it whole, and the filter runs as a branch-free
+///    loop over column vectors. Each (disk, copy) run of a query's pages
+///    is one batched `PageStore::GetPages` read. `pool_pages = 0` turns
+///    caching off.
 ///  * **Circuit breakers.** One breaker per (virtual) disk, fed one
 ///    outcome per (query, disk) batch. An open breaker removes its disk
 ///    from planning: mirrored relations re-route through
@@ -181,6 +184,9 @@ struct QueryResult {
   /// Pages whose zone maps excluded the predicate box, skipping the
   /// record filter entirely.
   uint64_t zone_map_skips = 0;
+  /// Single-bucket pages whose zone maps lie inside the predicate box,
+  /// taken whole without the record filter.
+  uint64_t zone_map_accepts = 0;
   double queue_ms = 0.0;
   double total_ms = 0.0;
 };
@@ -292,16 +298,16 @@ class QueryService {
   void WorkerLoop(uint32_t worker_id);
   QueryResult RunQuery(const Pending& p);
 
-  /// One page serving the query: direct pooled read when `try_direct`,
-  /// then the relation's degraded path (mirror failover when
-  /// `mirror_failover`, parity reconstruction). `*direct_ok` is cleared
-  /// when the direct read did not cleanly succeed (feeds the disk's breaker
-  /// outcome). Accounting goes into `result`.
-  Result<PinnedPage> ReadPageResilient(const Relation& rel,
-                                       uint32_t assigned_copy, uint64_t page,
-                                       const InterruptFn& interrupt,
-                                       bool try_direct, bool mirror_failover,
-                                       bool* direct_ok, QueryResult* result);
+  /// The degraded path of one page whose direct read failed with
+  /// `direct_status` or was skipped: mirror failover to the other copies
+  /// when `mirror_failover`, parity reconstruction, or else
+  /// `direct_status` itself. Accounting goes into `result`.
+  Result<PinnedPage> ReadPageDegraded(const Relation& rel,
+                                      uint32_t assigned_copy, uint64_t page,
+                                      const InterruptFn& interrupt,
+                                      bool mirror_failover,
+                                      Status direct_status,
+                                      QueryResult* result);
   /// One copy file's page through the PageStore (pool lookup, retries,
   /// verify-at-admission); verification failure reads as kUnavailable so
   /// degraded paths engage.

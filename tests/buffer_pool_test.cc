@@ -14,28 +14,37 @@
 namespace griddecl {
 namespace {
 
-BufferPool::FramePtr MakeFrame(const std::string& file, uint64_t page) {
+using FileId = BufferPool::FileId;
+
+/// File ids, as PageStore::RegisterFile would hand them out.
+constexpr FileId kF = 0;
+constexpr FileId kA = 1;
+constexpr FileId kB = 2;
+
+std::string Payload(FileId file, uint64_t page) {
+  return std::to_string(file) + ":" + std::to_string(page);
+}
+
+BufferPool::FramePtr MakeFrame(FileId file, uint64_t page) {
   auto frame = std::make_shared<BufferPool::Frame>();
-  frame->file = file;
-  frame->page = page;
-  frame->raw = file + ":" + std::to_string(page);
+  frame->raw = Payload(file, page);
   return frame;
 }
 
 /// Lookup-then-admit-on-miss, the way PageStore drives the pool.
-bool Touch(BufferPool* pool, const std::string& file, uint64_t page) {
+bool Touch(BufferPool* pool, FileId file, uint64_t page) {
   if (pool->Lookup(file, page) != nullptr) return true;
-  pool->Admit(MakeFrame(file, page));
+  pool->Admit(file, page, MakeFrame(file, page));
   return false;
 }
 
 TEST(BufferPoolTest, LookupMissThenAdmitThenHit) {
   BufferPool pool(8);
-  EXPECT_EQ(pool.Lookup("f", 0), nullptr);
-  pool.Admit(MakeFrame("f", 0));
-  const BufferPool::FramePtr hit = pool.Lookup("f", 0);
+  EXPECT_EQ(pool.Lookup(kF, 0), nullptr);
+  pool.Admit(kF, 0, MakeFrame(kF, 0));
+  const BufferPool::FramePtr hit = pool.Lookup(kF, 0);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->raw, "f:0");
+  EXPECT_EQ(hit->raw, Payload(kF, 0));
   const BufferPool::Stats stats = pool.GetStats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -45,8 +54,8 @@ TEST(BufferPoolTest, LookupMissThenAdmitThenHit) {
 
 TEST(BufferPoolTest, DuplicateAdmitKeepsIncumbent) {
   BufferPool pool(8);
-  const BufferPool::FramePtr first = pool.Admit(MakeFrame("f", 3));
-  const BufferPool::FramePtr second = pool.Admit(MakeFrame("f", 3));
+  const BufferPool::FramePtr first = pool.Admit(kF, 3, MakeFrame(kF, 3));
+  const BufferPool::FramePtr second = pool.Admit(kF, 3, MakeFrame(kF, 3));
   // Two readers raced on the same miss: the incumbent wins both times.
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(pool.GetStats().resident, 1u);
@@ -56,7 +65,7 @@ TEST(BufferPoolTest, CapacityIsNeverExceeded) {
   BufferPool pool(16);
   Rng rng(1);
   for (int i = 0; i < 2000; ++i) {
-    Touch(&pool, "f", rng.NextBelow(200));
+    Touch(&pool, kF, rng.NextBelow(200));
     EXPECT_LE(pool.GetStats().resident, 16u);
   }
   const BufferPool::Stats stats = pool.GetStats();
@@ -65,17 +74,17 @@ TEST(BufferPoolTest, CapacityIsNeverExceeded) {
 
 TEST(BufferPoolTest, InvalidateDropsOnlyThatFile) {
   BufferPool pool(16);
-  pool.Admit(MakeFrame("a", 0));
-  pool.Admit(MakeFrame("a", 1));
-  pool.Admit(MakeFrame("b", 0));
-  const BufferPool::FramePtr pinned = pool.Lookup("a", 0);
+  pool.Admit(kA, 0, MakeFrame(kA, 0));
+  pool.Admit(kA, 1, MakeFrame(kA, 1));
+  pool.Admit(kB, 0, MakeFrame(kB, 0));
+  const BufferPool::FramePtr pinned = pool.Lookup(kA, 0);
   ASSERT_NE(pinned, nullptr);
-  pool.Invalidate("a");
-  EXPECT_EQ(pool.Lookup("a", 0), nullptr);
-  EXPECT_EQ(pool.Lookup("a", 1), nullptr);
-  EXPECT_NE(pool.Lookup("b", 0), nullptr);
+  pool.Invalidate(kA);
+  EXPECT_EQ(pool.Lookup(kA, 0), nullptr);
+  EXPECT_EQ(pool.Lookup(kA, 1), nullptr);
+  EXPECT_NE(pool.Lookup(kB, 0), nullptr);
   // The outstanding pin outlives eviction (structural pin safety).
-  EXPECT_EQ(pinned->raw, "a:0");
+  EXPECT_EQ(pinned->raw, Payload(kA, 0));
 }
 
 TEST(BufferPoolTest, SequentialScanDoesNotEvictHotSet) {
@@ -85,12 +94,13 @@ TEST(BufferPoolTest, SequentialScanDoesNotEvictHotSet) {
   // then stream 10x capacity of cold pages through, then re-touch the
   // hot set — every hot page must still hit.
   BufferPool pool(32);  // probation 8, protected 24.
-  const std::string hot = "hot";
+  const FileId hot = 0;
+  const FileId scan = 1;
   for (uint64_t p = 0; p < 16; ++p) {
     Touch(&pool, hot, p);
     EXPECT_TRUE(Touch(&pool, hot, p));
   }
-  for (uint64_t p = 0; p < 320; ++p) Touch(&pool, "scan", p);
+  for (uint64_t p = 0; p < 320; ++p) Touch(&pool, scan, p);
   for (uint64_t p = 0; p < 16; ++p) {
     EXPECT_NE(pool.Lookup(hot, p), nullptr) << "hot page " << p;
   }
@@ -106,19 +116,21 @@ TEST(BufferPoolTest, ScanResistanceHitRatioAcrossSeeds) {
     BufferPool pool(64);  // probation 16, protected 48.
     Rng rng(seed);
     const uint64_t kHotPages = 32;
+    const FileId kHot = 0;
+    const FileId kCold = 1;
     // Warm the hot set into protected.
     for (uint64_t p = 0; p < kHotPages; ++p) {
-      Touch(&pool, "h", p);
-      Touch(&pool, "h", p);
+      Touch(&pool, kHot, p);
+      Touch(&pool, kHot, p);
     }
     uint64_t hot_touches = 0;
     uint64_t hot_hits = 0;
     for (int i = 0; i < 20000; ++i) {
       if (rng.NextBool(0.8)) {
         ++hot_touches;
-        if (Touch(&pool, "h", rng.NextBelow(kHotPages))) ++hot_hits;
+        if (Touch(&pool, kHot, rng.NextBelow(kHotPages))) ++hot_hits;
       } else {
-        Touch(&pool, "c", rng.NextBelow(64 * 50));
+        Touch(&pool, kCold, rng.NextBelow(64 * 50));
       }
     }
     const double ratio =
@@ -130,17 +142,17 @@ TEST(BufferPoolTest, ScanResistanceHitRatioAcrossSeeds) {
 
 TEST(BufferPoolTest, PromotionRequiresASecondTouch) {
   BufferPool pool(8);  // probation 2, protected 6.
-  Touch(&pool, "f", 0);
+  Touch(&pool, kF, 0);
   EXPECT_EQ(pool.GetStats().promotions, 0u);
-  Touch(&pool, "f", 0);  // Hit in probation -> promoted.
+  Touch(&pool, kF, 0);  // Hit in probation -> promoted.
   EXPECT_EQ(pool.GetStats().promotions, 1u);
   // One-touch pages march through the 2-frame probation FIFO and out.
-  Touch(&pool, "f", 1);
-  Touch(&pool, "f", 2);
-  Touch(&pool, "f", 3);
-  EXPECT_EQ(pool.Lookup("f", 1), nullptr);
+  Touch(&pool, kF, 1);
+  Touch(&pool, kF, 2);
+  Touch(&pool, kF, 3);
+  EXPECT_EQ(pool.Lookup(kF, 1), nullptr);
   // The promoted page is untouched by the probation churn.
-  EXPECT_NE(pool.Lookup("f", 0), nullptr);
+  EXPECT_NE(pool.Lookup(kF, 0), nullptr);
 }
 
 TEST(BufferPoolTest, ConcurrentPinUnpinEvictionIsSafe) {
@@ -158,17 +170,25 @@ TEST(BufferPoolTest, ConcurrentPinUnpinEvictionIsSafe) {
       std::vector<BufferPool::FramePtr> pins;
       while (!stop.load(std::memory_order_relaxed)) {
         const uint64_t page = rng.NextBelow(64);
-        const std::string file = rng.NextBool(0.5) ? "x" : "y";
-        BufferPool::FramePtr frame = pool.Lookup(file, page);
-        if (frame == nullptr) frame = pool.Admit(MakeFrame(file, page));
+        const FileId file = rng.NextBool(0.5) ? kA : kB;
+        BufferPool::FramePtr frame;
+        {
+          // Some lookups run two to a Hold, as a batched read's hits do.
+          BufferPool::Hold hold(&pool);
+          frame = hold.Lookup(file, page);
+          if (rng.NextBool(0.5)) hold.Lookup(file, (page + 1) % 64);
+        }
+        if (frame == nullptr) {
+          frame = pool.Admit(file, page, MakeFrame(file, page));
+        }
         // Pinned frames are immutable: contents never change underneath
         // us regardless of concurrent eviction.
-        if (frame->raw != file + ":" + std::to_string(page)) {
+        if (frame->raw != Payload(file, page)) {
           bad_reads.fetch_add(1, std::memory_order_relaxed);
         }
         if (rng.NextBool(0.25)) pins.push_back(std::move(frame));
         if (pins.size() > 32) pins.clear();
-        if (rng.NextBool(0.01)) pool.Invalidate("y");
+        if (rng.NextBool(0.01)) pool.Invalidate(kB);
       }
     });
   }

@@ -1,5 +1,7 @@
 #include "griddecl/gridfile/page_store.h"
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -196,6 +198,137 @@ TEST(PageStoreTest, PublishMetricsEmitsAbsoluteTotals) {
   EXPECT_EQ(reg.GetCounter("storage.pool.hits")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("storage.pool.misses")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("storage.pool.admissions")->value(), 1u);
+}
+
+/// One GetPages batch of a read sequence.
+struct Batch {
+  std::string file;
+  std::vector<uint64_t> pages;
+};
+
+/// Reads every batch either with GetPages (restarted past each failed
+/// page) or with one GetPage per page; returns one line per page: its
+/// status, and for a served page its first x value.
+std::vector<std::string> ReadSequence(PageStore* store,
+                                      const std::vector<Batch>& batches,
+                                      bool batched, const ReadPolicy& policy,
+                                      const InterruptFn& interrupt,
+                                      PageReadStats* stats) {
+  std::vector<std::string> lines;
+  const auto served = [&](const PinnedPage& page) {
+    lines.push_back("ok " + std::to_string(page.decoded().column(0)[0]));
+  };
+  for (const Batch& b : batches) {
+    if (!batched) {
+      for (const uint64_t page : b.pages) {
+        Result<PinnedPage> r =
+            store->GetPage(b.file, page, policy, stats, interrupt);
+        if (r.ok()) {
+          served(r.value());
+        } else {
+          lines.push_back(r.status().ToString());
+        }
+      }
+      continue;
+    }
+    for (size_t next = 0; next < b.pages.size();) {
+      std::vector<PinnedPage> out;
+      const Status st = store->GetPages(
+          b.file, std::span<const uint64_t>(b.pages).subspan(next), policy,
+          &out, stats, interrupt);
+      for (const PinnedPage& page : out) served(page);
+      next += out.size();
+      if (st.ok()) break;
+      lines.push_back(st.ToString());
+      ++next;
+    }
+  }
+  return lines;
+}
+
+TEST(PageStoreTest, GetPagesMatchesPerPageGetPage) {
+  // Twin stores over twin faulty envs read one sequence: one in GetPages
+  // batches, one GetPage at a time. The pool (4 pages) is smaller than
+  // the sequence, so batches mix hits, misses, promotions and evictions;
+  // they also hold a damaged page, an out-of-range page, an unregistered
+  // file, transient faults and an interrupt that fires mid-batch. Every
+  // per-page outcome and every counter must agree.
+  MemEnv base;
+  const FileLayout layout = WriteRelation(&base, "rel", 64);  // 8 pages.
+  ASSERT_EQ(layout.num_pages, 8u);
+  ASSERT_TRUE(
+      base.CorruptByte("rel", layout.PageOffset(6) + 50, 0xFF).ok());
+  FaultyEnvOptions fault;
+  fault.transient_error_prob = 0.3;
+  fault.max_transient_attempts = 2;
+  auto env_batched = FaultyEnv::Create(&base, fault).value();
+  auto env_single = FaultyEnv::Create(&base, fault).value();
+  PageStore::Options options;
+  options.pool_pages = 4;
+  PageStore batched(env_batched.get(), options);
+  PageStore single(env_single.get(), options);
+  batched.RegisterFile("rel", layout);
+  single.RegisterFile("rel", layout);
+
+  ReadPolicy policy = ServeReadPolicy();
+  policy.retry.base_ms = 0.01;
+  policy.retry.cap_ms = 0.05;
+  // Fails calls 30..32 of its owner's interrupt checks, then lets go.
+  const auto interrupt_for = [](int* calls) -> InterruptFn {
+    return [calls] {
+      ++*calls;
+      return *calls >= 30 && *calls < 33
+                 ? Status::DeadlineExceeded("deadline expired before read")
+                 : Status::Ok();
+    };
+  };
+  const std::vector<Batch> batches = {
+      {"rel", {0, 0, 1, 1, 2, 2}},
+      {"rel", {0, 1, 2, 3, 4, 5, 6, 7}},
+      {"nope", {0, 1}},
+      {"rel", {2, 3, 8, 0, 1}},
+      {"rel", {3, 3, 4, 4, 0, 1, 2, 5}},
+      {"rel", {0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3}},
+  };
+  int batched_calls = 0;
+  int single_calls = 0;
+  PageReadStats batched_stats;
+  PageReadStats single_stats;
+  const std::vector<std::string> got =
+      ReadSequence(&batched, batches, true, policy,
+                   interrupt_for(&batched_calls), &batched_stats);
+  const std::vector<std::string> want =
+      ReadSequence(&single, batches, false, policy,
+                   interrupt_for(&single_calls), &single_stats);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batched_calls, single_calls);
+  EXPECT_EQ(batched_stats.physical_reads, single_stats.physical_reads);
+  EXPECT_EQ(batched_stats.retries, single_stats.retries);
+  EXPECT_EQ(batched_stats.cache_hit, single_stats.cache_hit);
+  const BufferPool::Stats b = batched.PoolStats();
+  const BufferPool::Stats s = single.PoolStats();
+  EXPECT_EQ(b.hits, s.hits);
+  EXPECT_EQ(b.misses, s.misses);
+  EXPECT_EQ(b.admissions, s.admissions);
+  EXPECT_EQ(b.evictions, s.evictions);
+  EXPECT_EQ(b.promotions, s.promotions);
+  EXPECT_EQ(b.resident, s.resident);
+
+  // The sequence exercised every case it claims to.
+  const auto count = [&](const std::string& prefix) {
+    return std::count_if(want.begin(), want.end(), [&](const std::string& l) {
+      return l.rfind(prefix, 0) == 0;
+    });
+  };
+  EXPECT_GT(count("ok "), 0);
+  EXPECT_GT(count("not_found"), 0);
+  EXPECT_GT(count("invalid_argument"), 0);
+  EXPECT_GT(count("deadline_exceeded"), 0);
+  EXPECT_GT(count("unavailable"), 0);
+  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_GT(s.promotions, 0u);
+  EXPECT_GT(single_stats.retries, 0u);
 }
 
 }  // namespace

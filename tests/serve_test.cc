@@ -1,11 +1,13 @@
 #include "griddecl/serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -782,6 +784,145 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<1>(info.param)) + "_" +
              std::to_string(std::get<0>(info.param));
     });
+
+/// Pages of `truth` (records in id order, `capacity` per page) that hold
+/// one bucket and whose records all lie in the closed box [lo, hi]: the
+/// pages a query over that box takes whole by zone-map accept.
+uint64_t PagesInsideBox(const GridFile& truth, uint32_t capacity,
+                        const std::vector<double>& lo,
+                        const std::vector<double>& hi) {
+  uint64_t inside = 0;
+  for (RecordId first = 0; first < truth.num_records(); first += capacity) {
+    const RecordId end =
+        std::min<RecordId>(first + capacity, truth.num_records());
+    bool one_bucket = true;
+    bool all_in = true;
+    for (RecordId id = first; id < end; ++id) {
+      one_bucket = one_bucket &&
+                   truth.BucketOfRecord(id) == truth.BucketOfRecord(first);
+      for (size_t a = 0; a < lo.size(); ++a) {
+        const double v = truth.record(id)[a];
+        all_in = all_in && lo[a] <= v && v <= hi[a];
+      }
+    }
+    if (one_bucket && all_in) ++inside;
+  }
+  return inside;
+}
+
+TEST(QueryServiceTest, ZoneMapAcceptMatchesColumnFilter) {
+  // "dm" is bucket-clustered: every 8-record page holds one bucket.
+  // "arrival" holds records inserted in random order, so its pages mix
+  // buckets of different disks and only the per-record owner check may
+  // decide which (disk, copy) read returns a record; its 125 pages also
+  // make a disk's run longer than one batched read. Boxes are the exact
+  // bounding box of one or two pages (a record on each closed edge), the
+  // same box nudged one ulp inward (the page straddles it), the whole
+  // domain, and random boxes.
+  MemEnv env;
+  Catalog catalog(4);
+  ASSERT_TRUE(catalog
+                  .AddRelation("dm", DeclusteredFile::Create(
+                                         MakeClusteredFile(1), "dm", 4)
+                                         .value())
+                  .ok());
+  {
+    Schema schema =
+        Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+    GridFile f = GridFile::Create(std::move(schema), {4, 4}).value();
+    Rng rng(5);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(f.Insert({rng.NextDouble(), rng.NextDouble()}).ok());
+    }
+    ASSERT_TRUE(
+        catalog
+            .AddRelation("arrival",
+                         DeclusteredFile::Create(std::move(f), "dm", 4)
+                             .value())
+            .ok());
+  }
+  ManifestSaveOptions options;
+  options.page_size_bytes = 168;  // Capacity 8.
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, options).ok());
+  auto service = QueryService::Create(&env, {}).value();
+  constexpr uint32_t kCapacity = 8;
+
+  for (const std::string name : {"dm", "arrival"}) {
+    const GridFile& truth = catalog.Find(name)->file();
+    const uint64_t num_pages = truth.num_records() / kCapacity;
+    // Bounding box of pages [first, last].
+    const auto page_box = [&](uint64_t first, uint64_t last) {
+      std::vector<double> lo = truth.record(first * kCapacity);
+      std::vector<double> hi = lo;
+      for (RecordId id = first * kCapacity; id < (last + 1) * kCapacity;
+           ++id) {
+        for (size_t a = 0; a < 2; ++a) {
+          lo[a] = std::min(lo[a], truth.record(id)[a]);
+          hi[a] = std::max(hi[a], truth.record(id)[a]);
+        }
+      }
+      return std::make_pair(lo, hi);
+    };
+    std::vector<std::pair<std::vector<double>, std::vector<double>>> boxes =
+        {{{0.0, 0.0}, {1.0, 1.0}}};
+    for (uint64_t page = 0; page < num_pages; page += 3) {
+      boxes.push_back(page_box(page, page));
+      boxes.push_back(page_box(page, std::min(page + 1, num_pages - 1)));
+      auto [lo, hi] = page_box(page, page);
+      lo[0] = std::nextafter(lo[0], 2.0);
+      hi[1] = std::nextafter(hi[1], -1.0);
+      if (lo[0] <= hi[0] && lo[1] <= hi[1]) boxes.push_back({lo, hi});
+    }
+    Rng rng(11);
+    for (int q = 0; q < 10; ++q) {
+      std::vector<double> lo(2), hi(2);
+      for (int d = 0; d < 2; ++d) {
+        const double a = rng.NextDouble();
+        const double b = rng.NextDouble();
+        lo[d] = std::min(a, b);
+        hi[d] = std::max(a, b);
+      }
+      boxes.push_back({lo, hi});
+    }
+
+    uint64_t accepted = 0;
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      QueryRequest q = Range(boxes[i].first, boxes[i].second);
+      q.relation = name;
+      const std::vector<RecordId> want =
+          Sorted(truth.RangeSearch(q.lo, q.hi).value());
+      const uint64_t inside =
+          PagesInsideBox(truth, kCapacity, q.lo, q.hi);
+      const QueryResult full = service->Execute(q);
+      ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+      EXPECT_EQ(full.matches, want) << name << " box " << i;
+      EXPECT_EQ(full.zone_map_accepts, inside) << name << " box " << i;
+      accepted += full.zone_map_accepts;
+
+      std::vector<RecordId> merged;
+      uint64_t sub_accepts = 0;
+      for (uint32_t d = 0; d < 4; ++d) {
+        QueryRequest sub = q;
+        sub.disks = {d};
+        const QueryResult r = service->Execute(sub);
+        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+        merged.insert(merged.end(), r.matches.begin(), r.matches.end());
+        sub_accepts += r.zone_map_accepts;
+      }
+      std::sort(merged.begin(), merged.end());
+      EXPECT_EQ(merged, want) << name << " box " << i;
+      EXPECT_EQ(sub_accepts, inside) << name << " box " << i;
+    }
+    if (name == "dm") {
+      EXPECT_GT(accepted, boxes.size()) << "edge-touching pages accepted";
+    } else {
+      // Most arrival-order pages mix buckets; the whole-domain box holds
+      // every one of them, and none may be taken whole.
+      EXPECT_LT(PagesInsideBox(truth, kCapacity, {0.0, 0.0}, {1.0, 1.0}),
+                num_pages / 2);
+    }
+  }
+}
 
 TEST(ServeScriptTest, ParsesQueriesCommentsAndDeadlines) {
   const auto requests = ParseServeScript(

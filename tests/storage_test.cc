@@ -1,6 +1,7 @@
 #include "griddecl/gridfile/storage.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string_view>
 
@@ -232,15 +233,45 @@ TEST(StorageTest, V3DecodedPageExposesColumnsAndZoneMaps) {
         hi = std::max(hi, page.column(a)[r]);
       }
       // Stored zone maps are exactly the per-page column min/max.
-      EXPECT_EQ(page.zone_min[a], lo);
-      EXPECT_EQ(page.zone_max[a], hi);
+      EXPECT_EQ(page.zone_min(a), lo);
+      EXPECT_EQ(page.zone_max(a), hi);
     }
     // MayMatch: a box covering the zone maps intersects; a disjoint box
     // (above every x) cannot.
-    EXPECT_TRUE(page.MayMatch({page.zone_min[0], page.zone_min[1]},
-                              {page.zone_max[0], page.zone_max[1]}));
-    EXPECT_FALSE(page.MayMatch({page.zone_max[0] + 1.0, -5.0},
-                               {page.zone_max[0] + 2.0, 5.0}));
+    EXPECT_TRUE(page.MayMatch({page.zone_min(0), page.zone_min(1)},
+                              {page.zone_max(0), page.zone_max(1)}));
+    EXPECT_FALSE(page.MayMatch({page.zone_max(0) + 1.0, -5.0},
+                               {page.zone_max(0) + 2.0, 5.0}));
+  }
+}
+
+TEST(StorageTest, WithinIsTheClosedBoxMirrorOfMayMatch) {
+  // Within holds exactly when the zone maps sit inside the closed box:
+  // the page's own zone-map box qualifies, one ulp less on any edge does
+  // not.
+  Schema schema =
+      Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+  GridFile f = GridFile::Create(std::move(schema), {2, 2}).value();
+  ASSERT_TRUE(f.Insert({0.25, 0.5}).ok());
+  ASSERT_TRUE(f.Insert({0.75, 0.125}).ok());
+  const std::string bytes = Serialize(f, 168, kFormatV3);  // Capacity 8.
+  const FileLayout layout = ParseFileLayout(bytes).value();
+  const DecodedPage p =
+      DecodePageBytes(std::string_view(bytes).substr(
+                          layout.PageOffset(0), layout.page_size_bytes),
+                      layout, 0)
+          .value();
+  EXPECT_TRUE(p.Within({0.0, 0.0}, {1.0, 1.0}));
+  const std::vector<double> lo = {0.25, 0.125};
+  const std::vector<double> hi = {0.75, 0.5};
+  EXPECT_TRUE(p.Within(lo, hi));
+  for (size_t a = 0; a < 2; ++a) {
+    std::vector<double> tight_lo = lo;
+    tight_lo[a] = std::nextafter(lo[a], 1.0);
+    EXPECT_FALSE(p.Within(tight_lo, hi)) << "lo edge " << a;
+    std::vector<double> tight_hi = hi;
+    tight_hi[a] = std::nextafter(hi[a], 0.0);
+    EXPECT_FALSE(p.Within(lo, tight_hi)) << "hi edge " << a;
   }
 }
 
@@ -264,8 +295,8 @@ TEST(StorageTest, V2DecodedPageComputesZoneMapsInline) {
       lo = std::min(lo, page.column(a)[r]);
       hi = std::max(hi, page.column(a)[r]);
     }
-    EXPECT_EQ(page.zone_min[a], lo);
-    EXPECT_EQ(page.zone_max[a], hi);
+    EXPECT_EQ(page.zone_min(a), lo);
+    EXPECT_EQ(page.zone_max(a), hi);
   }
 }
 
