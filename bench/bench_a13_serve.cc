@@ -30,6 +30,8 @@ constexpr uint32_t kNumDisks = 8;
 constexpr uint32_t kRecordsPerBucket = 8;
 constexpr int kNumQueries = 1000;
 constexpr uint32_t kDeadDisk = 2;
+/// QueryService::Create calls per serve_create repetition.
+constexpr int kCreatesPerRep = 100;
 
 /// Bucket-clustered data: with 168-byte v3 pages (capacity 8) and 8
 /// records inserted per bucket in linearization order, every storage page
@@ -164,6 +166,17 @@ int RunBenchJson(bench::BenchJson& json) {
   json.TimeKernel("serve_healthy", [&] {
     const PassStats s = RunPass(&env, SerialPipe(), queries);
     GRIDDECL_CHECK(s.ok == healthy.ok && s.matches == healthy.matches);
+  });
+
+  // Start-up: Create verifies every page of the catalog and builds each
+  // relation's bucket -> pages index from the pages' zone maps; Shutdown
+  // joins the worker. kCreatesPerRep lifts the kernel well above timer
+  // and thread-start noise.
+  json.TimeKernel("serve_create", [&] {
+    for (int i = 0; i < kCreatesPerRep; ++i) {
+      auto service = serve::QueryService::Create(&env, SerialPipe()).value();
+      GRIDDECL_CHECK(service->Shutdown().ok());
+    }
   });
 
   // Degraded pass: disk kDeadDisk is gone; mirrors keep every query whole

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "griddecl/common/hash.h"
+#include "griddecl/methods/registry.h"
 
 namespace griddecl::cluster {
 
@@ -162,23 +163,27 @@ Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
     const StorageEnv& src, const PlacementSpec& placement) const {
   auto manifest = ReadManifest(src, generation);
   if (!manifest.ok()) return manifest.status();
-  auto catalog = LoadCatalogFromManifest(src, manifest.value());
-  if (!catalog.ok()) return catalog.status();
+  const CatalogManifest& m = manifest.value();
 
-  auto routing = std::make_shared<Routing>(std::move(catalog.value()));
-  for (const ManifestRelation& mr : manifest.value().relations) {
-    const DeclusteredFile* df = routing->catalog.Find(mr.name);
-    if (df == nullptr) {
-      return Status::Internal("manifest relation missing from catalog: " +
-                              mr.name);
-    }
+  // Routing reads each data file's header only: the node services built
+  // over the same generation have already verified every page.
+  auto routing = std::make_shared<Routing>();
+  for (size_t i = 0; i < m.relations.size(); ++i) {
+    const ManifestRelation& mr = m.relations[i];
+    auto bytes = src.ReadFile(m.DataFileName(i));
+    if (!bytes.ok()) return bytes.status();
+    auto header = ParseGridFileHeader(bytes.value());
+    if (!header.ok()) return header.status();
+    auto method =
+        CreateMethod(mr.method, header.value().partitioner.grid(), m.num_disks);
+    if (!method.ok()) return method.status();
     const uint32_t copies =
         mr.redundancy.policy == RelationRedundancy::Policy::kMirror
             ? mr.redundancy.copies
             : 1;
     routing->relations.emplace(
-        mr.name, EpochRelation{df, mr.redundancy, DiskMap::Build(df->method()),
-                               copies});
+        mr.name, EpochRelation{std::move(header).value(), mr.redundancy,
+                               DiskMap::Build(*method.value()), copies});
   }
 
   auto epoch = std::make_shared<Epoch>();
@@ -662,7 +667,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   }
   const EpochRelation& rel = it->second;
 
-  auto rq = rel.df->file().ResolveRange(request.lo, request.hi);
+  auto rq = ResolveRange(rel.header.partitioner, request.lo, request.hi);
   if (!rq.ok()) {
     result.status = rq.status();
     result.complete = false;

@@ -16,9 +16,9 @@
 #include "griddecl/cluster/placement.h"
 #include "griddecl/common/status.h"
 #include "griddecl/eval/disk_map.h"
-#include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/faulty_env.h"
 #include "griddecl/gridfile/manifest.h"
+#include "griddecl/gridfile/storage.h"
 #include "griddecl/gridfile/storage_env.h"
 #include "griddecl/obs/metrics.h"
 #include "griddecl/serve/circuit_breaker.h"
@@ -445,20 +445,18 @@ class Cluster {
 
   /// Immutable per-relation routing state (part of a Routing table).
   struct EpochRelation {
-    /// Points into the owning Routing's catalog.
-    const DeclusteredFile* df = nullptr;
+    /// The data file's header: schema and partitioner for ResolveRange.
+    GridFileHeader header;
     RelationRedundancy redundancy;
     DiskMap disk_map;
     uint32_t copies = 1;  ///< 1 unless kMirror.
   };
 
-  /// The generation's catalog plus per-relation routing state. Shared
-  /// between epochs that differ only in their service snapshot (e.g. after
-  /// a node revival), so rebuilding an epoch never re-parses files.
+  /// The generation's per-relation routing state. Shared between epochs
+  /// that differ only in their service snapshot (e.g. after a node
+  /// revival), so rebuilding an epoch never re-reads files.
   struct Routing {
-    Catalog catalog;
     std::map<std::string, EpochRelation> relations;
-    explicit Routing(Catalog c) : catalog(std::move(c)) {}
   };
 
   /// One immutable routing view: generation, placement, relation maps,

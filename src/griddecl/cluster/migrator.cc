@@ -20,7 +20,8 @@ Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
               " < cluster nodes " + std::to_string(num_nodes()));
         }
         for (const auto& [name, rel] : current.routing->relations) {
-          auto method = CreateMethod(options.new_method, rel.df->file().grid(),
+          auto method = CreateMethod(options.new_method,
+                                     rel.header.partitioner.grid(),
                                      options.new_num_disks);
           if (!method.ok()) {
             return Status::InvalidArgument(

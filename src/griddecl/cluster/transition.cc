@@ -165,8 +165,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
       report->bytes_copied += static_cast<uint64_t>(charge);
     }
     report->buckets_copied += old_epoch->routing->relations.at(mr.name)
-                                  .df->file()
-                                  .grid()
+                                  .header.partitioner.grid()
                                   .num_buckets();
   }
 
@@ -206,7 +205,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
   // lower half (exercises multi-disk routing in every dimension).
   std::vector<serve::QueryRequest> sample;
   for (const auto& [name, rel] : old_epoch->routing->relations) {
-    const Schema& schema = rel.df->file().schema();
+    const Schema& schema = rel.header.schema;
     serve::QueryRequest full;
     full.relation = name;
     for (uint32_t a = 0; a < schema.num_attributes(); ++a) {

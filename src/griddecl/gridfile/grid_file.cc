@@ -1,5 +1,6 @@
 #include "griddecl/gridfile/grid_file.h"
 
+#include <cmath>
 #include <set>
 
 namespace griddecl {
@@ -72,6 +73,12 @@ Result<RecordId> GridFile::Insert(Record record) {
         "record has " + std::to_string(record.size()) + " values, schema has " +
         std::to_string(schema_.num_attributes()) + " attributes");
   }
+  for (uint32_t i = 0; i < record.size(); ++i) {
+    if (std::isnan(record[i])) {
+      return Status::InvalidArgument("record value on attribute " +
+                                     std::to_string(i) + " is NaN");
+    }
+  }
   const RecordId id = records_.size();
   const BucketCoords bucket = partitioner_.BucketOf(record);
   buckets_[static_cast<size_t>(grid().Linearize(bucket))].push_back(id);
@@ -93,11 +100,11 @@ const std::vector<RecordId>& GridFile::BucketContents(
   return buckets_[static_cast<size_t>(grid().Linearize(c))];
 }
 
-Result<RangeQuery> GridFile::ResolveRange(const std::vector<double>& lo,
-                                          const std::vector<double>& hi)
-    const {
-  if (lo.size() != schema_.num_attributes() ||
-      hi.size() != schema_.num_attributes()) {
+Result<RangeQuery> ResolveRange(const SpacePartitioner& partitioner,
+                                const std::vector<double>& lo,
+                                const std::vector<double>& hi) {
+  if (lo.size() != partitioner.num_dims() ||
+      hi.size() != partitioner.num_dims()) {
     return Status::InvalidArgument("range bounds must match the schema");
   }
   for (uint32_t i = 0; i < lo.size(); ++i) {
@@ -106,8 +113,7 @@ Result<RangeQuery> GridFile::ResolveRange(const std::vector<double>& lo,
                                      std::to_string(i));
     }
   }
-  const BucketRect rect = partitioner_.RectOf(lo, hi);
-  return RangeQuery::Create(grid(), rect);
+  return RangeQuery::Create(partitioner.grid(), partitioner.RectOf(lo, hi));
 }
 
 Result<std::vector<RecordId>> GridFile::RangeSearch(

@@ -55,6 +55,13 @@ class Schema {
 using Record = std::vector<double>;
 using RecordId = uint64_t;
 
+/// The rectangle of buckets the value-space range predicate
+/// lo[i] <= attr_i <= hi[i] touches under `partitioner`, as a RangeQuery
+/// (the declustering cost model's input).
+Result<RangeQuery> ResolveRange(const SpacePartitioner& partitioner,
+                                const std::vector<double>& lo,
+                                const std::vector<double>& hi);
+
 /// In-memory Cartesian-product file with a static grid directory.
 class GridFile {
  public:
@@ -75,7 +82,8 @@ class GridFile {
   uint64_t num_records() const { return records_.size(); }
 
   /// Inserts a record; values outside the declared domains are accepted and
-  /// clamp into boundary buckets (grid-file convention). Returns its id.
+  /// clamp into boundary buckets (grid-file convention). Returns its id;
+  /// kInvalidArgument for a NaN value, which no bucket holds.
   Result<RecordId> Insert(Record record);
 
   const Record& record(RecordId id) const;
@@ -86,10 +94,11 @@ class GridFile {
   /// Record ids stored in bucket `c`.
   const std::vector<RecordId>& BucketContents(const BucketCoords& c) const;
 
-  /// The rectangle of buckets a value-space range predicate touches, as a
-  /// RangeQuery (the declustering cost model's input).
+  /// The rectangle of buckets a value-space range predicate touches.
   Result<RangeQuery> ResolveRange(const std::vector<double>& lo,
-                                  const std::vector<double>& hi) const;
+                                  const std::vector<double>& hi) const {
+    return griddecl::ResolveRange(partitioner_, lo, hi);
+  }
 
   /// Exact record-level range search: ids of records with
   /// lo[i] <= value[i] <= hi[i] for all i. Scans only the touched buckets.

@@ -32,8 +32,9 @@ Result<std::string> PageStore::ReadWithRetries(
     const std::string& file, uint64_t offset, uint64_t length,
     const ReadPolicy& policy, PageReadStats* stats,
     const InterruptFn& interrupt) const {
-  const uint64_t token =
-      Mix64(HashString(Mix64(0x5e7e5e7eull), file) ^ offset);
+  // The jitter token hashes the file name, so it is computed only once a
+  // read actually backs off; a read that succeeds first time pays nothing.
+  uint64_t token = 0;
   for (uint32_t attempt = 0;; ++attempt) {
     if (interrupt) {
       Status st = interrupt();
@@ -49,6 +50,9 @@ Result<std::string> PageStore::ReadWithRetries(
     }
     if (attempt + 1 >= policy.retry.max_attempts) return bytes.status();
     if (stats != nullptr) stats->retries++;
+    if (attempt == 0) {
+      token = Mix64(HashString(Mix64(0x5e7e5e7eull), file) ^ offset);
+    }
     // Cut short once `interrupt` fires; the next attempt surfaces it.
     SleepInterruptible(
         BackoffDelayMs(policy.retry, options_.seed, token, attempt),

@@ -1,7 +1,10 @@
 #include "griddecl/gridfile/storage.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "griddecl/common/bytes.h"
 #include "griddecl/common/crc32c.h"
@@ -29,22 +32,81 @@ uint32_t PageCapacity(uint32_t version, uint32_t page_size,
   return (page_size - overhead) / (8 * num_attrs);
 }
 
-/// Full header parse: the layout plus the schema/partitioner material the
-/// loader needs (ParseFileLayout discards the latter).
-struct ParsedHeader {
-  FileLayout layout;
-  std::vector<AttributeDef> attrs;
-  std::vector<DomainPartition> parts;
-};
 
-Result<ParsedHeader> ParseHeader(std::string_view bytes) {
+/// The exact-size check every whole-file load makes after the header.
+Status CheckFileSize(std::string_view bytes, const FileLayout& layout) {
+  if (bytes.size() == layout.expected_file_size) return Status::Ok();
+  return Status::InvalidArgument(bytes.size() < layout.expected_file_size
+                                     ? "truncated file"
+                                     : "trailing garbage after final page");
+}
+
+double LoadF64(const char* p) {
+  double v = 0.0;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+/// Whether any of the `count` doubles stored at `p` is NaN. Branch-free,
+/// so the scan vectorizes.
+bool AnyNaN(const char* p, uint64_t count) {
+  bool nan = false;
+  for (uint64_t i = 0; i < count; ++i) nan |= std::isnan(LoadF64(p + i * 8));
+  return nan;
+}
+
+/// Reads a verified page's per-attribute [min, max] into `zone_min` /
+/// `zone_max` (stored in v3 pages, computed from the rows of v2 ones) and
+/// rejects a page holding a NaN value or bound: no grid cell holds NaN.
+/// The one page check both whole-file loaders add to the CRC, so they
+/// accept exactly the same files.
+Status ScanPage(std::string_view page_bytes, const FileLayout& layout,
+                uint64_t page, double* zone_min, double* zone_max) {
+  const uint32_t k = layout.num_attrs;
+  const uint32_t n = layout.PageRecords(page);
+  bool nan = false;
+  if (layout.format_version == kFormatV3) {
+    const char* zones = page_bytes.data() + kPageHeaderBytesV3;
+    const char* segments = zones + uint64_t{k} * kZoneMapBytesPerAttr;
+    for (uint32_t a = 0; a < k; ++a) {
+      zone_min[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr);
+      zone_max[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr + 8);
+      nan |= AnyNaN(segments + uint64_t{a} * layout.page_capacity * 8, n);
+    }
+    nan |= AnyNaN(zones, uint64_t{k} * 2);
+  } else {
+    const char* rows = page_bytes.data() + kPageHeaderBytesV2;
+    for (uint32_t a = 0; a < k; ++a) {
+      zone_min[a] = std::numeric_limits<double>::infinity();
+      zone_max[a] = -std::numeric_limits<double>::infinity();
+    }
+    for (uint32_t r = 0; r < n; ++r) {
+      for (uint32_t a = 0; a < k; ++a) {
+        const double v = LoadF64(rows + (uint64_t{r} * k + a) * 8);
+        zone_min[a] = std::min(zone_min[a], v);
+        zone_max[a] = std::max(zone_max[a], v);
+      }
+    }
+    nan = AnyNaN(rows, uint64_t{n} * k);
+  }
+  if (nan) {
+    return Status::InvalidArgument("NaN value in page " +
+                                   std::to_string(page));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<GridFileHeader> ParseGridFileHeader(std::string_view bytes) {
   ByteReader r(bytes);
   char magic[4];
   if (!r.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::InvalidArgument("bad magic: not a griddecl file");
   }
-  ParsedHeader h;
-  FileLayout& layout = h.layout;
+  FileLayout layout;
+  std::vector<AttributeDef> attrs;
+  std::vector<DomainPartition> parts;
   uint32_t k = 0;
   if (!r.ReadU32(&layout.format_version) ||
       !r.ReadU32(&layout.page_size_bytes) || !r.ReadU32(&k)) {
@@ -87,12 +149,11 @@ Result<ParsedHeader> ParseHeader(std::string_view bytes) {
     }
     std::vector<double> boundaries(num_boundaries);
     for (double& v : boundaries) r.ReadF64(&v);
-    h.attrs.push_back(
-        {std::move(name), boundaries.front(), boundaries.back()});
+    attrs.push_back({std::move(name), boundaries.front(), boundaries.back()});
     Result<DomainPartition> p =
         DomainPartition::FromBoundaries(std::move(boundaries));
     if (!p.ok()) return p.status();
-    h.parts.push_back(std::move(p).value());
+    parts.push_back(std::move(p).value());
   }
   if (!r.ReadU64(&layout.num_records)) {
     return Status::InvalidArgument("truncated record count");
@@ -117,10 +178,14 @@ Result<ParsedHeader> ParseHeader(std::string_view bytes) {
   layout.footer_offset =
       layout.header_bytes + layout.num_pages * layout.page_size_bytes;
   layout.expected_file_size = layout.footer_offset + kFooterBytesV2;
-  return h;
-}
 
-}  // namespace
+  Result<Schema> schema = Schema::Create(std::move(attrs));
+  if (!schema.ok()) return schema.status();
+  Result<SpacePartitioner> sp = SpacePartitioner::Create(std::move(parts));
+  if (!sp.ok()) return sp.status();
+  return GridFileHeader{layout, std::move(schema).value(),
+                        std::move(sp).value()};
+}
 
 uint32_t FileLayout::PageRecords(uint64_t page) const {
   if (page >= num_pages) return 0;
@@ -129,7 +194,7 @@ uint32_t FileLayout::PageRecords(uint64_t page) const {
 }
 
 Result<FileLayout> ParseFileLayout(std::string_view bytes) {
-  Result<ParsedHeader> h = ParseHeader(bytes);
+  Result<GridFileHeader> h = ParseGridFileHeader(bytes);
   if (!h.ok()) return h.status();
   return h.value().layout;
 }
@@ -380,32 +445,28 @@ Result<std::string> SerializeGridFile(const GridFile& file,
 }
 
 Result<GridFile> ParseGridFile(std::string_view bytes) {
-  Result<ParsedHeader> header = ParseHeader(bytes);
+  Result<GridFileHeader> header = ParseGridFileHeader(bytes);
   if (!header.ok()) return header.status();
-  const FileLayout& layout = header.value().layout;
-  if (bytes.size() != layout.expected_file_size) {
-    return Status::InvalidArgument(bytes.size() < layout.expected_file_size
-                                       ? "truncated file"
-                                       : "trailing garbage after final page");
-  }
-
-  Result<Schema> schema = Schema::Create(std::move(header.value().attrs));
-  if (!schema.ok()) return schema.status();
-  Result<SpacePartitioner> sp =
-      SpacePartitioner::Create(std::move(header.value().parts));
-  if (!sp.ok()) return sp.status();
-  Result<GridFile> file = GridFile::CreateWithPartitioner(
-      std::move(schema).value(), std::move(sp).value());
+  const FileLayout layout = header.value().layout;
+  const Status size = CheckFileSize(bytes, layout);
+  if (!size.ok()) return size;
+  Result<GridFile> file =
+      GridFile::CreateWithPartitioner(std::move(header.value().schema),
+                                      std::move(header.value().partitioner));
   if (!file.ok()) return file.status();
 
   // Each page is verified and decoded exactly as PageStore admits it; the
   // records are then gathered back out of the decoded columns.
   const uint32_t k = layout.num_attrs;
+  double zone_min[kMaxDims];
+  double zone_max[kMaxDims];
   for (uint64_t page = 0; page < layout.num_pages; ++page) {
     const std::string_view page_bytes =
         bytes.substr(layout.PageOffset(page), layout.page_size_bytes);
-    const Status verify = VerifyPageBytes(page_bytes, layout, page);
-    if (!verify.ok()) return verify;
+    Status st = VerifyPageBytes(page_bytes, layout, page);
+    if (!st.ok()) return st;
+    st = ScanPage(page_bytes, layout, page, zone_min, zone_max);
+    if (!st.ok()) return st;
     Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
     if (!decoded.ok()) return decoded.status();
     const DecodedPage& d = decoded.value();
@@ -420,6 +481,80 @@ Result<GridFile> ParseGridFile(std::string_view bytes) {
   const Status footer = VerifyFileFooter(bytes, layout);
   if (!footer.ok()) return footer;
   return file;
+}
+
+Result<PageIndex> BuildPageIndex(std::string_view bytes,
+                                 const GridFileHeader& header) {
+  const FileLayout& layout = header.layout;
+  Status st = CheckFileSize(bytes, layout);
+  if (!st.ok()) return st;
+  const SpacePartitioner& sp = header.partitioner;
+  const GridSpec& grid = sp.grid();
+  const uint32_t k = layout.num_attrs;
+
+  PageIndex index;
+  index.page_bucket.assign(static_cast<size_t>(layout.num_pages),
+                           PageIndex::kMixedPage);
+  // (bucket, page) in page order: one per single-bucket page, one per
+  // distinct bucket of a mixed page.
+  std::vector<std::pair<uint64_t, uint64_t>> entries;
+  entries.reserve(static_cast<size_t>(layout.num_pages));
+  std::vector<uint64_t> mixed;
+  double zone_min[kMaxDims];
+  double zone_max[kMaxDims];
+  for (uint64_t page = 0; page < layout.num_pages; ++page) {
+    const std::string_view page_bytes =
+        bytes.substr(layout.PageOffset(page), layout.page_size_bytes);
+    st = VerifyPageBytes(page_bytes, layout, page);
+    if (!st.ok()) return st;
+    st = ScanPage(page_bytes, layout, page, zone_min, zone_max);
+    if (!st.ok()) return st;
+    BucketCoords lo(k);
+    BucketCoords hi(k);
+    for (uint32_t a = 0; a < k; ++a) {
+      lo[a] = sp.dim(a).IndexOf(zone_min[a]);
+      hi[a] = sp.dim(a).IndexOf(zone_max[a]);
+    }
+    if (lo == hi) {
+      const uint64_t bucket = grid.Linearize(lo);
+      index.page_bucket[static_cast<size_t>(page)] = bucket;
+      entries.emplace_back(bucket, page);
+      continue;
+    }
+    Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
+    if (!decoded.ok()) return decoded.status();
+    const DecodedPage& d = decoded.value();
+    mixed.clear();
+    for (uint32_t r = 0; r < d.num_records; ++r) {
+      BucketCoords c(k);
+      for (uint32_t a = 0; a < k; ++a) c[a] = sp.dim(a).IndexOf(d.column(a)[r]);
+      mixed.push_back(grid.Linearize(c));
+    }
+    std::sort(mixed.begin(), mixed.end());
+    mixed.erase(std::unique(mixed.begin(), mixed.end()), mixed.end());
+    for (uint64_t bucket : mixed) entries.emplace_back(bucket, page);
+  }
+  st = VerifyFileFooter(bytes, layout);
+  if (!st.ok()) return st;
+
+  // Counting sort by bucket; entries arrive in page order, so each
+  // bucket's pages come out ascending.
+  const size_t num_buckets = static_cast<size_t>(grid.num_buckets());
+  index.bucket_begin.assign(num_buckets + 1, 0);
+  for (const auto& [bucket, page] : entries) {
+    index.bucket_begin[static_cast<size_t>(bucket) + 1]++;
+  }
+  for (size_t b = 0; b < num_buckets; ++b) {
+    index.bucket_begin[b + 1] += index.bucket_begin[b];
+  }
+  std::vector<uint64_t> next(index.bucket_begin.begin(),
+                             index.bucket_begin.end() - 1);
+  index.pages.resize(entries.size());
+  for (const auto& [bucket, page] : entries) {
+    index.pages[static_cast<size_t>(next[static_cast<size_t>(bucket)]++)] =
+        page;
+  }
+  return index;
 }
 
 }  // namespace griddecl

@@ -2,6 +2,7 @@
 #define GRIDDECL_GRIDFILE_STORAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,7 +105,8 @@ Result<std::string> SerializeGridFile(const GridFile& file,
 
 /// Parses a grid file previously written by `SerializeGridFile`, verifying
 /// every checksum. Fails with kInvalidArgument on any malformed, damaged
-/// or truncated input (never crashes).
+/// or truncated input, and on a page holding a NaN value or zone-map bound
+/// (never crashes).
 Result<GridFile> ParseGridFile(std::string_view bytes);
 
 // --- Format introspection (scrub / fsck support) --------------------------
@@ -133,10 +135,53 @@ struct FileLayout {
   uint32_t PageRecords(uint64_t page) const;
 };
 
-/// Parses and validates the header region of `bytes` (structure, bounds
-/// and the header CRC). Page and footer bytes are not touched,
-/// so a layout can be recovered from a file with damaged pages.
+/// The layout of `ParseGridFileHeader(bytes)`. Page and footer bytes are
+/// not touched, so a layout can be recovered from a file with damaged
+/// pages.
 Result<FileLayout> ParseFileLayout(std::string_view bytes);
+
+/// A grid file's header: its byte layout plus the schema and partitioner it
+/// records — everything a server needs to resolve a range predicate to
+/// buckets, with no page read.
+struct GridFileHeader {
+  FileLayout layout;
+  Schema schema;
+  SpacePartitioner partitioner;
+};
+
+/// Parses and validates the header region of `bytes` (structure, bounds,
+/// the header CRC, the schema and the partitioner it describes). Page and
+/// footer bytes are not touched.
+Result<GridFileHeader> ParseGridFileHeader(std::string_view bytes);
+
+/// Where each bucket's records sit in a data file: the bucket -> pages map
+/// a server plans page reads from, built without rebuilding any record.
+struct PageIndex {
+  static constexpr uint64_t kMixedPage = ~uint64_t{0};
+
+  /// Compressed sparse rows over the grid-linear buckets: bucket b's
+  /// pages are `pages[bucket_begin[b] .. bucket_begin[b + 1])`, ascending
+  /// and distinct. `bucket_begin` has num_buckets + 1 entries.
+  std::vector<uint64_t> bucket_begin;
+  std::vector<uint64_t> pages;
+  /// Page -> the one grid-linear bucket all its records belong to, or
+  /// kMixedPage.
+  std::vector<uint64_t> page_bucket;
+
+  std::span<const uint64_t> PagesOf(uint64_t bucket) const {
+    return std::span<const uint64_t>(pages).subspan(
+        bucket_begin[bucket], bucket_begin[bucket + 1] - bucket_begin[bucket]);
+  }
+};
+
+/// Verifies `bytes` exactly as `ParseGridFile` does — so it accepts exactly
+/// the files that parse — and indexes its pages under `header` (parsed
+/// from the same bytes). A page whose zone-map box lies in one grid cell
+/// belongs to that bucket alone: cells are intervals in each dimension, so
+/// the test is exact. Only the other (mixed) pages are decoded and their
+/// records bucketed.
+Result<PageIndex> BuildPageIndex(std::string_view bytes,
+                                 const GridFileHeader& header);
 
 /// Verifies page `page` of `bytes` under `layout`: page in bounds, record
 /// count exactly what the writer lays out, CRC match.

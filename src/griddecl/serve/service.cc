@@ -99,7 +99,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
       // registering them lets the PageStore serve any copy from the pool.
       const Relation& r = emplaced.first->second;
       for (const std::string& file : r.copy_files) {
-        service->store_->RegisterFile(file, r.layout);
+        service->store_->RegisterFile(file, r.header.layout);
       }
     }
     return Status::Ok();
@@ -127,62 +127,45 @@ QueryService::~QueryService() { (void)Shutdown(); }
 Result<QueryService::Relation> QueryService::LoadRelation(
     const StorageEnv& env, const CatalogManifest& manifest, size_t index) {
   const ManifestRelation& mr = manifest.relations[index];
-  Relation rel;
-  rel.name = mr.name;
-  rel.redundancy = mr.redundancy;
   const std::string data_name = manifest.DataFileName(index);
   Result<std::string> bytes = env.ReadFile(data_name);
   if (!bytes.ok()) return bytes.status();
-  Result<FileLayout> layout = ParseFileLayout(bytes.value());
-  if (!layout.ok()) return layout.status();
-  rel.layout = layout.value();
-  Result<GridFile> file = ParseGridFile(bytes.value());
-  if (!file.ok()) return file.status();
-  rel.file = std::make_unique<GridFile>(std::move(file).value());
+  Result<GridFileHeader> header = ParseGridFileHeader(bytes.value());
+  if (!header.ok()) return header.status();
+  Result<PageIndex> pages = BuildPageIndex(bytes.value(), header.value());
+  if (!pages.ok()) return pages.status();
   Result<std::unique_ptr<DeclusteringMethod>> method =
-      CreateMethod(mr.method, rel.file->grid(), manifest.num_disks);
+      CreateMethod(mr.method, header.value().partitioner.grid(),
+                   manifest.num_disks);
   if (!method.ok()) return method.status();
-  rel.method = std::move(method).value();
-  rel.disk_map = std::make_unique<DiskMap>(DiskMap::Build(*rel.method));
-  rel.copy_files.push_back(data_name);
-  if (mr.redundancy.policy == RelationRedundancy::Policy::kMirror) {
-    for (uint32_t c = 1; c < mr.redundancy.copies; ++c) {
-      rel.copy_files.push_back(manifest.MirrorFileName(index, c));
-    }
-    // The mirror copies realize chained declustering: copy r of a bucket
-    // is served from replica r's disk, (primary + r) mod M.
-    Result<std::unique_ptr<DeclusteringMethod>> base =
-        CreateMethod(mr.method, rel.file->grid(), manifest.num_disks);
-    if (!base.ok()) return base.status();
-    Result<ReplicatedPlacement> placement = ReplicatedPlacement::Create(
-        std::move(base).value(), mr.redundancy.copies, /*offset=*/1);
-    if (!placement.ok()) return placement.status();
-    rel.placement =
-        std::make_unique<ReplicatedPlacement>(std::move(placement).value());
-  } else if (mr.redundancy.policy == RelationRedundancy::Policy::kParity) {
-    rel.parity_file = manifest.ParityFileName(index);
+  const uint32_t copies =
+      mr.redundancy.policy == RelationRedundancy::Policy::kMirror
+          ? mr.redundancy.copies
+          : 1;
+  // The mirror copies realize chained declustering: copy r of a bucket is
+  // served from replica r's disk, (primary + r) mod M.
+  Result<ReplicatedPlacement> placement = ReplicatedPlacement::Create(
+      std::move(method).value(), copies, /*offset=*/1);
+  if (!placement.ok()) return placement.status();
+  auto owned =
+      std::make_unique<ReplicatedPlacement>(std::move(placement).value());
+  auto disk_map = std::make_unique<DiskMap>(DiskMap::Build(owned->base()));
+  std::vector<std::string> copy_files = {data_name};
+  for (uint32_t c = 1; c < copies; ++c) {
+    copy_files.push_back(manifest.MirrorFileName(index, c));
   }
-  const GridSpec& grid = rel.file->grid();
-  rel.bucket_pages.assign(static_cast<size_t>(grid.num_buckets()), {});
-  const uint32_t capacity = rel.layout.page_capacity;
-  rel.page_bucket.assign(
-      static_cast<size_t>((rel.file->num_records() + capacity - 1) / capacity),
-      kMixedPage);
-  for (RecordId id = 0; id < rel.file->num_records(); ++id) {
-    const uint64_t bucket = grid.Linearize(rel.file->BucketOfRecord(id));
-    const uint64_t page = id / capacity;
-    std::vector<uint64_t>& pages =
-        rel.bucket_pages[static_cast<size_t>(bucket)];
-    // Ids within a bucket ascend, so pages arrive sorted; dedupe inline.
-    if (pages.empty() || pages.back() != page) pages.push_back(page);
-    uint64_t& owner = rel.page_bucket[static_cast<size_t>(page)];
-    if (id % capacity == 0) {
-      owner = bucket;  // The page's first record.
-    } else if (owner != bucket) {
-      owner = kMixedPage;
-    }
-  }
-  return rel;
+  return Relation{
+      .name = mr.name,
+      .redundancy = mr.redundancy,
+      .header = std::move(header).value(),
+      .placement = std::move(owned),
+      .disk_map = std::move(disk_map),
+      .copy_files = std::move(copy_files),
+      .parity_file =
+          mr.redundancy.policy == RelationRedundancy::Policy::kParity
+              ? manifest.ParityFileName(index)
+              : std::string(),
+      .index = std::move(pages).value()};
 }
 
 double QueryService::NowMs() const {
@@ -318,11 +301,11 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   }
   const Relation& rel = it->second;
   Result<RangeQuery> resolved =
-      rel.file->ResolveRange(p.request.lo, p.request.hi);
+      ResolveRange(rel.header.partitioner, p.request.lo, p.request.hi);
   if (!resolved.ok()) return finish(resolved.status());
   const RangeQuery& query = resolved.value();
   result.buckets_touched = query.NumBuckets();
-  const GridSpec& grid = rel.file->grid();
+  const GridSpec& grid = rel.header.partitioner.grid();
   const RelationRedundancy::Policy policy = rel.redundancy.policy;
 
   // A sub-query (a disk-ownership filter and/or a pinned mirror copy) is
@@ -463,9 +446,10 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   reads.reserve(assignment.size());
   bool any_mixed = false;
   for (const Assign& a : assignment) {
-    for (uint64_t page : rel.bucket_pages[static_cast<size_t>(a.addr)]) {
+    for (uint64_t page : rel.index.PagesOf(a.addr)) {
       reads.push_back({a.disk, a.copy, page, a.reconstruct});
-      any_mixed = any_mixed || rel.page_bucket[page] == kMixedPage;
+      any_mixed =
+          any_mixed || rel.index.page_bucket[page] == PageIndex::kMixedPage;
     }
   }
   const auto key = [](const PageRead& r) {
@@ -502,8 +486,8 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   const InterruptFn interrupt = MakeInterrupt(p.deadline_ms);
   const std::vector<double>& lo = p.request.lo;
   const std::vector<double>& hi = p.request.hi;
-  const uint32_t num_attrs = rel.layout.num_attrs;
-  const uint32_t capacity = rel.layout.page_capacity;
+  const uint32_t num_attrs = rel.header.layout.num_attrs;
+  const uint32_t capacity = rel.header.layout.page_capacity;
   std::vector<double> values(num_attrs);
   std::vector<uint8_t> match_mask;
   // Each page read appends one ascending run of ids to result.matches.
@@ -525,7 +509,8 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     const uint32_t in_page = decoded.num_records;
     const RecordId first_id = read.page * capacity;
     const size_t run_begin = result.matches.size();
-    const bool mixed = rel.page_bucket[read.page] == kMixedPage;
+    const bool mixed =
+        rel.index.page_bucket[read.page] == PageIndex::kMixedPage;
     if (!mixed && decoded.Within(lo, hi)) {
       // Zone-map accept: min/max prove every record lies inside the box.
       result.zone_map_accepts++;
@@ -554,7 +539,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
             values[a] = decoded.column(a)[slot];
           }
           const uint64_t offset =
-              RectOffset(rect, rel.file->partitioner().BucketOf(values));
+              RectOffset(rect, rel.header.partitioner.BucketOf(values));
           if (offset == kOutsideRect) continue;
           const Owner& owner = owners[static_cast<size_t>(offset)];
           if (owner.disk != read.disk || owner.copy != read.copy) continue;
@@ -730,11 +715,12 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
     return Status::Unavailable("page " + std::to_string(page) +
                                " unreadable and relation has no parity");
   }
+  const FileLayout& layout = rel.header.layout;
   const uint32_t group = rel.redundancy.group_pages;
   const uint64_t stripe = page / group;
   const uint64_t first = stripe * group;
   const uint64_t last =
-      std::min<uint64_t>(first + group, rel.layout.num_pages);
+      std::min<uint64_t>(first + group, layout.num_pages);
   const auto degrade = [&](const Status& st) -> Status {
     if (st.code() == StatusCode::kDeadlineExceeded) return st;
     return Status::Unavailable("reconstruction of page " +
@@ -745,8 +731,8 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   // read with the same retry/interrupt machinery.
   PageReadStats parity_stats;
   Result<std::string> acc = store_->ReadRaw(
-      rel.parity_file, stripe * rel.layout.page_size_bytes,
-      rel.layout.page_size_bytes, options_.read, &parity_stats, interrupt);
+      rel.parity_file, stripe * layout.page_size_bytes,
+      layout.page_size_bytes, options_.read, &parity_stats, interrupt);
   result->retries += parity_stats.retries;
   if (!acc.ok()) return degrade(acc.status());
   result->pages_read++;
@@ -759,16 +745,16 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
         ReadPagePinned(rel, 0, sibling, interrupt, result);
     if (!bytes.ok()) return degrade(bytes.status());
     const std::string_view src = bytes.value().raw();
-    for (uint32_t b = 0; b < rel.layout.page_size_bytes; ++b) {
+    for (uint32_t b = 0; b < layout.page_size_bytes; ++b) {
       rebuilt[b] = static_cast<char>(rebuilt[b] ^ src[b]);
     }
   }
   // Self-check, decode, and pin — without admitting under the data file's
   // key (see header: breakers must keep observing the real fault). The
   // verify doubles as the reconstruction's integrity proof.
-  Status verify = VerifyPageBytes(rebuilt, rel.layout, page);
+  Status verify = VerifyPageBytes(rebuilt, layout, page);
   if (!verify.ok()) return degrade(verify);
-  Result<DecodedPage> decoded = DecodePageBytes(rebuilt, rel.layout, page);
+  Result<DecodedPage> decoded = DecodePageBytes(rebuilt, layout, page);
   if (!decoded.ok()) return degrade(decoded.status());
   auto frame = std::make_shared<BufferPool::Frame>();
   frame->raw = std::move(rebuilt);
@@ -911,61 +897,50 @@ Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
   if (disk >= m.num_disks) {
     return Status::InvalidArgument("disk index out of range");
   }
-  const ManifestRelation& mr = m.relations[index];
-  const std::string data_name = m.DataFileName(index);
-  Result<std::string> bytes = env.ReadFile(data_name);
-  if (!bytes.ok()) return bytes.status();
-  Result<FileLayout> layout = ParseFileLayout(bytes.value());
-  if (!layout.ok()) return layout.status();
-  const FileLayout& l = layout.value();
-  Result<GridFile> file = ParseGridFile(bytes.value());
-  if (!file.ok()) return file.status();
-  const GridFile& gf = file.value();
-  Result<std::unique_ptr<DeclusteringMethod>> method =
-      CreateMethod(mr.method, gf.grid(), m.num_disks);
-  if (!method.ok()) return method.status();
-  std::unique_ptr<ReplicatedPlacement> placement;
-  if (mr.redundancy.policy == RelationRedundancy::Policy::kMirror) {
-    Result<std::unique_ptr<DeclusteringMethod>> base =
-        CreateMethod(mr.method, gf.grid(), m.num_disks);
-    if (!base.ok()) return base.status();
-    Result<ReplicatedPlacement> p = ReplicatedPlacement::Create(
-        std::move(base).value(), mr.redundancy.copies, /*offset=*/1);
-    if (!p.ok()) return p.status();
-    placement = std::make_unique<ReplicatedPlacement>(std::move(p).value());
+  Result<QueryService::Relation> loaded =
+      QueryService::LoadRelation(env, m, index);
+  if (!loaded.ok()) return loaded.status();
+  const QueryService::Relation& rel = loaded.value();
+  const FileLayout& l = rel.header.layout;
+
+  // A page's disk is its buckets' primary disk — require the layout to be
+  // bucket-clustered so that is well-defined. `page_any_bucket` keeps one
+  // of the page's buckets for the mirror placement.
+  constexpr uint32_t kNoDisk = std::numeric_limits<uint32_t>::max();
+  constexpr uint32_t kManyDisks = kNoDisk - 1;
+  std::vector<uint32_t> page_disk(static_cast<size_t>(l.num_pages), kNoDisk);
+  std::vector<uint64_t> page_any_bucket(static_cast<size_t>(l.num_pages));
+  const uint64_t num_buckets = rel.index.bucket_begin.size() - 1;
+  for (uint64_t bucket = 0; bucket < num_buckets; ++bucket) {
+    const uint32_t primary = rel.disk_map->DiskAt(bucket);
+    for (uint64_t page : rel.index.PagesOf(bucket)) {
+      uint32_t& d = page_disk[static_cast<size_t>(page)];
+      d = d == kNoDisk || d == primary ? primary : kManyDisks;
+      page_any_bucket[static_cast<size_t>(page)] = bucket;
+    }
   }
 
+  const GridSpec& grid = rel.header.partitioner.grid();
   std::vector<FaultRange> ranges;
   for (uint64_t page = 0; page < l.num_pages; ++page) {
-    const uint32_t in_page = l.PageRecords(page);
-    if (in_page == 0) continue;
-    // The page's disk is its records' bucket's disk — require the layout
-    // to be bucket-clustered so that is well-defined.
-    const RecordId first_id = page * l.page_capacity;
-    const BucketCoords first_bucket = gf.BucketOfRecord(first_id);
-    const uint32_t primary = method.value()->DiskOf(first_bucket);
-    for (uint32_t slot = 1; slot < in_page; ++slot) {
-      if (method.value()->DiskOf(gf.BucketOfRecord(first_id + slot)) !=
-          primary) {
-        return Status::Unsupported(
-            "page " + std::to_string(page) +
-            " mixes buckets of different disks; DiskFaultSchedule needs a "
-            "bucket-clustered layout (insert bucket by bucket, pick a page "
-            "size whose capacity divides the per-bucket record count)");
-      }
+    const uint32_t primary = page_disk[static_cast<size_t>(page)];
+    if (primary == kManyDisks) {
+      return Status::Unsupported(
+          "page " + std::to_string(page) +
+          " mixes buckets of different disks; DiskFaultSchedule needs a "
+          "bucket-clustered layout (insert bucket by bucket, pick a page "
+          "size whose capacity divides the per-bucket record count)");
     }
     if (primary == disk) {
-      ranges.push_back({data_name, l.PageOffset(page), l.page_size_bytes,
-                        from_ms, until_ms});
+      ranges.push_back({rel.copy_files[0], l.PageOffset(page),
+                        l.page_size_bytes, from_ms, until_ms});
     }
-    if (placement != nullptr) {
-      const std::vector<uint32_t> disks = placement->DisksOf(first_bucket);
-      for (uint32_t copy = 1; copy < disks.size(); ++copy) {
-        if (disks[copy] == disk) {
-          ranges.push_back({m.MirrorFileName(index, copy),
-                            l.PageOffset(page), l.page_size_bytes, from_ms,
-                            until_ms});
-        }
+    const std::vector<uint32_t> disks = rel.placement->DisksOf(
+        grid.Delinearize(page_any_bucket[static_cast<size_t>(page)]));
+    for (uint32_t copy = 1; copy < disks.size(); ++copy) {
+      if (disks[copy] == disk) {
+        ranges.push_back({rel.copy_files[copy], l.PageOffset(page),
+                          l.page_size_bytes, from_ms, until_ms});
       }
     }
   }

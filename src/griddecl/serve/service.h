@@ -84,9 +84,11 @@
 /// insertion order and page size accordingly in tests).
 ///
 /// Record payloads returned by a query are always decoded from the page
-/// bytes read through the env — the in-memory catalog is used only for
-/// schema, partitioning, and the bucket -> pages index — so a query's
-/// matches genuinely travelled the storage path under test.
+/// bytes read through the env. The service holds no record: `Create`
+/// verifies each data file and keeps only its header (schema,
+/// partitioning) and the bucket -> pages index read off the pages' zone
+/// maps (`BuildPageIndex`), so a query's matches genuinely travelled the
+/// storage path under test.
 ///
 /// ## Determinism contract
 ///
@@ -250,32 +252,28 @@ class QueryService {
   std::vector<std::string> RelationNames() const;
 
  private:
-  /// Everything needed to serve one relation, immutable after Create.
+  /// Everything needed to serve one relation, immutable after Create. No
+  /// record is held: record payloads served to clients come from page
+  /// reads.
   struct Relation {
     std::string name;
     RelationRedundancy redundancy;
-    /// Parsed catalog copy: schema, partitioner, and bucket index; record
-    /// payloads served to clients come from page reads, not from here.
-    std::unique_ptr<GridFile> file;
-    std::unique_ptr<DeclusteringMethod> method;
-    std::unique_ptr<DiskMap> disk_map;
-    /// Mirror relations only: the chained-declustering placement the
-    /// mirror copies realize (copy r of a bucket lives on replica r's
-    /// disk).
+    /// Layout, schema and partitioner: what ResolveRange and the
+    /// mixed-page gather need.
+    GridFileHeader header;
+    /// Owns the relation's one declustering method (`base()`). Copy r of
+    /// a bucket lives on its replica r's disk; only mirror relations have
+    /// more than copy 0 (chained declustering).
     std::unique_ptr<ReplicatedPlacement> placement;
-    FileLayout layout;
+    std::unique_ptr<DiskMap> disk_map;
     /// data file first, then mirror copies 1..copies-1.
     std::vector<std::string> copy_files;
     std::string parity_file;  ///< Empty unless kParity.
-    /// Grid-linear bucket -> sorted distinct pages holding its records.
-    std::vector<std::vector<uint64_t>> bucket_pages;
-    /// Page -> the one grid-linear bucket all its records belong to, or
-    /// kMixedPage. A single-bucket page is only ever planned under that
-    /// bucket's (disk, copy), so its matches need no per-record owner
-    /// check.
-    std::vector<uint64_t> page_bucket;
+    /// Grid-linear bucket -> pages. A single-bucket page is only ever
+    /// planned under that bucket's (disk, copy), so its matches need no
+    /// per-record owner check; a mixed page's do.
+    PageIndex index;
   };
-  static constexpr uint64_t kMixedPage = ~uint64_t{0};
 
   struct Pending {
     QueryRequest request;
@@ -288,9 +286,15 @@ class QueryService {
   QueryService(const StorageEnv* env, ServeOptions options,
                uint32_t num_disks);
 
+  /// Verifies relation `index`'s data file and indexes it from its header
+  /// and its pages' zone maps: the one load path of Create and
+  /// DiskFaultSchedule.
   static Result<Relation> LoadRelation(const StorageEnv& env,
                                        const CatalogManifest& manifest,
                                        size_t index);
+  friend Result<std::vector<FaultRange>> DiskFaultSchedule(
+      const StorageEnv& env, const std::string& relation, uint32_t disk,
+      double from_ms, double until_ms);
 
   /// Milliseconds since service start (steady clock).
   double NowMs() const;

@@ -1,3 +1,6 @@
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -9,6 +12,7 @@
 #include "griddecl/methods/table_method.h"
 #include "griddecl/query/generator.h"
 #include "griddecl/query/trace.h"
+#include "page_reseal.h"
 
 namespace griddecl {
 namespace {
@@ -38,6 +42,29 @@ std::string MutateBytes(const std::string& input, Rng* rng) {
     }
   }
   return out;
+}
+
+/// The serve load (`ParseGridFileHeader` + `BuildPageIndex`) accepts
+/// exactly the files `ParseGridFile` accepts; an accepted index names only
+/// real buckets and pages.
+void ExpectIndexAcceptsExactlyWhenParsed(const std::string& bytes,
+                                         bool parsed) {
+  const Result<GridFileHeader> header = ParseGridFileHeader(bytes);
+  if (!header.ok()) {
+    EXPECT_FALSE(parsed) << header.status().ToString();
+    return;
+  }
+  const Result<PageIndex> index = BuildPageIndex(bytes, header.value());
+  ASSERT_EQ(index.ok(), parsed) << index.status().ToString();
+  if (!index.ok()) return;
+  const uint64_t num_buckets = header.value().partitioner.grid().num_buckets();
+  const uint64_t num_pages = header.value().layout.num_pages;
+  ASSERT_EQ(index.value().bucket_begin.size(), num_buckets + 1);
+  EXPECT_EQ(index.value().page_bucket.size(), num_pages);
+  for (uint64_t page : index.value().pages) EXPECT_LT(page, num_pages);
+  for (uint64_t b : index.value().page_bucket) {
+    EXPECT_TRUE(b == PageIndex::kMixedPage || b < num_buckets);
+  }
 }
 
 TEST(FormatFuzzTest, AllocationParserNeverCrashes) {
@@ -101,7 +128,9 @@ TEST(FormatFuzzTest, GridFileLoaderNeverCrashes) {
 
   Rng rng(5);
   for (int trial = 0; trial < 400; ++trial) {
-    const auto result = ParseGridFile(MutateBytes(bytes, &rng));
+    const std::string mutant = MutateBytes(bytes, &rng);
+    const auto result = ParseGridFile(mutant);
+    ExpectIndexAcceptsExactlyWhenParsed(mutant, result.ok());
     if (result.ok()) {
       // Internally consistent: every record lands in a real bucket.
       const GridFile& f = result.value();
@@ -138,6 +167,8 @@ TEST(FormatFuzzTest, SystematicHeaderByteSweep) {
         copy[pos] = static_cast<char>(copy[pos] ^ mask);
         EXPECT_FALSE(ParseGridFile(copy).ok())
             << "v" << version << " header mutation accepted at byte " << pos;
+        EXPECT_FALSE(ParseGridFileHeader(copy).ok())
+            << "v" << version << " header mutation accepted at byte " << pos;
       }
     }
   }
@@ -149,10 +180,51 @@ TEST(FormatFuzzTest, TruncationAtEveryByteBoundary) {
   for (uint32_t version : {kFormatV2, kFormatV3}) {
     const std::string bytes = SerializeSmallGridFile(version);
     for (size_t len = 0; len < bytes.size(); ++len) {
+      ExpectIndexAcceptsExactlyWhenParsed(bytes.substr(0, len), false);
       EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok())
           << "v" << version << " len=" << len;
     }
   }
+}
+
+TEST(FormatFuzzTest, PageIndexAgreesWithParserOnResealedMutants) {
+  // Page mutations whose CRC and footer are recomputed reach past the
+  // checksums into the loaders' content checks: random bytes, and
+  // NaN / infinity written over a value or zone-map slot. The index
+  // builder must accept exactly when ParseGridFile does, and never crash.
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  Rng rng(8);
+  int accepted = 0;
+  int rejected = 0;
+  for (uint32_t version : {kFormatV2, kFormatV3}) {
+    const std::string bytes = SerializeSmallGridFile(version);
+    const FileLayout layout = ParseFileLayout(bytes).value();
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string copy = bytes;
+      const uint64_t page = rng.NextBelow(layout.num_pages);
+      // Past the record count and CRC: the count has its own check.
+      const uint64_t body = layout.PageOffset(page) + 8;
+      const uint64_t slots = (layout.page_size_bytes - 8) / 8;
+      if (rng.NextBelow(2) == 0) {
+        const size_t pos = static_cast<size_t>(
+            body + rng.NextBelow(layout.page_size_bytes - 8));
+        copy[pos] = static_cast<char>(rng.NextBelow(256));
+      } else {
+        const double v = specials[rng.NextBelow(std::size(specials))];
+        std::memcpy(copy.data() + body + 8 * rng.NextBelow(slots), &v, 8);
+      }
+      ResealPage(&copy, layout, page);
+      const bool parsed = ParseGridFile(copy).ok();
+      ExpectIndexAcceptsExactlyWhenParsed(copy, parsed);
+      (parsed ? accepted : rejected)++;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FormatFuzzTest, RoundTripSurvivesParseableMutants) {

@@ -1,6 +1,7 @@
 #include "griddecl/gridfile/grid_file.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,17 @@ TEST(GridFileTest, InsertRejectsWrongArity) {
   GridFile f = GridFile::Create(TwoAttrSchema(), {4, 4}).value();
   EXPECT_FALSE(f.Insert({1.0}).ok());
   EXPECT_FALSE(f.Insert({1.0, 2.0, 3.0}).ok());
+}
+
+TEST(GridFileTest, InsertRejectsNaN) {
+  // No interval holds NaN: the insert fails cleanly instead of computing
+  // a bucket past the grid.
+  GridFile f = GridFile::Create(TwoAttrSchema(), {4, 4}).value();
+  const Result<RecordId> id =
+      f.Insert({25.0, std::numeric_limits<double>::quiet_NaN()});
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.num_records(), 0u);
 }
 
 TEST(GridFileTest, OutOfDomainValuesClampIntoBoundaryBuckets) {

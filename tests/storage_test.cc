@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "griddecl/common/bytes.h"
 #include "griddecl/common/random.h"
 #include "griddecl/grid/partitioner.h"
+#include "page_reseal.h"
 
 namespace griddecl {
 namespace {
@@ -355,6 +358,194 @@ TEST(StorageTest, SerializationIsDeterministic) {
   const GridFile a = MakeFile(77, 15);
   const GridFile b = MakeFile(77, 15);
   EXPECT_EQ(Serialize(a, 256, kFormatV2), Serialize(b, 256, kFormatV2));
+}
+
+TEST(StorageTest, RejectsResealedNaNPages) {
+  // A NaN patched into a page whose CRC and footer are then recomputed
+  // passes every checksum. No grid cell holds NaN, so both whole-file
+  // loaders reject the page with kInvalidArgument instead of bucketing
+  // the value past the grid.
+  const GridFile original = MakeFile(40, 31);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const std::string& bytes,
+                                  const char* what) {
+    const Result<GridFile> parsed = ParseGridFile(bytes);
+    ASSERT_FALSE(parsed.ok()) << what;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << what;
+    const GridFileHeader header = ParseGridFileHeader(bytes).value();
+    const Result<PageIndex> index = BuildPageIndex(bytes, header);
+    ASSERT_FALSE(index.ok()) << what;
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  for (uint32_t version : {kFormatV2, kFormatV3}) {
+    SCOPED_TRACE(version);
+    const std::string bytes = Serialize(original, 168, version);
+    const FileLayout layout = ParseFileLayout(bytes).value();
+    // The last record's last attribute on page 1, in either format.
+    const uint64_t page = 1;
+    const uint32_t last = layout.PageRecords(page) - 1;
+    const uint64_t value_off =
+        version == kFormatV3
+            ? layout.PageOffset(page) + kPageHeaderBytesV3 +
+                  2 * kZoneMapBytesPerAttr +
+                  (uint64_t{layout.page_capacity} + last) * 8
+            : layout.PageOffset(page) + kPageHeaderBytesV2 +
+                  (uint64_t{last} * 2 + 1) * 8;
+    std::string copy = bytes;
+    std::memcpy(copy.data() + value_off, &nan, 8);
+    ResealPage(&copy, layout, page);
+    expect_rejected(copy, "value");
+  }
+  // A v3 page's stored zone map (attribute 0's max) set to NaN.
+  const std::string bytes = Serialize(original, 168, kFormatV3);
+  const FileLayout layout = ParseFileLayout(bytes).value();
+  std::string copy = bytes;
+  std::memcpy(copy.data() + layout.PageOffset(0) + kPageHeaderBytesV3 + 8,
+              &nan, 8);
+  ResealPage(&copy, layout, 0);
+  expect_rejected(copy, "v3 zone map");
+}
+
+/// The bucket -> pages index the old serve load derived by walking every
+/// record of the parsed file: the reference BuildPageIndex must equal.
+struct WalkedIndex {
+  std::vector<std::vector<uint64_t>> bucket_pages;
+  std::vector<uint64_t> page_bucket;
+};
+
+WalkedIndex WalkRecords(const GridFile& file, uint32_t capacity) {
+  const GridSpec& grid = file.grid();
+  WalkedIndex w;
+  w.bucket_pages.assign(static_cast<size_t>(grid.num_buckets()), {});
+  w.page_bucket.assign(
+      static_cast<size_t>((file.num_records() + capacity - 1) / capacity),
+      PageIndex::kMixedPage);
+  for (RecordId id = 0; id < file.num_records(); ++id) {
+    const uint64_t bucket = grid.Linearize(file.BucketOfRecord(id));
+    const uint64_t page = id / capacity;
+    std::vector<uint64_t>& pages = w.bucket_pages[bucket];
+    if (pages.empty() || pages.back() != page) pages.push_back(page);
+    uint64_t& owner = w.page_bucket[page];
+    if (id % capacity == 0) {
+      owner = bucket;
+    } else if (owner != bucket) {
+      owner = PageIndex::kMixedPage;
+    }
+  }
+  return w;
+}
+
+void ExpectIndexMatchesRecordWalk(const GridFile& file, uint32_t page_size,
+                                  uint32_t version) {
+  SCOPED_TRACE("page_size " + std::to_string(page_size) + " v" +
+               std::to_string(version));
+  const std::string bytes = Serialize(file, page_size, version);
+  const GridFileHeader header = ParseGridFileHeader(bytes).value();
+  const PageIndex index = BuildPageIndex(bytes, header).value();
+  const WalkedIndex walked = WalkRecords(ParseGridFile(bytes).value(),
+                                         header.layout.page_capacity);
+  EXPECT_EQ(index.page_bucket, walked.page_bucket);
+  ASSERT_EQ(index.bucket_begin.size(), walked.bucket_pages.size() + 1);
+  for (uint64_t b = 0; b < walked.bucket_pages.size(); ++b) {
+    const std::span<const uint64_t> pages = index.PagesOf(b);
+    EXPECT_EQ(std::vector<uint64_t>(pages.begin(), pages.end()),
+              walked.bucket_pages[b])
+        << "bucket " << b;
+  }
+}
+
+TEST(PageIndexTest, MatchesTheRecordWalk) {
+  // Non-uniform boundaries and values outside the domain (which clamp
+  // into the boundary cells) on both axes.
+  std::vector<DomainPartition> parts;
+  parts.push_back(
+      DomainPartition::FromBoundaries({0.0, 0.1, 0.15, 0.5, 0.9, 1.0})
+          .value());
+  parts.push_back(DomainPartition::Uniform(-5.0, 5.0, 6).value());
+  const SpacePartitioner sp = SpacePartitioner::Create(parts).value();
+  const auto make = [&] {
+    return GridFile::CreateWithPartitioner(
+               Schema::Create({{"x", 0.0, 1.0}, {"y", -5.0, 5.0}}).value(),
+               sp)
+        .value();
+  };
+  Rng rng(41);
+  const auto value_in = [&](double lo, double hi) {
+    return lo + (hi - lo) * rng.NextDouble();
+  };
+  // Arrival order: uniform records, including out-of-domain ones.
+  GridFile arrival = make();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        arrival.Insert({value_in(-0.2, 1.2), value_in(-6.0, 6.0)}).ok());
+  }
+  // Bucket-clustered: 5 records per bucket, inserted bucket by bucket.
+  GridFile clustered = make();
+  const GridSpec& grid = clustered.grid();
+  for (uint64_t b = 0; b < grid.num_buckets(); ++b) {
+    const BucketCoords c = grid.Delinearize(b);
+    const std::vector<double>& xb = sp.dim(0).raw_boundaries();
+    const std::vector<double>& yb = sp.dim(1).raw_boundaries();
+    for (int r = 0; r < 5; ++r) {
+      ASSERT_TRUE(clustered
+                      .Insert({value_in(xb[c[0]], xb[c[0] + 1]),
+                               value_in(yb[c[1]], yb[c[1] + 1])})
+                      .ok());
+    }
+  }
+  // v3 capacities, (page - 40) / 16: 1, 5 (one bucket per page), 3 and 7
+  // (buckets straddle pages), 253. v2 capacities, (page - 8) / 16: 3, 7,
+  // 5, 9, 255.
+  for (uint32_t page_size : {56u, 120u, 88u, 152u, 4096u}) {
+    for (uint32_t version : {kFormatV2, kFormatV3}) {
+      ExpectIndexMatchesRecordWalk(arrival, page_size, version);
+      ExpectIndexMatchesRecordWalk(clustered, page_size, version);
+    }
+  }
+}
+
+TEST(PageIndexTest, ThreeAttributesAndEmptyFile) {
+  Schema schema = Schema::Create(
+                      {{"a", 0.0, 1.0}, {"b", 0.0, 1.0}, {"c", 0.0, 1.0}})
+                      .value();
+  GridFile f = GridFile::Create(std::move(schema), {3, 4, 2}).value();
+  const std::string empty = Serialize(f, 256, kFormatV3);
+  const PageIndex none =
+      BuildPageIndex(empty, ParseGridFileHeader(empty).value()).value();
+  EXPECT_TRUE(none.pages.empty());
+  EXPECT_TRUE(none.page_bucket.empty());
+  EXPECT_EQ(none.bucket_begin, std::vector<uint64_t>(3 * 4 * 2 + 1, 0));
+  Rng rng(43);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(
+        f.Insert({rng.NextDouble(), rng.NextDouble(), rng.NextDouble()}).ok());
+  }
+  for (uint32_t page_size : {80u, 200u, 1024u}) {
+    for (uint32_t version : {kFormatV2, kFormatV3}) {
+      ExpectIndexMatchesRecordWalk(f, page_size, version);
+    }
+  }
+}
+
+TEST(PageIndexTest, RejectsWhatParseGridFileRejects) {
+  // Same structural checks, same order: header, size, each page's record
+  // count and CRC, footer.
+  const GridFile original = MakeFile(40, 13);
+  const std::string bytes = Serialize(original, 88, kFormatV3);
+  const GridFileHeader header = ParseGridFileHeader(bytes).value();
+  const auto reason = [&](const std::string& copy) {
+    const Result<PageIndex> index = BuildPageIndex(copy, header);
+    EXPECT_EQ(index.ok(), ParseGridFile(copy).ok());
+    return index.status().message();
+  };
+  EXPECT_EQ(reason(bytes + "x"), "trailing garbage after final page");
+  EXPECT_EQ(reason(bytes.substr(0, bytes.size() - 1)), "truncated file");
+  std::string copy = bytes;
+  copy[header.layout.PageOffset(2) + 20] ^= 0x04;
+  EXPECT_EQ(reason(copy), "page checksum mismatch");
+  copy = bytes;
+  copy[header.layout.footer_offset + 2] ^= 0x04;
+  EXPECT_EQ(reason(copy), "bad footer magic");
 }
 
 }  // namespace
