@@ -20,10 +20,12 @@
 # hence the separate mode and tree.
 #
 # --torture implies --sanitize but restricts ctest to the durability
-# suites — crash-recovery, corruption, scrub/repair, and format fuzzing
-# (Torture/FormatFuzz/Scrub/Manifest/Storage/StorageEnv/Crc32c plus the
-# declctl mkcatalog+fsck round trip) — so every injected crash point and
-# byte flip also runs under address and undefined-behavior sanitizers.
+# suites — crash-recovery, corruption, scrub/repair, format fuzzing and
+# the page read path (Torture/FormatFuzz/Scrub/Manifest/Storage/
+# StorageEnv/Crc32c/BufferPool/PageStore/PageIndex plus the declctl
+# mkcatalog+fsck round trip) — so every injected crash point and byte
+# flip, and every in-place page decode (UBSan checks its alignment), also
+# runs under address and undefined-behavior sanitizers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,7 +38,7 @@ for arg in "$@"; do
     build_dir=build-sanitize
     configure_args+=("-DGRIDDECL_SANITIZE=address,undefined")
     if [[ "$arg" == "--torture" ]]; then
-      test_args+=("-R" "Torture|FormatFuzz|Scrub|Manifest|Storage|Crc32c|Migration|Placement|Repair|Heartbeat|declctl_mkcatalog|declctl_fsck")
+      test_args+=("-R" "Torture|FormatFuzz|Scrub|Manifest|Storage|Crc32c|BufferPool|PageStore|PageIndex|Migration|Placement|Repair|Heartbeat|declctl_mkcatalog|declctl_fsck")
     fi
   elif [[ "$arg" == "--sanitize=tsan" ]]; then
     build_dir=build-tsan

@@ -10,8 +10,13 @@
 /// the checksum guarding the v2 storage format, the catalog manifest, and
 /// the scrub subsystem. Chosen over CRC32 (IEEE) for its better error
 /// detection on short bursts and because it is what modern storage engines
-/// standardize on; implemented in portable software (slice-by-8) so the
-/// format does not depend on SSE4.2 being present.
+/// standardize on.
+///
+/// `Crc32c` runs on the CPU's own CRC32C instruction (SSE4.2 `crc32q`, 8
+/// bytes per step) when the CPU has it, chosen once per process at run
+/// time, and otherwise on portable slice-by-8 tables. Both return the same
+/// value for every input, so the on-disk format does not depend on the CPU
+/// that wrote or reads it.
 
 namespace griddecl {
 
@@ -23,6 +28,10 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
 }
+
+/// The portable slice-by-8 kernel `Crc32c` falls back to, callable on any
+/// CPU so tests can hold the hardware kernel to it.
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed = 0);
 
 }  // namespace griddecl
 

@@ -7,7 +7,7 @@ namespace griddecl {
 BufferPool::BufferPool(size_t capacity_pages)
     : capacity_(std::max<size_t>(1, capacity_pages)),
       probation_capacity_(std::max<size_t>(1, capacity_ / 4)),
-      protected_capacity_(std::max<size_t>(1, capacity_ - probation_capacity_)) {}
+      protected_capacity_(capacity_ - probation_capacity_) {}
 
 BufferPool::FramePtr BufferPool::Hold::Lookup(FileId file, uint64_t page) {
   if (!lock_.owns_lock()) lock_.lock();
@@ -24,12 +24,10 @@ BufferPool::FramePtr BufferPool::LookupLocked(const Key& key) {
   Entry& entry = it->second;
   if (entry.in_protected) {
     entry.referenced = true;
-  } else {
+  } else if (protected_capacity_ > 0) {
     // Second touch: promote out of probation into the protected segment.
-    probation_.erase(entry.pos);
     if (protected_.size() >= protected_capacity_) EvictProtectedLocked();
-    protected_.push_back(it->first);
-    entry.pos = std::prev(protected_.end());
+    protected_.splice(protected_.end(), probation_, entry.pos);
     entry.in_protected = true;
     entry.referenced = false;
     ++stats_.promotions;
@@ -44,21 +42,23 @@ BufferPool::FramePtr BufferPool::Admit(FileId file, uint64_t page,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = frames_.find(key);
   if (it != frames_.end()) return it->second.frame;  // Raced; incumbent wins.
-  if (probation_.size() >= probation_capacity_) EvictProbationLocked();
-  probation_.push_back(key);
-  Entry entry;
-  entry.frame = frame;
-  entry.pos = std::prev(probation_.end());
-  frames_.emplace(key, std::move(entry));
+  if (probation_.size() < probation_capacity_) {
+    probation_.push_back(key);
+    frames_.emplace(key, Entry{frame, false, false,
+                               std::prev(probation_.end())});
+  } else {
+    // Evict the probation front and reuse its hash node and list node for
+    // the new page: a steady-state admission allocates neither.
+    auto node = frames_.extract(probation_.front());
+    probation_.splice(probation_.end(), probation_, probation_.begin());
+    probation_.back() = key;
+    node.key() = key;
+    node.mapped() = Entry{frame, false, false, std::prev(probation_.end())};
+    frames_.insert(std::move(node));
+    ++stats_.evictions;
+  }
   ++stats_.admissions;
   return frame;
-}
-
-void BufferPool::EvictProbationLocked() {
-  if (probation_.empty()) return;
-  frames_.erase(probation_.front());
-  probation_.pop_front();
-  ++stats_.evictions;
 }
 
 void BufferPool::EvictProtectedLocked() {
@@ -69,9 +69,7 @@ void BufferPool::EvictProtectedLocked() {
     auto it = frames_.find(protected_.front());
     if (it != frames_.end() && it->second.referenced) {
       it->second.referenced = false;
-      protected_.push_back(protected_.front());
-      it->second.pos = std::prev(protected_.end());
-      protected_.pop_front();
+      protected_.splice(protected_.end(), protected_, protected_.begin());
       continue;
     }
     if (it != frames_.end()) frames_.erase(it);

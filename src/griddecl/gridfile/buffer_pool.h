@@ -28,6 +28,14 @@
 ///    clears set bits and recycles the frame to the tail, evicting the
 ///    first frame found cold.
 ///
+/// Both segments are `std::list`s of keys beside one hash table of
+/// entries, and no eviction frees a node another admission would allocate
+/// again at once: an admission into a full probation FIFO takes over the
+/// evicted front's hash node (`extract`, rekey, `insert`) and list node
+/// (`splice` to the tail), and promotion and the CLOCK hand move list nodes
+/// with `splice`. Nodes are allocated as the pool grows; none is reserved
+/// up front.
+///
 /// Pin safety is structural, not counted: frames are immutable
 /// `shared_ptr<const Frame>` payloads. Eviction merely drops the pool's
 /// reference — any outstanding pin keeps the decoded page alive, so
@@ -44,8 +52,9 @@ class BufferPool {
   /// A registered file's integer name (see PageStore::RegisterFile).
   using FileId = uint32_t;
 
-  /// One cached page: its raw bytes plus the decoded columnar view.
-  /// Immutable after construction.
+  /// One cached page: its raw bytes plus the decoded columnar view, which
+  /// for an aligned v3 page reads its columns and zone maps straight out
+  /// of `raw` (see DecodePageBytes). Immutable after construction.
   struct Frame {
     std::string raw;
     DecodedPage decoded;
@@ -82,7 +91,9 @@ class BufferPool {
   };
 
   /// `capacity_pages` must be >= 1; the probation segment gets
-  /// max(1, capacity/4) frames and the protected segment the rest.
+  /// max(1, capacity/4) frames and the protected segment the rest, so at
+  /// most `capacity_pages` frames are ever resident. A one-page pool has no
+  /// protected segment: a hit leaves its page in probation.
   explicit BufferPool(size_t capacity_pages);
 
   BufferPool(const BufferPool&) = delete;
@@ -128,7 +139,6 @@ class BufferPool {
   };
 
   FramePtr LookupLocked(const Key& key);
-  void EvictProbationLocked();
   void EvictProtectedLocked();
 
   const size_t capacity_;

@@ -73,22 +73,23 @@ Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
   };
   Status verify = VerifyPageBytes(page_bytes, layout, page);
   if (!verify.ok()) return unavailable(verify);
-  Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
-  if (!decoded.ok()) return unavailable(decoded.status());
+  // The bytes move into the frame first: a v3 page then decodes in place
+  // over the frame's own copy, which lives exactly as long as the decode.
   auto frame = std::make_shared<BufferPool::Frame>();
-  frame->decoded = std::move(decoded).value();
   frame->raw = std::move(page_bytes);
+  Result<DecodedPage> decoded = DecodePageBytes(frame->raw, layout, page);
+  if (!decoded.ok()) return unavailable(decoded.status());
+  frame->decoded = std::move(decoded).value();
   BufferPool::FramePtr resident = std::move(frame);
   if (pool_ != nullptr) resident = pool_->Admit(id, page, std::move(resident));
   return PinnedPage(std::move(resident));
 }
 
-Status PageStore::GetPages(const std::string& file,
-                           std::span<const uint64_t> pages,
-                           const ReadPolicy& policy,
-                           std::vector<PinnedPage>* out,
-                           PageReadStats* stats,
-                           const InterruptFn& interrupt) {
+template <typename Emit>
+Status PageStore::FetchPages(const std::string& file,
+                             std::span<const uint64_t> pages,
+                             const ReadPolicy& policy, PageReadStats* stats,
+                             const InterruptFn& interrupt, Emit emit) {
   BufferPool::FileId id = 0;
   const FileLayout* layout = nullptr;
   {
@@ -113,7 +114,7 @@ Status PageStore::GetPages(const std::string& file,
     if (hold) {
       if (BufferPool::FramePtr hit = hold->Lookup(id, page)) {
         if (stats != nullptr) stats->cache_hit++;
-        out->emplace_back(std::move(hit));
+        emit(PinnedPage(std::move(hit)));
         continue;
       }
       hold->Release();  // The miss reads, verifies and decodes unlocked.
@@ -125,9 +126,20 @@ Status PageStore::GetPages(const std::string& file,
     Result<PinnedPage> pinned =
         BuildPinned(file, id, page, *layout, std::move(bytes).value());
     if (!pinned.ok()) return pinned.status();
-    out->push_back(std::move(pinned).value());
+    emit(std::move(pinned).value());
   }
   return Status::Ok();
+}
+
+Status PageStore::GetPages(const std::string& file,
+                           std::span<const uint64_t> pages,
+                           const ReadPolicy& policy,
+                           std::vector<PinnedPage>* out,
+                           PageReadStats* stats,
+                           const InterruptFn& interrupt) {
+  return FetchPages(
+      file, pages, policy, stats, interrupt,
+      [out](PinnedPage page) { out->push_back(std::move(page)); });
 }
 
 Result<PinnedPage> PageStore::GetPage(const std::string& file,
@@ -135,10 +147,11 @@ Result<PinnedPage> PageStore::GetPage(const std::string& file,
                                       const ReadPolicy& policy,
                                       PageReadStats* stats,
                                       const InterruptFn& interrupt) {
-  std::vector<PinnedPage> out;
-  Status st = GetPages(file, {&page, 1}, policy, &out, stats, interrupt);
+  PinnedPage pinned;
+  Status st = FetchPages(file, {&page, 1}, policy, stats, interrupt,
+                         [&pinned](PinnedPage p) { pinned = std::move(p); });
   if (!st.ok()) return st;
-  return std::move(out.front());
+  return pinned;
 }
 
 Result<std::string> PageStore::ReadRaw(const std::string& file,

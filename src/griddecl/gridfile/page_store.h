@@ -35,10 +35,13 @@
 /// `GetPage` at a time. Misses stay one `ReadAt` per page: FaultyEnv keys
 /// transient faults on (file, offset).
 ///
-/// A pinned frame holds the page's raw bytes and one `DecodedPage`, whose
-/// zone maps and columns share a single allocation. A range scan asks the
-/// zone maps first: `MayMatch` false skips the page, `Within` true takes
-/// every record without filtering.
+/// A miss moves the bytes `ReadAt` returned into a new frame and decodes
+/// them there: a v3 page's `DecodedPage` reads its zone maps and columns
+/// in place from the frame's bytes, a v2 page's lives in one buffer of its
+/// own. With the pool full, the pool reuses the evicted page's nodes, so a
+/// miss allocates the read bytes and the frame and nothing else. A range
+/// scan asks the zone maps first: `MayMatch` false skips the page,
+/// `Within` true takes every record without filtering.
 ///
 /// Serve and scrub both read here, and every read is strict: a page that
 /// fails verification reads as kUnavailable, so serve's mirror failover /
@@ -57,7 +60,8 @@ namespace griddecl {
 
 /// A verified, decoded page held alive by the caller. Copyable; the
 /// underlying frame is immutable and shared with the pool (eviction never
-/// invalidates a pin).
+/// invalidates a pin, nor the in-place columns it reads from the frame's
+/// bytes).
 class PinnedPage {
  public:
   PinnedPage() = default;
@@ -127,7 +131,8 @@ class PageStore {
                   PageReadStats* stats = nullptr,
                   const InterruptFn& interrupt = {});
 
-  /// GetPages of the one page `page`.
+  /// GetPages of the one page `page` (no vector: a miss allocates only the
+  /// read bytes and the frame).
   Result<PinnedPage> GetPage(const std::string& file, uint64_t page,
                              const ReadPolicy& policy,
                              PageReadStats* stats = nullptr,
@@ -158,6 +163,12 @@ class PageStore {
                                       const ReadPolicy& policy,
                                       PageReadStats* stats,
                                       const InterruptFn& interrupt) const;
+  /// The one fetch loop of GetPages and GetPage: hands each page served
+  /// to `emit(PinnedPage)`, so the one-page call needs no vector.
+  template <typename Emit>
+  Status FetchPages(const std::string& file, std::span<const uint64_t> pages,
+                    const ReadPolicy& policy, PageReadStats* stats,
+                    const InterruptFn& interrupt, Emit emit);
   Result<PinnedPage> BuildPinned(const std::string& file,
                                  BufferPool::FileId id, uint64_t page,
                                  const FileLayout& layout,

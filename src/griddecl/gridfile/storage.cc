@@ -280,19 +280,34 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
   out.num_records = layout.PageRecords(page);
   out.num_attrs = k;
   const uint32_t n = out.num_records;
+  const bool v3 = layout.format_version == kFormatV3;
+  // v3 header, zone maps and segments are all whole doubles, so aligned
+  // bytes are read in place: the stored [min, max] pairs and the segments
+  // at capacity stride. The bytes were written through char (a read or a
+  // memcpy), which aliases any type, and no one writes them after decode.
+  static_assert(kPageHeaderBytesV3 % sizeof(double) == 0 &&
+                kZoneMapBytesPerAttr == 2 * sizeof(double));
+  if (v3 && reinterpret_cast<uintptr_t>(page_bytes.data()) %
+                    alignof(double) == 0) {
+    out.in_place_ = reinterpret_cast<const double*>(page_bytes.data());
+    out.zone_begin_ = kPageHeaderBytesV3 / sizeof(double);
+    out.column_begin_ = out.zone_begin_ + 2 * k;
+    out.column_stride_ = layout.page_capacity;
+    return out;
+  }
+  out.column_begin_ = 2 * k;
+  out.column_stride_ = n;
   out.values_.assign(uint64_t{n + 2} * k, 0.0);
   if (n == 0) return out;
-  double* zone_min = out.values_.data();
-  double* zone_max = zone_min + k;
-  double* columns = zone_max + k;
+  double* zones = out.values_.data();
+  double* columns = zones + 2 * uint64_t{k};
 
-  if (layout.format_version == kFormatV3) {
-    // Columns are already contiguous on disk; zone maps are stored.
-    const char* zones = page_bytes.data() + kPageHeaderBytesV3;
-    const char* segments = zones + uint64_t{k} * kZoneMapBytesPerAttr;
+  if (v3) {
+    // Unaligned v3 bytes: copy the stored zone maps and the segments.
+    const char* stored = page_bytes.data() + kPageHeaderBytesV3;
+    const char* segments = stored + uint64_t{k} * kZoneMapBytesPerAttr;
+    std::memcpy(zones, stored, uint64_t{k} * kZoneMapBytesPerAttr);
     for (uint32_t a = 0; a < k; ++a) {
-      std::memcpy(&zone_min[a], zones + uint64_t{a} * 16, 8);
-      std::memcpy(&zone_max[a], zones + uint64_t{a} * 16 + 8, 8);
       std::memcpy(columns + uint64_t{a} * n,
                   segments + uint64_t{a} * layout.page_capacity * 8,
                   uint64_t{n} * 8);
@@ -317,8 +332,8 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
         if (v > hi) hi = v;
       }
     }
-    zone_min[a] = lo;
-    zone_max[a] = hi;
+    zones[2 * a] = lo;
+    zones[2 * a + 1] = hi;
   }
   return out;
 }

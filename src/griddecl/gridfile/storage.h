@@ -53,7 +53,9 @@
 ///           8 + 16*num_attrs + a*capacity*8 — so a scan reads each
 ///           attribute as a contiguous vector and the per-page min/max
 ///           lets range predicates skip whole pages without touching the
-///           columns.
+///           columns. Every field after the header is a whole f64 at a
+///           multiple of 8 bytes, so a page read to an aligned buffer is
+///           scanned in place (see DecodedPage).
 ///
 /// The writer always packs pages full: page i holds exactly
 /// min(capacity, num_records - i * capacity) records, so the byte layout
@@ -203,12 +205,20 @@ std::string BuildFileFooter(const FileLayout& layout, std::string_view body);
 
 // --- Page decode (the unit the serve scan consumes) -----------------------
 
-/// One page decoded to columnar form. The zone maps and the columns live
-/// in one buffer (one allocation per page): the per-attribute minima, then
-/// the maxima, then the attribute-major columns. v3 pages memcpy their
-/// column segments and read the stored zone maps; v2 pages are transposed
-/// and their zone maps computed on the fly, so every format answers the
-/// same scan interface.
+/// One page decoded to columnar form: per-attribute zone maps (min, max)
+/// and one contiguous column per attribute, the same scan interface for
+/// every format.
+///
+/// A v3 page whose bytes sit at an 8-byte-aligned address is read in
+/// place: the zone maps are the stored ones, and each column is the
+/// page's own segment at `page_capacity` stride, so decoding copies no
+/// value and allocates nothing. Such a page borrows its bytes, which must
+/// outlive it and every copy of it; `PageStore` decodes the bytes its
+/// frame owns. Any other page decodes into a buffer of its own (one
+/// allocation): v2 pages are transposed and their zone maps computed, and
+/// v3 bytes at an unaligned address (a page inside a whole-file buffer)
+/// are copied. Copies and moves stay valid either way, because only the
+/// borrowed bytes are held by pointer.
 class DecodedPage {
  public:
   uint32_t num_records = 0;
@@ -216,12 +226,15 @@ class DecodedPage {
 
   /// Attribute `a`'s values, `num_records` of them in slot order.
   const double* column(uint32_t a) const {
-    return values_.data() + 2 * uint64_t{num_attrs} +
-           uint64_t{a} * num_records;
+    return base() + column_begin_ + uint64_t{a} * column_stride_;
   }
   /// Attribute `a`'s minimum / maximum over the page's records.
-  double zone_min(uint32_t a) const { return values_[a]; }
-  double zone_max(uint32_t a) const { return values_[num_attrs + a]; }
+  double zone_min(uint32_t a) const {
+    return base()[zone_begin_ + 2 * uint64_t{a}];
+  }
+  double zone_max(uint32_t a) const {
+    return base()[zone_begin_ + 2 * uint64_t{a} + 1];
+  }
 
   /// False when the zone maps prove no record can fall inside the closed
   /// box [lo, hi] — the page-skip test of a range scan.
@@ -238,12 +251,26 @@ class DecodedPage {
                                              const FileLayout& layout,
                                              uint64_t page);
 
-  /// [zone_min x num_attrs][zone_max x num_attrs][columns].
+  const double* base() const {
+    return in_place_ != nullptr ? in_place_ : values_.data();
+  }
+
+  /// The page's bytes read as doubles, when decoded in place; else null
+  /// and the page reads `values_`.
+  const double* in_place_ = nullptr;
+  /// Offsets, in doubles from base(): the [min, max] pairs, one per
+  /// attribute, and the first column; columns follow at `column_stride_`.
+  uint32_t zone_begin_ = 0;
+  uint32_t column_begin_ = 0;
+  uint32_t column_stride_ = 0;
+  /// Own buffer: [min, max per attribute][num_records per column].
   std::vector<double> values_;
 };
 
 /// Decodes one page from its bytes (exactly `layout.page_size_bytes`).
 /// Purely structural — callers verify first if they want CRC protection.
+/// An aligned v3 page decodes in place and borrows `page_bytes` (see
+/// DecodedPage).
 Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
                                     const FileLayout& layout, uint64_t page);
 

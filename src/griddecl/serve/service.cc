@@ -592,9 +592,11 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         ++run_end;
       }
       while (i < run_end) {
-        Status direct =
-            Status::Unavailable("disk routed around; direct read skipped");
-        if (admitted && !reconstruct) {
+        Status direct;
+        if (!admitted || reconstruct) {
+          direct =
+              Status::Unavailable("disk routed around; direct read skipped");
+        } else {
           fetched.clear();
           PageReadStats stats;
           direct = store_->GetPages(
@@ -754,10 +756,11 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   // verify doubles as the reconstruction's integrity proof.
   Status verify = VerifyPageBytes(rebuilt, layout, page);
   if (!verify.ok()) return degrade(verify);
-  Result<DecodedPage> decoded = DecodePageBytes(rebuilt, layout, page);
-  if (!decoded.ok()) return degrade(decoded.status());
+  // Decoded over the frame's own bytes, which a v3 page reads in place.
   auto frame = std::make_shared<BufferPool::Frame>();
   frame->raw = std::move(rebuilt);
+  Result<DecodedPage> decoded = DecodePageBytes(frame->raw, layout, page);
+  if (!decoded.ok()) return degrade(decoded.status());
   frame->decoded = std::move(decoded).value();
   result->reconstructed_pages++;
   return PinnedPage(std::move(frame));

@@ -62,14 +62,22 @@ TEST(BufferPoolTest, DuplicateAdmitKeepsIncumbent) {
 }
 
 TEST(BufferPoolTest, CapacityIsNeverExceeded) {
-  BufferPool pool(16);
-  Rng rng(1);
-  for (int i = 0; i < 2000; ++i) {
-    Touch(&pool, kF, rng.NextBelow(200));
-    EXPECT_LE(pool.GetStats().resident, 16u);
+  // Small capacities included: their segments are sized by rounding, and
+  // both must fit inside the capacity together.
+  for (const size_t capacity : {1, 2, 3, 4, 16}) {
+    BufferPool pool(capacity);
+    Rng rng(1);
+    // Pages both hit and get evicted (200 pages at capacity 16).
+    for (int i = 0; i < 2000; ++i) {
+      Touch(&pool, kF, rng.NextBelow(12 * capacity + 8));
+      ASSERT_LE(pool.GetStats().resident, capacity) << "capacity " << capacity;
+    }
+    const BufferPool::Stats stats = pool.GetStats();
+    EXPECT_EQ(stats.admissions, stats.evictions + stats.resident)
+        << "capacity " << capacity;
+    EXPECT_GT(stats.hits, 0u) << "capacity " << capacity;
+    EXPECT_GT(stats.evictions, 0u) << "capacity " << capacity;
   }
-  const BufferPool::Stats stats = pool.GetStats();
-  EXPECT_EQ(stats.admissions, stats.evictions + stats.resident);
 }
 
 TEST(BufferPoolTest, InvalidateDropsOnlyThatFile) {

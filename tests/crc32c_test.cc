@@ -1,6 +1,7 @@
 #include "griddecl/common/crc32c.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,42 @@ TEST(Crc32cTest, AllLengthsAgreeWithBitwiseReference) {
   for (size_t len = 0; len <= 64; ++len) {
     EXPECT_EQ(Crc32c(data), bitwise(data)) << len;
     data.push_back(static_cast<char>(len * 37 + 11));
+  }
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesPortable) {
+  // Crc32c runs the CPU's CRC32C instruction where it has one; it must
+  // agree with the portable slice-by-8 kernel on every length (all tail
+  // paths), every start alignment, and chained at any split point.
+  std::vector<unsigned char> buffer(300 + 8);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* data = buffer.data() + offset;
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint32_t portable = Crc32cPortable(data, len);
+      ASSERT_EQ(Crc32c(data, len), portable)
+          << "offset " << offset << " length " << len;
+      // Chained at every split point, with a seed carried from the first
+      // chunk into the second.
+      for (size_t split = 0; split <= len; ++split) {
+        const uint32_t head = Crc32c(data, split, 0x1234u);
+        ASSERT_EQ(head, Crc32cPortable(data, split, 0x1234u));
+        ASSERT_EQ(Crc32c(data + split, len - split, head),
+                  Crc32cPortable(data + split, len - split, head))
+            << "offset " << offset << " length " << len << " split "
+            << split;
+        ASSERT_EQ(Crc32c(data + split, len - split, Crc32c(data, split)),
+                  portable)
+            << "offset " << offset << " length " << len << " split "
+            << split;
+      }
+    }
   }
 }
 

@@ -63,6 +63,37 @@ TEST(PageStoreTest, GetPageDecodesAndCaches) {
   EXPECT_EQ(store.PoolStats().hits, 1u);
 }
 
+TEST(PageStoreTest, PinOutlivesEvictionOfItsInPlaceFrame) {
+  // A pooled v3 page reads its columns straight out of the frame's bytes;
+  // a pin keeps those bytes alive after the pool has evicted the frame.
+  MemEnv env;
+  PageStore::Options options;
+  options.pool_pages = 2;
+  PageStore store(&env, options);
+  const GridFile original = MakeFile(64, 1);
+  const FileLayout layout = WriteRelation(&env, "rel", 64);
+  store.RegisterFile("rel", layout);
+  const PinnedPage pinned = store.GetPage("rel", 3, ReadPolicy{}).value();
+  const std::string_view raw = pinned.raw();
+  const auto* first = reinterpret_cast<const char*>(
+      pinned.decoded().column(0));
+  EXPECT_TRUE(first >= raw.data() && first < raw.data() + raw.size());
+  for (uint64_t page = 4; page < layout.num_pages; ++page) {
+    ASSERT_TRUE(store.GetPage("rel", page, ReadPolicy{}).ok());
+  }
+  ASSERT_GE(store.PoolStats().evictions, 1u);
+  PageReadStats stats;
+  ASSERT_TRUE(store.GetPage("rel", 3, ReadPolicy{}, &stats).ok());
+  EXPECT_EQ(stats.physical_reads, 1u);  // Evicted: read again.
+  const DecodedPage& d = pinned.decoded();
+  ASSERT_EQ(d.num_records, 8u);
+  for (uint32_t a = 0; a < 2; ++a) {
+    for (uint32_t r = 0; r < d.num_records; ++r) {
+      EXPECT_EQ(d.column(a)[r], original.record(3 * 8 + r)[a]);
+    }
+  }
+}
+
 TEST(PageStoreTest, UnknownFileAndPageOutOfRange) {
   MemEnv env;
   PageStore store(&env, {});

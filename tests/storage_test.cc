@@ -248,6 +248,65 @@ TEST(StorageTest, V3DecodedPageExposesColumnsAndZoneMaps) {
   }
 }
 
+TEST(StorageTest, InPlaceCopiedAndTransposedDecodesAgree) {
+  // One relation as v3 (168-byte pages) and v2 (136-byte pages), both 8
+  // records per page. Each v3 page decodes at an aligned address (read in
+  // place), at an odd one (copied) and as its v2 twin (transposed); all
+  // three give the same zone maps and columns, and so do their copies.
+  const GridFile original = MakeFile(60, 24);
+  const std::string v3 = Serialize(original, 168, kFormatV3);
+  const std::string v2 = Serialize(original, 136, kFormatV2);
+  const FileLayout l3 = ParseFileLayout(v3).value();
+  const FileLayout l2 = ParseFileLayout(v2).value();
+  ASSERT_EQ(l3.page_capacity, 8u);
+  ASSERT_EQ(l2.page_capacity, 8u);
+  ASSERT_EQ(l3.num_pages, l2.num_pages);
+  // Backed by doubles, so `aligned` is 8-byte aligned and `odd` is not.
+  std::vector<double> aligned_storage(l3.page_size_bytes / 8);
+  std::vector<double> odd_storage(l3.page_size_bytes / 8 + 1);
+  char* aligned = reinterpret_cast<char*>(aligned_storage.data());
+  char* odd = reinterpret_cast<char*>(odd_storage.data()) + 3;
+  for (uint64_t p = 0; p < l3.num_pages; ++p) {
+    std::memcpy(aligned, v3.data() + l3.PageOffset(p), l3.page_size_bytes);
+    const DecodedPage in_place =
+        DecodePageBytes({aligned, l3.page_size_bytes}, l3, p).value();
+    // Read in place: column 0 is the page's first segment.
+    EXPECT_EQ(reinterpret_cast<const char*>(in_place.column(0)),
+              aligned + kPageHeaderBytesV3 + 2 * kZoneMapBytesPerAttr);
+    std::memcpy(odd, aligned, l3.page_size_bytes);
+    DecodedPage copied =
+        DecodePageBytes({odd, l3.page_size_bytes}, l3, p).value();
+    const DecodedPage transposed =
+        DecodePageBytes(std::string_view(v2).substr(l2.PageOffset(p),
+                                                    l2.page_size_bytes),
+                        l2, p)
+            .value();
+    // A copy of an owning page stays valid after the original is gone.
+    const DecodedPage copy_of_copied = [&] {
+      DecodedPage moved = std::move(copied);
+      return DecodedPage(moved);
+    }();
+    const DecodedPage copy_of_in_place = in_place;
+    for (const DecodedPage* d :
+         {&in_place, &transposed, &copy_of_copied, &copy_of_in_place}) {
+      ASSERT_EQ(d->num_records, l3.PageRecords(p));
+      ASSERT_EQ(d->num_attrs, 2u);
+      for (uint32_t a = 0; a < 2; ++a) {
+        double lo = original.record(p * 8)[a];
+        double hi = lo;
+        for (uint32_t r = 0; r < d->num_records; ++r) {
+          const double v = original.record(p * 8 + r)[a];
+          EXPECT_EQ(d->column(a)[r], v) << "page " << p << " slot " << r;
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+        EXPECT_EQ(d->zone_min(a), lo) << "page " << p;
+        EXPECT_EQ(d->zone_max(a), hi) << "page " << p;
+      }
+    }
+  }
+}
+
 TEST(StorageTest, WithinIsTheClosedBoxMirrorOfMayMatch) {
   // Within holds exactly when the zone maps sit inside the closed box:
   // the page's own zone-map box qualifies, one ulp less on any edge does
