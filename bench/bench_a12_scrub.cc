@@ -1,5 +1,5 @@
 /// Ablation A12 (ours): scrub-and-repair throughput. The durability layer
-/// (checksummed v2 format + catalog manifest + scrub) only earns its keep
+/// (checksummed page format + catalog manifest + scrub) only earns its keep
 /// if verification is cheap relative to the data it protects, so this
 /// experiment measures end-to-end scrub speed — pages and megabytes per
 /// second — on a 64x64, M=16 catalog under each redundancy policy, plus
@@ -165,13 +165,13 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c);
 
-void BM_SerializeV2(benchmark::State& state) {
+void BM_SerializeGridFile(benchmark::State& state) {
   const GridFile file = MakeFile(99);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SerializeGridFile(file).value().size());
   }
 }
-BENCHMARK(BM_SerializeV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerializeGridFile)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace griddecl

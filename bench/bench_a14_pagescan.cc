@@ -8,7 +8,9 @@
 /// the zone maps have teeth). Kernels:
 ///
 ///  * pagescan_v2_rowwise — the old path: per page visit, CRC verify +
-///    row-major decode + branchy per-record filter (v2 bytes).
+///    row-major decode + branchy per-record filter. Its pages are the
+///    retired row-major v2 page body, `[u32 count][u32 crc][rows…]`,
+///    built here by a bench-local codec; the library stores v3 only.
 ///  * pagescan_v3_cold    — pool invalidated each pass: the first query
 ///    pays read+verify+decode at admission, the rest hit cache.
 ///  * pagescan_v3_warm    — steady state: every visit is a pool hit;
@@ -26,7 +28,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "griddecl/common/bytes.h"
 #include "griddecl/common/check.h"
+#include "griddecl/common/crc32c.h"
 #include "griddecl/common/random.h"
 #include "griddecl/gridfile/page_store.h"
 #include "griddecl/gridfile/storage.h"
@@ -98,26 +102,62 @@ std::vector<Box> MakeQueries(uint64_t seed) {
   return queries;
 }
 
-std::string Serialize(const GridFile& file, uint32_t format_version) {
+std::string Serialize(const GridFile& file) {
   SaveOptions save;
   save.page_size_bytes = kPageSize;
-  save.format_version = format_version;
   return SerializeGridFile(file, save).value();
+}
+
+/// The row-major reference pages: `kPageSize`-byte pages of
+/// `[u32 record_count][u32 page_crc][records, kNumAttrs f64 each]` plus
+/// zero padding, packed full in id order, with no file header or footer.
+/// `layout` is built by hand so `VerifyPageBytes` checks them: its page
+/// capacity is the row-major one, (kPageSize - 8) / (8 * kNumAttrs).
+struct RowMajorPages {
+  std::string bytes;
+  FileLayout layout;
+};
+
+RowMajorPages SerializeRowMajor(const GridFile& file) {
+  RowMajorPages out;
+  FileLayout& l = out.layout;
+  l.page_size_bytes = kPageSize;
+  l.num_attrs = kNumAttrs;
+  l.num_records = file.num_records();
+  l.page_capacity = (kPageSize - kPageHeaderBytes) / (8 * kNumAttrs);
+  l.num_pages = (l.num_records + l.page_capacity - 1) / l.page_capacity;
+  for (uint64_t p = 0; p < l.num_pages; ++p) {
+    const size_t page_start = out.bytes.size();
+    const uint32_t in_page = l.PageRecords(p);
+    AppendU32(&out.bytes, in_page);
+    AppendU32(&out.bytes, 0);  // CRC patched below.
+    for (uint32_t r = 0; r < in_page; ++r) {
+      for (double v : file.record(p * l.page_capacity + r)) {
+        AppendF64(&out.bytes, v);
+      }
+    }
+    out.bytes.resize(page_start + kPageSize, '\0');
+    const std::string_view page =
+        std::string_view(out.bytes).substr(page_start, kPageSize);
+    PatchU32(&out.bytes, page_start + 4, Crc32c(page));
+  }
+  return out;
 }
 
 /// The pre-PageStore read path, per page visit: CRC verify, then a
 /// row-major decode-and-test of every record (early-exit per attribute).
-uint64_t ScanV2Rowwise(const std::string& bytes, const FileLayout& layout,
+uint64_t ScanV2Rowwise(const RowMajorPages& pages,
                        const std::vector<Box>& queries) {
+  const FileLayout& layout = pages.layout;
   uint64_t matches = 0;
-  const std::string_view view(bytes);
+  const std::string_view view(pages.bytes);
   for (const Box& q : queries) {
     for (uint64_t p = 0; p < layout.num_pages; ++p) {
       const std::string_view page =
           view.substr(layout.PageOffset(p), layout.page_size_bytes);
       GRIDDECL_CHECK(VerifyPageBytes(page, layout, p).ok());
       const uint32_t in_page = layout.PageRecords(p);
-      const char* rows = page.data() + kPageHeaderBytesV2;
+      const char* rows = page.data() + kPageHeaderBytes;
       for (uint32_t r = 0; r < in_page; ++r) {
         bool match = true;
         for (uint32_t a = 0; a < kNumAttrs; ++a) {
@@ -183,17 +223,16 @@ int RunBenchJson(bench::BenchJson& json) {
   const GridFile file = MakeSortedFile(11);
   const std::vector<Box> queries = MakeQueries(23);
 
-  const std::string v2_bytes = Serialize(file, kFormatV2);
-  const FileLayout v2_layout = ParseFileLayout(v2_bytes).value();
+  const RowMajorPages v2 = SerializeRowMajor(file);
 
   MemEnv env;
-  const std::string v3_bytes = Serialize(file, kFormatV3);
+  const std::string v3_bytes = Serialize(file);
   GRIDDECL_CHECK(env.WriteFile("rel", v3_bytes).ok());
   const FileLayout v3_layout = ParseFileLayout(v3_bytes).value();
 
   // Deterministic pass first: match totals must agree across formats,
   // and the zone-skip / pool-hit counters are workload-defined.
-  const uint64_t v2_matches = ScanV2Rowwise(v2_bytes, v2_layout, queries);
+  const uint64_t v2_matches = ScanV2Rowwise(v2, queries);
   uint64_t zone_skips = 0;
   PageStore counting_store(&env, StoreOptions(v3_layout));
   counting_store.RegisterFile("rel", v3_layout);
@@ -204,7 +243,7 @@ int RunBenchJson(bench::BenchJson& json) {
   GRIDDECL_CHECK(pool.evictions == 0);
 
   json.TimeKernel("pagescan_v2_rowwise", [&] {
-    const uint64_t m = ScanV2Rowwise(v2_bytes, v2_layout, queries);
+    const uint64_t m = ScanV2Rowwise(v2, queries);
     GRIDDECL_CHECK(m == v2_matches);
   });
 
@@ -246,7 +285,7 @@ int RunBenchJson(bench::BenchJson& json) {
   json.Counter("num_attrs", kNumAttrs);
   json.Counter("num_queries", kNumQueries);
   json.Counter("num_pages_v3", static_cast<double>(v3_layout.num_pages));
-  json.Counter("num_pages_v2", static_cast<double>(v2_layout.num_pages));
+  json.Counter("num_pages_v2", static_cast<double>(v2.layout.num_pages));
   json.Counter("total_matches", static_cast<double>(v3_matches));
   json.Counter("zone_map_skips", static_cast<double>(zone_skips));
   json.Counter("zone_map_skip_rate_pct",
@@ -266,14 +305,13 @@ int RunBenchJson(bench::BenchJson& json) {
 void PrintExperiment() {
   const GridFile file = MakeSortedFile(11);
   const std::vector<Box> queries = MakeQueries(23);
-  const std::string v2_bytes = Serialize(file, kFormatV2);
-  const FileLayout v2_layout = ParseFileLayout(v2_bytes).value();
+  const RowMajorPages v2 = SerializeRowMajor(file);
   MemEnv env;
-  const std::string v3_bytes = Serialize(file, kFormatV3);
+  const std::string v3_bytes = Serialize(file);
   GRIDDECL_CHECK(env.WriteFile("rel", v3_bytes).ok());
   const FileLayout v3_layout = ParseFileLayout(v3_bytes).value();
 
-  const uint64_t v2_matches = ScanV2Rowwise(v2_bytes, v2_layout, queries);
+  const uint64_t v2_matches = ScanV2Rowwise(v2, queries);
   uint64_t zone_skips = 0;
   PageStore store(&env, StoreOptions(v3_layout));
   store.RegisterFile("rel", v3_layout);
@@ -284,7 +322,7 @@ void PrintExperiment() {
       static_cast<uint64_t>(kNumQueries) * v3_layout.num_pages;
   Table t({"Path", "Pages", "Page visits", "Zone-skipped", "Matches"});
   t.AddRow({"v2 rowwise (verify+decode each visit)",
-            std::to_string(v2_layout.num_pages), std::to_string(visits), "0",
+            std::to_string(v2.layout.num_pages), std::to_string(visits), "0",
             std::to_string(v2_matches)});
   t.AddRow({"v3 columnar via PageStore", std::to_string(v3_layout.num_pages),
             std::to_string(visits), std::to_string(zone_skips),
@@ -296,13 +334,12 @@ void PrintExperiment() {
 void BM_PageScanV2Rowwise(benchmark::State& state) {
   const GridFile file = MakeSortedFile(11);
   const std::vector<Box> queries = MakeQueries(23);
-  const std::string bytes = Serialize(file, kFormatV2);
-  const FileLayout layout = ParseFileLayout(bytes).value();
+  const RowMajorPages v2 = SerializeRowMajor(file);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ScanV2Rowwise(bytes, layout, queries));
+    benchmark::DoNotOptimize(ScanV2Rowwise(v2, queries));
   }
   state.SetItemsProcessed(state.iterations() * kNumQueries *
-                          static_cast<int64_t>(layout.num_pages));
+                          static_cast<int64_t>(v2.layout.num_pages));
 }
 BENCHMARK(BM_PageScanV2Rowwise)->Unit(benchmark::kMillisecond);
 
@@ -310,7 +347,7 @@ void BM_PageScanV3Warm(benchmark::State& state) {
   const GridFile file = MakeSortedFile(11);
   const std::vector<Box> queries = MakeQueries(23);
   MemEnv env;
-  const std::string bytes = Serialize(file, kFormatV3);
+  const std::string bytes = Serialize(file);
   GRIDDECL_CHECK(env.WriteFile("rel", bytes).ok());
   const FileLayout layout = ParseFileLayout(bytes).value();
   PageStore store(&env, StoreOptions(layout));

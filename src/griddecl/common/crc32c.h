@@ -7,7 +7,7 @@
 
 /// \file
 /// CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected form 0x82F63B78) —
-/// the checksum guarding the v2 storage format, the catalog manifest, and
+/// the checksum guarding the grid-file storage format, the catalog manifest, and
 /// the scrub subsystem. Chosen over CRC32 (IEEE) for its better error
 /// detection on short bursts and because it is what modern storage engines
 /// standardize on.

@@ -53,7 +53,7 @@ class BufferPool {
   using FileId = uint32_t;
 
   /// One cached page: its raw bytes plus the decoded columnar view, which
-  /// for an aligned v3 page reads its columns and zone maps straight out
+  /// for an aligned page reads its columns and zone maps straight out
   /// of `raw` (see DecodePageBytes). Immutable after construction.
   struct Frame {
     std::string raw;

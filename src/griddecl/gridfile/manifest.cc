@@ -13,18 +13,12 @@ namespace griddecl {
 namespace {
 
 constexpr char kManifestMagic[4] = {'G', 'D', 'M', 'F'};
-/// Version 1 predates the page-format tag (those generations are always
-/// kFormatV2 pages); version 2 records the format after page_size_bytes;
-/// version 3 appends an optional replica-placement record after the
-/// relation list. Absent record (and every pre-3 manifest) = chained
-/// placement. Version 4 appends an explicit (copy, disk) -> node table to
-/// the placement record — written ONLY when the record carries a table
-/// (repair output), so every table-less manifest stays byte-identical to
-/// version 3.
-constexpr uint32_t kManifestVersionV1 = 1;
-constexpr uint32_t kManifestVersionV2 = 2;
-constexpr uint32_t kManifestVersion = 3;
-constexpr uint32_t kManifestVersionV4 = 4;
+/// The one manifest layout: [magic][u32 version][u64 generation]
+/// [u32 num_disks][u32 num_relations][relations...][u32 has_placement]
+/// [placement record: policy, seed, topology, then the table's
+/// (copies, disks) — (0, 0) when there is no table — and its entries]
+/// [u32 crc]. Any other version word is rejected.
+constexpr uint32_t kManifestVersion = 5;
 constexpr char kCurrentTmpName[] = "CURRENT.tmp";
 constexpr char kManifestPrefix[] = "MANIFEST-";
 constexpr size_t kManifestPrefixLen = 9;
@@ -180,15 +174,11 @@ Result<uint64_t> NextManifestGeneration(const StorageEnv& env) {
 }
 
 std::string SerializeManifest(const CatalogManifest& manifest) {
-  const bool has_table =
-      manifest.placement.has_value() && !manifest.placement->table.empty();
   std::string out;
   out.append(kManifestMagic, 4);
-  AppendU32(&out, has_table ? kManifestVersionV4 : kManifestVersion);
+  AppendU32(&out, kManifestVersion);
   AppendU64(&out, manifest.generation);
   AppendU32(&out, manifest.num_disks);
-  AppendU32(&out, manifest.page_size_bytes);
-  AppendU32(&out, manifest.format_version);
   AppendU32(&out, static_cast<uint32_t>(manifest.relations.size()));
   for (const ManifestRelation& rel : manifest.relations) {
     AppendU32(&out, static_cast<uint32_t>(rel.name.size()));
@@ -218,11 +208,9 @@ std::string SerializeManifest(const CatalogManifest& manifest) {
     for (uint32_t rack : p.node_rack) AppendU32(&out, rack);
     AppendU32(&out, static_cast<uint32_t>(p.rack_zone.size()));
     for (uint32_t zone : p.rack_zone) AppendU32(&out, zone);
-    if (has_table) {
-      AppendU32(&out, p.table_copies);
-      AppendU32(&out, p.table_disks);
-      for (uint32_t node : p.table) AppendU32(&out, node);
-    }
+    AppendU32(&out, p.table_copies);
+    AppendU32(&out, p.table_disks);
+    for (uint32_t node : p.table) AppendU32(&out, node);
   }
   AppendU32(&out, Crc32c(out));
   return out;
@@ -249,27 +237,15 @@ Result<CatalogManifest> ParseManifest(std::string_view bytes) {
   uint32_t version = 0;
   CatalogManifest m;
   uint32_t num_relations = 0;
-  if (!r.ReadU32(&version) || !r.ReadU64(&m.generation) ||
-      !r.ReadU32(&m.num_disks) || !r.ReadU32(&m.page_size_bytes)) {
+  if (!r.ReadU32(&version)) {
     return Status::InvalidArgument("manifest truncated");
   }
-  if (version < kManifestVersionV1 || version > kManifestVersionV4) {
+  if (version != kManifestVersion) {
     return Status::InvalidArgument("unsupported manifest version " +
                                    std::to_string(version));
   }
-  if (version >= kManifestVersionV2) {
-    if (!r.ReadU32(&m.format_version)) {
-      return Status::InvalidArgument("manifest truncated");
-    }
-  } else {
-    // Version-1 manifests predate the tag; they were always written v2.
-    m.format_version = kFormatV2;
-  }
-  if (m.format_version != kFormatV2 && m.format_version != kFormatV3) {
-    return Status::InvalidArgument("manifest names unknown page format " +
-                                   std::to_string(m.format_version));
-  }
-  if (!r.ReadU32(&num_relations)) {
+  if (!r.ReadU64(&m.generation) || !r.ReadU32(&m.num_disks) ||
+      !r.ReadU32(&num_relations)) {
     return Status::InvalidArgument("manifest truncated");
   }
   if (m.generation == 0) {
@@ -277,9 +253,6 @@ Result<CatalogManifest> ParseManifest(std::string_view bytes) {
   }
   if (m.num_disks < 1 || m.num_disks > kMaxNumDisks) {
     return Status::InvalidArgument("manifest disk count out of range");
-  }
-  if (m.page_size_bytes > kMaxPageSizeBytes) {
-    return Status::InvalidArgument("manifest page size out of range");
   }
   if (num_relations > kMaxRelations) {
     return Status::InvalidArgument("manifest relation count out of range");
@@ -321,71 +294,68 @@ Result<CatalogManifest> ParseManifest(std::string_view bytes) {
     }
     m.relations.push_back(std::move(rel));
   }
-  if (version >= kManifestVersion) {
-    uint32_t has_placement = 0;
-    if (!r.ReadU32(&has_placement) || has_placement > 1) {
-      return Status::InvalidArgument("bad placement flag in manifest");
+  uint32_t has_placement = 0;
+  if (!r.ReadU32(&has_placement) || has_placement > 1) {
+    return Status::InvalidArgument("bad placement flag in manifest");
+  }
+  if (has_placement == 1) {
+    ManifestPlacement p;
+    uint32_t num_nodes = 0;
+    if (!r.ReadU32(&p.policy) || !r.ReadU64(&p.seed) ||
+        !r.ReadU32(&num_nodes)) {
+      return Status::InvalidArgument("manifest truncated");
     }
-    if (has_placement == 1) {
-      ManifestPlacement p;
-      uint32_t num_nodes = 0;
-      if (!r.ReadU32(&p.policy) || !r.ReadU64(&p.seed) ||
-          !r.ReadU32(&num_nodes)) {
+    if (p.policy > kMaxPlacementPolicy) {
+      return Status::InvalidArgument("unknown placement policy in manifest");
+    }
+    if (num_nodes < 1 || num_nodes > kMaxTopologyNodes) {
+      return Status::InvalidArgument(
+          "placement node count out of range in manifest");
+    }
+    p.node_rack.resize(num_nodes);
+    for (uint32_t n = 0; n < num_nodes; ++n) {
+      if (!r.ReadU32(&p.node_rack[n])) {
         return Status::InvalidArgument("manifest truncated");
       }
-      if (p.policy > kMaxPlacementPolicy) {
-        return Status::InvalidArgument("unknown placement policy in manifest");
-      }
-      if (num_nodes < 1 || num_nodes > kMaxTopologyNodes) {
-        return Status::InvalidArgument(
-            "placement node count out of range in manifest");
-      }
-      p.node_rack.resize(num_nodes);
-      for (uint32_t n = 0; n < num_nodes; ++n) {
-        if (!r.ReadU32(&p.node_rack[n])) {
-          return Status::InvalidArgument("manifest truncated");
-        }
-      }
-      uint32_t num_racks = 0;
-      if (!r.ReadU32(&num_racks) || num_racks < 1 || num_racks > num_nodes) {
-        return Status::InvalidArgument(
-            "placement rack count out of range in manifest");
-      }
-      p.rack_zone.resize(num_racks);
-      for (uint32_t k = 0; k < num_racks; ++k) {
-        if (!r.ReadU32(&p.rack_zone[k]) || p.rack_zone[k] >= num_racks) {
-          return Status::InvalidArgument("placement zone id out of range");
-        }
-      }
-      for (uint32_t rack : p.node_rack) {
-        if (rack >= num_racks) {
-          return Status::InvalidArgument("placement rack id out of range");
-        }
-      }
-      if (version >= kManifestVersionV4) {
-        if (!r.ReadU32(&p.table_copies) || !r.ReadU32(&p.table_disks)) {
-          return Status::InvalidArgument("manifest truncated");
-        }
-        if (p.table_copies < 1 || p.table_copies > kMaxMirrorCopies ||
-            p.table_disks < 1 || p.table_disks > kMaxNumDisks) {
-          return Status::InvalidArgument(
-              "placement table dims out of range in manifest");
-        }
-        const uint64_t entries =
-            static_cast<uint64_t>(p.table_copies) * p.table_disks;
-        p.table.resize(entries);
-        for (uint64_t i = 0; i < entries; ++i) {
-          if (!r.ReadU32(&p.table[i])) {
-            return Status::InvalidArgument("manifest truncated");
-          }
-          if (p.table[i] >= num_nodes) {
-            return Status::InvalidArgument(
-                "placement table entry names an unknown node");
-          }
-        }
-      }
-      m.placement = std::move(p);
     }
+    uint32_t num_racks = 0;
+    if (!r.ReadU32(&num_racks) || num_racks < 1 || num_racks > num_nodes) {
+      return Status::InvalidArgument(
+          "placement rack count out of range in manifest");
+    }
+    p.rack_zone.resize(num_racks);
+    for (uint32_t k = 0; k < num_racks; ++k) {
+      if (!r.ReadU32(&p.rack_zone[k]) || p.rack_zone[k] >= num_racks) {
+        return Status::InvalidArgument("placement zone id out of range");
+      }
+    }
+    for (uint32_t rack : p.node_rack) {
+      if (rack >= num_racks) {
+        return Status::InvalidArgument("placement rack id out of range");
+      }
+    }
+    if (!r.ReadU32(&p.table_copies) || !r.ReadU32(&p.table_disks)) {
+      return Status::InvalidArgument("manifest truncated");
+    }
+    // (0, 0) is "no table"; a table has both dimensions.
+    if ((p.table_copies == 0) != (p.table_disks == 0) ||
+        p.table_copies > kMaxMirrorCopies || p.table_disks > kMaxNumDisks) {
+      return Status::InvalidArgument(
+          "placement table dims out of range in manifest");
+    }
+    const uint64_t entries =
+        static_cast<uint64_t>(p.table_copies) * p.table_disks;
+    p.table.resize(entries);
+    for (uint64_t i = 0; i < entries; ++i) {
+      if (!r.ReadU32(&p.table[i])) {
+        return Status::InvalidArgument("manifest truncated");
+      }
+      if (p.table[i] >= num_nodes) {
+        return Status::InvalidArgument(
+            "placement table entry names an unknown node");
+      }
+    }
+    m.placement = std::move(p);
   }
   if (r.remaining() != 0) {
     return Status::InvalidArgument("trailing garbage in manifest");
@@ -437,18 +407,9 @@ Result<uint64_t> StageInternal(const Catalog& catalog, StorageEnv* env,
   Result<uint64_t> next = NextGeneration(*env);
   if (!next.ok()) return next.status();
 
-  if (options.format_version != kFormatV2 &&
-      options.format_version != kFormatV3) {
-    return Status::InvalidArgument(
-        "manifest saves require format v2 or v3, got " +
-        std::to_string(options.format_version));
-  }
-
   CatalogManifest m;
   m.generation = next.value();
   m.num_disks = catalog.num_disks();
-  m.page_size_bytes = options.page_size_bytes;
-  m.format_version = options.format_version;
   m.placement = options.placement;
 
   auto put = [&](const std::string& name, const std::string& payload) {
@@ -473,7 +434,6 @@ Result<uint64_t> StageInternal(const Catalog& catalog, StorageEnv* env,
 
     SaveOptions save;
     save.page_size_bytes = options.page_size_bytes;
-    save.format_version = options.format_version;
     Result<std::string> data = SerializeGridFile(rel->file(), save);
     if (!data.ok()) return data.status();
 

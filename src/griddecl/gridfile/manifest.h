@@ -16,7 +16,7 @@
 /// Atomic, generation-numbered persistence for a whole `Catalog`.
 ///
 /// A catalog save writes every relation as a self-verifying grid file
-/// (storage.h, format v2), optional redundancy sidecars (full mirror
+/// (storage.h), optional redundancy sidecars (full mirror
 /// copies, or XOR parity pages — the storage-level analogues of the
 /// paper's replication and ECC declustering ideas), and one manifest file
 /// naming them all with sizes and CRC32C checksums. The commit protocol is
@@ -85,12 +85,11 @@ struct ManifestRelation {
   uint32_t parity_crc = 0;
 };
 
-/// Replica-placement record (manifest version 3): the policy, cluster
-/// topology and seed under which the generation's mirror copies were (or
-/// are meant to be) placed across nodes. Plain serialized data here; the
-/// semantics — and the PlacementSpec conversions — live in
-/// cluster/placement.h. A manifest without the record implies chained
-/// placement over a flat topology, exactly the pre-placement behavior.
+/// Replica-placement record: the policy, cluster topology and seed under
+/// which the generation's mirror copies were (or are meant to be) placed
+/// across nodes. Plain serialized data here; the semantics — and the
+/// PlacementSpec conversions — live in cluster/placement.h. A manifest
+/// without the record implies chained placement over a flat topology.
 struct ManifestPlacement {
   /// cluster::PlacementPolicy value (0 chained, 1 spread, 2 zone_aware).
   uint32_t policy = 0;
@@ -100,13 +99,13 @@ struct ManifestPlacement {
   std::vector<uint32_t> node_rack;
   /// rack_zone[r] = zone of rack r; size = number of racks.
   std::vector<uint32_t> rack_zone;
-  /// Optional explicit (copy, disk) -> node table (manifest version 4),
-  /// flattened copy-major: entry c * table_disks + d is the node holding
-  /// copy c of primary disk d. Written by repair / re-placement, whose
-  /// incremental re-targeting deviates from the pure policy formula; when
-  /// present it is the ground truth of where replicas physically live and
-  /// overrides the policy. Empty = derive placement from the policy
-  /// (versions <= 3 always). `table.size() == table_copies * table_disks`.
+  /// Optional explicit (copy, disk) -> node table, flattened copy-major:
+  /// entry c * table_disks + d is the node holding copy c of primary disk
+  /// d. Written by repair / re-placement, whose incremental re-targeting
+  /// deviates from the pure policy formula; when present it is the ground
+  /// truth of where replicas physically live and overrides the policy.
+  /// Empty (dimensions 0 x 0) = derive placement from the policy.
+  /// `table.size() == table_copies * table_disks`.
   std::vector<uint32_t> table;
   uint32_t table_copies = 0;
   uint32_t table_disks = 0;
@@ -116,15 +115,11 @@ struct ManifestPlacement {
 struct CatalogManifest {
   uint64_t generation = 0;
   uint32_t num_disks = 0;
-  uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  /// Grid-file page format every relation of this generation was written
-  /// in (manifest version 1, which predates the tag, implies kFormatV2).
-  uint32_t format_version = kLatestFormatVersion;
   /// Relations sorted by name (the order Catalog::RelationNames uses);
   /// index in this vector is the index in file names.
   std::vector<ManifestRelation> relations;
-  /// Replica placement record (manifest version 3+). Absent on manifests
-  /// written before version 3 — loaders treat that as chained placement.
+  /// Replica placement record. Absent = chained placement over a flat
+  /// topology.
   std::optional<ManifestPlacement> placement;
 
   /// `rel-<gen>-<index>.gd`
@@ -154,13 +149,11 @@ struct ManifestSaveOptions {
   RelationRedundancy default_redundancy;
   /// Per-relation overrides, keyed by relation name.
   std::map<std::string, RelationRedundancy> per_relation;
+  /// Page size to write every relation's data file with. Each data file
+  /// records it in its own header, so the manifest does not.
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  /// Grid-file page format to write relations in (kFormatV2 or the
-  /// columnar kFormatV3). Recorded in the manifest so loaders and scrub
-  /// know the generation's layout without sniffing page headers.
-  uint32_t format_version = kLatestFormatVersion;
   /// Replica placement record to persist with the generation (absent =
-  /// chained, the backward-compatible default).
+  /// chained).
   std::optional<ManifestPlacement> placement;
   /// Optional observability sink (non-owning). A committed save records
   /// `manifest.generations_committed`, `manifest.files_written` and

@@ -73,7 +73,7 @@ Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
   };
   Status verify = VerifyPageBytes(page_bytes, layout, page);
   if (!verify.ok()) return unavailable(verify);
-  // The bytes move into the frame first: a v3 page then decodes in place
+  // The bytes move into the frame first: the page then decodes in place
   // over the frame's own copy, which lives exactly as long as the decode.
   auto frame = std::make_shared<BufferPool::Frame>();
   frame->raw = std::move(page_bytes);

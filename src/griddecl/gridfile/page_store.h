@@ -36,12 +36,12 @@
 /// transient faults on (file, offset).
 ///
 /// A miss moves the bytes `ReadAt` returned into a new frame and decodes
-/// them there: a v3 page's `DecodedPage` reads its zone maps and columns
-/// in place from the frame's bytes, a v2 page's lives in one buffer of its
-/// own. With the pool full, the pool reuses the evicted page's nodes, so a
-/// miss allocates the read bytes and the frame and nothing else. A range
-/// scan asks the zone maps first: `MayMatch` false skips the page,
-/// `Within` true takes every record without filtering.
+/// them there: the page's `DecodedPage` reads its zone maps and columns
+/// in place from the frame's bytes. With the pool full, the pool reuses
+/// the evicted page's nodes, so a miss allocates the read bytes and the
+/// frame and nothing else. A range scan asks the zone maps first:
+/// `MayMatch` false skips the page, `Within` true takes every record
+/// without filtering.
 ///
 /// Serve and scrub both read here, and every read is strict: a page that
 /// fails verification reads as kUnavailable, so serve's mirror failover /

@@ -17,21 +17,8 @@ constexpr char kMagic[4] = {'G', 'D', 'C', 'L'};
 constexpr char kFooterMagic[4] = {'G', 'D', 'F', 'T'};
 constexpr uint32_t kMaxAttrNameLen = 4096;
 constexpr uint32_t kMaxBoundaries = uint32_t{1} << 24;
-
-bool KnownVersion(uint32_t version) {
-  return version == kFormatV2 || version == kFormatV3;
-}
-
-/// Records that fit in one page after its fixed overhead: the page header
-/// plus, for v3, the zone-map block.
-uint32_t PageCapacity(uint32_t version, uint32_t page_size,
-                      uint32_t num_attrs) {
-  uint32_t overhead = kPageHeaderBytesV2;
-  if (version == kFormatV3) overhead += kZoneMapBytesPerAttr * num_attrs;
-  if (page_size <= overhead) return 0;
-  return (page_size - overhead) / (8 * num_attrs);
-}
-
+/// The header's version word: the column-major page format.
+constexpr uint32_t kFormatVersion = 3;
 
 /// The exact-size check every whole-file load makes after the header.
 Status CheckFileSize(std::string_view bytes, const FileLayout& layout) {
@@ -47,50 +34,42 @@ double LoadF64(const char* p) {
   return v;
 }
 
-/// Whether any of the `count` doubles stored at `p` is NaN. Branch-free,
-/// so the scan vectorizes.
-bool AnyNaN(const char* p, uint64_t count) {
-  bool nan = false;
-  for (uint64_t i = 0; i < count; ++i) nan |= std::isnan(LoadF64(p + i * 8));
-  return nan;
-}
-
 /// Reads a verified page's per-attribute [min, max] into `zone_min` /
-/// `zone_max` (stored in v3 pages, computed from the rows of v2 ones) and
-/// rejects a page holding a NaN value or bound: no grid cell holds NaN.
-/// The one page check both whole-file loaders add to the CRC, so they
-/// accept exactly the same files.
+/// `zone_max`. Rejects a page holding a NaN value or bound (no grid cell
+/// holds NaN) and a page whose stored [min, max] is not exactly its
+/// column's min and max, since the page index, the zone-map skip and the
+/// accept all trust the zone maps. The one page check both whole-file
+/// loaders add to the CRC, so they accept exactly the same files.
 Status ScanPage(std::string_view page_bytes, const FileLayout& layout,
                 uint64_t page, double* zone_min, double* zone_max) {
   const uint32_t k = layout.num_attrs;
   const uint32_t n = layout.PageRecords(page);
+  const char* zones = page_bytes.data() + kPageHeaderBytes;
+  const char* segments = zones + uint64_t{k} * kZoneMapBytesPerAttr;
   bool nan = false;
-  if (layout.format_version == kFormatV3) {
-    const char* zones = page_bytes.data() + kPageHeaderBytesV3;
-    const char* segments = zones + uint64_t{k} * kZoneMapBytesPerAttr;
-    for (uint32_t a = 0; a < k; ++a) {
-      zone_min[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr);
-      zone_max[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr + 8);
-      nan |= AnyNaN(segments + uint64_t{a} * layout.page_capacity * 8, n);
-    }
-    nan |= AnyNaN(zones, uint64_t{k} * 2);
-  } else {
-    const char* rows = page_bytes.data() + kPageHeaderBytesV2;
-    for (uint32_t a = 0; a < k; ++a) {
-      zone_min[a] = std::numeric_limits<double>::infinity();
-      zone_max[a] = -std::numeric_limits<double>::infinity();
-    }
+  bool mismatch = false;
+  for (uint32_t a = 0; a < k; ++a) {
+    zone_min[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr);
+    zone_max[a] = LoadF64(zones + uint64_t{a} * kZoneMapBytesPerAttr + 8);
+    nan |= std::isnan(zone_min[a]) || std::isnan(zone_max[a]);
+    // The writer's own fold, so a pristine page matches bit for bit.
+    const char* column = segments + uint64_t{a} * layout.page_capacity * 8;
+    double lo = LoadF64(column);
+    double hi = lo;
     for (uint32_t r = 0; r < n; ++r) {
-      for (uint32_t a = 0; a < k; ++a) {
-        const double v = LoadF64(rows + (uint64_t{r} * k + a) * 8);
-        zone_min[a] = std::min(zone_min[a], v);
-        zone_max[a] = std::max(zone_max[a], v);
-      }
+      const double v = LoadF64(column + uint64_t{r} * 8);
+      nan |= std::isnan(v);
+      lo = v < lo ? v : lo;
+      hi = v > hi ? v : hi;
     }
-    nan = AnyNaN(rows, uint64_t{n} * k);
+    mismatch |= lo != zone_min[a] || hi != zone_max[a];
   }
   if (nan) {
     return Status::InvalidArgument("NaN value in page " +
+                                   std::to_string(page));
+  }
+  if (mismatch) {
+    return Status::InvalidArgument("zone map disagrees with page " +
                                    std::to_string(page));
   }
   return Status::Ok();
@@ -107,14 +86,15 @@ Result<GridFileHeader> ParseGridFileHeader(std::string_view bytes) {
   FileLayout layout;
   std::vector<AttributeDef> attrs;
   std::vector<DomainPartition> parts;
+  uint32_t version = 0;
   uint32_t k = 0;
-  if (!r.ReadU32(&layout.format_version) ||
+  if (!r.ReadU32(&version) ||
       !r.ReadU32(&layout.page_size_bytes) || !r.ReadU32(&k)) {
     return Status::InvalidArgument("truncated header");
   }
-  if (!KnownVersion(layout.format_version)) {
-    return Status::InvalidArgument(
-        "unsupported version " + std::to_string(layout.format_version));
+  if (version != kFormatVersion) {
+    return Status::InvalidArgument("unsupported version " +
+                                   std::to_string(version));
   }
   if (k < 1 || k > kMaxDims) {
     return Status::InvalidArgument("attribute count out of range");
@@ -123,8 +103,7 @@ Result<GridFileHeader> ParseGridFileHeader(std::string_view bytes) {
   if (layout.page_size_bytes > kMaxPageSizeBytes) {
     return Status::InvalidArgument("page size out of range");
   }
-  layout.page_capacity =
-      PageCapacity(layout.format_version, layout.page_size_bytes, k);
+  layout.page_capacity = PageCapacityFor(layout.page_size_bytes, k);
   if (layout.page_capacity == 0) {
     return Status::InvalidArgument("page size inconsistent with schema");
   }
@@ -171,13 +150,13 @@ Result<GridFileHeader> ParseGridFileHeader(std::string_view bytes) {
   const uint64_t n = layout.num_records;
   layout.num_pages = n == 0 ? 0 : (n - 1) / layout.page_capacity + 1;
   if (layout.num_pages > (std::numeric_limits<uint64_t>::max() -
-                          layout.header_bytes - kFooterBytesV2) /
+                          layout.header_bytes - kFooterBytes) /
                              layout.page_size_bytes) {
     return Status::InvalidArgument("record count implies impossible size");
   }
   layout.footer_offset =
       layout.header_bytes + layout.num_pages * layout.page_size_bytes;
-  layout.expected_file_size = layout.footer_offset + kFooterBytesV2;
+  layout.expected_file_size = layout.footer_offset + kFooterBytes;
 
   Result<Schema> schema = Schema::Create(std::move(attrs));
   if (!schema.ok()) return schema.status();
@@ -199,10 +178,13 @@ Result<FileLayout> ParseFileLayout(std::string_view bytes) {
   return h.value().layout;
 }
 
-uint32_t PageCapacityFor(uint32_t format_version, uint32_t page_size_bytes,
-                         uint32_t num_attrs) {
-  if (!KnownVersion(format_version) || num_attrs == 0) return 0;
-  return PageCapacity(format_version, page_size_bytes, num_attrs);
+uint32_t PageCapacityFor(uint32_t page_size_bytes, uint32_t num_attrs) {
+  if (num_attrs == 0) return 0;
+  const uint64_t overhead =
+      kPageHeaderBytes + uint64_t{kZoneMapBytesPerAttr} * num_attrs;
+  if (page_size_bytes <= overhead) return 0;
+  return static_cast<uint32_t>((page_size_bytes - overhead) /
+                               (uint64_t{8} * num_attrs));
 }
 
 Status VerifyPageBytes(std::string_view page_bytes, const FileLayout& layout,
@@ -275,72 +257,29 @@ Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
   if (page_bytes.size() != layout.page_size_bytes) {
     return Status::Internal("short page read");
   }
-  const uint32_t k = layout.num_attrs;
   DecodedPage out;
   out.num_records = layout.PageRecords(page);
-  out.num_attrs = k;
-  const uint32_t n = out.num_records;
-  const bool v3 = layout.format_version == kFormatV3;
-  // v3 header, zone maps and segments are all whole doubles, so aligned
-  // bytes are read in place: the stored [min, max] pairs and the segments
-  // at capacity stride. The bytes were written through char (a read or a
+  out.num_attrs = layout.num_attrs;
+  out.column_stride_ = layout.page_capacity;
+  // Header, zone maps and segments are all whole doubles, so aligned bytes
+  // are read in place. The bytes were written through char (a read or a
   // memcpy), which aliases any type, and no one writes them after decode.
-  static_assert(kPageHeaderBytesV3 % sizeof(double) == 0 &&
+  static_assert(kPageHeaderBytes % sizeof(double) == 0 &&
                 kZoneMapBytesPerAttr == 2 * sizeof(double));
-  if (v3 && reinterpret_cast<uintptr_t>(page_bytes.data()) %
-                    alignof(double) == 0) {
+  if (reinterpret_cast<uintptr_t>(page_bytes.data()) % alignof(double) ==
+      0) {
     out.in_place_ = reinterpret_cast<const double*>(page_bytes.data());
-    out.zone_begin_ = kPageHeaderBytesV3 / sizeof(double);
-    out.column_begin_ = out.zone_begin_ + 2 * k;
-    out.column_stride_ = layout.page_capacity;
     return out;
   }
-  out.column_begin_ = 2 * k;
-  out.column_stride_ = n;
-  out.values_.assign(uint64_t{n + 2} * k, 0.0);
-  if (n == 0) return out;
-  double* zones = out.values_.data();
-  double* columns = zones + 2 * uint64_t{k};
-
-  if (v3) {
-    // Unaligned v3 bytes: copy the stored zone maps and the segments.
-    const char* stored = page_bytes.data() + kPageHeaderBytesV3;
-    const char* segments = stored + uint64_t{k} * kZoneMapBytesPerAttr;
-    std::memcpy(zones, stored, uint64_t{k} * kZoneMapBytesPerAttr);
-    for (uint32_t a = 0; a < k; ++a) {
-      std::memcpy(columns + uint64_t{a} * n,
-                  segments + uint64_t{a} * layout.page_capacity * 8,
-                  uint64_t{n} * 8);
-    }
-    return out;
-  }
-
-  // v2: transpose the row-major records and derive zone maps.
-  const char* rows = page_bytes.data() + kPageHeaderBytesV2;
-  for (uint32_t a = 0; a < k; ++a) {
-    double* col = columns + uint64_t{a} * n;
-    double lo = 0.0;
-    double hi = 0.0;
-    for (uint32_t r = 0; r < n; ++r) {
-      double v = 0.0;
-      std::memcpy(&v, rows + (uint64_t{r} * k + a) * 8, 8);
-      col[r] = v;
-      if (r == 0) {
-        lo = hi = v;
-      } else {
-        if (v < lo) lo = v;
-        if (v > hi) hi = v;
-      }
-    }
-    zones[2 * a] = lo;
-    zones[2 * a + 1] = hi;
-  }
+  out.values_.resize((page_bytes.size() + sizeof(double) - 1) /
+                     sizeof(double));
+  std::memcpy(out.values_.data(), page_bytes.data(), page_bytes.size());
   return out;
 }
 
 Status VerifyFileFooter(std::string_view bytes, const FileLayout& layout) {
   const uint64_t off = layout.footer_offset;
-  if (off + kFooterBytesV2 > bytes.size()) {
+  if (off + kFooterBytes > bytes.size()) {
     return Status::InvalidArgument("footer truncated");
   }
   if (std::memcmp(bytes.data() + off, kFooterMagic, 4) != 0) {
@@ -357,7 +296,7 @@ Status VerifyFileFooter(std::string_view bytes, const FileLayout& layout) {
   uint32_t footer_crc = 0;
   std::memcpy(&file_crc, bytes.data() + off + 20, 4);
   std::memcpy(&footer_crc, bytes.data() + off + 24, 4);
-  if (footer_crc != Crc32c(bytes.substr(off, kFooterBytesV2 - 4))) {
+  if (footer_crc != Crc32c(bytes.substr(off, kFooterBytes - 4))) {
     return Status::InvalidArgument("footer checksum mismatch");
   }
   if (file_crc != Crc32c(bytes.substr(0, off))) {
@@ -368,7 +307,7 @@ Status VerifyFileFooter(std::string_view bytes, const FileLayout& layout) {
 
 std::string BuildFileFooter(const FileLayout& layout, std::string_view body) {
   std::string footer;
-  footer.reserve(kFooterBytesV2);
+  footer.reserve(kFooterBytes);
   footer.append(kFooterMagic, 4);
   AppendU64(&footer, layout.num_records);
   AppendU64(&footer, layout.num_pages);
@@ -379,17 +318,12 @@ std::string BuildFileFooter(const FileLayout& layout, std::string_view body) {
 
 Result<std::string> SerializeGridFile(const GridFile& file,
                                       const SaveOptions& options) {
-  const uint32_t version = options.format_version;
-  if (!KnownVersion(version)) {
-    return Status::InvalidArgument("unsupported format version " +
-                                   std::to_string(version));
-  }
   const uint32_t page_size = options.page_size_bytes;
   if (page_size > kMaxPageSizeBytes) {
     return Status::InvalidArgument("page size out of range");
   }
   const uint32_t k = file.schema().num_attributes();
-  const uint32_t capacity = PageCapacity(version, page_size, k);
+  const uint32_t capacity = PageCapacityFor(page_size, k);
   if (capacity == 0) {
     return Status::InvalidArgument(
         "page size too small for one record of this schema");
@@ -397,7 +331,7 @@ Result<std::string> SerializeGridFile(const GridFile& file,
 
   std::string out;
   out.append(kMagic, 4);
-  AppendU32(&out, version);
+  AppendU32(&out, kFormatVersion);
   AppendU32(&out, page_size);
   AppendU32(&out, k);
   for (uint32_t i = 0; i < k; ++i) {
@@ -421,31 +355,24 @@ Result<std::string> SerializeGridFile(const GridFile& file,
     const size_t page_start = out.size();
     AppendU32(&out, in_page);
     AppendU32(&out, 0);  // CRC patched below.
-    if (version == kFormatV3) {
-      // Zone maps, then column segments at capacity stride.
-      for (uint32_t a = 0; a < k; ++a) {
-        double lo = file.record(first)[a];
-        double hi = lo;
-        for (uint32_t r = 1; r < in_page; ++r) {
-          const double v = file.record(first + r)[a];
-          if (v < lo) lo = v;
-          if (v > hi) hi = v;
-        }
-        AppendF64(&out, lo);
-        AppendF64(&out, hi);
+    // Zone maps, then column segments at capacity stride.
+    for (uint32_t a = 0; a < k; ++a) {
+      double lo = file.record(first)[a];
+      double hi = lo;
+      for (uint32_t r = 1; r < in_page; ++r) {
+        const double v = file.record(first + r)[a];
+        if (v < lo) lo = v;
+        if (v > hi) hi = v;
       }
-      for (uint32_t a = 0; a < k; ++a) {
-        const size_t segment_start = out.size();
-        for (uint32_t r = 0; r < in_page; ++r) {
-          AppendF64(&out, file.record(first + r)[a]);
-        }
-        out.resize(segment_start + uint64_t{capacity} * 8, '\0');
-      }
-    } else {
+      AppendF64(&out, lo);
+      AppendF64(&out, hi);
+    }
+    for (uint32_t a = 0; a < k; ++a) {
+      const size_t segment_start = out.size();
       for (uint32_t r = 0; r < in_page; ++r) {
-        const Record& rec = file.record(first + r);
-        for (double v : rec) AppendF64(&out, v);
+        AppendF64(&out, file.record(first + r)[a]);
       }
+      out.resize(segment_start + uint64_t{capacity} * 8, '\0');
     }
     out.resize(page_start + page_size, '\0');
     PatchU32(&out, page_start + 4,

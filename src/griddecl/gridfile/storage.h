@@ -19,43 +19,35 @@
 /// placement. Records are packed in id order into fixed-size pages — the
 /// same unit the I/O simulator charges for.
 ///
-/// Two format versions, both little-endian and self-verifying. Every load
-/// is strict: a header, page or footer that fails its CRC or its
-/// structural checks rejects the whole file.
+/// One format, little-endian and self-verifying. Every load is strict: a
+/// header, page or footer that fails its CRC or its structural checks
+/// rejects the whole file. The header's version word is 3; any other
+/// version is rejected.
 ///
-/// Version 2 (row-major):
-///
-///   header: [magic "GDCL"] [u32 version=2] [u32 page_size] [u32 num_attrs]
+///   header: [magic "GDCL"] [u32 version=3] [u32 page_size] [u32 num_attrs]
 ///           per attribute: [u32 name_len][name bytes][u32 num_boundaries]
 ///                          [f64 boundaries...]
 ///           [u64 num_records]
 ///           [u32 header_crc] — CRC32C of every preceding header byte.
-///   pages:  each page is exactly page_size bytes:
+///   pages:  each page is exactly page_size bytes, column-major:
 ///           [u32 record_count][u32 page_crc]
-///           [records: num_attrs f64 each][zero padding]
-///           page_crc is the CRC32C of the whole page with the crc field
-///           itself zeroed, so a page verifies in isolation.
-///   footer: [magic "GDFT"][u64 num_records][u64 num_pages]
-///           [u32 file_crc]   — CRC32C of every byte before the footer
-///           [u32 footer_crc] — CRC32C of the footer bytes before it
-///
-/// Version 3 (default; column-major with zone maps):
-///
-///   header and footer: identical to v2 (version=3).
-///   pages:  each page is exactly page_size bytes:
-///           [u32 record_count][u32 page_crc]
-///           zone maps, one per attribute: [f64 min][f64 max]
+///           zone maps, one per attribute: [f64 min][f64 max] — exactly
+///           the attribute's min and max over the page's records
 ///           column segments, one per attribute: capacity f64 slots
 ///           (first record_count hold that attribute's values in id
 ///           order, rest zero), then zero padding.
-///           page_crc as in v2. Segments sit at a fixed stride —
-///           attribute a's values start at byte
+///           page_crc is the CRC32C of the whole page with the crc field
+///           itself zeroed, so a page verifies in isolation. Segments sit
+///           at a fixed stride — attribute a's values start at byte
 ///           8 + 16*num_attrs + a*capacity*8 — so a scan reads each
 ///           attribute as a contiguous vector and the per-page min/max
 ///           lets range predicates skip whole pages without touching the
 ///           columns. Every field after the header is a whole f64 at a
 ///           multiple of 8 bytes, so a page read to an aligned buffer is
 ///           scanned in place (see DecodedPage).
+///   footer: [magic "GDFT"][u64 num_records][u64 num_pages]
+///           [u32 file_crc]   — CRC32C of every byte before the footer
+///           [u32 footer_crc] — CRC32C of the footer bytes before it
 ///
 /// The writer always packs pages full: page i holds exactly
 /// min(capacity, num_records - i * capacity) records, so the byte layout
@@ -69,35 +61,26 @@ namespace griddecl {
 /// Default page size; also the `DiskParams::bucket_kb` unit's sibling.
 inline constexpr uint32_t kDefaultPageSizeBytes = 4096;
 
-/// Supported format versions.
-inline constexpr uint32_t kFormatV2 = 2;
-inline constexpr uint32_t kFormatV3 = 3;
-inline constexpr uint32_t kLatestFormatVersion = kFormatV3;
+/// Page header: [u32 record_count][u32 page_crc].
+inline constexpr uint32_t kPageHeaderBytes = 8;
 
-/// Page header sizes per version (v3 shares the v2 header).
-inline constexpr uint32_t kPageHeaderBytesV2 = 8;
-inline constexpr uint32_t kPageHeaderBytesV3 = 8;
-
-/// Per-attribute zone-map bytes in a v3 page: [f64 min][f64 max].
+/// Per-attribute zone-map bytes in a page: [f64 min][f64 max].
 inline constexpr uint32_t kZoneMapBytesPerAttr = 16;
 
 /// Size of the footer: magic + num_records + num_pages + 2 CRCs.
-inline constexpr uint64_t kFooterBytesV2 = 4 + 8 + 8 + 4 + 4;
+inline constexpr uint64_t kFooterBytes = 4 + 8 + 8 + 4 + 4;
 
 /// Upper bound on page_size accepted by the parsers (defense against
 /// adversarial headers demanding absurd allocations).
 inline constexpr uint32_t kMaxPageSizeBytes = 1u << 26;
 
-/// Records that fit in one page of the given format: the page size minus
-/// the page header (and, for v3, the zone-map block) divided by the
-/// record width. 0 when the page cannot hold a single record.
-uint32_t PageCapacityFor(uint32_t format_version, uint32_t page_size_bytes,
-                         uint32_t num_attrs);
+/// Records that fit in one page: the page size minus the page header and
+/// the zone-map block, divided by the record width. 0 when the page
+/// cannot hold a single record.
+uint32_t PageCapacityFor(uint32_t page_size_bytes, uint32_t num_attrs);
 
 struct SaveOptions {
   uint32_t page_size_bytes = kDefaultPageSizeBytes;
-  /// kFormatV2 or kFormatV3.
-  uint32_t format_version = kLatestFormatVersion;
 };
 
 /// Serializes `file` to bytes. `page_size_bytes` must fit the page header
@@ -107,8 +90,9 @@ Result<std::string> SerializeGridFile(const GridFile& file,
 
 /// Parses a grid file previously written by `SerializeGridFile`, verifying
 /// every checksum. Fails with kInvalidArgument on any malformed, damaged
-/// or truncated input, and on a page holding a NaN value or zone-map bound
-/// (never crashes).
+/// or truncated input, on a page holding a NaN value or zone-map bound,
+/// and on a zone map that is not its page's exact min/max (never
+/// crashes).
 Result<GridFile> ParseGridFile(std::string_view bytes);
 
 // --- Format introspection (scrub / fsck support) --------------------------
@@ -116,7 +100,6 @@ Result<GridFile> ParseGridFile(std::string_view bytes);
 /// Byte-level layout of a serialized grid file, recovered from the header
 /// region alone — valid even when pages or footer are damaged.
 struct FileLayout {
-  uint32_t format_version = 0;
   uint32_t page_size_bytes = 0;
   uint32_t num_attrs = 0;
   uint64_t num_records = 0;
@@ -206,18 +189,16 @@ std::string BuildFileFooter(const FileLayout& layout, std::string_view body);
 // --- Page decode (the unit the serve scan consumes) -----------------------
 
 /// One page decoded to columnar form: per-attribute zone maps (min, max)
-/// and one contiguous column per attribute, the same scan interface for
-/// every format.
+/// and one contiguous column per attribute.
 ///
-/// A v3 page whose bytes sit at an 8-byte-aligned address is read in
-/// place: the zone maps are the stored ones, and each column is the
-/// page's own segment at `page_capacity` stride, so decoding copies no
-/// value and allocates nothing. Such a page borrows its bytes, which must
-/// outlive it and every copy of it; `PageStore` decodes the bytes its
-/// frame owns. Any other page decodes into a buffer of its own (one
-/// allocation): v2 pages are transposed and their zone maps computed, and
-/// v3 bytes at an unaligned address (a page inside a whole-file buffer)
-/// are copied. Copies and moves stay valid either way, because only the
+/// A page whose bytes sit at an 8-byte-aligned address is read in place:
+/// the zone maps are the stored ones, and each column is the page's own
+/// segment at `page_capacity` stride, so decoding copies no value and
+/// allocates nothing. Such a page borrows its bytes, which must outlive it
+/// and every copy of it; `PageStore` decodes the bytes its frame owns.
+/// Bytes at an unaligned address (a page inside a whole-file buffer) are
+/// copied to an aligned buffer of the page's own (one allocation) and read
+/// the same way. Copies and moves stay valid either way, because only the
 /// borrowed bytes are held by pointer.
 class DecodedPage {
  public:
@@ -226,14 +207,15 @@ class DecodedPage {
 
   /// Attribute `a`'s values, `num_records` of them in slot order.
   const double* column(uint32_t a) const {
-    return base() + column_begin_ + uint64_t{a} * column_stride_;
+    return base() + kZoneBegin + 2 * uint64_t{num_attrs} +
+           uint64_t{a} * column_stride_;
   }
   /// Attribute `a`'s minimum / maximum over the page's records.
   double zone_min(uint32_t a) const {
-    return base()[zone_begin_ + 2 * uint64_t{a}];
+    return base()[kZoneBegin + 2 * uint64_t{a}];
   }
   double zone_max(uint32_t a) const {
-    return base()[zone_begin_ + 2 * uint64_t{a} + 1];
+    return base()[kZoneBegin + 2 * uint64_t{a} + 1];
   }
 
   /// False when the zone maps prove no record can fall inside the closed
@@ -251,25 +233,24 @@ class DecodedPage {
                                              const FileLayout& layout,
                                              uint64_t page);
 
+  /// Doubles before the zone maps: the page header.
+  static constexpr uint64_t kZoneBegin = kPageHeaderBytes / sizeof(double);
+
   const double* base() const {
     return in_place_ != nullptr ? in_place_ : values_.data();
   }
 
   /// The page's bytes read as doubles, when decoded in place; else null
-  /// and the page reads `values_`.
+  /// and the page reads its copy in `values_`.
   const double* in_place_ = nullptr;
-  /// Offsets, in doubles from base(): the [min, max] pairs, one per
-  /// attribute, and the first column; columns follow at `column_stride_`.
-  uint32_t zone_begin_ = 0;
-  uint32_t column_begin_ = 0;
+  /// Doubles from one column's first slot to the next's: the capacity.
   uint32_t column_stride_ = 0;
-  /// Own buffer: [min, max per attribute][num_records per column].
   std::vector<double> values_;
 };
 
 /// Decodes one page from its bytes (exactly `layout.page_size_bytes`).
 /// Purely structural — callers verify first if they want CRC protection.
-/// An aligned v3 page decodes in place and borrows `page_bytes` (see
+/// An aligned page decodes in place and borrows `page_bytes` (see
 /// DecodedPage).
 Result<DecodedPage> DecodePageBytes(std::string_view page_bytes,
                                     const FileLayout& layout, uint64_t page);

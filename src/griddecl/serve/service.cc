@@ -756,7 +756,7 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   // verify doubles as the reconstruction's integrity proof.
   Status verify = VerifyPageBytes(rebuilt, layout, page);
   if (!verify.ok()) return degrade(verify);
-  // Decoded over the frame's own bytes, which a v3 page reads in place.
+  // Decoded over the frame's own bytes, which the page reads in place.
   auto frame = std::make_shared<BufferPool::Frame>();
   frame->raw = std::move(rebuilt);
   Result<DecodedPage> decoded = DecodePageBytes(frame->raw, layout, page);

@@ -141,7 +141,7 @@ TEST(FormatFuzzTest, GridFileLoaderNeverCrashes) {
   }
 }
 
-std::string SerializeSmallGridFile(uint32_t format_version) {
+std::string SerializeSmallGridFile() {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
   GridFile file = GridFile::Create(std::move(schema), {4, 4}).value();
   Rng rng(7);
@@ -150,26 +150,23 @@ std::string SerializeSmallGridFile(uint32_t format_version) {
   }
   SaveOptions options;
   options.page_size_bytes = 64;
-  options.format_version = format_version;
   return SerializeGridFile(file, options).value();
 }
 
 TEST(FormatFuzzTest, SystematicHeaderByteSweep) {
-  // Every single-byte mutation over the entire header region, both
-  // formats, several XOR masks: no crash, no sanitizer report, and (the
-  // header carries a CRC) every mutation rejected outright.
-  for (uint32_t version : {kFormatV2, kFormatV3}) {
-    const std::string bytes = SerializeSmallGridFile(version);
-    const FileLayout layout = ParseFileLayout(bytes).value();
-    for (size_t pos = 0; pos < layout.header_bytes; ++pos) {
-      for (uint8_t mask : {0x01, 0x80, 0xFF}) {
-        std::string copy = bytes;
-        copy[pos] = static_cast<char>(copy[pos] ^ mask);
-        EXPECT_FALSE(ParseGridFile(copy).ok())
-            << "v" << version << " header mutation accepted at byte " << pos;
-        EXPECT_FALSE(ParseGridFileHeader(copy).ok())
-            << "v" << version << " header mutation accepted at byte " << pos;
-      }
+  // Every single-byte mutation over the entire header region, several
+  // XOR masks: no crash, no sanitizer report, and (the header carries a
+  // CRC) every mutation rejected outright.
+  const std::string bytes = SerializeSmallGridFile();
+  const FileLayout layout = ParseFileLayout(bytes).value();
+  for (size_t pos = 0; pos < layout.header_bytes; ++pos) {
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::string copy = bytes;
+      copy[pos] = static_cast<char>(copy[pos] ^ mask);
+      EXPECT_FALSE(ParseGridFile(copy).ok())
+          << "header mutation accepted at byte " << pos;
+      EXPECT_FALSE(ParseGridFileHeader(copy).ok())
+          << "header mutation accepted at byte " << pos;
     }
   }
 }
@@ -177,13 +174,10 @@ TEST(FormatFuzzTest, SystematicHeaderByteSweep) {
 TEST(FormatFuzzTest, TruncationAtEveryByteBoundary) {
   // A load of any proper prefix must fail cleanly (the only valid size is
   // the exact one).
-  for (uint32_t version : {kFormatV2, kFormatV3}) {
-    const std::string bytes = SerializeSmallGridFile(version);
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      ExpectIndexAcceptsExactlyWhenParsed(bytes.substr(0, len), false);
-      EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok())
-          << "v" << version << " len=" << len;
-    }
+  const std::string bytes = SerializeSmallGridFile();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ExpectIndexAcceptsExactlyWhenParsed(bytes.substr(0, len), false);
+    EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok()) << "len=" << len;
   }
 }
 
@@ -199,28 +193,26 @@ TEST(FormatFuzzTest, PageIndexAgreesWithParserOnResealedMutants) {
   Rng rng(8);
   int accepted = 0;
   int rejected = 0;
-  for (uint32_t version : {kFormatV2, kFormatV3}) {
-    const std::string bytes = SerializeSmallGridFile(version);
-    const FileLayout layout = ParseFileLayout(bytes).value();
-    for (int trial = 0; trial < 300; ++trial) {
-      std::string copy = bytes;
-      const uint64_t page = rng.NextBelow(layout.num_pages);
-      // Past the record count and CRC: the count has its own check.
-      const uint64_t body = layout.PageOffset(page) + 8;
-      const uint64_t slots = (layout.page_size_bytes - 8) / 8;
-      if (rng.NextBelow(2) == 0) {
-        const size_t pos = static_cast<size_t>(
-            body + rng.NextBelow(layout.page_size_bytes - 8));
-        copy[pos] = static_cast<char>(rng.NextBelow(256));
-      } else {
-        const double v = specials[rng.NextBelow(std::size(specials))];
-        std::memcpy(copy.data() + body + 8 * rng.NextBelow(slots), &v, 8);
-      }
-      ResealPage(&copy, layout, page);
-      const bool parsed = ParseGridFile(copy).ok();
-      ExpectIndexAcceptsExactlyWhenParsed(copy, parsed);
-      (parsed ? accepted : rejected)++;
+  const std::string bytes = SerializeSmallGridFile();
+  const FileLayout layout = ParseFileLayout(bytes).value();
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string copy = bytes;
+    const uint64_t page = rng.NextBelow(layout.num_pages);
+    // Past the record count and CRC: the count has its own check.
+    const uint64_t body = layout.PageOffset(page) + 8;
+    const uint64_t slots = (layout.page_size_bytes - 8) / 8;
+    if (rng.NextBelow(2) == 0) {
+      const size_t pos = static_cast<size_t>(
+          body + rng.NextBelow(layout.page_size_bytes - 8));
+      copy[pos] = static_cast<char>(rng.NextBelow(256));
+    } else {
+      const double v = specials[rng.NextBelow(std::size(specials))];
+      std::memcpy(copy.data() + body + 8 * rng.NextBelow(slots), &v, 8);
     }
+    ResealPage(&copy, layout, page);
+    const bool parsed = ParseGridFile(copy).ok();
+    ExpectIndexAcceptsExactlyWhenParsed(copy, parsed);
+    (parsed ? accepted : rejected)++;
   }
   // Both outcomes are exercised.
   EXPECT_GT(accepted, 0);

@@ -454,27 +454,6 @@ TEST(ManifestTest, PlacementSurvivesStageCommitAndConsistentLoad) {
   EXPECT_TRUE(LoadCatalogManifestConsistent(env).ok());
 }
 
-TEST(ManifestTest, VersionTwoManifestLoadsAsPlacementAbsent) {
-  // Hand-craft a pre-placement (version 2) manifest from a fresh v3 one:
-  // strip the trailing has_placement word + CRC, patch the version field,
-  // and re-checksum. Old catalogs must keep loading, with the absent
-  // record meaning "chained" to every consumer.
-  const Catalog catalog = MakeCatalog(4);
-  MemEnv env;
-  ASSERT_TRUE(SaveCatalogManifest(catalog, &env).ok());
-  std::string bytes = env.ReadFile(ManifestFileName(1)).value();
-  ASSERT_GE(bytes.size(), 8u);
-  bytes.resize(bytes.size() - 8);  // drop has_placement u32 + CRC u32.
-  const uint32_t v2 = 2;
-  std::memcpy(bytes.data() + 4, &v2, 4);  // version follows the magic.
-  AppendU32(&bytes, Crc32c(bytes));
-
-  const Result<CatalogManifest> m = ParseManifest(bytes);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_FALSE(m.value().placement.has_value());
-  EXPECT_EQ(m.value().relations.size(), catalog.RelationNames().size());
-}
-
 TEST(ManifestTest, MalformedPlacementRecordsRejected) {
   const Catalog catalog = MakeCatalog(4);
   MemEnv env;
@@ -501,56 +480,63 @@ uint32_t ManifestVersionWord(const std::string& bytes) {
   return version;
 }
 
-TEST(ManifestTest, PlacementTableRoundTripsAsVersionFour) {
-  // Repair output: an explicit (copy, disk) -> node table overriding the
-  // policy formula. It must persist (version 4) and reload verbatim.
+TEST(ManifestTest, OneLayoutRoundTripsPlacementWithAndWithoutTable) {
+  // One manifest layout: whatever the placement record holds, the writer
+  // emits the same version word, and the parser takes no other.
   const Catalog catalog = MakeCatalog(4);
-  MemEnv env;
   ManifestSaveOptions options;
+  MemEnv plain_env;
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &plain_env, options).ok());
   options.placement = TestPlacement();
+  MemEnv tableless_env;
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &tableless_env, options).ok());
+  // Repair output: an explicit (copy, disk) -> node table overriding the
+  // policy formula.
   options.placement->table_copies = 2;
   options.placement->table_disks = 4;
   options.placement->table = {0, 1, 2, 3, 2, 3, 1, 0};
-  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, options).ok());
+  MemEnv table_env;
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &table_env, options).ok());
 
-  const std::string bytes = env.ReadFile(ManifestFileName(1)).value();
-  EXPECT_EQ(ManifestVersionWord(bytes), 4u);
-  const CatalogManifest m = ParseManifest(bytes).value();
-  ASSERT_TRUE(m.placement.has_value());
-  EXPECT_EQ(m.placement->table_copies, 2u);
-  EXPECT_EQ(m.placement->table_disks, 4u);
-  EXPECT_EQ(m.placement->table,
-            (std::vector<uint32_t>{0, 1, 2, 3, 2, 3, 1, 0}));
-  EXPECT_TRUE(LoadCatalogManifestConsistent(env).ok());
-}
-
-TEST(ManifestTest, TablelessPlacementStaysVersionThree) {
-  // Backward compatibility: a manifest whose placement record carries no
-  // table serializes exactly as before the table existed, so pre-repair
-  // readers keep working byte-for-byte.
-  const Catalog catalog = MakeCatalog(4);
-  MemEnv with_table_env;
-  MemEnv tableless_env;
-  ManifestSaveOptions options;
-  options.placement = TestPlacement();
-  ASSERT_TRUE(SaveCatalogManifest(catalog, &tableless_env, options).ok());
-  options.placement->table_copies = 1;
-  options.placement->table_disks = 4;
-  options.placement->table = {0, 1, 2, 3};
-  ASSERT_TRUE(SaveCatalogManifest(catalog, &with_table_env, options).ok());
-
+  const std::string plain = plain_env.ReadFile(ManifestFileName(1)).value();
   const std::string tableless =
       tableless_env.ReadFile(ManifestFileName(1)).value();
-  EXPECT_EQ(ManifestVersionWord(tableless), 3u);
-  EXPECT_NE(tableless,
-            with_table_env.ReadFile(ManifestFileName(1)).value());
+  const std::string with_table =
+      table_env.ReadFile(ManifestFileName(1)).value();
+  const uint32_t version = ManifestVersionWord(plain);
+  EXPECT_EQ(version, 5u);
+  EXPECT_EQ(ManifestVersionWord(tableless), version);
+  EXPECT_EQ(ManifestVersionWord(with_table), version);
 
-  // A no-placement manifest stays version 3 too.
-  MemEnv plain_env;
-  ASSERT_TRUE(SaveCatalogManifest(catalog, &plain_env).ok());
-  EXPECT_EQ(
-      ManifestVersionWord(plain_env.ReadFile(ManifestFileName(1)).value()),
-      3u);
+  EXPECT_FALSE(ParseManifest(plain).value().placement.has_value());
+  const CatalogManifest no_table = ParseManifest(tableless).value();
+  ASSERT_TRUE(no_table.placement.has_value());
+  EXPECT_EQ(no_table.placement->node_rack, TestPlacement().node_rack);
+  EXPECT_TRUE(no_table.placement->table.empty());
+  EXPECT_EQ(no_table.placement->table_copies, 0u);
+  EXPECT_EQ(no_table.placement->table_disks, 0u);
+  const CatalogManifest table = ParseManifest(with_table).value();
+  ASSERT_TRUE(table.placement.has_value());
+  EXPECT_EQ(table.placement->table_copies, 2u);
+  EXPECT_EQ(table.placement->table_disks, 4u);
+  EXPECT_EQ(table.placement->table,
+            (std::vector<uint32_t>{0, 1, 2, 3, 2, 3, 1, 0}));
+  EXPECT_TRUE(LoadCatalogManifestConsistent(tableless_env).ok());
+  EXPECT_TRUE(LoadCatalogManifestConsistent(table_env).ok());
+
+  // Every other version word, each re-CRC'd so only the version check can
+  // refuse it: the retired layouts 1-4 and the next one.
+  for (const std::string& bytes : {plain, tableless, with_table}) {
+    for (uint32_t other : {1u, 2u, 3u, 4u, version + 1}) {
+      std::string copy = bytes.substr(0, bytes.size() - 4);
+      std::memcpy(copy.data() + 4, &other, 4);
+      AppendU32(&copy, Crc32c(copy));
+      const Result<CatalogManifest> m = ParseManifest(copy);
+      ASSERT_FALSE(m.ok()) << other;
+      EXPECT_EQ(m.status().message(),
+                "unsupported manifest version " + std::to_string(other));
+    }
+  }
 }
 
 TEST(ManifestTest, PlacementTableNamingUnknownNodeRejected) {

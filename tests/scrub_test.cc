@@ -138,7 +138,7 @@ TEST(ScrubTest, UnprotectedCorruptionIsReportedNotRepaired) {
 }
 
 TEST(ScrubTest, FooterDamageRepairsEvenWithoutRedundancy) {
-  // The v2 footer is a pure function of the body, so scrub recomputes it
+  // The footer is a pure function of the body, so scrub recomputes it
   // even for an unprotected relation.
   MemEnv env = MakeEnv(RelationRedundancy{});
   const CatalogManifest m = ReadCurrentManifest(env).value();

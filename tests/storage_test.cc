@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "griddecl/common/bytes.h"
+#include "griddecl/common/crc32c.h"
 #include "griddecl/common/random.h"
 #include "griddecl/grid/partitioner.h"
 #include "page_reseal.h"
@@ -30,11 +31,9 @@ GridFile MakeFile(int num_records, uint64_t seed) {
 }
 
 std::string Serialize(const GridFile& file,
-                      uint32_t page_size = kDefaultPageSizeBytes,
-                      uint32_t version = kLatestFormatVersion) {
+                      uint32_t page_size = kDefaultPageSizeBytes) {
   SaveOptions options;
   options.page_size_bytes = page_size;
-  options.format_version = version;
   return SerializeGridFile(file, options).value();
 }
 
@@ -93,22 +92,22 @@ TEST(StorageTest, RoundTripAdaptiveBoundaries) {
 
 TEST(StorageTest, SmallPagesStillWork) {
   const GridFile original = MakeFile(100, 4);
-  // Page fits exactly one 2-attribute record under the default (v3)
-  // format: 8 (header) + 2*16 (zone maps) + 16 (record) -> 56.
+  // Page fits exactly one 2-attribute record: 8 (header) + 2*16 (zone
+  // maps) + 16 (record) -> 56.
   const GridFile loaded = ParseGridFile(Serialize(original, 56)).value();
   EXPECT_EQ(loaded.num_records(), 100u);
   EXPECT_EQ(loaded.record(99), original.record(99));
 }
 
 TEST(StorageTest, PageCapacityForMath) {
-  // v2: (page - 8) / 8k; v3 additionally reserves 16 bytes of zone map
-  // per attribute. Too-small pages report capacity 0.
-  EXPECT_EQ(PageCapacityFor(kFormatV2, 136, 2), 8u);
-  EXPECT_EQ(PageCapacityFor(kFormatV3, 136, 2), 6u);
-  EXPECT_EQ(PageCapacityFor(kFormatV3, 168, 2), 8u);
-  // Version 1 is no longer a format: nothing fits in its pages.
-  EXPECT_EQ(PageCapacityFor(1, 84, 1), 0u);
-  EXPECT_EQ(PageCapacityFor(kFormatV3, 40, 2), 0u);
+  // (page - 8 - 16k) / 8k: the page header and 16 bytes of zone map per
+  // attribute come first. Too-small pages report capacity 0.
+  EXPECT_EQ(PageCapacityFor(136, 2), 6u);
+  EXPECT_EQ(PageCapacityFor(168, 2), 8u);
+  EXPECT_EQ(PageCapacityFor(56, 2), 1u);
+  EXPECT_EQ(PageCapacityFor(84, 1), 7u);
+  EXPECT_EQ(PageCapacityFor(40, 2), 0u);
+  EXPECT_EQ(PageCapacityFor(4096, 0), 0u);
 }
 
 TEST(StorageTest, PageSizeTooSmallRejected) {
@@ -144,22 +143,34 @@ TEST(StorageTest, RejectsCorruptInputsWithoutCrashing) {
 }
 
 TEST(StorageTest, RejectsVersion1Files) {
-  // A minimal file in the retired unchecksummed v1 layout: magic,
-  // version 1, page size, one attribute with its boundaries and zero
-  // records — no header CRC, no pages, no footer.
-  std::string bytes = "GDCL";
-  AppendU32(&bytes, 1);     // version
-  AppendU32(&bytes, 4096);  // page size
-  AppendU32(&bytes, 1);     // attributes
-  AppendU32(&bytes, 1);     // name length
-  bytes += "x";
-  AppendU32(&bytes, 2);  // boundaries
-  AppendF64(&bytes, 0.0);
-  AppendF64(&bytes, 1.0);
-  AppendU64(&bytes, 0);  // records
-  const Result<GridFile> loaded = ParseGridFile(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().message(), "unsupported version 1");
+  // Minimal files of the retired versions: magic, version, page size, one
+  // attribute with its boundaries and zero records. Version 1 had no
+  // header CRC, no pages and no footer. Version 2 (row-major pages) had
+  // the header CRC and footer the current format keeps, so with no
+  // records its file differs from a current one only in the version word
+  // and the CRCs. Only version 3 loads.
+  for (uint32_t version : {1u, 2u}) {
+    std::string bytes = "GDCL";
+    AppendU32(&bytes, version);
+    AppendU32(&bytes, 4096);  // page size
+    AppendU32(&bytes, 1);     // attributes
+    AppendU32(&bytes, 1);     // name length
+    bytes += "x";
+    AppendU32(&bytes, 2);  // boundaries
+    AppendF64(&bytes, 0.0);
+    AppendF64(&bytes, 1.0);
+    AppendU64(&bytes, 0);  // records
+    if (version == 2) {
+      AppendU32(&bytes, Crc32c(bytes));
+      bytes += BuildFileFooter(FileLayout{}, bytes);
+    }
+    const std::string expected =
+        "unsupported version " + std::to_string(version);
+    const Result<GridFile> loaded = ParseGridFile(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().message(), expected);
+    EXPECT_EQ(ParseGridFileHeader(bytes).status().message(), expected);
+  }
 }
 
 TEST(StorageTest, RoundTripLargePageSizes) {
@@ -170,39 +181,21 @@ TEST(StorageTest, RoundTripLargePageSizes) {
   }
 }
 
-TEST(StorageTest, V2ReportsCleanLoad) {
-  // v2 pages are row-major; the loader transposes them through
-  // DecodePageBytes like any page a PageStore admits.
-  const GridFile original = MakeFile(120, 9);
-  const std::string bytes = Serialize(original, 128, kFormatV2);
-  EXPECT_EQ(ParseFileLayout(bytes).value().format_version, kFormatV2);
-  const GridFile loaded = ParseGridFile(bytes).value();
-  ASSERT_EQ(loaded.num_records(), 120u);
-  for (RecordId id = 0; id < original.num_records(); ++id) {
-    EXPECT_EQ(loaded.record(id), original.record(id));
-    EXPECT_EQ(loaded.BucketOfRecord(id), original.BucketOfRecord(id));
-  }
-}
-
-TEST(StorageTest, V2DetectsEverySingleBitFlip) {
+TEST(StorageTest, DetectsEverySingleBitFlip) {
   // Flip one bit at a stride of offsets across the whole file: the strict
   // checksum-verifying loader must reject every single one.
   const GridFile original = MakeFile(60, 10);
-  for (uint32_t version : {kFormatV2, kFormatV3}) {
-    const std::string bytes = Serialize(original, 160, version);
-    for (size_t pos = 0; pos < bytes.size(); pos += 7) {
-      std::string copy = bytes;
-      copy[pos] = static_cast<char>(copy[pos] ^ 0x10);
-      EXPECT_FALSE(ParseGridFile(copy).ok())
-          << "version " << version << " offset " << pos;
-    }
+  const std::string bytes = Serialize(original, 160);
+  for (size_t pos = 0; pos < bytes.size(); pos += 7) {
+    std::string copy = bytes;
+    copy[pos] = static_cast<char>(copy[pos] ^ 0x10);
+    EXPECT_FALSE(ParseGridFile(copy).ok()) << "offset " << pos;
   }
 }
 
 TEST(StorageTest, V3RoundTripPreservesRecords) {
   const GridFile original = MakeFile(120, 21);
-  const std::string bytes = Serialize(original, 168, kFormatV3);
-  EXPECT_EQ(ParseFileLayout(bytes).value().format_version, kFormatV3);
+  const std::string bytes = Serialize(original, 168);
   const GridFile loaded = ParseGridFile(bytes).value();
   ASSERT_EQ(loaded.num_records(), original.num_records());
   for (RecordId id = 0; id < original.num_records(); ++id) {
@@ -214,7 +207,7 @@ TEST(StorageTest, V3RoundTripPreservesRecords) {
 TEST(StorageTest, V3DecodedPageExposesColumnsAndZoneMaps) {
   const GridFile original = MakeFile(40, 22);
   // Capacity (168 - 8 - 32) / 16 = 8 -> 5 pages.
-  const std::string bytes = Serialize(original, 168, kFormatV3);
+  const std::string bytes = Serialize(original, 168);
   const FileLayout layout = ParseFileLayout(bytes).value();
   ASSERT_EQ(layout.page_capacity, 8u);
   ASSERT_EQ(layout.num_pages, 5u);
@@ -248,19 +241,14 @@ TEST(StorageTest, V3DecodedPageExposesColumnsAndZoneMaps) {
   }
 }
 
-TEST(StorageTest, InPlaceCopiedAndTransposedDecodesAgree) {
-  // One relation as v3 (168-byte pages) and v2 (136-byte pages), both 8
-  // records per page. Each v3 page decodes at an aligned address (read in
-  // place), at an odd one (copied) and as its v2 twin (transposed); all
-  // three give the same zone maps and columns, and so do their copies.
+TEST(StorageTest, InPlaceAndCopiedDecodesAgree) {
+  // One relation in 168-byte pages, 8 records per page. Each page decodes
+  // at an aligned address (read in place) and at an odd one (copied);
+  // both give the same zone maps and columns, and so do their copies.
   const GridFile original = MakeFile(60, 24);
-  const std::string v3 = Serialize(original, 168, kFormatV3);
-  const std::string v2 = Serialize(original, 136, kFormatV2);
+  const std::string v3 = Serialize(original, 168);
   const FileLayout l3 = ParseFileLayout(v3).value();
-  const FileLayout l2 = ParseFileLayout(v2).value();
   ASSERT_EQ(l3.page_capacity, 8u);
-  ASSERT_EQ(l2.page_capacity, 8u);
-  ASSERT_EQ(l3.num_pages, l2.num_pages);
   // Backed by doubles, so `aligned` is 8-byte aligned and `odd` is not.
   std::vector<double> aligned_storage(l3.page_size_bytes / 8);
   std::vector<double> odd_storage(l3.page_size_bytes / 8 + 1);
@@ -272,15 +260,10 @@ TEST(StorageTest, InPlaceCopiedAndTransposedDecodesAgree) {
         DecodePageBytes({aligned, l3.page_size_bytes}, l3, p).value();
     // Read in place: column 0 is the page's first segment.
     EXPECT_EQ(reinterpret_cast<const char*>(in_place.column(0)),
-              aligned + kPageHeaderBytesV3 + 2 * kZoneMapBytesPerAttr);
+              aligned + kPageHeaderBytes + 2 * kZoneMapBytesPerAttr);
     std::memcpy(odd, aligned, l3.page_size_bytes);
     DecodedPage copied =
         DecodePageBytes({odd, l3.page_size_bytes}, l3, p).value();
-    const DecodedPage transposed =
-        DecodePageBytes(std::string_view(v2).substr(l2.PageOffset(p),
-                                                    l2.page_size_bytes),
-                        l2, p)
-            .value();
     // A copy of an owning page stays valid after the original is gone.
     const DecodedPage copy_of_copied = [&] {
       DecodedPage moved = std::move(copied);
@@ -288,7 +271,7 @@ TEST(StorageTest, InPlaceCopiedAndTransposedDecodesAgree) {
     }();
     const DecodedPage copy_of_in_place = in_place;
     for (const DecodedPage* d :
-         {&in_place, &transposed, &copy_of_copied, &copy_of_in_place}) {
+         {&in_place, &copy_of_copied, &copy_of_in_place}) {
       ASSERT_EQ(d->num_records, l3.PageRecords(p));
       ASSERT_EQ(d->num_attrs, 2u);
       for (uint32_t a = 0; a < 2; ++a) {
@@ -316,7 +299,7 @@ TEST(StorageTest, WithinIsTheClosedBoxMirrorOfMayMatch) {
   GridFile f = GridFile::Create(std::move(schema), {2, 2}).value();
   ASSERT_TRUE(f.Insert({0.25, 0.5}).ok());
   ASSERT_TRUE(f.Insert({0.75, 0.125}).ok());
-  const std::string bytes = Serialize(f, 168, kFormatV3);  // Capacity 8.
+  const std::string bytes = Serialize(f, 168);  // Capacity 8.
   const FileLayout layout = ParseFileLayout(bytes).value();
   const DecodedPage p =
       DecodePageBytes(std::string_view(bytes).substr(
@@ -337,36 +320,11 @@ TEST(StorageTest, WithinIsTheClosedBoxMirrorOfMayMatch) {
   }
 }
 
-TEST(StorageTest, V2DecodedPageComputesZoneMapsInline) {
-  // v2 pages carry no stored zone maps; DecodePageBytes computes them
-  // from the rows so zone-map skipping works on row-major files too.
-  const GridFile original = MakeFile(30, 23);
-  const std::string bytes = Serialize(original, 136, kFormatV2);
-  const FileLayout layout = ParseFileLayout(bytes).value();
-  const std::string_view page0 =
-      std::string_view(bytes).substr(layout.PageOffset(0),
-                                     layout.page_size_bytes);
-  const DecodedPage page = DecodePageBytes(page0, layout, 0).value();
-  ASSERT_EQ(page.num_attrs, 2u);
-  for (uint32_t a = 0; a < 2; ++a) {
-    double lo = page.column(a)[0];
-    double hi = lo;
-    for (uint32_t r = 0; r < page.num_records; ++r) {
-      EXPECT_EQ(page.column(a)[r],
-                original.record(layout.page_capacity * 0 + r)[a]);
-      lo = std::min(lo, page.column(a)[r]);
-      hi = std::max(hi, page.column(a)[r]);
-    }
-    EXPECT_EQ(page.zone_min(a), lo);
-    EXPECT_EQ(page.zone_max(a), hi);
-  }
-}
-
 TEST(StorageTest, HardenedPageValidation) {
   const GridFile original = MakeFile(40, 13);
   // The record-count check runs before the page CRC, so each lie below is
   // caught by the structural check on its own, not by the checksum.
-  const std::string bytes = Serialize(original, 88, kFormatV2);
+  const std::string bytes = Serialize(original, 88);
   const FileLayout layout = ParseFileLayout(bytes).value();
   const auto reason = [](const std::string& copy) {
     return ParseGridFile(copy).status().message();
@@ -395,7 +353,7 @@ TEST(StorageTest, HardenedPageValidation) {
 
 TEST(StorageTest, FooterIntrospection) {
   const GridFile original = MakeFile(30, 14);
-  const std::string bytes = Serialize(original, 128, kFormatV2);
+  const std::string bytes = Serialize(original, 128);
   const FileLayout layout = ParseFileLayout(bytes).value();
   EXPECT_EQ(layout.expected_file_size, bytes.size());
   for (uint64_t p = 0; p < layout.num_pages; ++p) {
@@ -416,7 +374,21 @@ TEST(StorageTest, FooterIntrospection) {
 TEST(StorageTest, SerializationIsDeterministic) {
   const GridFile a = MakeFile(77, 15);
   const GridFile b = MakeFile(77, 15);
-  EXPECT_EQ(Serialize(a, 256, kFormatV2), Serialize(b, 256, kFormatV2));
+  EXPECT_EQ(Serialize(a, 256), Serialize(b, 256));
+}
+
+TEST(StorageTest, SerializedBytesArePinned) {
+  // A fixed relation's data file, byte for byte: its size and CRC32C in
+  // 168-byte pages (8 records each, the last page partial) and in one
+  // default 4 KiB page. A change to the writer or the page layout shows
+  // up here first.
+  const GridFile f = MakeFile(45, 61);
+  const std::string paged = Serialize(f, 168);
+  EXPECT_EQ(paged.size(), 1226u);
+  EXPECT_EQ(Crc32c(paged), 0x8b108ea8u);
+  const std::string single = Serialize(f);
+  EXPECT_EQ(single.size(), 4314u);
+  EXPECT_EQ(Crc32c(single), 0x04866cedu);
 }
 
 TEST(StorageTest, RejectsResealedNaNPages) {
@@ -436,33 +408,58 @@ TEST(StorageTest, RejectsResealedNaNPages) {
     ASSERT_FALSE(index.ok()) << what;
     EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument) << what;
   };
-  for (uint32_t version : {kFormatV2, kFormatV3}) {
-    SCOPED_TRACE(version);
-    const std::string bytes = Serialize(original, 168, version);
-    const FileLayout layout = ParseFileLayout(bytes).value();
-    // The last record's last attribute on page 1, in either format.
-    const uint64_t page = 1;
-    const uint32_t last = layout.PageRecords(page) - 1;
-    const uint64_t value_off =
-        version == kFormatV3
-            ? layout.PageOffset(page) + kPageHeaderBytesV3 +
-                  2 * kZoneMapBytesPerAttr +
-                  (uint64_t{layout.page_capacity} + last) * 8
-            : layout.PageOffset(page) + kPageHeaderBytesV2 +
-                  (uint64_t{last} * 2 + 1) * 8;
-    std::string copy = bytes;
-    std::memcpy(copy.data() + value_off, &nan, 8);
-    ResealPage(&copy, layout, page);
-    expect_rejected(copy, "value");
-  }
-  // A v3 page's stored zone map (attribute 0's max) set to NaN.
-  const std::string bytes = Serialize(original, 168, kFormatV3);
+  const std::string bytes = Serialize(original, 168);
   const FileLayout layout = ParseFileLayout(bytes).value();
+  // The last record's last attribute on page 1.
+  const uint64_t page = 1;
+  const uint32_t last = layout.PageRecords(page) - 1;
+  const uint64_t value_off = layout.PageOffset(page) + kPageHeaderBytes +
+                             2 * kZoneMapBytesPerAttr +
+                             (uint64_t{layout.page_capacity} + last) * 8;
   std::string copy = bytes;
-  std::memcpy(copy.data() + layout.PageOffset(0) + kPageHeaderBytesV3 + 8,
+  std::memcpy(copy.data() + value_off, &nan, 8);
+  ResealPage(&copy, layout, page);
+  expect_rejected(copy, "value");
+  // A page's stored zone map (attribute 0's max) set to NaN.
+  copy = bytes;
+  std::memcpy(copy.data() + layout.PageOffset(0) + kPageHeaderBytes + 8,
               &nan, 8);
   ResealPage(&copy, layout, 0);
-  expect_rejected(copy, "v3 zone map");
+  expect_rejected(copy, "zone map");
+}
+
+TEST(StorageTest, RejectsResealedZoneMapThatDisagreesWithItsPage) {
+  // Four records in one page (capacity (104 - 40) / 16 = 4) of a 2x2
+  // grid, x = 0.1 ... 0.4. A zone map narrowed below its page's true
+  // x-max would make a range scan accept the page whole and serve a
+  // record outside the range; one widened past the true x-min would
+  // misplace the page in the index. With the page CRC and footer
+  // recomputed, only the loaders' zone-map check can catch either, and
+  // both loaders must reject.
+  Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+  GridFile f = GridFile::Create(std::move(schema), {2, 2}).value();
+  for (double x : {0.1, 0.2, 0.3, 0.4}) ASSERT_TRUE(f.Insert({x, 0.2}).ok());
+  const std::string bytes = Serialize(f, 104);
+  const FileLayout layout = ParseFileLayout(bytes).value();
+  ASSERT_EQ(layout.num_pages, 1u);
+  ASSERT_TRUE(ParseGridFile(bytes).ok());
+  const uint64_t x_min_off = layout.PageOffset(0) + kPageHeaderBytes;
+  for (const auto& [offset, value] :
+       {std::pair<uint64_t, double>{x_min_off + 8, 0.25},
+        std::pair<uint64_t, double>{x_min_off, 0.05}}) {
+    SCOPED_TRACE(value);
+    std::string copy = bytes;
+    std::memcpy(copy.data() + offset, &value, 8);
+    ResealPage(&copy, layout, 0);
+    const Result<GridFile> parsed = ParseGridFile(copy);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(), "zone map disagrees with page 0");
+    const Result<PageIndex> index =
+        BuildPageIndex(copy, ParseGridFileHeader(copy).value());
+    ASSERT_FALSE(index.ok());
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 /// The bucket -> pages index the old serve load derived by walking every
@@ -494,11 +491,9 @@ WalkedIndex WalkRecords(const GridFile& file, uint32_t capacity) {
   return w;
 }
 
-void ExpectIndexMatchesRecordWalk(const GridFile& file, uint32_t page_size,
-                                  uint32_t version) {
-  SCOPED_TRACE("page_size " + std::to_string(page_size) + " v" +
-               std::to_string(version));
-  const std::string bytes = Serialize(file, page_size, version);
+void ExpectIndexMatchesRecordWalk(const GridFile& file, uint32_t page_size) {
+  SCOPED_TRACE("page_size " + std::to_string(page_size));
+  const std::string bytes = Serialize(file, page_size);
   const GridFileHeader header = ParseGridFileHeader(bytes).value();
   const PageIndex index = BuildPageIndex(bytes, header).value();
   const WalkedIndex walked = WalkRecords(ParseGridFile(bytes).value(),
@@ -552,14 +547,11 @@ TEST(PageIndexTest, MatchesTheRecordWalk) {
                       .ok());
     }
   }
-  // v3 capacities, (page - 40) / 16: 1, 5 (one bucket per page), 3 and 7
-  // (buckets straddle pages), 253. v2 capacities, (page - 8) / 16: 3, 7,
-  // 5, 9, 255.
-  for (uint32_t page_size : {56u, 120u, 88u, 152u, 4096u}) {
-    for (uint32_t version : {kFormatV2, kFormatV3}) {
-      ExpectIndexMatchesRecordWalk(arrival, page_size, version);
-      ExpectIndexMatchesRecordWalk(clustered, page_size, version);
-    }
+  // Capacities, (page - 40) / 16: 1, 5 (one bucket per page), 3, 7 and 9
+  // (buckets straddle pages), 253.
+  for (uint32_t page_size : {56u, 120u, 88u, 152u, 184u, 4096u}) {
+    ExpectIndexMatchesRecordWalk(arrival, page_size);
+    ExpectIndexMatchesRecordWalk(clustered, page_size);
   }
 }
 
@@ -568,7 +560,7 @@ TEST(PageIndexTest, ThreeAttributesAndEmptyFile) {
                       {{"a", 0.0, 1.0}, {"b", 0.0, 1.0}, {"c", 0.0, 1.0}})
                       .value();
   GridFile f = GridFile::Create(std::move(schema), {3, 4, 2}).value();
-  const std::string empty = Serialize(f, 256, kFormatV3);
+  const std::string empty = Serialize(f, 256);
   const PageIndex none =
       BuildPageIndex(empty, ParseGridFileHeader(empty).value()).value();
   EXPECT_TRUE(none.pages.empty());
@@ -579,10 +571,8 @@ TEST(PageIndexTest, ThreeAttributesAndEmptyFile) {
     ASSERT_TRUE(
         f.Insert({rng.NextDouble(), rng.NextDouble(), rng.NextDouble()}).ok());
   }
-  for (uint32_t page_size : {80u, 200u, 1024u}) {
-    for (uint32_t version : {kFormatV2, kFormatV3}) {
-      ExpectIndexMatchesRecordWalk(f, page_size, version);
-    }
+  for (uint32_t page_size : {80u, 104u, 200u, 232u, 1024u}) {
+    ExpectIndexMatchesRecordWalk(f, page_size);
   }
 }
 
@@ -590,7 +580,7 @@ TEST(PageIndexTest, RejectsWhatParseGridFileRejects) {
   // Same structural checks, same order: header, size, each page's record
   // count and CRC, footer.
   const GridFile original = MakeFile(40, 13);
-  const std::string bytes = Serialize(original, 88, kFormatV3);
+  const std::string bytes = Serialize(original, 88);
   const GridFileHeader header = ParseGridFileHeader(bytes).value();
   const auto reason = [&](const std::string& copy) {
     const Result<PageIndex> index = BuildPageIndex(copy, header);

@@ -63,15 +63,14 @@
 ///
 ///   declctl mkcatalog --dir DIR --grid 8x8 --disks 4 [--methods dm,hcam]
 ///                [--records 256] [--seed 42] [--page-size 4096]
-///                [--format 2|3] [--redundancy none|mirror|parity]
+///                [--redundancy none|mirror|parity]
 ///                [--copies 2] [--group-pages 8] [--clustered]
 ///                [--placement chained|spread|zone_aware
 ///                 --topology N[xR[xZ]] [--placement-seed S]]
 ///       Build a catalog of synthetic relations (one per method, uniform
 ///       random records) and commit it to DIR as a checksummed manifest
-///       generation, optionally with mirror or parity redundancy.
-///       `--format` picks the page layout (3 = columnar with zone maps,
-///       the default; 2 = the row-major v2 format). `--clustered`
+///       generation, optionally with mirror or parity redundancy. Pages
+///       are columnar with per-attribute zone maps. `--clustered`
 ///       inserts records bucket by bucket with per-bucket counts padded
 ///       to a page-capacity multiple, producing the bucket-clustered
 ///       layout `serve --fail-disk` requires.
@@ -145,6 +144,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "griddecl/cluster/cluster.h"
@@ -750,14 +750,16 @@ int CmdMkCatalog(const Flags& flags) {
   const auto records = flags.GetInt("records", 256);
   const auto seed = flags.GetInt("seed", 42);
   const auto page_size = flags.GetInt("page-size", 4096);
-  const auto format = flags.GetInt("format", kLatestFormatVersion);
   if (!disks.ok() || !records.ok() || !seed.ok() || !page_size.ok() ||
-      !format.ok() || disks.value() < 1 || records.value() < 0 ||
-      page_size.value() < 1) {
+      disks.value() < 1 || records.value() < 0 || page_size.value() < 1) {
     return Fail("bad numeric flag");
   }
-  if (format.value() != kFormatV2 && format.value() != kFormatV3) {
-    return Fail("--format must be 2 or 3");
+  // Both are cast to uint32_t below; reject what the cast would wrap.
+  if (disks.value() > std::numeric_limits<uint32_t>::max()) {
+    return Fail("--disks out of range");
+  }
+  if (page_size.value() > kMaxPageSizeBytes) {
+    return Fail("--page-size above " + std::to_string(kMaxPageSizeBytes));
   }
   Result<RelationRedundancy> redundancy = RedundancyFromFlags(flags);
   if (!redundancy.ok()) return Fail(redundancy.status().ToString());
@@ -795,8 +797,7 @@ int CmdMkCatalog(const Flags& flags) {
       // bucket's count to a page-capacity multiple so no storage page
       // mixes buckets — the layout `serve --fail-disk` requires.
       const uint32_t capacity =
-          PageCapacityFor(static_cast<uint32_t>(format.value()),
-                          static_cast<uint32_t>(page_size.value()),
+          PageCapacityFor(static_cast<uint32_t>(page_size.value()),
                           grid.value().num_dims());
       if (capacity < 1) return Fail("--page-size too small for --clustered");
       const uint64_t num_buckets = grid.value().num_buckets();
@@ -845,7 +846,6 @@ int CmdMkCatalog(const Flags& flags) {
   MetricsSink sink(flags);
   ManifestSaveOptions options;
   options.page_size_bytes = static_cast<uint32_t>(page_size.value());
-  options.format_version = static_cast<uint32_t>(format.value());
   options.default_redundancy = redundancy.value();
   options.metrics = sink.registry();
   if (placement.value().has_value()) {
