@@ -1,11 +1,13 @@
 #include "griddecl/cluster/cluster.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <future>
 #include <utility>
 
+#include "griddecl/common/backoff.h"
 #include "griddecl/common/hash.h"
 #include "griddecl/methods/registry.h"
 
@@ -92,7 +94,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = std::move(options);
   const ClusterOptions& opts = cluster->options_;
-  cluster->start_ = std::chrono::steady_clock::now();
 
   // Preallocate every slot up to max_nodes so AddNode never reallocates
   // state concurrent Execute calls index into.
@@ -118,8 +119,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   }
   cluster->active_nodes_.store(opts.num_nodes);
 
+  cluster->node_breakers_ =
+      std::make_unique<BreakerSet>(max_nodes, opts.node_breaker);
   for (uint32_t n = 0; n < max_nodes; ++n) {
-    cluster->node_breakers_.emplace_back(opts.node_breaker);
     cluster->node_query_ms_.emplace_back(obs::DefaultLatencyBoundsMs());
   }
 
@@ -238,9 +240,7 @@ std::vector<std::string> Cluster::RelationNames() const {
 }
 
 BreakerState Cluster::NodeBreakerState(uint32_t node) const {
-  GRIDDECL_CHECK(node < node_breakers_.size());
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return node_breakers_[node].state();
+  return node_breakers_->StateOf(node);
 }
 
 bool Cluster::NodeAlive(uint32_t node) const {
@@ -280,25 +280,6 @@ std::optional<uint32_t> Cluster::LivePeerAt(uint64_t generation,
   return std::nullopt;
 }
 
-bool Cluster::NodeWouldRefuse(uint32_t node) const {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return node_breakers_[node].WouldRefuse(SteadyNowMs());
-}
-
-bool Cluster::NodeAdmit(uint32_t node) {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return node_breakers_[node].AllowRequest(SteadyNowMs());
-}
-
-void Cluster::RecordNodeOutcome(uint32_t node, bool success) {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  if (success) {
-    node_breakers_[node].RecordSuccess(SteadyNowMs());
-  } else {
-    node_breakers_[node].RecordFailure(SteadyNowMs());
-  }
-}
-
 void Cluster::ObserveNodeLatency(uint32_t node, double ms) {
   std::lock_guard<std::mutex> lock(metrics_mu_);
   node_query_ms_[node].Observe(ms);
@@ -319,21 +300,24 @@ double Cluster::HedgeDelayMs(uint32_t node, uint64_t seq) const {
   return base * (1.0 + 0.25 * HashUnit(options_.seed, node, seq));
 }
 
-double Cluster::SteadyNowMs() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
-void Cluster::AdvanceTimeMs(double now_ms) {
+Status Cluster::AdvanceTimeMs(double now_ms) {
+  std::lock_guard<std::mutex> lock(hb_mu_);
+  const double current = virtual_now_ms_.load();
+  if (!(now_ms >= current)) {  // Also refuses NaN.
+    char message[128];
+    std::snprintf(message, sizeof(message),
+                  "virtual time only moves forward: %g ms is before %g ms",
+                  now_ms, current);
+    return Status::InvalidArgument(message);
+  }
   virtual_now_ms_.store(now_ms);
   // Drive the failure detector over every heartbeat tick in the advanced
   // span. The probe answers iff the node is alive now — a pure function of
   // the kill, revive and AdvanceTimeMs calls, so detector verdicts are
   // deterministic and replayable.
-  std::lock_guard<std::mutex> lock(hb_mu_);
   heartbeat_->AdvanceTo(now_ms,
                         [this](uint32_t n, double) { return NodeAlive(n); });
+  return Status::Ok();
 }
 
 std::vector<uint32_t> Cluster::DeadNodesForRepair() const {
@@ -583,7 +567,7 @@ Status Cluster::RemoveNode(uint32_t node) {
 }
 
 ClusterQueryResult Cluster::Execute(const serve::QueryRequest& request) {
-  const double t0 = SteadyNowMs();
+  const double t0 = MonotonicNowMs();
   auto epoch = CurrentEpoch();
   ClusterQueryResult result =
       ExecuteOnEpoch(*epoch, request, /*allow_hedge=*/options_.hedging);
@@ -606,7 +590,7 @@ ClusterQueryResult Cluster::Execute(const serve::QueryRequest& request) {
     if (mismatch) ++verify_mismatches_;
   }
 
-  result.total_ms = SteadyNowMs() - t0;
+  result.total_ms = MonotonicNowMs() - t0;
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++queries_;
@@ -699,7 +683,8 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       -> Result<std::future<serve::QueryResult>> {
     // A repair epoch carries null services for the nodes it planned
     // around; planning avoids them, but guard the submit.
-    if (epoch.services[sub.node] == nullptr || !NodeAdmit(sub.node)) {
+    if (epoch.services[sub.node] == nullptr ||
+        !node_breakers_->Admit(sub.node)) {
       return Status::Unavailable("no service on node, or its breaker is open");
     }
     serve::QueryRequest req = request;
@@ -754,7 +739,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     // stats and, on success, merges the matches. Returns whether it
     // served the sub-query.
     auto settle = [&](uint32_t node, const serve::QueryResult& r) {
-      RecordNodeOutcome(node, r.status.ok());
+      node_breakers_->Record(node, r.status.ok());
       ObserveNodeLatency(node, r.total_ms);
       if (!r.status.ok()) return false;
       result.matches.insert(result.matches.end(), r.matches.begin(),
@@ -890,7 +875,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
 bool Cluster::NodeUsable(uint32_t node,
                          const std::vector<uint32_t>& tried) const {
   return std::find(tried.begin(), tried.end(), node) == tried.end() &&
-         NodeAlive(node) && !NodeWouldRefuse(node);
+         NodeAlive(node) && !node_breakers_->WouldRefuse(node);
 }
 
 std::vector<Cluster::Route> Cluster::RouteDisks(
@@ -1001,11 +986,7 @@ void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {
   h->Reset();
   h->Merge(query_ms_);
 
-  BreakerCounters totals;
-  {
-    std::lock_guard<std::mutex> block(breaker_mu_);
-    for (const auto& b : node_breakers_) totals += b.counters();
-  }
+  const BreakerCounters totals = node_breakers_->Totals();
   set("cluster.node_breaker.opened", totals.opened);
   set("cluster.node_breaker.half_opened", totals.half_opened);
   set("cluster.node_breaker.closed", totals.closed);

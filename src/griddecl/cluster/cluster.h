@@ -2,7 +2,6 @@
 #define GRIDDECL_CLUSTER_CLUSTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -339,9 +338,11 @@ class Cluster {
   Status KillZone(uint32_t zone);
   Status ReviveZone(uint32_t zone);
 
-  /// Advances the virtual clock the heartbeat detector runs on
-  /// (monotonically, by convention).
-  void AdvanceTimeMs(double now_ms);
+  /// Advances the virtual clock the heartbeat detector runs on to
+  /// `now_ms`. The clock only moves forward: a time earlier than
+  /// VirtualNowMs(), or NaN, is kInvalidArgument and changes nothing; the
+  /// same time again is a no-op advance.
+  Status AdvanceTimeMs(double now_ms);
   double VirtualNowMs() const { return virtual_now_ms_.load(); }
 
   /// Live re-declustering: moves the serving catalog to a new declustering
@@ -557,16 +558,9 @@ class Cluster {
   /// Admits one extra sub-query (hedge or failover retry) against the
   /// cluster-wide hedge budget; false = over budget, skip it.
   bool AdmitExtraSub(bool is_hedge);
-  bool NodeWouldRefuse(uint32_t node) const;
-  /// Breaker admission for one sub-query (may consume the half-open probe
-  /// slot); false = treat the node as refused.
-  bool NodeAdmit(uint32_t node);
-  void RecordNodeOutcome(uint32_t node, bool success);
   void ObserveNodeLatency(uint32_t node, double ms);
   /// Hedge delay for `node` on coordinator sequence number `seq`.
   double HedgeDelayMs(uint32_t node, uint64_t seq) const;
-  /// Milliseconds since cluster start (steady clock; breakers + stats).
-  double SteadyNowMs() const;
 
   ClusterOptions options_;
   std::vector<std::string> placement_warnings_;
@@ -579,7 +573,7 @@ class Cluster {
   std::atomic<uint32_t> active_nodes_{0};
   /// RemoveNode count — shrinks the quorum denominator.
   std::atomic<uint32_t> removed_count_{0};
-  std::chrono::steady_clock::time_point start_;
+  /// Written under hb_mu_, so it moves forward with the detector.
   std::atomic<double> virtual_now_ms_{0.0};
 
   /// Serializes AddNode, from slot claim to epoch publish.
@@ -589,8 +583,8 @@ class Cluster {
   std::shared_ptr<const Epoch> epoch_;
   std::shared_ptr<const Epoch> staging_epoch_;
 
-  mutable std::mutex breaker_mu_;
-  std::vector<CircuitBreaker> node_breakers_;
+  /// One breaker per node slot (max_nodes).
+  std::unique_ptr<BreakerSet> node_breakers_;
 
   /// Virtual-clock failure detector; AdvanceTo/MarkRemoved/Reset are
   /// serialized by hb_mu_, health reads are lock-free.

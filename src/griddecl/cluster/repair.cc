@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "griddecl/cluster/transition.h"
+#include "griddecl/common/backoff.h"
 #include "griddecl/common/hash.h"
 
 namespace griddecl::cluster {
@@ -176,7 +177,7 @@ Result<RepairPlan> PlanRepair(const RepairPlanInput& input) {
 
 Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
   RepairReport report;
-  const double wall_t0 = SteadyNowMs();
+  const double wall_t0 = MonotonicNowMs();
   // Redundancy-restored-by anchor: the earliest detector death among the
   // nodes being repaired around.
   double earliest_dead = std::numeric_limits<double>::infinity();
@@ -245,7 +246,7 @@ Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
     if (std::isfinite(earliest_dead)) {
       report.mttr_virtual_ms = std::max(0.0, VirtualNowMs() - earliest_dead);
     }
-    report.mttr_wall_ms = SteadyNowMs() - wall_t0;
+    report.mttr_wall_ms = MonotonicNowMs() - wall_t0;
   }
   std::lock_guard<std::mutex> lock(metrics_mu_);
   if (report.committed) {

@@ -29,7 +29,9 @@
 /// face of correlated failures. `repair` runs a paced re-replication
 /// repair (optional bytes/sec pacing budget; omitted or 0 = unpaced);
 /// note the heartbeat must have declared the losses dead first (advance
-/// the virtual clock past dead_after intervals). `add-node` grows the
+/// the virtual clock past dead_after intervals). `advance-ms` sets the
+/// virtual clock to an absolute time, never earlier than the last one.
+/// `add-node` grows the
 /// cluster by one node in the given rack/zone (== the current count
 /// appends a new rack / opens a new zone); `remove-node` decommissions a
 /// node — the next `repair` evacuates it.

@@ -142,7 +142,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
       // device, so a paced copy never bursts ahead of its rate.
       if (options_.copy_bytes_per_sec > 0.0) {
         const double wait =
-            bucket.ConsumeDelayMs(charge, cluster_->SteadyNowMs());
+            bucket.ConsumeDelayMs(charge, MonotonicNowMs());
         if (wait > 0.0) {
           report->pacing_wait_ms += wait;
           if (const char* trigger = SleepAbortable(wait)) {

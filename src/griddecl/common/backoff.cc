@@ -67,6 +67,14 @@ double BackoffTotalDelayMs(const BackoffPolicy& policy, uint64_t seed,
   return total;
 }
 
+double MonotonicNowMs() {
+  static const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 void SleepInterruptible(double ms, const std::function<bool()>& stop) {
   while (ms > 0.0 && !stop()) {
     const double slice = std::min(ms, kSleepSliceMs);

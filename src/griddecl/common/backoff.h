@@ -7,7 +7,9 @@
 #include "griddecl/common/status.h"
 
 /// \file
-/// Seeded exponential backoff with full jitter.
+/// Seeded exponential backoff with full jitter, and the wall-clock time
+/// the waits run on: the process's monotonic clock and its one abortable
+/// sleep.
 ///
 /// Two subsystems retry transient read errors: the I/O simulators (the
 /// fault model charges a firmware-style wait per failed attempt) and the
@@ -63,6 +65,12 @@ double BackoffDelayMs(const BackoffPolicy& policy, uint64_t seed,
 /// wait a request pays for `failed_attempts` consecutive failures.
 double BackoffTotalDelayMs(const BackoffPolicy& policy, uint64_t seed,
                            uint64_t token, uint32_t failed_attempts);
+
+/// Milliseconds on the process's one monotonic wall clock, counted from its
+/// first reading. Serve and cluster read it for deadlines, breakers,
+/// pacing and `total_ms`; the cluster's heartbeat detector and MTTR run on
+/// the cluster's virtual clock instead (`Cluster::AdvanceTimeMs`).
+double MonotonicNowMs();
 
 /// Sleeps `ms` of wall time in 5 ms slices, checking `stop` before each
 /// slice and returning early once it reports true, so a stop is noticed

@@ -29,10 +29,6 @@ Result<std::unique_ptr<FaultyEnv>> FaultyEnv::Create(StorageEnv* target,
       return Status::InvalidArgument("permanent fault ranges must be "
                                      "non-empty");
     }
-    if (!(r.from_ms >= 0.0) || !(r.until_ms > r.from_ms)) {
-      return Status::InvalidArgument("fault window must satisfy "
-                                     "0 <= from_ms < until_ms");
-    }
   }
   return std::unique_ptr<FaultyEnv>(new FaultyEnv(target, std::move(opts)));
 }
@@ -51,10 +47,8 @@ bool FaultyEnv::TransientFails(const std::string& file, uint64_t offset,
 
 bool FaultyEnv::PermanentlyFaulted(const std::string& file, uint64_t offset,
                                    uint64_t length) const {
-  const double now = now_ms_.load();
   for (const FaultRange& r : opts_.permanent) {
-    if (!r.file.empty() && r.file != file) continue;
-    if (now < r.from_ms || now >= r.until_ms) continue;
+    if (r.file != file) continue;
     const uint64_t r_end = (r.length > UINT64_MAX - r.offset)
                                ? UINT64_MAX
                                : r.offset + r.length;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,21 +31,12 @@
 
 namespace griddecl {
 
-/// A permanently unreadable byte range of one env file.
-///
-/// An empty `file` is a wildcard matching every file — combined with the
-/// window fields below it expresses a whole-node crash ("every read on this
-/// node fails from T until T'"). The window is evaluated against the env's
-/// *virtual* clock (`SetNowMs`), never wall time, so fault schedules replay
-/// identically run over run. Defaults keep the pre-window semantics: a range
-/// with no window set is faulted forever.
+/// A byte range of one env file that is unreadable for the env's whole
+/// life. A whole-node death is `Cluster::KillNode`, not a fault range.
 struct FaultRange {
   std::string file;
   uint64_t offset = 0;
   uint64_t length = 0;
-  /// The range is faulted while from_ms <= now < until_ms.
-  double from_ms = 0.0;
-  double until_ms = std::numeric_limits<double>::infinity();
 };
 
 struct FaultyEnvOptions {
@@ -95,16 +85,9 @@ class FaultyEnv : public StorageEnv {
   bool TransientFails(const std::string& file, uint64_t offset,
                       uint32_t attempt) const;
 
-  /// True iff [offset, offset+length) overlaps any fault range of `file`
-  /// (or a wildcard range) whose window contains the current virtual time.
+  /// True iff [offset, offset+length) overlaps any fault range of `file`.
   bool PermanentlyFaulted(const std::string& file, uint64_t offset,
                           uint64_t length) const;
-
-  /// Advances the virtual clock that windowed fault ranges are evaluated
-  /// against. The clock only ever moves by explicit calls — fault windows
-  /// open and close deterministically, never from wall time.
-  void SetNowMs(double now_ms) { now_ms_.store(now_ms); }
-  double NowMs() const { return now_ms_.load(); }
 
   /// Additional real wall-clock delay on every ReadAt, on top of
   /// `latency_ms`, adjustable at runtime (negative values clamp to 0).
@@ -141,7 +124,6 @@ class FaultyEnv : public StorageEnv {
   mutable std::atomic<uint64_t> reads_issued_{0};
   mutable std::atomic<uint64_t> transient_faults_{0};
   mutable std::atomic<uint64_t> permanent_faults_{0};
-  std::atomic<double> now_ms_{0.0};
   std::atomic<double> extra_latency_ms_{0.0};
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "griddecl/common/crc32c.h"
 #include "griddecl/gridfile/page_store.h"
@@ -87,7 +88,9 @@ RelationScrubReport ScrubRelation(StorageEnv* env, PageStore* store,
 
   // Fast path: primary verifies wholesale against the manifest.
   const bool intact = MatchesManifest(primary, rel.data_size, rel.data_crc);
-  std::string fixed = primary;
+  // Nothing reads `primary` again: the census re-reads the data file
+  // through the store, so the bytes move instead of copying a whole file.
+  std::string fixed = std::move(primary);
   if (intact) {
     rep.clean = true;
   } else {

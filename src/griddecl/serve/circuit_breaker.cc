@@ -1,5 +1,6 @@
 #include "griddecl/serve/circuit_breaker.h"
 
+#include "griddecl/common/backoff.h"
 #include "griddecl/common/check.h"
 
 namespace griddecl {
@@ -116,6 +117,55 @@ void CircuitBreaker::RecordFailure(double now_ms) {
     counters_.opened++;
     Trip(now_ms);
   }
+}
+
+BreakerSet::BreakerSet(size_t size, const BreakerOptions& opts)
+    : breakers_(size, CircuitBreaker(opts)) {}
+
+bool BreakerSet::Admit(size_t i) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breakers_[i].AllowRequest(MonotonicNowMs());
+}
+
+bool BreakerSet::WouldRefuse(size_t i) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breakers_[i].WouldRefuse(MonotonicNowMs());
+}
+
+bool BreakerSet::WouldRefuse(const std::vector<bool>& probe,
+                             std::vector<bool>* refused) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const double now = MonotonicNowMs();
+  bool any = false;
+  for (size_t i = 0; i < breakers_.size(); ++i) {
+    if (probe[i] && breakers_[i].WouldRefuse(now)) {
+      (*refused)[i] = true;
+      any = true;
+    }
+  }
+  return any;
+}
+
+void BreakerSet::Record(size_t i, bool success) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (success) {
+    breakers_[i].RecordSuccess(MonotonicNowMs());
+  } else {
+    breakers_[i].RecordFailure(MonotonicNowMs());
+  }
+}
+
+BreakerState BreakerSet::StateOf(size_t i) const {
+  GRIDDECL_CHECK(i < breakers_.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  return breakers_[i].state();
+}
+
+BreakerCounters BreakerSet::Totals() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  BreakerCounters totals;
+  for (const CircuitBreaker& b : breakers_) totals += b.counters();
+  return totals;
 }
 
 }  // namespace griddecl

@@ -1,20 +1,23 @@
 #ifndef GRIDDECL_SERVE_CIRCUIT_BREAKER_H_
 #define GRIDDECL_SERVE_CIRCUIT_BREAKER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
 #include "griddecl/common/status.h"
 
 /// \file
-/// Per-disk circuit breaker for the serving layer.
+/// Circuit breakers for the serving layer's disks and the cluster's nodes.
 ///
 /// The classic three-state machine (closed -> open -> half-open), with two
 /// choices that keep it deterministic and testable:
 ///
-///  * **Virtual time.** Every method takes `now_ms` explicitly; the breaker
-///    never reads a clock. Tests drive arbitrary schedules; the service
-///    passes its own monotonic clock.
-///  * **No internal locking.** The service guards each breaker with its own
+///  * **Explicit time.** Every method takes `now_ms`; the breaker never
+///    reads a clock. Tests drive arbitrary schedules; `BreakerSet` passes
+///    the process's monotonic clock (`MonotonicNowMs`).
+///  * **No internal locking.** A `BreakerSet` guards its breakers with one
 ///    mutex; the property test exercises the state machine single-threaded
 ///    with randomized event sequences.
 ///
@@ -42,7 +45,7 @@ struct BreakerOptions {
   uint32_t window = 32;
   /// Trip threshold: failures / total >= failure_ratio opens the breaker.
   double failure_ratio = 0.5;
-  /// Virtual milliseconds an open breaker waits before admitting the
+  /// Milliseconds an open breaker waits before admitting the
   /// half-open probe. Use a huge value (e.g. 1e18) to pin a tripped breaker
   /// open for a whole test.
   double open_ms = 100.0;
@@ -76,7 +79,7 @@ class CircuitBreaker {
   /// `opts` must satisfy ValidateBreakerOptions (checked).
   explicit CircuitBreaker(const BreakerOptions& opts);
 
-  /// True iff a request may proceed at virtual time `now_ms`. In the open
+  /// True iff a request may proceed at time `now_ms`. In the open
   /// state this transitions to half-open (admitting exactly one probe) once
   /// `open_ms` has elapsed; while a probe is outstanding every other caller
   /// is refused.
@@ -110,6 +113,35 @@ class CircuitBreaker {
   uint64_t window_total_ = 0;
   uint64_t window_failures_ = 0;
   BreakerCounters counters_;
+};
+
+/// One breaker per member (a serving disk, a cluster node) under one mutex,
+/// read at `MonotonicNowMs`. The serving layer's per-disk breakers and the
+/// cluster's per-node breakers are each one set. Thread-safe.
+class BreakerSet {
+ public:
+  /// `opts` must satisfy ValidateBreakerOptions (checked).
+  BreakerSet(size_t size, const BreakerOptions& opts);
+
+  /// `AllowRequest` of member `i`, now: may consume the half-open probe.
+  bool Admit(size_t i);
+  /// `WouldRefuse` of member `i`, now.
+  bool WouldRefuse(size_t i) const;
+  /// Sets `refused[i]` for every member with `probe[i]` whose breaker would
+  /// refuse now, under one lock hold and one clock read. Both vectors hold
+  /// one entry per member. Returns whether any member was refused.
+  bool WouldRefuse(const std::vector<bool>& probe,
+                   std::vector<bool>* refused) const;
+  /// Reports the outcome of a request member `i` admitted.
+  void Record(size_t i, bool success);
+
+  BreakerState StateOf(size_t i) const;
+  /// Transition counters summed over every member.
+  BreakerCounters Totals() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<CircuitBreaker> breakers_;
 };
 
 }  // namespace griddecl

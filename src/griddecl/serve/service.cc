@@ -53,9 +53,8 @@ QueryService::QueryService(const StorageEnv* env, ServeOptions options,
     : env_(env),
       options_(options),
       num_disks_(num_disks),
-      start_(std::chrono::steady_clock::now()),
+      breakers_(num_disks, options.breaker),
       latency_ms_(obs::DefaultLatencyBoundsMs()) {
-  breakers_.assign(num_disks_, CircuitBreaker(options_.breaker));
   PageStore::Options store_options;
   store_options.pool_pages = options_.pool_pages;
   store_options.seed = options_.seed;
@@ -168,16 +167,10 @@ Result<QueryService::Relation> QueryService::LoadRelation(
       .index = std::move(pages).value()};
 }
 
-double QueryService::NowMs() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
 Result<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
   Pending p;
   p.request = std::move(request);
-  const double now = NowMs();
+  const double now = MonotonicNowMs();
   p.submitted_ms = now;
   const double budget = p.request.deadline_ms > 0.0
                             ? p.request.deadline_ms
@@ -269,12 +262,12 @@ void QueryService::WorkerLoop(uint32_t /*worker_id*/) {
 
 QueryResult QueryService::RunQuery(const Pending& p) {
   QueryResult result;
-  const double started = NowMs();
+  const double started = MonotonicNowMs();
   result.queue_ms = started - p.submitted_ms;
   const auto finish = [&](Status st) -> QueryResult {
     result.status = std::move(st);
     if (!result.status.ok()) result.matches.clear();
-    result.total_ms = NowMs() - p.submitted_ms;
+    result.total_ms = MonotonicNowMs() - p.submitted_ms;
     return std::move(result);
   };
 
@@ -349,17 +342,8 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     }
   });
   std::vector<bool> refused(num_disks_, false);
-  bool any_refused = false;
-  if (!sub_query) {
-    std::lock_guard<std::mutex> lock(breaker_mu_);
-    const double now = NowMs();
-    for (uint32_t d = 0; d < num_disks_; ++d) {
-      if (touched[d] && breakers_[d].WouldRefuse(now)) {
-        refused[d] = true;
-        any_refused = true;
-      }
-    }
-  }
+  const bool any_refused =
+      !sub_query && breakers_.WouldRefuse(touched, &refused);
 
   struct Assign {
     uint64_t addr = 0;
@@ -569,7 +553,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     if (hard_stop_.load()) {
       return finish(Status::Unavailable("service shutting down"));
     }
-    if (p.deadline_ms != kNoDeadline && NowMs() > p.deadline_ms) {
+    if (p.deadline_ms != kNoDeadline && MonotonicNowMs() > p.deadline_ms) {
       return finish(
           Status::DeadlineExceeded("deadline expired between disk batches"));
     }
@@ -577,9 +561,9 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     // disk, or because its breaker tripped (or lost the probe race) since
     // planning — then every page goes straight to the degraded path. A
     // sub-query's batch bypasses the breaker and feeds it nothing.
-    const bool admitted = sub_query || AllowDisk(disk);
+    const bool admitted = sub_query || breakers_.Admit(disk);
     const auto fail = [&](Status st) {
-      if (!sub_query && admitted) RecordDiskOutcome(disk, false);
+      if (!sub_query && admitted) breakers_.Record(disk, false);
       return finish(std::move(st));
     };
     bool direct_ok = true;
@@ -623,7 +607,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
         scan(reads[i++], pinned.value().decoded());
       }
     }
-    if (!sub_query && admitted) RecordDiskOutcome(disk, direct_ok);
+    if (!sub_query && admitted) breakers_.Record(disk, direct_ok);
     batch = batch_end;
   }
 
@@ -658,7 +642,7 @@ InterruptFn QueryService::MakeInterrupt(double deadline_ms) const {
     if (hard_stop_.load()) {
       return Status::Unavailable("service shutting down");
     }
-    if (deadline_ms != kNoDeadline && NowMs() > deadline_ms) {
+    if (deadline_ms != kNoDeadline && MonotonicNowMs() > deadline_ms) {
       return Status::DeadlineExceeded("deadline expired before read");
     }
     return Status::Ok();
@@ -766,20 +750,6 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
   return PinnedPage(std::move(frame));
 }
 
-bool QueryService::AllowDisk(uint32_t disk) {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return breakers_[disk].AllowRequest(NowMs());
-}
-
-void QueryService::RecordDiskOutcome(uint32_t disk, bool success) {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  if (success) {
-    breakers_[disk].RecordSuccess(NowMs());
-  } else {
-    breakers_[disk].RecordFailure(NowMs());
-  }
-}
-
 Status QueryService::Shutdown() {
   std::lock_guard<std::mutex> serialize(shutdown_mu_);
   {
@@ -787,14 +757,10 @@ Status QueryService::Shutdown() {
     if (shutdown_done_) return shutdown_status_;
     draining_ = true;
     queue_cv_.notify_all();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                options_.drain_deadline_ms));
-    const bool drained = drained_cv_.wait_until(lock, deadline, [&] {
-      return queue_.empty() && in_flight_ == 0;
-    });
+    const bool drained = drained_cv_.wait_for(
+        lock,
+        std::chrono::duration<double, std::milli>(options_.drain_deadline_ms),
+        [&] { return queue_.empty() && in_flight_ == 0; });
     if (drained) {
       shutdown_status_ = Status::Ok();
     } else {
@@ -852,16 +818,11 @@ void QueryService::SnapshotMetrics(MetricsRegistry* out) const {
 }
 
 BreakerState QueryService::BreakerStateOf(uint32_t disk) const {
-  GRIDDECL_CHECK(disk < num_disks_);
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return breakers_[disk].state();
+  return breakers_.StateOf(disk);
 }
 
 BreakerCounters QueryService::BreakerTotals() const {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  BreakerCounters totals;
-  for (const CircuitBreaker& b : breakers_) totals += b.counters();
-  return totals;
+  return breakers_.Totals();
 }
 
 std::vector<std::string> QueryService::RelationNames() const {
@@ -875,15 +836,6 @@ std::vector<std::string> QueryService::RelationNames() const {
 Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
                                                   const std::string& relation,
                                                   uint32_t disk) {
-  return DiskFaultSchedule(env, relation, disk, 0.0,
-                           std::numeric_limits<double>::infinity());
-}
-
-Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
-                                                  const std::string& relation,
-                                                  uint32_t disk,
-                                                  double from_ms,
-                                                  double until_ms) {
   Result<CatalogManifest> manifest = ReadCurrentManifest(env);
   if (!manifest.ok()) return manifest.status();
   const CatalogManifest& m = manifest.value();
@@ -935,15 +887,15 @@ Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
           "size whose capacity divides the per-bucket record count)");
     }
     if (primary == disk) {
-      ranges.push_back({rel.copy_files[0], l.PageOffset(page),
-                        l.page_size_bytes, from_ms, until_ms});
+      ranges.push_back(
+          {rel.copy_files[0], l.PageOffset(page), l.page_size_bytes});
     }
     const std::vector<uint32_t> disks = rel.placement->DisksOf(
         grid.Delinearize(page_any_bucket[static_cast<size_t>(page)]));
     for (uint32_t copy = 1; copy < disks.size(); ++copy) {
       if (disks[copy] == disk) {
-        ranges.push_back({rel.copy_files[copy], l.PageOffset(page),
-                          l.page_size_bytes, from_ms, until_ms});
+        ranges.push_back(
+            {rel.copy_files[copy], l.PageOffset(page), l.page_size_bytes});
       }
     }
   }

@@ -278,7 +278,7 @@ class QueryService {
   struct Pending {
     QueryRequest request;
     std::promise<QueryResult> promise;
-    /// Absolute deadline on the service clock; +inf when none.
+    /// Absolute deadline on `MonotonicNowMs`; +inf when none.
     double deadline_ms = 0.0;
     double submitted_ms = 0.0;
   };
@@ -293,11 +293,7 @@ class QueryService {
                                        const CatalogManifest& manifest,
                                        size_t index);
   friend Result<std::vector<FaultRange>> DiskFaultSchedule(
-      const StorageEnv& env, const std::string& relation, uint32_t disk,
-      double from_ms, double until_ms);
-
-  /// Milliseconds since service start (steady clock).
-  double NowMs() const;
+      const StorageEnv& env, const std::string& relation, uint32_t disk);
 
   void WorkerLoop(uint32_t worker_id);
   QueryResult RunQuery(const Pending& p);
@@ -331,15 +327,11 @@ class QueryService {
   /// Built once per query and shared by all of its reads.
   InterruptFn MakeInterrupt(double deadline_ms) const;
 
-  bool AllowDisk(uint32_t disk);
-  void RecordDiskOutcome(uint32_t disk, bool success);
-
   const StorageEnv* env_;
   ServeOptions options_;
   std::unique_ptr<PageStore> store_;
   uint32_t num_disks_;
   uint64_t generation_ = 0;
-  std::chrono::steady_clock::time_point start_;
   std::unordered_map<std::string, Relation> relations_;
 
   mutable std::mutex queue_mu_;
@@ -355,8 +347,8 @@ class QueryService {
   /// Serializes Shutdown callers (taken before queue_mu_).
   std::mutex shutdown_mu_;
 
-  mutable std::mutex breaker_mu_;
-  std::vector<CircuitBreaker> breakers_;
+  /// One breaker per virtual disk.
+  BreakerSet breakers_;
 
   /// Totals guarded by metrics_mu_ (workers update per query, not per
   /// page, so contention is negligible).
@@ -386,15 +378,6 @@ class QueryService {
 Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
                                                   const std::string& relation,
                                                   uint32_t disk);
-
-/// Windowed variant: the same ranges, active only while
-/// from_ms <= virtual now < until_ms — a disk that dies at T and recovers
-/// at T', in the schedule language `FaultyEnv::SetNowMs` evaluates.
-Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
-                                                  const std::string& relation,
-                                                  uint32_t disk,
-                                                  double from_ms,
-                                                  double until_ms);
 
 }  // namespace griddecl::serve
 

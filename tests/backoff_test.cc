@@ -119,5 +119,19 @@ TEST(BackoffTest, SleepInterruptibleChecksStopBeforeEverySlice) {
   EXPECT_EQ(checks, 0);
 }
 
+TEST(BackoffTest, MonotonicNowMsNeverMovesBackwards) {
+  double last = MonotonicNowMs();
+  EXPECT_GE(last, 0.0);
+  for (int i = 0; i < 1000; ++i) {
+    const double now = MonotonicNowMs();
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  // A wall-clock sleep shows on the clock (margin for rounding).
+  const double before = MonotonicNowMs();
+  SleepInterruptible(5.0, [] { return false; });
+  EXPECT_GE(MonotonicNowMs() - before, 4.9);
+}
+
 }  // namespace
 }  // namespace griddecl

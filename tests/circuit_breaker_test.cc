@@ -1,5 +1,8 @@
 #include "griddecl/serve/circuit_breaker.h"
 
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "griddecl/common/random.h"
@@ -208,6 +211,69 @@ TEST(CircuitBreakerPropertyTest, RandomSequencesNeverReachInvalidStates) {
       EXPECT_LE(b.FailureRatio(), 1.0);
       last = c;
     }
+  }
+}
+
+TEST(BreakerSetTest, MembersTripIndependently) {
+  BreakerOptions o = FastTrip();
+  o.open_ms = 1e18;  // Once open, stays open.
+  BreakerSet set(3, o);
+  set.Record(1, false);
+  set.Record(1, false);
+  EXPECT_EQ(set.StateOf(0), BreakerState::kClosed);
+  EXPECT_EQ(set.StateOf(1), BreakerState::kOpen);
+  EXPECT_EQ(set.StateOf(2), BreakerState::kClosed);
+  EXPECT_TRUE(set.WouldRefuse(1));
+  EXPECT_FALSE(set.WouldRefuse(0));
+  EXPECT_FALSE(set.Admit(1));
+  EXPECT_TRUE(set.Admit(0));
+
+  // The mask form marks only probed members that would refuse.
+  std::vector<bool> refused(3, false);
+  EXPECT_FALSE(set.WouldRefuse({true, false, true}, &refused));
+  EXPECT_EQ(refused, std::vector<bool>(3, false));
+  EXPECT_TRUE(set.WouldRefuse({true, true, false}, &refused));
+  EXPECT_EQ(refused, (std::vector<bool>{false, true, false}));
+
+  const BreakerCounters totals = set.Totals();
+  EXPECT_EQ(totals.opened, 1u);
+  EXPECT_EQ(totals.half_opened, 0u);
+}
+
+TEST(BreakerSetTest, ConcurrentCyclesSumToTheDrivenTransitions) {
+  // One failure trips; open_ms 0 admits the half-open probe at once, so
+  // every transition below is driven, never timed.
+  BreakerOptions o;
+  o.min_events = 1;
+  o.window = 1;
+  o.failure_ratio = 1.0;
+  o.open_ms = 0.0;
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kCycles = 500;
+  BreakerSet set(kThreads, o);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&set, t] {
+      std::vector<bool> refused(kThreads, false);
+      for (uint32_t c = 0; c < kCycles; ++c) {
+        set.Record(t, false);         // closed -> open
+        EXPECT_TRUE(set.Admit(t));    // open -> half-open
+        set.Record(t, false);         // half-open -> open (reopened)
+        EXPECT_TRUE(set.Admit(t));    // open -> half-open
+        set.Record(t, true);          // half-open -> closed
+        (void)set.WouldRefuse(std::vector<bool>(kThreads, true), &refused);
+        (void)set.Totals();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const BreakerCounters totals = set.Totals();
+  EXPECT_EQ(totals.opened, uint64_t{kThreads} * kCycles);
+  EXPECT_EQ(totals.half_opened, 2 * uint64_t{kThreads} * kCycles);
+  EXPECT_EQ(totals.reopened, uint64_t{kThreads} * kCycles);
+  EXPECT_EQ(totals.closed, uint64_t{kThreads} * kCycles);
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(set.StateOf(t), BreakerState::kClosed) << t;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -320,6 +321,36 @@ TEST(ClusterTest, QuorumLossRefusesLoudly) {
   obs::MetricsRegistry reg;
   cluster->SnapshotMetrics(&reg);
   EXPECT_EQ(reg.GetCounter("cluster.quorum_rejections")->value(), 1u);
+}
+
+TEST(ClusterTest, VirtualClockOnlyMovesForward) {
+  MemEnv env;
+  CommitCatalog(&env, Mirror2());
+  auto cluster = Cluster::Create(env, Deterministic()).value();
+  ASSERT_TRUE(cluster->KillNode(1).ok());
+  // 10 ms beats, dead after 4 misses: the detector declares node 1 dead
+  // at 40 ms.
+  ASSERT_TRUE(cluster->AdvanceTimeMs(100.0).ok());
+  ASSERT_EQ(cluster->NodeHealthOf(1), NodeHealth::kDead);
+  const uint64_t missed = cluster->HeartbeatCounters().missed;
+
+  // An earlier time, or NaN, is refused and moves neither the cluster's
+  // clock nor its detector.
+  EXPECT_EQ(cluster->AdvanceTimeMs(10.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      cluster->AdvanceTimeMs(std::numeric_limits<double>::quiet_NaN()).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster->VirtualNowMs(), 100.0);
+  EXPECT_EQ(cluster->NodeHealthOf(1), NodeHealth::kDead);
+  EXPECT_EQ(cluster->HeartbeatCounters().missed, missed);
+  // The same time again is allowed.
+  EXPECT_TRUE(cluster->AdvanceTimeMs(100.0).ok());
+
+  // MTTR runs from the death to the repair on that one clock.
+  const RepairReport report = cluster->Repair({}).value();
+  ASSERT_TRUE(report.committed) << report.abort_reason;
+  EXPECT_EQ(report.mttr_virtual_ms, 60.0);
 }
 
 TEST(ClusterHedgeTest, PrimaryPreferredHedgesFireButNeverChangeTheAnswer) {

@@ -1,6 +1,5 @@
 #include "griddecl/gridfile/faulty_env.h"
 
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -151,54 +150,6 @@ TEST(FaultyEnvTest, PermanentRangesFailOnOverlapOnly) {
   EXPECT_EQ(env->permanent_faults_injected(), 4u);
   // Reads outside the range still succeed.
   EXPECT_EQ(env->ReadAt("data", 96, 4).value(), "aaaa");
-}
-
-TEST(FaultyEnvTest, TimeWindowedFaultsFollowTheVirtualClock) {
-  MemEnv target = SeededEnv();
-  FaultyEnvOptions opts;
-  opts.permanent.push_back({"data", 0, 256, 100.0, 200.0});
-  auto env = FaultyEnv::Create(&target, opts).value();
-
-  // The window has not opened yet (clock starts at 0).
-  EXPECT_EQ(env->NowMs(), 0.0);
-  EXPECT_TRUE(env->ReadAt("data", 0, 8).ok());
-
-  env->SetNowMs(99.9);
-  EXPECT_TRUE(env->ReadAt("data", 0, 8).ok());
-
-  env->SetNowMs(100.0);  // from_ms is inclusive.
-  EXPECT_FALSE(env->ReadAt("data", 0, 8).ok());
-  env->SetNowMs(150.0);
-  const Result<std::string> mid = env->ReadAt("data", 0, 8);
-  ASSERT_FALSE(mid.ok());
-  EXPECT_EQ(mid.status().code(), StatusCode::kUnavailable);
-
-  env->SetNowMs(200.0);  // until_ms is exclusive: the fault has healed.
-  EXPECT_TRUE(env->ReadAt("data", 0, 8).ok());
-
-  // The clock moves only by explicit calls — rewinding replays the fault.
-  env->SetNowMs(150.0);
-  EXPECT_FALSE(env->ReadAt("data", 0, 8).ok());
-}
-
-TEST(FaultyEnvTest, WildcardRangeCrashesTheWholeNode) {
-  MemEnv target = SeededEnv();
-  FaultyEnvOptions opts;
-  // Empty file name = wildcard: every ReadAt on every file faults while
-  // the window is open. This is how the cluster models whole-node death.
-  opts.permanent.push_back(
-      {"", 0, std::numeric_limits<uint64_t>::max(), 100.0, 200.0});
-  auto env = FaultyEnv::Create(&target, opts).value();
-
-  env->SetNowMs(150.0);
-  EXPECT_FALSE(env->ReadAt("data", 0, 8).ok());
-  EXPECT_FALSE(env->ReadAt("other", 0, 8).ok());
-  // ReadFile stays clean even under a wildcard — bootstrap always works.
-  EXPECT_TRUE(env->ReadFile("data").ok());
-
-  env->SetNowMs(200.0);
-  EXPECT_TRUE(env->ReadAt("data", 0, 8).ok());
-  EXPECT_TRUE(env->ReadAt("other", 0, 8).ok());
 }
 
 TEST(FaultyEnvTest, MutationsAndMetadataPassThrough) {

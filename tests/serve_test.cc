@@ -637,7 +637,6 @@ class QueryServiceLayoutTest
     truth_ = std::make_unique<GridFile>(catalog.Find("dm")->file());
     data_file_ = ReadCurrentManifest(env_).value().DataFileName(0);
     const std::string bytes = env_.ReadFile(data_file_).value();
-    data_bytes_ = bytes.size();
     num_pages_ = ParseFileLayout(bytes).value().num_pages;
     mixed_ = page_size > 168;
   }
@@ -656,7 +655,6 @@ class QueryServiceLayoutTest
   MemEnv env_;
   std::unique_ptr<GridFile> truth_;
   std::string data_file_;
-  uint64_t data_bytes_ = 0;
   uint64_t num_pages_ = 0;
   bool mixed_ = false;
 };
@@ -717,16 +715,23 @@ TEST_P(QueryServiceLayoutTest, FullSubAndPinnedQueriesMatchRangeSearch) {
 }
 
 TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
-  // Every data-file (copy 0) read fails until virtual time 1; copy 1 stays
-  // healthy.
-  FaultyEnvOptions fault;
-  fault.permanent.push_back({data_file_, 0, data_bytes_, 0.0, 1.0});
-  auto faulty = FaultyEnv::Create(&env_, fault).value();
   ServeOptions options;
   options.breaker.min_events = 1;
   options.breaker.window = 1;
   options.breaker.open_ms = 1e18;  // Once open, stays open.
-  auto service = QueryService::Create(faulty.get(), options).value();
+  auto service = QueryService::Create(&env_, options).value();
+  // Flips one byte of every data-file (copy 0) page's CRC field; a second
+  // call flips it back. A page that fails its CRC reads as kUnavailable,
+  // so every copy-0 read fails until the heal below; copy 1 stays healthy.
+  const FileLayout layout =
+      ParseFileLayout(env_.ReadFile(data_file_).value()).value();
+  const auto flip_copy_0 = [&] {
+    for (uint64_t page = 0; page < num_pages_; ++page) {
+      ASSERT_TRUE(
+          env_.CorruptByte(data_file_, layout.PageOffset(page) + 4, 0xFF).ok());
+    }
+  };
+  flip_copy_0();
 
   // A disk-filtered sub-query is strict: it reads only copy 0, fails, and
   // feeds no breaker.
@@ -761,7 +766,7 @@ TEST_P(QueryServiceLayoutTest, BreakerRefusedDiskReroutesToItsReplica) {
 
   // Copy 0 heals; disk 2's breaker still refuses, so the planner moves its
   // buckets to their copy-1 replicas on other disks.
-  faulty->SetNowMs(1.0);
+  flip_copy_0();
   const QueryResult r = service->Execute(full);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.matches, want);

@@ -208,6 +208,18 @@ int Usage() {
   return 2;
 }
 
+/// `--disks` as a disk count: refuses values below 1 and above UINT32_MAX,
+/// which the uint32_t the library takes would wrap.
+Result<uint32_t> DisksFromFlags(const Flags& flags, int64_t fallback) {
+  const Result<int64_t> disks = flags.GetInt("disks", fallback);
+  if (!disks.ok()) return disks.status();
+  if (disks.value() < 1 ||
+      disks.value() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("--disks must be in [1, 4294967295]");
+  }
+  return static_cast<uint32_t>(disks.value());
+}
+
 Result<GridSpec> GridFromFlags(const Flags& flags) {
   return GridSpec::FromString(flags.GetString("grid", "64x64"));
 }
@@ -236,11 +248,10 @@ int CmdMethods() {
 int CmdEval(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
-      flags.GetString("method", "hcam"), grid.value(),
-      static_cast<uint32_t>(disks.value()));
+      flags.GetString("method", "hcam"), grid.value(), disks.value());
   if (!method.ok()) return Fail(method.status().ToString());
   Result<QueryShape> shape = ShapeFromFlags(flags, grid.value());
   if (!shape.ok()) return Fail(shape.status().ToString());
@@ -273,8 +284,8 @@ int CmdEval(const Flags& flags) {
 int CmdCompare(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   Result<QueryShape> shape = ShapeFromFlags(flags, grid.value());
   if (!shape.ok()) return Fail(shape.status().ToString());
   const auto placements = flags.GetInt("placements", 4096);
@@ -302,7 +313,7 @@ int CmdCompare(const Flags& flags) {
   Table t({"Method", "Mean RT", "RT/opt", "% optimal"});
   for (const std::string& name : names) {
     Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
-        name, grid.value(), static_cast<uint32_t>(disks.value()));
+        name, grid.value(), disks.value());
     if (!method.ok()) {
       t.AddRow({name, "-", "-", "(" + method.status().ToString() + ")"});
       continue;
@@ -320,8 +331,8 @@ int CmdCompare(const Flags& flags) {
 int CmdSweepSize(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto areas32 =
       flags.GetUint32List("areas", {1, 4, 16, 64, 256, 1024});
   if (!areas32.ok()) return Fail(areas32.status().ToString());
@@ -334,7 +345,7 @@ int CmdSweepSize(const Flags& flags) {
   opts.max_placements = static_cast<size_t>(placements.value());
   opts.seed = static_cast<uint64_t>(seed.value());
   Result<SweepResult> sweep = QuerySizeSweep(
-      grid.value(), static_cast<uint32_t>(disks.value()), areas, opts);
+      grid.value(), disks.value(), areas, opts);
   if (!sweep.ok()) return Fail(sweep.status().ToString());
   sweep.value().ResponseTable().PrintText(std::cout);
   std::cout << "\n";
@@ -370,15 +381,15 @@ int CmdAdvise(const Flags& flags) {
   if (!in.good()) return Fail("cannot open trace file '" + path + "'");
   Result<WorkloadTrace> trace = DeserializeWorkload(in);
   if (!trace.ok()) return Fail(trace.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto no_opt = flags.GetBool("no-optimize", false);
   if (!no_opt.ok()) return Fail(no_opt.status().ToString());
 
   AdvisorOptions opts;
   opts.include_optimized = !no_opt.value();
   Result<Advice> advice = AdviseDeclustering(
-      trace.value().grid, static_cast<uint32_t>(disks.value()),
+      trace.value().grid, disks.value(),
       trace.value().workload, opts);
   if (!advice.ok()) return Fail(advice.status().ToString());
 
@@ -397,11 +408,10 @@ int CmdAdvise(const Flags& flags) {
 int CmdExport(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
-      flags.GetString("method", "hcam"), grid.value(),
-      static_cast<uint32_t>(disks.value()));
+      flags.GetString("method", "hcam"), grid.value(), disks.value());
   if (!method.ok()) return Fail(method.status().ToString());
   const Status st = SerializeAllocation(*method.value(), std::cout);
   if (!st.ok()) return Fail(st.ToString());
@@ -414,11 +424,10 @@ int CmdShow(const Flags& flags) {
   if (grid.value().num_dims() != 2) {
     return Fail("show renders 2-d grids only");
   }
-  const auto disks = flags.GetInt("disks", 16);
-  if (!disks.ok() || disks.value() < 1) return Fail("bad --disks");
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
-      flags.GetString("method", "hcam"), grid.value(),
-      static_cast<uint32_t>(disks.value()));
+      flags.GetString("method", "hcam"), grid.value(), disks.value());
   if (!method.ok()) return Fail(method.status().ToString());
   // Disk ids rendered base-36 so up to 36 disks stay one column wide.
   static const char kDigits[] = "0123456789abcdefghijklmnopqrstuvwxyz";
@@ -441,14 +450,13 @@ int CmdOptimize(const Flags& flags) {
   if (!in.good()) return Fail("cannot open trace file '" + path + "'");
   Result<WorkloadTrace> trace = DeserializeWorkload(in);
   if (!trace.ok()) return Fail(trace.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto passes = flags.GetInt("passes", 8);
-  if (!disks.ok() || !passes.ok() || disks.value() < 1 || passes.value() < 1) {
-    return Fail("bad numeric flag");
-  }
+  if (!passes.ok() || passes.value() < 1) return Fail("bad numeric flag");
   Result<std::unique_ptr<DeclusteringMethod>> seed = CreateMethod(
       flags.GetString("seed-method", "hcam"), trace.value().grid,
-      static_cast<uint32_t>(disks.value()));
+      disks.value());
   if (!seed.ok()) return Fail(seed.status().ToString());
 
   WorkloadOptimizeOptions opts;
@@ -473,14 +481,12 @@ int CmdThroughput(const Flags& flags) {
   if (!in.good()) return Fail("cannot open trace file '" + path + "'");
   Result<WorkloadTrace> trace = DeserializeWorkload(in);
   if (!trace.ok()) return Fail(trace.status().ToString());
-  const auto disks = flags.GetInt("disks", 16);
+  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto mpl = flags.GetInt("mpl", 4);
-  if (!disks.ok() || !mpl.ok() || disks.value() < 1 || mpl.value() < 1) {
-    return Fail("bad numeric flag");
-  }
+  if (!mpl.ok() || mpl.value() < 1) return Fail("bad numeric flag");
   Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
-      flags.GetString("method", "hcam"), trace.value().grid,
-      static_cast<uint32_t>(disks.value()));
+      flags.GetString("method", "hcam"), trace.value().grid, disks.value());
   if (!method.ok()) return Fail(method.status().ToString());
   MetricsSink sink(flags);
   ThroughputOptions opts;
@@ -521,19 +527,20 @@ int CmdReproduce(const Flags& flags) {
 }
 
 int CmdSearch(const Flags& flags) {
-  const auto disks = flags.GetInt("disks", 6);
+  const Result<uint32_t> disks = DisksFromFlags(flags, 6);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto rows = flags.GetInt("rows", 8);
   const auto cols = flags.GetInt("cols", 8);
   const auto max_nodes = flags.GetInt("max-nodes", 20'000'000);
-  if (!disks.ok() || !rows.ok() || !cols.ok() || !max_nodes.ok() ||
-      disks.value() < 1 || rows.value() < 1 || cols.value() < 1) {
+  if (!rows.ok() || !cols.ok() || !max_nodes.ok() || rows.value() < 1 ||
+      cols.value() < 1) {
     return Fail("bad numeric flag");
   }
   StrictOptimalitySearchOptions opts;
   opts.max_nodes = static_cast<uint64_t>(max_nodes.value());
   Result<StrictOptimalitySearchResult> r = FindStrictlyOptimalAllocation(
       static_cast<uint32_t>(rows.value()), static_cast<uint32_t>(cols.value()),
-      static_cast<uint32_t>(disks.value()), opts);
+      disks.value(), opts);
   if (!r.ok()) return Fail(r.status().ToString());
   switch (r.value().outcome) {
     case SearchOutcome::kFound:
@@ -566,18 +573,18 @@ int CmdDegrade(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
   opts.grid_dims = grid.value().dims();
-  const auto disks = flags.GetInt("disks", 8);
+  const Result<uint32_t> disks = DisksFromFlags(flags, 8);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto queries = flags.GetInt("queries", 200);
   const auto max_failed = flags.GetInt("max-failed", 2);
   const auto seed = flags.GetInt("seed", 42);
   const auto mpl = flags.GetInt("mpl", 4);
   const auto replication = flags.GetUint32List("replication", {2, 3});
-  if (!disks.ok() || !queries.ok() || !max_failed.ok() || !seed.ok() ||
-      !mpl.ok() || !replication.ok() || disks.value() < 1 ||
-      queries.value() < 1 || max_failed.value() < 0 || mpl.value() < 1) {
+  if (!queries.ok() || !max_failed.ok() || !seed.ok() || !mpl.ok() ||
+      !replication.ok() || queries.value() < 1 || max_failed.value() < 0 || mpl.value() < 1) {
     return Fail("bad numeric flag");
   }
-  opts.num_disks = static_cast<uint32_t>(disks.value());
+  opts.num_disks = disks.value();
   Result<QueryShape> shape = ShapeFromFlags(flags, grid.value());
   if (!shape.ok()) return Fail(shape.status().ToString());
   opts.query_shape = shape.value();
@@ -746,18 +753,16 @@ int CmdMkCatalog(const Flags& flags) {
   if (dir.empty()) return Fail("--dir DIR is required");
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const auto disks = flags.GetInt("disks", 4);
+  const Result<uint32_t> disks = DisksFromFlags(flags, 4);
+  if (!disks.ok()) return Fail(disks.status().ToString());
   const auto records = flags.GetInt("records", 256);
   const auto seed = flags.GetInt("seed", 42);
   const auto page_size = flags.GetInt("page-size", 4096);
-  if (!disks.ok() || !records.ok() || !seed.ok() || !page_size.ok() ||
-      disks.value() < 1 || records.value() < 0 || page_size.value() < 1) {
+  if (!records.ok() || !seed.ok() || !page_size.ok() ||
+      records.value() < 0 || page_size.value() < 1) {
     return Fail("bad numeric flag");
   }
-  // Both are cast to uint32_t below; reject what the cast would wrap.
-  if (disks.value() > std::numeric_limits<uint32_t>::max()) {
-    return Fail("--disks out of range");
-  }
+  // Cast to uint32_t below; reject what the cast would wrap.
   if (page_size.value() > kMaxPageSizeBytes) {
     return Fail("--page-size above " + std::to_string(kMaxPageSizeBytes));
   }
@@ -780,7 +785,7 @@ int CmdMkCatalog(const Flags& flags) {
   }
   if (names.empty()) return Fail("--methods lists no methods");
 
-  Catalog catalog(static_cast<uint32_t>(disks.value()));
+  Catalog catalog(disks.value());
   Rng rng(static_cast<uint64_t>(seed.value()));
   for (const std::string& name : names) {
     std::vector<AttributeDef> attrs;
@@ -834,7 +839,7 @@ int CmdMkCatalog(const Flags& flags) {
       }
     }
     Result<DeclusteredFile> rel = DeclusteredFile::Create(
-        std::move(file).value(), name, static_cast<uint32_t>(disks.value()));
+        std::move(file).value(), name, disks.value());
     if (!rel.ok()) return Fail("method '" + name + "': " +
                                rel.status().ToString());
     const Status st = catalog.AddRelation(name, std::move(rel).value());
@@ -1149,10 +1154,12 @@ int CmdCluster(const Flags& flags) {
         std::cout << "revived zone " << cmd.zone << "\n";
         break;
       }
-      case Kind::kAdvance:
-        cl.value()->AdvanceTimeMs(cmd.advance_ms);
+      case Kind::kAdvance: {
+        const Status st = cl.value()->AdvanceTimeMs(cmd.advance_ms);
+        if (!st.ok()) return Fail(st.ToString());
         std::cout << "advanced virtual time to " << cmd.advance_ms << " ms\n";
         break;
+      }
       case Kind::kMigrate: {
         cluster::MigrationOptions mo;
         mo.new_method = cmd.migrate_method;
