@@ -17,6 +17,22 @@
 
 namespace griddecl {
 
+/// dst[i] ^= src[i] for i < n: the parity XOR of stripe building and page
+/// reconstruction. Eight bytes at a time through memcpy loads (any
+/// alignment, and no aliasing question for the compiler), then a byte tail.
+inline void XorBytes(char* dst, const char* src, size_t n) {
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= n; i += sizeof(uint64_t)) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    std::memcpy(&a, dst + i, sizeof a);
+    std::memcpy(&b, src + i, sizeof b);
+    a ^= b;
+    std::memcpy(dst + i, &a, sizeof a);
+  }
+  for (; i < n; ++i) dst[i] = static_cast<char>(dst[i] ^ src[i]);
+}
+
 inline void AppendU32(std::string* out, uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);

@@ -78,6 +78,13 @@ struct WorkloadEval {
   double ResponseCi95HalfWidth() const;
 };
 
+/// The most disks an `Evaluator` is meant to tally. Every query fills a
+/// per-disk count vector of M uint64_t (`DiskMap::CountsForRect`,
+/// `PerDiskCounts`), so the cost of one query grows with M whatever the
+/// query's size: at this cap a query clears 8 MiB, and at M = 2^32 - 1 the
+/// tally alone would need 32 GiB. Front ends refuse larger M up front.
+inline constexpr uint32_t kMaxEvaluatorDisks = uint32_t{1} << 20;
+
 /// Evaluation-engine knobs.
 struct EvalOptions {
   /// Materialize the method into a dense `DiskMap` at construction and

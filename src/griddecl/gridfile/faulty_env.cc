@@ -61,9 +61,9 @@ bool FaultyEnv::PermanentlyFaulted(const std::string& file, uint64_t offset,
   return false;
 }
 
-Result<std::string> FaultyEnv::ReadAt(const std::string& name,
-                                      uint64_t offset,
-                                      uint64_t length) const {
+Status FaultyEnv::ReadAt(const std::string& name, uint64_t offset,
+                         std::span<char> out) const {
+  const uint64_t length = out.size();
   reads_issued_.fetch_add(1);
   const double delay_ms = opts_.latency_ms + extra_latency_ms_.load();
   if (delay_ms > 0.0) {
@@ -78,7 +78,7 @@ Result<std::string> FaultyEnv::ReadAt(const std::string& name,
   // Without transient faults no attempt can fail, so skip the per-site
   // bookkeeping: every generation's fresh file names would grow it forever.
   if (opts_.transient_error_prob <= 0.0) {
-    return target_->ReadAt(name, offset, length);
+    return target_->ReadAt(name, offset, out);
   }
   uint32_t attempt;
   {
@@ -91,7 +91,7 @@ Result<std::string> FaultyEnv::ReadAt(const std::string& name,
                                "' at " + std::to_string(offset) +
                                " (attempt " + std::to_string(attempt) + ")");
   }
-  return target_->ReadAt(name, offset, length);
+  return target_->ReadAt(name, offset, out);
 }
 
 Result<std::string> FaultyEnv::ReadFile(const std::string& name) const {

@@ -71,9 +71,10 @@ class FaultyEnv : public StorageEnv {
   static Result<std::unique_ptr<FaultyEnv>> Create(StorageEnv* target,
                                                    FaultyEnvOptions opts);
 
+  using StorageEnv::ReadAt;
   Result<std::string> ReadFile(const std::string& name) const override;
-  Result<std::string> ReadAt(const std::string& name, uint64_t offset,
-                             uint64_t length) const override;
+  Status ReadAt(const std::string& name, uint64_t offset,
+                std::span<char> out) const override;
   Status WriteFile(const std::string& name, std::string_view data) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& name) override;

@@ -384,9 +384,8 @@ Result<std::string> BuildParityBytes(std::string_view data,
     const uint64_t first = stripe * group_pages;
     const uint64_t last = std::min<uint64_t>(first + group_pages, l.num_pages);
     for (uint64_t page = first; page < last; ++page) {
-      const char* src = data.data() + l.PageOffset(page);
-      char* dst = parity.data() + out_off;
-      for (uint32_t b = 0; b < l.page_size_bytes; ++b) dst[b] ^= src[b];
+      XorBytes(parity.data() + out_off, data.data() + l.PageOffset(page),
+               l.page_size_bytes);
     }
   }
   return parity;

@@ -28,10 +28,11 @@ void PageStore::RegisterFile(const std::string& file,
   if (pool_ != nullptr && replaced) pool_->Invalidate(*replaced);
 }
 
-Result<std::string> PageStore::ReadWithRetries(
-    const std::string& file, uint64_t offset, uint64_t length,
-    const ReadPolicy& policy, PageReadStats* stats,
-    const InterruptFn& interrupt) const {
+Status PageStore::ReadWithRetries(const std::string& file, uint64_t offset,
+                                  std::span<char> out,
+                                  const ReadPolicy& policy,
+                                  PageReadStats* stats,
+                                  const InterruptFn& interrupt) const {
   // The jitter token hashes the file name, so it is computed only once a
   // read actually backs off; a read that succeeds first time pays nothing.
   uint64_t token = 0;
@@ -40,15 +41,15 @@ Result<std::string> PageStore::ReadWithRetries(
       Status st = interrupt();
       if (!st.ok()) return st;
     }
-    Result<std::string> bytes = env_->ReadAt(file, offset, length);
-    if (bytes.ok()) {
+    Status read = env_->ReadAt(file, offset, out);
+    if (read.ok()) {
       if (stats != nullptr) stats->physical_reads++;
-      return bytes;
+      return read;
     }
-    if (bytes.status().code() != StatusCode::kUnavailable) {
-      return bytes.status();  // Only transient unavailability retries.
+    if (read.code() != StatusCode::kUnavailable) {
+      return read;  // Only transient unavailability retries.
     }
-    if (attempt + 1 >= policy.retry.max_attempts) return bytes.status();
+    if (attempt + 1 >= policy.retry.max_attempts) return read;
     if (stats != nullptr) stats->retries++;
     if (attempt == 0) {
       token = Mix64(HashString(Mix64(0x5e7e5e7eull), file) ^ offset);
@@ -60,29 +61,28 @@ Result<std::string> PageStore::ReadWithRetries(
   }
 }
 
-Result<PinnedPage> PageStore::BuildPinned(const std::string& file,
-                                          BufferPool::FileId id,
-                                          uint64_t page,
-                                          const FileLayout& layout,
-                                          std::string page_bytes) {
+Status PageStore::FillFrame(const std::string& file, uint64_t page,
+                            const FileLayout& layout,
+                            const ReadPolicy& policy, PageReadStats* stats,
+                            const InterruptFn& interrupt,
+                            BlankFrame* frame) const {
+  Status read = ReadWithRetries(file, layout.PageOffset(page),
+                                frame->Resize(layout.page_size_bytes),
+                                policy, stats, interrupt);
+  if (!read.ok()) return read;
   // Corruption reads as unavailability: degraded paths repair it. The
   // page is never pooled, so the damage is re-observed on every read.
   const auto unavailable = [&](const Status& damage) {
     return Status::Unavailable("page " + std::to_string(page) + " of '" +
                                file + "': " + damage.message());
   };
-  Status verify = VerifyPageBytes(page_bytes, layout, page);
+  Status verify = VerifyPageBytes(frame->raw(), layout, page);
   if (!verify.ok()) return unavailable(verify);
-  // The bytes move into the frame first: the page then decodes in place
-  // over the frame's own copy, which lives exactly as long as the decode.
-  auto frame = std::make_shared<BufferPool::Frame>();
-  frame->raw = std::move(page_bytes);
-  Result<DecodedPage> decoded = DecodePageBytes(frame->raw, layout, page);
+  // The frame's bytes are 8-byte aligned, so the page decodes in place.
+  Result<DecodedPage> decoded = DecodePageBytes(frame->raw(), layout, page);
   if (!decoded.ok()) return unavailable(decoded.status());
-  frame->decoded = std::move(decoded).value();
-  BufferPool::FramePtr resident = std::move(frame);
-  if (pool_ != nullptr) resident = pool_->Admit(id, page, std::move(resident));
-  return PinnedPage(std::move(resident));
+  frame->set_decoded(std::move(decoded).value());
+  return Status::Ok();
 }
 
 template <typename Emit>
@@ -111,22 +111,26 @@ Status PageStore::FetchPages(const std::string& file,
     if (page >= layout->num_pages) {
       return Status::InvalidArgument("page index out of range");
     }
+    BlankFrame frame;
     if (hold) {
-      if (BufferPool::FramePtr hit = hold->Lookup(id, page)) {
+      PinnedPage hit = hold->Lookup(id, page);
+      if (hit.valid()) {
         if (stats != nullptr) stats->cache_hit++;
-        emit(PinnedPage(std::move(hit)));
+        emit(std::move(hit));
         continue;
       }
+      frame = hold->TakeFrame();
       hold->Release();  // The miss reads, verifies and decodes unlocked.
+    } else {
+      frame = BlankFrame::Unpooled();
     }
-    Result<std::string> bytes =
-        ReadWithRetries(file, layout->PageOffset(page),
-                        layout->page_size_bytes, policy, stats, interrupt);
-    if (!bytes.ok()) return bytes.status();
-    Result<PinnedPage> pinned =
-        BuildPinned(file, id, page, *layout, std::move(bytes).value());
-    if (!pinned.ok()) return pinned.status();
-    emit(std::move(pinned).value());
+    // A failed fill drops `frame` unlocked, back to the free list.
+    Status filled =
+        FillFrame(file, page, *layout, policy, stats, interrupt, &frame);
+    if (!filled.ok()) return filled;
+    // The admission keeps the hold, so the next lookup reuses it.
+    emit(hold ? hold->Admit(id, page, std::move(frame))
+              : std::move(frame).Seal());
   }
   return Status::Ok();
 }
@@ -154,12 +158,11 @@ Result<PinnedPage> PageStore::GetPage(const std::string& file,
   return pinned;
 }
 
-Result<std::string> PageStore::ReadRaw(const std::string& file,
-                                       uint64_t offset, uint64_t length,
-                                       const ReadPolicy& policy,
-                                       PageReadStats* stats,
-                                       const InterruptFn& interrupt) {
-  return ReadWithRetries(file, offset, length, policy, stats, interrupt);
+Status PageStore::ReadRaw(const std::string& file, uint64_t offset,
+                          std::span<char> out, const ReadPolicy& policy,
+                          PageReadStats* stats,
+                          const InterruptFn& interrupt) {
+  return ReadWithRetries(file, offset, out, policy, stats, interrupt);
 }
 
 void PageStore::Invalidate(const std::string& file) {

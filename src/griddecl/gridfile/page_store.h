@@ -35,11 +35,14 @@
 /// `GetPage` at a time. Misses stay one `ReadAt` per page: FaultyEnv keys
 /// transient faults on (file, offset).
 ///
-/// A miss moves the bytes `ReadAt` returned into a new frame and decodes
-/// them there: the page's `DecodedPage` reads its zone maps and columns
-/// in place from the frame's bytes. With the pool full, the pool reuses
-/// the evicted page's nodes, so a miss allocates the read bytes and the
-/// frame and nothing else. A range scan asks the zone maps first:
+/// A miss takes a free frame from the pool, `ReadAt`s the page straight
+/// into the frame's bytes, verifies them and decodes them in place (the
+/// page's `DecodedPage` reads its zone maps and columns from the frame),
+/// then admits the frame. With the pool full, the free frame and the slot
+/// are the ones an earlier admission evicted, so a miss allocates nothing;
+/// a failed read or a lost admission race returns the frame to the free
+/// list. A store without a pool reads each page into a frame of its own,
+/// freed by its last pin. A range scan asks the zone maps first:
 /// `MayMatch` false skips the page, `Within` true takes every record
 /// without filtering.
 ///
@@ -57,29 +60,6 @@
 /// without PageStore knowing about deadlines.
 
 namespace griddecl {
-
-/// A verified, decoded page held alive by the caller. Copyable; the
-/// underlying frame is immutable and shared with the pool (eviction never
-/// invalidates a pin, nor the in-place columns it reads from the frame's
-/// bytes).
-class PinnedPage {
- public:
-  PinnedPage() = default;
-  /// Wraps a verified frame: a pooled or freshly read one from
-  /// `PageStore`, or a parity-reconstructed page a caller chose not to
-  /// pool.
-  explicit PinnedPage(BufferPool::FramePtr frame)
-      : frame_(std::move(frame)) {}
-
-  bool valid() const { return frame_ != nullptr; }
-  /// Columnar view: zone maps and columns.
-  const DecodedPage& decoded() const { return frame_->decoded; }
-  /// The page's bytes exactly as fetched (parity XOR).
-  std::string_view raw() const { return frame_->raw; }
-
- private:
-  BufferPool::FramePtr frame_;
-};
 
 /// Per-call accounting, for callers that charge reads to a query.
 struct PageReadStats {
@@ -131,19 +111,19 @@ class PageStore {
                   PageReadStats* stats = nullptr,
                   const InterruptFn& interrupt = {});
 
-  /// GetPages of the one page `page` (no vector: a miss allocates only the
-  /// read bytes and the frame).
+  /// GetPages of the one page `page`, without the vector.
   Result<PinnedPage> GetPage(const std::string& file, uint64_t page,
                              const ReadPolicy& policy,
                              PageReadStats* stats = nullptr,
                              const InterruptFn& interrupt = {});
 
-  /// Uncached raw range read with the same retry/interrupt machinery
-  /// (parity pages, which have no grid-file layout of their own).
-  Result<std::string> ReadRaw(const std::string& file, uint64_t offset,
-                              uint64_t length, const ReadPolicy& policy,
-                              PageReadStats* stats = nullptr,
-                              const InterruptFn& interrupt = {});
+  /// Uncached raw read of `out.size()` bytes at `offset` into `out`, with
+  /// the same retry/interrupt machinery (parity pages, which have no
+  /// grid-file layout of their own).
+  Status ReadRaw(const std::string& file, uint64_t offset,
+                 std::span<char> out, const ReadPolicy& policy,
+                 PageReadStats* stats = nullptr,
+                 const InterruptFn& interrupt = {});
 
   /// Drops `file`'s cached pages (after scrub rewrote it).
   void Invalidate(const std::string& file);
@@ -158,21 +138,21 @@ class PageStore {
   void PublishMetrics(obs::MetricsRegistry* out) const;
 
  private:
-  Result<std::string> ReadWithRetries(const std::string& file,
-                                      uint64_t offset, uint64_t length,
-                                      const ReadPolicy& policy,
-                                      PageReadStats* stats,
-                                      const InterruptFn& interrupt) const;
+  Status ReadWithRetries(const std::string& file, uint64_t offset,
+                         std::span<char> out, const ReadPolicy& policy,
+                         PageReadStats* stats,
+                         const InterruptFn& interrupt) const;
   /// The one fetch loop of GetPages and GetPage: hands each page served
   /// to `emit(PinnedPage)`, so the one-page call needs no vector.
   template <typename Emit>
   Status FetchPages(const std::string& file, std::span<const uint64_t> pages,
                     const ReadPolicy& policy, PageReadStats* stats,
                     const InterruptFn& interrupt, Emit emit);
-  Result<PinnedPage> BuildPinned(const std::string& file,
-                                 BufferPool::FileId id, uint64_t page,
-                                 const FileLayout& layout,
-                                 std::string page_bytes);
+  /// Reads page `page` into `frame`, verifies it and decodes it in place.
+  Status FillFrame(const std::string& file, uint64_t page,
+                   const FileLayout& layout, const ReadPolicy& policy,
+                   PageReadStats* stats, const InterruptFn& interrupt,
+                   BlankFrame* frame) const;
 
   const StorageEnv* env_;
   const Options options_;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "griddecl/common/bytes.h"
 #include "griddecl/common/crc32c.h"
 #include "griddecl/gridfile/page_store.h"
 
@@ -146,8 +147,7 @@ RelationScrubReport ScrubRelation(StorageEnv* env, PageStore* store,
                               psz);
         for (uint64_t q = first; q < last; ++q) {
           if (q == p) continue;
-          const char* src = fixed.data() + layout.PageOffset(q);
-          for (uint32_t b = 0; b < psz; ++b) candidate[b] ^= src[b];
+          XorBytes(candidate.data(), fixed.data() + layout.PageOffset(q), psz);
         }
         std::string previous(fixed, static_cast<size_t>(layout.PageOffset(p)),
                              psz);

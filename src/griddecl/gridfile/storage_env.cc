@@ -1,6 +1,12 @@
 #include "griddecl/gridfile/storage_env.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -19,6 +25,16 @@ Status InvalidName(const std::string& name) {
   return Status::InvalidArgument("invalid env file name '" + name + "'");
 }
 
+/// Ok when [offset, offset + length) lies inside a file of `size` bytes.
+Status CheckReadRange(const std::string& name, uint64_t offset,
+                      uint64_t length, uint64_t size) {
+  if (offset <= size && length <= size - offset) return Status::Ok();
+  return Status::InvalidArgument(
+      "read of [" + std::to_string(offset) + ", " +
+      std::to_string(offset + length) + ") past end of '" + name + "' (" +
+      std::to_string(size) + " bytes)");
+}
+
 }  // namespace
 
 bool IsValidEnvFileName(std::string_view name) {
@@ -33,22 +49,15 @@ bool IsValidEnvFileName(std::string_view name) {
   return name != "." && name != "..";
 }
 
-// --- StorageEnv defaults --------------------------------------------------
+// --- StorageEnv ----------------------------------------------------------
 
 Result<std::string> StorageEnv::ReadAt(const std::string& name,
                                        uint64_t offset,
                                        uint64_t length) const {
-  Result<std::string> data = ReadFile(name);
-  if (!data.ok()) return data.status();
-  if (offset > data.value().size() ||
-      length > data.value().size() - offset) {
-    return Status::InvalidArgument(
-        "read of [" + std::to_string(offset) + ", " +
-        std::to_string(offset + length) + ") past end of '" + name + "' (" +
-        std::to_string(data.value().size()) + " bytes)");
-  }
-  return data.value().substr(static_cast<size_t>(offset),
-                             static_cast<size_t>(length));
+  std::string data(static_cast<size_t>(length), '\0');
+  Status st = ReadAt(name, offset, std::span<char>(data));
+  if (!st.ok()) return st;
+  return data;
 }
 
 // --- MemEnv ---------------------------------------------------------------
@@ -79,22 +88,18 @@ Result<std::string> MemEnv::ReadFile(const std::string& name) const {
   return it->second;
 }
 
-Result<std::string> MemEnv::ReadAt(const std::string& name, uint64_t offset,
-                                   uint64_t length) const {
+Status MemEnv::ReadAt(const std::string& name, uint64_t offset,
+                      std::span<char> out) const {
   std::shared_lock lock(mu_);
   const auto it = files_.find(name);
   if (it == files_.end()) {
     return Status::NotFound("no file named '" + name + "'");
   }
   const std::string& data = it->second;
-  if (offset > data.size() || length > data.size() - offset) {
-    return Status::InvalidArgument(
-        "read of [" + std::to_string(offset) + ", " +
-        std::to_string(offset + length) + ") past end of '" + name + "' (" +
-        std::to_string(data.size()) + " bytes)");
-  }
-  return data.substr(static_cast<size_t>(offset),
-                     static_cast<size_t>(length));
+  Status st = CheckReadRange(name, offset, out.size(), data.size());
+  if (!st.ok()) return st;
+  std::memcpy(out.data(), data.data() + offset, out.size());
+  return Status::Ok();
 }
 
 Status MemEnv::WriteFile(const std::string& name, std::string_view data) {
@@ -201,32 +206,32 @@ Result<std::string> DiskEnv::ReadFile(const std::string& name) const {
   return data;
 }
 
-Result<std::string> DiskEnv::ReadAt(const std::string& name, uint64_t offset,
-                                    uint64_t length) const {
+Status DiskEnv::ReadAt(const std::string& name, uint64_t offset,
+                       std::span<char> out) const {
   Result<std::string> path = PathOf(name);
   if (!path.ok()) return path.status();
-  std::ifstream in(path.value(), std::ios::binary);
-  if (!in.good()) {
-    return Status::NotFound("no file named '" + name + "'");
+  const int fd = ::open(path.value().c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("no file named '" + name + "'");
+  struct stat info {};
+  Status st = ::fstat(fd, &info) == 0
+                  ? CheckReadRange(name, offset, out.size(),
+                                   static_cast<uint64_t>(info.st_size))
+                  : Status::Internal("stat failed for '" + name + "'");
+  size_t done = 0;
+  while (st.ok() && done < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      st = Status::Internal("read failed for '" + name + "'");
+    } else if (n == 0) {
+      st = Status::Internal("short read for '" + name + "'");
+    } else {
+      done += static_cast<size_t>(n);
+    }
   }
-  in.seekg(0, std::ios::end);
-  const uint64_t size = static_cast<uint64_t>(in.tellg());
-  if (offset > size || length > size - offset) {
-    return Status::InvalidArgument(
-        "read of [" + std::to_string(offset) + ", " +
-        std::to_string(offset + length) + ") past end of '" + name + "' (" +
-        std::to_string(size) + " bytes)");
-  }
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::string data(static_cast<size_t>(length), '\0');
-  in.read(data.data(), static_cast<std::streamsize>(length));
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("read failed for '" + name + "'");
-  }
-  if (static_cast<uint64_t>(in.gcount()) != length) {
-    return Status::Internal("short read for '" + name + "'");
-  }
-  return data;
+  ::close(fd);
+  return st;
 }
 
 Status DiskEnv::WriteFile(const std::string& name, std::string_view data) {
@@ -299,6 +304,11 @@ CrashEnv::CrashEnv(StorageEnv* target, uint64_t crash_at_op, uint64_t seed)
 
 Result<std::string> CrashEnv::ReadFile(const std::string& name) const {
   return target_->ReadFile(name);
+}
+
+Status CrashEnv::ReadAt(const std::string& name, uint64_t offset,
+                        std::span<char> out) const {
+  return target_->ReadAt(name, offset, out);
 }
 
 bool CrashEnv::OpSurvives() {

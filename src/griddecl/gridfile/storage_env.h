@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,15 +42,21 @@ class StorageEnv {
   /// Full contents of `name`; kNotFound when absent.
   virtual Result<std::string> ReadFile(const std::string& name) const = 0;
 
-  /// Exactly `length` bytes of `name` starting at `offset` — the
-  /// page-granular read unit the serving layer issues. kNotFound when the
-  /// file is absent; kInvalidArgument when the range extends past the end
-  /// (a well-formed reader never asks, so a short read is a bug, not a
-  /// partial result). The default implementation slices `ReadFile`;
-  /// `DiskEnv` overrides it with a positioned read, and `FaultyEnv`
-  /// (faulty_env.h) makes it the fault-injection point.
-  virtual Result<std::string> ReadAt(const std::string& name, uint64_t offset,
-                                     uint64_t length) const;
+  /// Fills `out` with the `out.size()` bytes of `name` starting at
+  /// `offset` — the page-granular read unit the serving layer issues, and
+  /// the one read every env implements. The caller owns the buffer, so a
+  /// page read lands straight in a buffer-pool frame and allocates
+  /// nothing. kNotFound when the file is absent; kInvalidArgument when the
+  /// range extends past the end (a well-formed reader never asks, so a
+  /// short read is a bug, not a partial result). `DiskEnv` implements it
+  /// with `pread`, and `FaultyEnv` (faulty_env.h) makes it the
+  /// fault-injection point. `out` is unspecified after a failed read.
+  virtual Status ReadAt(const std::string& name, uint64_t offset,
+                        std::span<char> out) const = 0;
+
+  /// The same read into a new string of `length` bytes.
+  Result<std::string> ReadAt(const std::string& name, uint64_t offset,
+                             uint64_t length) const;
 
   /// Creates or replaces `name`. NOT atomic under crashes (a torn prefix
   /// may remain); writers that need atomicity write a temp name and
@@ -79,12 +86,12 @@ class MemEnv : public StorageEnv {
   MemEnv(const MemEnv& other);
   MemEnv& operator=(const MemEnv& other);
 
+  using StorageEnv::ReadAt;
   Result<std::string> ReadFile(const std::string& name) const override;
-  /// Positioned read without the base class's whole-file copy — MemEnv
-  /// backs the page-serving benchmarks, where a full-file copy per page
-  /// read would dominate every miss path being measured.
-  Result<std::string> ReadAt(const std::string& name, uint64_t offset,
-                             uint64_t length) const override;
+  /// One memcpy under the shared lock: MemEnv backs the page-serving
+  /// benchmarks, where the read must cost no more than the copy.
+  Status ReadAt(const std::string& name, uint64_t offset,
+                std::span<char> out) const override;
   Status WriteFile(const std::string& name, std::string_view data) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& name) override;
@@ -111,9 +118,11 @@ class DiskEnv : public StorageEnv {
   /// if `root` exists and is not a directory.
   static Result<DiskEnv> Create(const std::string& root);
 
+  using StorageEnv::ReadAt;
   Result<std::string> ReadFile(const std::string& name) const override;
-  Result<std::string> ReadAt(const std::string& name, uint64_t offset,
-                             uint64_t length) const override;
+  /// One `pread` of the file's bytes.
+  Status ReadAt(const std::string& name, uint64_t offset,
+                std::span<char> out) const override;
   Status WriteFile(const std::string& name, std::string_view data) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& name) override;
@@ -148,7 +157,10 @@ class CrashEnv : public StorageEnv {
   /// crashes (used to count the ops of a schedule first).
   CrashEnv(StorageEnv* target, uint64_t crash_at_op, uint64_t seed);
 
+  using StorageEnv::ReadAt;
   Result<std::string> ReadFile(const std::string& name) const override;
+  Status ReadAt(const std::string& name, uint64_t offset,
+                std::span<char> out) const override;
   Status WriteFile(const std::string& name, std::string_view data) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& name) override;

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "griddecl/common/bytes.h"
 #include "griddecl/methods/registry.h"
 
 namespace griddecl::serve {
@@ -35,6 +36,28 @@ struct Owner {
 
 constexpr uint64_t kOutsideRect = std::numeric_limits<uint64_t>::max();
 
+/// One touched bucket and the (disk, copy) the plan serves it from.
+struct Assign {
+  uint64_t addr = 0;
+  uint32_t disk = 0;
+  uint32_t copy = 0;
+  bool reconstruct = false;
+};
+
+/// One entry of the flat read plan.
+struct PageRead {
+  uint32_t disk = 0;
+  uint32_t copy = 0;
+  uint64_t page = 0;
+  bool reconstruct = false;
+};
+
+/// The matches one page read appended, as a range of the scan's ids.
+struct Run {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
 /// Row-major offset of `c` inside `rect` (last dimension fastest), or
 /// kOutsideRect.
 uint64_t RectOffset(const BucketRect& rect, const BucketCoords& c) {
@@ -47,6 +70,43 @@ uint64_t RectOffset(const BucketRect& rect, const BucketCoords& c) {
 }
 
 }  // namespace
+
+struct QueryService::Scratch {
+  std::vector<bool> allowed;
+  std::vector<bool> touched;
+  std::vector<bool> refused;
+  std::vector<Assign> assignment;
+  std::vector<PageRead> reads;
+  /// Counting-sort bounds of `reads` by disk.
+  std::vector<size_t> disk_end;
+  std::vector<uint64_t> pages;
+  std::vector<PinnedPage> fetched;
+  std::vector<Owner> owners;
+  std::vector<double> values;
+  std::vector<uint8_t> match_mask;
+  /// Matching ids in scan order, one ascending run per page read.
+  std::vector<RecordId> ids;
+  std::vector<Run> runs;
+};
+
+void QueryService::PendingQueue::Push(Pending p) {
+  if (items.size() == items.capacity() && head > 0) {
+    // Full storage with consumed entries in front: slide the live ones
+    // down instead of growing.
+    items.erase(items.begin(), items.begin() + static_cast<ptrdiff_t>(head));
+    head = 0;
+  }
+  items.push_back(std::move(p));
+}
+
+QueryService::Pending QueryService::PendingQueue::Pop() {
+  Pending p = std::move(items[head++]);
+  if (head == items.size()) {
+    items.clear();
+    head = 0;
+  }
+  return p;
+}
 
 QueryService::QueryService(const StorageEnv* env, ServeOptions options,
                            uint32_t num_disks)
@@ -189,7 +249,7 @@ Result<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
           "admission queue full (" + std::to_string(options_.max_queue) +
           " queued); request shed");
     }
-    queue_.push_back(std::move(p));
+    queue_.Push(std::move(p));
     queue_max_depth_ =
         std::max<uint64_t>(queue_max_depth_, queue_.size());
   }
@@ -212,30 +272,30 @@ QueryResult QueryService::Execute(QueryRequest request) {
 }
 
 void QueryService::WorkerLoop(uint32_t /*worker_id*/) {
+  Scratch scratch;
   for (;;) {
-    Pending p;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return !queue_.empty() || draining_; });
-      if (queue_.empty()) return;  // draining_ and nothing left to do.
-      p = std::move(queue_.front());
-      queue_.pop_front();
-      if (hard_stop_.load()) {
-        lock.unlock();
-        QueryResult r;
-        r.status = Status::Unavailable(
-            "shed at shutdown: drain deadline exceeded");
-        {
-          std::lock_guard<std::mutex> m(metrics_mu_);
-          failed_++;
-        }
-        p.promise.set_value(std::move(r));
-        drained_cv_.notify_all();
-        continue;
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    queue_cv_.wait(lock, [&] { return !queue_.empty() || draining_; });
+    if (queue_.empty()) return;  // draining_ and nothing left to do.
+    // Moved out, never default-constructed: an empty Pending would
+    // allocate a promise only to discard it.
+    Pending p = queue_.Pop();
+    if (hard_stop_.load()) {
+      lock.unlock();
+      QueryResult r;
+      r.status = Status::Unavailable(
+          "shed at shutdown: drain deadline exceeded");
+      {
+        std::lock_guard<std::mutex> m(metrics_mu_);
+        failed_++;
       }
-      in_flight_++;
+      p.promise.set_value(std::move(r));
+      drained_cv_.notify_all();
+      continue;
     }
-    QueryResult result = RunQuery(p);
+    in_flight_++;
+    lock.unlock();
+    QueryResult result = RunQuery(p, &scratch);
     {
       std::lock_guard<std::mutex> m(metrics_mu_);
       if (result.status.ok()) {
@@ -260,7 +320,7 @@ void QueryService::WorkerLoop(uint32_t /*worker_id*/) {
   }
 }
 
-QueryResult QueryService::RunQuery(const Pending& p) {
+QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
   QueryResult result;
   const double started = MonotonicNowMs();
   result.queue_ms = started - p.submitted_ms;
@@ -268,6 +328,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     result.status = std::move(st);
     if (!result.status.ok()) result.matches.clear();
     result.total_ms = MonotonicNowMs() - p.submitted_ms;
+    scratch->fetched.clear();  // Unpin the last batch now, not next query.
     return std::move(result);
   };
 
@@ -309,7 +370,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   const bool filtered = !p.request.disks.empty();
   const uint32_t pinned_copy = p.request.serve_copy;
   const bool sub_query = filtered || pinned_copy > 0;
-  std::vector<bool> allowed;
+  std::vector<bool>& allowed = scratch->allowed;
   if (filtered) {
     allowed.assign(num_disks_, false);
     for (uint32_t d : p.request.disks) {
@@ -334,25 +395,21 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   // The mask routed around is "breakers that would refuse right now",
   // probed without consuming half-open slots; actual admission happens per
   // batch below.
-  std::vector<bool> touched(num_disks_, false);
+  std::vector<bool>& touched = scratch->touched;
+  touched.assign(num_disks_, false);
   rel.disk_map->ForEachRowSpan(query.rect(), [&](uint64_t begin,
                                                  uint64_t length) {
     for (uint64_t j = 0; j < length; ++j) {
       touched[rel.disk_map->DiskAt(begin + j)] = true;
     }
   });
-  std::vector<bool> refused(num_disks_, false);
+  std::vector<bool>& refused = scratch->refused;
+  refused.assign(num_disks_, false);
   const bool any_refused =
       !sub_query && breakers_.WouldRefuse(touched, &refused);
 
-  struct Assign {
-    uint64_t addr = 0;
-    uint32_t disk = 0;
-    uint32_t copy = 0;
-    bool reconstruct = false;
-  };
-  std::vector<Assign> assignment;
-  assignment.reserve(static_cast<size_t>(result.buckets_touched));
+  std::vector<Assign>& assignment = scratch->assignment;
+  assignment.clear();
 
   if (any_refused && policy == RelationRedundancy::Policy::kMirror) {
     // Plan-time reroute through the same machinery the simulator uses.
@@ -419,30 +476,41 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   // --- Flat read plan: one entry per (disk, copy, page) --------------------
   // Sorted by (disk, copy, page): per-disk batches (the breaker unit) in
   // ascending disk order, each read in (copy, page) order. A page shared by
-  // two buckets of one (disk, copy) is read once.
-  struct PageRead {
-    uint32_t disk = 0;
-    uint32_t copy = 0;
-    uint64_t page = 0;
-    bool reconstruct = false;
-  };
-  std::vector<PageRead> reads;
-  reads.reserve(assignment.size());
+  // two buckets of one (disk, copy) is read once. A counting sort places
+  // the reads by disk, keeping plan order within a disk; that order is
+  // usually (copy, page) order already, so a disk's reads are sorted only
+  // when they are not.
+  std::vector<PageRead>& reads = scratch->reads;
+  std::vector<size_t>& disk_end = scratch->disk_end;
+  disk_end.assign(num_disks_ + 1, 0);
+  for (const Assign& a : assignment) {
+    disk_end[a.disk + 1] += rel.index.PagesOf(a.addr).size();
+  }
+  for (uint32_t d = 0; d < num_disks_; ++d) disk_end[d + 1] += disk_end[d];
+  reads.resize(disk_end[num_disks_]);
   bool any_mixed = false;
   for (const Assign& a : assignment) {
     for (uint64_t page : rel.index.PagesOf(a.addr)) {
-      reads.push_back({a.disk, a.copy, page, a.reconstruct});
+      reads[disk_end[a.disk]++] = {a.disk, a.copy, page, a.reconstruct};
       any_mixed =
           any_mixed || rel.index.page_bucket[page] == PageIndex::kMixedPage;
+    }
+  }
+  const auto by_copy_page = [](const PageRead& a, const PageRead& b) {
+    return std::tie(a.copy, a.page) < std::tie(b.copy, b.page);
+  };
+  for (uint32_t d = 0; d < num_disks_; ++d) {
+    // disk_end[d] is now where disk d's reads end.
+    const auto begin = reads.begin() + static_cast<ptrdiff_t>(
+                                           d == 0 ? 0 : disk_end[d - 1]);
+    const auto end = reads.begin() + static_cast<ptrdiff_t>(disk_end[d]);
+    if (!std::is_sorted(begin, end, by_copy_page)) {
+      std::sort(begin, end, by_copy_page);
     }
   }
   const auto key = [](const PageRead& r) {
     return std::tie(r.disk, r.copy, r.page);
   };
-  std::sort(reads.begin(), reads.end(),
-            [&](const PageRead& a, const PageRead& b) {
-              return key(a) < key(b);
-            });
   size_t planned = 0;
   for (const PageRead& r : reads) {
     if (planned > 0 && key(reads[planned - 1]) == key(r)) {
@@ -458,7 +526,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   // Indexed by a bucket's row-major offset inside the query rectangle;
   // buckets the plan does not serve (disk-filtered) have no owner.
   const BucketRect& rect = query.rect();
-  std::vector<Owner> owners;
+  std::vector<Owner>& owners = scratch->owners;
   if (any_mixed) {
     owners.assign(static_cast<size_t>(rect.Volume()), Owner{});
     for (const Assign& a : assignment) {
@@ -472,15 +540,14 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   const std::vector<double>& hi = p.request.hi;
   const uint32_t num_attrs = rel.header.layout.num_attrs;
   const uint32_t capacity = rel.header.layout.page_capacity;
-  std::vector<double> values(num_attrs);
-  std::vector<uint8_t> match_mask;
-  // Each page read appends one ascending run of ids to result.matches.
-  struct Run {
-    size_t begin = 0;
-    size_t end = 0;
-  };
-  std::vector<Run> runs;
-  runs.reserve(reads.size());
+  std::vector<double>& values = scratch->values;
+  values.resize(num_attrs);
+  std::vector<uint8_t>& match_mask = scratch->match_mask;
+  // Each page read appends one ascending run of ids to `ids`.
+  std::vector<RecordId>& ids = scratch->ids;
+  ids.clear();
+  std::vector<Run>& runs = scratch->runs;
+  runs.clear();
 
   // Appends the matches of one page read under (disk, copy).
   const auto scan = [&](const PageRead& read, const DecodedPage& decoded) {
@@ -492,14 +559,14 @@ QueryResult QueryService::RunQuery(const Pending& p) {
     }
     const uint32_t in_page = decoded.num_records;
     const RecordId first_id = read.page * capacity;
-    const size_t run_begin = result.matches.size();
+    const size_t run_begin = ids.size();
     const bool mixed =
         rel.index.page_bucket[read.page] == PageIndex::kMixedPage;
     if (!mixed && decoded.Within(lo, hi)) {
       // Zone-map accept: min/max prove every record lies inside the box.
       result.zone_map_accepts++;
       for (uint32_t slot = 0; slot < in_page; ++slot) {
-        result.matches.push_back(first_id + slot);
+        ids.push_back(first_id + slot);
       }
     } else {
       // Branch-free columnar filter: AND per-attribute range masks over
@@ -528,12 +595,10 @@ QueryResult QueryService::RunQuery(const Pending& p) {
           const Owner& owner = owners[static_cast<size_t>(offset)];
           if (owner.disk != read.disk || owner.copy != read.copy) continue;
         }
-        result.matches.push_back(first_id + slot);
+        ids.push_back(first_id + slot);
       }
     }
-    if (result.matches.size() > run_begin) {
-      runs.push_back({run_begin, result.matches.size()});
-    }
+    if (ids.size() > run_begin) runs.push_back({run_begin, ids.size()});
   };
 
   // --- Execute, disk by disk ----------------------------------------------
@@ -541,9 +606,10 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   // run is read in batched PageStore reads of up to kMaxPagesPerFetch
   // pages. A page that fails moves, alone, to the degraded path before the
   // run reads on.
-  std::vector<uint64_t> pages(reads.size());
+  std::vector<uint64_t>& pages = scratch->pages;
+  pages.resize(reads.size());
   for (size_t i = 0; i < reads.size(); ++i) pages[i] = reads[i].page;
-  std::vector<PinnedPage> fetched;
+  std::vector<PinnedPage>& fetched = scratch->fetched;
   for (size_t batch = 0; batch < reads.size();) {
     const uint32_t disk = reads[batch].disk;
     size_t batch_end = batch;
@@ -615,7 +681,7 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   // Distinct pages hold disjoint id ranges, so ordering the runs by first id
   // and concatenating sorts the answer. Runs overlap only when one mixed
   // page was read under two (disk, copy) keys; then sort the ids instead.
-  std::vector<RecordId>& ids = result.matches;
+  // The answer is allocated once, at its exact size.
   std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
     return ids[a.begin] < ids[b.begin];
   });
@@ -623,16 +689,16 @@ QueryResult QueryService::RunQuery(const Pending& p) {
   for (size_t k = 1; k < runs.size(); ++k) {
     overlap = overlap || ids[runs[k].begin] <= ids[runs[k - 1].end - 1];
   }
+  std::vector<RecordId>& matches = result.matches;
+  matches.reserve(ids.size());
   if (overlap) {
-    std::sort(ids.begin(), ids.end());
+    matches.assign(ids.begin(), ids.end());
+    std::sort(matches.begin(), matches.end());
   } else {
-    std::vector<RecordId> ordered;
-    ordered.reserve(ids.size());
     for (const Run& run : runs) {
-      ordered.insert(ordered.end(), ids.begin() + run.begin,
+      matches.insert(matches.end(), ids.begin() + run.begin,
                      ids.begin() + run.end);
     }
-    ids.swap(ordered);
   }
   return finish(Status::Ok());
 }
@@ -713,16 +779,18 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
                                std::to_string(page) +
                                " failed: " + st.message());
   };
-  // Parity pages carry no grid-file layout of their own: raw uncached
-  // read with the same retry/interrupt machinery.
+  // The rebuilt page goes in a frame of no pool, which it starts filled
+  // with the parity page. Parity pages carry no grid-file layout of their
+  // own: raw uncached read with the same retry/interrupt machinery.
+  BlankFrame frame = BlankFrame::Unpooled();
+  const std::span<char> rebuilt = frame.Resize(layout.page_size_bytes);
   PageReadStats parity_stats;
-  Result<std::string> acc = store_->ReadRaw(
-      rel.parity_file, stripe * layout.page_size_bytes,
-      layout.page_size_bytes, options_.read, &parity_stats, interrupt);
+  Status parity =
+      store_->ReadRaw(rel.parity_file, stripe * layout.page_size_bytes,
+                      rebuilt, options_.read, &parity_stats, interrupt);
   result->retries += parity_stats.retries;
-  if (!acc.ok()) return degrade(acc.status());
+  if (!parity.ok()) return degrade(parity);
   result->pages_read++;
-  std::string rebuilt = std::move(acc).value();
   for (uint64_t sibling = first; sibling < last; ++sibling) {
     if (sibling == page) continue;
     // Stripe siblings are ordinary data pages: pooled reads, so repeated
@@ -730,24 +798,18 @@ Result<PinnedPage> QueryService::ReconstructPage(const Relation& rel,
     Result<PinnedPage> bytes =
         ReadPagePinned(rel, 0, sibling, interrupt, result);
     if (!bytes.ok()) return degrade(bytes.status());
-    const std::string_view src = bytes.value().raw();
-    for (uint32_t b = 0; b < layout.page_size_bytes; ++b) {
-      rebuilt[b] = static_cast<char>(rebuilt[b] ^ src[b]);
-    }
+    XorBytes(rebuilt.data(), bytes.value().raw().data(), rebuilt.size());
   }
   // Self-check, decode, and pin — without admitting under the data file's
   // key (see header: breakers must keep observing the real fault). The
   // verify doubles as the reconstruction's integrity proof.
-  Status verify = VerifyPageBytes(rebuilt, layout, page);
+  Status verify = VerifyPageBytes(frame.raw(), layout, page);
   if (!verify.ok()) return degrade(verify);
-  // Decoded over the frame's own bytes, which the page reads in place.
-  auto frame = std::make_shared<BufferPool::Frame>();
-  frame->raw = std::move(rebuilt);
-  Result<DecodedPage> decoded = DecodePageBytes(frame->raw, layout, page);
+  Result<DecodedPage> decoded = DecodePageBytes(frame.raw(), layout, page);
   if (!decoded.ok()) return degrade(decoded.status());
-  frame->decoded = std::move(decoded).value();
+  frame.set_decoded(std::move(decoded).value());
   result->reconstructed_pages++;
-  return PinnedPage(std::move(frame));
+  return std::move(frame).Seal();
 }
 
 Status QueryService::Shutdown() {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -283,6 +282,24 @@ class QueryService {
     double submitted_ms = 0.0;
   };
 
+  /// Admitted requests in FIFO order: a vector read from `head`, so a
+  /// steady stream of requests reuses its storage where a deque would
+  /// allocate a block every few requests.
+  struct PendingQueue {
+    std::vector<Pending> items;
+    size_t head = 0;
+
+    size_t size() const { return items.size() - head; }
+    bool empty() const { return size() == 0; }
+    void Push(Pending p);
+    Pending Pop();
+  };
+
+  /// One worker's planning and scan buffers (service.cc), reused across
+  /// its queries, so a warmed worker plans and scans without allocating.
+  /// They keep the capacity of the largest query the worker has served.
+  struct Scratch;
+
   QueryService(const StorageEnv* env, ServeOptions options,
                uint32_t num_disks);
 
@@ -296,7 +313,7 @@ class QueryService {
       const StorageEnv& env, const std::string& relation, uint32_t disk);
 
   void WorkerLoop(uint32_t worker_id);
-  QueryResult RunQuery(const Pending& p);
+  QueryResult RunQuery(const Pending& p, Scratch* scratch);
 
   /// The degraded path of one page whose direct read failed with
   /// `direct_status` or was skipped: mirror failover to the other copies
@@ -336,7 +353,7 @@ class QueryService {
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
+  PendingQueue queue_;
   bool draining_ = false;
   std::atomic<bool> hard_stop_{false};
   uint32_t in_flight_ = 0;

@@ -2,14 +2,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "griddecl/common/random.h"
+#include "reference_buffer_pool.h"
 
 namespace griddecl {
 namespace {
@@ -25,26 +27,32 @@ std::string Payload(FileId file, uint64_t page) {
   return std::to_string(file) + ":" + std::to_string(page);
 }
 
-BufferPool::FramePtr MakeFrame(FileId file, uint64_t page) {
-  auto frame = std::make_shared<BufferPool::Frame>();
-  frame->raw = Payload(file, page);
+/// A frame of `pool` filled with `bytes`, as a miss fills one.
+BlankFrame Filled(BufferPool* pool, std::string_view bytes) {
+  BlankFrame frame = pool->TakeFrame();
+  const std::span<char> out = frame.Resize(bytes.size());
+  std::memcpy(out.data(), bytes.data(), bytes.size());
   return frame;
+}
+
+BlankFrame MakeFrame(BufferPool* pool, FileId file, uint64_t page) {
+  return Filled(pool, Payload(file, page));
 }
 
 /// Lookup-then-admit-on-miss, the way PageStore drives the pool.
 bool Touch(BufferPool* pool, FileId file, uint64_t page) {
-  if (pool->Lookup(file, page) != nullptr) return true;
-  pool->Admit(file, page, MakeFrame(file, page));
+  if (pool->Lookup(file, page).valid()) return true;
+  pool->Admit(file, page, MakeFrame(pool, file, page));
   return false;
 }
 
 TEST(BufferPoolTest, LookupMissThenAdmitThenHit) {
   BufferPool pool(8);
-  EXPECT_EQ(pool.Lookup(kF, 0), nullptr);
-  pool.Admit(kF, 0, MakeFrame(kF, 0));
-  const BufferPool::FramePtr hit = pool.Lookup(kF, 0);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->raw, Payload(kF, 0));
+  EXPECT_FALSE(pool.Lookup(kF, 0).valid());
+  pool.Admit(kF, 0, MakeFrame(&pool, kF, 0));
+  const PinnedPage hit = pool.Lookup(kF, 0);
+  ASSERT_TRUE(hit.valid());
+  EXPECT_EQ(hit.raw(), Payload(kF, 0));
   const BufferPool::Stats stats = pool.GetStats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -54,11 +62,17 @@ TEST(BufferPoolTest, LookupMissThenAdmitThenHit) {
 
 TEST(BufferPoolTest, DuplicateAdmitKeepsIncumbent) {
   BufferPool pool(8);
-  const BufferPool::FramePtr first = pool.Admit(kF, 3, MakeFrame(kF, 3));
-  const BufferPool::FramePtr second = pool.Admit(kF, 3, MakeFrame(kF, 3));
+  const PinnedPage first = pool.Admit(kF, 3, Filled(&pool, "first"));
+  const PinnedPage second = pool.Admit(kF, 3, Filled(&pool, "second"));
   // Two readers raced on the same miss: the incumbent wins both times.
-  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(first.raw().data(), second.raw().data());
+  EXPECT_EQ(second.raw(), "first");
   EXPECT_EQ(pool.GetStats().resident, 1u);
+  EXPECT_EQ(pool.GetStats().admissions, 1u);
+  // The loser's frame went back to the free list: the next miss takes it.
+  EXPECT_EQ(pool.frames_allocated(), 2u);
+  pool.Admit(kF, 4, Filled(&pool, "third"));
+  EXPECT_EQ(pool.frames_allocated(), 2u);
 }
 
 TEST(BufferPoolTest, CapacityIsNeverExceeded) {
@@ -82,17 +96,19 @@ TEST(BufferPoolTest, CapacityIsNeverExceeded) {
 
 TEST(BufferPoolTest, InvalidateDropsOnlyThatFile) {
   BufferPool pool(16);
-  pool.Admit(kA, 0, MakeFrame(kA, 0));
-  pool.Admit(kA, 1, MakeFrame(kA, 1));
-  pool.Admit(kB, 0, MakeFrame(kB, 0));
-  const BufferPool::FramePtr pinned = pool.Lookup(kA, 0);
-  ASSERT_NE(pinned, nullptr);
+  pool.Admit(kA, 0, MakeFrame(&pool, kA, 0));
+  pool.Admit(kA, 1, MakeFrame(&pool, kA, 1));
+  pool.Admit(kB, 0, MakeFrame(&pool, kB, 0));
+  const PinnedPage pinned = pool.Lookup(kA, 0);
+  ASSERT_TRUE(pinned.valid());
   pool.Invalidate(kA);
-  EXPECT_EQ(pool.Lookup(kA, 0), nullptr);
-  EXPECT_EQ(pool.Lookup(kA, 1), nullptr);
-  EXPECT_NE(pool.Lookup(kB, 0), nullptr);
-  // The outstanding pin outlives eviction (structural pin safety).
-  EXPECT_EQ(pinned->raw, Payload(kA, 0));
+  EXPECT_FALSE(pool.Lookup(kA, 0).valid());
+  EXPECT_FALSE(pool.Lookup(kA, 1).valid());
+  EXPECT_TRUE(pool.Lookup(kB, 0).valid());
+  // The outstanding pin outlives eviction, and its frame is not reused
+  // while pinned: new misses get other frames.
+  for (uint64_t p = 0; p < 4; ++p) Touch(&pool, kB, 10 + p);
+  EXPECT_EQ(pinned.raw(), Payload(kA, 0));
 }
 
 TEST(BufferPoolTest, SequentialScanDoesNotEvictHotSet) {
@@ -110,7 +126,7 @@ TEST(BufferPoolTest, SequentialScanDoesNotEvictHotSet) {
   }
   for (uint64_t p = 0; p < 320; ++p) Touch(&pool, scan, p);
   for (uint64_t p = 0; p < 16; ++p) {
-    EXPECT_NE(pool.Lookup(hot, p), nullptr) << "hot page " << p;
+    EXPECT_TRUE(pool.Lookup(hot, p).valid()) << "hot page " << p;
   }
 }
 
@@ -158,9 +174,9 @@ TEST(BufferPoolTest, PromotionRequiresASecondTouch) {
   Touch(&pool, kF, 1);
   Touch(&pool, kF, 2);
   Touch(&pool, kF, 3);
-  EXPECT_EQ(pool.Lookup(kF, 1), nullptr);
+  EXPECT_FALSE(pool.Lookup(kF, 1).valid());
   // The promoted page is untouched by the probation churn.
-  EXPECT_NE(pool.Lookup(kF, 0), nullptr);
+  EXPECT_TRUE(pool.Lookup(kF, 0).valid());
 }
 
 TEST(BufferPoolTest, ConcurrentPinUnpinEvictionIsSafe) {
@@ -175,27 +191,36 @@ TEST(BufferPoolTest, ConcurrentPinUnpinEvictionIsSafe) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&pool, &stop, &bad_reads, t] {
       Rng rng(static_cast<uint64_t>(t) + 100);
-      std::vector<BufferPool::FramePtr> pins;
+      std::vector<std::pair<PinnedPage, std::string>> pins;
       while (!stop.load(std::memory_order_relaxed)) {
         const uint64_t page = rng.NextBelow(64);
         const FileId file = rng.NextBool(0.5) ? kA : kB;
-        BufferPool::FramePtr frame;
+        PinnedPage frame;
         {
           // Some lookups run two to a Hold, as a batched read's hits do.
           BufferPool::Hold hold(&pool);
           frame = hold.Lookup(file, page);
           if (rng.NextBool(0.5)) hold.Lookup(file, (page + 1) % 64);
         }
-        if (frame == nullptr) {
-          frame = pool.Admit(file, page, MakeFrame(file, page));
+        if (!frame.valid()) {
+          frame = pool.Admit(file, page, MakeFrame(&pool, file, page));
         }
         // Pinned frames are immutable: contents never change underneath
-        // us regardless of concurrent eviction.
-        if (frame->raw != Payload(file, page)) {
+        // us regardless of concurrent eviction and frame reuse.
+        if (frame.raw() != Payload(file, page)) {
           bad_reads.fetch_add(1, std::memory_order_relaxed);
         }
-        if (rng.NextBool(0.25)) pins.push_back(std::move(frame));
-        if (pins.size() > 32) pins.clear();
+        if (rng.NextBool(0.25)) {
+          pins.emplace_back(std::move(frame), Payload(file, page));
+        }
+        if (pins.size() > 32) {
+          for (const auto& [pin, payload] : pins) {
+            if (pin.raw() != payload) {
+              bad_reads.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          pins.clear();
+        }
         if (rng.NextBool(0.01)) pool.Invalidate(kB);
       }
     });
@@ -207,6 +232,93 @@ TEST(BufferPoolTest, ConcurrentPinUnpinEvictionIsSafe) {
   const BufferPool::Stats stats = pool.GetStats();
   EXPECT_LE(stats.resident, 16u);
   EXPECT_EQ(stats.admissions, stats.evictions + stats.resident);
+  // Frames: at most the resident ones, one blank per thread, and the
+  // evicted ones still pinned (32 per thread, plus the one in hand).
+  EXPECT_LE(pool.frames_allocated(), 16u + 8u * (1u + 33u));
+}
+
+TEST(BufferPoolTest, FramesGrowWithResidencyAndRecycleWhenFull) {
+  BufferPool pool(64);
+  EXPECT_EQ(pool.frames_allocated(), 0u);  // Nothing up front.
+  for (uint64_t p = 0; p < 10; ++p) Touch(&pool, kF, p);
+  EXPECT_EQ(pool.frames_allocated(), 10u);
+  // Fill well past capacity without pins: each admission into the full
+  // pool reuses the frame the previous one evicted.
+  for (uint64_t p = 10; p < 1000; ++p) Touch(&pool, kF, p);
+  EXPECT_EQ(pool.GetStats().resident, 16u);  // One-touch pages: probation.
+  EXPECT_EQ(pool.frames_allocated(), 17u);
+}
+
+/// Drives the pool and the reference model with one seeded sequence of
+/// lookups, admissions (after a miss, or racing an incumbent) and
+/// invalidations, checking after every operation that both returned the
+/// same frame and count the same Stats.
+void ExpectMatchesReference(size_t capacity, uint64_t seed) {
+  BufferPool pool(capacity);
+  testing::ReferenceBufferPool model(capacity);
+  Rng rng(seed);
+  // Keys over ~3x capacity: hits, promotions and evictions all happen.
+  const uint64_t universe = 3 * capacity + 3;
+  std::vector<PinnedPage> held;
+  uint64_t next_tag = 1;
+  const auto tag_of = [](const PinnedPage& pin) {
+    uint64_t tag = 0;
+    std::memcpy(&tag, pin.raw().data(), sizeof tag);
+    return tag;
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const FileId file = static_cast<FileId>(rng.NextBelow(3));
+    const uint64_t page = rng.NextBelow(universe);
+    const uint64_t roll = rng.NextBelow(100);
+    SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                 std::to_string(seed) + " op " + std::to_string(op));
+    if (roll < 2) {
+      pool.Invalidate(file);
+      model.Invalidate(file);
+    } else {
+      // A tenth of the admissions race an incumbent: no lookup first.
+      PinnedPage pin;
+      if (roll >= 12) {
+        pin = pool.Lookup(file, page);
+        const testing::ReferenceBufferPool::FramePtr ref =
+            model.Lookup(file, page);
+        ASSERT_EQ(pin.valid(), ref != nullptr);
+        if (pin.valid()) {
+          ASSERT_EQ(tag_of(pin), ref->tag);
+        }
+      }
+      if (!pin.valid()) {
+        const uint64_t tag = next_tag++;
+        std::string bytes(sizeof tag, '\0');
+        std::memcpy(bytes.data(), &tag, sizeof tag);
+        pin = pool.Admit(file, page, Filled(&pool, bytes));
+        const testing::ReferenceBufferPool::FramePtr ref = model.Admit(
+            file, page,
+            std::make_shared<const testing::ReferenceBufferPool::Frame>(
+                testing::ReferenceBufferPool::Frame{tag}));
+        ASSERT_EQ(tag_of(pin), ref->tag);
+      }
+      if (rng.NextBool(0.1)) held.push_back(pin);
+    }
+    if (held.size() > 8) held.erase(held.begin());
+    const BufferPool::Stats a = pool.GetStats();
+    const BufferPool::Stats b = model.GetStats();
+    ASSERT_EQ(a.hits, b.hits);
+    ASSERT_EQ(a.misses, b.misses);
+    ASSERT_EQ(a.admissions, b.admissions);
+    ASSERT_EQ(a.evictions, b.evictions);
+    ASSERT_EQ(a.promotions, b.promotions);
+    ASSERT_EQ(a.resident, b.resident);
+  }
+}
+
+TEST(BufferPoolTest, MatchesReferenceModelExactly) {
+  for (const size_t capacity : {1, 2, 4, 7, 1024}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      ExpectMatchesReference(capacity, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

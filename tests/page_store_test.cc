@@ -1,7 +1,10 @@
 #include "griddecl/gridfile/page_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
+#include <thread>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -207,11 +210,11 @@ TEST(PageStoreTest, ReadRawMatchesEnvBytes) {
   const std::string direct =
       env.ReadAt("rel", layout.PageOffset(0), layout.page_size_bytes)
           .value();
-  const std::string raw =
-      store
-          .ReadRaw("rel", layout.PageOffset(0), layout.page_size_bytes,
-                   ReadPolicy{})
-          .value();
+  std::string raw(layout.page_size_bytes, '\0');
+  ASSERT_TRUE(store
+                  .ReadRaw("rel", layout.PageOffset(0), std::span<char>(raw),
+                           ReadPolicy{})
+                  .ok());
   EXPECT_EQ(raw, direct);
 }
 
@@ -229,6 +232,76 @@ TEST(PageStoreTest, PublishMetricsEmitsAbsoluteTotals) {
   EXPECT_EQ(reg.GetCounter("storage.pool.hits")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("storage.pool.misses")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("storage.pool.admissions")->value(), 1u);
+}
+
+TEST(PageStoreTest, PinsKeepBytesAndColumnsUnderHeavyEviction) {
+  // Threads read batches through a pool of 2-4 frames and hold their pins
+  // across heavy eviction and frame reuse. A pinned page's bytes must keep
+  // their CRC and its decoded columns their records until the pin drops.
+  // Run under TSan by scripts/run_tier1.sh --sanitize=tsan.
+  const GridFile original = MakeFile(256, 7);
+  for (const size_t pool_pages : {2, 3, 4}) {
+    MemEnv env;
+    PageStore::Options options;
+    options.pool_pages = pool_pages;
+    PageStore store(&env, options);
+    const FileLayout layout = WriteRelation(&env, "rel", 256, 7);
+    store.RegisterFile("rel", layout);
+    std::atomic<uint64_t> bad{0};
+    const auto intact = [&](uint64_t page, const PinnedPage& pin) {
+      if (!VerifyPageBytes(pin.raw(), layout, page).ok()) return false;
+      const DecodedPage& d = pin.decoded();
+      if (d.num_records != layout.PageRecords(page)) return false;
+      for (uint32_t a = 0; a < 2; ++a) {
+        for (uint32_t r = 0; r < d.num_records; ++r) {
+          const RecordId id = page * layout.page_capacity + r;
+          if (d.column(a)[r] != original.record(id)[a]) return false;
+        }
+      }
+      return true;
+    };
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(pool_pages * 10 + t);
+        std::vector<std::pair<uint64_t, PinnedPage>> held;
+        std::vector<PinnedPage> batch;
+        std::vector<uint64_t> pages;
+        for (int i = 0; i < 400; ++i) {
+          pages.clear();
+          const uint64_t n = 1 + rng.NextBelow(4);
+          for (uint64_t k = 0; k < n; ++k) {
+            pages.push_back(rng.NextBelow(layout.num_pages));
+          }
+          batch.clear();
+          if (!store.GetPages("rel", pages, ReadPolicy{}, &batch).ok() ||
+              batch.size() != pages.size()) {
+            bad.fetch_add(1);
+            continue;
+          }
+          for (size_t k = 0; k < pages.size(); ++k) {
+            if (!intact(pages[k], batch[k])) bad.fetch_add(1);
+            if (rng.NextBool(0.3)) held.emplace_back(pages[k], batch[k]);
+          }
+          while (held.size() > 6) {
+            // Checked again as the pin drops, after many evictions.
+            if (!intact(held.front().first, held.front().second)) {
+              bad.fetch_add(1);
+            }
+            held.erase(held.begin());
+          }
+        }
+        for (const auto& [page, pin] : held) {
+          if (!intact(page, pin)) bad.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(bad.load(), 0u) << "pool_pages " << pool_pages;
+    const BufferPool::Stats stats = store.PoolStats();
+    EXPECT_LE(stats.resident, pool_pages);
+    EXPECT_GT(stats.evictions, 1000u) << "pool_pages " << pool_pages;
+  }
 }
 
 /// One GetPages batch of a read sequence.

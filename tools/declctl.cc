@@ -220,6 +220,20 @@ Result<uint32_t> DisksFromFlags(const Flags& flags, int64_t fallback) {
   return static_cast<uint32_t>(disks.value());
 }
 
+/// --disks for the commands that evaluate through an Evaluator, whose
+/// per-query tally holds one counter per disk.
+Result<uint32_t> EvalDisksFromFlags(const Flags& flags) {
+  Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  if (disks.ok() && disks.value() > kMaxEvaluatorDisks) {
+    return Status::InvalidArgument(
+        "--disks " + std::to_string(disks.value()) +
+        " is more than the evaluator tallies (at most " +
+        std::to_string(kMaxEvaluatorDisks) +
+        " disks: each query counts buckets per disk)");
+  }
+  return disks;
+}
+
 Result<GridSpec> GridFromFlags(const Flags& flags) {
   return GridSpec::FromString(flags.GetString("grid", "64x64"));
 }
@@ -248,7 +262,7 @@ int CmdMethods() {
 int CmdEval(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  const Result<uint32_t> disks = EvalDisksFromFlags(flags);
   if (!disks.ok()) return Fail(disks.status().ToString());
   Result<std::unique_ptr<DeclusteringMethod>> method = CreateMethod(
       flags.GetString("method", "hcam"), grid.value(), disks.value());
@@ -284,7 +298,7 @@ int CmdEval(const Flags& flags) {
 int CmdCompare(const Flags& flags) {
   Result<GridSpec> grid = GridFromFlags(flags);
   if (!grid.ok()) return Fail(grid.status().ToString());
-  const Result<uint32_t> disks = DisksFromFlags(flags, 16);
+  const Result<uint32_t> disks = EvalDisksFromFlags(flags);
   if (!disks.ok()) return Fail(disks.status().ToString());
   Result<QueryShape> shape = ShapeFromFlags(flags, grid.value());
   if (!shape.ok()) return Fail(shape.status().ToString());
