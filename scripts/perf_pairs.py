@@ -7,13 +7,15 @@
 Each seed is one pair: both binaries run that workload at that seed for the
 same number of seconds (default: BENCHMARK.json's run_seconds), and the side
 that runs first alternates from pair to pair. For every metric in the runs'
-JSON result the script prints each side's median and quartiles, the change's
-median relative to the parent's, and how many pairs the change won (ties
-count for neither side). A gain holds when the change wins at least nine
-tenths of the pairs and the medians differ by more than the distance
-between the parent's quartiles. Metric directions ("better": higher or
-lower) come from BENCHMARK.json. The exit code is 1 when any run fails or
-reports a wrong answer.
+JSON result, and every "name value unit" line perfbench prints outside it
+(such as transition_ms and fail_frac), the script prints each side's median
+and quartiles, the change's median relative to the parent's, and how many
+pairs the change won (ties count for neither side). A gain holds when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the distance between the parent's quartiles. Metric directions
+("better": higher or lower) come from BENCHMARK.json, and PRINTED_BETTER
+for the printed-only lines; a metric with no direction shows no wins. The
+exit code is 1 when any run fails or reports a wrong answer.
 """
 
 import argparse
@@ -25,6 +27,8 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 300
+# Directions of the metrics perfbench prints but leaves out of its JSON.
+PRINTED_BETTER = {"transition_ms": "lower", "fail_frac": "lower"}
 
 
 def parse_seeds(text):
@@ -47,8 +51,29 @@ def directions():
     return better, bench.get("run_seconds", 20)
 
 
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def printed_metrics(stdout, skip):
+    """{name: value} of the "name value unit" lines of a run's stdout
+    whose name is not in `skip`; a line with no unit is not a metric."""
+    metrics = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if (len(parts) >= 3 and parts[0] not in skip and is_number(parts[1])
+                and not is_number(parts[2])):
+            metrics[parts[0]] = float(parts[1])
+    return metrics
+
+
 def run(binary, workload, seed, seconds, trace):
-    """One perfbench run -> its JSON result, or None on a failed run."""
+    """One perfbench run -> {metric: value} from its JSON result and its
+    printed metric lines, or None on a failed run."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     try:
@@ -66,7 +91,9 @@ def run(binary, workload, seed, seconds, trace):
     if not result.get("correct", False):
         print(f"wrong answers: {' '.join(cmd)}", file=sys.stderr)
         return None
-    return result
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics.update(printed_metrics(proc.stdout, metrics))
+    return metrics
 
 
 def quartiles(values):
@@ -88,6 +115,7 @@ def main():
     args = parser.parse_args()
 
     better, run_seconds = directions()
+    better.update(PRINTED_BETTER)
     seconds = args.seconds if args.seconds is not None else run_seconds
     sides = {"parent": args.parent, "change": args.change}
     # results[side] is one {metric: value} dict per pair, in seed order.
@@ -103,8 +131,7 @@ def main():
             failed += 1
             continue
         for side in sides:
-            metrics = pair[side]["metrics"]
-            results[side].append({k: v["value"] for k, v in metrics.items()})
+            results[side].append(pair[side])
         print(f"pair {i + 1} seed {seed} ({order[0]} first): "
               + ", ".join(f"{k} {results['parent'][-1][k]:.4g} -> "
                           f"{results['change'][-1][k]:.4g}"

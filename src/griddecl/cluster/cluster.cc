@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <limits>
+#include <span>
 #include <utility>
 
 #include "griddecl/common/backoff.h"
@@ -39,7 +41,73 @@ Status CopyAllFiles(const StorageEnv& from, StorageEnv* to) {
   return Status::Ok();
 }
 
+/// RouteIndex entry of a lost disk or an unused (node, copy) key.
+constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
+
+/// The unread rest of one sorted run.
+struct RunHead {
+  const RecordId* next;
+  const RecordId* end;
+};
+
+/// Sets `out` to the union of ascending, pairwise disjoint `runs`,
+/// allocated once at its exact size. A linear min over the run heads picks
+/// the run with the smallest head, which is copied up to the next smallest
+/// head; there are at most as many runs as touched disks, one per route
+/// unless a route failed over. `heads` is working space.
+void MergeRuns(const std::vector<std::vector<RecordId>>& runs,
+               std::vector<RunHead>* heads, std::vector<RecordId>* out) {
+  size_t total = 0;
+  heads->clear();
+  for (const std::vector<RecordId>& run : runs) {
+    if (run.empty()) continue;
+    total += run.size();
+    heads->push_back({run.data(), run.data() + run.size()});
+  }
+  out->resize(total);
+  RecordId* dst = out->data();
+  while (heads->size() > 1) {
+    size_t min = 0;
+    RecordId bound = std::numeric_limits<RecordId>::max();
+    for (size_t h = 1; h < heads->size(); ++h) {
+      const RecordId head = *(*heads)[h].next;
+      if (head < *(*heads)[min].next) {
+        bound = *(*heads)[min].next;
+        min = h;
+      } else {
+        bound = std::min(bound, head);
+      }
+    }
+    RunHead& run = (*heads)[min];
+    do {
+      *dst++ = *run.next++;
+    } while (run.next != run.end && *run.next < bound);
+    if (run.next == run.end) {
+      run = heads->back();
+      heads->pop_back();
+    }
+  }
+  if (!heads->empty()) {
+    std::copy(heads->front().next, heads->front().end, dst);
+  }
+}
+
 }  // namespace
+
+/// See ExecuteOnEpoch. O(M + nodes x copies) between queries: the
+/// sub-answers in `runs` are freed when each query's merge is done.
+struct Cluster::Scratch {
+  std::vector<uint64_t> counts;
+  std::vector<uint32_t> touched;
+  std::vector<uint32_t> lost;
+  RouteIndex index;
+  /// The plan is a prefix; RouteDisks reuses the entries and disk lists.
+  std::vector<Route> routes;
+  std::vector<std::future<serve::QueryResult>> primaries;
+  /// One ascending run per served sub-query, in the order they settled.
+  std::vector<std::vector<RecordId>> runs;
+  std::vector<RunHead> heads;
+};
 
 Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
                                                  ClusterOptions options) {
@@ -659,39 +727,49 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   }
   result.buckets_touched = rq.value().NumBuckets();
 
-  std::vector<uint64_t> counts;
+  // One scratch per calling thread: ExecuteOnEpoch never re-enters itself
+  // on a thread (the staging double-read runs after the live read has
+  // returned), so concurrent callers never share one.
+  thread_local Scratch scratch;
+  std::vector<uint64_t>& counts = scratch.counts;
   rel.disk_map.CountsForRect(rq.value().rect(), counts);
 
   // Plan: one route per (node, copy), each disk placed by the per-disk
   // rule (RouteDisks). Disks with no usable holder lose their buckets —
   // parity repairs a disk *within* a node, not a whole node.
-  std::vector<uint32_t> touched;
+  std::vector<uint32_t>& touched = scratch.touched;
+  touched.clear();
   for (uint32_t d = 0; d < epoch.num_disks; ++d) {
     if (counts[d] > 0) touched.push_back(d);
   }
-  std::vector<uint32_t> lost;
-  const std::vector<Route> routes =
-      RouteDisks(epoch, rel.copies, touched, counts, {}, &lost);
+  std::vector<uint32_t>& lost = scratch.lost;
+  lost.clear();
+  // RouteDisks may reallocate scratch.routes, so take data() only after it
+  // has returned.
+  const size_t num_routes =
+      RouteDisks(epoch, rel.copies, touched, counts, /*tried=*/{},
+                 &scratch.index, &scratch.routes, &lost);
+  const std::span<const Route> routes(scratch.routes.data(), num_routes);
   for (uint32_t d : lost) {
     result.unavailable_buckets += counts[d];
     result.winners.push_back('u');
   }
 
-  // A sub-query reads exactly the route's (disk, copy) pairs; the node
+  // A sub-query reads exactly the (disk, copy) pairs it names; the node
   // never moves a read to another copy itself.
-  auto submit = [&](const Route& sub)
+  auto submit = [&](uint32_t node, uint32_t copy,
+                    const std::vector<uint32_t>& disks)
       -> Result<std::future<serve::QueryResult>> {
     // A repair epoch carries null services for the nodes it planned
     // around; planning avoids them, but guard the submit.
-    if (epoch.services[sub.node] == nullptr ||
-        !node_breakers_->Admit(sub.node)) {
+    if (epoch.services[node] == nullptr || !node_breakers_->Admit(node)) {
       return Status::Unavailable("no service on node, or its breaker is open");
     }
     serve::QueryRequest req = request;
-    req.disks = sub.disks;
-    req.serve_copy = sub.copy;
+    req.disks = disks;
+    req.serve_copy = copy;
     req.expected_generation = epoch.generation;
-    auto f = epoch.services[sub.node]->Submit(std::move(req));
+    auto f = epoch.services[node]->Submit(std::move(req));
     if (f.ok()) ++result.sub_queries;
     return f;
   };
@@ -699,9 +777,10 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   // Scatter everything up front so nodes work in parallel; routes whose
   // breaker admission or submit fails (no valid future) fall to the
   // failover path below.
-  std::vector<std::future<serve::QueryResult>> primaries(routes.size());
+  std::vector<std::future<serve::QueryResult>>& primaries = scratch.primaries;
+  primaries.resize(routes.size());
   for (size_t i = 0; i < routes.size(); ++i) {
-    auto submitted = submit(routes[i]);
+    auto submitted = submit(routes[i].node, routes[i].copy, routes[i].disks);
     if (submitted.ok()) {
       primaries[i] = std::move(submitted).value();
       primary_subs_.fetch_add(1);
@@ -709,7 +788,10 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     if (routes[i].copy != 0) ++result.rerouted_subqueries;
   }
 
-  // Gather in deterministic route order.
+  // Gather in deterministic route order. Every served sub-answer becomes
+  // one ascending run; a route that fails over, or whose hedge wins, may
+  // add several.
+  std::vector<std::vector<RecordId>>& runs = scratch.runs;
   const uint64_t seq = query_seq_.fetch_add(1);
   uint32_t retries_used = 0;
   for (size_t i = 0; i < routes.size(); ++i) {
@@ -722,13 +804,10 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     // ('h') whether the attempt launched before or after the primary
     // failed — that keeps winners schedule-deterministic under
     // kPrimaryPreferred.
-    std::vector<Route> first;
-    std::vector<uint32_t> unplaced;
+    std::optional<Holder> alt;
     if (submitted && allow_hedge && route.copy == 0) {
-      first = Fallback(epoch, rel.copies, route, counts, &unplaced);
+      alt = OneHolderFallback(epoch, rel.copies, route);
     }
-    const Route* alt =
-        first.size() == 1 && unplaced.empty() ? &first.front() : nullptr;
 
     char winner = 0;
     std::future<serve::QueryResult> hedge;
@@ -736,14 +815,13 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     bool hedge_failed = false;
 
     // One observed completion on `node`: feeds its breaker and latency
-    // stats and, on success, merges the matches. Returns whether it
-    // served the sub-query.
-    auto settle = [&](uint32_t node, const serve::QueryResult& r) {
+    // stats and, on success, keeps the matches as a run. Returns whether
+    // it served the sub-query.
+    auto settle = [&](uint32_t node, serve::QueryResult r) {
       node_breakers_->Record(node, r.status.ok());
       ObserveNodeLatency(node, r.total_ms);
       if (!r.status.ok()) return false;
-      result.matches.insert(result.matches.end(), r.matches.begin(),
-                            r.matches.end());
+      runs.push_back(std::move(r.matches));
       return true;
     };
     // Consumes the hedge, blocking until it completes.
@@ -757,12 +835,12 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     };
 
     if (submitted) {
-      if (alt != nullptr) {
+      if (alt.has_value()) {
         const auto wait = std::chrono::duration<double, std::milli>(
             HedgeDelayMs(route.node, seq));
         if (primary.wait_for(wait) != std::future_status::ready &&
             AdmitExtraSub(/*is_hedge=*/true)) {
-          auto h = submit(*alt);
+          auto h = submit(alt->node, alt->copy, route.disks);
           if (h.ok()) {
             hedge = std::move(h).value();
             hedge_fired = true;
@@ -821,15 +899,23 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     std::vector<Route> attempts;
     const auto expand = [&](const Route& failed) {
       std::vector<uint32_t> lost_disks;
-      for (Route& sub :
-           Fallback(epoch, rel.copies, failed, counts, &lost_disks)) {
+      for (Route& sub : Fallback(epoch, rel.copies, failed, counts,
+                                 &scratch.index, &lost_disks)) {
         attempts.push_back(std::move(sub));
       }
       for (uint32_t d : lost_disks) unserved += counts[d];
     };
-    expand(hedge_failed ? *alt : route);
+    if (hedge_failed) {
+      // The hedge was the route's one-holder fallback, and it failed too.
+      Route hedged{alt->node, alt->copy, route.disks, route.buckets,
+                   route.tried};
+      hedged.tried.push_back(route.node);
+      expand(hedged);
+    } else {
+      expand(route);
+    }
     for (size_t a = 0; a < attempts.size(); ++a) {
-      const Route sub = attempts[a];
+      const Route sub = std::move(attempts[a]);
       const bool capped = options_.retry_budget_per_query > 0 &&
                           retries_used >= options_.retry_budget_per_query;
       if (capped) retry_budget_denied_.fetch_add(1);
@@ -838,7 +924,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
         continue;
       }
       ++retries_used;
-      auto f = submit(sub);
+      auto f = submit(sub.node, sub.copy, sub.disks);
       if (f.ok() && settle(sub.node, f.value().get())) {
         ++result.rerouted_subqueries;
         continue;
@@ -849,10 +935,8 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.unavailable_buckets += unserved;
     result.winners.push_back(unserved > 0 ? 'u' : deeper ? 'r' : 'h');
   }
-
-  // Merge: sub-queries cover disjoint primary-disk sets, so their match
-  // sets are disjoint; one sort restores global record-id order.
-  std::sort(result.matches.begin(), result.matches.end());
+  // Drop the losers' futures now, not at this thread's next query.
+  primaries.clear();
 
   if (result.buckets_touched > 0) {
     result.availability =
@@ -864,11 +948,12 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       result.unavailable_buckets == result.buckets_touched &&
       result.buckets_touched > 0) {
     result.status = Status::Unavailable("no live route to any touched bucket");
-    result.matches.clear();
     result.availability = 0.0;
   } else {
     result.status = Status::Ok();
+    MergeRuns(runs, &scratch.heads, &result.matches);
   }
+  runs.clear();
   return result;
 }
 
@@ -878,12 +963,20 @@ bool Cluster::NodeUsable(uint32_t node,
          NodeAlive(node) && !node_breakers_->WouldRefuse(node);
 }
 
-std::vector<Cluster::Route> Cluster::RouteDisks(
-    const Epoch& epoch, uint32_t copies, const std::vector<uint32_t>& disks,
-    const std::vector<uint64_t>& counts, const std::vector<uint32_t>& tried,
-    std::vector<uint32_t>* lost) const {
-  std::map<std::pair<uint32_t, uint32_t>, Route> routes;
-  for (uint32_t d : disks) {
+size_t Cluster::RouteDisks(const Epoch& epoch, uint32_t copies,
+                           const std::vector<uint32_t>& disks,
+                           const std::vector<uint64_t>& counts,
+                           const std::vector<uint32_t>& tried,
+                           RouteIndex* index, std::vector<Route>* routes,
+                           std::vector<uint32_t>* lost) const {
+  // Key each disk by the (node, copy) that serves it, then number the
+  // used keys in (node, copy) order.
+  std::vector<uint32_t>& disk_key = index->disk_key;
+  std::vector<uint32_t>& key_route = index->key_route;
+  disk_key.resize(disks.size());
+  key_route.assign(nodes_.size() * copies, kNoKey);
+  for (size_t i = 0; i < disks.size(); ++i) {
+    const uint32_t d = disks[i];
     uint32_t copy = 0;
     while (copy < copies &&
            !NodeUsable(epoch.placement.NodeOf(d, copy), tried)) {
@@ -891,35 +984,62 @@ std::vector<Cluster::Route> Cluster::RouteDisks(
     }
     if (copy == copies) {
       lost->push_back(d);
+      disk_key[i] = kNoKey;
       continue;
     }
-    const uint32_t node = epoch.placement.NodeOf(d, copy);
-    Route& r = routes.try_emplace({node, copy}, Route{node, copy, {}, 0, tried})
-                   .first->second;
-    r.disks.push_back(d);
-    r.buckets += counts[d];
+    disk_key[i] = epoch.placement.NodeOf(d, copy) * copies + copy;
+    key_route[disk_key[i]] = 0;
   }
-  std::vector<Route> out;
-  out.reserve(routes.size());
-  for (auto& [key, route] : routes) out.push_back(std::move(route));
-  return out;
+  uint32_t num_routes = 0;
+  for (uint32_t key = 0; key < key_route.size(); ++key) {
+    if (key_route[key] == kNoKey) continue;
+    key_route[key] = num_routes++;
+    if (routes->size() < num_routes) routes->resize(num_routes);
+    Route& r = (*routes)[num_routes - 1];
+    r.node = key / copies;
+    r.copy = key % copies;
+    r.disks.clear();
+    r.buckets = 0;
+    r.tried = tried;
+  }
+  for (size_t i = 0; i < disks.size(); ++i) {
+    if (disk_key[i] == kNoKey) continue;
+    Route& r = (*routes)[key_route[disk_key[i]]];
+    r.disks.push_back(disks[i]);
+    r.buckets += counts[disks[i]];
+  }
+  return num_routes;
+}
+
+std::optional<Cluster::Holder> Cluster::OneHolderFallback(
+    const Epoch& epoch, uint32_t copies, const Route& failed) const {
+  for (uint32_t c = 0; c < copies; ++c) {
+    const uint32_t node = epoch.placement.NodeOf(failed.disks.front(), c);
+    if (node == failed.node) continue;  // Tried: it just failed.
+    const bool one_holder = std::all_of(
+        failed.disks.begin(), failed.disks.end(),
+        [&](uint32_t d) { return epoch.placement.NodeOf(d, c) == node; });
+    if (one_holder && NodeUsable(node, failed.tried)) return Holder{node, c};
+  }
+  return std::nullopt;
 }
 
 std::vector<Cluster::Route> Cluster::Fallback(
     const Epoch& epoch, uint32_t copies, const Route& failed,
-    const std::vector<uint64_t>& counts, std::vector<uint32_t>* lost) const {
+    const std::vector<uint64_t>& counts, RouteIndex* index,
+    std::vector<uint32_t>* lost) const {
   std::vector<uint32_t> tried = failed.tried;
   tried.push_back(failed.node);
-  for (uint32_t c = 0; c < copies; ++c) {
-    const uint32_t node = epoch.placement.NodeOf(failed.disks.front(), c);
-    const bool one_holder = std::all_of(
-        failed.disks.begin(), failed.disks.end(),
-        [&](uint32_t d) { return epoch.placement.NodeOf(d, c) == node; });
-    if (one_holder && NodeUsable(node, tried)) {
-      return {Route{node, c, failed.disks, failed.buckets, std::move(tried)}};
-    }
+  if (const std::optional<Holder> one =
+          OneHolderFallback(epoch, copies, failed)) {
+    return {Route{one->node, one->copy, failed.disks, failed.buckets,
+                  std::move(tried)}};
   }
-  return RouteDisks(epoch, copies, failed.disks, counts, tried, lost);
+  std::vector<Route> routes;
+  routes.resize(
+      RouteDisks(epoch, copies, failed.disks, counts, tried, index, &routes,
+                 lost));
+  return routes;
 }
 
 void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {

@@ -51,7 +51,11 @@
 /// The coordinator (`Execute`, caller-thread, concurrency-safe) plans one
 /// sub-query per (node, copy) from the relation's `DiskMap`, scatters them
 /// tagged with the routing epoch's catalog generation (the fence), and
-/// gathers:
+/// gathers. Each node answers in ascending record-id order and the
+/// sub-queries read disjoint primary-disk sets, so the gather keeps every
+/// served sub-answer as one sorted run and k-way merges the runs into the
+/// answer, allocated once at its exact size. The plan, the scatter and the
+/// gather reuse one per-thread scratch from query to query:
 ///
 ///  * **One resilience layer.** Every sub-query names (disk, copy) pairs
 ///    the epoch's `PlacementMap` assigns to the node it is sent to, and the
@@ -202,6 +206,8 @@ struct ClusterQueryResult {
   uint64_t unavailable_buckets = 0;
   /// Served fraction of touched buckets (1.0 when complete).
   double availability = 1.0;
+  /// Matching record ids, strictly ascending: the merge of the served
+  /// sub-answers, which are sorted and pairwise disjoint.
   std::vector<RecordId> matches;
 
   uint64_t sub_queries = 0;
@@ -485,6 +491,24 @@ class Cluster {
     std::vector<uint32_t> tried;
   };
 
+  /// A (node, copy) that can serve every disk of a route alone.
+  struct Holder {
+    uint32_t node = 0;
+    uint32_t copy = 0;
+  };
+
+  /// RouteDisks' (node, copy)-indexed working arrays, reused across calls.
+  struct RouteIndex {
+    /// Per input disk: its key node * copies + copy, or kNoKey when lost.
+    std::vector<uint32_t> disk_key;
+    /// Per key: the index of the route it became, or kNoKey when unused.
+    std::vector<uint32_t> key_route;
+  };
+
+  /// Coordinator state one thread reuses from query to query; defined in
+  /// cluster.cc.
+  struct Scratch;
+
   Cluster() = default;
 
   /// Builds a routing epoch for `generation` over the given services,
@@ -511,20 +535,30 @@ class Cluster {
   /// The per-disk routing rule the plan and every fallback share: disk d
   /// is served by the lowest copy whose holder is usable — copy 0, its
   /// owner, whenever the owner is. Groups `disks` into one route per
-  /// (node, copy), in (node, copy) order, with bucket counts from
-  /// `counts`; appends the disks no usable holder is left for to `lost`.
-  std::vector<Route> RouteDisks(const Epoch& epoch, uint32_t copies,
-                                const std::vector<uint32_t>& disks,
-                                const std::vector<uint64_t>& counts,
-                                const std::vector<uint32_t>& tried,
-                                std::vector<uint32_t>* lost) const;
-  /// The fallback of a sub-query that `failed`, which rules out its node
-  /// and `failed.tried`: one sub-query to the lowest copy whose holder is
-  /// the same usable node for every disk of `failed`, else its disks split
-  /// by RouteDisks.
+  /// (node, copy), in (node, copy) order, each listing its disks in input
+  /// order, with bucket counts from `counts` and `tried` as its tried
+  /// list; appends the disks no usable holder is left for to `lost`. The
+  /// routes overwrite the front of `routes`, reusing the entries (and
+  /// their lists) already there, which never shrinks; returns how many.
+  size_t RouteDisks(const Epoch& epoch, uint32_t copies,
+                    const std::vector<uint32_t>& disks,
+                    const std::vector<uint64_t>& counts,
+                    const std::vector<uint32_t>& tried, RouteIndex* index,
+                    std::vector<Route>* routes,
+                    std::vector<uint32_t>* lost) const;
+  /// The one-sub-query fallback of a sub-query that `failed`, which rules
+  /// out its node and `failed.tried`: the lowest copy whose holder is the
+  /// same usable node for every disk of `failed`. Allocates nothing, so
+  /// the gather asks it of every hedgeable route.
+  std::optional<Holder> OneHolderFallback(const Epoch& epoch,
+                                          uint32_t copies,
+                                          const Route& failed) const;
+  /// The fallback of a sub-query that `failed`: the OneHolderFallback
+  /// route when there is one, else its disks split by RouteDisks.
   std::vector<Route> Fallback(const Epoch& epoch, uint32_t copies,
                               const Route& failed,
                               const std::vector<uint64_t>& counts,
+                              RouteIndex* index,
                               std::vector<uint32_t>* lost) const;
 
   /// The single-flight slot Migrate and Repair share: claims it (or

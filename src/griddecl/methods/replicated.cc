@@ -82,11 +82,9 @@ std::vector<uint32_t> ReplicatedPlacement::DisksOf(
     const BucketCoords& c) const {
   const uint32_t primary = base_->DiskOf(c);
   if (!table_.empty()) return table_[primary];
-  const uint32_t m = base_->num_disks();
   std::vector<uint32_t> disks(num_replicas_);
   for (uint32_t i = 0; i < num_replicas_; ++i) {
-    disks[i] = static_cast<uint32_t>(
-        (primary + static_cast<uint64_t>(i) * offset_) % m);
+    disks[i] = DiskOfCopy(primary, i);
   }
   return disks;
 }

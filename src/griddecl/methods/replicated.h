@@ -56,6 +56,15 @@ class ReplicatedPlacement {
   /// the primary (the base method's disk).
   std::vector<uint32_t> DisksOf(const BucketCoords& c) const;
 
+  /// Disk holding replica `copy` (< num_replicas) of every bucket whose
+  /// primary disk is `primary`: DisksOf(c)[copy] for any such bucket c,
+  /// without allocating and without asking the base method.
+  uint32_t DiskOfCopy(uint32_t primary, uint32_t copy) const {
+    if (!table_.empty()) return table_[primary][copy];
+    return static_cast<uint32_t>(
+        (primary + static_cast<uint64_t>(copy) * offset_) % num_disks());
+  }
+
   /// Storage blow-up per disk: each disk holds `num_replicas` x its
   /// unreplicated share (loads returned in buckets, including replicas).
   std::vector<uint64_t> DiskLoadHistogram() const;

@@ -394,19 +394,21 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
   // --- Plan: assign every touched bucket a (disk, copy) --------------------
   // The mask routed around is "breakers that would refuse right now",
   // probed without consuming half-open slots; actual admission happens per
-  // batch below.
-  std::vector<bool>& touched = scratch->touched;
-  touched.assign(num_disks_, false);
-  rel.disk_map->ForEachRowSpan(query.rect(), [&](uint64_t begin,
-                                                 uint64_t length) {
-    for (uint64_t j = 0; j < length; ++j) {
-      touched[rel.disk_map->DiskAt(begin + j)] = true;
-    }
-  });
+  // batch below. A sub-query consults no breaker, so it skips the probe.
   std::vector<bool>& refused = scratch->refused;
-  refused.assign(num_disks_, false);
-  const bool any_refused =
-      !sub_query && breakers_.WouldRefuse(touched, &refused);
+  bool any_refused = false;
+  if (!sub_query) {
+    std::vector<bool>& touched = scratch->touched;
+    touched.assign(num_disks_, false);
+    rel.disk_map->ForEachRowSpan(query.rect(), [&](uint64_t begin,
+                                                   uint64_t length) {
+      for (uint64_t j = 0; j < length; ++j) {
+        touched[rel.disk_map->DiskAt(begin + j)] = true;
+      }
+    });
+    refused.assign(num_disks_, false);
+    any_refused = breakers_.WouldRefuse(touched, &refused);
+  }
 
   std::vector<Assign>& assignment = scratch->assignment;
   assignment.clear();
@@ -426,13 +428,16 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
           " buckets have no live replica"));
     }
     result.rerouted_buckets = qp.rerouted_buckets;
+    const uint32_t copies = rel.placement->num_replicas();
     for (uint32_t d = 0; d < num_disks_; ++d) {
       for (uint64_t addr : qp.per_disk[d]) {
-        const std::vector<uint32_t> disks =
-            rel.placement->DisksOf(grid.Delinearize(addr));
+        const uint32_t primary = rel.disk_map->DiskAt(addr);
         uint32_t copy = 0;
-        while (copy < disks.size() && disks[copy] != d) ++copy;
-        if (copy == disks.size()) {
+        while (copy < copies &&
+               rel.placement->DiskOfCopy(primary, copy) != d) {
+          ++copy;
+        }
+        if (copy == copies) {
           return finish(Status::Internal(
               "replica plan assigned a bucket to a non-replica disk"));
         }
@@ -453,9 +458,9 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
         Assign a{addr, primary, 0, false};
         if (pinned_copy > 0) {
           a.copy = pinned_copy;
-          a.disk = rel.placement->DisksOf(grid.Delinearize(addr))[pinned_copy];
+          a.disk = rel.placement->DiskOfCopy(primary, pinned_copy);
         }
-        if (refused[a.disk]) {
+        if (any_refused && refused[a.disk]) {
           if (policy == RelationRedundancy::Policy::kParity) {
             a.reconstruct = true;
           } else {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "griddecl/cluster/cluster.h"
+#include "griddecl/cluster/placement.h"
 #include "griddecl/common/random.h"
 #include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/declustered_file.h"
@@ -139,23 +141,22 @@ struct ServeShape {
   double max_side_frac;
 };
 
-std::unique_ptr<MemEnv> BuildCatalog(const ServeShape& shape) {
+std::unique_ptr<MemEnv> BuildCatalog(uint32_t side, uint32_t disks) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
-  GridFile f =
-      GridFile::Create(std::move(schema), {shape.side, shape.side}).value();
+  GridFile f = GridFile::Create(std::move(schema), {side, side}).value();
   Rng rng(7);
   for (uint64_t b = 0; b < f.grid().num_buckets(); ++b) {
     const BucketCoords c = f.grid().Delinearize(b);
     for (int k = 0; k < 8; ++k) {
-      EXPECT_TRUE(f.Insert({(c[0] + rng.NextDouble()) / shape.side,
-                            (c[1] + rng.NextDouble()) / shape.side})
+      EXPECT_TRUE(f.Insert({(c[0] + rng.NextDouble()) / side,
+                            (c[1] + rng.NextDouble()) / side})
                       .ok());
     }
   }
-  Catalog catalog(16);
+  Catalog catalog(disks);
   EXPECT_TRUE(catalog
                   .AddRelation("r", DeclusteredFile::Create(std::move(f),
-                                                            "hcam", 16)
+                                                            "hcam", disks)
                                         .value())
                   .ok());
   auto env = std::make_unique<MemEnv>();
@@ -191,7 +192,7 @@ std::vector<serve::QueryRequest> MakeQueries(const ServeShape& shape) {
 /// pins, the scan and every pool miss reuse storage. Returns the pass's
 /// pool hit ratio.
 double ExpectWarmedExecuteAllocations(const ServeShape& shape) {
-  const std::unique_ptr<MemEnv> env = BuildCatalog(shape);
+  const std::unique_ptr<MemEnv> env = BuildCatalog(shape.side, 16);
   serve::ServeOptions options;
   options.num_threads = 1;
   options.pool_pages = shape.pool_pages;
@@ -225,6 +226,88 @@ TEST(AllocCountTest, WarmedExecuteAtTheServeHitShapeAllocatesAConstant) {
 TEST(AllocCountTest, WarmedExecuteAtTheServeMissShapeAllocatesAConstant) {
   // Mostly misses through a full pool.
   EXPECT_LT(ExpectWarmedExecuteAllocations({128, 1024, 0.125}), 0.5);
+}
+
+/// A box of the unit square whose sides are drawn from
+/// [min_side, max_side]; min_side = max_side = 0 gives a point.
+serve::QueryRequest RandomBox(Rng* rng, double min_side, double max_side) {
+  serve::QueryRequest req;
+  req.relation = "r";
+  for (int d = 0; d < 2; ++d) {
+    const double w = min_side + (max_side - min_side) * rng->NextDouble();
+    const double lo = (1.0 - w) * rng->NextDouble();
+    req.lo.push_back(lo);
+    req.hi.push_back(lo + w);
+  }
+  return req;
+}
+
+TEST(AllocCountTest, WarmedClusterExecuteAllocatesAConstant) {
+  // The cluster benchmark's shape: 4 nodes in 2 zones, zone_aware, a
+  // 64x64 HCAM relation over 8 disks mirrored twice, pools that hold it.
+  // The hedge delay is fixed and far beyond any sub-query, so every
+  // route's hedge target is looked up but no hedge fires.
+  const std::unique_ptr<MemEnv> env = BuildCatalog(64, 8);
+  cluster::ClusterOptions options;
+  options.num_nodes = 4;
+  options.node.num_threads = 1;
+  options.node.pool_pages = 16384;
+  options.hedge_delay_ms = 1e6;
+  cluster::PlacementSpec spec;
+  spec.policy = cluster::PlacementPolicy::kZoneAware;
+  spec.topology = cluster::Topology::Grid(4, 2, 2).value();
+  spec.seed = 7;
+  options.placement = spec;
+  auto cluster = cluster::Cluster::Create(*env, std::move(options)).value();
+
+  // Boxes 16 to 32 buckets a side, where every sub-query's answer has
+  // matches, and points, which match nothing.
+  std::vector<serve::QueryRequest> boxes;
+  std::vector<serve::QueryRequest> points;
+  Rng rng(13);
+  for (int q = 0; q < 40; ++q) {
+    boxes.push_back(RandomBox(&rng, 0.25, 0.5));
+    points.push_back(RandomBox(&rng, 0.0, 0.0));
+  }
+
+  // Each sub-query allocates five: the coordinator's copies of the
+  // request's lo, hi and disk list, and the node's promise (its shared
+  // state and its result slot). A sub-answer with matches adds one. The
+  // gather adds one, the merged answer at its exact size, unless that is
+  // empty. The plan, the scatter futures, the run list and the merge reuse
+  // the coordinator's scratch. So a box costs 6 per sub-query + 1 and a
+  // point 5 per sub-query.
+  const auto expect_constant = [&](const char* phase) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto* set : {&boxes, &points}) {
+        for (const serve::QueryRequest& q : *set) {
+          ASSERT_TRUE(cluster->Execute(q).complete);
+        }
+      }
+    }
+    for (const bool empty : {false, true}) {
+      const std::vector<serve::QueryRequest>& set = empty ? points : boxes;
+      for (size_t i = 0; i < set.size(); ++i) {
+        cluster::ClusterQueryResult r;
+        const uint64_t allocations =
+            AllocationsOf([&] { r = cluster->Execute(set[i]); });
+        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+        ASSERT_TRUE(r.complete);
+        EXPECT_EQ(r.hedges_fired, 0u);
+        EXPECT_EQ(r.matches.empty(), empty);
+        const uint64_t per_sub = empty ? 5 : 6;
+        EXPECT_EQ(allocations,
+                  per_sub * r.sub_queries + (r.matches.empty() ? 0 : 1))
+            << phase << (empty ? " point " : " box ") << i << ", "
+            << r.sub_queries << " sub-queries";
+      }
+    }
+  };
+  expect_constant("healthy");
+  // A dead node's disks are planned onto their copy-1 holders: sub-queries
+  // pinned to copy 1, which cost the same.
+  ASSERT_TRUE(cluster->KillNode(1).ok());
+  expect_constant("node 1 dead");
 }
 
 }  // namespace

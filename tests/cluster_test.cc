@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -81,6 +82,17 @@ std::vector<RecordId> Direct(const Catalog& catalog,
                              const serve::QueryRequest& req) {
   return Sorted(
       catalog.Find("dm")->ExecuteRange(req.lo, req.hi).value().matches);
+}
+
+/// The gather's contract: the answer is strictly ascending and exactly
+/// `want`, a ground-truth scan.
+void ExpectExactAnswer(const ClusterQueryResult& r,
+                       const std::vector<RecordId>& want) {
+  EXPECT_TRUE(std::adjacent_find(r.matches.begin(), r.matches.end(),
+                                 std::greater_equal<RecordId>()) ==
+              r.matches.end())
+      << "answer not strictly ascending";
+  EXPECT_EQ(r.matches, want);
 }
 
 /// Deterministic baseline: no hedging, node breakers pinned closed, no
@@ -279,7 +291,7 @@ TEST(ClusterTest, NoRedundancyDeadNodeFlagsPartialNeverSilentlyShort) {
   for (const RecordId id : Direct(catalog, full)) {
     if (catalog.Find("dm")->DiskOfRecord(id) != 1) want.push_back(id);
   }
-  EXPECT_EQ(r.matches, want);
+  ExpectExactAnswer(r, want);
 
   // A probe confined to the dead node's buckets fails loudly: bucket
   // (0, 1) lives on disk (0 + 1) mod 4 = 1.
@@ -403,7 +415,7 @@ TEST(ClusterHedgeTest, FirstSuccessHedgeWinsPastASlowNode) {
   const ClusterQueryResult r = cluster->Execute(full);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.matches, Direct(catalog, full));
+  ExpectExactAnswer(r, Direct(catalog, full));
   // The slow node's route is hedged to its replica holder, which finishes
   // first; the straggler's result is dropped unread.
   EXPECT_GE(r.hedges_fired, 1u);
@@ -823,6 +835,146 @@ TEST(MigrationPacingTest, PacedCopyReportsBytesAndWaits) {
   bad.copy_bytes_per_sec = -1.0;
   EXPECT_EQ(cluster->Migrate(bad).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ClusterGatherTest, FailoverSplitIntoMoreRunsThanRoutesMergesExactly) {
+  // Node 0 owns disks 0 and 1, whose copy 1 lives on nodes 1 and 2. Once
+  // node 0's reads fail, its route fails over as two sub-queries, so the
+  // gather merges five runs from four routes.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  ClusterOptions options = Deterministic(4);
+  PlacementSpec spec;
+  spec.topology = Topology::Flat(4);
+  spec.table = {{0, 0, 1, 1, 2, 2, 3, 3}, {1, 2, 2, 3, 3, 0, 0, 1}};
+  options.placement = spec;
+  auto cluster = Cluster::Create(env, options).value();
+
+  // Flip a CRC byte of every copy-0 page on node 0 only: its primary
+  // sub-query fails at read time, after planning routed to it.
+  MemEnv* node0 = cluster->node_env_for_test(0);
+  const std::string data = ReadCurrentManifest(*node0).value().DataFileName(0);
+  const FileLayout layout =
+      ParseFileLayout(node0->ReadFile(data).value()).value();
+  for (uint64_t page = 0; page < layout.num_pages; ++page) {
+    ASSERT_TRUE(
+        node0->CorruptByte(data, layout.PageOffset(page) + 4, 0xFF).ok());
+  }
+
+  for (const serve::QueryRequest& q :
+       {Range({0.0, 0.0}, {1.0, 1.0}), Range({0.0, 0.1}, {0.7, 0.45})}) {
+    const ClusterQueryResult r = cluster->Execute(q);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.winners, "hppp");
+    EXPECT_EQ(r.sub_queries, 6u);  // Four primaries, two fallbacks.
+    EXPECT_EQ(r.rerouted_subqueries, 2u);
+    ExpectExactAnswer(r, Direct(catalog, q));
+  }
+}
+
+TEST(ClusterGatherTest, EmptyAndFullBoxesMergeExactly) {
+  MemEnv env;
+  const Catalog catalog = CommitCatalog(&env, Mirror2());
+  auto cluster = Cluster::Create(env, Deterministic()).value();
+
+  // A point box touches one bucket and matches no record.
+  const serve::QueryRequest point = Range({0.5, 0.5}, {0.5, 0.5});
+  const ClusterQueryResult none = cluster->Execute(point);
+  ASSERT_TRUE(none.status.ok()) << none.status.ToString();
+  EXPECT_TRUE(none.complete);
+  EXPECT_EQ(none.buckets_touched, 1u);
+  EXPECT_EQ(none.sub_queries, 1u);
+  ExpectExactAnswer(none, {});
+  EXPECT_TRUE(Direct(catalog, point).empty());
+
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  const ClusterQueryResult all = cluster->Execute(full);
+  ASSERT_TRUE(all.status.ok()) << all.status.ToString();
+  EXPECT_EQ(all.sub_queries, 4u);
+  ExpectExactAnswer(all, Direct(catalog, full));
+  EXPECT_EQ(all.matches.size(), 128u);  // 16 buckets x 8 records.
+}
+
+TEST(ClusterGatherTest, StagingDoubleReadMergesExactlyDuringAMigration) {
+  MemEnv env;
+  const Catalog catalog = CommitCatalog(&env, Mirror2());
+  auto cluster = Cluster::Create(env, Deterministic()).value();
+  const std::vector<serve::QueryRequest> queries = PropertyQueries();
+
+  // At "commit" the staging epoch is installed: every complete query is
+  // also run against the new layout and byte-compared with the live one.
+  MigrationOptions mo;
+  mo.new_method = "fx";
+  mo.new_num_disks = 4;
+  size_t served = 0;
+  mo.on_phase = [&](const std::string& phase) {
+    if (phase != "commit") return;
+    ASSERT_TRUE(cluster->migrating());
+    for (const serve::QueryRequest& q : queries) {
+      const ClusterQueryResult r = cluster->Execute(q);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ExpectExactAnswer(r, Direct(catalog, q));
+      ++served;
+    }
+  };
+  const MigrationReport report = cluster->Migrate(mo).value();
+  ASSERT_TRUE(report.committed) << report.abort_reason;
+  EXPECT_EQ(served, queries.size());
+
+  obs::MetricsRegistry reg;
+  cluster->SnapshotMetrics(&reg);
+  EXPECT_EQ(reg.GetCounter("cluster.verify_reads")->value(), queries.size());
+  EXPECT_EQ(reg.GetCounter("cluster.verify_mismatches")->value(), 0u);
+}
+
+TEST(ClusterGatherTest, ConcurrentCallersEachGetAnExactAnswer) {
+  // Eight threads call Execute at once, with adaptive hedging on, first
+  // on a healthy cluster and then with a node dead (replica routes): a
+  // scratch shared between two callers would mix their answers.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  ClusterOptions options = ZonedOptions(PlacementPolicy::kZoneAware);
+  options.hedging = true;
+  auto cluster = Cluster::Create(env, options).value();
+
+  std::vector<serve::QueryRequest> queries = PropertyQueries();
+  Rng rng(23);
+  while (queries.size() < 40) {
+    std::vector<double> lo(2), hi(2);
+    for (int d = 0; d < 2; ++d) {
+      const double a = rng.NextDouble();
+      const double b = rng.NextDouble();
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
+    }
+    queries.push_back(Range(lo, hi));
+  }
+  std::vector<std::vector<RecordId>> want;
+  for (const serve::QueryRequest& q : queries) {
+    want.push_back(Direct(catalog, q));
+  }
+
+  for (const bool kill : {false, true}) {
+    if (kill) {
+      ASSERT_TRUE(cluster->KillNode(2).ok());
+    }
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < 8; ++t) {
+      callers.emplace_back([&, t] {
+        for (size_t round = 0; round < 3; ++round) {
+          for (size_t i = 0; i < queries.size(); ++i) {
+            const size_t q = (i + t * 5) % queries.size();
+            const ClusterQueryResult r = cluster->Execute(queries[q]);
+            ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+            EXPECT_TRUE(r.complete) << "query " << q;
+            ExpectExactAnswer(r, want[q]);
+          }
+        }
+      });
+    }
+    for (std::thread& th : callers) th.join();
+  }
 }
 
 }  // namespace

@@ -49,6 +49,33 @@ TEST(ReplicatedPlacementTest, DisksDistinctAndPrimaryFirst) {
   });
 }
 
+TEST(ReplicatedPlacementTest, DiskOfCopyMatchesDisksOfForEveryBucket) {
+  // Chained (offset 1), offset M / r, and a table no offset produces.
+  const GridSpec grid = GridSpec::Create({8, 8}).value();
+  std::vector<ReplicatedPlacement> placements;
+  placements.push_back(MakeChained("hcam", grid, 8, 3));
+  placements.push_back(ReplicatedPlacement::Create(
+                           CreateMethod("dm", grid, 8).value(), 2, 4)
+                           .value());
+  placements.push_back(
+      ReplicatedPlacement::CreateWithTable(
+          CreateMethod("fx", grid, 4).value(),
+          {{0, 2, 1}, {1, 3, 0}, {2, 0, 3}, {3, 1, 2}})
+          .value());
+  for (const ReplicatedPlacement& p : placements) {
+    grid.ForEachBucket([&](const BucketCoords& c) {
+      const std::vector<uint32_t> disks = p.DisksOf(c);
+      ASSERT_EQ(disks.size(), p.num_replicas());
+      for (uint32_t copy = 0; copy < p.num_replicas(); ++copy) {
+        EXPECT_EQ(p.DiskOfCopy(disks[0], copy), disks[copy]);
+        if (p.offset() > 0) {
+          EXPECT_EQ(disks[copy], (disks[0] + copy * p.offset()) % 8);
+        }
+      }
+    });
+  }
+}
+
 TEST(ReplicatedPlacementTest, StorageBlowupIsExactlyR) {
   const GridSpec grid = GridSpec::Create({8, 8}).value();
   const ReplicatedPlacement p = MakeChained("fx", grid, 8, 2);

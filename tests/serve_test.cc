@@ -929,6 +929,69 @@ TEST(QueryServiceTest, ZoneMapAcceptMatchesColumnFilter) {
   }
 }
 
+TEST(ServeTest, SubQueryAnswersAscendOnAnArrivalOrderRelation) {
+  // Records inserted in random order: nearly every page mixes buckets of
+  // several disks, so a sub-query naming several disks reads such a page
+  // under more than one (disk, copy) key and its per-page id runs
+  // overlap. The answer must still be strictly ascending: the cluster
+  // gather merges sub-answers on that promise.
+  Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+  GridFile f = GridFile::Create(std::move(schema), {4, 4}).value();
+  Rng rng(9);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(f.Insert({rng.NextDouble(), rng.NextDouble()}).ok());
+  }
+  Catalog catalog(4);
+  ASSERT_TRUE(catalog
+                  .AddRelation("dm", DeclusteredFile::Create(std::move(f),
+                                                             "dm", 4)
+                                         .value())
+                  .ok());
+  MemEnv env;
+  ManifestSaveOptions options;
+  options.page_size_bytes = 168;  // Capacity 8: 125 pages.
+  options.default_redundancy = Mirror2();
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, options).ok());
+  auto service = QueryService::Create(&env, {}).value();
+  const DeclusteredFile& truth = *catalog.Find("dm");
+
+  const std::vector<std::vector<uint32_t>> subsets = {
+      {0, 1, 2, 3}, {0, 2}, {1, 2, 3}, {3}};
+  for (const auto& [lo, hi] :
+       std::vector<std::pair<std::vector<double>, std::vector<double>>>{
+           {{0.0, 0.0}, {1.0, 1.0}},
+           {{0.1, 0.2}, {0.8, 0.7}},
+           {{0.3, 0.0}, {0.6, 1.0}}}) {
+    const std::vector<RecordId> all =
+        Sorted(truth.ExecuteRange(lo, hi).value().matches);
+    const bool whole_domain = all.size() == truth.file().num_records();
+    for (const std::vector<uint32_t>& disks : subsets) {
+      std::vector<RecordId> want;
+      for (RecordId id : all) {
+        if (std::find(disks.begin(), disks.end(), truth.DiskOfRecord(id)) !=
+            disks.end()) {
+          want.push_back(id);
+        }
+      }
+      for (const uint32_t copy : {0u, 1u}) {
+        QueryRequest sub = Range(lo, hi);
+        sub.disks = disks;
+        sub.serve_copy = copy;
+        const QueryResult r = service->Execute(sub);
+        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+        EXPECT_TRUE(std::adjacent_find(r.matches.begin(), r.matches.end(),
+                                       std::greater_equal<RecordId>()) ==
+                    r.matches.end());
+        EXPECT_EQ(r.matches, want) << disks.size() << " disks, copy " << copy;
+        if (whole_domain && disks.size() == 4) {
+          // Some page is read under several keys.
+          EXPECT_GT(r.pages_read, 125u);
+        }
+      }
+    }
+  }
+}
+
 TEST(ServeScriptTest, ParsesQueriesCommentsAndDeadlines) {
   const auto requests = ParseServeScript(
       "# comment\n"
