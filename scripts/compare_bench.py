@@ -8,13 +8,19 @@ Usage:
 For every BENCH_<name>.json in the baseline directory, the same file must
 exist in the current directory, and every kernel's median_ms may be at most
 ``threshold-pct`` percent slower than the baseline median. Faster is always
-fine. A delta table is printed either way; the exit status is non-zero when
-any kernel regresses past the threshold or an artifact/kernel is missing.
+fine.
 
-Deterministic counters are compared too, but only as a warning: a counter
-drift means the workload changed and the baseline needs a rebaseline
-(scripts/update_bench_baseline.sh), which is a review decision rather than
-a perf failure.
+Deterministic work counters are gated exactly: every counter of the
+baseline must be present in the current run with the same value. A drifted
+or missing counter fails the gate, because it means the work changed; a
+change that moves one on purpose rebaselines it in the same commit
+(scripts/update_bench_baseline.sh) and says why. Counters that only the
+current run has are allowed, so a bench can gain a counter before its
+baseline does.
+
+A delta table is printed either way; the exit status is non-zero when any
+kernel regresses past the threshold, any counter drifts or goes missing,
+or an artifact/kernel is missing.
 """
 
 import argparse
@@ -46,7 +52,6 @@ def main():
         return 2
 
     failures = []
-    warnings = []
     rows = [("bench", "kernel", "base ms", "cur ms", "delta", "status")]
 
     for base_path in baselines:
@@ -77,25 +82,26 @@ def main():
                     f"{base_ms:.4f} ms ({delta_pct:+.1f}% > "
                     f"+{args.threshold_pct:g}%)")
 
+        cur_counters = cur.get("counters", {})
         for counter, base_value in sorted(base.get("counters", {}).items()):
-            cur_value = cur.get("counters", {}).get(counter)
-            if cur_value != base_value:
-                warnings.append(
+            if counter not in cur_counters:
+                failures.append(f"{name}: counter '{counter}' missing")
+            elif cur_counters[counter] != base_value:
+                failures.append(
                     f"{name}: counter '{counter}' drifted "
-                    f"{base_value} -> {cur_value} (rebaseline?)")
+                    f"{base_value} -> {cur_counters[counter]}")
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
-    for warning in warnings:
-        print(f"warning: {warning}")
     if failures:
         print()
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"\nall kernels within +{args.threshold_pct:g}% of baseline")
+    print(f"\nall kernels within +{args.threshold_pct:g}% of baseline, "
+          "all counters exact")
     return 0
 
 

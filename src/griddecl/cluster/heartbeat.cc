@@ -4,20 +4,6 @@
 
 namespace griddecl::cluster {
 
-const char* NodeHealthName(NodeHealth health) {
-  switch (health) {
-    case NodeHealth::kAlive:
-      return "alive";
-    case NodeHealth::kSuspect:
-      return "suspect";
-    case NodeHealth::kDead:
-      return "dead";
-    case NodeHealth::kRemoved:
-      return "removed";
-  }
-  return "unknown";
-}
-
 Status ValidateHeartbeatOptions(const HeartbeatOptions& options) {
   if (!(options.interval_ms > 0.0)) {
     return Status::InvalidArgument("heartbeat interval_ms must be > 0");

@@ -48,8 +48,6 @@ enum class NodeHealth : uint32_t {
   kRemoved = 3,
 };
 
-const char* NodeHealthName(NodeHealth health);
-
 struct HeartbeatOptions {
   /// Virtual milliseconds between heartbeat probes.
   double interval_ms = 10.0;

@@ -61,7 +61,6 @@ struct WorkloadEval {
   double MeanRatio() const { return ratio.mean(); }
   /// Mean additive deviation (response - optimal).
   double MeanDeviation() const { return additive_deviation.mean(); }
-  double MaxDeviation() const { return additive_deviation.max(); }
   /// Fraction of queries on which the method was optimal.
   double FractionOptimal() const {
     return num_queries == 0

@@ -24,19 +24,7 @@ Status Catalog::AddRelation(const std::string& name, DeclusteredFile file) {
   return Status::Ok();
 }
 
-Status Catalog::DropRelation(const std::string& name) {
-  if (relations_.erase(name) == 0) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  return Status::Ok();
-}
-
 const DeclusteredFile* Catalog::Find(const std::string& name) const {
-  const auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : &it->second;
-}
-
-DeclusteredFile* Catalog::Find(const std::string& name) {
   const auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
 }
@@ -46,36 +34,6 @@ std::vector<std::string> Catalog::RelationNames() const {
   names.reserve(relations_.size());
   for (const auto& [name, file] : relations_) names.push_back(name);
   return names;  // std::map iteration is already sorted.
-}
-
-Result<QueryExecution> Catalog::ExecuteRange(
-    const std::string& name, const std::vector<double>& lo,
-    const std::vector<double>& hi) const {
-  const DeclusteredFile* file = Find(name);
-  if (file == nullptr) {
-    return Status::NotFound("no relation named '" + name + "'");
-  }
-  return file->ExecuteRange(lo, hi);
-}
-
-std::vector<uint64_t> Catalog::RecordsPerDisk() const {
-  std::vector<uint64_t> totals(num_disks_, 0);
-  for (const auto& [name, file] : relations_) {
-    const std::vector<uint64_t> per_disk = file.RecordsPerDisk();
-    for (uint32_t d = 0; d < num_disks_; ++d) totals[d] += per_disk[d];
-  }
-  return totals;
-}
-
-std::vector<Catalog::RelationInfo> Catalog::Describe() const {
-  std::vector<RelationInfo> out;
-  out.reserve(relations_.size());
-  for (const auto& [name, file] : relations_) {
-    out.push_back({name, file.method().name(),
-                   file.file().grid().ToString(),
-                   file.file().num_records()});
-  }
-  return out;
 }
 
 }  // namespace griddecl

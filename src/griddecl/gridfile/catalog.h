@@ -11,12 +11,12 @@
 /// Relation catalog: many declustered relations sharing one disk array.
 ///
 /// The paper closes with "parallel database systems must support a number
-/// of declustering methods" — which implies a host structure that tracks,
-/// per relation, *which* method declusters it, and can account for the
-/// combined load the relations place on the shared disks. This catalog is
-/// that structure: relations register under a name, each with its own
-/// grid, method, and records; queries dispatch by relation name; storage
-/// balance aggregates across all of them.
+/// of declustering methods" — which implies a host structure that records,
+/// per relation, *which* method declusters it. This catalog is that
+/// structure on the write side: relations register under a name, each with
+/// its own grid, method, and records, and `SaveCatalogManifest`
+/// (manifest.h) stores them as one generation. Queries are served from the
+/// stored generation (serve/service.h), not from this in-memory catalog.
 
 namespace griddecl {
 
@@ -32,39 +32,16 @@ class Catalog {
   Catalog& operator=(Catalog&&) = default;
 
   uint32_t num_disks() const { return num_disks_; }
-  size_t num_relations() const { return relations_.size(); }
 
   /// Registers a relation. Fails on duplicate names, empty names, or a
   /// disk-count mismatch with the array.
   Status AddRelation(const std::string& name, DeclusteredFile file);
 
-  /// Removes a relation; kNotFound if absent.
-  Status DropRelation(const std::string& name);
-
   /// Looks up a relation; nullptr when absent.
   const DeclusteredFile* Find(const std::string& name) const;
-  DeclusteredFile* Find(const std::string& name);
 
   /// Registered names, sorted.
   std::vector<std::string> RelationNames() const;
-
-  /// Executes a range query against a named relation.
-  Result<QueryExecution> ExecuteRange(const std::string& name,
-                                      const std::vector<double>& lo,
-                                      const std::vector<double>& hi) const;
-
-  /// Combined records per disk across every relation — the storage balance
-  /// the array actually sees.
-  std::vector<uint64_t> RecordsPerDisk() const;
-
-  /// One summary row per relation: name, method, grid, records.
-  struct RelationInfo {
-    std::string name;
-    std::string method;
-    std::string grid;
-    uint64_t num_records = 0;
-  };
-  std::vector<RelationInfo> Describe() const;
 
  private:
   uint32_t num_disks_;

@@ -7,13 +7,12 @@ namespace griddecl {
 
 Result<DeclusteredFile> DeclusteredFile::Create(GridFile file,
                                                 const std::string& method_name,
-                                                uint32_t num_disks,
-                                                DiskParams params) {
+                                                uint32_t num_disks) {
   Result<std::unique_ptr<DeclusteringMethod>> method =
       CreateMethod(method_name, file.grid(), num_disks);
   if (!method.ok()) return method.status();
   return DeclusteredFile(std::move(file), std::move(method).value(),
-                         method_name, params);
+                         method_name);
 }
 
 uint32_t DeclusteredFile::DiskOfRecord(RecordId id) const {

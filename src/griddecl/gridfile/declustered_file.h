@@ -37,21 +37,17 @@ struct QueryExecution {
 class DeclusteredFile {
  public:
   /// Binds `file` to a declustering method created by `method_name` (see
-  /// methods/registry.h) over `num_disks` disks with timing `params`.
+  /// methods/registry.h) over `num_disks` disks with default timing.
   static Result<DeclusteredFile> Create(GridFile file,
                                         const std::string& method_name,
-                                        uint32_t num_disks,
-                                        DiskParams params = {});
+                                        uint32_t num_disks);
 
   const GridFile& file() const { return file_; }
-  GridFile& mutable_file() { return file_; }
   const DeclusteringMethod& method() const { return *method_; }
   /// Registry name the method was created from (see methods/registry.h) —
   /// what the catalog manifest persists so a reload can rebuild the exact
   /// same allocation. Distinct from method().name(), the display name.
   const std::string& method_name() const { return method_name_; }
-  /// Disk timing parameters the relation simulates with.
-  const DiskParams& disk_params() const { return disk_params_; }
   uint32_t num_disks() const { return method_->num_disks(); }
 
   /// Disk holding a record's bucket.
@@ -68,17 +64,15 @@ class DeclusteredFile {
 
  private:
   DeclusteredFile(GridFile file, std::unique_ptr<DeclusteringMethod> method,
-                  std::string method_name, DiskParams params)
+                  std::string method_name)
       : file_(std::move(file)),
         method_(std::move(method)),
         method_name_(std::move(method_name)),
-        disk_params_(params),
-        sim_(method_->num_disks(), params) {}
+        sim_(method_->num_disks(), DiskParams{}) {}
 
   GridFile file_;
   std::unique_ptr<DeclusteringMethod> method_;
   std::string method_name_;
-  DiskParams disk_params_;
   ParallelIoSimulator sim_;
 };
 

@@ -98,7 +98,6 @@ class FaultyEnv : public StorageEnv {
   void SetExtraLatencyMs(double ms) {
     extra_latency_ms_.store(ms < 0.0 ? 0.0 : ms);
   }
-  double ExtraLatencyMs() const { return extra_latency_ms_.load(); }
 
   /// Observability for tests: total ReadAt calls / injected failures.
   uint64_t reads_issued() const { return reads_issued_.load(); }

@@ -17,8 +17,11 @@ constexpr char kManifestMagic[4] = {'G', 'D', 'M', 'F'};
 /// [u32 num_disks][u32 num_relations][relations...][u32 has_placement]
 /// [placement record: policy, seed, topology, then the table's
 /// (copies, disks) — (0, 0) when there is no table — and its entries]
-/// [u32 crc]. Any other version word is rejected.
-constexpr uint32_t kManifestVersion = 5;
+/// [u32 crc]. A relation is its name and registry method (each a u32
+/// length and the bytes), its redundancy (policy, copies, group pages,
+/// three u32s), then the data file's [u64 size][u32 crc] and the parity
+/// sidecar's [u64 size][u32 crc]. Any other version word is rejected.
+constexpr uint32_t kManifestVersion = 6;
 constexpr char kCurrentTmpName[] = "CURRENT.tmp";
 constexpr char kManifestPrefix[] = "MANIFEST-";
 constexpr size_t kManifestPrefixLen = 9;
@@ -188,12 +191,6 @@ std::string SerializeManifest(const CatalogManifest& manifest) {
     AppendU32(&out, static_cast<uint32_t>(rel.redundancy.policy));
     AppendU32(&out, rel.redundancy.copies);
     AppendU32(&out, rel.redundancy.group_pages);
-    AppendF64(&out, rel.disk_params.avg_seek_ms);
-    AppendF64(&out, rel.disk_params.rotational_latency_ms);
-    AppendF64(&out, rel.disk_params.transfer_ms_per_kb);
-    AppendF64(&out, rel.disk_params.bucket_kb);
-    AppendF64(&out, rel.disk_params.near_seek_factor);
-    AppendU64(&out, rel.disk_params.near_gap_buckets);
     AppendU64(&out, rel.data_size);
     AppendU32(&out, rel.data_crc);
     AppendU64(&out, rel.parity_size);
@@ -282,13 +279,7 @@ Result<CatalogManifest> ParseManifest(std::string_view bytes) {
     rel.redundancy.policy = static_cast<RelationRedundancy::Policy>(policy);
     const Status red = ValidateRedundancy(rel.redundancy);
     if (!red.ok()) return red;
-    if (!r.ReadF64(&rel.disk_params.avg_seek_ms) ||
-        !r.ReadF64(&rel.disk_params.rotational_latency_ms) ||
-        !r.ReadF64(&rel.disk_params.transfer_ms_per_kb) ||
-        !r.ReadF64(&rel.disk_params.bucket_kb) ||
-        !r.ReadF64(&rel.disk_params.near_seek_factor) ||
-        !r.ReadU64(&rel.disk_params.near_gap_buckets) ||
-        !r.ReadU64(&rel.data_size) || !r.ReadU32(&rel.data_crc) ||
+    if (!r.ReadU64(&rel.data_size) || !r.ReadU32(&rel.data_crc) ||
         !r.ReadU64(&rel.parity_size) || !r.ReadU32(&rel.parity_crc)) {
       return Status::InvalidArgument("manifest truncated");
     }
@@ -440,7 +431,6 @@ Result<uint64_t> StageInternal(const Catalog& catalog, StorageEnv* env,
     mr.name = names[i];
     mr.method = rel->method_name();
     mr.redundancy = redundancy;
-    mr.disk_params = rel->disk_params();
     mr.data_size = data.value().size();
     mr.data_crc = Crc32c(data.value());
 
@@ -672,44 +662,6 @@ Status VerifyManifestFiles(const StorageEnv& env,
   return Status::Ok();
 }
 
-Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
-                                        const CatalogManifest& manifest) {
-  Catalog catalog(manifest.num_disks);
-  for (size_t i = 0; i < manifest.relations.size(); ++i) {
-    const ManifestRelation& rel = manifest.relations[i];
-    const std::string file_name = manifest.DataFileName(i);
-    Result<std::string> data = env.ReadFile(file_name);
-    if (!data.ok()) return data.status();
-    if (data.value().size() != rel.data_size ||
-        Crc32c(data.value()) != rel.data_crc) {
-      return Status::InvalidArgument(
-          "relation '" + rel.name +
-          "' data file fails its manifest checksum (run fsck)");
-    }
-    Result<GridFile> file = ParseGridFile(data.value());
-    if (!file.ok()) {
-      return Status::InvalidArgument("relation '" + rel.name +
-                                     "': " + file.status().message());
-    }
-    Result<DeclusteredFile> df =
-        DeclusteredFile::Create(std::move(file).value(), rel.method,
-                                manifest.num_disks, rel.disk_params);
-    if (!df.ok()) {
-      return Status::InvalidArgument("relation '" + rel.name +
-                                     "': " + df.status().message());
-    }
-    const Status added = catalog.AddRelation(rel.name, std::move(df).value());
-    if (!added.ok()) return added;
-  }
-  return catalog;
-}
-
-Result<Catalog> LoadCatalogManifest(const StorageEnv& env) {
-  Result<CatalogManifest> manifest = ReadCurrentManifest(env);
-  if (!manifest.ok()) return manifest.status();
-  return LoadCatalogFromManifest(env, manifest.value());
-}
-
 Status LoadAtCommittedGeneration(
     const StorageEnv& env,
     const std::function<Status(const CatalogManifest&)>& load) {
@@ -731,19 +683,6 @@ Status LoadAtCommittedGeneration(
     }
     manifest = std::move(again);
   }
-}
-
-Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env) {
-  std::optional<Catalog> catalog;
-  const Status loaded =
-      LoadAtCommittedGeneration(env, [&](const CatalogManifest& manifest) {
-        Result<Catalog> c = LoadCatalogFromManifest(env, manifest);
-        if (!c.ok()) return c.status();
-        catalog.emplace(std::move(c).value());
-        return Status::Ok();
-      });
-  if (!loaded.ok()) return loaded;
-  return std::move(*catalog);
 }
 
 }  // namespace griddecl

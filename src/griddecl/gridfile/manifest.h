@@ -75,7 +75,6 @@ struct ManifestRelation {
   /// Registry name (methods/registry.h) used to rebuild the method.
   std::string method;
   RelationRedundancy redundancy;
-  DiskParams disk_params;
   /// Size and CRC32C of the data file (and of every mirror copy — mirrors
   /// are bit-identical).
   uint64_t data_size = 0;
@@ -111,7 +110,7 @@ struct ManifestPlacement {
   uint32_t table_disks = 0;
 };
 
-/// A parsed manifest: everything needed to reload (and scrub) a catalog.
+/// A parsed manifest: everything needed to serve (and scrub) a catalog.
 struct CatalogManifest {
   uint64_t generation = 0;
   uint32_t num_disks = 0;
@@ -221,16 +220,6 @@ Result<CatalogManifest> ReadManifest(const StorageEnv& env,
 /// the env holds no usable catalog.
 Result<CatalogManifest> ReadCurrentManifest(const StorageEnv& env);
 
-/// Rebuilds a catalog from an already-resolved manifest, verifying each
-/// data file's whole-file CRC against the manifest and every page CRC
-/// while parsing.
-Result<Catalog> LoadCatalogFromManifest(const StorageEnv& env,
-                                        const CatalogManifest& manifest);
-
-/// `ReadCurrentManifest` + `LoadCatalogFromManifest`: the one-call
-/// recovery path.
-Result<Catalog> LoadCatalogManifest(const StorageEnv& env);
-
 /// How many times `LoadAtCommittedGeneration` re-resolves a moved CURRENT
 /// before it gives up.
 inline constexpr uint32_t kConsistentLoadMaxRetries = 3;
@@ -247,9 +236,6 @@ inline constexpr uint32_t kConsistentLoadMaxRetries = 3;
 Status LoadAtCommittedGeneration(
     const StorageEnv& env,
     const std::function<Status(const CatalogManifest&)>& load);
-
-/// `LoadCatalogManifest` run through `LoadAtCommittedGeneration`.
-Result<Catalog> LoadCatalogManifestConsistent(const StorageEnv& env);
 
 /// Verifies that every file `manifest` references exists in `env` with the
 /// recorded size and whole-file CRC32C (mirrors included).

@@ -8,10 +8,10 @@
 ///
 /// Every read of a stored page is strict: `PageStore::GetPages` (serve and
 /// scrub) retries transient env errors, CRC-verifies the page and decodes
-/// it, or reports the page kUnavailable; the bulk loader `ParseGridFile`
-/// runs the same verify and decode over bytes it already holds. A damaged
-/// page means the same thing at every layer, and the only thing a caller
-/// chooses is how long to keep retrying.
+/// it, or reports the page kUnavailable; the page index a server builds at
+/// load (`BuildPageIndex`) runs the same verify over bytes it already
+/// holds. A damaged page means the same thing at every layer, and the only
+/// thing a caller chooses is how long to keep retrying.
 
 namespace griddecl {
 

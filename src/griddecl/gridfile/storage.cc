@@ -20,14 +20,6 @@ constexpr uint32_t kMaxBoundaries = uint32_t{1} << 24;
 /// The header's version word: the column-major page format.
 constexpr uint32_t kFormatVersion = 3;
 
-/// The exact-size check every whole-file load makes after the header.
-Status CheckFileSize(std::string_view bytes, const FileLayout& layout) {
-  if (bytes.size() == layout.expected_file_size) return Status::Ok();
-  return Status::InvalidArgument(bytes.size() < layout.expected_file_size
-                                     ? "truncated file"
-                                     : "trailing garbage after final page");
-}
-
 double LoadF64(const char* p) {
   double v = 0.0;
   std::memcpy(&v, p, 8);
@@ -38,8 +30,8 @@ double LoadF64(const char* p) {
 /// `zone_max`. Rejects a page holding a NaN value or bound (no grid cell
 /// holds NaN) and a page whose stored [min, max] is not exactly its
 /// column's min and max, since the page index, the zone-map skip and the
-/// accept all trust the zone maps. The one page check both whole-file
-/// loaders add to the CRC, so they accept exactly the same files.
+/// accept all trust the zone maps. The one content check the page index
+/// adds to the page CRC.
 Status ScanPage(std::string_view page_bytes, const FileLayout& layout,
                 uint64_t page, double* zone_min, double* zone_max) {
   const uint32_t k = layout.num_attrs;
@@ -386,50 +378,14 @@ Result<std::string> SerializeGridFile(const GridFile& file,
   return out;
 }
 
-Result<GridFile> ParseGridFile(std::string_view bytes) {
-  Result<GridFileHeader> header = ParseGridFileHeader(bytes);
-  if (!header.ok()) return header.status();
-  const FileLayout layout = header.value().layout;
-  const Status size = CheckFileSize(bytes, layout);
-  if (!size.ok()) return size;
-  Result<GridFile> file =
-      GridFile::CreateWithPartitioner(std::move(header.value().schema),
-                                      std::move(header.value().partitioner));
-  if (!file.ok()) return file.status();
-
-  // Each page is verified and decoded exactly as PageStore admits it; the
-  // records are then gathered back out of the decoded columns.
-  const uint32_t k = layout.num_attrs;
-  double zone_min[kMaxDims];
-  double zone_max[kMaxDims];
-  for (uint64_t page = 0; page < layout.num_pages; ++page) {
-    const std::string_view page_bytes =
-        bytes.substr(layout.PageOffset(page), layout.page_size_bytes);
-    Status st = VerifyPageBytes(page_bytes, layout, page);
-    if (!st.ok()) return st;
-    st = ScanPage(page_bytes, layout, page, zone_min, zone_max);
-    if (!st.ok()) return st;
-    Result<DecodedPage> decoded = DecodePageBytes(page_bytes, layout, page);
-    if (!decoded.ok()) return decoded.status();
-    const DecodedPage& d = decoded.value();
-    for (uint32_t r = 0; r < d.num_records; ++r) {
-      Record rec(k);
-      for (uint32_t a = 0; a < k; ++a) rec[a] = d.column(a)[r];
-      Result<RecordId> id = file.value().Insert(std::move(rec));
-      if (!id.ok()) return id.status();
-    }
-  }
-
-  const Status footer = VerifyFileFooter(bytes, layout);
-  if (!footer.ok()) return footer;
-  return file;
-}
-
 Result<PageIndex> BuildPageIndex(std::string_view bytes,
                                  const GridFileHeader& header) {
   const FileLayout& layout = header.layout;
-  Status st = CheckFileSize(bytes, layout);
-  if (!st.ok()) return st;
+  if (bytes.size() != layout.expected_file_size) {
+    return Status::InvalidArgument(bytes.size() < layout.expected_file_size
+                                       ? "truncated file"
+                                       : "trailing garbage after final page");
+  }
   const SpacePartitioner& sp = header.partitioner;
   const GridSpec& grid = sp.grid();
   const uint32_t k = layout.num_attrs;
@@ -447,7 +403,7 @@ Result<PageIndex> BuildPageIndex(std::string_view bytes,
   for (uint64_t page = 0; page < layout.num_pages; ++page) {
     const std::string_view page_bytes =
         bytes.substr(layout.PageOffset(page), layout.page_size_bytes);
-    st = VerifyPageBytes(page_bytes, layout, page);
+    Status st = VerifyPageBytes(page_bytes, layout, page);
     if (!st.ok()) return st;
     st = ScanPage(page_bytes, layout, page, zone_min, zone_max);
     if (!st.ok()) return st;
@@ -476,8 +432,8 @@ Result<PageIndex> BuildPageIndex(std::string_view bytes,
     mixed.erase(std::unique(mixed.begin(), mixed.end()), mixed.end());
     for (uint64_t bucket : mixed) entries.emplace_back(bucket, page);
   }
-  st = VerifyFileFooter(bytes, layout);
-  if (!st.ok()) return st;
+  const Status footer = VerifyFileFooter(bytes, layout);
+  if (!footer.ok()) return footer;
 
   // Counting sort by bucket; entries arrive in page order, so each
   // bucket's pages come out ascending.

@@ -15,9 +15,11 @@
 ///
 /// A declustered relation outlives the process that loaded it; this module
 /// writes a grid file (schema, learned partition boundaries, records) to a
-/// byte stream and reads it back with identical record ids and bucket
-/// placement. Records are packed in id order into fixed-size pages — the
-/// same unit the I/O simulator charges for.
+/// byte stream, and reads it back the one way a server does: the header
+/// (`ParseGridFileHeader`), the bucket -> pages index (`BuildPageIndex`),
+/// then single pages (`VerifyPageBytes`, `DecodePageBytes`; `PageStore`
+/// drives both). Records are packed in id order into fixed-size pages —
+/// the same unit the I/O simulator charges for.
 ///
 /// One format, little-endian and self-verifying. Every load is strict: a
 /// header, page or footer that fails its CRC or its structural checks
@@ -52,9 +54,9 @@
 /// The writer always packs pages full: page i holds exactly
 /// min(capacity, num_records - i * capacity) records, so the byte layout
 /// is a pure function of (schema, boundaries, num_records, page_size) and
-/// all loaders reject partial pages and trailing garbage outright.
-/// Records appear in id order, so reloading preserves ids and (boundaries
-/// being identical) bucket placement.
+/// the loader rejects partial pages and trailing garbage outright.
+/// Records appear in id order, so a record's id is its page slot and
+/// (boundaries being identical) its bucket is the one it was written to.
 
 namespace griddecl {
 
@@ -87,13 +89,6 @@ struct SaveOptions {
 /// plus at least one record.
 Result<std::string> SerializeGridFile(const GridFile& file,
                                       const SaveOptions& options = {});
-
-/// Parses a grid file previously written by `SerializeGridFile`, verifying
-/// every checksum. Fails with kInvalidArgument on any malformed, damaged
-/// or truncated input, on a page holding a NaN value or zone-map bound,
-/// and on a zone map that is not its page's exact min/max (never
-/// crashes).
-Result<GridFile> ParseGridFile(std::string_view bytes);
 
 // --- Format introspection (scrub / fsck support) --------------------------
 
@@ -159,8 +154,10 @@ struct PageIndex {
   }
 };
 
-/// Verifies `bytes` exactly as `ParseGridFile` does — so it accepts exactly
-/// the files that parse — and indexes its pages under `header` (parsed
+/// Verifies every byte of `bytes` — exact size, each page's record count
+/// and CRC, no NaN value or bound in a page, each zone map exactly its
+/// page's min/max, the footer and the whole-file CRC; kInvalidArgument
+/// otherwise, never a crash — and indexes its pages under `header` (parsed
 /// from the same bytes). A page whose zone-map box lies in one grid cell
 /// belongs to that bucket alone: cells are intervals in each dimension, so
 /// the test is exact. Only the other (mixed) pages are decoded and their

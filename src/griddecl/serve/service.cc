@@ -150,7 +150,10 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
     service->generation_ = m.generation;
     for (size_t i = 0; i < m.relations.size(); ++i) {
       Result<Relation> rel = LoadRelation(*env, m, i);
-      if (!rel.ok()) return rel.status();
+      if (!rel.ok()) {
+        return Status(rel.status().code(), "relation '" + m.relations[i].name +
+                                               "': " + rel.status().message());
+      }
       std::string name = rel.value().name;
       const auto emplaced = service->relations_.emplace(
           std::move(name), std::move(rel).value());

@@ -130,18 +130,6 @@ uint32_t FaultModel::TransientRetries(uint32_t disk, uint64_t address) const {
   return k;
 }
 
-const char* DegradedReadStrategyName(DegradedReadStrategy strategy) {
-  switch (strategy) {
-    case DegradedReadStrategy::kUnavailable:
-      return "unavailable";
-    case DegradedReadStrategy::kReplicaReroute:
-      return "replica-reroute";
-    case DegradedReadStrategy::kEccReconstruct:
-      return "ecc-reconstruct";
-  }
-  return "?";
-}
-
 namespace {
 
 Status CheckMask(const std::vector<bool>& failed, uint32_t num_disks) {

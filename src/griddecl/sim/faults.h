@@ -178,8 +178,6 @@ enum class DegradedReadStrategy {
   kEccReconstruct,
 };
 
-const char* DegradedReadStrategyName(DegradedReadStrategy strategy);
-
 /// Policy layer mapping each query to the physical reads that serve it
 /// under a failure mask. Holds non-owning references: the method (or
 /// placement) must outlive the plan.

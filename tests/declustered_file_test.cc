@@ -88,15 +88,5 @@ TEST(DeclusteredFileTest, ResponseUnitsMatchStandaloneMetric) {
   EXPECT_EQ(exec.response_units, 16u);
 }
 
-TEST(DeclusteredFileTest, MutableFileAllowsIncrementalLoad) {
-  DeclusteredFile df =
-      DeclusteredFile::Create(MakeLoadedFile(8, 0, 6), "linear", 2).value();
-  EXPECT_EQ(df.file().num_records(), 0u);
-  ASSERT_TRUE(df.mutable_file().Insert({0.5, 0.5}).ok());
-  EXPECT_EQ(df.file().num_records(), 1u);
-  const auto counts = df.RecordsPerDisk();
-  EXPECT_EQ(counts[df.DiskOfRecord(0)], 1u);
-}
-
 }  // namespace
 }  // namespace griddecl

@@ -12,6 +12,7 @@
 #include "griddecl/methods/table_method.h"
 #include "griddecl/query/generator.h"
 #include "griddecl/query/trace.h"
+#include "grid_file_oracle.h"
 #include "page_reseal.h"
 
 namespace griddecl {
@@ -45,8 +46,8 @@ std::string MutateBytes(const std::string& input, Rng* rng) {
 }
 
 /// The serve load (`ParseGridFileHeader` + `BuildPageIndex`) accepts
-/// exactly the files `ParseGridFile` accepts; an accepted index names only
-/// real buckets and pages.
+/// exactly the files the test oracle (`OracleDecodeGridFile`) accepts; an
+/// accepted index names only real buckets and pages.
 void ExpectIndexAcceptsExactlyWhenParsed(const std::string& bytes,
                                          bool parsed) {
   const Result<GridFileHeader> header = ParseGridFileHeader(bytes);
@@ -129,7 +130,7 @@ TEST(FormatFuzzTest, GridFileLoaderNeverCrashes) {
   Rng rng(5);
   for (int trial = 0; trial < 400; ++trial) {
     const std::string mutant = MutateBytes(bytes, &rng);
-    const auto result = ParseGridFile(mutant);
+    const auto result = OracleDecodeGridFile(mutant);
     ExpectIndexAcceptsExactlyWhenParsed(mutant, result.ok());
     if (result.ok()) {
       // Internally consistent: every record lands in a real bucket.
@@ -163,7 +164,7 @@ TEST(FormatFuzzTest, SystematicHeaderByteSweep) {
     for (uint8_t mask : {0x01, 0x80, 0xFF}) {
       std::string copy = bytes;
       copy[pos] = static_cast<char>(copy[pos] ^ mask);
-      EXPECT_FALSE(ParseGridFile(copy).ok())
+      EXPECT_FALSE(OracleDecodeGridFile(copy).ok())
           << "header mutation accepted at byte " << pos;
       EXPECT_FALSE(ParseGridFileHeader(copy).ok())
           << "header mutation accepted at byte " << pos;
@@ -177,7 +178,7 @@ TEST(FormatFuzzTest, TruncationAtEveryByteBoundary) {
   const std::string bytes = SerializeSmallGridFile();
   for (size_t len = 0; len < bytes.size(); ++len) {
     ExpectIndexAcceptsExactlyWhenParsed(bytes.substr(0, len), false);
-    EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok()) << "len=" << len;
+    EXPECT_FALSE(OracleDecodeGridFile(bytes.substr(0, len)).ok()) << "len=" << len;
   }
 }
 
@@ -185,7 +186,7 @@ TEST(FormatFuzzTest, PageIndexAgreesWithParserOnResealedMutants) {
   // Page mutations whose CRC and footer are recomputed reach past the
   // checksums into the loaders' content checks: random bytes, and
   // NaN / infinity written over a value or zone-map slot. The index
-  // builder must accept exactly when ParseGridFile does, and never crash.
+  // builder must accept exactly when the oracle does, and never crash.
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
                              -std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
@@ -210,7 +211,7 @@ TEST(FormatFuzzTest, PageIndexAgreesWithParserOnResealedMutants) {
       std::memcpy(copy.data() + body + 8 * rng.NextBelow(slots), &v, 8);
     }
     ResealPage(&copy, layout, page);
-    const bool parsed = ParseGridFile(copy).ok();
+    const bool parsed = OracleDecodeGridFile(copy).ok();
     ExpectIndexAcceptsExactlyWhenParsed(copy, parsed);
     (parsed ? accepted : rejected)++;
   }

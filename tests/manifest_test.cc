@@ -14,20 +14,11 @@
 #include "griddecl/common/random.h"
 #include "griddecl/methods/registry.h"
 #include "griddecl/serve/service.h"
+#include "grid_file_oracle.h"
+#include "serve_every_relation.h"
 
 namespace griddecl {
 namespace {
-
-DiskParams TestDiskParams() {
-  DiskParams p;
-  p.avg_seek_ms = 9.5;
-  p.rotational_latency_ms = 4.25;
-  p.transfer_ms_per_kb = 0.125;
-  p.bucket_kb = 16.0;
-  p.near_seek_factor = 0.2;
-  p.near_gap_buckets = 32;
-  return p;
-}
 
 GridFile MakeFile(int num_records, uint64_t seed) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
@@ -45,8 +36,8 @@ Catalog MakeCatalog(uint32_t num_disks = 8) {
   Catalog catalog(num_disks);
   uint64_t seed = 100;
   for (const std::string& method : AllMethodNames()) {
-    Result<DeclusteredFile> rel = DeclusteredFile::Create(
-        MakeFile(120, seed++), method, num_disks, TestDiskParams());
+    Result<DeclusteredFile> rel =
+        DeclusteredFile::Create(MakeFile(120, seed++), method, num_disks);
     EXPECT_TRUE(rel.ok()) << method << ": " << rel.status().ToString();
     if (rel.ok()) {
       EXPECT_TRUE(catalog.AddRelation(method, std::move(rel).value()).ok());
@@ -78,36 +69,61 @@ TEST(ManifestTest, SaveCommitsGenerationOne) {
 
 TEST(ManifestTest, CatalogRoundTripsThroughEveryMethod) {
   // The property test: for a catalog containing a relation per registry
-  // method, save + reload must reproduce bucket placement, record ids,
-  // disk assignment, and query responses exactly.
+  // method, save + serve must reproduce bucket placement, record ids,
+  // disk assignment, and query responses exactly. Records and buckets are
+  // read back through the test oracle; disks and answers through the
+  // query service.
   const Catalog original = MakeCatalog();
   MemEnv env;
   ASSERT_TRUE(SaveCatalogManifest(original, &env, SmallPages()).ok());
-  const Catalog loaded = LoadCatalogManifest(env).value();
+  const CatalogManifest m = ReadCurrentManifest(env).value();
+  serve::ServeOptions options;
+  options.num_threads = 1;
+  const auto service = serve::QueryService::Create(&env, options).value();
 
-  EXPECT_EQ(loaded.num_disks(), original.num_disks());
-  ASSERT_EQ(loaded.RelationNames(), original.RelationNames());
+  EXPECT_EQ(service->num_disks(), original.num_disks());
+  ASSERT_EQ(service->RelationNames(), original.RelationNames());
+  ASSERT_EQ(m.relations.size(), original.RelationNames().size());
   const std::vector<double> lo = {0.2, 0.2};
   const std::vector<double> hi = {0.7, 0.7};
-  for (const std::string& name : original.RelationNames()) {
+  for (size_t i = 0; i < m.relations.size(); ++i) {
+    const std::string& name = m.relations[i].name;
     const DeclusteredFile* a = original.Find(name);
-    const DeclusteredFile* b = loaded.Find(name);
-    ASSERT_NE(b, nullptr) << name;
-    EXPECT_EQ(b->method_name(), a->method_name());
-    EXPECT_EQ(b->disk_params().avg_seek_ms, a->disk_params().avg_seek_ms);
-    EXPECT_EQ(b->disk_params().near_gap_buckets,
-              a->disk_params().near_gap_buckets);
-    ASSERT_EQ(b->file().num_records(), a->file().num_records()) << name;
+    ASSERT_NE(a, nullptr) << name;
+    EXPECT_EQ(m.relations[i].method, a->method_name());
+    const GridFile b =
+        OracleDecodeGridFile(env.ReadFile(m.DataFileName(i)).value())
+            .value();
+    const auto method =
+        CreateMethod(m.relations[i].method, b.grid(), m.num_disks).value();
+    ASSERT_EQ(b.num_records(), a->file().num_records()) << name;
     for (RecordId id = 0; id < a->file().num_records(); ++id) {
-      EXPECT_EQ(b->file().record(id), a->file().record(id));
-      EXPECT_EQ(b->file().BucketOfRecord(id), a->file().BucketOfRecord(id));
-      EXPECT_EQ(b->DiskOfRecord(id), a->DiskOfRecord(id)) << name;
+      EXPECT_EQ(b.record(id), a->file().record(id));
+      EXPECT_EQ(b.BucketOfRecord(id), a->file().BucketOfRecord(id));
+      EXPECT_EQ(method->DiskOf(b.BucketOfRecord(id)), a->DiskOfRecord(id))
+          << name;
     }
-    const QueryExecution qa = a->ExecuteRange(lo, hi).value();
-    const QueryExecution qb = b->ExecuteRange(lo, hi).value();
+    QueryExecution qa = a->ExecuteRange(lo, hi).value();
+    std::sort(qa.matches.begin(), qa.matches.end());
+    serve::QueryRequest request;
+    request.relation = name;
+    request.lo = lo;
+    request.hi = hi;
+    const serve::QueryResult qb = service->Execute(request);
+    ASSERT_TRUE(qb.status.ok()) << name << ": " << qb.status.ToString();
     EXPECT_EQ(qb.matches, qa.matches) << name;
-    EXPECT_EQ(qb.response_units, qa.response_units) << name;
     EXPECT_EQ(qb.buckets_touched, qa.buckets_touched) << name;
+    // The paper's metric, observed: the busiest disk's share of the query,
+    // one disk-filtered sub-query per disk.
+    uint64_t busiest = 0;
+    for (uint32_t d = 0; d < m.num_disks; ++d) {
+      serve::QueryRequest sub = request;
+      sub.disks = {d};
+      const serve::QueryResult part = service->Execute(std::move(sub));
+      ASSERT_TRUE(part.status.ok()) << name << " disk " << d;
+      busiest = std::max(busiest, part.buckets_touched);
+    }
+    EXPECT_EQ(busiest, qa.response_units) << name;
   }
 }
 
@@ -159,7 +175,7 @@ TEST(ManifestTest, TornCurrentFallsBackToManifestScan) {
 
 TEST(ManifestTest, EmptyEnvReportsNotFound) {
   MemEnv env;
-  EXPECT_EQ(LoadCatalogManifest(env).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ServeEveryRelation(env).code(), StatusCode::kNotFound);
 }
 
 TEST(ManifestTest, CorruptRelationFailsLoadByName) {
@@ -169,11 +185,11 @@ TEST(ManifestTest, CorruptRelationFailsLoadByName) {
   const CatalogManifest m = ReadCurrentManifest(env).value();
   // Flip a byte deep inside relation 0's data file.
   ASSERT_TRUE(env.CorruptByte(m.DataFileName(0), 400, 0x20).ok());
-  const Result<Catalog> loaded = LoadCatalogManifest(env);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find(m.relations[0].name),
+  const Status served = ServeEveryRelation(env);
+  ASSERT_FALSE(served.ok());
+  EXPECT_NE(served.message().find("'" + m.relations[0].name + "'"),
             std::string::npos)
-      << loaded.status().ToString();
+      << served.ToString();
 }
 
 TEST(ManifestTest, MirrorPolicyWritesCopies) {
@@ -306,7 +322,7 @@ TEST(ManifestTest, DropStagedRestoresTheExactFileSet) {
   EXPECT_GT(env.ListFiles().value().size(), before.size());
   EXPECT_TRUE(DropStagedManifest(&env, staged).ok());
   EXPECT_EQ(env.ListFiles().value(), before);
-  EXPECT_TRUE(LoadCatalogManifest(env).ok());
+  EXPECT_TRUE(ServeEveryRelation(env).ok());
 }
 
 TEST(ManifestTest, RollbackToGenerationBypassesTheFence) {
@@ -319,7 +335,7 @@ TEST(ManifestTest, RollbackToGenerationBypassesTheFence) {
   // primitive deliberately steps the fence backwards.
   EXPECT_TRUE(RollbackToGeneration(&env, 1).ok());
   EXPECT_EQ(ReadCurrentManifest(env).value().generation, 1u);
-  EXPECT_TRUE(LoadCatalogManifest(env).ok());
+  EXPECT_TRUE(ServeEveryRelation(env).ok());
   // Rolling back onto a generation whose files are gone must refuse.
   EXPECT_FALSE(RollbackToGeneration(&env, 7).ok());
 }
@@ -375,10 +391,10 @@ class RacingEnv : public StorageEnv {
 TEST(ManifestTest, ConsistentLoadSurvivesConcurrentCommitAndGc) {
   // Regression for the concurrent-generation race: a reader resolves
   // CURRENT = 2, then a committer lands generations 3 and 4 — whose GC
-  // retires generation 2's files — before the reader touches them. The
-  // plain load fails (checksummed reads can never mix generations); the
-  // consistent wrapper — and the query service, which loads through the
-  // same retry — re-resolve and retry at the new CURRENT.
+  // retires generation 2's files — before the reader touches them. A load
+  // of the generation it resolved fails (checksummed reads can never mix
+  // generations); `LoadAtCommittedGeneration` — and the query service,
+  // which loads through it — re-resolves and retries at the new CURRENT.
   const Catalog catalog = MakeCatalog(4);
   MemEnv env;
   ASSERT_TRUE(SaveCatalogManifest(catalog, &env).ok());
@@ -392,16 +408,45 @@ TEST(ManifestTest, ConsistentLoadSurvivesConcurrentCommitAndGc) {
     EXPECT_TRUE(SaveCatalogManifest(catalog, &env).ok());
   };
 
+  // A loader that reads every data file of the generation it is handed
+  // and checks it against the manifest, recording each generation and
+  // whether its load succeeded, and the relation names of the last one.
+  using Handed = std::vector<std::pair<uint64_t, bool>>;
+  Handed handed;
+  std::vector<std::string> loaded_names;
+  const auto loader = [&](const StorageEnv& from) {
+    return [&](const CatalogManifest& m) {
+      Status st = Status::Ok();
+      loaded_names.clear();
+      for (size_t i = 0; i < m.relations.size() && st.ok(); ++i) {
+        const Result<std::string> data = from.ReadFile(m.DataFileName(i));
+        if (!data.ok()) {
+          st = data.status();
+        } else if (Crc32c(data.value()) != m.relations[i].data_crc) {
+          st = Status::InvalidArgument("data file fails its checksum");
+        }
+        loaded_names.push_back(m.relations[i].name);
+      }
+      handed.emplace_back(m.generation, st.ok());
+      return st;
+    };
+  };
+
   {
+    // The load of the resolved generation fails: GC swept its files.
     RacingEnv racing(&env, race);
-    EXPECT_FALSE(LoadCatalogManifest(racing).ok());
-    EXPECT_FALSE(env.Exists("rel-000002-0.gd"));  // GC swept the reader's gen.
+    EXPECT_TRUE(LoadAtCommittedGeneration(racing, loader(racing)).ok());
+    EXPECT_EQ(handed, (Handed{{2, false}, {4, true}}));
+    EXPECT_FALSE(env.Exists("rel-000002-0.gd"));
   }
   {
+    // The retry at the new CURRENT loads the whole catalog.
     RacingEnv racing(&env, race);
-    const Result<Catalog> loaded = LoadCatalogManifestConsistent(racing);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().RelationNames(), catalog.RelationNames());
+    handed.clear();
+    const Status loaded = LoadAtCommittedGeneration(racing, loader(racing));
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    EXPECT_EQ(handed, (Handed{{4, false}, {6, true}}));
+    EXPECT_EQ(loaded_names, catalog.RelationNames());
   }
   {
     RacingEnv racing(&env, race);
@@ -471,7 +516,7 @@ TEST(ManifestTest, PlacementSurvivesStageCommitAndConsistentLoad) {
   ASSERT_TRUE(m.placement.has_value());
   EXPECT_EQ(m.placement->node_rack, TestPlacement().node_rack);
   // The consistent-load path parses the same record without complaint.
-  EXPECT_TRUE(LoadCatalogManifestConsistent(env).ok());
+  EXPECT_TRUE(ServeEveryRelation(env).ok());
 }
 
 TEST(ManifestTest, MalformedPlacementRecordsRejected) {
@@ -524,7 +569,7 @@ TEST(ManifestTest, OneLayoutRoundTripsPlacementWithAndWithoutTable) {
   const std::string with_table =
       table_env.ReadFile(ManifestFileName(1)).value();
   const uint32_t version = ManifestVersionWord(plain);
-  EXPECT_EQ(version, 5u);
+  EXPECT_EQ(version, 6u);
   EXPECT_EQ(ManifestVersionWord(tableless), version);
   EXPECT_EQ(ManifestVersionWord(with_table), version);
 
@@ -541,13 +586,13 @@ TEST(ManifestTest, OneLayoutRoundTripsPlacementWithAndWithoutTable) {
   EXPECT_EQ(table.placement->table_disks, 4u);
   EXPECT_EQ(table.placement->table,
             (std::vector<uint32_t>{0, 1, 2, 3, 2, 3, 1, 0}));
-  EXPECT_TRUE(LoadCatalogManifestConsistent(tableless_env).ok());
-  EXPECT_TRUE(LoadCatalogManifestConsistent(table_env).ok());
+  EXPECT_TRUE(ServeEveryRelation(tableless_env).ok());
+  EXPECT_TRUE(ServeEveryRelation(table_env).ok());
 
   // Every other version word, each re-CRC'd so only the version check can
-  // refuse it: the retired layouts 1-4 and the next one.
+  // refuse it: the retired layouts 1-5 and the next one.
   for (const std::string& bytes : {plain, tableless, with_table}) {
-    for (uint32_t other : {1u, 2u, 3u, 4u, version + 1}) {
+    for (uint32_t other : {1u, 2u, 3u, 4u, 5u, version + 1}) {
       std::string copy = bytes.substr(0, bytes.size() - 4);
       std::memcpy(copy.data() + 4, &other, 4);
       AppendU32(&copy, Crc32c(copy));

@@ -7,6 +7,7 @@
 
 #include "griddecl/common/crc32c.h"
 #include "griddecl/common/random.h"
+#include "serve_every_relation.h"
 
 namespace griddecl {
 namespace {
@@ -74,7 +75,7 @@ TEST(ScrubTest, MirrorRepairsDamagedPageBitIdentically) {
                               layout.PageOffset(2) + 17, 0xFF).ok());
   ASSERT_TRUE(env.CorruptByte(m.DataFileName(0),
                               layout.PageOffset(9) + 60, 0x01).ok());
-  EXPECT_FALSE(LoadCatalogManifest(env).ok());
+  EXPECT_FALSE(ServeEveryRelation(env).ok());
 
   const ScrubReport report = ScrubCatalog(&env).value();
   EXPECT_TRUE(report.Clean());
@@ -83,7 +84,7 @@ TEST(ScrubTest, MirrorRepairsDamagedPageBitIdentically) {
   EXPECT_EQ(report.pages_unrepairable, 0u);
   // Bit-identical restoration.
   EXPECT_EQ(env.ReadFile(m.DataFileName(0)).value(), pristine);
-  EXPECT_TRUE(LoadCatalogManifest(env).ok());
+  EXPECT_TRUE(ServeEveryRelation(env).ok());
 }
 
 TEST(ScrubTest, ParityRepairsOnePagePerStripe) {
@@ -119,8 +120,8 @@ TEST(ScrubTest, ParityCannotRepairTwoPagesInOneStripe) {
   EXPECT_EQ(report.relations_unrepairable, 1u);
   EXPECT_EQ(report.pages_unrepairable, 2u);
   // The damaged primary was NOT overwritten with non-matching bytes, and
-  // the strict loader still refuses it: never silently wrong data.
-  EXPECT_FALSE(LoadCatalogManifest(env).ok());
+  // the query service still refuses to load it: never silently wrong data.
+  EXPECT_FALSE(ServeEveryRelation(env).ok());
 }
 
 TEST(ScrubTest, UnprotectedCorruptionIsReportedNotRepaired) {
@@ -134,7 +135,7 @@ TEST(ScrubTest, UnprotectedCorruptionIsReportedNotRepaired) {
   EXPECT_FALSE(report.Clean());
   EXPECT_EQ(report.relations_unrepairable, 1u);
   EXPECT_EQ(report.pages_repaired, 0u);
-  EXPECT_FALSE(LoadCatalogManifest(env).ok());
+  EXPECT_FALSE(ServeEveryRelation(env).ok());
 }
 
 TEST(ScrubTest, FooterDamageRepairsEvenWithoutRedundancy) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -144,6 +145,74 @@ TEST(QueryServiceTest, MatchesDirectStorageReadsExactly) {
     EXPECT_EQ(got.reconstructed_pages, 0u);
   }
   EXPECT_EQ(service->BreakerTotals().opened, 0u);
+}
+
+TEST(QueryServiceTest, ServesANonUniformGridLikeRangeSearch) {
+  // Boundaries refined where the data clusters, and records outside the
+  // domain, which clamp into the edge cells. The stored header carries
+  // the boundaries, so every answer served from pages equals the grid
+  // file's own RangeSearch: the full box, sub-boxes, and points.
+  std::vector<DomainPartition> parts;
+  parts.push_back(
+      DomainPartition::FromBoundaries({0.0, 0.02, 0.05, 0.1, 0.5, 1.0})
+          .value());
+  parts.push_back(
+      DomainPartition::FromBoundaries({-5.0, -4.7, -4.0, -1.0, 5.0}).value());
+  GridFile file =
+      GridFile::CreateWithPartitioner(
+          Schema::Create({{"x", 0.0, 1.0}, {"y", -5.0, 5.0}}).value(),
+          SpacePartitioner::Create(std::move(parts)).value())
+          .value();
+  Rng rng(3);
+  const auto value_in = [&](double lo, double hi) {
+    return lo + (hi - lo) * rng.NextDouble();
+  };
+  for (int i = 0; i < 300; ++i) {
+    const bool clustered = rng.NextBool(0.8);
+    ASSERT_TRUE(file.Insert({clustered ? value_in(0.0, 0.1)
+                                       : value_in(-0.2, 1.2),
+                             clustered ? value_in(-5.0, -4.0)
+                                       : value_in(-6.0, 6.0)})
+                    .ok());
+  }
+  Catalog catalog(4);
+  ASSERT_TRUE(catalog
+                  .AddRelation("nu", DeclusteredFile::Create(std::move(file),
+                                                             "hcam", 4)
+                                         .value())
+                  .ok());
+  MemEnv env;
+  ManifestSaveOptions save;
+  save.page_size_bytes = 168;
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, save).ok());
+  const GridFile& truth = catalog.Find("nu")->file();
+  auto service = QueryService::Create(&env, {}).value();
+
+  const auto expect_served = [&](const std::vector<double>& lo,
+                                 const std::vector<double>& hi) {
+    QueryRequest request;
+    request.relation = "nu";
+    request.lo = lo;
+    request.hi = hi;
+    const QueryResult got = service->Execute(std::move(request));
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.matches, Sorted(truth.RangeSearch(lo, hi).value()));
+    EXPECT_EQ(got.buckets_touched,
+              truth.ResolveRange(lo, hi).value().NumBuckets());
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_served({-inf, -inf}, {inf, inf});
+  for (int q = 0; q < 40; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    std::vector<double> lo = {value_in(-0.3, 1.3), value_in(-7.0, 7.0)};
+    std::vector<double> hi = {value_in(-0.3, 1.3), value_in(-7.0, 7.0)};
+    for (int d = 0; d < 2; ++d) {
+      if (lo[d] > hi[d]) std::swap(lo[d], hi[d]);
+    }
+    expect_served(lo, hi);
+    const Record& point = truth.record(rng.NextBelow(truth.num_records()));
+    expect_served(point, point);
+  }
 }
 
 TEST(QueryServiceTest, UnknownRelationAndBadQueryFailCleanly) {

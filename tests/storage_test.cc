@@ -13,6 +13,7 @@
 #include "griddecl/common/crc32c.h"
 #include "griddecl/common/random.h"
 #include "griddecl/grid/partitioner.h"
+#include "grid_file_oracle.h"
 #include "page_reseal.h"
 
 namespace griddecl {
@@ -37,9 +38,16 @@ std::string Serialize(const GridFile& file,
   return SerializeGridFile(file, options).value();
 }
 
+/// Whether a server's load of `bytes` — the header, then the page index —
+/// accepts the file.
+bool IndexLoads(const std::string& bytes) {
+  const Result<GridFileHeader> header = ParseGridFileHeader(bytes);
+  return header.ok() && BuildPageIndex(bytes, header.value()).ok();
+}
+
 TEST(StorageTest, RoundTripPreservesEverything) {
   const GridFile original = MakeFile(500, 1);
-  const GridFile loaded = ParseGridFile(Serialize(original)).value();
+  const GridFile loaded = OracleDecodeGridFile(Serialize(original)).value();
 
   EXPECT_EQ(loaded.num_records(), original.num_records());
   EXPECT_EQ(loaded.grid(), original.grid());
@@ -53,7 +61,7 @@ TEST(StorageTest, RoundTripPreservesEverything) {
 
 TEST(StorageTest, RoundTripEmptyFile) {
   const GridFile original = MakeFile(0, 2);
-  const GridFile loaded = ParseGridFile(Serialize(original)).value();
+  const GridFile loaded = OracleDecodeGridFile(Serialize(original)).value();
   EXPECT_EQ(loaded.num_records(), 0u);
   EXPECT_EQ(loaded.grid(), original.grid());
 }
@@ -78,7 +86,7 @@ TEST(StorageTest, RoundTripAdaptiveBoundaries) {
     ASSERT_TRUE(
         original.Insert({rng.NextDouble() * s, rng.NextDouble() * s}).ok());
   }
-  const GridFile loaded = ParseGridFile(Serialize(original)).value();
+  const GridFile loaded = OracleDecodeGridFile(Serialize(original)).value();
   EXPECT_EQ(loaded.grid(), original.grid());
   for (uint32_t dim = 0; dim < 2; ++dim) {
     EXPECT_EQ(loaded.partitioner().dim(dim).raw_boundaries(),
@@ -94,7 +102,7 @@ TEST(StorageTest, SmallPagesStillWork) {
   const GridFile original = MakeFile(100, 4);
   // Page fits exactly one 2-attribute record: 8 (header) + 2*16 (zone
   // maps) + 16 (record) -> 56.
-  const GridFile loaded = ParseGridFile(Serialize(original, 56)).value();
+  const GridFile loaded = OracleDecodeGridFile(Serialize(original, 56)).value();
   EXPECT_EQ(loaded.num_records(), 100u);
   EXPECT_EQ(loaded.record(99), original.record(99));
 }
@@ -127,18 +135,22 @@ TEST(StorageTest, RejectsCorruptInputsWithoutCrashing) {
   {
     std::string copy = bytes;
     copy[0] = 'X';
-    EXPECT_FALSE(ParseGridFile(copy).ok());
+    EXPECT_FALSE(OracleDecodeGridFile(copy).ok());
+    EXPECT_FALSE(IndexLoads(copy));
   }
   // Truncations at many prefixes: must error, never crash.
   for (size_t len : {0ul, 3ul, 8ul, 17ul, 40ul, bytes.size() / 2,
                      bytes.size() - 1}) {
-    EXPECT_FALSE(ParseGridFile(bytes.substr(0, len)).ok()) << "len=" << len;
+    const std::string prefix = bytes.substr(0, len);
+    EXPECT_FALSE(OracleDecodeGridFile(prefix).ok()) << "len=" << len;
+    EXPECT_FALSE(IndexLoads(prefix)) << "len=" << len;
   }
   // Corrupt version.
   {
     std::string copy = bytes;
     copy[4] = static_cast<char>(0x7F);
-    EXPECT_FALSE(ParseGridFile(copy).ok());
+    EXPECT_FALSE(OracleDecodeGridFile(copy).ok());
+    EXPECT_FALSE(IndexLoads(copy));
   }
 }
 
@@ -166,7 +178,7 @@ TEST(StorageTest, RejectsVersion1Files) {
     }
     const std::string expected =
         "unsupported version " + std::to_string(version);
-    const Result<GridFile> loaded = ParseGridFile(bytes);
+    const Result<GridFile> loaded = OracleDecodeGridFile(bytes);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().message(), expected);
     EXPECT_EQ(ParseGridFileHeader(bytes).status().message(), expected);
@@ -176,27 +188,29 @@ TEST(StorageTest, RejectsVersion1Files) {
 TEST(StorageTest, RoundTripLargePageSizes) {
   const GridFile original = MakeFile(300, 7);
   for (uint32_t page : {64u, 1024u, 1u << 20}) {
-    const GridFile loaded = ParseGridFile(Serialize(original, page)).value();
+    const GridFile loaded = OracleDecodeGridFile(Serialize(original, page)).value();
     EXPECT_EQ(loaded.num_records(), 300u) << page;
   }
 }
 
 TEST(StorageTest, DetectsEverySingleBitFlip) {
-  // Flip one bit at a stride of offsets across the whole file: the strict
-  // checksum-verifying loader must reject every single one.
+  // Flip one bit at a stride of offsets across the whole file: the
+  // checksums must reject every single one, in the oracle and in the page
+  // index a server loads.
   const GridFile original = MakeFile(60, 10);
   const std::string bytes = Serialize(original, 160);
   for (size_t pos = 0; pos < bytes.size(); pos += 7) {
     std::string copy = bytes;
     copy[pos] = static_cast<char>(copy[pos] ^ 0x10);
-    EXPECT_FALSE(ParseGridFile(copy).ok()) << "offset " << pos;
+    EXPECT_FALSE(OracleDecodeGridFile(copy).ok()) << "offset " << pos;
+    EXPECT_FALSE(IndexLoads(copy)) << "offset " << pos;
   }
 }
 
 TEST(StorageTest, V3RoundTripPreservesRecords) {
   const GridFile original = MakeFile(120, 21);
   const std::string bytes = Serialize(original, 168);
-  const GridFile loaded = ParseGridFile(bytes).value();
+  const GridFile loaded = OracleDecodeGridFile(bytes).value();
   ASSERT_EQ(loaded.num_records(), original.num_records());
   for (RecordId id = 0; id < original.num_records(); ++id) {
     EXPECT_EQ(loaded.record(id), original.record(id));
@@ -323,11 +337,16 @@ TEST(StorageTest, WithinIsTheClosedBoxMirrorOfMayMatch) {
 TEST(StorageTest, HardenedPageValidation) {
   const GridFile original = MakeFile(40, 13);
   // The record-count check runs before the page CRC, so each lie below is
-  // caught by the structural check on its own, not by the checksum.
+  // caught by the structural check on its own, not by the checksum. The
+  // page index and the oracle give the same reason.
   const std::string bytes = Serialize(original, 88);
   const FileLayout layout = ParseFileLayout(bytes).value();
-  const auto reason = [](const std::string& copy) {
-    return ParseGridFile(copy).status().message();
+  const GridFileHeader header = ParseGridFileHeader(bytes).value();
+  const auto reason = [&](const std::string& copy) {
+    const std::string message =
+        BuildPageIndex(copy, header).status().message();
+    EXPECT_EQ(OracleDecodeGridFile(copy).status().message(), message);
+    return message;
   };
 
   // A page claiming more records than its writer-assigned count must be
@@ -393,14 +412,14 @@ TEST(StorageTest, SerializedBytesArePinned) {
 
 TEST(StorageTest, RejectsResealedNaNPages) {
   // A NaN patched into a page whose CRC and footer are then recomputed
-  // passes every checksum. No grid cell holds NaN, so both whole-file
-  // loaders reject the page with kInvalidArgument instead of bucketing
-  // the value past the grid.
+  // passes every checksum. No grid cell holds NaN, so the page index and
+  // the oracle both reject the page with kInvalidArgument instead of
+  // bucketing the value past the grid.
   const GridFile original = MakeFile(40, 31);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto expect_rejected = [](const std::string& bytes,
                                   const char* what) {
-    const Result<GridFile> parsed = ParseGridFile(bytes);
+    const Result<GridFile> parsed = OracleDecodeGridFile(bytes);
     ASSERT_FALSE(parsed.ok()) << what;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << what;
     const GridFileHeader header = ParseGridFileHeader(bytes).value();
@@ -434,15 +453,15 @@ TEST(StorageTest, RejectsResealedZoneMapThatDisagreesWithItsPage) {
   // x-max would make a range scan accept the page whole and serve a
   // record outside the range; one widened past the true x-min would
   // misplace the page in the index. With the page CRC and footer
-  // recomputed, only the loaders' zone-map check can catch either, and
-  // both loaders must reject.
+  // recomputed, only a zone-map check can catch either, and the page
+  // index and the oracle must both reject.
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
   GridFile f = GridFile::Create(std::move(schema), {2, 2}).value();
   for (double x : {0.1, 0.2, 0.3, 0.4}) ASSERT_TRUE(f.Insert({x, 0.2}).ok());
   const std::string bytes = Serialize(f, 104);
   const FileLayout layout = ParseFileLayout(bytes).value();
   ASSERT_EQ(layout.num_pages, 1u);
-  ASSERT_TRUE(ParseGridFile(bytes).ok());
+  ASSERT_TRUE(OracleDecodeGridFile(bytes).ok());
   const uint64_t x_min_off = layout.PageOffset(0) + kPageHeaderBytes;
   for (const auto& [offset, value] :
        {std::pair<uint64_t, double>{x_min_off + 8, 0.25},
@@ -451,7 +470,7 @@ TEST(StorageTest, RejectsResealedZoneMapThatDisagreesWithItsPage) {
     std::string copy = bytes;
     std::memcpy(copy.data() + offset, &value, 8);
     ResealPage(&copy, layout, 0);
-    const Result<GridFile> parsed = ParseGridFile(copy);
+    const Result<GridFile> parsed = OracleDecodeGridFile(copy);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(parsed.status().message(), "zone map disagrees with page 0");
@@ -496,7 +515,7 @@ void ExpectIndexMatchesRecordWalk(const GridFile& file, uint32_t page_size) {
   const std::string bytes = Serialize(file, page_size);
   const GridFileHeader header = ParseGridFileHeader(bytes).value();
   const PageIndex index = BuildPageIndex(bytes, header).value();
-  const WalkedIndex walked = WalkRecords(ParseGridFile(bytes).value(),
+  const WalkedIndex walked = WalkRecords(OracleDecodeGridFile(bytes).value(),
                                          header.layout.page_capacity);
   EXPECT_EQ(index.page_bucket, walked.page_bucket);
   ASSERT_EQ(index.bucket_begin.size(), walked.bucket_pages.size() + 1);
@@ -577,14 +596,14 @@ TEST(PageIndexTest, ThreeAttributesAndEmptyFile) {
 }
 
 TEST(PageIndexTest, RejectsWhatParseGridFileRejects) {
-  // Same structural checks, same order: header, size, each page's record
-  // count and CRC, footer.
+  // The oracle decoder's structural checks, in its order: header, size,
+  // each page's record count and CRC, footer.
   const GridFile original = MakeFile(40, 13);
   const std::string bytes = Serialize(original, 88);
   const GridFileHeader header = ParseGridFileHeader(bytes).value();
   const auto reason = [&](const std::string& copy) {
     const Result<PageIndex> index = BuildPageIndex(copy, header);
-    EXPECT_EQ(index.ok(), ParseGridFile(copy).ok());
+    EXPECT_EQ(index.ok(), OracleDecodeGridFile(copy).ok());
     return index.status().message();
   };
   EXPECT_EQ(reason(bytes + "x"), "trailing garbage after final page");

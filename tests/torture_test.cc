@@ -8,6 +8,7 @@
 #include "griddecl/common/random.h"
 #include "griddecl/gridfile/manifest.h"
 #include "griddecl/gridfile/scrub.h"
+#include "serve_every_relation.h"
 
 namespace griddecl {
 namespace {
@@ -21,8 +22,13 @@ namespace {
 ///     never a mix, never a crash;
 ///   * any single-page corruption of a mirror- or parity-protected
 ///     relation is repaired bit-identically by scrub;
-///   * corruption of an unprotected relation is reported and the strict
-///     loader rejects the catalog — damage is never silently absorbed.
+///   * corruption of an unprotected relation is reported and the query
+///     service refuses to load the catalog — damage is never silently
+///     absorbed.
+///
+/// "Loads" means the product read path serves the catalog whole
+/// (`ServeEveryRelation`), and a loaded catalog is identified by the
+/// fingerprint of its committed generation's files.
 
 GridFile MakeFile(int num_records, uint64_t seed) {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
@@ -68,9 +74,9 @@ ManifestSaveOptions TortureSaveOptions() {
   return options;
 }
 
-/// Content fingerprint of a catalog: relation names, methods, and exact
-/// serialized bytes (page size fixed, so equal fingerprints mean equal
-/// records, boundaries, and ids).
+/// Content fingerprint of a catalog: relation names, methods, and the
+/// CRC of each relation's exact serialized bytes (page size fixed, so
+/// equal fingerprints mean equal records, boundaries, and ids).
 std::string Fingerprint(const Catalog& catalog) {
   std::string fp = std::to_string(catalog.num_disks());
   SaveOptions save;
@@ -79,6 +85,23 @@ std::string Fingerprint(const Catalog& catalog) {
     const DeclusteredFile* rel = catalog.Find(name);
     fp += "|" + name + ":" + rel->method_name() + ":" +
           std::to_string(Crc32c(SerializeGridFile(rel->file(), save).value()));
+  }
+  return fp;
+}
+
+/// The same fingerprint read off the committed generation in `env`: the
+/// manifest's relation names and methods, and the CRC of each data file's
+/// bytes as stored. Empty when no manifest or data file can be read.
+std::string Fingerprint(const StorageEnv& env) {
+  const Result<CatalogManifest> m = ReadCurrentManifest(env);
+  if (!m.ok()) return "";
+  std::string fp = std::to_string(m.value().num_disks);
+  for (size_t i = 0; i < m.value().relations.size(); ++i) {
+    const ManifestRelation& rel = m.value().relations[i];
+    const Result<std::string> data = env.ReadFile(m.value().DataFileName(i));
+    if (!data.ok()) return "";
+    fp += "|" + rel.name + ":" + rel.method + ":" +
+          std::to_string(Crc32c(data.value()));
   }
   return fp;
 }
@@ -124,11 +147,11 @@ TEST(TortureTest, CrashAtEveryOperationRecoversConsistently) {
       ASSERT_TRUE(manifest.ok())
           << "crash_at=" << crash_at << " seed=" << seed << ": "
           << manifest.status().ToString();
-      const Result<Catalog> loaded = LoadCatalogManifest(env);
+      const Status loaded = ServeEveryRelation(env);
       ASSERT_TRUE(loaded.ok())
           << "crash_at=" << crash_at << " seed=" << seed << ": "
-          << loaded.status().ToString();
-      const std::string fp = Fingerprint(loaded.value());
+          << loaded.ToString();
+      const std::string fp = Fingerprint(env);
       // Consistency: exactly the old catalog or exactly the new one.
       ASSERT_TRUE(fp == fp_a || fp == fp_b)
           << "crash_at=" << crash_at << " seed=" << seed;
@@ -146,7 +169,8 @@ TEST(TortureTest, CrashAtEveryOperationRecoversConsistently) {
       // subsequent recovery sees the new catalog.
       ASSERT_TRUE(SaveCatalogManifest(catalog_b, &env, options).ok())
           << "crash_at=" << crash_at;
-      EXPECT_EQ(Fingerprint(LoadCatalogManifest(env).value()), fp_b);
+      EXPECT_TRUE(ServeEveryRelation(env).ok());
+      EXPECT_EQ(Fingerprint(env), fp_b);
     }
   }
   // The sweep must actually exercise both outcomes.
@@ -180,8 +204,9 @@ TEST(TortureTest, EveryPageCorruptionOfProtectedRelationRepairs) {
         ASSERT_TRUE(env.CorruptByte(m.DataFileName(0),
                                     layout.PageOffset(page) + delta, 0xA5)
                         .ok());
-        // Strict load must reject the damage (never silently wrong)...
-        EXPECT_FALSE(LoadCatalogManifest(env).ok())
+        // The query service must refuse the damage (never silently
+        // wrong)...
+        EXPECT_FALSE(ServeEveryRelation(env).ok())
             << "page " << page << " delta " << delta;
         // ...and scrub must repair it bit-identically.
         const ScrubReport report = ScrubCatalog(&env).value();
@@ -190,7 +215,7 @@ TEST(TortureTest, EveryPageCorruptionOfProtectedRelationRepairs) {
             << delta << "\n"
             << FormatScrubReport(report);
         EXPECT_EQ(env.ReadFile(m.DataFileName(0)).value(), pristine);
-        EXPECT_TRUE(LoadCatalogManifest(env).ok());
+        EXPECT_TRUE(ServeEveryRelation(env).ok());
       }
     }
   }
@@ -216,12 +241,12 @@ TEST(TortureTest, EveryPageCorruptionOfUnprotectedRelationIsReported) {
     ASSERT_TRUE(env.CorruptByte(m.DataFileName(0),
                                 layout.PageOffset(page) + 13, 0xA5)
                     .ok());
-    EXPECT_FALSE(LoadCatalogManifest(env).ok()) << page;
+    EXPECT_FALSE(ServeEveryRelation(env).ok()) << page;
     const ScrubReport report = ScrubCatalog(&env).value();
     EXPECT_FALSE(report.Clean()) << page;
     EXPECT_EQ(report.relations_unrepairable, 1u) << page;
     // Still rejected after scrub: the damage was reported, not hidden.
-    EXPECT_FALSE(LoadCatalogManifest(env).ok()) << page;
+    EXPECT_FALSE(ServeEveryRelation(env).ok()) << page;
   }
 }
 
@@ -242,19 +267,16 @@ TEST(TortureTest, ArbitraryByteCorruptionNeverCrashesRecovery) {
     for (size_t off = 0; off < size; off += 31) {
       MemEnv env = base;
       ASSERT_TRUE(env.CorruptByte(name, off, 0x55).ok());
-      const Result<Catalog> loaded = LoadCatalogManifest(env);
-      if (loaded.ok()) {
-        EXPECT_EQ(Fingerprint(loaded.value()), fp_a)
-            << name << " offset " << off;
+      if (ServeEveryRelation(env).ok()) {
+        EXPECT_EQ(Fingerprint(env), fp_a) << name << " offset " << off;
       }
       // Scrub likewise must never crash; where it claims success the
       // catalog must load and match.
       const Result<ScrubReport> scrubbed = ScrubCatalog(&env);
       if (scrubbed.ok() && scrubbed.value().Clean()) {
-        const Result<Catalog> after = LoadCatalogManifest(env);
-        ASSERT_TRUE(after.ok()) << name << " offset " << off;
-        EXPECT_EQ(Fingerprint(after.value()), fp_a)
+        ASSERT_TRUE(ServeEveryRelation(env).ok())
             << name << " offset " << off;
+        EXPECT_EQ(Fingerprint(env), fp_a) << name << " offset " << off;
       }
     }
   }
