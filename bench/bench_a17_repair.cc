@@ -374,6 +374,13 @@ int RunBenchJson(bench::BenchJson& json) {
     GRIDDECL_CHECK(s.matches == reference.matches);
     obs::MetricsRegistry registry;
     c->SnapshotMetrics(&registry);
+    // How many of the pass's sub-queries ran on the coordinator's thread,
+    // as a top-level counter: compare_bench.py gates those exactly, and
+    // not the registry section.
+    json.Counter("sub_queries_on_caller",
+                 static_cast<double>(
+                     registry.GetCounter("cluster.sub_queries_on_caller")
+                         ->value()));
     json.AttachRegistry(registry);
   }
   return json.Write();

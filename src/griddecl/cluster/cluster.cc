@@ -92,6 +92,36 @@ void MergeRuns(const std::vector<std::vector<RecordId>>& runs,
   }
 }
 
+/// An admitted sub-query's answer: the future of one queued on its node,
+/// or the answer of one that ran on the coordinator's thread, which is in
+/// from the start.
+class Reply {
+ public:
+  Reply() = default;
+  explicit Reply(std::future<serve::QueryResult> queued)
+      : queued_(std::move(queued)) {}
+  explicit Reply(serve::QueryResult answer)
+      : answer_(std::move(answer)), ready_(true) {}
+
+  bool valid() const { return ready_ || queued_.valid(); }
+  /// Whether the answer is in within `wait`.
+  template <typename Rep, typename Period>
+  bool WaitFor(std::chrono::duration<Rep, Period> wait) const {
+    return ready_ || queued_.wait_for(wait) == std::future_status::ready;
+  }
+  /// Takes the answer, blocking until it is in.
+  serve::QueryResult Get() {
+    if (!ready_) return queued_.get();
+    ready_ = false;
+    return std::move(answer_);
+  }
+
+ private:
+  std::future<serve::QueryResult> queued_;
+  serve::QueryResult answer_;
+  bool ready_ = false;
+};
+
 }  // namespace
 
 /// See ExecuteOnEpoch. O(M + nodes x copies) between queries: the
@@ -103,7 +133,9 @@ struct Cluster::Scratch {
   RouteIndex index;
   /// The plan is a prefix; RouteDisks reuses the entries and disk lists.
   std::vector<Route> routes;
-  std::vector<std::future<serve::QueryResult>> primaries;
+  std::vector<Reply> primaries;
+  /// The routes whose primaries run on this thread, after the queued ones.
+  std::vector<size_t> caller_routes;
   /// One ascending run per served sub-query, in the order they settled.
   std::vector<std::vector<RecordId>> runs;
   std::vector<RunHead> heads;
@@ -670,6 +702,7 @@ ClusterQueryResult Cluster::Execute(const serve::QueryRequest& request) {
       ++partial_;
     }
     sub_queries_ += result.sub_queries;
+    sub_queries_on_caller_ += result.sub_queries_on_caller;
     hedges_fired_ += result.hedges_fired;
     hedge_wins_ += result.hedge_wins;
     hedges_cancelled_ += result.hedges_cancelled;
@@ -755,38 +788,70 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.winners.push_back('u');
   }
 
+  // Where a sub-query runs: on this thread when its node's reads cannot
+  // wait (no injected latency, contention or faults), since a worker would
+  // add only a thread hop; else queued on the node, so device waits
+  // overlap and a hedge can race it. Asked per sub-query: the contention
+  // latency moves while a transition copies.
+  const auto runs_on_caller = [&](uint32_t node) {
+    const FaultyEnv* env = nodes_[node]->faulty.get();
+    return env != nullptr && !env->ReadsCanWait();
+  };
   // A sub-query reads exactly the (disk, copy) pairs it names; the node
-  // never moves a read to another copy itself.
+  // never moves a read to another copy itself. One run on this thread
+  // borrows the request, so nothing is copied.
   auto submit = [&](uint32_t node, uint32_t copy,
-                    const std::vector<uint32_t>& disks)
-      -> Result<std::future<serve::QueryResult>> {
+                    const std::vector<uint32_t>& disks,
+                    bool on_caller) -> Result<Reply> {
     // A repair epoch carries null services for the nodes it planned
     // around; planning avoids them, but guard the submit.
     if (epoch.services[node] == nullptr || !node_breakers_->Admit(node)) {
       return Status::Unavailable("no service on node, or its breaker is open");
     }
+    serve::QueryService& service = *epoch.services[node];
+    if (on_caller) {
+      auto answer = service.ExecuteOnCaller(
+          request, serve::SubQuery{disks, copy, epoch.generation});
+      if (!answer.ok()) return answer.status();
+      ++result.sub_queries;
+      ++result.sub_queries_on_caller;
+      return Reply(std::move(answer).value());
+    }
     serve::QueryRequest req = request;
     req.disks = disks;
     req.serve_copy = copy;
     req.expected_generation = epoch.generation;
-    auto f = epoch.services[node]->Submit(std::move(req));
-    if (f.ok()) ++result.sub_queries;
-    return f;
+    auto f = service.Submit(std::move(req));
+    if (!f.ok()) return f.status();
+    ++result.sub_queries;
+    return Reply(std::move(f).value());
   };
 
-  // Scatter everything up front so nodes work in parallel; routes whose
-  // breaker admission or submit fails (no valid future) fall to the
+  // Scatter every primary up front: queue those of nodes that can wait
+  // first, so they run while this thread serves the rest itself. Routes
+  // whose breaker admission or submit fails (no valid reply) fall to the
   // failover path below.
-  std::vector<std::future<serve::QueryResult>>& primaries = scratch.primaries;
+  std::vector<Reply>& primaries = scratch.primaries;
   primaries.resize(routes.size());
-  for (size_t i = 0; i < routes.size(); ++i) {
-    auto submitted = submit(routes[i].node, routes[i].copy, routes[i].disks);
+  const auto scatter = [&](size_t i, bool on_caller) {
+    auto submitted =
+        submit(routes[i].node, routes[i].copy, routes[i].disks, on_caller);
     if (submitted.ok()) {
       primaries[i] = std::move(submitted).value();
       primary_subs_.fetch_add(1);
     }
+  };
+  std::vector<size_t>& caller_routes = scratch.caller_routes;
+  caller_routes.clear();
+  for (size_t i = 0; i < routes.size(); ++i) {
+    if (runs_on_caller(routes[i].node)) {
+      caller_routes.push_back(i);
+    } else {
+      scatter(i, /*on_caller=*/false);
+    }
     if (routes[i].copy != 0) ++result.rerouted_subqueries;
   }
+  for (size_t i : caller_routes) scatter(i, /*on_caller=*/true);
 
   // Gather in deterministic route order. Every served sub-answer becomes
   // one ascending run; a route that fails over, or whose hedge wins, may
@@ -796,21 +861,23 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   uint32_t retries_used = 0;
   for (size_t i = 0; i < routes.size(); ++i) {
     const Route& route = routes[i];
-    std::future<serve::QueryResult>& primary = primaries[i];
+    Reply& primary = primaries[i];
     const bool submitted = primary.valid();
     // The hedge target is the route's fallback when that is one
     // sub-query. A failover with no failed hedge behind it goes to the
     // same place, so "served by the first fallback" has one winner letter
     // ('h') whether the attempt launched before or after the primary
     // failed — that keeps winners schedule-deterministic under
-    // kPrimaryPreferred.
+    // kPrimaryPreferred. A primary whose answer is in already, as one that
+    // ran on this thread always is, never hedges, so it needs no target.
     std::optional<Holder> alt;
-    if (submitted && allow_hedge && route.copy == 0) {
+    if (submitted && allow_hedge && route.copy == 0 &&
+        !primary.WaitFor(std::chrono::seconds(0))) {
       alt = OneHolderFallback(epoch, rel.copies, route);
     }
 
     char winner = 0;
-    std::future<serve::QueryResult> hedge;
+    Reply hedge;
     bool hedge_fired = false;
     bool hedge_failed = false;
 
@@ -826,7 +893,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     };
     // Consumes the hedge, blocking until it completes.
     auto settle_hedge = [&] {
-      if (settle(alt->node, hedge.get())) {
+      if (settle(alt->node, hedge.Get())) {
         ++result.hedge_wins;
         winner = 'h';
       } else {
@@ -838,9 +905,9 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       if (alt.has_value()) {
         const auto wait = std::chrono::duration<double, std::milli>(
             HedgeDelayMs(route.node, seq));
-        if (primary.wait_for(wait) != std::future_status::ready &&
-            AdmitExtraSub(/*is_hedge=*/true)) {
-          auto h = submit(alt->node, alt->copy, route.disks);
+        if (!primary.WaitFor(wait) && AdmitExtraSub(/*is_hedge=*/true)) {
+          auto h = submit(alt->node, alt->copy, route.disks,
+                          runs_on_caller(alt->node));
           if (h.ok()) {
             hedge = std::move(h).value();
             hedge_fired = true;
@@ -856,10 +923,9 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
         bool hedge_done = false;
         const auto slice = std::chrono::microseconds(50);
         while (winner == 0 && !(primary_done && hedge_done)) {
-          if (!primary_done &&
-              primary.wait_for(slice) == std::future_status::ready) {
+          if (!primary_done && primary.WaitFor(slice)) {
             primary_done = true;
-            if (settle(route.node, primary.get())) {
+            if (settle(route.node, primary.Get())) {
               if (!hedge_done) ++result.hedges_cancelled;
               winner = 'p';
               break;
@@ -867,13 +933,12 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
           }
           // Poll the hedge; once the primary has failed, block on it.
           if (!hedge_done &&
-              (primary_done || hedge.wait_for(std::chrono::seconds(0)) ==
-                                   std::future_status::ready)) {
+              (primary_done || hedge.WaitFor(std::chrono::seconds(0)))) {
             hedge_done = true;
             settle_hedge();
           }
         }
-      } else if (settle(route.node, primary.get())) {
+      } else if (settle(route.node, primary.Get())) {
         // kPrimaryPreferred (or no hedge in flight): the primary's result
         // is authoritative whenever it succeeds, so winner selection is a
         // pure function of the fault schedule.
@@ -924,8 +989,9 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
         continue;
       }
       ++retries_used;
-      auto f = submit(sub.node, sub.copy, sub.disks);
-      if (f.ok() && settle(sub.node, f.value().get())) {
+      auto f =
+          submit(sub.node, sub.copy, sub.disks, runs_on_caller(sub.node));
+      if (f.ok() && settle(sub.node, f.value().Get())) {
         ++result.rerouted_subqueries;
         continue;
       }
@@ -935,7 +1001,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.unavailable_buckets += unserved;
     result.winners.push_back(unserved > 0 ? 'u' : deeper ? 'r' : 'h');
   }
-  // Drop the losers' futures now, not at this thread's next query.
+  // Drop the losers' replies now, not at this thread's next query.
   primaries.clear();
 
   if (result.buckets_touched > 0) {
@@ -1069,6 +1135,7 @@ void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {
   set("cluster.partial", partial_);
   set("cluster.failed", failed_);
   set("cluster.sub_queries", sub_queries_);
+  set("cluster.sub_queries_on_caller", sub_queries_on_caller_);
   set("cluster.hedges_fired", hedges_fired_);
   set("cluster.hedge_wins", hedge_wins_);
   set("cluster.hedges_cancelled", hedges_cancelled_);

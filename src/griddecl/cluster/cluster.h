@@ -57,6 +57,20 @@
 /// answer, allocated once at its exact size. The plan, the scatter and the
 /// gather reuse one per-thread scratch from query to query:
 ///
+///  * **Where a sub-query runs.** On the coordinator's own thread when its
+///    node's reads cannot wait (`FaultyEnv::ReadsCanWait`: no injected
+///    latency, no copy contention, no faults a read policy retries with
+///    backoff), through `QueryService::ExecuteOnCaller`, which borrows the
+///    request: a worker thread would add only a hop, a request copy and a
+///    promise. Otherwise on the node's queue, so device waits overlap and a
+///    hedge can race it. The rule holds for primaries, hedges and
+///    failovers alike and is asked per sub-query, since contention comes
+///    and goes with a transition's copy. The scatter queues the waiting
+///    nodes' primaries first, then serves the rest itself, then gathers in
+///    route order, so routing, winners, breaker feeds, the fence and the
+///    counts do not depend on where a sub-query ran;
+///    `cluster.sub_queries_on_caller` counts the ones that ran here. A
+///    node's `num_threads` and `max_queue` bound its queued path only.
 ///  * **One resilience layer.** Every sub-query names (disk, copy) pairs
 ///    the epoch's `PlacementMap` assigns to the node it is sent to, and the
 ///    node reads exactly those (serve sub-queries are strict: no per-disk
@@ -88,7 +102,11 @@
 ///    plus seeded jitter, floored at 0.2 ms, or a fixed `hedge_delay_ms` —
 ///    the coordinator re-issues it to the route's fallback, when that is
 ///    one sub-query (a route whose disks keep their other copies on
-///    different nodes is never hedged).
+///    different nodes is never hedged). Only a queued primary can still be
+///    running then: one that ran on the coordinator's thread finished
+///    before its delay could start. A hedge to a node whose reads cannot
+///    wait runs on the coordinator's thread too, while the primary keeps
+///    running on its node.
 ///    `HedgePolicy::kFirstSuccess` takes whichever completes first
 ///    (tail-latency mode); `kPrimaryPreferred` always takes the primary's
 ///    result when the primary succeeds, making *winner selection* a pure
@@ -145,12 +163,18 @@ struct ClusterOptions {
   uint32_t max_nodes = 0;
   /// Per-node service template. `seed` is offset by the node index so
   /// retry jitter decorrelates across nodes; `generation` must stay 0
-  /// (nodes follow the cluster's committed generation).
+  /// (nodes follow the cluster's committed generation). `num_threads` and
+  /// `max_queue` bound only the sub-queries queued on the node (see file
+  /// comment: a node whose reads cannot wait serves on the caller).
   serve::ServeOptions node;
   /// Node-level breaker. (The per-disk breakers inside each node's
   /// service never act in a cluster: sub-queries bypass them.)
   BreakerOptions node_breaker;
 
+  /// Re-issues a primary sub-query still running after the hedge delay to
+  /// its route's one-sub-query fallback (see file comment). Only a primary
+  /// queued on a node whose reads can wait can still be running then, so
+  /// with no injected latency, contention or faults no hedge fires.
   bool hedging = true;
   HedgePolicy hedge_policy = HedgePolicy::kFirstSuccess;
   /// Fixed hedge delay in ms; < 0 selects the adaptive delay: the node's
@@ -211,6 +235,9 @@ struct ClusterQueryResult {
   std::vector<RecordId> matches;
 
   uint64_t sub_queries = 0;
+  /// The sub-queries that ran on the coordinator's thread (see file
+  /// comment); the rest were queued on their nodes.
+  uint64_t sub_queries_on_caller = 0;
   uint64_t hedges_fired = 0;
   uint64_t hedge_wins = 0;
   uint64_t hedges_cancelled = 0;
@@ -643,6 +670,7 @@ class Cluster {
   uint64_t partial_ = 0;
   uint64_t failed_ = 0;
   uint64_t sub_queries_ = 0;
+  uint64_t sub_queries_on_caller_ = 0;
   uint64_t hedges_fired_ = 0;
   uint64_t hedge_wins_ = 0;
   uint64_t hedges_cancelled_ = 0;

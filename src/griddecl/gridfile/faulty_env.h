@@ -99,6 +99,18 @@ class FaultyEnv : public StorageEnv {
     extra_latency_ms_.store(ms < 0.0 ? 0.0 : ms);
   }
 
+  /// True when a read through this env can sleep right now: it injects
+  /// latency (`latency_ms` or the extra contention latency), or it can
+  /// fail a read, which a read policy retries with backoff. False means
+  /// every `ReadAt` returns without waiting. The contention latency moves
+  /// at runtime, so ask per read batch, not once.
+  bool ReadsCanWait() const {
+    return opts_.latency_ms > 0.0 || extra_latency_ms_.load() > 0.0 ||
+           (opts_.transient_error_prob > 0.0 &&
+            opts_.max_transient_attempts > 0) ||
+           !opts_.permanent.empty();
+  }
+
   /// Observability for tests: total ReadAt calls / injected failures.
   uint64_t reads_issued() const { return reads_issued_.load(); }
   /// (file, offset) read sites holding a transient attempt counter. Stays

@@ -130,16 +130,22 @@ Status CheckFileAgainstManifest(const StorageEnv& env,
                                 uint32_t crc) {
   Result<std::string> data = env.ReadFile(name);
   if (!data.ok()) return data.status();
-  if (data.value().size() != size) {
+  return CheckBytesAgainstManifest(name, data.value(), size, crc);
+}
+
+}  // namespace
+
+Status CheckBytesAgainstManifest(const std::string& name,
+                                 std::string_view bytes, uint64_t size,
+                                 uint32_t crc) {
+  if (bytes.size() != size) {
     return Status::InvalidArgument("file '" + name + "' has wrong size");
   }
-  if (Crc32c(data.value()) != crc) {
+  if (Crc32c(bytes) != crc) {
     return Status::InvalidArgument("file '" + name + "' fails its checksum");
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 const char* RedundancyPolicyName(RelationRedundancy::Policy policy) {
   switch (policy) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "griddecl/gridfile/catalog.h"
@@ -236,6 +237,13 @@ inline constexpr uint32_t kConsistentLoadMaxRetries = 3;
 Status LoadAtCommittedGeneration(
     const StorageEnv& env,
     const std::function<Status(const CatalogManifest&)>& load);
+
+/// Checks `bytes`, the contents of file `name`, against the size and
+/// whole-file CRC32C a manifest records for it: kInvalidArgument when
+/// either differs.
+Status CheckBytesAgainstManifest(const std::string& name,
+                                 std::string_view bytes, uint64_t size,
+                                 uint32_t crc);
 
 /// Verifies that every file `manifest` references exists in `env` with the
 /// recorded size and whole-file CRC32C (mirrors included).

@@ -192,6 +192,10 @@ Result<QueryService::Relation> QueryService::LoadRelation(
   const std::string data_name = manifest.DataFileName(index);
   Result<std::string> bytes = env.ReadFile(data_name);
   if (!bytes.ok()) return bytes.status();
+  // The file must be the one the manifest names, not merely a valid one:
+  // its own page CRCs cannot tell another relation's file from this one.
+  GRIDDECL_RETURN_IF_ERROR(CheckBytesAgainstManifest(
+      data_name, bytes.value(), mr.data_size, mr.data_crc));
   Result<GridFileHeader> header = ParseGridFileHeader(bytes.value());
   if (!header.ok()) return header.status();
   Result<PageIndex> pages = BuildPageIndex(bytes.value(), header.value());
@@ -230,15 +234,20 @@ Result<QueryService::Relation> QueryService::LoadRelation(
       .index = std::move(pages).value()};
 }
 
+double QueryService::DeadlineOf(const QueryRequest& request,
+                                double now) const {
+  const double budget = request.deadline_ms > 0.0
+                            ? request.deadline_ms
+                            : options_.default_deadline_ms;
+  return budget > 0.0 ? now + budget : kNoDeadline;
+}
+
 Result<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
   Pending p;
   p.request = std::move(request);
   const double now = MonotonicNowMs();
   p.submitted_ms = now;
-  const double budget = p.request.deadline_ms > 0.0
-                            ? p.request.deadline_ms
-                            : options_.default_deadline_ms;
-  p.deadline_ms = budget > 0.0 ? now + budget : kNoDeadline;
+  p.deadline_ms = DeadlineOf(p.request, now);
   std::future<QueryResult> future = p.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -298,67 +307,102 @@ void QueryService::WorkerLoop(uint32_t /*worker_id*/) {
     }
     in_flight_++;
     lock.unlock();
-    QueryResult result = RunQuery(p, &scratch);
-    {
-      std::lock_guard<std::mutex> m(metrics_mu_);
-      if (result.status.ok()) {
-        completed_++;
-      } else {
-        failed_++;
-      }
-      retries_ += result.retries;
-      rerouted_buckets_ += result.rerouted_buckets;
-      failover_reads_ += result.failover_reads;
-      reconstructed_pages_ += result.reconstructed_pages;
-      pool_hits_ += result.pool_hits;
-      zone_map_skips_ += result.zone_map_skips;
-      latency_ms_.Observe(result.total_ms);
-    }
+    const QueryRequest& request = p.request;
+    QueryResult result = RunQuery(
+        request,
+        SubQuery{request.disks, request.serve_copy,
+                 request.expected_generation},
+        p.submitted_ms, p.deadline_ms, &scratch);
+    Account(result);
     p.promise.set_value(std::move(result));
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      in_flight_--;
-      if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
-    }
+    EndInFlight();
   }
 }
 
-QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
+Result<QueryResult> QueryService::ExecuteOnCaller(const QueryRequest& request,
+                                                  const SubQuery& sub) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (draining_) {
+      return Status::Unavailable("service is shutting down");
+    }
+    in_flight_++;
+  }
+  {
+    std::lock_guard<std::mutex> m(metrics_mu_);
+    admitted_++;
+  }
+  // One scratch per calling thread, shared by every service it calls: a
+  // query never starts another on its own thread.
+  thread_local Scratch scratch;
+  const double now = MonotonicNowMs();
+  QueryResult result =
+      RunQuery(request, sub, now, DeadlineOf(request, now), &scratch);
+  Account(result);
+  EndInFlight();
+  return result;
+}
+
+void QueryService::Account(const QueryResult& result) {
+  std::lock_guard<std::mutex> m(metrics_mu_);
+  if (result.status.ok()) {
+    completed_++;
+  } else {
+    failed_++;
+  }
+  retries_ += result.retries;
+  rerouted_buckets_ += result.rerouted_buckets;
+  failover_reads_ += result.failover_reads;
+  reconstructed_pages_ += result.reconstructed_pages;
+  pool_hits_ += result.pool_hits;
+  zone_map_skips_ += result.zone_map_skips;
+  latency_ms_.Observe(result.total_ms);
+}
+
+void QueryService::EndInFlight() {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  in_flight_--;
+  if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
+}
+
+QueryResult QueryService::RunQuery(const QueryRequest& request,
+                                   const SubQuery& sub, double submitted_ms,
+                                   double deadline_ms, Scratch* scratch) {
   QueryResult result;
   const double started = MonotonicNowMs();
-  result.queue_ms = started - p.submitted_ms;
+  result.queue_ms = started - submitted_ms;
   const auto finish = [&](Status st) -> QueryResult {
     result.status = std::move(st);
     if (!result.status.ok()) result.matches.clear();
-    result.total_ms = MonotonicNowMs() - p.submitted_ms;
+    result.total_ms = MonotonicNowMs() - submitted_ms;
     scratch->fetched.clear();  // Unpin the last batch now, not next query.
     return std::move(result);
   };
 
-  if (p.deadline_ms != kNoDeadline && started > p.deadline_ms) {
+  if (deadline_ms != kNoDeadline && started > deadline_ms) {
     return finish(Status::DeadlineExceeded("deadline expired while queued"));
   }
   // The cutover fence: a fenced request must land on the generation its
   // coordinator planned against, before any page is read.
-  if (p.request.expected_generation != 0 &&
-      p.request.expected_generation != generation_) {
+  if (sub.expected_generation != 0 &&
+      sub.expected_generation != generation_) {
     {
       std::lock_guard<std::mutex> m(metrics_mu_);
       generation_fenced_++;
     }
     return finish(Status::FailedPrecondition(
         "generation fence: request expects catalog generation " +
-        std::to_string(p.request.expected_generation) +
+        std::to_string(sub.expected_generation) +
         " but this service serves " + std::to_string(generation_)));
   }
-  const auto it = relations_.find(p.request.relation);
+  const auto it = relations_.find(request.relation);
   if (it == relations_.end()) {
     return finish(
-        Status::NotFound("no relation named '" + p.request.relation + "'"));
+        Status::NotFound("no relation named '" + request.relation + "'"));
   }
   const Relation& rel = it->second;
   Result<RangeQuery> resolved =
-      ResolveRange(rel.header.partitioner, p.request.lo, p.request.hi);
+      ResolveRange(rel.header.partitioner, request.lo, request.hi);
   if (!resolved.ok()) return finish(resolved.status());
   const RangeQuery& query = resolved.value();
   result.buckets_touched = query.NumBuckets();
@@ -370,13 +414,13 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
   // (disk, copy) pairs it names, consults no breaker and never fails over
   // to another mirror copy — moving a read to another copy is the
   // coordinator's decision.
-  const bool filtered = !p.request.disks.empty();
-  const uint32_t pinned_copy = p.request.serve_copy;
+  const bool filtered = !sub.disks.empty();
+  const uint32_t pinned_copy = sub.serve_copy;
   const bool sub_query = filtered || pinned_copy > 0;
   std::vector<bool>& allowed = scratch->allowed;
   if (filtered) {
     allowed.assign(num_disks_, false);
-    for (uint32_t d : p.request.disks) {
+    for (uint32_t d : sub.disks) {
       if (d >= num_disks_) {
         return finish(Status::InvalidArgument(
             "request disk " + std::to_string(d) + " out of range [0, " +
@@ -543,9 +587,9 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
     }
   }
 
-  const InterruptFn interrupt = MakeInterrupt(p.deadline_ms);
-  const std::vector<double>& lo = p.request.lo;
-  const std::vector<double>& hi = p.request.hi;
+  const InterruptFn interrupt = MakeInterrupt(deadline_ms);
+  const std::vector<double>& lo = request.lo;
+  const std::vector<double>& hi = request.hi;
   const uint32_t num_attrs = rel.header.layout.num_attrs;
   const uint32_t capacity = rel.header.layout.page_capacity;
   std::vector<double>& values = scratch->values;
@@ -627,7 +671,7 @@ QueryResult QueryService::RunQuery(const Pending& p, Scratch* scratch) {
     if (hard_stop_.load()) {
       return finish(Status::Unavailable("service shutting down"));
     }
-    if (p.deadline_ms != kNoDeadline && MonotonicNowMs() > p.deadline_ms) {
+    if (deadline_ms != kNoDeadline && MonotonicNowMs() > deadline_ms) {
       return finish(
           Status::DeadlineExceeded("deadline expired between disk batches"));
     }

@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -38,7 +39,8 @@
 ///
 ///  * **Bounded admission.** `Submit` enqueues up to `max_queue` requests;
 ///    beyond that it sheds with kResourceExhausted immediately. The service
-///    never blocks a caller and never queues unboundedly.
+///    never blocks a caller and never queues unboundedly. `ExecuteOnCaller`
+///    runs a sub-query on the calling thread instead and queues nothing.
 ///  * **Deadlines.** A per-query deadline (or the service default) is
 ///    checked on dequeue, between per-disk read batches, and before every
 ///    retry sleep; an expired query fails with kDeadlineExceeded instead of
@@ -66,8 +68,8 @@
 ///    are strict.
 ///  * **Graceful drain.** `Shutdown` stops admission, lets workers finish
 ///    queued work until `drain_deadline_ms`, then fails what remains with
-///    a well-formed status. In-flight queries observe the hard stop
-///    between batches.
+///    a well-formed status. In-flight queries, on workers or on
+///    `ExecuteOnCaller` callers, observe the hard stop between batches.
 ///
 /// ## The virtual-disk read model
 ///
@@ -84,7 +86,8 @@
 ///
 /// Record payloads returned by a query are always decoded from the page
 /// bytes read through the env. The service holds no record: `Create`
-/// verifies each data file and keeps only its header (schema,
+/// checks each data file against the size and CRC32C its manifest
+/// records, verifies its pages, and keeps only its header (schema,
 /// partitioning) and the bucket -> pages index read off the pages' zone
 /// maps (`BuildPageIndex`), so a query's matches genuinely travelled the
 /// storage path under test.
@@ -165,6 +168,16 @@ struct QueryRequest {
   uint64_t expected_generation = 0;
 };
 
+/// The fields that make a request a sub-query, handed beside a borrowed
+/// request instead of inside a copy of it: `QueryService::ExecuteOnCaller`
+/// serves the request with these in place of its own `disks`,
+/// `serve_copy` and `expected_generation` (see QueryRequest).
+struct SubQuery {
+  std::span<const uint32_t> disks;
+  uint32_t serve_copy = 0;
+  uint64_t expected_generation = 0;
+};
+
 /// Outcome of one query. `status` is always well-formed: kOk with the
 /// sorted matching record ids, or an error with empty matches.
 struct QueryResult {
@@ -223,6 +236,23 @@ class QueryService {
 
   /// Submit + wait: the synchronous convenience path.
   QueryResult Execute(QueryRequest request);
+
+  /// Runs `request` as the sub-query `sub` on the calling thread, with no
+  /// queue, worker or promise: how a cluster coordinator serves a node
+  /// whose reads cannot wait. `request` is borrowed and `sub` replaces its
+  /// `disks`, `serve_copy` and `expected_generation`, so nothing is
+  /// copied; the answer is allocated once, at its exact size.
+  ///  * Admission: refused with kUnavailable once Shutdown began, like
+  ///    Submit. It never sheds: `num_threads` and `max_queue` bound only
+  ///    the queued path.
+  ///  * Drain: the call counts as in flight, so Shutdown waits for it, and
+  ///    a hard stop fails it between disk batches like a worker's query.
+  ///  * Accounting: it counts as admitted, and its outcome goes into the
+  ///    service totals through the step a worker's query takes.
+  ///  * Strictness: the same as any sub-query (see QueryRequest::disks).
+  /// The deadline (the request's, else the default) runs from the call.
+  Result<QueryResult> ExecuteOnCaller(const QueryRequest& request,
+                                      const SubQuery& sub);
 
   /// Graceful drain: stop admitting, finish queued + in-flight work, hard
   /// -fail the rest once `drain_deadline_ms` expires. Idempotent. Returns
@@ -303,8 +333,9 @@ class QueryService {
   QueryService(const StorageEnv* env, ServeOptions options,
                uint32_t num_disks);
 
-  /// Verifies relation `index`'s data file and indexes it from its header
-  /// and its pages' zone maps: the one load path of Create and
+  /// Checks relation `index`'s data file against its manifest record
+  /// (size, whole-file CRC32C), verifies its pages and indexes it from its
+  /// header and its pages' zone maps: the one load path of Create and
   /// DiskFaultSchedule.
   static Result<Relation> LoadRelation(const StorageEnv& env,
                                        const CatalogManifest& manifest,
@@ -313,7 +344,20 @@ class QueryService {
       const StorageEnv& env, const std::string& relation, uint32_t disk);
 
   void WorkerLoop(uint32_t worker_id);
-  QueryResult RunQuery(const Pending& p, Scratch* scratch);
+  /// Serves `request` with `sub` in place of its sub-query fields, on the
+  /// calling thread; the one query path of workers and ExecuteOnCaller.
+  /// Times are on `MonotonicNowMs`, `deadline_ms` absolute (+inf: none).
+  QueryResult RunQuery(const QueryRequest& request, const SubQuery& sub,
+                       double submitted_ms, double deadline_ms,
+                       Scratch* scratch);
+  /// Absolute deadline of `request` submitted at `now`: its own budget,
+  /// else the service default, else +inf.
+  double DeadlineOf(const QueryRequest& request, double now) const;
+  /// Folds one finished query into the service totals: the one
+  /// post-query accounting step of the queued and the on-caller path.
+  void Account(const QueryResult& result);
+  /// Ends one in-flight query, waking Shutdown once nothing is left.
+  void EndInFlight();
 
   /// The degraded path of one page whose direct read failed with
   /// `direct_status` or was skipped: mirror failover to the other copies
@@ -356,6 +400,7 @@ class QueryService {
   PendingQueue queue_;
   bool draining_ = false;
   std::atomic<bool> hard_stop_{false};
+  /// Queries a worker or an ExecuteOnCaller caller is running.
   uint32_t in_flight_ = 0;
   std::condition_variable drained_cv_;
   uint64_t queue_max_depth_ = 0;

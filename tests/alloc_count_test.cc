@@ -242,16 +242,23 @@ serve::QueryRequest RandomBox(Rng* rng, double min_side, double max_side) {
   return req;
 }
 
-TEST(AllocCountTest, WarmedClusterExecuteAllocatesAConstant) {
-  // The cluster benchmark's shape: 4 nodes in 2 zones, zone_aware, a
-  // 64x64 HCAM relation over 8 disks mirrored twice, pools that hold it.
-  // The hedge delay is fixed and far beyond any sub-query, so every
-  // route's hedge target is looked up but no hedge fires.
+/// Warms a cluster at the cluster benchmark's shape (4 nodes in 2 zones,
+/// zone_aware, a 64x64 HCAM relation over 8 disks mirrored twice, pools
+/// that hold it) and checks each query's allocations, healthy and with a
+/// node dead: `per_sub` per sub-query, one more per sub-answer with
+/// matches, and one for the merged answer at its exact size unless that
+/// is empty. The plan, the scatter replies, the run list and the merge
+/// reuse the coordinator's scratch. `queued` gives every node a small
+/// injected read latency, so every sub-query goes to its node's queue;
+/// without it every one runs on the coordinator's thread. The hedge
+/// delay is fixed and far beyond any sub-query, so no hedge fires.
+void ExpectWarmedClusterExecuteAllocations(bool queued, uint64_t per_sub) {
   const std::unique_ptr<MemEnv> env = BuildCatalog(64, 8);
   cluster::ClusterOptions options;
   options.num_nodes = 4;
   options.node.num_threads = 1;
   options.node.pool_pages = 16384;
+  options.node_latency_ms.assign(4, queued ? 0.01 : 0.0);
   options.hedge_delay_ms = 1e6;
   cluster::PlacementSpec spec;
   spec.policy = cluster::PlacementPolicy::kZoneAware;
@@ -270,13 +277,6 @@ TEST(AllocCountTest, WarmedClusterExecuteAllocatesAConstant) {
     points.push_back(RandomBox(&rng, 0.0, 0.0));
   }
 
-  // Each sub-query allocates five: the coordinator's copies of the
-  // request's lo, hi and disk list, and the node's promise (its shared
-  // state and its result slot). A sub-answer with matches adds one. The
-  // gather adds one, the merged answer at its exact size, unless that is
-  // empty. The plan, the scatter futures, the run list and the merge reuse
-  // the coordinator's scratch. So a box costs 6 per sub-query + 1 and a
-  // point 5 per sub-query.
   const auto expect_constant = [&](const char* phase) {
     for (int pass = 0; pass < 2; ++pass) {
       for (const auto* set : {&boxes, &points}) {
@@ -295,19 +295,34 @@ TEST(AllocCountTest, WarmedClusterExecuteAllocatesAConstant) {
         ASSERT_TRUE(r.complete);
         EXPECT_EQ(r.hedges_fired, 0u);
         EXPECT_EQ(r.matches.empty(), empty);
-        const uint64_t per_sub = empty ? 5 : 6;
-        EXPECT_EQ(allocations,
-                  per_sub * r.sub_queries + (r.matches.empty() ? 0 : 1))
+        EXPECT_EQ(allocations, (per_sub + (empty ? 0 : 1)) * r.sub_queries +
+                                   (r.matches.empty() ? 0 : 1))
             << phase << (empty ? " point " : " box ") << i << ", "
             << r.sub_queries << " sub-queries";
+        EXPECT_EQ(r.sub_queries_on_caller, queued ? 0 : r.sub_queries);
       }
     }
   };
   expect_constant("healthy");
   // A dead node's disks are planned onto their copy-1 holders: sub-queries
   // pinned to copy 1, which cost the same.
-  ASSERT_TRUE(cluster->KillNode(1).ok());
+  EXPECT_TRUE(cluster->KillNode(1).ok());
   expect_constant("node 1 dead");
+}
+
+TEST(AllocCountTest, WarmedClusterExecuteAllocatesAConstant) {
+  // Nodes whose reads never wait serve every sub-query on the
+  // coordinator's thread, borrowing its request: a sub-query allocates
+  // nothing but its answer. A box costs 1 per sub-query + 1, a point 0.
+  ExpectWarmedClusterExecuteAllocations(/*queued=*/false, 0);
+}
+
+TEST(AllocCountTest, WarmedQueuedClusterExecuteAllocatesAConstant) {
+  // Nodes with injected latency take every sub-query on their queues.
+  // Each allocates five: the coordinator's copies of the request's lo, hi
+  // and disk list, and the node's promise (its shared state and its
+  // result slot). A box costs 6 per sub-query + 1, a point 5.
+  ExpectWarmedClusterExecuteAllocations(/*queued=*/true, 5);
 }
 
 }  // namespace

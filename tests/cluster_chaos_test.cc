@@ -353,6 +353,13 @@ TEST(ClusterChaosTest, SoakNeverServesSilentWrongData) {
   options.hedge_policy = HedgePolicy::kFirstSuccess;
   options.hedge_delay_ms = 0.2;
   options.seed = 5;
+  // Node 0's reads wait, so its sub-queries go to its queue, and with no
+  // pool every one of them pays the latency: a full box's four pages
+  // outlast the hedge delay, so hedges keep racing the kills, revivals and
+  // the migration. The other nodes' sub-queries run on the coordinators'
+  // threads.
+  options.node_latency_ms = {0.1, 0.0, 0.0, 0.0};
+  options.node.pool_pages = 0;
   auto cluster = Cluster::Create(env, options).value();
   const Traffic traffic = MakeTraffic(catalog);
 
@@ -436,6 +443,7 @@ TEST(ClusterChaosTest, SoakNeverServesSilentWrongData) {
   cluster->SnapshotMetrics(&reg);
   EXPECT_EQ(reg.GetCounter("cluster.verify_mismatches")->value(), 0u);
   ExpectNodesNeverMovedARead(reg);
+  EXPECT_GT(reg.GetCounter("cluster.hedges_fired")->value(), 0u);
 }
 
 TEST(ClusterChaosTest, RepairSoakHealsUnderLiveTraffic) {

@@ -219,6 +219,102 @@ TEST(ClusterTest, NodeServeCountersSumTheNodeServices) {
   EXPECT_GT(faulty_reg.GetCounter("cluster.node_serve.retries")->value(), 0u);
 }
 
+TEST(ClusterTest, SubQueriesRunOnTheCallerUnlessTheirNodeCanWait) {
+  MemEnv env;
+  const Catalog catalog = CommitCatalog(&env, Mirror2());
+  // Under "dm" node n owns disk n alone: a full box sends one sub-query to
+  // every node, and the corner box, bucket (0, 0), one to node 0.
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  const serve::QueryRequest corner = Range({0.05, 0.05}, {0.1, 0.1});
+
+  // Nodes whose reads never wait serve every sub-query on the caller.
+  {
+    auto cluster = Cluster::Create(env, Deterministic()).value();
+    for (int q = 0; q < 3; ++q) {
+      const ClusterQueryResult r = cluster->Execute(full);
+      ExpectExactAnswer(r, Direct(catalog, full));
+      EXPECT_EQ(r.sub_queries, 4u);
+      EXPECT_EQ(r.sub_queries_on_caller, r.sub_queries);
+    }
+    obs::MetricsRegistry reg;
+    cluster->SnapshotMetrics(&reg);
+    EXPECT_EQ(reg.GetCounter("cluster.sub_queries_on_caller")->value(),
+              reg.GetCounter("cluster.sub_queries")->value());
+  }
+
+  // Injected latency on one node moves exactly its sub-query to its queue.
+  for (uint32_t slow = 0; slow < 4; ++slow) {
+    ClusterOptions options = Deterministic();
+    options.node_latency_ms.assign(4, 0.0);
+    options.node_latency_ms[slow] = 0.01;
+    auto cluster = Cluster::Create(env, options).value();
+    const ClusterQueryResult r = cluster->Execute(full);
+    ExpectExactAnswer(r, Direct(catalog, full));
+    EXPECT_EQ(r.sub_queries, 4u);
+    EXPECT_EQ(r.sub_queries_on_caller, 3u) << "slow node " << slow;
+    const ClusterQueryResult one = cluster->Execute(corner);
+    ExpectExactAnswer(one, Direct(catalog, corner));
+    EXPECT_EQ(one.sub_queries, 1u);
+    EXPECT_EQ(one.sub_queries_on_caller, slow == 0 ? 0u : 1u)
+        << "slow node " << slow;
+  }
+
+  // Transient faults, injected on every node, queue every sub-query.
+  {
+    ClusterOptions options = Deterministic();
+    options.node_transient_prob = 0.2;
+    options.fault_seed = 3;
+    auto cluster = Cluster::Create(env, options).value();
+    const ClusterQueryResult r = cluster->Execute(full);
+    ExpectExactAnswer(r, Direct(catalog, full));
+    EXPECT_EQ(r.sub_queries, 4u);
+    EXPECT_EQ(r.sub_queries_on_caller, 0u);
+  }
+
+  // An unpaced migration's copy contention queues its participants'
+  // sub-queries while the copy runs, and only then. The simulated device
+  // stretches the copy over about 100 ms of reads.
+  {
+    auto cluster = Cluster::Create(env, Deterministic()).value();
+    std::atomic<bool> copying{false};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> all_queued{0};
+    std::atomic<uint64_t> wrong{0};
+    std::thread reader([&] {
+      const std::vector<RecordId> want = Direct(catalog, full);
+      while (!done.load()) {
+        const bool during = copying.load();
+        const ClusterQueryResult r = cluster->Execute(full);
+        if (!r.status.ok() || !r.complete || r.matches != want) {
+          wrong.fetch_add(1);
+        }
+        if (during && copying.load() && r.sub_queries > 0 &&
+            r.sub_queries_on_caller == 0) {
+          all_queued.fetch_add(1);
+        }
+      }
+    });
+    MigrationOptions mo;
+    mo.new_method = "fx";
+    mo.new_num_disks = 4;
+    mo.copy_contention_ms = 0.01;
+    mo.copy_device_bytes_per_sec = 60000.0;
+    mo.on_phase = [&](const std::string& phase) {
+      if (phase == "copy") copying.store(true);
+      if (phase == "staged") copying.store(false);
+    };
+    const MigrationReport report = cluster->Migrate(mo).value();
+    done.store(true);
+    reader.join();
+    EXPECT_TRUE(report.committed) << report.abort_reason;
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_GT(all_queued.load(), 0u);
+    const ClusterQueryResult after = cluster->Execute(full);
+    ExpectExactAnswer(after, Direct(catalog, full));
+    EXPECT_EQ(after.sub_queries_on_caller, after.sub_queries);
+  }
+}
+
 TEST(ClusterTest, SnapshotMetricsRacesMigrationCutoverSafely) {
   // SnapshotMetrics walks the current epoch's node services while Migrate
   // swaps the epoch; the snapshot must hold the epoch it reads (TSan/ASan).
@@ -514,15 +610,27 @@ std::vector<serve::QueryRequest> PropertyQueries() {
   return queries;
 }
 
+/// What a schedule's queries did besides their fingerprints.
+struct ScheduleCounts {
+  uint64_t sub_queries = 0;
+  uint64_t on_caller = 0;
+  uint64_t hedges_fired = 0;
+};
+
 /// Runs the fixed three-phase kill schedule with `threads` coordinator
-/// threads and returns one fingerprint per (phase, query).
-std::vector<Fingerprint> RunPropertySchedule(const MemEnv& env,
-                                             uint32_t threads) {
+/// threads and returns one fingerprint per (phase, query). Nodes read with
+/// `node_latency_ms` injected (none by default); `counts`, when given,
+/// receives the cluster's totals.
+std::vector<Fingerprint> RunPropertySchedule(
+    const MemEnv& env, uint32_t threads,
+    const std::vector<double>& node_latency_ms = {},
+    ScheduleCounts* counts = nullptr) {
   ClusterOptions options = Deterministic();
   options.hedging = true;  // Hedges may fire; winners must not move.
   options.hedge_policy = HedgePolicy::kPrimaryPreferred;
   options.hedge_delay_ms = 0.0;
   options.seed = 11;
+  options.node_latency_ms = node_latency_ms;
   auto cluster = Cluster::Create(env, options).value();
   const std::vector<serve::QueryRequest> queries = PropertyQueries();
   std::vector<Fingerprint> out(queries.size() * 3);
@@ -547,6 +655,14 @@ std::vector<Fingerprint> RunPropertySchedule(const MemEnv& env,
   run_phase(1);  // One node dead: mirror reroutes, still complete.
   EXPECT_TRUE(cluster->KillNode(2).ok());
   run_phase(2);  // Quorum lost: everything refused.
+  if (counts != nullptr) {
+    obs::MetricsRegistry reg;
+    cluster->SnapshotMetrics(&reg);
+    counts->sub_queries = reg.GetCounter("cluster.sub_queries")->value();
+    counts->on_caller =
+        reg.GetCounter("cluster.sub_queries_on_caller")->value();
+    counts->hedges_fired = reg.GetCounter("cluster.hedges_fired")->value();
+  }
   return out;
 }
 
@@ -570,6 +686,33 @@ TEST(ClusterPropertyTest, SameScheduleSameOutcomeAcrossThreadCounts) {
       EXPECT_EQ(got[i], reference[i])
           << threads << " threads, phase " << i / q << ", query " << i % q;
     }
+  }
+}
+
+TEST(ClusterPropertyTest,
+     SameScheduleSameOutcomeAcrossThreadCountsOnMixedPaths) {
+  // Node 0 reads with injected latency, so its sub-queries go to its
+  // queue and, with no hedge delay, are hedged to their replica holders;
+  // every other sub-query, hedges included, runs on the coordinator's
+  // thread. One schedule mixes both paths and fires hedges, and its
+  // outcomes and winners must still be those of the all-on-caller
+  // reference at every thread count.
+  MemEnv env;
+  CommitCatalog(&env, Mirror2());
+  const std::vector<Fingerprint> reference = RunPropertySchedule(env, 1);
+  const size_t q = PropertyQueries().size();
+  for (const uint32_t threads : {1u, 4u, 16u}) {
+    ScheduleCounts counts;
+    const std::vector<Fingerprint> got =
+        RunPropertySchedule(env, threads, {0.05, 0.0, 0.0, 0.0}, &counts);
+    ASSERT_EQ(got.size(), reference.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], reference[i])
+          << threads << " threads, phase " << i / q << ", query " << i % q;
+    }
+    EXPECT_GT(counts.on_caller, 0u) << threads;
+    EXPECT_LT(counts.on_caller, counts.sub_queries) << threads;
+    EXPECT_GT(counts.hedges_fired, 0u) << threads;
   }
 }
 

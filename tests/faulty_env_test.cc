@@ -45,6 +45,29 @@ TEST(FaultyEnvTest, CleanOptionsPassReadsThrough) {
   EXPECT_EQ(env->attempt_sites(), 0u);
 }
 
+TEST(FaultyEnvTest, ReadsCanWaitOnlyWithLatencyOrFaults) {
+  MemEnv target = SeededEnv();
+  EXPECT_FALSE(FaultyEnv::Create(&target, {}).value()->ReadsCanWait());
+  FaultyEnvOptions slow;
+  slow.latency_ms = 0.01;
+  EXPECT_TRUE(FaultyEnv::Create(&target, slow).value()->ReadsCanWait());
+  FaultyEnvOptions flaky;
+  flaky.transient_error_prob = 0.1;
+  EXPECT_TRUE(FaultyEnv::Create(&target, flaky).value()->ReadsCanWait());
+  flaky.max_transient_attempts = 0;  // No attempt can fail.
+  EXPECT_FALSE(FaultyEnv::Create(&target, flaky).value()->ReadsCanWait());
+  FaultyEnvOptions dead;
+  dead.permanent.push_back({"data", 0, 8});
+  EXPECT_TRUE(FaultyEnv::Create(&target, dead).value()->ReadsCanWait());
+
+  // Contention latency moves at runtime, and the answer with it.
+  auto env = FaultyEnv::Create(&target, {}).value();
+  env->SetExtraLatencyMs(0.5);
+  EXPECT_TRUE(env->ReadsCanWait());
+  env->SetExtraLatencyMs(0.0);
+  EXPECT_FALSE(env->ReadsCanWait());
+}
+
 TEST(FaultyEnvTest, RemoveRestartsTheTransientScheduleOfTheName) {
   MemEnv target = SeededEnv();
   FaultyEnvOptions opts;

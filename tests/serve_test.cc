@@ -644,6 +644,95 @@ TEST(QueryServiceTest, GenerationFenceFailsFastOnMismatch) {
   EXPECT_TRUE(service->Execute(fenced).status.ok());
 }
 
+TEST(QueryServiceTest, ExecuteOnCallerServesSubQueriesLikeTheQueue) {
+  MemEnv env;
+  const Catalog catalog = CommitCatalog(&env, Mirror2());
+  auto service = QueryService::Create(&env, {}).value();
+  // The borrowed request's own sub-query fields are replaced, not merged.
+  QueryRequest request = Range({0.1, 0.1}, {0.9, 0.9});
+  request.disks = {0, 1, 2, 3};
+  request.serve_copy = 1;
+  request.expected_generation = 7;
+  uint64_t admitted = 0;
+  for (uint32_t d = 0; d < 4; ++d) {
+    for (uint32_t copy = 0; copy < 2; ++copy) {
+      const std::vector<uint32_t> disks = {d};
+      QueryRequest queued = request;
+      queued.disks = disks;
+      queued.serve_copy = copy;
+      queued.expected_generation = 1;
+      const QueryResult want = service->Execute(queued);
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      const Result<QueryResult> got =
+          service->ExecuteOnCaller(request, SubQuery{disks, copy, 1});
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(got.value().status.ok()) << got.value().status.ToString();
+      EXPECT_EQ(got.value().matches, want.matches) << d << "/" << copy;
+      EXPECT_EQ(got.value().buckets_touched, want.buckets_touched);
+      admitted += 2;
+    }
+  }
+  // Sub-queries stay strict and fenced on the caller too.
+  const std::vector<uint32_t> out_of_range = {9};
+  EXPECT_EQ(service->ExecuteOnCaller(request, SubQuery{out_of_range, 0, 0})
+                .value()
+                .status.code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<uint32_t> disk0 = {0};
+  EXPECT_EQ(service->ExecuteOnCaller(request, SubQuery{disk0, 0, 2})
+                .value()
+                .status.code(),
+            StatusCode::kFailedPrecondition);
+  admitted += 2;
+
+  // Both paths share the admission and the accounting.
+  obs::MetricsRegistry reg;
+  service->SnapshotMetrics(&reg);
+  EXPECT_EQ(reg.GetCounter("serve.admitted")->value(), admitted);
+  EXPECT_EQ(reg.GetCounter("serve.completed")->value(), admitted - 2);
+  EXPECT_EQ(reg.GetCounter("serve.failed")->value(), 2u);
+  EXPECT_EQ(reg.GetCounter("serve.generation_fenced")->value(), 1u);
+
+  // Once shutdown began, the caller's path refuses like Submit.
+  EXPECT_TRUE(service->Shutdown().ok());
+  EXPECT_EQ(service->ExecuteOnCaller(request, SubQuery{disk0, 0, 1})
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+}
+
+TEST(QueryServiceTest, CreateRefusesADataFileTheManifestDoesNotName) {
+  // Two relations of one shape: each data file is internally valid (page
+  // and footer CRCs pass) and the same size, so only the manifest's
+  // whole-file CRC tells them apart.
+  MemEnv env;
+  Catalog catalog(4);
+  for (const auto& [name, seed] :
+       {std::pair<const char*, uint64_t>{"a", 1}, {"b", 2}}) {
+    ASSERT_TRUE(
+        catalog
+            .AddRelation(name, DeclusteredFile::Create(
+                                   MakeClusteredFile(seed), "dm", 4)
+                                   .value())
+            .ok());
+  }
+  ManifestSaveOptions save;
+  save.page_size_bytes = 168;
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, save).ok());
+  ASSERT_TRUE(QueryService::Create(&env, {}).ok());
+
+  const CatalogManifest m = ReadCurrentManifest(env).value();
+  ASSERT_EQ(m.relations.size(), 2u);
+  const std::string first = env.ReadFile(m.DataFileName(0)).value();
+  const std::string second = env.ReadFile(m.DataFileName(1)).value();
+  ASSERT_EQ(first.size(), second.size());
+  ASSERT_NE(first, second);
+  ASSERT_TRUE(env.WriteFile(m.DataFileName(0), second).ok());
+  ASSERT_TRUE(env.WriteFile(m.DataFileName(1), first).ok());
+  const auto swapped = QueryService::Create(&env, {});
+  EXPECT_FALSE(swapped.ok());
+}
+
 TEST(QueryServiceTest, ServeOptionsGenerationLoadsStagedCatalogs) {
   MemEnv env;
   const Catalog catalog = CommitCatalog(&env, {});
