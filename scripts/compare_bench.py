@@ -18,6 +18,11 @@ change that moves one on purpose rebaselines it in the same commit
 current run has are allowed, so a bench can gain a counter before its
 baseline does.
 
+Only the ``kernels`` and ``counters`` sections are gated. A current run
+may carry more (``timing_stats``, the ``metrics`` registry dump); the
+checked-in baselines keep no ``metrics`` section, since nothing compares
+it.
+
 A delta table is printed either way; the exit status is non-zero when any
 kernel regresses past the threshold, any counter drifts or goes missing,
 or an artifact/kernel is missing.

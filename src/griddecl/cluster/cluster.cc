@@ -11,7 +11,6 @@
 
 #include "griddecl/common/backoff.h"
 #include "griddecl/common/hash.h"
-#include "griddecl/methods/registry.h"
 
 namespace griddecl::cluster {
 
@@ -40,6 +39,18 @@ Status CopyAllFiles(const StorageEnv& from, StorageEnv* to) {
   }
   return Status::Ok();
 }
+
+/// Frees a claimed single-flight slot when it goes out of scope.
+class SlotRelease {
+ public:
+  explicit SlotRelease(std::atomic<bool>* slot) : slot_(slot) {}
+  SlotRelease(const SlotRelease&) = delete;
+  SlotRelease& operator=(const SlotRelease&) = delete;
+  ~SlotRelease() { slot_->store(false); }
+
+ private:
+  std::atomic<bool>* slot_;
+};
 
 /// RouteIndex entry of a lost disk or an unused (node, copy) key.
 constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
@@ -225,9 +236,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     cluster->node_query_ms_.emplace_back(obs::DefaultLatencyBoundsMs());
   }
 
-  auto epoch = cluster->BuildEpoch(manifest.value().generation,
-                                   std::move(services), cluster->nodes_[0]->env,
-                                   spec);
+  auto epoch = BuildEpoch(std::move(services), spec);
   if (!epoch.ok()) return epoch.status();
   cluster->epoch_ = std::move(epoch.value());
 
@@ -235,10 +244,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   // mirror relation whose placement puts two copies of some disk on one
   // node — the chained trap where a single node kill can take every
   // replica of a bucket down at once.
-  for (const auto& [name, rel] : cluster->epoch_->routing->relations) {
-    if (rel.copies < 2) continue;
+  for (const auto& [name, rel] : cluster->epoch_->relations) {
+    const uint32_t copies = rel->placement->num_replicas();
+    if (copies < 2) continue;
     const std::vector<uint32_t> colocated =
-        cluster->epoch_->placement.SelfColocatedDisks(rel.copies);
+        cluster->epoch_->placement.SelfColocatedDisks(copies);
     if (colocated.empty()) continue;
     std::string disks;
     for (uint32_t d : colocated) {
@@ -248,7 +258,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     std::string warning =
         "placement warning: relation '" + name + "' (" +
         PlacementPolicyName(cluster->epoch_->placement.policy()) +
-        ", copies=" + std::to_string(rel.copies) +
+        ", copies=" + std::to_string(copies) +
         ") co-locates copies of disk(s) " +
         disks + " on one node; a single node loss can drop those buckets";
     std::fprintf(stderr, "%s\n", warning.c_str());
@@ -260,47 +270,36 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
 Cluster::~Cluster() = default;
 
 Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
-    uint64_t generation,
     std::vector<std::shared_ptr<serve::QueryService>> services,
-    const StorageEnv& src, const PlacementSpec& placement) const {
-  auto manifest = ReadManifest(src, generation);
-  if (!manifest.ok()) return manifest.status();
-  const CatalogManifest& m = manifest.value();
-
-  // Routing reads each data file's header only: the node services built
-  // over the same generation have already verified every page.
-  auto routing = std::make_shared<Routing>();
-  for (size_t i = 0; i < m.relations.size(); ++i) {
-    const ManifestRelation& mr = m.relations[i];
-    auto bytes = src.ReadFile(m.DataFileName(i));
-    if (!bytes.ok()) return bytes.status();
-    auto header = ParseGridFileHeader(bytes.value());
-    if (!header.ok()) return header.status();
-    auto method =
-        CreateMethod(mr.method, header.value().partitioner.grid(), m.num_disks);
-    if (!method.ok()) return method.status();
-    const uint32_t copies =
-        mr.redundancy.policy == RelationRedundancy::Policy::kMirror
-            ? mr.redundancy.copies
-            : 1;
-    routing->relations.emplace(
-        mr.name, EpochRelation{std::move(header).value(), mr.redundancy,
-                               DiskMap::Build(*method.value()), copies});
+    const PlacementSpec& placement) {
+  // Route by what the services loaded: the first one's relations, and
+  // every one's generation and disk count, which must agree.
+  const serve::QueryService* first = nullptr;
+  for (const auto& service : services) {
+    if (service == nullptr) continue;
+    if (first == nullptr) first = service.get();
+    if (service->generation() != first->generation() ||
+        service->num_disks() != first->num_disks()) {
+      return Status::Internal(
+          "node services disagree on the generation or the disk count");
+    }
   }
-
+  if (first == nullptr) {
+    return Status::Internal("routing epoch without a node service");
+  }
   auto epoch = std::make_shared<Epoch>();
-  epoch->generation = manifest.value().generation;
-  epoch->num_disks = manifest.value().num_disks;
+  epoch->generation = first->generation();
+  epoch->num_disks = first->num_disks();
+  epoch->relations = first->relations();
 
   uint32_t max_copies = 1;
-  for (const auto& [name, rel] : routing->relations) {
-    max_copies = std::max(max_copies, rel.copies);
+  for (const auto& [name, rel] : epoch->relations) {
+    max_copies = std::max(max_copies, rel->placement->num_replicas());
   }
   auto map = PlacementMap::Build(placement, epoch->num_disks, max_copies);
   if (!map.ok()) return map.status();
   epoch->placement = std::move(map).value();
   epoch->services = std::move(services);
-  epoch->routing = std::move(routing);
   return std::shared_ptr<const Epoch>(std::move(epoch));
 }
 
@@ -332,8 +331,8 @@ uint64_t Cluster::generation() const { return CurrentEpoch()->generation; }
 std::vector<std::string> Cluster::RelationNames() const {
   auto epoch = CurrentEpoch();
   std::vector<std::string> names;
-  names.reserve(epoch->routing->relations.size());
-  for (const auto& [name, rel] : epoch->routing->relations) {
+  names.reserve(epoch->relations.size());
+  for (const auto& [name, rel] : epoch->relations) {
     names.push_back(name);
   }
   return names;
@@ -577,7 +576,15 @@ Status Cluster::ForEachNodeInZone(
 }
 
 Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
-  std::lock_guard<std::mutex> lock(add_mu_);
+  // Hold the transition slot from the first check to the publish: a
+  // transition running now would cut over to an epoch planned without the
+  // node. The claim never waits, so a call from on_phase cannot deadlock.
+  bool expected = false;
+  if (!migrating_.compare_exchange_strong(expected, true)) {
+    return Status::FailedPrecondition(
+        "a migration, repair or node add is running; add the node after it");
+  }
+  const SlotRelease release(&migrating_);
   const uint32_t id = active_nodes_.load();
   if (id >= nodes_.size()) {
     return Status::FailedPrecondition(
@@ -744,13 +751,14 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     return result;
   }
 
-  auto it = epoch.routing->relations.find(request.relation);
-  if (it == epoch.routing->relations.end()) {
+  auto it = epoch.relations.find(request.relation);
+  if (it == epoch.relations.end()) {
     result.status = Status::NotFound("no relation " + request.relation);
     result.complete = false;
     return result;
   }
-  const EpochRelation& rel = it->second;
+  const serve::Relation& rel = *it->second;
+  const uint32_t copies = rel.placement->num_replicas();
 
   auto rq = ResolveRange(rel.header.partitioner, request.lo, request.hi);
   if (!rq.ok()) {
@@ -765,7 +773,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   // returned), so concurrent callers never share one.
   thread_local Scratch scratch;
   std::vector<uint64_t>& counts = scratch.counts;
-  rel.disk_map.CountsForRect(rq.value().rect(), counts);
+  rel.disk_map->CountsForRect(rq.value().rect(), counts);
 
   // Plan: one route per (node, copy), each disk placed by the per-disk
   // rule (RouteDisks). Disks with no usable holder lose their buckets —
@@ -780,7 +788,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   // RouteDisks may reallocate scratch.routes, so take data() only after it
   // has returned.
   const size_t num_routes =
-      RouteDisks(epoch, rel.copies, touched, counts, /*tried=*/{},
+      RouteDisks(epoch, copies, touched, counts, /*tried=*/{},
                  &scratch.index, &scratch.routes, &lost);
   const std::span<const Route> routes(scratch.routes.data(), num_routes);
   for (uint32_t d : lost) {
@@ -873,7 +881,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     std::optional<Holder> alt;
     if (submitted && allow_hedge && route.copy == 0 &&
         !primary.WaitFor(std::chrono::seconds(0))) {
-      alt = OneHolderFallback(epoch, rel.copies, route);
+      alt = OneHolderFallback(epoch, copies, route);
     }
 
     char winner = 0;
@@ -964,7 +972,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     std::vector<Route> attempts;
     const auto expand = [&](const Route& failed) {
       std::vector<uint32_t> lost_disks;
-      for (Route& sub : Fallback(epoch, rel.copies, failed, counts,
+      for (Route& sub : Fallback(epoch, copies, failed, counts,
                                  &scratch.index, &lost_disks)) {
         attempts.push_back(std::move(sub));
       }

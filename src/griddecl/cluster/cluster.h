@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "griddecl/cluster/heartbeat.h"
 #include "griddecl/cluster/placement.h"
 #include "griddecl/common/status.h"
-#include "griddecl/eval/disk_map.h"
 #include "griddecl/gridfile/faulty_env.h"
 #include "griddecl/gridfile/manifest.h"
 #include "griddecl/gridfile/storage.h"
@@ -395,8 +393,8 @@ class Cluster {
   /// caller errors, refused before anything is staged.
   ///
   /// One transition at a time; returns kFailedPrecondition when a
-  /// migration or repair is already running. A non-committed report (clean
-  /// abort) is an Ok result.
+  /// migration, a repair or an AddNode is already running. A non-committed
+  /// report (clean abort) is an Ok result.
   Result<MigrationReport> Migrate(const MigrationOptions& options);
   /// Requests a clean abort of the running migration or repair (no-op
   /// when idle).
@@ -406,8 +404,9 @@ class Cluster {
   /// placement against the live topology (heartbeat-dead plus removed
   /// nodes), re-targets lost / zone-violating replicas zone-aware, stages
   /// the repaired placement to the live nodes, verifies, and commits
-  /// behind the generation fence. Mutually exclusive with Migrate (same
-  /// single-flight slot). A clean abort is an Ok, non-committed report.
+  /// behind the generation fence. Mutually exclusive with Migrate and
+  /// AddNode (same single-flight slot). A clean abort is an Ok,
+  /// non-committed report.
   Result<RepairReport> Repair(const RepairOptions& options);
 
   /// Grows the cluster by one node in rack `rack` (== num_racks appends a
@@ -416,6 +415,13 @@ class Cluster {
   /// placement is untouched until the next Repair/Migrate re-places.
   /// Returns the new node id. Requires a free slot (ClusterOptions::
   /// max_nodes) and a live peer.
+  ///
+  /// Holds the single-flight slot Migrate and Repair share from its first
+  /// check to the epoch publish, so it is refused with kFailedPrecondition
+  /// while a migration, a repair or another AddNode runs (also when called
+  /// from a transition's `on_phase`): a transition cuts over to an epoch
+  /// planned before the add, which would drop the node's service and
+  /// topology entry while `num_nodes()` still counted it.
   Result<uint32_t> AddNode(uint32_t rack, uint32_t zone);
   /// Marks a node as permanently decommissioned: it is routed around like
   /// a death, excluded from quorum, and the next Repair evacuates every
@@ -431,7 +437,9 @@ class Cluster {
   /// Committed catalog generation the current routing epoch serves.
   uint64_t generation() const;
   std::vector<std::string> RelationNames() const;
-  /// True while a staging epoch is installed (double-read window).
+  /// True while a Migrate, a Repair or an AddNode holds the single-flight
+  /// slot. A migration or repair installs its staging epoch (the
+  /// double-read window) only inside it.
   bool migrating() const { return migrating_.load(); }
 
   BreakerState NodeBreakerState(uint32_t node) const;
@@ -467,6 +475,8 @@ class Cluster {
 
  private:
   friend class StagedTransition;
+  /// Test-only read access to the routing epochs, defined by the tests.
+  friend struct ClusterTestPeer;
 
   struct Node {
     MemEnv env;
@@ -477,25 +487,10 @@ class Cluster {
     std::atomic<bool> removed{false};
   };
 
-  /// Immutable per-relation routing state (part of a Routing table).
-  struct EpochRelation {
-    /// The data file's header: schema and partitioner for ResolveRange.
-    GridFileHeader header;
-    RelationRedundancy redundancy;
-    DiskMap disk_map;
-    uint32_t copies = 1;  ///< 1 unless kMirror.
-  };
-
-  /// The generation's per-relation routing state. Shared between epochs
-  /// that differ only in their service snapshot (e.g. after a node
-  /// revival), so rebuilding an epoch never re-reads files.
-  struct Routing {
-    std::map<std::string, EpochRelation> relations;
-  };
-
-  /// One immutable routing view: generation, placement, relation maps,
-  /// and the per-node service snapshot. Cutover swaps the shared_ptr
-  /// atomically; in-flight queries finish on the epoch they grabbed.
+  /// One immutable routing view: generation, placement, the per-node
+  /// service snapshot and the relations it routes by. Cutover swaps the
+  /// shared_ptr atomically; in-flight queries finish on the epoch they
+  /// grabbed.
   struct Epoch {
     uint64_t generation = 0;
     uint32_t num_disks = 0;
@@ -503,7 +498,11 @@ class Cluster {
     /// runtime placement state.
     PlacementMap placement;
     std::vector<std::shared_ptr<serve::QueryService>> services;
-    std::shared_ptr<const Routing> routing;
+    /// Per relation name: the very `serve::Relation` the first non-null
+    /// service loaded — its header (for ResolveRange), its DiskMap and its
+    /// copy count (`placement->num_replicas()`). Copying an epoch (a
+    /// revival, an added node) copies these pointers and derives nothing.
+    serve::RelationMap relations;
   };
 
   /// One sub-query: a set of primary disk ids served from mirror copy
@@ -538,14 +537,14 @@ class Cluster {
 
   Cluster() = default;
 
-  /// Builds a routing epoch for `generation` over the given services,
-  /// reading the catalog from `src` (a raw node env that holds the
-  /// generation) and routing by `placement` (see file comment for who
-  /// hands in which spec).
-  Result<std::shared_ptr<const Epoch>> BuildEpoch(
-      uint64_t generation,
+  /// Builds a routing epoch over `services` (null for a node the epoch
+  /// leaves out), routing by `placement` (see file comment for who hands in
+  /// which spec). It reads no file: generation, disk count and relations
+  /// are those the non-null services loaded, which must agree on the
+  /// first two (kInternal otherwise, or with no service at all).
+  static Result<std::shared_ptr<const Epoch>> BuildEpoch(
       std::vector<std::shared_ptr<serve::QueryService>> services,
-      const StorageEnv& src, const PlacementSpec& placement) const;
+      const PlacementSpec& placement);
 
   std::shared_ptr<const Epoch> CurrentEpoch() const;
   std::shared_ptr<const Epoch> StagingEpoch() const;
@@ -588,11 +587,12 @@ class Cluster {
                               RouteIndex* index,
                               std::vector<uint32_t>* lost) const;
 
-  /// The single-flight slot Migrate and Repair share: claims it (or
-  /// refuses with kFailedPrecondition), records the current generation in
-  /// `report`, lets `plan` describe the change against the current epoch,
-  /// and runs the StagedTransition. A plan that returns Ok with no
-  /// participants has settled the report itself (nothing to stage).
+  /// Runs one Migrate or Repair in the single-flight slot it shares with
+  /// AddNode: claims the slot (or refuses with kFailedPrecondition),
+  /// records the current generation in `report`, lets `plan` describe the
+  /// change against the current epoch, and runs the StagedTransition. A
+  /// plan that returns Ok with no participants has settled the report
+  /// itself (nothing to stage).
   Status RunTransition(
       const TransitionOptions& options, TransitionReport* report,
       const std::function<Status(const Epoch& current, TransitionDelta* delta)>&
@@ -637,9 +637,6 @@ class Cluster {
   /// Written under hb_mu_, so it moves forward with the detector.
   std::atomic<double> virtual_now_ms_{0.0};
 
-  /// Serializes AddNode, from slot claim to epoch publish.
-  std::mutex add_mu_;
-
   mutable std::mutex epoch_mu_;
   std::shared_ptr<const Epoch> epoch_;
   std::shared_ptr<const Epoch> staging_epoch_;
@@ -659,6 +656,7 @@ class Cluster {
   std::atomic<uint64_t> hedge_budget_denied_{0};
   std::atomic<uint64_t> retry_budget_denied_{0};
 
+  /// The single-flight slot of Migrate, Repair and AddNode.
   std::atomic<bool> migrating_{false};
   std::atomic<bool> abort_migration_{false};
   /// Set by a live double-read mismatch; checked by the transition.

@@ -19,20 +19,20 @@ Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
               "new_num_disks " + std::to_string(options.new_num_disks) +
               " < cluster nodes " + std::to_string(num_nodes()));
         }
-        for (const auto& [name, rel] : current.routing->relations) {
+        for (const auto& [name, rel] : current.relations) {
           auto method = CreateMethod(options.new_method,
-                                     rel.header.partitioner.grid(),
+                                     rel->header.partitioner.grid(),
                                      options.new_num_disks);
           if (!method.ok()) {
             return Status::InvalidArgument(
                 "method '" + options.new_method + "' invalid for relation '" +
                 name + "': " + method.status().ToString());
           }
-          if (rel.redundancy.policy == RelationRedundancy::Policy::kMirror &&
-              rel.redundancy.copies > options.new_num_disks) {
+          if (rel->redundancy.policy == RelationRedundancy::Policy::kMirror &&
+              rel->redundancy.copies > options.new_num_disks) {
             return Status::InvalidArgument(
                 "relation '" + name + "' has " +
-                std::to_string(rel.redundancy.copies) +
+                std::to_string(rel->redundancy.copies) +
                 " mirror copies but only " +
                 std::to_string(options.new_num_disks) + " target disks");
           }

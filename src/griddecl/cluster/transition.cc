@@ -164,9 +164,9 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
       ++report->files_copied;
       report->bytes_copied += static_cast<uint64_t>(charge);
     }
-    report->buckets_copied += old_epoch->routing->relations.at(mr.name)
-                                  .header.partitioner.grid()
-                                  .num_buckets();
+    report->buckets_copied +=
+        old_epoch->relations.at(mr.name)->header.partitioner.grid()
+            .num_buckets();
   }
 
   Status w = WriteToParticipants(ManifestFileName(report->new_generation),
@@ -192,8 +192,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
     staging_services[n] = std::move(service.value());
   }
   auto staging_epoch =
-      cluster_->BuildEpoch(report->new_generation, std::move(staging_services),
-                           src, delta_.placement);
+      Cluster::BuildEpoch(std::move(staging_services), delta_.placement);
   if (!staging_epoch.ok()) {
     return Abort("staging epoch: " + staging_epoch.status().ToString());
   }
@@ -204,8 +203,8 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
   // The verify sample per relation: the full box plus each attribute's
   // lower half (exercises multi-disk routing in every dimension).
   std::vector<serve::QueryRequest> sample;
-  for (const auto& [name, rel] : old_epoch->routing->relations) {
-    const Schema& schema = rel.header.schema;
+  for (const auto& [name, rel] : old_epoch->relations) {
+    const Schema& schema = rel->header.schema;
     serve::QueryRequest full;
     full.relation = name;
     for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
@@ -283,7 +282,7 @@ Status Cluster::RunTransition(
   bool expected = false;
   if (!migrating_.compare_exchange_strong(expected, true)) {
     return Status::FailedPrecondition(
-        "a migration or repair is already running");
+        "a migration, repair or node add is already running");
   }
   abort_migration_.store(false);
   divergence_.store(false);

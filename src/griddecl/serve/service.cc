@@ -154,15 +154,13 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
         return Status(rel.status().code(), "relation '" + m.relations[i].name +
                                                "': " + rel.status().message());
       }
-      std::string name = rel.value().name;
-      const auto emplaced = service->relations_.emplace(
-          std::move(name), std::move(rel).value());
+      auto shared = std::make_shared<const Relation>(std::move(rel).value());
       // Every copy shares the primary's layout (mirrors are byte-identical);
       // registering them lets the PageStore serve any copy from the pool.
-      const Relation& r = emplaced.first->second;
-      for (const std::string& file : r.copy_files) {
-        service->store_->RegisterFile(file, r.header.layout);
+      for (const std::string& file : shared->copy_files) {
+        service->store_->RegisterFile(file, shared->header.layout);
       }
+      service->relations_.emplace(shared->name, std::move(shared));
     }
     return Status::Ok();
   };
@@ -186,7 +184,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
 
 QueryService::~QueryService() { (void)Shutdown(); }
 
-Result<QueryService::Relation> QueryService::LoadRelation(
+Result<Relation> QueryService::LoadRelation(
     const StorageEnv& env, const CatalogManifest& manifest, size_t index) {
   const ManifestRelation& mr = manifest.relations[index];
   const std::string data_name = manifest.DataFileName(index);
@@ -400,7 +398,7 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
     return finish(
         Status::NotFound("no relation named '" + request.relation + "'"));
   }
-  const Relation& rel = it->second;
+  const Relation& rel = *it->second;
   Result<RangeQuery> resolved =
       ResolveRange(rel.header.partitioner, request.lo, request.hi);
   if (!resolved.ok()) return finish(resolved.status());
@@ -943,7 +941,6 @@ std::vector<std::string> QueryService::RelationNames() const {
   std::vector<std::string> names;
   names.reserve(relations_.size());
   for (const auto& [name, rel] : relations_) names.push_back(name);
-  std::sort(names.begin(), names.end());
   return names;
 }
 
@@ -966,10 +963,9 @@ Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
   if (disk >= m.num_disks) {
     return Status::InvalidArgument("disk index out of range");
   }
-  Result<QueryService::Relation> loaded =
-      QueryService::LoadRelation(env, m, index);
+  Result<Relation> loaded = QueryService::LoadRelation(env, m, index);
   if (!loaded.ok()) return loaded.status();
-  const QueryService::Relation& rel = loaded.value();
+  const Relation& rel = loaded.value();
   const FileLayout& l = rel.header.layout;
 
   // A page's disk is its buckets' primary disk — require the layout to be

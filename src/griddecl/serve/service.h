@@ -5,12 +5,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "griddecl/common/backoff.h"
@@ -87,10 +87,13 @@
 /// Record payloads returned by a query are always decoded from the page
 /// bytes read through the env. The service holds no record: `Create`
 /// checks each data file against the size and CRC32C its manifest
-/// records, verifies its pages, and keeps only its header (schema,
-/// partitioning) and the bucket -> pages index read off the pages' zone
-/// maps (`BuildPageIndex`), so a query's matches genuinely travelled the
-/// storage path under test.
+/// records, verifies its pages, and keeps one immutable `Relation` per
+/// relation — its header (schema, partitioning), its declustering method
+/// and `DiskMap`, and the bucket -> pages index read off the pages' zone
+/// maps (`BuildPageIndex`) — so a query's matches genuinely travelled the
+/// storage path under test. It holds each `Relation` by `shared_ptr` and
+/// shares it through `relations()`: a cluster's routing epoch routes by
+/// its node services' relations instead of deriving its own.
 ///
 /// ## Determinism contract
 ///
@@ -214,6 +217,37 @@ inline constexpr const char* kServeCounterNames[] = {
     "zone_map_skips", "generation_fenced", "breaker.opened",
     "breaker.half_opened", "breaker.closed", "breaker.reopened"};
 
+/// One relation's read state at one catalog generation, immutable once
+/// loaded: everything needed to plan and serve its queries, and the one
+/// bucket -> disk map a cluster routes it by. No record is held: record
+/// payloads served to clients come from page reads. `QueryService::
+/// LoadRelation` is its only builder; a service shares each one it loaded
+/// (`QueryService::relations`), so a cluster's routing epoch routes by the
+/// very object one of its node services serves from.
+struct Relation {
+  std::string name;
+  RelationRedundancy redundancy;
+  /// Layout, schema and partitioner: what ResolveRange and the
+  /// mixed-page gather need.
+  GridFileHeader header;
+  /// Owns the relation's one declustering method (`base()`). Copy r of
+  /// a bucket lives on its replica r's disk; only mirror relations have
+  /// more than copy 0 (chained declustering), so `num_replicas()` is the
+  /// relation's copy count.
+  std::unique_ptr<ReplicatedPlacement> placement;
+  std::unique_ptr<DiskMap> disk_map;
+  /// data file first, then mirror copies 1..copies-1.
+  std::vector<std::string> copy_files;
+  std::string parity_file;  ///< Empty unless kParity.
+  /// Grid-linear bucket -> pages. A single-bucket page is only ever
+  /// planned under that bucket's (disk, copy), so its matches need no
+  /// per-record owner check; a mixed page's do.
+  PageIndex index;
+};
+
+/// A service's relations by name, in name order.
+using RelationMap = std::map<std::string, std::shared_ptr<const Relation>>;
+
 /// Multi-threaded query service; see file comment. Thread-safe.
 class QueryService {
  public:
@@ -278,32 +312,12 @@ class QueryService {
   uint32_t num_disks() const { return num_disks_; }
   /// Catalog generation this service loaded (fences compare against it).
   uint64_t generation() const { return generation_; }
+  /// In name order.
   std::vector<std::string> RelationNames() const;
+  /// The relations this service loaded and serves from, shared.
+  const RelationMap& relations() const { return relations_; }
 
  private:
-  /// Everything needed to serve one relation, immutable after Create. No
-  /// record is held: record payloads served to clients come from page
-  /// reads.
-  struct Relation {
-    std::string name;
-    RelationRedundancy redundancy;
-    /// Layout, schema and partitioner: what ResolveRange and the
-    /// mixed-page gather need.
-    GridFileHeader header;
-    /// Owns the relation's one declustering method (`base()`). Copy r of
-    /// a bucket lives on its replica r's disk; only mirror relations have
-    /// more than copy 0 (chained declustering).
-    std::unique_ptr<ReplicatedPlacement> placement;
-    std::unique_ptr<DiskMap> disk_map;
-    /// data file first, then mirror copies 1..copies-1.
-    std::vector<std::string> copy_files;
-    std::string parity_file;  ///< Empty unless kParity.
-    /// Grid-linear bucket -> pages. A single-bucket page is only ever
-    /// planned under that bucket's (disk, copy), so its matches need no
-    /// per-record owner check; a mixed page's do.
-    PageIndex index;
-  };
-
   struct Pending {
     QueryRequest request;
     std::promise<QueryResult> promise;
@@ -334,9 +348,10 @@ class QueryService {
                uint32_t num_disks);
 
   /// Checks relation `index`'s data file against its manifest record
-  /// (size, whole-file CRC32C), verifies its pages and indexes it from its
-  /// header and its pages' zone maps: the one load path of Create and
-  /// DiskFaultSchedule.
+  /// (size, whole-file CRC32C), verifies its pages, indexes it from its
+  /// header and its pages' zone maps, and derives its declustering method
+  /// and DiskMap: the one load path of Create and DiskFaultSchedule, and
+  /// so the only place a Relation is built.
   static Result<Relation> LoadRelation(const StorageEnv& env,
                                        const CatalogManifest& manifest,
                                        size_t index);
@@ -393,7 +408,7 @@ class QueryService {
   std::unique_ptr<PageStore> store_;
   uint32_t num_disks_;
   uint64_t generation_ = 0;
-  std::unordered_map<std::string, Relation> relations_;
+  RelationMap relations_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -17,6 +17,7 @@
 #include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/declustered_file.h"
 #include "griddecl/gridfile/manifest.h"
+#include "griddecl/methods/registry.h"
 
 /// \file
 /// Self-healing coverage: the heartbeat failure detector, the pure repair
@@ -27,6 +28,43 @@
 
 namespace griddecl {
 namespace cluster {
+
+/// A friend of Cluster: read access to its routing epochs.
+struct ClusterTestPeer {
+  /// The relation the current epoch routes `name` by.
+  static std::shared_ptr<const serve::Relation> EpochRelation(
+      const Cluster& cluster, const std::string& name) {
+    return cluster.CurrentEpoch()->relations.at(name);
+  }
+
+  /// Builds a routing epoch over `services` and returns its status.
+  static Status BuildEpoch(
+      std::vector<std::shared_ptr<serve::QueryService>> services,
+      const PlacementSpec& placement) {
+    return Cluster::BuildEpoch(std::move(services), placement).status();
+  }
+
+  /// Expects every relation the current epoch routes by to be the very
+  /// object a live node service of that epoch loaded: the epoch derives
+  /// nothing of its own.
+  static void ExpectRoutesByNodeServiceRelations(const Cluster& cluster) {
+    const auto epoch = cluster.CurrentEpoch();
+    ASSERT_FALSE(epoch->relations.empty());
+    for (const auto& [name, rel] : epoch->relations) {
+      bool held = false;
+      for (uint32_t n = 0; n < epoch->services.size(); ++n) {
+        const serve::QueryService* service = epoch->services[n].get();
+        if (service == nullptr || !cluster.NodeAlive(n)) continue;
+        const auto it = service->relations().find(name);
+        held = held ||
+               (it != service->relations().end() && it->second == rel);
+      }
+      EXPECT_TRUE(held) << "relation '" << name << "' at generation "
+                        << epoch->generation;
+    }
+  }
+};
+
 namespace {
 
 RelationRedundancy Mirror2() {
@@ -38,9 +76,11 @@ RelationRedundancy Mirror2() {
 
 /// 8x8 grid on 8 virtual disks over 4 nodes (two disks per node), nodes
 /// {0,1} = zone 0 and {2,3} = zone 1 under Grid(4, 2, 2) — the same
-/// topology the cluster placement tests use.
+/// topology the cluster placement tests use. The relation is named "dm"
+/// whichever `method` declusters it.
 Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1,
-                          RelationRedundancy redundancy = Mirror2()) {
+                          RelationRedundancy redundancy = Mirror2(),
+                          const std::string& method = "dm") {
   Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
   GridFile f = GridFile::Create(std::move(schema), {8, 8}).value();
   const GridSpec grid = f.grid();
@@ -54,7 +94,8 @@ Catalog CommitWideCatalog(MemEnv* env, uint64_t seed = 1,
     }
   }
   Catalog catalog(8);
-  Result<DeclusteredFile> rel = DeclusteredFile::Create(std::move(f), "dm", 8);
+  Result<DeclusteredFile> rel =
+      DeclusteredFile::Create(std::move(f), method, 8);
   EXPECT_TRUE(rel.ok()) << rel.status().ToString();
   EXPECT_TRUE(catalog.AddRelation("dm", std::move(rel).value()).ok());
   ManifestSaveOptions options;
@@ -561,6 +602,148 @@ TEST(RepairTest, AddNodeNeedsAFreeSlot) {
   // Default max_nodes == num_nodes: no headroom.
   EXPECT_EQ(cluster->AddNode(2, 2).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(RepairTest, AddNodeIsRefusedWhileATransitionRuns) {
+  // A transition cuts over to an epoch planned before it began: a node
+  // added meanwhile would drop out of routing and the topology while
+  // num_nodes() still counted it.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  ClusterOptions options = HealingOptions();
+  options.max_nodes = 6;
+  auto cluster = Cluster::Create(env, options).value();
+
+  std::optional<StatusCode> added_at_verify;
+  const auto add_at_verify = [&](const std::string& phase) {
+    if (phase == "verify") {
+      added_at_verify = cluster->AddNode(2, 2).status().code();
+    }
+  };
+  MigrationOptions mo;
+  mo.new_method = "fx";
+  mo.new_num_disks = 8;
+  mo.on_phase = add_at_verify;
+  const MigrationReport migrated = cluster->Migrate(mo).value();
+  ASSERT_TRUE(migrated.committed) << migrated.abort_reason;
+  EXPECT_EQ(added_at_verify, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cluster->num_nodes(), 4u);
+  EXPECT_EQ(cluster->placement_spec().topology.num_nodes(),
+            cluster->num_nodes());
+
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
+  added_at_verify.reset();
+  RepairOptions ro;
+  ro.on_phase = add_at_verify;
+  const RepairReport repaired = cluster->Repair(ro).value();
+  ASSERT_TRUE(repaired.committed) << repaired.abort_reason;
+  EXPECT_EQ(added_at_verify, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cluster->num_nodes(), 4u);
+  EXPECT_EQ(cluster->placement_spec().topology.num_nodes(),
+            cluster->num_nodes());
+  EXPECT_FALSE(cluster->migrating());
+
+  // With the slot free again the add goes through, and the node is in the
+  // topology a zone kill reads.
+  EXPECT_EQ(cluster->AddNode(2, 2).value(), 4u);
+  EXPECT_EQ(cluster->placement_spec().topology.num_nodes(),
+            cluster->num_nodes());
+  ASSERT_TRUE(cluster->KillZone(2).ok());
+  EXPECT_FALSE(cluster->NodeAlive(4));
+  const ClusterQueryResult r = cluster->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.matches, Direct(catalog, full));
+}
+
+TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
+  // One derivation per generation: each routing epoch shares the relation
+  // a live node service loaded, through Create, Repair, ReviveNode,
+  // Migrate and AddNode.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env, 1, Mirror2(), "hcam");
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  ClusterOptions options = HealingOptions();
+  options.max_nodes = 5;
+  auto cluster = Cluster::Create(env, options).value();
+  ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
+
+  // hcam and dm must place some bucket differently, or the migration
+  // below would prove nothing.
+  const std::shared_ptr<const serve::Relation> created =
+      ClusterTestPeer::EpochRelation(*cluster, "dm");
+  const GridSpec& grid = created->header.partitioner.grid();
+  const DiskMap hcam = DiskMap::Build(*CreateMethod("hcam", grid, 8).value());
+  const DiskMap dm = DiskMap::Build(*CreateMethod("dm", grid, 8).value());
+  bool maps_differ = false;
+  for (uint64_t b = 0; b < grid.num_buckets(); ++b) {
+    EXPECT_EQ(created->disk_map->DiskAt(b), hcam.DiskAt(b));
+    maps_differ = maps_differ || hcam.DiskAt(b) != dm.DiskAt(b);
+  }
+  ASSERT_TRUE(maps_differ);
+
+  // The repair epoch leaves dead node 0 out, so it routes by another
+  // node's relation.
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
+  ASSERT_TRUE(cluster->Repair({}).value().committed);
+  ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
+  const std::shared_ptr<const serve::Relation> repaired =
+      ClusterTestPeer::EpochRelation(*cluster, "dm");
+
+  // A revival copies the epoch, relations included.
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
+  EXPECT_EQ(ClusterTestPeer::EpochRelation(*cluster, "dm"), repaired);
+
+  MigrationOptions mo;
+  mo.new_method = "dm";
+  mo.new_num_disks = 8;
+  const MigrationReport migrated = cluster->Migrate(mo).value();
+  ASSERT_TRUE(migrated.committed) << migrated.abort_reason;
+  ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
+  const std::shared_ptr<const serve::Relation> moved =
+      ClusterTestPeer::EpochRelation(*cluster, "dm");
+  for (uint64_t b = 0; b < grid.num_buckets(); ++b) {
+    EXPECT_EQ(moved->disk_map->DiskAt(b), dm.DiskAt(b)) << "bucket " << b;
+  }
+
+  // An added node copies the epoch too.
+  EXPECT_EQ(cluster->AddNode(2, 2).value(), 4u);
+  ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
+  EXPECT_EQ(ClusterTestPeer::EpochRelation(*cluster, "dm"), moved);
+
+  const ClusterQueryResult r = cluster->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.matches, Direct(catalog, full));
+}
+
+TEST(RepairTest, EpochNeedsNodeServicesThatAgree) {
+  // An epoch takes its generation and disk count from its node services,
+  // so services at different generations cannot make one.
+  MemEnv first;
+  MemEnv second;
+  CommitWideCatalog(&first);
+  CommitWideCatalog(&second);
+  CommitWideCatalog(&second);
+  serve::ServeOptions so;
+  so.num_threads = 1;
+  const std::shared_ptr<serve::QueryService> at_1 =
+      serve::QueryService::Create(&first, so).value();
+  const std::shared_ptr<serve::QueryService> at_2 =
+      serve::QueryService::Create(&second, so).value();
+  ASSERT_EQ(at_1->generation(), 1u);
+  ASSERT_EQ(at_2->generation(), 2u);
+  PlacementSpec spec;
+  spec.topology = Topology::Flat(2);
+  EXPECT_TRUE(ClusterTestPeer::BuildEpoch({nullptr, at_1}, spec).ok());
+  EXPECT_EQ(ClusterTestPeer::BuildEpoch({at_1, at_2}, spec).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(ClusterTestPeer::BuildEpoch({nullptr, nullptr}, spec).code(),
+            StatusCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------
