@@ -40,18 +40,6 @@ Status CopyAllFiles(const StorageEnv& from, StorageEnv* to) {
   return Status::Ok();
 }
 
-/// Frees a claimed single-flight slot when it goes out of scope.
-class SlotRelease {
- public:
-  explicit SlotRelease(std::atomic<bool>* slot) : slot_(slot) {}
-  SlotRelease(const SlotRelease&) = delete;
-  SlotRelease& operator=(const SlotRelease&) = delete;
-  ~SlotRelease() { slot_->store(false); }
-
- private:
-  std::atomic<bool>* slot_;
-};
-
 /// RouteIndex entry of a lost disk or an unused (node, copy) key.
 constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
 
@@ -157,7 +145,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   if (options.num_nodes == 0) {
     return Status::InvalidArgument("cluster needs at least one node");
   }
-  if (options.quorum_fraction < 0.0 || options.quorum_fraction >= 1.0) {
+  // The NaN-safe form: a NaN fraction fails every comparison.
+  if (!(options.quorum_fraction >= 0.0 && options.quorum_fraction < 1.0)) {
     return Status::InvalidArgument("quorum_fraction must be in [0, 1)");
   }
   if (options.node.generation != 0) {
@@ -168,8 +157,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   GRIDDECL_RETURN_IF_ERROR(ValidateBreakerOptions(options.node_breaker));
   GRIDDECL_RETURN_IF_ERROR(ValidateHeartbeatOptions(options.heartbeat));
   if (options.retry_budget_per_query > (1u << 20) ||
-      options.hedge_budget_fraction < 0.0) {
-    return Status::InvalidArgument("budget options out of domain");
+      !(options.hedge_budget_fraction >= 0.0) ||
+      !std::isfinite(options.hedge_delay_ms)) {
+    return Status::InvalidArgument("budget or hedge delay out of domain");
   }
 
   auto manifest = ReadCurrentManifest(seed);
@@ -222,8 +212,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
       node.killed.store(true);
       continue;
     }
-    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(seed, &node.env));
-    auto service = cluster->NodeService(n);
+    auto service = cluster->JoinNode(n, seed, manifest.value().generation);
     if (!service.ok()) return service.status();
     services.push_back(std::move(service).value());
     cluster->heartbeat_->Track(n);
@@ -347,6 +336,14 @@ bool Cluster::NodeAlive(uint32_t node) const {
          !nodes_[node]->removed.load();
 }
 
+Status Cluster::ClaimSlot() {
+  if (migrating_.exchange(true)) {
+    return Status::FailedPrecondition(
+        "a migration, repair, node add or revival is already running");
+  }
+  return Status::Ok();
+}
+
 Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
     uint32_t n, uint64_t generation) {
   Node& nd = *nodes_[n];
@@ -369,14 +366,38 @@ Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
   return std::shared_ptr<serve::QueryService>(std::move(service).value());
 }
 
-std::optional<uint32_t> Cluster::LivePeerAt(uint64_t generation,
-                                            uint32_t skip) const {
-  for (uint32_t p = 0; p < num_nodes(); ++p) {
-    if (p == skip || !NodeAlive(p)) continue;
-    auto pm = ReadCurrentManifest(nodes_[p]->env);
-    if (pm.ok() && pm.value().generation == generation) return p;
+Result<std::shared_ptr<serve::QueryService>> Cluster::JoinNode(
+    uint32_t n, const StorageEnv& source, uint64_t generation) {
+  GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(source, &nodes_[n]->env));
+  return NodeService(n, generation);
+}
+
+Status Cluster::CatchUpNode(uint32_t n, std::optional<Topology> grown) {
+  const auto epoch = CurrentEpoch();
+  // A node the epoch holds a service for has its env at the epoch's
+  // generation (see Epoch::services).
+  uint32_t peer = 0;
+  while (peer < epoch->services.size() &&
+         (peer == n || epoch->services[peer] == nullptr || !NodeAlive(peer))) {
+    ++peer;
   }
-  return std::nullopt;
+  if (peer == epoch->services.size()) {
+    return Status::Unavailable(
+        "no live peer at the committed generation to catch node " +
+        std::to_string(n) + " up");
+  }
+  auto service = JoinNode(n, nodes_[peer]->env, epoch->generation);
+  if (!service.ok()) return service.status();
+  // The slot keeps every other epoch change out, so `epoch` is still
+  // current.
+  auto fresh = std::make_shared<Epoch>(*epoch);
+  if (n == fresh->services.size()) fresh->services.emplace_back();
+  fresh->services[n] = std::move(service).value();
+  if (grown.has_value()) {
+    fresh->placement = fresh->placement.WithTopology(std::move(*grown));
+  }
+  AdoptEpoch(std::move(fresh));
+  return Status::Ok();
 }
 
 void Cluster::ObserveNodeLatency(uint32_t node, double ms) {
@@ -494,56 +515,16 @@ Status Cluster::ReviveNode(uint32_t node) {
     return Status::FailedPrecondition("node " + std::to_string(node) +
                                       " was decommissioned");
   }
-  auto epoch = CurrentEpoch();
-
-  // The epoch is the node's only service holder. A repair epoch carries a
-  // null service for each dead node it planned around, and an epoch staged
-  // before an AddNode has no slot for the node at all.
-  const serve::QueryService* held =
-      node < epoch->services.size() ? epoch->services[node].get() : nullptr;
-  bool reload = held == nullptr || held->generation() != epoch->generation;
-
-  // Catch-up fence: while the node was down a repair may have committed a
-  // newer generation staged only to the live nodes, so this node's env
-  // can lack CURRENT entirely. Copy the committed state from a live peer
-  // before reloading the service — never readmit a stale route.
-  auto current = ReadCurrentManifest(nd.env);
-  if (!current.ok() || current.value().generation != epoch->generation) {
-    const std::optional<uint32_t> peer = LivePeerAt(epoch->generation, node);
-    if (!peer.has_value()) {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++revive_fenced_;
-      return Status::Unavailable(
-          "no live peer at the committed generation to catch node " +
-          std::to_string(node) + " up; revival refused");
-    }
-    GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
-    reload = true;  // the catalog moved under the held service
+  GRIDDECL_RETURN_IF_ERROR(ClaimSlot());
+  const SlotRelease release(&migrating_);
+  // Catch-up fence: a node the epoch holds no service for missed a commit
+  // while it was down, so its env can lack the served generation entirely.
+  // Never readmit a stale route.
+  if (CurrentEpoch()->services[node] == nullptr) {
+    const Status caught_up = CatchUpNode(node, std::nullopt);
     std::lock_guard<std::mutex> lock(metrics_mu_);
-    ++revive_catchups_;
-  }
-
-  if (reload) {
-    // The cluster committed a newer generation while the node was down:
-    // reload the node's service at CURRENT before readmitting it.
-    auto service = NodeService(node);
-    if (!service.ok()) return service.status();
-    if (service.value()->generation() != epoch->generation) {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++revive_fenced_;
-      return Status::Internal(
-          "node " + std::to_string(node) +
-          " reloaded at generation " +
-          std::to_string(service.value()->generation()) +
-          " but the cluster serves " + std::to_string(epoch->generation) +
-          "; revival refused");
-    }
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    auto fresh = std::make_shared<Epoch>(*epoch_);
-    if (node < fresh->services.size()) {
-      fresh->services[node] = std::move(service).value();
-    }
-    epoch_ = std::move(fresh);
+    ++(caught_up.ok() ? revive_catchups_ : revive_fenced_);
+    if (!caught_up.ok()) return caught_up;
   }
   nd.killed.store(false);
   {
@@ -576,14 +557,9 @@ Status Cluster::ForEachNodeInZone(
 }
 
 Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
-  // Hold the transition slot from the first check to the publish: a
-  // transition running now would cut over to an epoch planned without the
-  // node. The claim never waits, so a call from on_phase cannot deadlock.
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition(
-        "a migration, repair or node add is running; add the node after it");
-  }
+  // Hold the slot from the first check to the publish: a transition
+  // running now would cut over to an epoch planned without the node.
+  GRIDDECL_RETURN_IF_ERROR(ClaimSlot());
   const SlotRelease release(&migrating_);
   const uint32_t id = active_nodes_.load();
   if (id >= nodes_.size()) {
@@ -591,8 +567,7 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
         "cluster is at max_nodes (" + std::to_string(nodes_.size()) +
         "); create with a larger ClusterOptions::max_nodes to grow");
   }
-  auto epoch = CurrentEpoch();
-  Topology topo = epoch->placement.spec().topology;
+  Topology topo = CurrentEpoch()->placement.spec().topology;
   if (rack > topo.num_racks()) {
     return Status::InvalidArgument(
         "rack " + std::to_string(rack) + " out of range (have " +
@@ -614,29 +589,12 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
   topo.node_rack.push_back(rack);
   GRIDDECL_RETURN_IF_ERROR(topo.Validate());
 
-  // Seed the new node's env from a live peer at the committed generation.
-  const std::optional<uint32_t> peer = LivePeerAt(epoch->generation, id);
-  if (!peer.has_value()) {
-    return Status::Unavailable(
-        "no live peer at the committed generation to seed the new node");
-  }
-
+  // Publish the epoch with the grown topology first, then the node
+  // (release on active_nodes_ so any reader that sees the new count sees a
+  // fully built slot). The node table is untouched — the new node takes
+  // traffic only after the next Repair / Migrate re-places.
+  GRIDDECL_RETURN_IF_ERROR(CatchUpNode(id, std::move(topo)));
   Node& nd = *nodes_[id];
-  GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(nodes_[*peer]->env, &nd.env));
-  auto service = NodeService(id);
-  if (!service.ok()) return service.status();
-
-  // Publish: the grown topology first, then the node (release on
-  // active_nodes_ so any reader that sees the new count sees a fully built
-  // slot). The node table is untouched — the new node takes traffic only
-  // after the next Repair / Migrate re-places.
-  {
-    std::lock_guard<std::mutex> elock(epoch_mu_);
-    auto fresh = std::make_shared<Epoch>(*epoch_);
-    fresh->services.push_back(std::move(service).value());
-    fresh->placement = fresh->placement.WithTopology(std::move(topo));
-    epoch_ = std::move(fresh);
-  }
   nd.killed.store(false);
   nd.removed.store(false);
   active_nodes_.store(id + 1);

@@ -31,6 +31,14 @@
 /// through `KillNode` / `KillZone` / `ReviveNode` / `ReviveZone` (and leave
 /// for good through `RemoveNode`).
 ///
+/// **A node comes in one way.** `Create`, a `ReviveNode` that catches up
+/// and `AddNode` all copy a source env's files into the node (the seed,
+/// else a live peer the routing epoch holds a service for), load the
+/// node's service pinned to the epoch's generation, and publish it in a
+/// fresh epoch. Revivals, adds, migrations and repairs share one
+/// single-flight slot, so a node never joins under a transition that
+/// would cut over without it.
+///
 /// **Placement has one source of truth: the routing epoch's
 /// `PlacementMap`** (cluster/placement.h). It says which node holds each
 /// (virtual disk, mirror copy); row 0 is disk ownership — the contiguous
@@ -357,12 +365,20 @@ class Cluster {
 
   /// Node death: the node is routed around from now on.
   Status KillNode(uint32_t node);
-  /// Revives a killed node behind a catch-up fence: when the cluster
-  /// committed a newer generation while the node was down (a repair stages
-  /// only to live nodes), the node's env is first caught up from a live
-  /// peer at CURRENT and its service force-reloaded; if no live peer can
-  /// supply CURRENT the revival is refused (the node stays dead) rather
-  /// than readmitting a stale route.
+  /// Revives a killed node behind a catch-up fence the routing epoch
+  /// decides (see `Epoch::services`): a node the epoch holds a service for
+  /// already serves its generation and only comes back to routing; a node
+  /// it holds none for missed a commit (a repair stages only to live
+  /// nodes) and is first caught up from a live peer the epoch holds a
+  /// service for, with a fresh service pinned to the epoch's generation.
+  /// With no such peer the revival is refused with kUnavailable and the
+  /// node stays dead rather than serving a stale generation.
+  ///
+  /// Takes the single-flight slot, so it is refused with
+  /// kFailedPrecondition while a migration, a repair, an AddNode or another
+  /// revival runs (also from a transition's `on_phase`): a transition cuts
+  /// over to an epoch planned before the revival, which holds no service
+  /// for the node and never staged the new generation to it.
   Status ReviveNode(uint32_t node);
   /// Kills / revives every node in the placement topology's zone `zone`
   /// at once — a power or network domain failing as a unit.
@@ -392,36 +408,38 @@ class Cluster {
   /// every verify query completely. Unknown methods and too few disks are
   /// caller errors, refused before anything is staged.
   ///
-  /// One transition at a time; returns kFailedPrecondition when a
-  /// migration, a repair or an AddNode is already running. A non-committed
-  /// report (clean abort) is an Ok result.
+  /// One transition at a time; returns kFailedPrecondition while the
+  /// single-flight slot is held (see migrating()). A non-committed report
+  /// (clean abort) is an Ok result.
   Result<MigrationReport> Migrate(const MigrationOptions& options);
   /// Requests a clean abort of the running migration or repair (no-op
-  /// when idle).
+  /// when idle, and no effect on an AddNode or a revival, which run to
+  /// their end).
   void AbortMigration() { abort_migration_.store(true); }
 
   /// Paced re-replication repair; see cluster/repair.h. Diffs the current
   /// placement against the live topology (heartbeat-dead plus removed
   /// nodes), re-targets lost / zone-violating replicas zone-aware, stages
   /// the repaired placement to the live nodes, verifies, and commits
-  /// behind the generation fence. Mutually exclusive with Migrate and
-  /// AddNode (same single-flight slot). A clean abort is an Ok,
-  /// non-committed report.
+  /// behind the generation fence. Mutually exclusive with Migrate,
+  /// AddNode and ReviveNode (same single-flight slot). A clean abort is an
+  /// Ok, non-committed report.
   Result<RepairReport> Repair(const RepairOptions& options);
 
   /// Grows the cluster by one node in rack `rack` (== num_racks appends a
   /// new rack in zone `zone`; `zone` == num_zones then opens a new zone).
-  /// The node's env is seeded from a live peer at CURRENT; existing
-  /// placement is untouched until the next Repair/Migrate re-places.
-  /// Returns the new node id. Requires a free slot (ClusterOptions::
-  /// max_nodes) and a live peer.
+  /// The node joins the way a stale revival does: caught up from a live
+  /// peer the epoch holds a service for, published in a fresh epoch under
+  /// the grown topology. Existing placement is untouched until the next
+  /// Repair/Migrate re-places. Returns the new node id. Requires a free
+  /// slot (ClusterOptions::max_nodes) and a live peer.
   ///
-  /// Holds the single-flight slot Migrate and Repair share from its first
-  /// check to the epoch publish, so it is refused with kFailedPrecondition
-  /// while a migration, a repair or another AddNode runs (also when called
-  /// from a transition's `on_phase`): a transition cuts over to an epoch
-  /// planned before the add, which would drop the node's service and
-  /// topology entry while `num_nodes()` still counted it.
+  /// Holds the single-flight slot from its first check to the epoch
+  /// publish, so it is refused with kFailedPrecondition while a migration,
+  /// a repair, a revival or another AddNode runs (also when called from a
+  /// transition's `on_phase`): a transition cuts over to an epoch planned
+  /// before the add, which would drop the node's service and topology
+  /// entry while `num_nodes()` still counted it.
   Result<uint32_t> AddNode(uint32_t rack, uint32_t zone);
   /// Marks a node as permanently decommissioned: it is routed around like
   /// a death, excluded from quorum, and the next Repair evacuates every
@@ -437,9 +455,11 @@ class Cluster {
   /// Committed catalog generation the current routing epoch serves.
   uint64_t generation() const;
   std::vector<std::string> RelationNames() const;
-  /// True while a Migrate, a Repair or an AddNode holds the single-flight
-  /// slot. A migration or repair installs its staging epoch (the
-  /// double-read window) only inside it.
+  /// True while a Migrate, a Repair, an AddNode or a ReviveNode holds the
+  /// single-flight slot, which each claims without waiting and refuses
+  /// with kFailedPrecondition when taken. A migration or repair installs
+  /// its staging epoch (the double-read window) only inside it, and every
+  /// change of the routing epoch happens inside it.
   bool migrating() const { return migrating_.load(); }
 
   BreakerState NodeBreakerState(uint32_t node) const;
@@ -497,6 +517,14 @@ class Cluster {
     /// (disk, copy) -> node; row 0 is disk ownership. The cluster's only
     /// runtime placement state.
     PlacementMap placement;
+    /// Per node, the service it is routed to, pinned to `generation`
+    /// (BuildEpoch refuses services that disagree). A null entry is a node
+    /// that did not take part in the commit that made this epoch — dead,
+    /// killed or removed then — so its env may lack `generation`;
+    /// ReviveNode catches it up before readmitting it. The rule holds
+    /// because every epoch change (cutover, revival, add) runs in the
+    /// single-flight slot: a non-null entry's node env is at `generation`
+    /// and can be any joining node's copy source.
     std::vector<std::shared_ptr<serve::QueryService>> services;
     /// Per relation name: the very `serve::Relation` the first non-null
     /// service loaded — its header (for ResolveRange), its DiskMap and its
@@ -549,8 +577,26 @@ class Cluster {
   std::shared_ptr<const Epoch> CurrentEpoch() const;
   std::shared_ptr<const Epoch> StagingEpoch() const;
   void SetStagingEpoch(std::shared_ptr<const Epoch> epoch);
-  /// Cutover: publishes `epoch` as current and clears staging.
+  /// Publishes `epoch` as current and clears staging: a transition's
+  /// cutover, or a node joining (no staging epoch is installed then).
   void AdoptEpoch(std::shared_ptr<const Epoch> epoch);
+
+  /// Frees the single-flight slot when it goes out of scope.
+  class SlotRelease {
+   public:
+    explicit SlotRelease(std::atomic<bool>* slot) : slot_(slot) {}
+    SlotRelease(const SlotRelease&) = delete;
+    SlotRelease& operator=(const SlotRelease&) = delete;
+    ~SlotRelease() { slot_->store(false); }
+
+   private:
+    std::atomic<bool>* slot_;
+  };
+  /// Claims the single-flight slot of Migrate, Repair, AddNode and
+  /// ReviveNode; the caller frees it with a SlotRelease. The claim never
+  /// waits, so a call from a transition's `on_phase` is refused with
+  /// kFailedPrecondition instead of deadlocking.
+  Status ClaimSlot();
 
   ClusterQueryResult ExecuteOnEpoch(const Epoch& epoch,
                                     const serve::QueryRequest& request,
@@ -587,8 +633,8 @@ class Cluster {
                               RouteIndex* index,
                               std::vector<uint32_t>* lost) const;
 
-  /// Runs one Migrate or Repair in the single-flight slot it shares with
-  /// AddNode: claims the slot (or refuses with kFailedPrecondition),
+  /// Runs one Migrate or Repair in the single-flight slot: claims it (or
+  /// refuses with kFailedPrecondition),
   /// records the current generation in `report`, lets `plan` describe the
   /// change against the current epoch, and runs the StagedTransition. A
   /// plan that returns Ok with no participants has settled the report
@@ -602,20 +648,28 @@ class Cluster {
   /// stopping at the first error; kInvalidArgument for an unknown zone.
   Status ForEachNodeInZone(uint32_t zone,
                            const std::function<Status(uint32_t)>& fn);
-  /// First live node other than `skip` whose committed manifest is at
-  /// `generation` — the peer a revived or added node copies from.
-  std::optional<uint32_t> LivePeerAt(uint64_t generation, uint32_t skip) const;
   /// Detector-dead plus removed nodes — the set a repair plans around.
   std::vector<uint32_t> DeadNodesForRepair() const;
   /// Virtual time the heartbeat declared `node` dead (0 = never).
   double NodeDeadSinceMs(uint32_t node) const;
-  /// Node `n`'s query service over its FaultyEnv, pinned to `generation`
-  /// (0 = the env's CURRENT). Builds the FaultyEnv first when the node has
-  /// none (Create, AddNode): fault seed `fault_seed + n` and node n's
-  /// injected latency. The service runs `options_.node` with
-  /// `seed + n`, decorrelating retry jitter across nodes.
+  /// Node `n`'s query service over its FaultyEnv, pinned to `generation`.
+  /// Builds the FaultyEnv first when the node has none (Create, AddNode):
+  /// fault seed `fault_seed + n` and node n's injected latency. The
+  /// service runs `options_.node` with `seed + n`, decorrelating retry
+  /// jitter across nodes.
   Result<std::shared_ptr<serve::QueryService>> NodeService(
-      uint32_t n, uint64_t generation = 0);
+      uint32_t n, uint64_t generation);
+  /// The step every node joins by (see file comment): copies every file
+  /// of `source` into node n's env and loads its service pinned to
+  /// `generation`.
+  Result<std::shared_ptr<serve::QueryService>> JoinNode(
+      uint32_t n, const StorageEnv& source, uint64_t generation);
+  /// JoinNode from the first live node other than `n` the current epoch
+  /// holds a service for, at the epoch's generation, then publishes the
+  /// service as node n's in a fresh epoch, under `grown` when given
+  /// (AddNode). kUnavailable when there is no such peer. The caller holds
+  /// the single-flight slot.
+  Status CatchUpNode(uint32_t n, std::optional<Topology> grown);
   /// Admits one extra sub-query (hedge or failover retry) against the
   /// cluster-wide hedge budget; false = over budget, skip it.
   bool AdmitExtraSub(bool is_hedge);
@@ -656,7 +710,7 @@ class Cluster {
   std::atomic<uint64_t> hedge_budget_denied_{0};
   std::atomic<uint64_t> retry_budget_denied_{0};
 
-  /// The single-flight slot of Migrate, Repair and AddNode.
+  /// The single-flight slot of Migrate, Repair, AddNode and ReviveNode.
   std::atomic<bool> migrating_{false};
   std::atomic<bool> abort_migration_{false};
   /// Set by a live double-read mismatch; checked by the transition.

@@ -36,9 +36,12 @@
 ///    placement is exactly what it was before the repair started. A
 ///    committed repair reports its MTTR.
 ///
-/// Dead nodes receive nothing during the repair; that is what makes the
-/// revived-node staleness window real, and why `Cluster::ReviveNode`
-/// fences revival behind a catch-up copy from a live peer.
+/// Dead nodes receive nothing during the repair, and the repaired epoch
+/// holds no service for them: that null entry is how `Cluster::ReviveNode`
+/// knows to catch a returning node up from a live peer before it serves.
+/// A revival is refused while the repair runs (they share the single-flight
+/// slot), so no node comes back between the plan and the cutover to an
+/// epoch that leaves it out.
 
 namespace griddecl::cluster {
 

@@ -179,8 +179,8 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
 
   // --- verify --------------------------------------------------------------
   Phase("verify");
-  // Non-participants keep a null service: dead or removed nodes re-enter
-  // through ReviveNode's catch-up fence.
+  // Non-participants keep a null service: they miss this commit, so a
+  // revival catches them up first (see Cluster::Epoch::services).
   std::vector<std::shared_ptr<serve::QueryService>> staging_services(
       cluster_->num_nodes());
   for (uint32_t n : delta_.participants) {
@@ -279,31 +279,26 @@ Status Cluster::RunTransition(
     const TransitionOptions& options, TransitionReport* report,
     const std::function<Status(const Epoch& current, TransitionDelta* delta)>&
         plan) {
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition(
-        "a migration, repair or node add is already running");
-  }
+  GRIDDECL_RETURN_IF_ERROR(ClaimSlot());
+  const SlotRelease release(&migrating_);
   abort_migration_.store(false);
   divergence_.store(false);
-  Status status = Status::Ok();
-  if (options.copy_bytes_per_sec < 0.0 ||
-      options.copy_device_bytes_per_sec < 0.0 ||
-      options.copy_contention_ms < 0.0) {
-    status = Status::InvalidArgument(
+  // The NaN-safe form: a NaN rate fails every comparison.
+  if (!(options.copy_bytes_per_sec >= 0.0 &&
+        options.copy_device_bytes_per_sec >= 0.0 &&
+        options.copy_contention_ms >= 0.0)) {
+    return Status::InvalidArgument(
         "copy pacing rates and contention must be >= 0");
-  } else {
-    auto epoch = CurrentEpoch();
-    report->old_generation = epoch->generation;
-    TransitionDelta delta;
-    status = plan(*epoch, &delta);
-    if (status.ok() && !delta.participants.empty()) {
-      status = StagedTransition(this, options, std::move(delta))
-                   .Run(std::move(epoch), report);
-    }
+  }
+  auto epoch = CurrentEpoch();
+  report->old_generation = epoch->generation;
+  TransitionDelta delta;
+  Status status = plan(*epoch, &delta);
+  if (status.ok() && !delta.participants.empty()) {
+    status = StagedTransition(this, options, std::move(delta))
+                 .Run(std::move(epoch), report);
   }
   SetStagingEpoch(nullptr);
-  migrating_.store(false);
   return status;
 }
 

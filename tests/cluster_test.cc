@@ -127,6 +127,24 @@ TEST(ClusterTest, CreateValidatesOptionsAndSeedEnv) {
   bad = Deterministic();
   bad.num_nodes = 5;  // More nodes than the catalog's 4 virtual disks.
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
+  // NaN fails every comparison, so each knob is checked in the form that
+  // refuses it; a hedge delay must also be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = Deterministic();
+  bad.quorum_fraction = nan;
+  EXPECT_EQ(Cluster::Create(env, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad = Deterministic();
+  bad.hedge_delay_ms = nan;
+  EXPECT_EQ(Cluster::Create(env, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad.hedge_delay_ms = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Cluster::Create(env, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad = Deterministic();
+  bad.hedge_budget_fraction = nan;
+  EXPECT_EQ(Cluster::Create(env, bad).status().code(),
+            StatusCode::kInvalidArgument);
 
   auto cluster = Cluster::Create(env, Deterministic()).value();
   EXPECT_EQ(cluster->num_nodes(), 4u);
@@ -976,6 +994,11 @@ TEST(MigrationPacingTest, PacedCopyReportsBytesAndWaits) {
   bad.new_method = "fx";
   bad.new_num_disks = 4;
   bad.copy_bytes_per_sec = -1.0;
+  EXPECT_EQ(cluster->Migrate(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  // A NaN knob fails every comparison; it must not run as unpaced.
+  bad.copy_bytes_per_sec = 0.0;
+  bad.copy_contention_ms = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(cluster->Migrate(bad).status().code(),
             StatusCode::kInvalidArgument);
 }

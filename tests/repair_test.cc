@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -35,6 +36,13 @@ struct ClusterTestPeer {
   static std::shared_ptr<const serve::Relation> EpochRelation(
       const Cluster& cluster, const std::string& name) {
     return cluster.CurrentEpoch()->relations.at(name);
+  }
+
+  /// The service the current epoch routes node `n` to; null when the
+  /// epoch holds none for it.
+  static std::shared_ptr<serve::QueryService> EpochService(
+      const Cluster& cluster, uint32_t n) {
+    return cluster.CurrentEpoch()->services.at(n);
   }
 
   /// Builds a routing epoch over `services` and returns its status.
@@ -421,6 +429,11 @@ TEST(RepairTest, PacedRepairWaitsOnTheTokenBucketAndStillCommits) {
   bad.copy_bytes_per_sec = -1.0;
   EXPECT_EQ(cluster->Repair(bad).status().code(),
             StatusCode::kInvalidArgument);
+  // A NaN rate fails every comparison; it must not run as unpaced.
+  bad.copy_bytes_per_sec = 0.0;
+  bad.copy_device_bytes_per_sec = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(cluster->Repair(bad).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RepairTest, RepairedTableIsDeterministicAndThreadCountInvariant) {
@@ -656,6 +669,116 @@ TEST(RepairTest, AddNodeIsRefusedWhileATransitionRuns) {
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.matches, Direct(catalog, full));
+}
+
+TEST(RepairTest, ReviveIsRefusedWhileATransitionRuns) {
+  // A transition cuts over to an epoch planned before it began. A node
+  // revived meanwhile would come back at the old generation, with no
+  // service in the new epoch, and break the next transition that copies
+  // from it.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  auto cluster = Cluster::Create(env, HealingOptions()).value();
+
+  // Node 0 is in zone 0 under Grid(4, 2, 2).
+  std::optional<StatusCode> node_at_verify;
+  std::optional<StatusCode> zone_at_verify;
+  const auto revive_at_verify = [&](const std::string& phase) {
+    if (phase == "verify") {
+      node_at_verify = cluster->ReviveNode(0).code();
+      zone_at_verify = cluster->ReviveZone(0).code();
+    }
+  };
+  MigrationOptions mo;
+  mo.new_method = "fx";
+  mo.new_num_disks = 8;
+  mo.on_phase = revive_at_verify;
+  const MigrationReport migrated = cluster->Migrate(mo).value();
+  ASSERT_TRUE(migrated.committed) << migrated.abort_reason;
+  EXPECT_EQ(node_at_verify, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(zone_at_verify, StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
+  node_at_verify.reset();
+  zone_at_verify.reset();
+  RepairOptions ro;
+  ro.on_phase = revive_at_verify;
+  const RepairReport repaired = cluster->Repair(ro).value();
+  ASSERT_TRUE(repaired.committed) << repaired.abort_reason;
+  EXPECT_EQ(node_at_verify, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(zone_at_verify, StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(cluster->NodeAlive(0));
+  EXPECT_FALSE(cluster->migrating());
+  EXPECT_EQ(ReadCurrentManifest(*cluster->node_env_for_test(0))
+                .value()
+                .generation,
+            migrated.new_generation);
+
+  // With the slot free the revival catches node 0 up to the repair.
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  EXPECT_TRUE(cluster->NodeAlive(0));
+  EXPECT_EQ(ReadCurrentManifest(*cluster->node_env_for_test(0))
+                .value()
+                .generation,
+            repaired.new_generation);
+  obs::MetricsRegistry reg;
+  cluster->SnapshotMetrics(&reg);
+  EXPECT_EQ(reg.GetCounter("cluster.revive_catchups")->value(), 1u);
+
+  // Every member takes part in a migration and the first is the copy
+  // source, so this one copies from node 0.
+  mo.new_method = "hcam";
+  mo.on_phase = nullptr;
+  const Result<MigrationReport> again = cluster->Migrate(mo);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(again.value().committed) << again.value().abort_reason;
+  EXPECT_EQ(again.value().old_generation, repaired.new_generation);
+  const ClusterQueryResult r = cluster->Execute(full);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.generation, again.value().new_generation);
+  EXPECT_EQ(r.matches, Direct(catalog, full));
+}
+
+TEST(RepairTest, ReviveKeepsAServingNodesService) {
+  // The routing epoch decides staleness: a node it holds a service for
+  // already serves its generation, so a revival only readmits it; a node
+  // it holds none for missed a commit and is caught up.
+  MemEnv env;
+  CommitWideCatalog(&env);
+  auto cluster = Cluster::Create(env, HealingOptions()).value();
+  const std::shared_ptr<serve::QueryService> created =
+      ClusterTestPeer::EpochService(*cluster, 0);
+  ASSERT_NE(created, nullptr);
+  const std::vector<std::string> files = NodeFiles(cluster.get(), 0);
+
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  EXPECT_TRUE(cluster->NodeAlive(0));
+  EXPECT_EQ(ClusterTestPeer::EpochService(*cluster, 0), created);
+  EXPECT_EQ(NodeFiles(cluster.get(), 0), files);
+  obs::MetricsRegistry reg;
+  cluster->SnapshotMetrics(&reg);
+  EXPECT_EQ(reg.GetCounter("cluster.revive_catchups")->value(), 0u);
+
+  // The repair's epoch leaves dead node 0 out; the revival fills its null
+  // entry with a service at the repaired generation.
+  ASSERT_TRUE(cluster->KillNode(0).ok());
+  ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
+  const RepairReport repaired = cluster->Repair({}).value();
+  ASSERT_TRUE(repaired.committed) << repaired.abort_reason;
+  EXPECT_EQ(ClusterTestPeer::EpochService(*cluster, 0), nullptr);
+  ASSERT_TRUE(cluster->ReviveNode(0).ok());
+  const std::shared_ptr<serve::QueryService> caught_up =
+      ClusterTestPeer::EpochService(*cluster, 0);
+  ASSERT_NE(caught_up, nullptr);
+  EXPECT_NE(caught_up, created);
+  EXPECT_EQ(caught_up->generation(), repaired.new_generation);
+  EXPECT_EQ(cluster->generation(), repaired.new_generation);
+  cluster->SnapshotMetrics(&reg);
+  EXPECT_EQ(reg.GetCounter("cluster.revive_catchups")->value(), 1u);
 }
 
 TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
