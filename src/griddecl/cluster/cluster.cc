@@ -149,11 +149,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   if (!(options.quorum_fraction >= 0.0 && options.quorum_fraction < 1.0)) {
     return Status::InvalidArgument("quorum_fraction must be in [0, 1)");
   }
-  if (options.node.generation != 0) {
-    return Status::InvalidArgument(
-        "ClusterOptions::node.generation must be 0; nodes follow the "
-        "cluster's committed generation");
-  }
   GRIDDECL_RETURN_IF_ERROR(ValidateBreakerOptions(options.node_breaker));
   GRIDDECL_RETURN_IF_ERROR(ValidateHeartbeatOptions(options.heartbeat));
   if (options.retry_budget_per_query > (1u << 20) ||
@@ -162,12 +157,17 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     return Status::InvalidArgument("budget or hedge delay out of domain");
   }
 
-  auto manifest = ReadCurrentManifest(seed);
-  if (!manifest.ok()) return manifest.status();
-  if (options.num_nodes > manifest.value().num_disks) {
+  // The one load of the committed generation every node service and the
+  // first epoch share.
+  auto loaded = serve::LoadGeneration(seed, 0);
+  if (!loaded.ok()) return loaded.status();
+  const CatalogManifest& manifest = loaded.value()->manifest;
+  // Growth slots are preallocated, so they are capped like nodes.
+  const uint32_t max_nodes = std::max(options.max_nodes, options.num_nodes);
+  if (max_nodes > manifest.num_disks) {
     return Status::InvalidArgument(
-        "more nodes than virtual disks: " + std::to_string(options.num_nodes) +
-        " > " + std::to_string(manifest.value().num_disks));
+        "more nodes than virtual disks: " + std::to_string(max_nodes) +
+        " > " + std::to_string(manifest.num_disks));
   }
 
   // The first epoch's placement: the override verbatim, else the
@@ -175,8 +175,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   PlacementSpec spec;
   if (options.placement.has_value()) {
     spec = *options.placement;
-  } else if (manifest.value().placement.has_value()) {
-    auto from = FromManifestPlacement(*manifest.value().placement);
+  } else if (manifest.placement.has_value()) {
+    auto from = FromManifestPlacement(*manifest.placement);
     if (!from.ok()) return from.status();
     spec = std::move(from).value();
   } else {
@@ -198,7 +198,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
 
   // Preallocate every slot up to max_nodes so AddNode never reallocates
   // state concurrent Execute calls index into.
-  const uint32_t max_nodes = std::max(opts.max_nodes, opts.num_nodes);
   cluster->heartbeat_ =
       std::make_unique<HeartbeatDetector>(opts.heartbeat, max_nodes);
 
@@ -212,7 +211,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
       node.killed.store(true);
       continue;
     }
-    auto service = cluster->JoinNode(n, seed, manifest.value().generation);
+    auto service = cluster->JoinNode(n, seed, loaded.value());
     if (!service.ok()) return service.status();
     services.push_back(std::move(service).value());
     cluster->heartbeat_->Track(n);
@@ -225,7 +224,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     cluster->node_query_ms_.emplace_back(obs::DefaultLatencyBoundsMs());
   }
 
-  auto epoch = BuildEpoch(std::move(services), spec);
+  auto epoch = BuildEpoch(loaded.value(), std::move(services), spec);
   if (!epoch.ok()) return epoch.status();
   cluster->epoch_ = std::move(epoch.value());
 
@@ -233,7 +232,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
   // mirror relation whose placement puts two copies of some disk on one
   // node — the chained trap where a single node kill can take every
   // replica of a bucket down at once.
-  for (const auto& [name, rel] : cluster->epoch_->relations) {
+  for (const auto& [name, rel] : cluster->epoch_->relations()) {
     const uint32_t copies = rel->placement->num_replicas();
     if (copies < 2) continue;
     const std::vector<uint32_t> colocated =
@@ -259,33 +258,16 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
 Cluster::~Cluster() = default;
 
 Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
+    std::shared_ptr<const serve::LoadedGeneration> loaded,
     std::vector<std::shared_ptr<serve::QueryService>> services,
     const PlacementSpec& placement) {
-  // Route by what the services loaded: the first one's relations, and
-  // every one's generation and disk count, which must agree.
-  const serve::QueryService* first = nullptr;
-  for (const auto& service : services) {
-    if (service == nullptr) continue;
-    if (first == nullptr) first = service.get();
-    if (service->generation() != first->generation() ||
-        service->num_disks() != first->num_disks()) {
-      return Status::Internal(
-          "node services disagree on the generation or the disk count");
-    }
-  }
-  if (first == nullptr) {
-    return Status::Internal("routing epoch without a node service");
-  }
   auto epoch = std::make_shared<Epoch>();
-  epoch->generation = first->generation();
-  epoch->num_disks = first->num_disks();
-  epoch->relations = first->relations();
-
+  epoch->loaded = std::move(loaded);
   uint32_t max_copies = 1;
-  for (const auto& [name, rel] : epoch->relations) {
+  for (const auto& [name, rel] : epoch->relations()) {
     max_copies = std::max(max_copies, rel->placement->num_replicas());
   }
-  auto map = PlacementMap::Build(placement, epoch->num_disks, max_copies);
+  auto map = PlacementMap::Build(placement, epoch->num_disks(), max_copies);
   if (!map.ok()) return map.status();
   epoch->placement = std::move(map).value();
   epoch->services = std::move(services);
@@ -313,15 +295,15 @@ void Cluster::AdoptEpoch(std::shared_ptr<const Epoch> epoch) {
   staging_epoch_.reset();
 }
 
-uint32_t Cluster::num_disks() const { return CurrentEpoch()->num_disks; }
+uint32_t Cluster::num_disks() const { return CurrentEpoch()->num_disks(); }
 
-uint64_t Cluster::generation() const { return CurrentEpoch()->generation; }
+uint64_t Cluster::generation() const { return CurrentEpoch()->generation(); }
 
 std::vector<std::string> Cluster::RelationNames() const {
   auto epoch = CurrentEpoch();
   std::vector<std::string> names;
-  names.reserve(epoch->relations.size());
-  for (const auto& [name, rel] : epoch->relations) {
+  names.reserve(epoch->relations().size());
+  for (const auto& [name, rel] : epoch->relations()) {
     names.push_back(name);
   }
   return names;
@@ -345,8 +327,15 @@ Status Cluster::ClaimSlot() {
 }
 
 Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
-    uint32_t n, uint64_t generation) {
+    uint32_t n, std::shared_ptr<const serve::LoadedGeneration> loaded,
+    bool check_copy) {
   Node& nd = *nodes_[n];
+  const CatalogManifest& m = loaded->manifest;
+  for (size_t i = 0; check_copy && i < m.relations.size(); ++i) {
+    const ManifestRelation& mr = m.relations[i];
+    GRIDDECL_RETURN_IF_ERROR(CheckFileAgainstManifest(
+        nd.env, m.DataFileName(i), mr.data_size, mr.data_crc));
+  }
   if (nd.faulty == nullptr) {
     FaultyEnvOptions fo;
     fo.seed = options_.fault_seed + n;
@@ -360,16 +349,17 @@ Result<std::shared_ptr<serve::QueryService>> Cluster::NodeService(
   }
   serve::ServeOptions so = options_.node;
   so.seed += n;
-  so.generation = generation;
-  auto service = serve::QueryService::Create(nd.faulty.get(), so);
+  auto service =
+      serve::QueryService::Create(nd.faulty.get(), so, std::move(loaded));
   if (!service.ok()) return service.status();
   return std::shared_ptr<serve::QueryService>(std::move(service).value());
 }
 
 Result<std::shared_ptr<serve::QueryService>> Cluster::JoinNode(
-    uint32_t n, const StorageEnv& source, uint64_t generation) {
+    uint32_t n, const StorageEnv& source,
+    std::shared_ptr<const serve::LoadedGeneration> loaded) {
   GRIDDECL_RETURN_IF_ERROR(CopyAllFiles(source, &nodes_[n]->env));
-  return NodeService(n, generation);
+  return NodeService(n, std::move(loaded), /*check_copy=*/true);
 }
 
 Status Cluster::CatchUpNode(uint32_t n, std::optional<Topology> grown) {
@@ -386,7 +376,7 @@ Status Cluster::CatchUpNode(uint32_t n, std::optional<Topology> grown) {
         "no live peer at the committed generation to catch node " +
         std::to_string(n) + " up");
   }
-  auto service = JoinNode(n, nodes_[peer]->env, epoch->generation);
+  auto service = JoinNode(n, nodes_[peer]->env, epoch->loaded);
   if (!service.ok()) return service.status();
   // The slot keeps every other epoch change out, so `epoch` is still
   // current.
@@ -682,7 +672,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
                                            const serve::QueryRequest& request,
                                            bool allow_hedge) {
   ClusterQueryResult result;
-  result.generation = epoch.generation;
+  result.generation = epoch.generation();
 
   // Quorum gate: with a majority (per quorum_fraction) of nodes down, a
   // "partial" result would be mostly holes — refuse loudly instead.
@@ -709,8 +699,8 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     return result;
   }
 
-  auto it = epoch.relations.find(request.relation);
-  if (it == epoch.relations.end()) {
+  auto it = epoch.relations().find(request.relation);
+  if (it == epoch.relations().end()) {
     result.status = Status::NotFound("no relation " + request.relation);
     result.complete = false;
     return result;
@@ -738,7 +728,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
   // parity repairs a disk *within* a node, not a whole node.
   std::vector<uint32_t>& touched = scratch.touched;
   touched.clear();
-  for (uint32_t d = 0; d < epoch.num_disks; ++d) {
+  for (uint32_t d = 0; d < epoch.num_disks(); ++d) {
     if (counts[d] > 0) touched.push_back(d);
   }
   std::vector<uint32_t>& lost = scratch.lost;
@@ -777,7 +767,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     serve::QueryService& service = *epoch.services[node];
     if (on_caller) {
       auto answer = service.ExecuteOnCaller(
-          request, serve::SubQuery{disks, copy, epoch.generation});
+          request, serve::SubQuery{disks, copy, epoch.generation()});
       if (!answer.ok()) return answer.status();
       ++result.sub_queries;
       ++result.sub_queries_on_caller;
@@ -786,7 +776,7 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     serve::QueryRequest req = request;
     req.disks = disks;
     req.serve_copy = copy;
-    req.expected_generation = epoch.generation;
+    req.expected_generation = epoch.generation();
     auto f = service.Submit(std::move(req));
     if (!f.ok()) return f.status();
     ++result.sub_queries;

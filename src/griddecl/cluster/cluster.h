@@ -33,11 +33,18 @@
 ///
 /// **A node comes in one way.** `Create`, a `ReviveNode` that catches up
 /// and `AddNode` all copy a source env's files into the node (the seed,
-/// else a live peer the routing epoch holds a service for), load the
-/// node's service pinned to the epoch's generation, and publish it in a
-/// fresh epoch. Revivals, adds, migrations and repairs share one
-/// single-flight slot, so a node never joins under a transition that
-/// would cut over without it.
+/// else a live peer the routing epoch holds a service for), check each
+/// relation's data file against the manifest, start the node's service on
+/// the epoch's shared load, and publish it in a fresh epoch. Revivals,
+/// adds, migrations and repairs share one single-flight slot, so a node
+/// never joins under a transition that would cut over without it.
+///
+/// **One load per generation.** A declustering method is a pure function
+/// of the grid and M, so a generation has one bucket -> disk map. The
+/// cluster loads each generation once (`serve::LoadGeneration`): `Create`
+/// from the seed, a transition from its copy source after staging. Every
+/// node service and the routing epoch share that load; a joining node
+/// reuses the epoch's and derives nothing.
 ///
 /// **Placement has one source of truth: the routing epoch's
 /// `PlacementMap`** (cluster/placement.h). It says which node holds each
@@ -164,14 +171,16 @@ enum class HedgePolicy {
 struct ClusterOptions {
   uint32_t num_nodes = 4;
   /// Slot capacity for topology growth (`AddNode`). 0 = num_nodes (no
-  /// growth). Node slots beyond num_nodes are preallocated empty so adding
-  /// a node never reallocates state concurrent Execute calls read.
+  /// growth); at most the catalog's disk count, like num_nodes. Node slots
+  /// beyond num_nodes are preallocated empty so adding a node never
+  /// reallocates state concurrent Execute calls read.
   uint32_t max_nodes = 0;
   /// Per-node service template. `seed` is offset by the node index so
-  /// retry jitter decorrelates across nodes; `generation` must stay 0
-  /// (nodes follow the cluster's committed generation). `num_threads` and
-  /// `max_queue` bound only the sub-queries queued on the node (see file
-  /// comment: a node whose reads cannot wait serves on the caller).
+  /// retry jitter decorrelates across nodes. Every node serves the
+  /// cluster's one load of the routed generation (see file comment).
+  /// `num_threads` and `max_queue` bound only the sub-queries queued on the
+  /// node (see file comment: a node whose reads cannot wait serves on the
+  /// caller).
   serve::ServeOptions node;
   /// Node-level breaker. (The per-disk breakers inside each node's
   /// service never act in a cluster: sub-queries bypass them.)
@@ -350,9 +359,10 @@ struct TransitionDelta;
 /// KillNode / AdvanceTimeMs / Migrate / Repair.
 class Cluster {
  public:
-  /// Materializes `seed` (a committed catalog env) into every node and
-  /// starts the per-node services. Requires num_nodes >= 1 and
-  /// num_nodes <= the catalog's disk count.
+  /// Loads `seed`'s committed generation once, materializes `seed` (a
+  /// committed catalog env) into every node and starts the per-node
+  /// services on that load. Requires num_nodes >= 1, and num_nodes and
+  /// max_nodes <= the catalog's disk count.
   static Result<std::unique_ptr<Cluster>> Create(const StorageEnv& seed,
                                                  ClusterOptions options);
 
@@ -370,7 +380,7 @@ class Cluster {
   /// already serves its generation and only comes back to routing; a node
   /// it holds none for missed a commit (a repair stages only to live
   /// nodes) and is first caught up from a live peer the epoch holds a
-  /// service for, with a fresh service pinned to the epoch's generation.
+  /// service for, with a fresh service on the epoch's load.
   /// With no such peer the revival is refused with kUnavailable and the
   /// node stays dead rather than serving a stale generation.
   ///
@@ -507,30 +517,32 @@ class Cluster {
     std::atomic<bool> removed{false};
   };
 
-  /// One immutable routing view: generation, placement, the per-node
-  /// service snapshot and the relations it routes by. Cutover swaps the
-  /// shared_ptr atomically; in-flight queries finish on the epoch they
-  /// grabbed.
+  /// One immutable routing view: the generation's load, placement and the
+  /// per-node service snapshot. Cutover swaps the shared_ptr atomically;
+  /// in-flight queries finish on the epoch they grabbed.
   struct Epoch {
-    uint64_t generation = 0;
-    uint32_t num_disks = 0;
+    /// The generation this epoch routes, loaded once (see file comment):
+    /// every non-null entry of `services` serves this very load, and the
+    /// epoch routes by its relations — each one's header (for
+    /// ResolveRange), DiskMap and copy count (`placement->num_replicas()`).
+    /// Copying an epoch (a revival, an added node) copies the pointer and
+    /// derives nothing.
+    std::shared_ptr<const serve::LoadedGeneration> loaded;
     /// (disk, copy) -> node; row 0 is disk ownership. The cluster's only
     /// runtime placement state.
     PlacementMap placement;
-    /// Per node, the service it is routed to, pinned to `generation`
-    /// (BuildEpoch refuses services that disagree). A null entry is a node
-    /// that did not take part in the commit that made this epoch — dead,
-    /// killed or removed then — so its env may lack `generation`;
-    /// ReviveNode catches it up before readmitting it. The rule holds
-    /// because every epoch change (cutover, revival, add) runs in the
-    /// single-flight slot: a non-null entry's node env is at `generation`
-    /// and can be any joining node's copy source.
+    /// Per node, the service it is routed to, serving `loaded`. A null
+    /// entry is a node that did not take part in the commit that made this
+    /// epoch — dead, killed or removed then — so its env may lack the
+    /// generation; ReviveNode catches it up before readmitting it. The
+    /// rule holds because every epoch change (cutover, revival, add) runs
+    /// in the single-flight slot: a non-null entry's node env is at the
+    /// generation and can be any joining node's copy source.
     std::vector<std::shared_ptr<serve::QueryService>> services;
-    /// Per relation name: the very `serve::Relation` the first non-null
-    /// service loaded — its header (for ResolveRange), its DiskMap and its
-    /// copy count (`placement->num_replicas()`). Copying an epoch (a
-    /// revival, an added node) copies these pointers and derives nothing.
-    serve::RelationMap relations;
+
+    uint64_t generation() const { return loaded->manifest.generation; }
+    uint32_t num_disks() const { return loaded->manifest.num_disks; }
+    const serve::RelationMap& relations() const { return loaded->relations; }
   };
 
   /// One sub-query: a set of primary disk ids served from mirror copy
@@ -565,12 +577,12 @@ class Cluster {
 
   Cluster() = default;
 
-  /// Builds a routing epoch over `services` (null for a node the epoch
-  /// leaves out), routing by `placement` (see file comment for who hands in
-  /// which spec). It reads no file: generation, disk count and relations
-  /// are those the non-null services loaded, which must agree on the
-  /// first two (kInternal otherwise, or with no service at all).
+  /// Builds a routing epoch of `loaded` over `services`, which serve it
+  /// (null for a node the epoch leaves out), routing by `placement` (see
+  /// file comment for who hands in which spec). It reads no file and
+  /// derives nothing: generation, disk count and relations are the load's.
   static Result<std::shared_ptr<const Epoch>> BuildEpoch(
+      std::shared_ptr<const serve::LoadedGeneration> loaded,
       std::vector<std::shared_ptr<serve::QueryService>> services,
       const PlacementSpec& placement);
 
@@ -652,23 +664,28 @@ class Cluster {
   std::vector<uint32_t> DeadNodesForRepair() const;
   /// Virtual time the heartbeat declared `node` dead (0 = never).
   double NodeDeadSinceMs(uint32_t node) const;
-  /// Node `n`'s query service over its FaultyEnv, pinned to `generation`.
-  /// Builds the FaultyEnv first when the node has none (Create, AddNode):
-  /// fault seed `fault_seed + n` and node n's injected latency. The
-  /// service runs `options_.node` with `seed + n`, decorrelating retry
-  /// jitter across nodes.
+  /// Node `n`'s query service over its FaultyEnv, serving `loaded`. With
+  /// `check_copy` (the load was read from another env), each relation's
+  /// data file in node n's env must first match the size and CRC32C the
+  /// load's manifest records, so a bad copy is refused. Builds the
+  /// FaultyEnv first when the node has none (Create, AddNode): fault seed
+  /// `fault_seed + n` and node n's injected latency. The service runs
+  /// `options_.node` with `seed + n`, decorrelating retry jitter across
+  /// nodes.
   Result<std::shared_ptr<serve::QueryService>> NodeService(
-      uint32_t n, uint64_t generation);
+      uint32_t n, std::shared_ptr<const serve::LoadedGeneration> loaded,
+      bool check_copy);
   /// The step every node joins by (see file comment): copies every file
-  /// of `source` into node n's env and loads its service pinned to
-  /// `generation`.
+  /// of `source` into node n's env and starts its service on `loaded`,
+  /// checking the copy.
   Result<std::shared_ptr<serve::QueryService>> JoinNode(
-      uint32_t n, const StorageEnv& source, uint64_t generation);
+      uint32_t n, const StorageEnv& source,
+      std::shared_ptr<const serve::LoadedGeneration> loaded);
   /// JoinNode from the first live node other than `n` the current epoch
-  /// holds a service for, at the epoch's generation, then publishes the
-  /// service as node n's in a fresh epoch, under `grown` when given
-  /// (AddNode). kUnavailable when there is no such peer. The caller holds
-  /// the single-flight slot.
+  /// holds a service for, on the epoch's load, then publishes the service
+  /// as node n's in a fresh epoch, under `grown` when given (AddNode).
+  /// kUnavailable when there is no such peer. The caller holds the
+  /// single-flight slot.
   Status CatchUpNode(uint32_t n, std::optional<Topology> grown);
   /// Admits one extra sub-query (hedge or failover retry) against the
   /// cluster-wide hedge budget; false = over budget, skip it.

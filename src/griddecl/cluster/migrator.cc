@@ -19,7 +19,7 @@ Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
               "new_num_disks " + std::to_string(options.new_num_disks) +
               " < cluster nodes " + std::to_string(num_nodes()));
         }
-        for (const auto& [name, rel] : current.relations) {
+        for (const auto& [name, rel] : current.relations()) {
           auto method = CreateMethod(options.new_method,
                                      rel->header.partitioner.grid(),
                                      options.new_num_disks);

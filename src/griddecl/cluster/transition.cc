@@ -104,29 +104,29 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
 
   // Participants hold identical committed files; the raw MemEnv (not the
   // faulty wrapper) keeps the copy source fault-free.
-  const StorageEnv& src = cluster_->nodes_[delta_.participants[0]]->env;
-  auto old_manifest = ReadManifest(src, report->old_generation);
-  if (!old_manifest.ok()) return old_manifest.status();
+  const uint32_t source = delta_.participants[0];
+  const StorageEnv& src = cluster_->nodes_[source]->env;
+  // The committed generation's manifest is the old epoch's load, read once.
+  const CatalogManifest& old_manifest = old_epoch->loaded->manifest;
   auto next = NextManifestGeneration(src);
   if (!next.ok()) return next.status();
   report->new_generation = next.value();
-  CatalogManifest staged = old_manifest.value();
+  CatalogManifest staged = old_manifest;
   staged.generation = report->new_generation;
   delta_.edit_manifest(&staged);
 
   for (size_t i = 0; i < staged.relations.size(); ++i) {
     const ManifestRelation& mr = staged.relations[i];
     std::vector<std::pair<std::string, std::string>> files;
-    files.emplace_back(old_manifest.value().DataFileName(i),
-                       staged.DataFileName(i));
+    files.emplace_back(old_manifest.DataFileName(i), staged.DataFileName(i));
     if (mr.redundancy.policy == RelationRedundancy::Policy::kMirror) {
       for (uint32_t c = 1; c < mr.redundancy.copies; ++c) {
-        files.emplace_back(old_manifest.value().MirrorFileName(i, c),
+        files.emplace_back(old_manifest.MirrorFileName(i, c),
                            staged.MirrorFileName(i, c));
       }
     }
     if (mr.parity_size > 0) {
-      files.emplace_back(old_manifest.value().ParityFileName(i),
+      files.emplace_back(old_manifest.ParityFileName(i),
                          staged.ParityFileName(i));
     }
     for (const auto& [from, to] : files) {
@@ -165,7 +165,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
       report->bytes_copied += static_cast<uint64_t>(charge);
     }
     report->buckets_copied +=
-        old_epoch->relations.at(mr.name)->header.partitioner.grid()
+        old_epoch->relations().at(mr.name)->header.partitioner.grid()
             .num_buckets();
   }
 
@@ -179,20 +179,27 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
 
   // --- verify --------------------------------------------------------------
   Phase("verify");
-  // Non-participants keep a null service: they miss this commit, so a
-  // revival catches them up first (see Cluster::Epoch::services).
+  // The new generation is loaded once, from the copy source (the first
+  // participant, so a failed load aborts on it); every other participant
+  // checks its staged data files against the load's manifest, so a bad
+  // staged copy on any node aborts here. Non-participants keep a null
+  // service: they miss this commit, so a revival catches them up first
+  // (see Cluster::Epoch::services).
+  const auto loaded = serve::LoadGeneration(src, report->new_generation);
   std::vector<std::shared_ptr<serve::QueryService>> staging_services(
       cluster_->num_nodes());
   for (uint32_t n : delta_.participants) {
-    auto service = cluster_->NodeService(n, report->new_generation);
+    auto service = loaded.ok()
+                       ? cluster_->NodeService(n, loaded.value(), n != source)
+                       : loaded.status();
     if (!service.ok()) {
       return Abort("staging service on node " + std::to_string(n) + ": " +
                    service.status().ToString());
     }
     staging_services[n] = std::move(service.value());
   }
-  auto staging_epoch =
-      Cluster::BuildEpoch(std::move(staging_services), delta_.placement);
+  auto staging_epoch = Cluster::BuildEpoch(
+      loaded.value(), std::move(staging_services), delta_.placement);
   if (!staging_epoch.ok()) {
     return Abort("staging epoch: " + staging_epoch.status().ToString());
   }
@@ -203,7 +210,7 @@ Status StagedTransition::Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
   // The verify sample per relation: the full box plus each attribute's
   // lower half (exercises multi-disk routing in every dimension).
   std::vector<serve::QueryRequest> sample;
-  for (const auto& [name, rel] : old_epoch->relations) {
+  for (const auto& [name, rel] : old_epoch->relations()) {
     const Schema& schema = rel->header.schema;
     serve::QueryRequest full;
     full.relation = name;
@@ -291,7 +298,7 @@ Status Cluster::RunTransition(
         "copy pacing rates and contention must be >= 0");
   }
   auto epoch = CurrentEpoch();
-  report->old_generation = epoch->generation;
+  report->old_generation = epoch->generation();
   TransitionDelta delta;
   Status status = plan(*epoch, &delta);
   if (status.ok() && !delta.participants.empty()) {

@@ -29,10 +29,12 @@
 ///   2. **staged** — write the edited `MANIFEST-G'` to every participant.
 ///      It is invisible to `ReadCurrentManifest` (it looks exactly like the
 ///      wreckage of a crashed save, which recovery already skips).
-///   3. **verify** — bring up one staging `QueryService` per participant
-///      pinned to G', install the staging epoch so live traffic double-reads
-///      old-vs-new on every complete query, and run the verify sample
-///      through both epochs, comparing match sets byte for byte.
+///   3. **verify** — load G' once from the copy source, check every other
+///      participant's staged data files against its manifest, bring up one
+///      staging `QueryService` per participant on that one load, install
+///      the staging epoch so live traffic double-reads old-vs-new on every
+///      complete query, and run the verify sample through both epochs,
+///      comparing match sets byte for byte.
 ///   4. **commit** — `CommitStagedManifest` flips CURRENT on every
 ///      participant behind the generation fence (a mid-commit failure rolls
 ///      the flipped nodes back), the cluster adopts the staging epoch —
@@ -118,8 +120,8 @@ class StagedTransition {
 
   /// Moves the cluster from `old_epoch` (whose generation `report` already
   /// carries) to the delta's new generation, filling `report`. A clean
-  /// abort is Ok with `committed = false`; an unreadable committed manifest
-  /// is an error status.
+  /// abort is Ok with `committed = false`; a copy source whose next
+  /// generation cannot be named is an error status.
   Status Run(std::shared_ptr<const Cluster::Epoch> old_epoch,
              TransitionReport* report);
 

@@ -125,6 +125,8 @@ Status ValidateRedundancy(const RelationRedundancy& r) {
   return Status::InvalidArgument("unknown redundancy policy");
 }
 
+}  // namespace
+
 Status CheckFileAgainstManifest(const StorageEnv& env,
                                 const std::string& name, uint64_t size,
                                 uint32_t crc) {
@@ -132,8 +134,6 @@ Status CheckFileAgainstManifest(const StorageEnv& env,
   if (!data.ok()) return data.status();
   return CheckBytesAgainstManifest(name, data.value(), size, crc);
 }
-
-}  // namespace
 
 Status CheckBytesAgainstManifest(const std::string& name,
                                  std::string_view bytes, uint64_t size,

@@ -245,6 +245,12 @@ Status CheckBytesAgainstManifest(const std::string& name,
                                  std::string_view bytes, uint64_t size,
                                  uint32_t crc);
 
+/// Reads file `name` from `env` and checks it like
+/// `CheckBytesAgainstManifest`.
+Status CheckFileAgainstManifest(const StorageEnv& env,
+                                const std::string& name, uint64_t size,
+                                uint32_t crc);
+
 /// Verifies that every file `manifest` references exists in `env` with the
 /// recorded size and whole-file CRC32C (mirrors included).
 Status VerifyManifestFiles(const StorageEnv& env,

@@ -108,84 +108,15 @@ QueryService::Pending QueryService::PendingQueue::Pop() {
   return p;
 }
 
-QueryService::QueryService(const StorageEnv* env, ServeOptions options,
-                           uint32_t num_disks)
-    : env_(env),
-      options_(options),
-      num_disks_(num_disks),
-      breakers_(num_disks, options.breaker),
-      latency_ms_(obs::DefaultLatencyBoundsMs()) {
-  PageStore::Options store_options;
-  store_options.pool_pages = options_.pool_pages;
-  store_options.seed = options_.seed;
-  store_ = std::make_unique<PageStore>(env_, store_options);
-}
+namespace {
 
-Result<std::unique_ptr<QueryService>> QueryService::Create(
-    const StorageEnv* env, ServeOptions options) {
-  if (env == nullptr) {
-    return Status::InvalidArgument("QueryService needs a storage env");
-  }
-  if (options.num_threads < 1 || options.num_threads > 256) {
-    return Status::InvalidArgument("num_threads must be in [1, 256]");
-  }
-  if (options.max_queue < 1) {
-    return Status::InvalidArgument("max_queue must be >= 1");
-  }
-  if (!(options.default_deadline_ms >= 0.0)) {
-    return Status::InvalidArgument("default_deadline_ms must be >= 0");
-  }
-  if (!(options.drain_deadline_ms >= 0.0)) {
-    return Status::InvalidArgument("drain_deadline_ms must be >= 0");
-  }
-  {
-    Status st = ValidateBackoffPolicy(options.read.retry);
-    if (!st.ok()) return st;
-    st = ValidateBreakerOptions(options.breaker);
-    if (!st.ok()) return st;
-  }
-  std::unique_ptr<QueryService> service;
-  const auto load = [&](const CatalogManifest& m) -> Status {
-    service.reset(new QueryService(env, options, m.num_disks));
-    service->generation_ = m.generation;
-    for (size_t i = 0; i < m.relations.size(); ++i) {
-      Result<Relation> rel = LoadRelation(*env, m, i);
-      if (!rel.ok()) {
-        return Status(rel.status().code(), "relation '" + m.relations[i].name +
-                                               "': " + rel.status().message());
-      }
-      auto shared = std::make_shared<const Relation>(std::move(rel).value());
-      // Every copy shares the primary's layout (mirrors are byte-identical);
-      // registering them lets the PageStore serve any copy from the pool.
-      for (const std::string& file : shared->copy_files) {
-        service->store_->RegisterFile(file, shared->header.layout);
-      }
-      service->relations_.emplace(shared->name, std::move(shared));
-    }
-    return Status::Ok();
-  };
-  // A pinned generation loads once; the committed one is re-resolved when
-  // a concurrent commit moves CURRENT mid-load.
-  Status loaded = Status::Ok();
-  if (options.generation != 0) {
-    Result<CatalogManifest> manifest = ReadManifest(*env, options.generation);
-    if (!manifest.ok()) return manifest.status();
-    loaded = load(manifest.value());
-  } else {
-    loaded = LoadAtCommittedGeneration(*env, load);
-  }
-  if (!loaded.ok()) return loaded;
-  QueryService* self = service.get();
-  for (uint32_t t = 0; t < options.num_threads; ++t) {
-    service->workers_.emplace_back([self, t] { self->WorkerLoop(t); });
-  }
-  return service;
-}
-
-QueryService::~QueryService() { (void)Shutdown(); }
-
-Result<Relation> QueryService::LoadRelation(
-    const StorageEnv& env, const CatalogManifest& manifest, size_t index) {
+/// Checks relation `index`'s data file against its manifest record (size,
+/// whole-file CRC32C), verifies its pages, indexes it from its header and
+/// its pages' zone maps, and derives its declustering method and DiskMap:
+/// the one load path of LoadGeneration, and so the only place a Relation is
+/// built.
+Result<Relation> LoadRelation(const StorageEnv& env,
+                              const CatalogManifest& manifest, size_t index) {
   const ManifestRelation& mr = manifest.relations[index];
   const std::string data_name = manifest.DataFileName(index);
   Result<std::string> bytes = env.ReadFile(data_name);
@@ -231,6 +162,94 @@ Result<Relation> QueryService::LoadRelation(
               : std::string(),
       .index = std::move(pages).value()};
 }
+
+}  // namespace
+
+Result<std::shared_ptr<const LoadedGeneration>> LoadGeneration(
+    const StorageEnv& env, uint64_t generation) {
+  auto loaded = std::make_shared<LoadedGeneration>();
+  const auto load = [&](const CatalogManifest& m) -> Status {
+    loaded->manifest = m;
+    loaded->relations.clear();
+    for (size_t i = 0; i < m.relations.size(); ++i) {
+      Result<Relation> rel = LoadRelation(env, m, i);
+      if (!rel.ok()) {
+        return Status(rel.status().code(), "relation '" + m.relations[i].name +
+                                               "': " + rel.status().message());
+      }
+      auto shared = std::make_shared<const Relation>(std::move(rel).value());
+      loaded->relations.emplace(shared->name, std::move(shared));
+    }
+    return Status::Ok();
+  };
+  // A pinned generation loads once; the committed one is re-resolved when
+  // a concurrent commit moves CURRENT mid-load.
+  if (generation == 0) {
+    GRIDDECL_RETURN_IF_ERROR(LoadAtCommittedGeneration(env, load));
+  } else {
+    Result<CatalogManifest> manifest = ReadManifest(env, generation);
+    if (!manifest.ok()) return manifest.status();
+    GRIDDECL_RETURN_IF_ERROR(load(manifest.value()));
+  }
+  return std::shared_ptr<const LoadedGeneration>(std::move(loaded));
+}
+
+QueryService::QueryService(const StorageEnv* env, ServeOptions options,
+                           std::shared_ptr<const LoadedGeneration> loaded)
+    : env_(env),
+      options_(options),
+      loaded_(std::move(loaded)),
+      num_disks_(loaded_->manifest.num_disks),
+      breakers_(num_disks_, options.breaker),
+      latency_ms_(obs::DefaultLatencyBoundsMs()) {
+  PageStore::Options store_options;
+  store_options.pool_pages = options_.pool_pages;
+  store_options.seed = options_.seed;
+  store_ = std::make_unique<PageStore>(env_, store_options);
+  // Every copy shares the primary's layout (mirrors are byte-identical);
+  // registering them lets the PageStore serve any copy from the pool.
+  for (const auto& [name, rel] : loaded_->relations) {
+    for (const std::string& file : rel->copy_files) {
+      store_->RegisterFile(file, rel->header.layout);
+    }
+  }
+}
+
+Result<std::unique_ptr<QueryService>> QueryService::Create(
+    const StorageEnv* env, ServeOptions options,
+    std::shared_ptr<const LoadedGeneration> loaded) {
+  if (env == nullptr) {
+    return Status::InvalidArgument("QueryService needs a storage env");
+  }
+  if (options.num_threads < 1 || options.num_threads > 256) {
+    return Status::InvalidArgument("num_threads must be in [1, 256]");
+  }
+  if (options.max_queue < 1) {
+    return Status::InvalidArgument("max_queue must be >= 1");
+  }
+  if (!(options.default_deadline_ms >= 0.0)) {
+    return Status::InvalidArgument("default_deadline_ms must be >= 0");
+  }
+  if (!(options.drain_deadline_ms >= 0.0)) {
+    return Status::InvalidArgument("drain_deadline_ms must be >= 0");
+  }
+  GRIDDECL_RETURN_IF_ERROR(ValidateBackoffPolicy(options.read.retry));
+  GRIDDECL_RETURN_IF_ERROR(ValidateBreakerOptions(options.breaker));
+  if (loaded == nullptr) {
+    auto committed = LoadGeneration(*env, 0);
+    if (!committed.ok()) return committed.status();
+    loaded = std::move(committed).value();
+  }
+  std::unique_ptr<QueryService> service(
+      new QueryService(env, options, std::move(loaded)));
+  QueryService* self = service.get();
+  for (uint32_t t = 0; t < options.num_threads; ++t) {
+    service->workers_.emplace_back([self, t] { self->WorkerLoop(t); });
+  }
+  return service;
+}
+
+QueryService::~QueryService() { (void)Shutdown(); }
 
 double QueryService::DeadlineOf(const QueryRequest& request,
                                 double now) const {
@@ -383,7 +402,7 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
   // The cutover fence: a fenced request must land on the generation its
   // coordinator planned against, before any page is read.
   if (sub.expected_generation != 0 &&
-      sub.expected_generation != generation_) {
+      sub.expected_generation != generation()) {
     {
       std::lock_guard<std::mutex> m(metrics_mu_);
       generation_fenced_++;
@@ -391,10 +410,10 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
     return finish(Status::FailedPrecondition(
         "generation fence: request expects catalog generation " +
         std::to_string(sub.expected_generation) +
-        " but this service serves " + std::to_string(generation_)));
+        " but this service serves " + std::to_string(generation())));
   }
-  const auto it = relations_.find(request.relation);
-  if (it == relations_.end()) {
+  const auto it = relations().find(request.relation);
+  if (it == relations().end()) {
     return finish(
         Status::NotFound("no relation named '" + request.relation + "'"));
   }
@@ -939,33 +958,24 @@ BreakerCounters QueryService::BreakerTotals() const {
 
 std::vector<std::string> QueryService::RelationNames() const {
   std::vector<std::string> names;
-  names.reserve(relations_.size());
-  for (const auto& [name, rel] : relations_) names.push_back(name);
+  names.reserve(relations().size());
+  for (const auto& [name, rel] : relations()) names.push_back(name);
   return names;
 }
 
 Result<std::vector<FaultRange>> DiskFaultSchedule(const StorageEnv& env,
                                                   const std::string& relation,
                                                   uint32_t disk) {
-  Result<CatalogManifest> manifest = ReadCurrentManifest(env);
-  if (!manifest.ok()) return manifest.status();
-  const CatalogManifest& m = manifest.value();
-  size_t index = m.relations.size();
-  for (size_t i = 0; i < m.relations.size(); ++i) {
-    if (m.relations[i].name == relation) {
-      index = i;
-      break;
-    }
-  }
-  if (index == m.relations.size()) {
+  auto loaded = LoadGeneration(env, 0);
+  if (!loaded.ok()) return loaded.status();
+  const auto it = loaded.value()->relations.find(relation);
+  if (it == loaded.value()->relations.end()) {
     return Status::NotFound("no relation named '" + relation + "'");
   }
-  if (disk >= m.num_disks) {
+  if (disk >= loaded.value()->manifest.num_disks) {
     return Status::InvalidArgument("disk index out of range");
   }
-  Result<Relation> loaded = QueryService::LoadRelation(env, m, index);
-  if (!loaded.ok()) return loaded.status();
-  const Relation& rel = loaded.value();
+  const Relation& rel = *it->second;
   const FileLayout& l = rel.header.layout;
 
   // A page's disk is its buckets' primary disk — require the layout to be

@@ -85,15 +85,19 @@
 /// insertion order and page size accordingly in tests).
 ///
 /// Record payloads returned by a query are always decoded from the page
-/// bytes read through the env. The service holds no record: `Create`
-/// checks each data file against the size and CRC32C its manifest
-/// records, verifies its pages, and keeps one immutable `Relation` per
-/// relation — its header (schema, partitioning), its declustering method
-/// and `DiskMap`, and the bucket -> pages index read off the pages' zone
-/// maps (`BuildPageIndex`) — so a query's matches genuinely travelled the
-/// storage path under test. It holds each `Relation` by `shared_ptr` and
-/// shares it through `relations()`: a cluster's routing epoch routes by
-/// its node services' relations instead of deriving its own.
+/// bytes read through the env. The service holds no record. A catalog
+/// generation is loaded once, by `LoadGeneration`: it checks each data
+/// file against the size and CRC32C its manifest records, verifies its
+/// pages, and builds one immutable `Relation` per relation — its header
+/// (schema, partitioning), its declustering method and `DiskMap`, and the
+/// bucket -> pages index read off the pages' zone maps (`BuildPageIndex`)
+/// — so a query's matches genuinely travelled the storage path under
+/// test. The load is immutable and shared: any number of services over
+/// envs that hold the generation's files serve one load
+/// (`Create(env, options, loaded)`), and `relations()` hands its
+/// `Relation`s out. A cluster loads each generation once for all its node
+/// services and its routing epoch; `Create(env, options)` is the
+/// standalone load-then-serve.
 ///
 /// ## Determinism contract
 ///
@@ -131,11 +135,6 @@ struct ServeOptions {
   double drain_deadline_ms = 2000.0;
   /// Seed for retry jitter (decorrelates concurrent retriers).
   uint64_t seed = 0;
-  /// Catalog generation to serve: 0 resolves CURRENT (the normal path);
-  /// nonzero loads `MANIFEST-<generation>` directly, committed or merely
-  /// staged — how a migrator brings up verification services over a
-  /// staged, not-yet-committed layout.
-  uint64_t generation = 0;
 };
 
 struct QueryRequest {
@@ -220,10 +219,10 @@ inline constexpr const char* kServeCounterNames[] = {
 /// One relation's read state at one catalog generation, immutable once
 /// loaded: everything needed to plan and serve its queries, and the one
 /// bucket -> disk map a cluster routes it by. No record is held: record
-/// payloads served to clients come from page reads. `QueryService::
-/// LoadRelation` is its only builder; a service shares each one it loaded
-/// (`QueryService::relations`), so a cluster's routing epoch routes by the
-/// very object one of its node services serves from.
+/// payloads served to clients come from page reads. `LoadGeneration` is
+/// its only builder, once per generation; every service serving that load
+/// shares it (`QueryService::relations`), and so does a cluster's routing
+/// epoch.
 struct Relation {
   std::string name;
   RelationRedundancy redundancy;
@@ -248,14 +247,34 @@ struct Relation {
 /// A service's relations by name, in name order.
 using RelationMap = std::map<std::string, std::shared_ptr<const Relation>>;
 
+/// One catalog generation, loaded once (`LoadGeneration`): its manifest
+/// and its relations. Immutable, and shared by every service serving it.
+struct LoadedGeneration {
+  CatalogManifest manifest;
+  RelationMap relations;
+};
+
+/// Loads generation `generation` of the catalog in `env`: reads its
+/// manifest, and checks, verifies, indexes and derives each relation (see
+/// file comment). 0 loads the committed generation, re-resolving CURRENT
+/// when a concurrent commit moves it mid-load (`LoadAtCommittedGeneration`);
+/// nonzero loads `MANIFEST-<generation>`, committed or merely staged — how
+/// a cluster transition loads the staged layout it verifies.
+Result<std::shared_ptr<const LoadedGeneration>> LoadGeneration(
+    const StorageEnv& env, uint64_t generation);
+
 /// Multi-threaded query service; see file comment. Thread-safe.
 class QueryService {
  public:
-  /// Loads the committed manifest from `env` and starts `num_threads`
-  /// workers. `env` must outlive the service. Fails when the env holds no
-  /// loadable catalog or an option is out of domain.
+  /// Serves `loaded` from `env`, which must hold the files it names, and
+  /// starts `num_threads` workers; `env` must outlive the service. A
+  /// shared load reads nothing here: the files' checks are the loader's
+  /// (see file comment). Without one, Create first loads the committed
+  /// generation from `env` (`LoadGeneration(*env, 0)`), the standalone
+  /// path. Fails when an option is out of domain or the load fails.
   static Result<std::unique_ptr<QueryService>> Create(
-      const StorageEnv* env, ServeOptions options);
+      const StorageEnv* env, ServeOptions options,
+      std::shared_ptr<const LoadedGeneration> loaded = nullptr);
 
   /// Drains and joins (with the configured drain deadline).
   ~QueryService();
@@ -310,12 +329,12 @@ class QueryService {
   BreakerCounters BreakerTotals() const;
 
   uint32_t num_disks() const { return num_disks_; }
-  /// Catalog generation this service loaded (fences compare against it).
-  uint64_t generation() const { return generation_; }
+  /// Catalog generation this service serves (fences compare against it).
+  uint64_t generation() const { return loaded_->manifest.generation; }
   /// In name order.
   std::vector<std::string> RelationNames() const;
-  /// The relations this service loaded and serves from, shared.
-  const RelationMap& relations() const { return relations_; }
+  /// The relations of the load this service serves, shared.
+  const RelationMap& relations() const { return loaded_->relations; }
 
  private:
   struct Pending {
@@ -345,18 +364,7 @@ class QueryService {
   struct Scratch;
 
   QueryService(const StorageEnv* env, ServeOptions options,
-               uint32_t num_disks);
-
-  /// Checks relation `index`'s data file against its manifest record
-  /// (size, whole-file CRC32C), verifies its pages, indexes it from its
-  /// header and its pages' zone maps, and derives its declustering method
-  /// and DiskMap: the one load path of Create and DiskFaultSchedule, and
-  /// so the only place a Relation is built.
-  static Result<Relation> LoadRelation(const StorageEnv& env,
-                                       const CatalogManifest& manifest,
-                                       size_t index);
-  friend Result<std::vector<FaultRange>> DiskFaultSchedule(
-      const StorageEnv& env, const std::string& relation, uint32_t disk);
+               std::shared_ptr<const LoadedGeneration> loaded);
 
   void WorkerLoop(uint32_t worker_id);
   /// Serves `request` with `sub` in place of its sub-query fields, on the
@@ -406,9 +414,8 @@ class QueryService {
   const StorageEnv* env_;
   ServeOptions options_;
   std::unique_ptr<PageStore> store_;
+  std::shared_ptr<const LoadedGeneration> loaded_;
   uint32_t num_disks_;
-  uint64_t generation_ = 0;
-  RelationMap relations_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -122,11 +122,15 @@ TEST(ClusterTest, CreateValidatesOptionsAndSeedEnv) {
   bad.quorum_fraction = 1.0;
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
   bad = Deterministic();
-  bad.node.generation = 2;
-  EXPECT_FALSE(Cluster::Create(env, bad).ok());
-  bad = Deterministic();
   bad.num_nodes = 5;  // More nodes than the catalog's 4 virtual disks.
   EXPECT_FALSE(Cluster::Create(env, bad).ok());
+  // Growth slots are preallocated, so they are capped the same way.
+  bad = Deterministic();
+  bad.max_nodes = 5;
+  EXPECT_EQ(Cluster::Create(env, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad.max_nodes = 4;
+  EXPECT_TRUE(Cluster::Create(env, bad).ok());
   // NaN fails every comparison, so each knob is checked in the form that
   // refuses it; a hedge delay must also be finite.
   const double nan = std::numeric_limits<double>::quiet_NaN();

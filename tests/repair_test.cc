@@ -35,7 +35,7 @@ struct ClusterTestPeer {
   /// The relation the current epoch routes `name` by.
   static std::shared_ptr<const serve::Relation> EpochRelation(
       const Cluster& cluster, const std::string& name) {
-    return cluster.CurrentEpoch()->relations.at(name);
+    return cluster.CurrentEpoch()->relations().at(name);
   }
 
   /// The service the current epoch routes node `n` to; null when the
@@ -45,31 +45,26 @@ struct ClusterTestPeer {
     return cluster.CurrentEpoch()->services.at(n);
   }
 
-  /// Builds a routing epoch over `services` and returns its status.
-  static Status BuildEpoch(
-      std::vector<std::shared_ptr<serve::QueryService>> services,
-      const PlacementSpec& placement) {
-    return Cluster::BuildEpoch(std::move(services), placement).status();
-  }
-
-  /// Expects every relation the current epoch routes by to be the very
-  /// object a live node service of that epoch loaded: the epoch derives
-  /// nothing of its own.
+  /// Expects every live node service of the current epoch to serve the
+  /// very relation objects the epoch routes by: one load per generation,
+  /// shared, with nothing derived per node or per epoch.
   static void ExpectRoutesByNodeServiceRelations(const Cluster& cluster) {
     const auto epoch = cluster.CurrentEpoch();
-    ASSERT_FALSE(epoch->relations.empty());
-    for (const auto& [name, rel] : epoch->relations) {
-      bool held = false;
-      for (uint32_t n = 0; n < epoch->services.size(); ++n) {
-        const serve::QueryService* service = epoch->services[n].get();
-        if (service == nullptr || !cluster.NodeAlive(n)) continue;
+    ASSERT_FALSE(epoch->relations().empty());
+    uint32_t live = 0;
+    for (uint32_t n = 0; n < epoch->services.size(); ++n) {
+      const serve::QueryService* service = epoch->services[n].get();
+      if (service == nullptr || !cluster.NodeAlive(n)) continue;
+      ++live;
+      EXPECT_EQ(service->relations().size(), epoch->relations().size());
+      for (const auto& [name, rel] : epoch->relations()) {
         const auto it = service->relations().find(name);
-        held = held ||
-               (it != service->relations().end() && it->second == rel);
+        EXPECT_TRUE(it != service->relations().end() && it->second == rel)
+            << "relation '" << name << "' on node " << n << " at generation "
+            << epoch->generation();
       }
-      EXPECT_TRUE(held) << "relation '" << name << "' at generation "
-                        << epoch->generation;
     }
+    EXPECT_GT(live, 0u);
   }
 };
 
@@ -782,8 +777,8 @@ TEST(RepairTest, ReviveKeepsAServingNodesService) {
 }
 
 TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
-  // One derivation per generation: each routing epoch shares the relation
-  // a live node service loaded, through Create, Repair, ReviveNode,
+  // One derivation per generation: each routing epoch and every live node
+  // service share one load's relations, through Create, Repair, ReviveNode,
   // Migrate and AddNode.
   MemEnv env;
   const Catalog catalog = CommitWideCatalog(&env, 1, Mirror2(), "hcam");
@@ -807,8 +802,8 @@ TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
   }
   ASSERT_TRUE(maps_differ);
 
-  // The repair epoch leaves dead node 0 out, so it routes by another
-  // node's relation.
+  // The repair epoch leaves dead node 0 out; its live participants share
+  // the repair's one load.
   ASSERT_TRUE(cluster->KillNode(0).ok());
   ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
   ASSERT_TRUE(cluster->Repair({}).value().committed);
@@ -816,10 +811,14 @@ TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
   const std::shared_ptr<const serve::Relation> repaired =
       ClusterTestPeer::EpochRelation(*cluster, "dm");
 
-  // A revival copies the epoch, relations included.
+  // A revival copies the epoch, relations included, and the caught-up
+  // node serves the relations that already existed.
+  ASSERT_EQ(ClusterTestPeer::EpochService(*cluster, 0), nullptr);
   ASSERT_TRUE(cluster->ReviveNode(0).ok());
   ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
   EXPECT_EQ(ClusterTestPeer::EpochRelation(*cluster, "dm"), repaired);
+  EXPECT_EQ(ClusterTestPeer::EpochService(*cluster, 0)->relations().at("dm"),
+            repaired);
 
   MigrationOptions mo;
   mo.new_method = "dm";
@@ -833,10 +832,12 @@ TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
     EXPECT_EQ(moved->disk_map->DiskAt(b), dm.DiskAt(b)) << "bucket " << b;
   }
 
-  // An added node copies the epoch too.
+  // An added node copies the epoch too, and serves the same relations.
   EXPECT_EQ(cluster->AddNode(2, 2).value(), 4u);
   ClusterTestPeer::ExpectRoutesByNodeServiceRelations(*cluster);
   EXPECT_EQ(ClusterTestPeer::EpochRelation(*cluster, "dm"), moved);
+  EXPECT_EQ(ClusterTestPeer::EpochService(*cluster, 4)->relations().at("dm"),
+            moved);
 
   const ClusterQueryResult r = cluster->Execute(full);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -844,29 +845,48 @@ TEST(RepairTest, EpochRoutesByItsNodeServicesRelations) {
   EXPECT_EQ(r.matches, Direct(catalog, full));
 }
 
-TEST(RepairTest, EpochNeedsNodeServicesThatAgree) {
-  // An epoch takes its generation and disk count from its node services,
-  // so services at different generations cannot make one.
-  MemEnv first;
-  MemEnv second;
-  CommitWideCatalog(&first);
-  CommitWideCatalog(&second);
-  CommitWideCatalog(&second);
-  serve::ServeOptions so;
-  so.num_threads = 1;
-  const std::shared_ptr<serve::QueryService> at_1 =
-      serve::QueryService::Create(&first, so).value();
-  const std::shared_ptr<serve::QueryService> at_2 =
-      serve::QueryService::Create(&second, so).value();
-  ASSERT_EQ(at_1->generation(), 1u);
-  ASSERT_EQ(at_2->generation(), 2u);
-  PlacementSpec spec;
-  spec.topology = Topology::Flat(2);
-  EXPECT_TRUE(ClusterTestPeer::BuildEpoch({nullptr, at_1}, spec).ok());
-  EXPECT_EQ(ClusterTestPeer::BuildEpoch({at_1, at_2}, spec).code(),
-            StatusCode::kInternal);
-  EXPECT_EQ(ClusterTestPeer::BuildEpoch({nullptr, nullptr}, spec).code(),
-            StatusCode::kInternal);
+TEST(RepairTest, StagedCorruptionFailsVerificationAndAborts) {
+  // A repair loads its new generation once, from its copy source (the
+  // first live participant, node 1 here), and checks every other
+  // participant's staged data files against that generation's manifest.
+  // So one corrupt staged page aborts the repair on either kind of node.
+  const serve::QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
+  for (const uint32_t corrupt : {2u, 1u}) {  // Not the source; the source.
+    SCOPED_TRACE("corrupt node " + std::to_string(corrupt));
+    MemEnv env;
+    const Catalog catalog = CommitWideCatalog(&env);
+    auto cluster = Cluster::Create(env, HealingOptions()).value();
+    ASSERT_TRUE(cluster->KillNode(0).ok());
+    ASSERT_TRUE(cluster->AdvanceTimeMs(60.0).ok());
+    const std::vector<std::string> files_before =
+        NodeFiles(cluster.get(), corrupt);
+
+    RepairOptions ro;
+    ro.on_phase = [&](const std::string& p) {
+      if (p != "staged") return;
+      MemEnv* node_env = cluster->node_env_for_test(corrupt);
+      const std::string name =
+          ReadManifest(*node_env, 2).value().DataFileName(0);
+      const GridFileHeader header =
+          ParseGridFileHeader(node_env->ReadFile(name).value()).value();
+      ASSERT_TRUE(
+          node_env->CorruptByte(name, header.layout.PageOffset(0) + 8, 0x20)
+              .ok());
+    };
+    const RepairReport report = cluster->Repair(ro).value();
+    EXPECT_FALSE(report.committed);
+    EXPECT_NE(report.abort_reason.find("staging service on node " +
+                                       std::to_string(corrupt)),
+              std::string::npos)
+        << report.abort_reason;
+    EXPECT_EQ(cluster->generation(), 1u);
+    EXPECT_EQ(NodeFiles(cluster.get(), corrupt), files_before);
+
+    const ClusterQueryResult r = cluster->Execute(full);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.matches, Direct(catalog, full));
+  }
 }
 
 // ---------------------------------------------------------------------------

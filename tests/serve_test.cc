@@ -733,7 +733,7 @@ TEST(QueryServiceTest, CreateRefusesADataFileTheManifestDoesNotName) {
   EXPECT_FALSE(swapped.ok());
 }
 
-TEST(QueryServiceTest, ServeOptionsGenerationLoadsStagedCatalogs) {
+TEST(QueryServiceTest, LoadGenerationLoadsStagedCatalogs) {
   MemEnv env;
   const Catalog catalog = CommitCatalog(&env, {});
   // Stage generation 2 without committing: CURRENT still names 1.
@@ -744,10 +744,14 @@ TEST(QueryServiceTest, ServeOptionsGenerationLoadsStagedCatalogs) {
 
   auto current = QueryService::Create(&env, {}).value();
   EXPECT_EQ(current->generation(), 1u);
-  ServeOptions at2;
-  at2.generation = 2;
-  auto staged = QueryService::Create(&env, at2).value();
+  const std::shared_ptr<const LoadedGeneration> at2 =
+      LoadGeneration(env, 2).value();
+  EXPECT_EQ(at2->manifest.generation, 2u);
+  auto staged = QueryService::Create(&env, {}, at2).value();
   EXPECT_EQ(staged->generation(), 2u);
+  // A service serves the load it is handed: the very relations, shared.
+  EXPECT_EQ(staged->relations().at("dm"), at2->relations.at("dm"));
+  EXPECT_EQ(LoadGeneration(env, 0).value()->manifest.generation, 1u);
 
   const QueryRequest full = Range({0.0, 0.0}, {1.0, 1.0});
   const QueryResult a = current->Execute(full);
@@ -756,9 +760,7 @@ TEST(QueryServiceTest, ServeOptionsGenerationLoadsStagedCatalogs) {
   ASSERT_TRUE(b.status.ok());
   EXPECT_EQ(a.matches, b.matches);
 
-  ServeOptions at9;
-  at9.generation = 9;
-  EXPECT_FALSE(QueryService::Create(&env, at9).ok());
+  EXPECT_FALSE(LoadGeneration(env, 9).ok());
 }
 
 /// Page size x method. 168-byte pages hold one bucket each; 1024- and

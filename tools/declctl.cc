@@ -143,6 +143,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -218,6 +219,15 @@ Result<uint32_t> DisksFromFlags(const Flags& flags, int64_t fallback) {
     return Status::InvalidArgument("--disks must be in [1, 4294967295]");
   }
   return static_cast<uint32_t>(disks.value());
+}
+
+/// Whether every value fits the uint32_t the library takes, which a
+/// larger one would wrap.
+bool FitUint32(std::initializer_list<int64_t> values) {
+  for (const int64_t v : values) {
+    if (v > std::numeric_limits<uint32_t>::max()) return false;
+  }
+  return true;
 }
 
 /// --disks for the commands that evaluate through an Evaluator, whose
@@ -906,7 +916,10 @@ int CmdServe(const Flags& flags) {
   if (!threads.ok() || !queue.ok() || !deadline.ok() || !drain.ok() ||
       !seed.ok() || !prob.ok() || !fault_seed.ok() || !max_transient.ok() ||
       !latency.ok() || !fail_disk.ok() || !pool_pages.ok() ||
-      threads.value() < 1 || queue.value() < 1 || pool_pages.value() < 0) {
+      threads.value() < 1 || queue.value() < 1 || pool_pages.value() < 0 ||
+      max_transient.value() < 0 ||
+      !FitUint32({threads.value(), queue.value(), max_transient.value(),
+                  fail_disk.value()})) {
     return Fail("bad numeric flag");
   }
   options.num_threads = static_cast<uint32_t>(threads.value());
@@ -1042,7 +1055,9 @@ int CmdCluster(const Flags& flags) {
       !first_success.ok() || !quorum.ok() || !seed.ok() || !prob.ok() ||
       !fault_seed.ok() || !max_nodes.ok() || !retry_budget.ok() ||
       !hedge_budget.ok() || nodes.value() < 1 || threads.value() < 1 ||
-      max_nodes.value() < 0 || retry_budget.value() < 0) {
+      max_nodes.value() < 0 || retry_budget.value() < 0 ||
+      !FitUint32({nodes.value(), threads.value(), max_nodes.value(),
+                  retry_budget.value()})) {
     return Fail("bad numeric flag");
   }
 
